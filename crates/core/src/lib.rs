@@ -17,8 +17,8 @@
 //!   impersonation.
 //! * [`sidechannel`] — power-leakage model of the obfuscation network and
 //!   the dual-rail countermeasure (§4.1's side-channel discussion).
-//! * [`server`] — fleet management: per-device verifiers, session logs,
-//!   revocation.
+//! * [`ring`] — the bounded retention buffer the fleet registry keeps
+//!   per-device session history in.
 //! * [`slender`] — Slender-PUF-style substring authentication over the
 //!   same enrolled hardware (the paper's reference \[22\]).
 //!
@@ -62,7 +62,6 @@ pub mod pipeline;
 pub mod ports;
 pub mod protocol;
 pub mod ring;
-pub mod server;
 pub mod sidechannel;
 pub mod slender;
 
@@ -76,4 +75,3 @@ pub use protocol::{
     AttestationRequest, Channel, MidTraversalTamper, ProverDevice, Verdict, Verifier,
 };
 pub use ring::RingBuffer;
-pub use server::{AttestationServer, DeviceStatus, SessionRecord};

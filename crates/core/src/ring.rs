@@ -1,12 +1,10 @@
 //! A bounded ring buffer with eviction accounting.
 //!
-//! Both retention problems in the verifier-side service layer are the same
-//! shape: an append-mostly event stream (session records on the
-//! [`crate::server::AttestationServer`], per-device attestation history in
-//! the fleet registry) that must never grow without bound on a long-lived
-//! process. [`RingBuffer`] keeps the newest `capacity` items and counts
-//! what it evicted, so operators can tell "empty because quiet" from
-//! "empty because rolled over".
+//! The verifier's per-device attestation history (kept by the fleet
+//! registry) is an append-mostly event stream that must never grow
+//! without bound on a long-lived process. [`RingBuffer`] keeps the newest
+//! `capacity` items and counts what it evicted, so operators can tell
+//! "empty because quiet" from "empty because rolled over".
 
 use std::collections::VecDeque;
 

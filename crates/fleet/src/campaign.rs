@@ -1,10 +1,15 @@
-//! Campaign runner: attest a whole fleet through the worker pool.
+//! Campaign driver: attest a whole fleet through the worker pool.
 //!
 //! A campaign manufactures `devices` chips of one product line (the
-//! design is instantiated once and shared), provisions each with its own
-//! prover/verifier pair, and runs `sessions_per_device` attestation
-//! sessions per device across the pool, applying the retry/quarantine/
-//! revocation lifecycle and recording metrics.
+//! design is instantiated once and shared) and attests each of them
+//! `sessions_per_device` times. It is a driver over
+//! [`FleetService`], which provisions each device,
+//! gates and runs its sessions, applies the retry/quarantine/revocation
+//! lifecycle and records metrics: the pool runs one job per device, and
+//! that job is `enroll` followed by `open_session`/`attest` for every
+//! session the device's schedule still owes. [`run_campaign`] drives an
+//! in-memory service; [`RunningCampaign`] drives a journaled one and
+//! resumes an interrupted run (see [`crate::durable`]).
 //!
 //! # Determinism
 //!
@@ -17,18 +22,22 @@
 //! model, not wall-clock. A campaign with 8 workers therefore produces
 //! exactly the same accept/reject totals as the same campaign with 1.
 
+use crate::durable::open_state_dir;
 use crate::metrics::{FleetMetrics, FleetSnapshot};
 use crate::pool::WorkerPool;
-use crate::registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome, ShardedRegistry};
+use crate::registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome};
+use crate::service::{EnrollCommit, FleetService, ServiceVerdict, SessionGate};
 use pufatt::adversary::build_malicious_prover;
 use pufatt::enroll::enroll_with_design;
 use pufatt::protocol::{provision, AttestationRequest, Channel, ProverDevice, Verifier};
 use pufatt::PufattError;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign};
 use pufatt_faults::{apply_device_faults, run_chaos_session, ChaosReport, FaultPlan, LossyChannel, RetryPolicy};
+use pufatt_store::{CursorInfo, Record, ShardedStore};
 use pufatt_swatt::checksum::SwattParams;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -190,7 +199,7 @@ pub fn device_is_flaky(campaign_seed: u64, id: DeviceId, flaky_fraction: f64) ->
     (draw as f64) * (1.0 / (1u64 << 53) as f64) < flaky_fraction
 }
 
-/// One device's provisioned session state, built inside the pool job.
+/// One device's provisioned session state, held in the service's slot.
 pub(crate) struct DeviceSession {
     prover: ProverDevice,
     verifier: Verifier,
@@ -212,26 +221,15 @@ pub(crate) struct DeviceSession {
     tamper_baseline: Option<u32>,
 }
 
-/// Everything a [`DeviceSession`] needs to fast-forward to a checkpoint:
-/// the fields of a journaled `Record::DeviceCursor`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct SessionCursor {
-    /// The session RNG's absolute ChaCha word position.
-    pub session_pos: u64,
-    /// The device PUF's noise-RNG absolute word position.
-    pub noise_pos: u64,
-    /// Raw PUF evaluations performed (drives burst-fault scheduling).
-    pub noise_evals: u64,
-    /// Whether the tamper cell currently differs from its baseline.
-    pub tamper_parity: bool,
-}
-
 impl DeviceSession {
-    /// Snapshot of the deterministic per-device state a resume must
-    /// restore: RNG positions, PUF evaluation count, tamper parity.
-    pub(crate) fn cursor(&mut self) -> SessionCursor {
+    /// The `DeviceCursor` record of device `id` after `events_done`
+    /// session events: the deterministic per-device state a resume must
+    /// restore — RNG positions, PUF evaluation count, tamper parity.
+    pub(crate) fn cursor_record(&mut self, id: DeviceId, events_done: u32) -> Record {
         let (noise_pos, noise_evals) = self.prover.puf().with(|d| d.noise_state());
-        SessionCursor {
+        Record::DeviceCursor {
+            id,
+            events_done,
             session_pos: self.rng.word_pos(),
             noise_pos,
             noise_evals,
@@ -242,7 +240,7 @@ impl DeviceSession {
     /// Fast-forwards a freshly provisioned session to `cursor` without
     /// replaying the sessions that produced it. Word positions are
     /// absolute, so whatever the provisioning path consumed is irrelevant.
-    pub(crate) fn restore_cursor(&mut self, cursor: &SessionCursor) {
+    pub(crate) fn restore_cursor(&mut self, cursor: &CursorInfo) {
         self.rng.set_word_pos(cursor.session_pos);
         self.prover
             .puf()
@@ -251,6 +249,11 @@ impl DeviceSession {
             let cell = self.tamper_cell;
             self.prover.memory_mut()[cell] ^= pufatt_faults::MID_TRAVERSAL_XOR;
         }
+    }
+
+    /// The verifier's cumulative CRP-cache `(hits, misses)`.
+    pub(crate) fn crp_stats(&self) -> (u64, u64) {
+        self.verifier.crp_cache_stats()
     }
 
     fn tamper_parity(&mut self) -> bool {
@@ -311,8 +314,7 @@ pub(crate) fn provision_device(
 }
 
 /// How one scheduled session ended, with the per-session metric deltas
-/// the durable campaign journals alongside the outcome (the in-memory
-/// campaign only needs the outcome itself).
+/// a journaled service records alongside the outcome.
 pub(crate) enum SessionEvent {
     /// The session reached a verdict to record in the registry.
     Closed {
@@ -325,10 +327,6 @@ pub(crate) enum SessionEvent {
         /// Whether the session died without a verdict (deadline/channel)
         /// and the rejection is synthetic.
         lost: bool,
-        /// Verifier CRP-cache hits this session contributed.
-        crp_hits: u32,
-        /// Verifier CRP-cache misses this session contributed.
-        crp_misses: u32,
     },
     /// The device faulted outside the protocol; no verdict.
     Fault {
@@ -336,18 +334,15 @@ pub(crate) enum SessionEvent {
         retried: u32,
         /// Messages dropped before the fault.
         dropped: u32,
-        /// Verifier CRP-cache hits counted before the fault.
-        crp_hits: u32,
-        /// Verifier CRP-cache misses counted before the fault.
-        crp_misses: u32,
     },
 }
 
-/// Per-session CRP-cache delta: the verifier's cumulative counters minus a
-/// baseline taken when the session began. Sessions run sequentially per
-/// device, so the delta is exact and scheduling-independent.
-fn crp_delta(verifier: &Verifier, baseline: (u64, u64), metrics: &FleetMetrics) -> (u32, u32) {
-    let (h1, m1) = verifier.crp_cache_stats();
+/// Per-session CRP-cache delta, counted into `metrics`: the verifier's
+/// cumulative counters minus a `baseline` of [`DeviceSession::crp_stats`]
+/// taken before the session. Sessions run sequentially per device, so the
+/// delta is exact and scheduling-independent.
+pub(crate) fn crp_delta(session: &DeviceSession, baseline: (u64, u64), metrics: &FleetMetrics) -> (u32, u32) {
+    let (h1, m1) = session.crp_stats();
     let (hits, misses) = (h1.saturating_sub(baseline.0), m1.saturating_sub(baseline.1));
     metrics.record_crp(hits, misses);
     (hits as u32, misses as u32)
@@ -363,7 +358,6 @@ pub(crate) fn run_one_session(
     // A new session starts with a cold CRP cache; retry attempts within it
     // replay the same challenge stream and hit.
     session.verifier.begin_session();
-    let crp0 = session.verifier.crp_cache_stats();
     let mut attempts = 0u32;
     let mut backoff_s = 0.0f64;
     loop {
@@ -373,8 +367,7 @@ pub(crate) fn run_one_session(
             Ok(report) => report,
             Err(_) => {
                 metrics.device_fault();
-                let (crp_hits, crp_misses) = crp_delta(&session.verifier, crp0, metrics);
-                return SessionEvent::Fault { retried: attempts - 1, dropped: 0, crp_hits, crp_misses };
+                return SessionEvent::Fault { retried: attempts - 1, dropped: 0 };
             }
         };
         let compute_s = session.prover.clock().duration_ns(report.cycles) * 1e-9;
@@ -391,24 +384,8 @@ pub(crate) fn run_one_session(
                 attempts,
                 elapsed_s,
             };
-            if accepted {
-                metrics.session_accepted();
-            } else {
-                metrics.session_rejected();
-                if timed_out {
-                    metrics.session_timed_out();
-                }
-            }
-            metrics.observe_latency(elapsed_s);
-            let (crp_hits, crp_misses) = crp_delta(&session.verifier, crp0, metrics);
-            return SessionEvent::Closed {
-                outcome,
-                retried: attempts - 1,
-                dropped: 0,
-                lost: false,
-                crp_hits,
-                crp_misses,
-            };
+            metrics.session_closed(&outcome);
+            return SessionEvent::Closed { outcome, retried: attempts - 1, dropped: 0, lost: false };
         }
         metrics.attempt_retried();
         // Exponential backoff in simulated time: it delays the session
@@ -429,7 +406,6 @@ pub(crate) fn run_one_chaos_session(
 ) -> SessionEvent {
     metrics.session_started();
     session.verifier.begin_session();
-    let crp0 = session.verifier.crp_cache_stats();
     let mut policy = RetryPolicy::for_verifier(&session.verifier, cfg.policy.max_attempts);
     policy.backoff_base_s = cfg.policy.backoff_base_s;
     policy.deadline_s = policy.deadline_s.min(cfg.timeout_s);
@@ -475,52 +451,80 @@ pub(crate) fn run_one_chaos_session(
         }
         Err(_) => {
             metrics.device_fault();
-            let (crp_hits, crp_misses) = crp_delta(&session.verifier, crp0, metrics);
-            return SessionEvent::Fault { retried, dropped, crp_hits, crp_misses };
+            return SessionEvent::Fault { retried, dropped };
         }
     };
-    if outcome.accepted {
-        metrics.session_accepted();
-    } else {
-        metrics.session_rejected();
-        if outcome.timed_out {
-            metrics.session_timed_out();
-        }
-    }
-    metrics.observe_latency(outcome.elapsed_s);
-    let (crp_hits, crp_misses) = crp_delta(&session.verifier, crp0, metrics);
-    SessionEvent::Closed { outcome, retried, dropped, lost, crp_hits, crp_misses }
+    metrics.session_closed(&outcome);
+    SessionEvent::Closed { outcome, retried, dropped, lost }
 }
 
-/// The whole job for one device: provision, then run its sessions
-/// sequentially, recording lifecycle transitions after each.
-fn run_device(
-    design: &Arc<AluPufDesign>,
-    registry: &ShardedRegistry,
-    metrics: &FleetMetrics,
-    cfg: &CampaignConfig,
-    id: DeviceId,
-) {
-    let mut session = match provision_device(design, cfg, id) {
-        Ok(session) => session,
-        Err(_) => {
-            metrics.device_fault();
-            return;
+/// Rejects configurations no campaign can run, before any thread spawns.
+fn validate(cfg: &CampaignConfig) -> Result<(), PufattError> {
+    if cfg.devices == 0 || cfg.workers == 0 || cfg.sessions_per_device == 0 {
+        return Err(PufattError::Codegen("campaign needs devices, workers, and sessions > 0".into()));
+    }
+    Ok(())
+}
+
+/// One device's pool job: enroll the device on the service, then run
+/// what its schedule still owes — `sessions_per_device` minus the
+/// session events a journal already holds for it.
+///
+/// A sick home shard stops the device, never the campaign: the rest of
+/// its schedule is counted as unavailable, and a resume after the shard
+/// reopens re-derives those sessions bit-identically.
+fn run_device(service: &FleetService, id: DeviceId) {
+    let owed = || service.config().sessions_per_device.saturating_sub(service.events_seen(id));
+    match service.enroll_as(id, EnrollCommit::Grouped) {
+        Ok(_) => {}
+        // A sick home shard refused the device: nothing was admitted.
+        Err(PufattError::Storage(_) | PufattError::StorageUnavailable { .. }) => {
+            return service.count_unavailable(owed());
         }
-    };
-    for _ in 0..cfg.sessions_per_device {
-        if registry.status(id) == Some(FleetStatus::Revoked) {
-            metrics.session_refused();
-            continue;
-        }
-        let event = if cfg.chaos.is_some() {
-            run_one_chaos_session(&mut session, cfg, metrics)
-        } else {
-            run_one_session(&mut session, cfg, metrics)
+        // A provisioning fault, which the service has already counted.
+        Err(_) => return,
+    }
+    for left in (0..owed()).rev() {
+        let ran = match service.open_session(id) {
+            SessionGate::Granted { .. } => service.attest(id) != ServiceVerdict::Unavailable,
+            SessionGate::Refused => true,
+            SessionGate::Unavailable => false,
+            SessionGate::Faulty | SessionGate::Unknown => return,
         };
-        if let SessionEvent::Closed { outcome, .. } = event {
-            registry.record_outcome(id, outcome, &cfg.policy);
+        if !ran {
+            // The service counted this session; the rest follow it.
+            return service.count_unavailable(left);
         }
+    }
+}
+
+/// Starts the campaign pool with one job per configured device, plus one
+/// per device a journal restored past the configured range (admitted
+/// online by an earlier run).
+fn start_pool(service: &Arc<FleetService>) -> WorkerPool {
+    let cfg = service.config();
+    let pool = WorkerPool::new(cfg.workers, cfg.queue_depth.max(1));
+    let online = service.enrolled_ids().into_iter().filter(|&id| id as usize >= cfg.devices);
+    for id in (0..cfg.devices as DeviceId).chain(online) {
+        submit(&pool, service, id);
+    }
+    pool
+}
+
+fn submit(pool: &WorkerPool, service: &Arc<FleetService>, id: DeviceId) {
+    let service = Arc::clone(service);
+    pool.submit(move || run_device(&service, id));
+}
+
+/// The report of a drained campaign.
+fn report(service: &FleetService, panicked_jobs: u64, start: Instant) -> CampaignReport {
+    let mut snapshot = service.snapshot();
+    snapshot.store = service.store_stats();
+    CampaignReport {
+        snapshot,
+        device_records: service.device_records(),
+        wall_time: start.elapsed(),
+        panicked_jobs,
     }
 }
 
@@ -532,51 +536,155 @@ fn run_device(
 /// PUF width) before any thread spawns; per-device faults during the run
 /// are counted in the snapshot instead of aborting the fleet.
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, PufattError> {
-    if cfg.devices == 0 || cfg.workers == 0 || cfg.sessions_per_device == 0 {
-        return Err(PufattError::Codegen("campaign needs devices, workers, and sessions > 0".into()));
-    }
-    let width = cfg.puf.width;
-    if !(width.is_power_of_two() && (4..=32).contains(&width)) {
-        return Err(PufattError::UnsupportedWidth { width });
-    }
-
+    validate(cfg)?;
     let start = Instant::now();
-    let design = Arc::new(AluPufDesign::new(cfg.puf.clone()));
-    let registry = Arc::new(ShardedRegistry::new(cfg.shards.max(1), cfg.history_capacity.max(1)));
-    let metrics = Arc::new(FleetMetrics::new());
-    let shared_cfg = Arc::new(cfg.clone());
+    let service = Arc::new(FleetService::new(cfg.clone())?);
+    let panicked_jobs = start_pool(&service).shutdown();
+    Ok(report(&service, panicked_jobs, start))
+}
 
-    let pool = WorkerPool::new(cfg.workers, cfg.queue_depth.max(1));
-    for id in 0..cfg.devices as DeviceId {
-        registry.enroll(id);
-        let design = Arc::clone(&design);
-        let registry = Arc::clone(&registry);
-        let metrics = Arc::clone(&metrics);
-        let cfg = Arc::clone(&shared_cfg);
-        pool.submit(move || run_device(&design, &registry, &metrics, &cfg, id));
+/// A persistent campaign mid-flight: the pool is attesting against a
+/// journaled [`FleetService`], the committer (if configured) is syncing
+/// shards in the background, and new devices can still be admitted.
+/// Obtained from [`RunningCampaign::launch`]; consumed by
+/// [`RunningCampaign::finish`].
+pub struct RunningCampaign {
+    service: Arc<FleetService>,
+    store: Arc<ShardedStore>,
+    pool: WorkerPool,
+    start: Instant,
+}
+
+impl RunningCampaign {
+    /// Validates the configuration, restores the store's committed state
+    /// into a journaled [`FleetService`] (refusing a store that holds a
+    /// different campaign), and submits every configured (and previously
+    /// online-enrolled) device to the pool.
+    ///
+    /// Pass `resume = false` for a run that must start fresh: an existing
+    /// campaign in the store is then refused instead of silently
+    /// continued. With `resume = true`, persisted state is restored (an
+    /// empty store is simply a fresh start).
+    ///
+    /// # Errors
+    ///
+    /// Invalid configurations (as [`run_campaign`]);
+    /// [`PufattError::Storage`] if the store holds a different campaign or
+    /// holds a campaign and `resume` is false.
+    pub fn launch(
+        cfg: &CampaignConfig,
+        store: &Arc<ShardedStore>,
+        resume: bool,
+    ) -> Result<RunningCampaign, PufattError> {
+        validate(cfg)?;
+        if let (false, Some(existing)) = (resume, store.meta()) {
+            return Err(PufattError::Storage(format!(
+                "state directory already holds a campaign (seed {}); pass resume to continue it",
+                existing.seed
+            )));
+        }
+        let start = Instant::now();
+        let service = Arc::new(FleetService::with_journal(cfg.clone(), Arc::clone(store))?);
+        let pool = start_pool(&service);
+        Ok(RunningCampaign { service, store: Arc::clone(store), pool, start })
     }
-    let panicked_jobs = pool.shutdown();
 
-    let device_records = registry
-        .ids()
-        .into_iter()
-        .filter_map(|id| {
-            Some(DeviceRecord {
-                id,
-                tampered: device_is_tampered(cfg.seed, id, cfg.tamper_fraction),
-                flaky: matches!(&cfg.chaos, Some(c) if device_is_flaky(cfg.seed, id, c.flaky_fraction)),
-                status: registry.status(id)?,
-                outcomes: registry.history(id)?,
-            })
-        })
-        .collect();
+    /// Admits a new device while the campaign runs. The enrollment is
+    /// journaled with a forced sync *before* the device becomes visible in
+    /// the registry or the pool, so a crash leaves it either fully
+    /// admitted or entirely absent. Returns `false` (and does nothing) if
+    /// the device is already enrolled; ids inside the configured fleet
+    /// always are, since their own jobs enroll them.
+    ///
+    /// # Errors
+    ///
+    /// [`PufattError::Storage`] if the enrollment cannot be committed, or
+    /// [`PufattError::StorageUnavailable`] if the device's home shard is
+    /// sick; the device was not admitted.
+    pub fn enroll(&self, id: DeviceId) -> Result<bool, PufattError> {
+        if (id as usize) < self.service.config().devices {
+            return Ok(false);
+        }
+        match self.service.enroll(id) {
+            Ok(outcome) if !outcome.fresh => Ok(false),
+            Err(e @ (PufattError::Storage(_) | PufattError::StorageUnavailable { .. })) => Err(e),
+            // Admitted — also when provisioning failed: the device is
+            // then abandoned, and its job finds nothing to run.
+            _ => {
+                submit(&self.pool, &self.service, id);
+                Ok(true)
+            }
+        }
+    }
 
-    Ok(CampaignReport {
-        snapshot: metrics.snapshot(registry.status_counts()),
-        device_records,
-        wall_time: start.elapsed(),
-        panicked_jobs,
-    })
+    /// The campaign's sharded store (e.g. for progress statistics).
+    pub fn store(&self) -> &Arc<ShardedStore> {
+        &self.store
+    }
+
+    /// Drains the pool, flushes the group commit, folds the WAL into
+    /// fresh snapshots, and reports — the report is bit-identical to an
+    /// uninterrupted in-memory run of the same configuration.
+    ///
+    /// Under [`CampaignConfig::fail_fast`], a store that broke mid-run is
+    /// a typed error. In degrade mode (the default) a campaign with sick
+    /// shards still reports: healthy-shard devices completed their full
+    /// schedule, sick-shard devices show their refused sessions as
+    /// `sessions_unavailable`, and the snapshot's store stats carry the
+    /// shard-health tally for the operator.
+    ///
+    /// # Errors
+    ///
+    /// [`PufattError::Storage`] if the store broke mid-run and
+    /// `fail_fast` is set (reopen the state directory and resume), or if
+    /// the final flush/checkpoint hits a failure `fail_fast` must not
+    /// tolerate.
+    pub fn finish(self) -> Result<CampaignReport, PufattError> {
+        let RunningCampaign { service, store, pool, start } = self;
+        let panicked_jobs = pool.shutdown();
+        let fail_fast = service.config().fail_fast;
+        if fail_fast && store.is_broken() {
+            return Err(PufattError::Storage(
+                "durable store failed mid-campaign; reopen the state directory and resume".into(),
+            ));
+        }
+        // Sick shards are skipped inside the store; a *new* failure here
+        // degrades its shard, which only fail-fast treats as fatal (the
+        // health tally reports it either way).
+        if let Err(e) = service.checkpoint() {
+            if fail_fast {
+                return Err(e);
+            }
+        }
+        Ok(report(&service, panicked_jobs, start))
+    }
+}
+
+/// Runs a campaign whose every transition is journaled through `store`,
+/// resuming from whatever committed state the store holds:
+/// [`RunningCampaign::launch`] immediately followed by
+/// [`RunningCampaign::finish`].
+///
+/// # Errors
+///
+/// As [`RunningCampaign::launch`] and [`RunningCampaign::finish`].
+pub fn run_persistent_campaign(
+    cfg: &CampaignConfig,
+    store: &Arc<ShardedStore>,
+    resume: bool,
+) -> Result<CampaignReport, PufattError> {
+    RunningCampaign::launch(cfg, store, resume)?.finish()
+}
+
+/// [`run_persistent_campaign`] against an on-disk state directory — the
+/// `pufatt fleet --state-dir <dir> [--resume]` entry point.
+///
+/// # Errors
+///
+/// As [`open_state_dir`] and [`run_persistent_campaign`].
+pub fn run_campaign_with_dir(cfg: &CampaignConfig, dir: &Path, resume: bool) -> Result<CampaignReport, PufattError> {
+    let store = open_state_dir(dir, cfg.history_capacity)?;
+    run_persistent_campaign(cfg, &store, resume)
 }
 
 /// A cheap configuration for tests and benchmarks: a narrow PUF and a
@@ -604,6 +712,7 @@ pub fn small_test_config(devices: usize, workers: usize, seed: u64) -> CampaignC
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pufatt_store::{ShardedOptions, SimVfs};
 
     #[test]
     fn campaign_attests_a_small_fleet() {
@@ -717,5 +826,172 @@ mod tests {
         assert!(snap.devices.revoked > 0, "repeat offenders get revoked: {snap}");
         assert!(snap.sessions_refused > 0, "revoked devices are refused: {snap}");
         assert!(snap.attempts_retried > 0, "failures are retried first: {snap}");
+    }
+
+    fn open_sim(vfs: &SimVfs, history_capacity: usize) -> Arc<ShardedStore> {
+        // Narrow ranges so even small test fleets span several shards.
+        let opts = ShardedOptions {
+            history_capacity,
+            shards: 4,
+            range_width: 2,
+            ..ShardedOptions::default()
+        };
+        Arc::new(ShardedStore::open(Arc::new(vfs.clone()), opts).expect("recovery"))
+    }
+
+    /// Strips the store statistics (wall-clock-ish, run-shape dependent)
+    /// so snapshots from persistent and in-memory runs compare.
+    fn core_snapshot(report: &CampaignReport) -> crate::metrics::FleetSnapshot {
+        let mut snap = report.snapshot.clone();
+        snap.store = None;
+        snap
+    }
+
+    #[test]
+    fn persistent_campaign_matches_in_memory_run() {
+        let cfg = small_test_config(8, 2, 0x5EED);
+        let plain = run_campaign(&cfg).unwrap();
+        let vfs = SimVfs::new();
+        let durable = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
+        assert_eq!(durable.device_records, plain.device_records);
+        assert_eq!(core_snapshot(&durable), plain.snapshot);
+        let stats = durable.snapshot.store.expect("persistent run reports store stats");
+        assert!(stats.records_appended > 0);
+    }
+
+    #[test]
+    fn finished_campaign_resumes_to_the_same_report() {
+        let cfg = small_test_config(6, 2, 0xAB);
+        let vfs = SimVfs::new();
+        let first = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
+        let resumed = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), true).unwrap();
+        assert_eq!(resumed.device_records, first.device_records);
+        assert_eq!(core_snapshot(&resumed), core_snapshot(&first));
+        let stats = resumed.snapshot.store.unwrap();
+        assert_eq!(stats.records_appended, 0, "a finished campaign appends nothing on resume");
+    }
+
+    #[test]
+    fn campaign_with_a_sick_shard_completes_healthy_devices_and_resumes_bit_identically() {
+        let mut cfg = small_test_config(8, 2, 0xD16E);
+        cfg.tamper_fraction = 0.0;
+        let reference = run_campaign(&cfg).unwrap();
+
+        let vfs = SimVfs::new();
+        let store = open_sim(&vfs, cfg.history_capacity);
+        vfs.inject(
+            pufatt_store::ErrorInjection::on_prefix("shard-001/", pufatt_store::InjectedErrorKind::Eio).sticky(),
+        );
+        let degraded = run_persistent_campaign(&cfg, &store, false).unwrap();
+
+        let sick: Vec<DeviceId> = (0..cfg.devices as DeviceId).filter(|&id| store.shard_of_id(id) == 1).collect();
+        assert!(!sick.is_empty(), "test geometry must home devices on the sick shard");
+        // Healthy-shard devices complete their full schedule with verdicts
+        // bit-identical to a failure-free run; sick-shard devices never
+        // start a session (no accepted-but-undurable state to reconcile).
+        for rec in &degraded.device_records {
+            let reference_rec = reference.device_records.iter().find(|r| r.id == rec.id).expect("same fleet");
+            if sick.contains(&rec.id) {
+                assert!(rec.outcomes.is_empty(), "sick-shard device {} must not attest", rec.id);
+            } else {
+                assert_eq!(rec, reference_rec, "healthy-shard device must be unaffected");
+            }
+        }
+        assert_eq!(
+            degraded.snapshot.sessions_unavailable,
+            sick.len() as u64 * cfg.sessions_per_device as u64,
+            "every skipped session is accounted as unavailable"
+        );
+        let stats = degraded.snapshot.store.expect("persistent run reports store stats");
+        assert!(stats.shards_degraded + stats.shards_failed > 0, "sick shard must show in stats: {stats}");
+
+        // Operator drill: replace the disk and resume. Nothing undurable
+        // was admitted while the shard was sick, so the resumed campaign
+        // re-derives the missing sessions and converges on the
+        // failure-free report exactly.
+        vfs.clear_injections("shard-001/");
+        let resumed = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), true).unwrap();
+        assert_eq!(resumed.device_records, reference.device_records, "reopen must not change verdicts");
+        assert_eq!(core_snapshot(&resumed), reference.snapshot, "reopen must not change counters");
+    }
+
+    #[test]
+    fn fail_fast_campaign_stops_typed_on_a_sick_shard() {
+        let cfg = {
+            let mut c = small_test_config(8, 2, 0xFA57);
+            c.fail_fast = true;
+            c
+        };
+        let vfs = SimVfs::new();
+        let store = open_sim(&vfs, cfg.history_capacity);
+        vfs.inject(
+            pufatt_store::ErrorInjection::on_prefix("shard-001/", pufatt_store::InjectedErrorKind::NoSpace).sticky(),
+        );
+        match run_persistent_campaign(&cfg, &store, false) {
+            Err(PufattError::Storage(_) | PufattError::StorageUnavailable { .. }) => {}
+            other => panic!("fail-fast must surface the storage failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fresh_run_refuses_an_occupied_state_dir_and_wrong_config_refuses_resume() {
+        let cfg = small_test_config(4, 1, 0xCD);
+        let vfs = SimVfs::new();
+        run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
+        let store = open_sim(&vfs, cfg.history_capacity);
+        assert!(matches!(run_persistent_campaign(&cfg, &store, false), Err(PufattError::Storage(_))));
+        let mut other = cfg.clone();
+        other.seed ^= 1;
+        assert!(matches!(run_persistent_campaign(&other, &store, true), Err(PufattError::Storage(_))));
+    }
+
+    #[test]
+    fn chaos_campaign_survives_persistence_round_trip() {
+        let mut cfg = small_test_config(8, 2, 0xFA17);
+        cfg.sessions_per_device = 4;
+        cfg.chaos = Some(ChaosConfig {
+            plan: FaultPlan::clean(0).with_drops(0.3).with_bit_flips(0.01),
+            flaky_fraction: 0.5,
+        });
+        let plain = run_campaign(&cfg).unwrap();
+        let vfs = SimVfs::new();
+        let durable = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
+        assert_eq!(durable.device_records, plain.device_records);
+        assert_eq!(core_snapshot(&durable), plain.snapshot);
+    }
+
+    #[test]
+    fn group_commit_campaign_matches_the_synchronous_one() {
+        let mut cfg = small_test_config(8, 3, 0x6C0);
+        cfg.sessions_per_device = 3;
+        let vfs_sync = SimVfs::new();
+        let sync_run = run_persistent_campaign(&cfg, &open_sim(&vfs_sync, cfg.history_capacity), false).unwrap();
+        cfg.commit_interval_s = 0.001;
+        let vfs_group = SimVfs::new();
+        let group_run = run_persistent_campaign(&cfg, &open_sim(&vfs_group, cfg.history_capacity), false).unwrap();
+        assert_eq!(group_run.device_records, sync_run.device_records);
+        assert_eq!(core_snapshot(&group_run), core_snapshot(&sync_run));
+    }
+
+    #[test]
+    fn online_enrollment_extends_the_fleet_and_survives_resume() {
+        let cfg = small_test_config(4, 2, 0x0E0);
+        let vfs = SimVfs::new();
+        let campaign = RunningCampaign::launch(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
+        assert!(campaign.enroll(100).unwrap(), "new id admitted");
+        assert!(!campaign.enroll(100).unwrap(), "second admit is a no-op");
+        assert!(!campaign.enroll(0).unwrap(), "configured ids are already enrolled");
+        let report = campaign.finish().unwrap();
+        assert_eq!(report.snapshot.devices.total(), 5);
+        assert_eq!(report.snapshot.devices_enrolled_online, 1);
+        assert!(report.device_records.iter().any(|r| r.id == 100));
+        let online = report.device_records.iter().find(|r| r.id == 100).unwrap();
+        assert_eq!(online.outcomes.len(), cfg.sessions_per_device as usize, "online device ran a full schedule");
+
+        // Resume sees the online device again without re-enrolling it.
+        let resumed = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), true).unwrap();
+        assert_eq!(resumed.device_records, report.device_records);
+        assert_eq!(resumed.snapshot.devices_enrolled_online, 1);
+        assert_eq!(core_snapshot(&resumed), core_snapshot(&report));
     }
 }

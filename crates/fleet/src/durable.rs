@@ -1,10 +1,12 @@
-//! Persistent campaigns: journal every fleet transition through
-//! [`pufatt_store::ShardedStore`] and resume an interrupted run.
+//! The durable campaign journal: how fleet transitions are recorded in
+//! [`pufatt_store::ShardedStore`] and how a device resumes from them.
 //!
 //! # What is journaled
 //!
-//! Campaign identity ([`Record::Meta`]), enrollments, one record per
-//! scheduled session ([`Record::SessionClosed`] with verdict +
+//! A journaled [`FleetService`](crate::FleetService) — behind
+//! `pufatt serve --state-dir` or a [`RunningCampaign`](crate::RunningCampaign)
+//! — records campaign identity ([`Record::Meta`]), enrollments, one record
+//! per scheduled session ([`Record::SessionClosed`] with verdict +
 //! post-transition lifecycle state + streaks + metric deltas,
 //! [`Record::SessionRefused`], [`Record::SessionFault`], or
 //! [`Record::DeviceAbandoned`]), and — after every scheduled session — a
@@ -20,52 +22,45 @@
 //!
 //! Campaigns are deterministic in their configuration (see
 //! [`crate::campaign`]): every per-device random stream derives from the
-//! seed and device id, and one device's sessions run sequentially inside
-//! one job. Resume exploits this twice over. The registry, metrics, and
-//! histories are restored from the store. Then each device fast-forwards:
-//! its journaled cursor restores the RNG positions directly (no replay),
-//! any committed session events *after* the last cursor are re-run against
-//! scratch metrics purely to advance RNG and channel state (refusals
-//! consumed no randomness and are skipped), and the remaining sessions run
-//! live. A crash can lose at most the unflushed group-commit tail of each
-//! shard — and every lost record is re-derived identically by re-running
-//! those sessions, so the final report is bit-identical to a run that was
-//! never interrupted (modulo wall-clock time and store statistics).
+//! seed and device id, and one device's sessions run in order. Resume
+//! exploits this twice over. The registry, metrics, and histories are
+//! restored from the store. Then each device fast-forwards: its
+//! journaled cursor restores the RNG positions
+//! directly (no replay), any committed session events *after* the last
+//! cursor are re-run against scratch metrics purely to advance RNG and
+//! channel state (refusals consumed no randomness and are skipped), and
+//! the remaining sessions run live. A crash can lose at most the
+//! unflushed group-commit tail of each shard — and every lost record is
+//! re-derived identically by re-running those sessions, so the final
+//! report is bit-identical to a run that was never interrupted (modulo
+//! wall-clock time and store statistics).
 //!
 //! Resuming under a different configuration is refused via the persisted
-//! config fingerprint rather than silently blending two campaigns. Worker
-//! count, registry shard count, queue depth, and the commit interval are
-//! deliberately *excluded* from the fingerprint — they change scheduling
-//! and durability latency, never verdicts.
+//! config fingerprint ([`config_fingerprint`]) rather than silently
+//! blending two campaigns. Worker count, registry shard count, queue
+//! depth, and the commit interval are deliberately *excluded* from the
+//! fingerprint — they change scheduling and durability latency, never
+//! verdicts.
 //!
 //! # Online enrollment
 //!
-//! [`RunningCampaign`] exposes the campaign mid-flight:
-//! [`RunningCampaign::enroll`] admits a device *while the pool is
-//! attesting*, journaling the enrollment with a forced sync before the
-//! device becomes visible anywhere — so at every crash point a new device
-//! is either fully admitted (and will resume like any other) or entirely
-//! absent, never half-enrolled. Devices admitted past the configured
-//! fleet size are counted as
+//! A device admitted while the campaign runs (a wire `Enroll`, or
+//! [`RunningCampaign::enroll`](crate::RunningCampaign::enroll)) is
+//! journaled with a forced sync before it becomes visible anywhere, so at
+//! every crash point it is either fully admitted or entirely absent.
+//! Devices past the configured fleet size are re-counted on resume as
 //! [`devices_enrolled_online`](crate::metrics::FleetSnapshot::devices_enrolled_online)
-//! and re-counted on resume by their id alone.
+//! by their id alone.
 
-use crate::campaign::{
-    device_is_flaky, device_is_tampered, provision_device, run_one_chaos_session, run_one_session, CampaignConfig,
-    CampaignReport, DeviceRecord, DeviceSession, SessionCursor, SessionEvent,
-};
+use crate::campaign::{run_one_chaos_session, run_one_session, CampaignConfig, DeviceSession};
 use crate::metrics::{FleetMetrics, LatencyHistogram};
-use crate::pool::WorkerPool;
-use crate::registry::{DeviceId, FleetStatus, ShardedRegistry};
+use crate::registry::FleetStatus;
 use pufatt::PufattError;
-use pufatt_alupuf::device::AluPufDesign;
 use pufatt_store::record::{OutcomeRec, Record, StoredStatus};
-use pufatt_store::state::{CursorInfo, MetaInfo, EV_REFUSED};
-use pufatt_store::{Committer, ShardHealth, ShardedOptions, ShardedStore, StdVfs, StoreError};
-use std::collections::HashMap;
+use pufatt_store::state::{CursorInfo, EV_REFUSED};
+use pufatt_store::{ShardedOptions, ShardedStore, StdVfs, StoreError};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Fingerprint of the verdict-affecting configuration fields, persisted
 /// in [`Record::Meta`]. Scheduling knobs (workers, shards, queue depth,
@@ -97,17 +92,13 @@ pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
     h
 }
 
-fn storage(e: impl std::fmt::Display) -> PufattError {
-    PufattError::Storage(e.to_string())
-}
-
 /// Maps a store error onto the fleet error type, preserving the typed
 /// per-shard refusal ([`StoreError::ShardUnavailable`] →
 /// [`PufattError::StorageUnavailable`]) instead of flattening it to text.
 pub(crate) fn storage_err(e: StoreError) -> PufattError {
     match e {
         StoreError::ShardUnavailable { shard } => PufattError::StorageUnavailable { shard },
-        other => storage(other),
+        other => PufattError::Storage(other.to_string()),
     }
 }
 
@@ -207,13 +198,8 @@ impl DevicePrior {
 /// against scratch metrics (the real counters were already restored from
 /// the store; refusals consumed no randomness and are skipped).
 pub(crate) fn fast_forward(session: &mut DeviceSession, cfg: &CampaignConfig, prior: &DevicePrior) {
-    if let Some(c) = &prior.cursor {
-        session.restore_cursor(&SessionCursor {
-            session_pos: c.session_pos,
-            noise_pos: c.noise_pos,
-            noise_evals: c.noise_evals,
-            tamper_parity: c.tamper_parity,
-        });
+    if let Some(cursor) = &prior.cursor {
+        session.restore_cursor(cursor);
     }
     let scratch = FleetMetrics::new();
     for &event in &prior.events {
@@ -227,364 +213,6 @@ pub(crate) fn fast_forward(session: &mut DeviceSession, cfg: &CampaignConfig, pr
     }
 }
 
-fn cursor_record(id: DeviceId, events_done: u32, c: SessionCursor) -> Record {
-    Record::DeviceCursor {
-        id,
-        events_done,
-        session_pos: c.session_pos,
-        noise_pos: c.noise_pos,
-        noise_evals: c.noise_evals,
-        tamper_parity: c.tamper_parity,
-    }
-}
-
-/// The durable version of one device's pool job: skip if the device was
-/// abandoned in a previous run, fast-forward past the committed prefix,
-/// then run and journal the rest — each session's outcome followed by a
-/// cursor so the *next* resume can skip the replay entirely.
-///
-/// Storage failures stop the device, never the process: once the device's
-/// home shard is sick (detected up front or via a failed journal append),
-/// the remaining schedule is counted as unavailable and the job returns.
-/// Healthy-shard devices are untouched, and a resumed campaign re-derives
-/// the stopped device's missing sessions bit-identically after the shard
-/// reopens.
-fn run_device_durable(
-    design: &Arc<AluPufDesign>,
-    registry: &ShardedRegistry,
-    metrics: &FleetMetrics,
-    cfg: &CampaignConfig,
-    id: DeviceId,
-    store: &ShardedStore,
-    prior: &DevicePrior,
-) {
-    if prior.abandoned {
-        // Provisioning is deterministic: it failed before, it would fail
-        // again. The fault is already journaled and counted.
-        return;
-    }
-    let home = store.shard_of_id(id);
-    let unavailable = |done: u32| {
-        for _ in done..cfg.sessions_per_device {
-            metrics.session_unavailable();
-        }
-    };
-    let mut session = match provision_device(design, cfg, id) {
-        Ok(session) => session,
-        Err(_) => {
-            // The abandonment may fail to journal on a sick shard; the
-            // fault is deterministic and is re-derived (and re-journaled)
-            // on resume after the shard reopens.
-            let _ = journal(store, &Record::DeviceAbandoned { id });
-            metrics.device_fault();
-            return;
-        }
-    };
-    fast_forward(&mut session, cfg, prior);
-    let mut done = prior.events_seen;
-    while done < cfg.sessions_per_device {
-        if store.shard_health(home) != ShardHealth::Healthy {
-            unavailable(done);
-            return;
-        }
-        if registry.status(id) == Some(FleetStatus::Revoked) {
-            if journal(store, &Record::SessionRefused { id }).is_err() {
-                unavailable(done);
-                return;
-            }
-            metrics.session_refused();
-            done += 1;
-            // Cursors are a replay optimisation: losing one costs replay
-            // time on the next resume, never correctness.
-            let _ = journal(store, &cursor_record(id, done, session.cursor()));
-            continue;
-        }
-        let event = if cfg.chaos.is_some() {
-            run_one_chaos_session(&mut session, cfg, metrics)
-        } else {
-            run_one_session(&mut session, cfg, metrics)
-        };
-        let journaled = match event {
-            SessionEvent::Closed { outcome, retried, dropped, lost, crp_hits, crp_misses } => {
-                let rec = to_outcome_rec(&outcome, retried, dropped, lost, crp_hits, crp_misses);
-                let Some((status, fails, succs)) = registry.record_outcome_traced(id, outcome, &cfg.policy) else {
-                    // The device was enrolled before its job was submitted;
-                    // an unknown id here is a registry bug, not a fleet
-                    // condition — fail the job, not the state.
-                    panic!("device {id} vanished from the registry mid-campaign");
-                };
-                journal(store, &Record::SessionClosed { id, outcome: rec, status: to_stored(status), fails, succs })
-            }
-            SessionEvent::Fault { retried, dropped, crp_hits, crp_misses } => {
-                journal(store, &Record::SessionFault { id, retried, dropped, crp_hits, crp_misses })
-            }
-        };
-        done += 1;
-        if journaled.is_err() {
-            // The session itself completed (its outcome is in memory and
-            // is re-derived identically on resume, exactly like a lost
-            // group-commit tail); the rest of the schedule is refused.
-            unavailable(done);
-            return;
-        }
-        let _ = journal(store, &cursor_record(id, done, session.cursor()));
-    }
-}
-
-/// A persistent campaign mid-flight: the pool is attesting, the committer
-/// (if configured) is syncing shards in the background, and new devices
-/// can still be admitted. Obtained from [`RunningCampaign::launch`];
-/// consumed by [`RunningCampaign::finish`].
-pub struct RunningCampaign {
-    cfg: Arc<CampaignConfig>,
-    design: Arc<AluPufDesign>,
-    registry: Arc<ShardedRegistry>,
-    metrics: Arc<FleetMetrics>,
-    store: Arc<ShardedStore>,
-    pool: WorkerPool,
-    committer: Option<Committer>,
-    start: Instant,
-}
-
-impl RunningCampaign {
-    /// Validates the configuration, reconciles the store's persisted
-    /// campaign identity, restores committed state, and submits every
-    /// configured (and previously online-enrolled) device to the pool.
-    ///
-    /// Pass `resume = false` for a run that must start fresh: an existing
-    /// campaign in the store is then refused instead of silently
-    /// continued. With `resume = true`, persisted state is restored (an
-    /// empty store is simply a fresh start).
-    ///
-    /// # Errors
-    ///
-    /// Invalid configurations (as [`crate::campaign::run_campaign`]);
-    /// [`PufattError::Storage`] if the store holds a different campaign or
-    /// holds a campaign and `resume` is false.
-    pub fn launch(
-        cfg: &CampaignConfig,
-        store: &Arc<ShardedStore>,
-        resume: bool,
-    ) -> Result<RunningCampaign, PufattError> {
-        if cfg.devices == 0 || cfg.workers == 0 || cfg.sessions_per_device == 0 {
-            return Err(PufattError::Codegen("campaign needs devices, workers, and sessions > 0".into()));
-        }
-        let width = cfg.puf.width;
-        if !(width.is_power_of_two() && (4..=32).contains(&width)) {
-            return Err(PufattError::UnsupportedWidth { width });
-        }
-
-        let meta = MetaInfo {
-            config_hash: config_fingerprint(cfg),
-            devices: cfg.devices as u32,
-            sessions_per_device: cfg.sessions_per_device,
-            seed: cfg.seed,
-        };
-        match store.meta() {
-            Some(existing) if !resume => {
-                return Err(storage(format!(
-                    "state directory already holds a campaign (seed {}); pass resume to continue it",
-                    existing.seed
-                )));
-            }
-            Some(existing) if existing != meta => {
-                return Err(storage(
-                    "state directory belongs to a different campaign configuration; refusing to blend them",
-                ));
-            }
-            Some(_) => {}
-            None => {
-                store
-                    .append_synced(&Record::Meta {
-                        config_hash: meta.config_hash,
-                        devices: meta.devices,
-                        sessions_per_device: meta.sessions_per_device,
-                        seed: meta.seed,
-                    })
-                    .map_err(storage)?;
-            }
-        }
-
-        let start = Instant::now();
-        let design = Arc::new(AluPufDesign::new(cfg.puf.clone()));
-        let registry = Arc::new(ShardedRegistry::new(cfg.shards.max(1), cfg.history_capacity.max(1)));
-        let metrics = Arc::new(FleetMetrics::from_store_counters(&store.counters()));
-        let mut priors: HashMap<DeviceId, DevicePrior> = HashMap::new();
-        store.for_each_device(|id, device| {
-            registry.restore_device(
-                id,
-                from_stored(device.status),
-                device.fails,
-                device.succs,
-                device.outcomes.iter().map(from_outcome_rec).collect(),
-                device.outcomes_total,
-            );
-            if id as usize >= cfg.devices {
-                metrics.device_enrolled_online();
-            }
-            priors.insert(id, DevicePrior::from_state(device));
-        });
-        let committer =
-            (cfg.commit_interval_s > 0.0).then(|| store.committer(Duration::from_secs_f64(cfg.commit_interval_s)));
-
-        let campaign = RunningCampaign {
-            cfg: Arc::new(cfg.clone()),
-            design,
-            registry,
-            metrics,
-            store: Arc::clone(store),
-            pool: WorkerPool::new(cfg.workers, cfg.queue_depth.max(1)),
-            committer,
-            start,
-        };
-        // Jobs for every configured device, plus every stored device past
-        // the configured range (admitted online in a previous run).
-        let mut extra: Vec<DeviceId> = priors.keys().copied().filter(|&id| id as usize >= cfg.devices).collect();
-        extra.sort_unstable();
-        for id in (0..cfg.devices as DeviceId).chain(extra) {
-            let prior = priors.remove(&id).unwrap_or_default();
-            if campaign.registry.enroll(id) {
-                // Group-committed: a lost enrollment is re-derived (and
-                // re-journaled) by the next resume. Under `--fail-fast` a
-                // hard failure aborts the launch with a typed error; in
-                // degrade mode (the default) the store has already marked
-                // the home shard sick, the device's job refuses itself up
-                // front, and healthy shards enroll on.
-                if let Err(e) = journal(&campaign.store, &Record::DeviceEnrolled { id }) {
-                    if cfg.fail_fast {
-                        return Err(storage_err(e));
-                    }
-                }
-            }
-            campaign.submit(id, prior);
-        }
-        Ok(campaign)
-    }
-
-    fn submit(&self, id: DeviceId, prior: DevicePrior) {
-        let design = Arc::clone(&self.design);
-        let registry = Arc::clone(&self.registry);
-        let metrics = Arc::clone(&self.metrics);
-        let cfg = Arc::clone(&self.cfg);
-        let store = Arc::clone(&self.store);
-        self.pool
-            .submit(move || run_device_durable(&design, &registry, &metrics, &cfg, id, &store, &prior));
-    }
-
-    /// Admits a new device while the campaign runs. The enrollment is
-    /// journaled with a forced sync *before* the device becomes visible in
-    /// the registry or the pool, so a crash leaves it either fully
-    /// admitted or entirely absent. Returns `false` (and does nothing) if
-    /// the device is already enrolled.
-    ///
-    /// # Errors
-    ///
-    /// [`PufattError::Storage`] if the enrollment cannot be committed; the
-    /// device was not admitted.
-    pub fn enroll(&self, id: DeviceId) -> Result<bool, PufattError> {
-        if self.registry.status(id).is_some() {
-            return Ok(false);
-        }
-        match self.store.append_synced(&Record::DeviceEnrolled { id }) {
-            Ok(()) => {}
-            // Journaled by a previous run whose registry entry we somehow
-            // lack — restore covered it; treat as already enrolled.
-            Err(StoreError::IllegalTransition { .. }) => return Ok(false),
-            Err(e) => return Err(storage(e)),
-        }
-        if !self.registry.enroll(id) {
-            return Ok(false);
-        }
-        if id as usize >= self.cfg.devices {
-            self.metrics.device_enrolled_online();
-        }
-        self.submit(id, DevicePrior::default());
-        Ok(true)
-    }
-
-    /// The campaign's sharded store (e.g. for progress statistics).
-    pub fn store(&self) -> &Arc<ShardedStore> {
-        &self.store
-    }
-
-    /// Drains the pool, stops the committer (final flush), folds the WAL
-    /// into fresh snapshots, and reports — the report is bit-identical to
-    /// an uninterrupted in-memory run of the same configuration.
-    ///
-    /// Under [`CampaignConfig::fail_fast`], a store that broke mid-run is
-    /// a typed error. In degrade mode (the default) a campaign with sick
-    /// shards still reports: healthy-shard devices completed their full
-    /// schedule, sick-shard devices show their refused sessions as
-    /// `sessions_unavailable`, and the snapshot's store stats carry the
-    /// shard-health tally for the operator.
-    ///
-    /// # Errors
-    ///
-    /// [`PufattError::Storage`] if the store broke mid-run and
-    /// `fail_fast` is set (reopen the state directory and resume), or if
-    /// the final flush/checkpoint hits a failure `fail_fast` must not
-    /// tolerate.
-    pub fn finish(self) -> Result<CampaignReport, PufattError> {
-        let RunningCampaign { cfg, registry, metrics, store, pool, committer, start, .. } = self;
-        let panicked_jobs = pool.shutdown();
-        if let Some(committer) = committer {
-            committer.stop();
-        }
-        if cfg.fail_fast && store.is_broken() {
-            return Err(storage("durable store failed mid-campaign; reopen the state directory and resume"));
-        }
-        // Fold the WAL into fresh snapshots so the next open replays
-        // nothing. Sick shards are skipped inside the store; a *new*
-        // failure here degrades its shard, which only fail-fast treats as
-        // fatal (the health tally reports it either way).
-        let folded = store.flush().and_then(|()| store.checkpoint());
-        if let Err(e) = folded {
-            if cfg.fail_fast {
-                return Err(storage_err(e));
-            }
-        }
-
-        let device_records = registry
-            .ids()
-            .into_iter()
-            .filter_map(|id| {
-                Some(DeviceRecord {
-                    id,
-                    tampered: device_is_tampered(cfg.seed, id, cfg.tamper_fraction),
-                    flaky: matches!(&cfg.chaos, Some(c) if device_is_flaky(cfg.seed, id, c.flaky_fraction)),
-                    status: registry.status(id)?,
-                    outcomes: registry.history(id)?,
-                })
-            })
-            .collect();
-
-        let mut snapshot = metrics.snapshot(registry.status_counts());
-        snapshot.store = Some(store.stats());
-        Ok(CampaignReport {
-            snapshot,
-            device_records,
-            wall_time: start.elapsed(),
-            panicked_jobs,
-        })
-    }
-}
-
-/// Runs a campaign whose every transition is journaled through `store`,
-/// resuming from whatever committed state the store holds:
-/// [`RunningCampaign::launch`] immediately followed by
-/// [`RunningCampaign::finish`].
-///
-/// # Errors
-///
-/// As [`RunningCampaign::launch`] and [`RunningCampaign::finish`].
-pub fn run_persistent_campaign(
-    cfg: &CampaignConfig,
-    store: &Arc<ShardedStore>,
-    resume: bool,
-) -> Result<CampaignReport, PufattError> {
-    RunningCampaign::launch(cfg, store, resume)?.finish()
-}
-
 /// Opens (creating if needed) `dir` as a sharded campaign state directory
 /// with the production file backend and the configuration's history bound.
 ///
@@ -594,198 +222,18 @@ pub fn run_persistent_campaign(
 /// existing state fails recovery (including a legacy single-WAL layout,
 /// which is refused rather than silently shadowed).
 pub fn open_state_dir(dir: &Path, history_capacity: usize) -> Result<Arc<ShardedStore>, PufattError> {
-    let vfs = StdVfs::open(dir).map_err(storage)?;
+    let vfs = StdVfs::open(dir).map_err(|e| PufattError::Storage(e.to_string()))?;
     let opts = ShardedOptions {
         history_capacity: history_capacity.max(1),
         ..ShardedOptions::default()
     };
-    ShardedStore::open(Arc::new(vfs), opts).map(Arc::new).map_err(storage)
-}
-
-/// [`run_persistent_campaign`] against an on-disk state directory — the
-/// `pufatt fleet --state-dir <dir> [--resume]` entry point.
-///
-/// # Errors
-///
-/// As [`open_state_dir`] and [`run_persistent_campaign`].
-pub fn run_campaign_with_dir(cfg: &CampaignConfig, dir: &Path, resume: bool) -> Result<CampaignReport, PufattError> {
-    let store = open_state_dir(dir, cfg.history_capacity)?;
-    run_persistent_campaign(cfg, &store, resume)
+    ShardedStore::open(Arc::new(vfs), opts).map(Arc::new).map_err(storage_err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, small_test_config, ChaosConfig};
-    use pufatt_faults::FaultPlan;
-    use pufatt_store::SimVfs;
-
-    fn open_sim(vfs: &SimVfs, history_capacity: usize) -> Arc<ShardedStore> {
-        // Narrow ranges so even small test fleets span several shards.
-        let opts = ShardedOptions {
-            history_capacity,
-            shards: 4,
-            range_width: 2,
-            ..ShardedOptions::default()
-        };
-        Arc::new(ShardedStore::open(Arc::new(vfs.clone()), opts).expect("recovery"))
-    }
-
-    /// Strips the store statistics (wall-clock-ish, run-shape dependent)
-    /// so snapshots from persistent and in-memory runs compare.
-    fn core_snapshot(report: &CampaignReport) -> crate::metrics::FleetSnapshot {
-        let mut snap = report.snapshot.clone();
-        snap.store = None;
-        snap
-    }
-
-    #[test]
-    fn persistent_campaign_matches_in_memory_run() {
-        let cfg = small_test_config(8, 2, 0x5EED);
-        let plain = run_campaign(&cfg).unwrap();
-        let vfs = SimVfs::new();
-        let durable = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
-        assert_eq!(durable.device_records, plain.device_records);
-        assert_eq!(core_snapshot(&durable), plain.snapshot);
-        let stats = durable.snapshot.store.expect("persistent run reports store stats");
-        assert!(stats.records_appended > 0);
-    }
-
-    #[test]
-    fn finished_campaign_resumes_to_the_same_report() {
-        let cfg = small_test_config(6, 2, 0xAB);
-        let vfs = SimVfs::new();
-        let first = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
-        let resumed = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), true).unwrap();
-        assert_eq!(resumed.device_records, first.device_records);
-        assert_eq!(core_snapshot(&resumed), core_snapshot(&first));
-        let stats = resumed.snapshot.store.unwrap();
-        assert_eq!(stats.records_appended, 0, "a finished campaign appends nothing on resume");
-    }
-
-    #[test]
-    fn campaign_with_a_sick_shard_completes_healthy_devices_and_resumes_bit_identically() {
-        let mut cfg = small_test_config(8, 2, 0xD16E);
-        cfg.tamper_fraction = 0.0;
-        let reference = run_campaign(&cfg).unwrap();
-
-        let vfs = SimVfs::new();
-        let store = open_sim(&vfs, cfg.history_capacity);
-        vfs.inject(
-            pufatt_store::ErrorInjection::on_prefix("shard-001/", pufatt_store::InjectedErrorKind::Eio).sticky(),
-        );
-        let degraded = run_persistent_campaign(&cfg, &store, false).unwrap();
-
-        let sick: Vec<DeviceId> = (0..cfg.devices as DeviceId).filter(|&id| store.shard_of_id(id) == 1).collect();
-        assert!(!sick.is_empty(), "test geometry must home devices on the sick shard");
-        // Healthy-shard devices complete their full schedule with verdicts
-        // bit-identical to a failure-free run; sick-shard devices never
-        // start a session (no accepted-but-undurable state to reconcile).
-        for rec in &degraded.device_records {
-            let reference_rec = reference.device_records.iter().find(|r| r.id == rec.id).expect("same fleet");
-            if sick.contains(&rec.id) {
-                assert!(rec.outcomes.is_empty(), "sick-shard device {} must not attest", rec.id);
-            } else {
-                assert_eq!(rec, reference_rec, "healthy-shard device must be unaffected");
-            }
-        }
-        assert_eq!(
-            degraded.snapshot.sessions_unavailable,
-            sick.len() as u64 * cfg.sessions_per_device as u64,
-            "every skipped session is accounted as unavailable"
-        );
-        let stats = degraded.snapshot.store.expect("persistent run reports store stats");
-        assert!(stats.shards_degraded + stats.shards_failed > 0, "sick shard must show in stats: {stats}");
-
-        // Operator drill: replace the disk and resume. Nothing undurable
-        // was admitted while the shard was sick, so the resumed campaign
-        // re-derives the missing sessions and converges on the
-        // failure-free report exactly.
-        vfs.clear_injections("shard-001/");
-        let resumed = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), true).unwrap();
-        assert_eq!(resumed.device_records, reference.device_records, "reopen must not change verdicts");
-        assert_eq!(core_snapshot(&resumed), reference.snapshot, "reopen must not change counters");
-    }
-
-    #[test]
-    fn fail_fast_campaign_stops_typed_on_a_sick_shard() {
-        let cfg = {
-            let mut c = small_test_config(8, 2, 0xFA57);
-            c.fail_fast = true;
-            c
-        };
-        let vfs = SimVfs::new();
-        let store = open_sim(&vfs, cfg.history_capacity);
-        vfs.inject(
-            pufatt_store::ErrorInjection::on_prefix("shard-001/", pufatt_store::InjectedErrorKind::NoSpace).sticky(),
-        );
-        match run_persistent_campaign(&cfg, &store, false) {
-            Err(PufattError::Storage(_) | PufattError::StorageUnavailable { .. }) => {}
-            other => panic!("fail-fast must surface the storage failure, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fresh_run_refuses_an_occupied_state_dir_and_wrong_config_refuses_resume() {
-        let cfg = small_test_config(4, 1, 0xCD);
-        let vfs = SimVfs::new();
-        run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
-        let store = open_sim(&vfs, cfg.history_capacity);
-        assert!(matches!(run_persistent_campaign(&cfg, &store, false), Err(PufattError::Storage(_))));
-        let mut other = cfg.clone();
-        other.seed ^= 1;
-        assert!(matches!(run_persistent_campaign(&other, &store, true), Err(PufattError::Storage(_))));
-    }
-
-    #[test]
-    fn chaos_campaign_survives_persistence_round_trip() {
-        let mut cfg = small_test_config(8, 2, 0xFA17);
-        cfg.sessions_per_device = 4;
-        cfg.chaos = Some(ChaosConfig {
-            plan: FaultPlan::clean(0).with_drops(0.3).with_bit_flips(0.01),
-            flaky_fraction: 0.5,
-        });
-        let plain = run_campaign(&cfg).unwrap();
-        let vfs = SimVfs::new();
-        let durable = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
-        assert_eq!(durable.device_records, plain.device_records);
-        assert_eq!(core_snapshot(&durable), plain.snapshot);
-    }
-
-    #[test]
-    fn group_commit_campaign_matches_the_synchronous_one() {
-        let mut cfg = small_test_config(8, 3, 0x6C0);
-        cfg.sessions_per_device = 3;
-        let vfs_sync = SimVfs::new();
-        let sync_run = run_persistent_campaign(&cfg, &open_sim(&vfs_sync, cfg.history_capacity), false).unwrap();
-        cfg.commit_interval_s = 0.001;
-        let vfs_group = SimVfs::new();
-        let group_run = run_persistent_campaign(&cfg, &open_sim(&vfs_group, cfg.history_capacity), false).unwrap();
-        assert_eq!(group_run.device_records, sync_run.device_records);
-        assert_eq!(core_snapshot(&group_run), core_snapshot(&sync_run));
-    }
-
-    #[test]
-    fn online_enrollment_extends_the_fleet_and_survives_resume() {
-        let cfg = small_test_config(4, 2, 0x0E0);
-        let vfs = SimVfs::new();
-        let campaign = RunningCampaign::launch(&cfg, &open_sim(&vfs, cfg.history_capacity), false).unwrap();
-        assert!(campaign.enroll(100).unwrap(), "new id admitted");
-        assert!(!campaign.enroll(100).unwrap(), "second admit is a no-op");
-        assert!(!campaign.enroll(0).unwrap(), "configured ids are already enrolled");
-        let report = campaign.finish().unwrap();
-        assert_eq!(report.snapshot.devices.total(), 5);
-        assert_eq!(report.snapshot.devices_enrolled_online, 1);
-        assert!(report.device_records.iter().any(|r| r.id == 100));
-        let online = report.device_records.iter().find(|r| r.id == 100).unwrap();
-        assert_eq!(online.outcomes.len(), cfg.sessions_per_device as usize, "online device ran a full schedule");
-
-        // Resume sees the online device again without re-enrolling it.
-        let resumed = run_persistent_campaign(&cfg, &open_sim(&vfs, cfg.history_capacity), true).unwrap();
-        assert_eq!(resumed.device_records, report.device_records);
-        assert_eq!(resumed.snapshot.devices_enrolled_online, 1);
-        assert_eq!(core_snapshot(&resumed), core_snapshot(&report));
-    }
+    use crate::campaign::small_test_config;
 
     #[test]
     fn fingerprint_ignores_scheduling_but_not_verdicts() {

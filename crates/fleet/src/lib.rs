@@ -1,10 +1,10 @@
 //! Fleet-scale attestation for the PUFatt reproduction.
 //!
-//! The core crate's [`pufatt::server::AttestationServer`] is the paper's
-//! verifier with bookkeeping: one lock, one caller, one session at a
-//! time. This crate is the production-shaped version of that role — the
-//! engine an operator would actually run against thousands of deployed
-//! sensors:
+//! The paper's protocol is one verifier appraising one prover. This crate
+//! is that verifier role scaled to a deployment — the engine an operator
+//! would actually run against thousands of deployed sensors. One engine,
+//! [`FleetService`], provisions, gates, runs, journals and restores every
+//! device session; everything else is a driver over it or a part of it:
 //!
 //! * [`registry`] — fleet state sharded over independent locks, with an
 //!   `Active → Quarantined → Revoked` lifecycle and bounded per-device
@@ -14,22 +14,19 @@
 //!   graceful drain on shutdown.
 //! * [`metrics`] — relaxed atomic counters and a log-scale latency
 //!   histogram, snapshotted into a printable [`FleetSnapshot`].
-//! * [`campaign`] — the runner tying them together: manufacture a fleet
-//!   off one shared design, attest every device concurrently, apply the
-//!   retry/quarantine/revocation policy. Deterministic in its seed —
-//!   worker count changes wall-clock time, never verdicts (all session
-//!   time is simulated, all randomness is derived per device).
-//! * [`durable`] — the same campaign journaled through
-//!   `pufatt_store::ShardedStore`: records route to per-device-range WAL
-//!   shards, ride a group commit with a bounded-latency background
-//!   committer, and carry per-device RNG cursors so an interrupted run
-//!   fast-forwards (instead of replaying) to a report identical to an
-//!   uninterrupted one. [`RunningCampaign`] additionally admits new
-//!   devices online while the pool is attesting.
 //! * [`service`] — the engine behind a per-request façade
-//!   (enroll / open-session / attest / revoke) for the `pufatt-transport`
-//!   socket server, with the same verdicts, bit for bit, as an in-process
-//!   campaign.
+//!   (enroll / open-session / attest / revoke), driven by the
+//!   `pufatt-transport` socket server; optionally journaled through
+//!   `pufatt_store::ShardedStore` and restored from it on restart.
+//! * [`campaign`] — the in-process driver: a worker pool attesting a
+//!   whole fleet through the service, one job per device. Deterministic
+//!   in its seed — worker count changes wall-clock time, never verdicts.
+//!   [`RunningCampaign`] drives a journaled service: it resumes an
+//!   interrupted run to the uninterrupted report and admits devices
+//!   online.
+//! * [`durable`] — the journal codecs, the config fingerprint, and the
+//!   per-device RNG cursors that let a restarted device jump (instead of
+//!   replaying) to where it stopped.
 //!
 //! Campaigns degrade gracefully under faults: with a
 //! [`campaign::ChaosConfig`], a deterministic subset of the fleet becomes
@@ -65,12 +62,10 @@ pub mod service;
 pub mod sync;
 
 pub use campaign::{
-    device_is_flaky, device_is_tampered, run_campaign, small_test_config, CampaignConfig, CampaignReport, ChaosConfig,
-    DeviceRecord,
+    device_is_flaky, device_is_tampered, run_campaign, run_campaign_with_dir, run_persistent_campaign,
+    small_test_config, CampaignConfig, CampaignReport, ChaosConfig, DeviceRecord, RunningCampaign,
 };
-pub use durable::{
-    config_fingerprint, open_state_dir, run_campaign_with_dir, run_persistent_campaign, RunningCampaign,
-};
+pub use durable::{config_fingerprint, open_state_dir};
 pub use metrics::{FleetMetrics, FleetSnapshot, LatencyHistogram, LATENCY_BUCKETS};
 pub use pool::{SubmitError, WorkerPool};
 pub use registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome, ShardedRegistry, StatusCounts};

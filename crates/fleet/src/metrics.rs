@@ -8,7 +8,7 @@
 //! taken mid-campaign can be off by in-flight sessions; taken after
 //! drain it is exact).
 
-use crate::registry::StatusCounts;
+use crate::registry::{SessionOutcome, StatusCounts};
 use pufatt_store::{Counters, StoreStats};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,6 +175,20 @@ impl FleetMetrics {
     /// Records a finished session's end-to-end latency.
     pub fn observe_latency(&self, elapsed_s: f64) {
         self.latency.record(elapsed_s);
+    }
+
+    /// Counts a closed session's verdict — accepted, or rejected (and
+    /// possibly timed out) — and records its latency.
+    pub(crate) fn session_closed(&self, outcome: &SessionOutcome) {
+        if outcome.accepted {
+            self.session_accepted();
+        } else {
+            self.session_rejected();
+            if outcome.timed_out {
+                self.session_timed_out();
+            }
+        }
+        self.observe_latency(outcome.elapsed_s);
     }
 
     /// The latency histogram.

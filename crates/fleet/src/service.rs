@@ -1,29 +1,33 @@
-//! The fleet engine as a service: per-request attestation fronted by a
-//! wire protocol.
+//! The fleet engine as a service: per-request attestation, the one code
+//! path that provisions, gates, runs, journals and restores a device
+//! session.
 //!
-//! [`run_campaign`](crate::campaign::run_campaign) drives a whole fleet
-//! from one process — it owns the schedule, so it can provision a device
-//! and run all of its sessions inside one pool job. A *server* cannot:
-//! requests arrive one at a time, from many connections, in whatever
-//! order the network delivers them. [`FleetService`] is the façade that
-//! turns the campaign internals into that shape:
+//! Requests arrive one at a time, from many connections, in whatever
+//! order the network delivers them, so [`FleetService`] works per
+//! request:
 //!
 //! * [`FleetService::enroll`] provisions one device (registry entry plus
 //!   a live prover/verifier session slot);
 //! * [`FleetService::open_session`] gates one attestation session (the
-//!   revocation check the campaign runner performs before each session);
-//! * [`FleetService::attest`] runs exactly one session — the same
-//!   [`run_one_session`](crate::campaign)/chaos path the in-process
-//!   campaign uses, so a fixed-seed campaign driven through the service
-//!   produces **bit-identical** verdicts to `run_campaign` (pinned by
-//!   `service_matches_in_process_campaign` below and end-to-end over real
-//!   sockets by `pufatt-transport`);
+//!   revocation check before each session);
+//! * [`FleetService::attest`] runs exactly one session and applies the
+//!   lifecycle policy;
 //! * [`FleetService::abort_session`] records a session the transport
 //!   opened but never completed (client vanished mid-handshake) as a
 //!   lost, timed-out failure — the same accounting a chaos campaign gives
 //!   a session the channel ate, so quarantine hysteresis keeps working
 //!   when the loss happens at the socket layer instead of the simulated
 //!   channel.
+//!
+//! Both fronts drive this one engine: the `pufatt-transport` socket
+//! server, and [`run_campaign`](crate::campaign::run_campaign) /
+//! [`RunningCampaign`](crate::campaign::RunningCampaign), whose pool job
+//! per device is just `enroll` followed by `open_session`/`attest` for
+//! each scheduled session. A fixed-seed fleet therefore gets
+//! **bit-identical** verdicts whichever front drives it and in whatever
+//! order its devices interleave (pinned by
+//! `service_matches_in_process_campaign` below and end to end over real
+//! sockets by `pufatt-transport`).
 //!
 //! # Ordering contract
 //!
@@ -32,12 +36,13 @@
 //! every call for device `id` locks shard [`FleetService::shard_of`]`(id)`
 //! for the duration of the session. A transport that dispatches each
 //! device's requests to one shard-affine worker (as `pufatt-transport`
-//! does) therefore preserves per-device order end to end while distinct
+//! does), or a campaign that runs each device's schedule inside one pool
+//! job, therefore preserves per-device order end to end while distinct
 //! shards attest fully in parallel.
 
 use crate::campaign::{
-    device_is_flaky, device_is_tampered, provision_device, run_one_chaos_session, run_one_session, CampaignConfig,
-    DeviceRecord, DeviceSession, SessionEvent,
+    crp_delta, device_is_flaky, device_is_tampered, provision_device, run_one_chaos_session, run_one_session,
+    CampaignConfig, DeviceRecord, DeviceSession, SessionEvent,
 };
 use crate::durable::{
     config_fingerprint, fast_forward, from_outcome_rec, from_stored, journal, storage_err, to_outcome_rec, to_stored,
@@ -48,11 +53,12 @@ use crate::registry::{DeviceId, FleetStatus, SessionOutcome, ShardedRegistry};
 use crate::sync::{lock_ranked, rank};
 use pufatt::PufattError;
 use pufatt_alupuf::device::AluPufDesign;
-use pufatt_store::record::Record;
+use pufatt_store::record::{OutcomeRec, Record};
 use pufatt_store::state::MetaInfo;
-use pufatt_store::{ShardedStore, StoreError};
+use pufatt_store::{DeviceState, ShardedStore, StoreError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One device's server-side state.
@@ -67,9 +73,19 @@ enum Slot {
         events_seen: u32,
     },
     /// Provisioning failed; the device is enrolled in the registry but can
-    /// never run a session this campaign (mirrors the in-process
-    /// campaign's abandoned devices).
+    /// never run a session this campaign.
     Abandoned,
+}
+
+/// How an enrollment record is committed (OPERATIONS.md §3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EnrollCommit {
+    /// Forced fsync before the device becomes visible: wire and online
+    /// enrollment, which a caller was told happened.
+    Synced,
+    /// Group commit: the configured fleet, whose enrollment a resume
+    /// re-derives (and re-journals) if a crash loses it.
+    Grouped,
 }
 
 /// How [`FleetService::enroll`] left a device.
@@ -113,8 +129,7 @@ pub enum ServiceVerdict {
     /// The session reached a verdict (accepted or rejected) and the
     /// lifecycle policy was applied.
     Closed {
-        /// The session's outcome, exactly as the in-process campaign
-        /// would have recorded it.
+        /// The session's outcome, as recorded in the device's history.
         outcome: SessionOutcome,
         /// The device's lifecycle state after the outcome.
         status: FleetStatus,
@@ -151,16 +166,15 @@ pub struct FleetService {
 }
 
 impl FleetService {
-    /// Builds a service around a campaign configuration. The `devices`,
-    /// `workers` and `queue_depth` fields are ignored — the transport
-    /// decides who connects and how requests queue; everything
-    /// verdict-affecting (seed, PUF profile, checksum parameters, policy,
-    /// chaos plan) is honoured exactly as `run_campaign` would.
+    /// Builds a service around a campaign configuration. The `workers` and
+    /// `queue_depth` fields belong to whoever drives the service (the
+    /// campaign pool, or the transport's dispatch); `devices` only marks
+    /// where online enrollment begins. Everything verdict-affecting (seed,
+    /// PUF profile, checksum parameters, policy, chaos plan) is honoured.
     ///
     /// # Errors
     ///
-    /// Rejects configurations `run_campaign` would reject before any
-    /// thread spawns (unsupported PUF width, zero sessions).
+    /// Rejects unsupported PUF widths and zero sessions per device.
     pub fn new(cfg: CampaignConfig) -> Result<Self, PufattError> {
         let width = cfg.puf.width;
         if !(width.is_power_of_two() && (4..=32).contains(&width)) {
@@ -210,54 +224,16 @@ impl FleetService {
             }
             Some(_) => {}
             None => {
-                store
-                    .append_synced(&Record::Meta {
-                        config_hash: meta.config_hash,
-                        devices: meta.devices,
-                        sessions_per_device: meta.sessions_per_device,
-                        seed: meta.seed,
-                    })
-                    .map_err(|e| PufattError::Storage(e.to_string()))?;
+                let MetaInfo { config_hash, devices, sessions_per_device, seed } = meta;
+                let record = Record::Meta { config_hash, devices, sessions_per_device, seed };
+                store.append_synced(&record).map_err(storage_err)?;
             }
         }
         service.metrics = FleetMetrics::from_store_counters(&store.counters());
-        let mut restore_error = None;
-        store.for_each_device(|id, device| {
-            service.registry.restore_device(
-                id,
-                from_stored(device.status),
-                device.fails,
-                device.succs,
-                device.outcomes.iter().map(from_outcome_rec).collect(),
-                device.outcomes_total,
-            );
+        for id in service.restore_devices(&store, None)? {
             if id as usize >= service.cfg.devices {
                 service.metrics.device_enrolled_online();
             }
-            let prior = DevicePrior::from_state(device);
-            let shard = service.shard_of(id);
-            let slot = if prior.abandoned {
-                Slot::Abandoned
-            } else {
-                match provision_device(&service.design, &service.cfg, id) {
-                    Ok(mut session) => {
-                        fast_forward(&mut session, &service.cfg, &prior);
-                        Slot::Ready { session: Box::new(session), events_seen: prior.events_seen }
-                    }
-                    Err(e) => {
-                        // Provisioning is deterministic; a device that
-                        // provisioned before must provision again. Failing
-                        // here means the store and the configuration
-                        // disagree — refuse the restore.
-                        restore_error.get_or_insert(e);
-                        return;
-                    }
-                }
-            };
-            lock_ranked(&service.slots[shard], rank::SERVICE_SLOT).insert(id, slot);
-        });
-        if let Some(e) = restore_error {
-            return Err(e);
         }
         if service.cfg.commit_interval_s > 0.0 {
             service.committer =
@@ -265,6 +241,72 @@ impl FleetService {
         }
         service.journal = Some(store);
         Ok(service)
+    }
+
+    /// Rebuilds the in-memory state of the devices `store` holds — all of
+    /// them, or only those homed on store shard `only`: registry entry,
+    /// then a provisioned session fast-forwarded to the journaled cursor
+    /// (or an abandoned slot). Provisioning dominates a restart, so it is
+    /// spread over the host's cores. Returns the restored ids.
+    ///
+    /// # Errors
+    ///
+    /// The first provisioning failure. Provisioning is deterministic — a
+    /// device that provisioned before must provision again — so failing
+    /// here means the store and the configuration disagree.
+    fn restore_devices(&self, store: &ShardedStore, only: Option<usize>) -> Result<Vec<DeviceId>, PufattError> {
+        let mut priors = Vec::new();
+        let visit = |id: DeviceId, device: &DeviceState| {
+            self.registry.restore_device(
+                id,
+                from_stored(device.status),
+                device.fails,
+                device.succs,
+                device.outcomes.iter().map(from_outcome_rec).collect(),
+                device.outcomes_total,
+            );
+            priors.push((id, DevicePrior::from_state(device)));
+        };
+        match only {
+            Some(shard) => store.for_each_device_in(shard, visit),
+            None => store.for_each_device(visit),
+        }
+        // Workers pull devices off a shared index, so a descheduled
+        // thread never strands a fixed share of the fleet.
+        let next = AtomicUsize::new(0);
+        let threads = std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(priors.len());
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        while let Some((id, prior)) = priors.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            self.restore_slot(*id, prior)?;
+                        }
+                        Ok::<(), PufattError>(())
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .try_for_each(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        })?;
+        Ok(priors.into_iter().map(|(id, _)| id).collect())
+    }
+
+    /// Fills restored device `id`'s slot: provisioned and fast-forwarded
+    /// to `prior`, or abandoned if provisioning failed for good before.
+    fn restore_slot(&self, id: DeviceId, prior: &DevicePrior) -> Result<(), PufattError> {
+        let slot = if prior.abandoned {
+            Slot::Abandoned
+        } else {
+            let mut session = provision_device(&self.design, &self.cfg, id)?;
+            fast_forward(&mut session, &self.cfg, prior);
+            Slot::Ready { session: Box::new(session), events_seen: prior.events_seen }
+        };
+        lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).insert(id, slot);
+        Ok(())
     }
 
     /// Appends `record` to the journal (group-committed, forced-sync
@@ -298,21 +340,10 @@ impl FleetService {
     }
 
     /// Journals the post-session cursor for a device's live slot.
-    fn journal_cursor(&self, id: DeviceId, slot: &mut Slot) {
-        if self.journal.is_none() {
-            return;
-        }
-        if let Slot::Ready { session, events_seen } = slot {
+    fn journal_cursor(&self, id: DeviceId, slots: &mut HashMap<DeviceId, Slot>) {
+        if let (Some(_), Some(Slot::Ready { session, events_seen })) = (&self.journal, slots.get_mut(&id)) {
             *events_seen += 1;
-            let c = session.cursor();
-            self.journal_event(&Record::DeviceCursor {
-                id,
-                events_done: *events_seen,
-                session_pos: c.session_pos,
-                noise_pos: c.noise_pos,
-                noise_evals: c.noise_evals,
-                tamper_parity: c.tamper_parity,
-            });
+            self.journal_event(&session.cursor_record(id, *events_seen));
         }
     }
 
@@ -332,24 +363,53 @@ impl FleetService {
     }
 
     /// Enrolls and provisions one device. Idempotent: a second call for a
-    /// live device changes nothing and reports `fresh: false`.
+    /// live device changes nothing and reports `fresh: false`. On a
+    /// journaled service the enrollment is force-synced before the device
+    /// becomes visible.
     ///
     /// # Errors
     ///
     /// Propagates the provisioning failure; the device stays enrolled in
-    /// the registry (as in the in-process campaign) but is marked
-    /// abandoned and counted as a device fault.
+    /// the registry but is marked abandoned and counted as a device fault.
     /// [`PufattError::StorageUnavailable`] if the device's durable home
     /// shard is sick — nothing is admitted that could not be journaled.
     pub fn enroll(&self, id: DeviceId) -> Result<EnrollOutcome, PufattError> {
+        self.enroll_as(id, EnrollCommit::Synced)
+    }
+
+    /// [`FleetService::enroll`] with the enrollment record committed as
+    /// `commit` says.
+    pub(crate) fn enroll_as(&self, id: DeviceId, commit: EnrollCommit) -> Result<EnrollOutcome, PufattError> {
+        let live = |slots: &HashMap<DeviceId, Slot>| {
+            slots.contains_key(&id).then(|| EnrollOutcome {
+                fresh: false,
+                status: self.registry.status(id).unwrap_or(FleetStatus::Active),
+            })
+        };
+        {
+            let slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
+            self.storage_guard(id)?;
+            if let Some(outcome) = live(&slots) {
+                return Ok(outcome);
+            }
+        }
+        // Provisioning (~ms) touches no shared state, so it runs outside
+        // the slot-shard lock: devices that share a shard never serialize
+        // on each other's provisioning.
+        let provisioned = provision_device(&self.design, &self.cfg, id);
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         self.storage_guard(id)?;
         if self.registry.status(id).is_none() {
-            // Admit-or-absent: the enrollment is durable before the device
-            // becomes visible in the registry or a slot.
+            // Admit-or-absent: the enrollment is journaled before the
+            // device becomes visible in the registry or a slot.
             if let Some(store) = &self.journal {
-                // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
-                match store.append_synced(&Record::DeviceEnrolled { id }) {
+                let record = Record::DeviceEnrolled { id };
+                let committed = match commit {
+                    // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
+                    EnrollCommit::Synced => store.append_synced(&record),
+                    EnrollCommit::Grouped => journal(store, &record),
+                };
+                match committed {
                     Ok(()) | Err(StoreError::IllegalTransition { .. }) => {}
                     Err(e) => return Err(storage_err(e)),
                 }
@@ -359,11 +419,11 @@ impl FleetService {
         if fresh && id as usize >= self.cfg.devices {
             self.metrics.device_enrolled_online();
         }
-        if slots.contains_key(&id) {
-            let status = self.registry.status(id).unwrap_or(FleetStatus::Active);
-            return Ok(EnrollOutcome { fresh: false, status });
+        if let Some(outcome) = live(&slots) {
+            // A concurrent enroll of the same id provisioned it first.
+            return Ok(outcome);
         }
-        match provision_device(&self.design, &self.cfg, id) {
+        match provisioned {
             Ok(session) => {
                 slots.insert(id, Slot::Ready { session: Box::new(session), events_seen: 0 });
                 let status = self.registry.status(id).unwrap_or(FleetStatus::Active);
@@ -378,39 +438,53 @@ impl FleetService {
         }
     }
 
-    /// Gates one attestation session: the pre-session revocation check the
-    /// campaign runner performs. A revoked device's session is counted as
-    /// refused here (never started), exactly as in-process.
-    pub fn open_session(&self, id: DeviceId) -> SessionGate {
-        let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        if self.registry.status(id).is_none() {
-            return SessionGate::Unknown;
-        }
-        // Refused before the revocation branch: a sick shard cannot even
-        // journal a refusal, so no record is attempted and no device RNG
-        // is consumed — re-driving the session after a reopen yields the
-        // verdict it would always have had.
-        if self.storage_guard(id).is_err() {
-            self.metrics.session_unavailable();
-            return SessionGate::Unavailable;
-        }
+    /// The checks every session entry point makes first, under the
+    /// device's slot-shard lock. `Err` ends the request with the gate it
+    /// names, already accounted for.
+    fn precheck(&self, id: DeviceId, slots: &mut HashMap<DeviceId, Slot>) -> Result<(), SessionGate> {
         match self.registry.status(id) {
-            None => SessionGate::Unknown,
+            None => Err(SessionGate::Unknown),
+            // Refused before the revocation branch: a sick shard cannot
+            // even journal a refusal, so no record is attempted and no
+            // device RNG is consumed — re-driving the session after a
+            // reopen yields the verdict it would always have had.
+            Some(_) if self.storage_guard(id).is_err() => {
+                self.metrics.session_unavailable();
+                Err(SessionGate::Unavailable)
+            }
             Some(FleetStatus::Revoked) => {
                 self.metrics.session_refused();
                 self.journal_event(&Record::SessionRefused { id });
-                if let Some(slot) = slots.get_mut(&id) {
-                    self.journal_cursor(id, slot);
-                }
-                SessionGate::Refused
+                self.journal_cursor(id, slots);
+                Err(SessionGate::Refused)
             }
-            Some(_) => match slots.get(&id) {
-                None => SessionGate::Unknown,
-                Some(Slot::Abandoned) => SessionGate::Faulty,
-                Some(Slot::Ready { .. }) => {
-                    SessionGate::Granted { ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed) }
-                }
-            },
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// Applies a closed session's outcome to the device's lifecycle and
+    /// journals it as `rec`. Returns the post-transition status, `None`
+    /// (journaling nothing) for an id the registry does not hold.
+    fn close(&self, id: DeviceId, outcome: &SessionOutcome, rec: OutcomeRec) -> Option<FleetStatus> {
+        let (status, fails, succs) = self.registry.record_outcome_traced(id, outcome.clone(), &self.cfg.policy)?;
+        self.journal_event(&Record::SessionClosed { id, outcome: rec, status: to_stored(status), fails, succs });
+        Some(status)
+    }
+
+    /// Gates one attestation session: the pre-session revocation check. A
+    /// revoked device's session is counted as refused here (never
+    /// started).
+    pub fn open_session(&self, id: DeviceId) -> SessionGate {
+        let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
+        if let Err(gate) = self.precheck(id, &mut slots) {
+            return gate;
+        }
+        match slots.get(&id) {
+            None => SessionGate::Unknown,
+            Some(Slot::Abandoned) => SessionGate::Faulty,
+            Some(Slot::Ready { .. }) => {
+                SessionGate::Granted { ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed) }
+            }
         }
     }
 
@@ -420,59 +494,42 @@ impl FleetService {
     /// the verdict.
     pub fn attest(&self, id: DeviceId) -> ServiceVerdict {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        if self.registry.status(id).is_none() {
-            return ServiceVerdict::Unknown;
-        }
         // Checked again here (not only at open_session): the shard may
         // have sickened between the gate and the attest, and running the
         // session would advance device RNG towards a verdict the journal
         // could never hold.
-        if self.storage_guard(id).is_err() {
-            self.metrics.session_unavailable();
-            return ServiceVerdict::Unavailable;
+        match self.precheck(id, &mut slots) {
+            Ok(()) => {}
+            Err(SessionGate::Unavailable) => return ServiceVerdict::Unavailable,
+            Err(SessionGate::Refused) => return ServiceVerdict::Refused,
+            Err(_) => return ServiceVerdict::Unknown,
         }
-        if self.registry.status(id) == Some(FleetStatus::Revoked) {
-            self.metrics.session_refused();
-            self.journal_event(&Record::SessionRefused { id });
-            if let Some(slot) = slots.get_mut(&id) {
-                self.journal_cursor(id, slot);
-            }
-            return ServiceVerdict::Refused;
-        }
-        let Some(slot) = slots.get_mut(&id) else {
+        let Some(Slot::Ready { session, .. }) = slots.get_mut(&id) else {
             return ServiceVerdict::Unknown;
         };
-        let session = match slot {
-            Slot::Abandoned => return ServiceVerdict::Unknown,
-            Slot::Ready { session, .. } => session,
-        };
+        let crp0 = session.crp_stats();
         let event = if self.cfg.chaos.is_some() {
             run_one_chaos_session(session, &self.cfg, &self.metrics)
         } else {
             run_one_session(session, &self.cfg, &self.metrics)
         };
+        let (crp_hits, crp_misses) = crp_delta(session, crp0, &self.metrics);
         let verdict = match event {
-            SessionEvent::Closed { outcome, retried, dropped, lost, crp_hits, crp_misses } => {
-                let (status, fails, succs) = self
-                    .registry
-                    .record_outcome_traced(id, outcome.clone(), &self.cfg.policy)
-                    .unwrap_or((FleetStatus::Active, 0, 0));
+            SessionEvent::Closed { outcome, retried, dropped, lost } => {
                 let rec = to_outcome_rec(&outcome, retried, dropped, lost, crp_hits, crp_misses);
-                self.journal_event(&Record::SessionClosed {
-                    id,
-                    outcome: rec,
-                    status: to_stored(status),
-                    fails,
-                    succs,
-                });
+                // Registry entries are never removed, so this cannot
+                // happen; journal nothing rather than a guessed status.
+                let Some(status) = self.close(id, &outcome, rec) else {
+                    return ServiceVerdict::Unknown;
+                };
                 ServiceVerdict::Closed { outcome, status }
             }
-            SessionEvent::Fault { retried, dropped, crp_hits, crp_misses } => {
+            SessionEvent::Fault { retried, dropped } => {
                 self.journal_event(&Record::SessionFault { id, retried, dropped, crp_hits, crp_misses });
                 ServiceVerdict::Fault
             }
         };
-        self.journal_cursor(id, slot);
+        self.journal_cursor(id, &mut slots);
         verdict
     }
 
@@ -483,32 +540,14 @@ impl FleetService {
     /// the lifecycle so repeated transport loss quarantines the device.
     pub fn abort_session(&self, id: DeviceId) {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        if self.registry.status(id).is_some() && self.storage_guard(id).is_err() {
-            // The lost-session outcome cannot be journaled; counting it
-            // into the registry now would put memory ahead of the store.
-            // The abort is dropped as unavailable — on a sick shard the
-            // session was never granted in the first place.
-            self.metrics.session_unavailable();
+        // An abort racing a revocation is refused like any session on a
+        // revoked device. On a sick shard the lost-session outcome cannot
+        // be journaled, and counting it into the registry would put
+        // memory ahead of the store: it is dropped as unavailable (the
+        // session was never granted in the first place).
+        if self.precheck(id, &mut slots).is_err() {
             return;
         }
-        match self.registry.status(id) {
-            None => return,
-            Some(FleetStatus::Revoked) => {
-                // The campaign model refuses sessions on revoked devices;
-                // an abort racing a revocation is accounted the same way.
-                self.metrics.session_refused();
-                self.journal_event(&Record::SessionRefused { id });
-                if let Some(slot) = slots.get_mut(&id) {
-                    self.journal_cursor(id, slot);
-                }
-                return;
-            }
-            Some(_) => {}
-        }
-        self.metrics.session_started();
-        self.metrics.session_lost();
-        self.metrics.session_rejected();
-        self.metrics.session_timed_out();
         let outcome = SessionOutcome {
             accepted: false,
             response_ok: false,
@@ -517,17 +556,14 @@ impl FleetService {
             attempts: 1,
             elapsed_s: self.cfg.timeout_s,
         };
-        self.metrics.observe_latency(outcome.elapsed_s);
-        if let Some((status, fails, succs)) = self.registry.record_outcome_traced(id, outcome.clone(), &self.cfg.policy)
-        {
+        self.metrics.session_started();
+        self.metrics.session_lost();
+        self.metrics.session_closed(&outcome);
+        if self.close(id, &outcome, to_outcome_rec(&outcome, 0, 0, true, 0, 0)).is_some() {
             // An abort consumed no device randomness, so the cursor written
             // after it repeats the previous RNG positions with the event
             // count advanced — a restart resumes exactly here.
-            let rec = to_outcome_rec(&outcome, 0, 0, true, 0, 0);
-            self.journal_event(&Record::SessionClosed { id, outcome: rec, status: to_stored(status), fails, succs });
-            if let Some(slot) = slots.get_mut(&id) {
-                self.journal_cursor(id, slot);
-            }
+            self.journal_cursor(id, &mut slots);
         }
     }
 
@@ -595,8 +631,8 @@ impl FleetService {
     }
 
     /// Per-device end states and retained histories, ascending by id —
-    /// the same determinism witness `run_campaign` reports, so a service
-    /// campaign can be compared bit-for-bit with an in-process one.
+    /// the determinism witness a [`CampaignReport`](crate::CampaignReport)
+    /// carries, so two runs can be compared bit for bit.
     pub fn device_records(&self) -> Vec<DeviceRecord> {
         self.registry
             .ids()
@@ -659,42 +695,30 @@ impl FleetService {
             return Err(PufattError::Storage("service has no journal; nothing to reopen".into()));
         };
         store.reopen_shard(store_shard).map_err(storage_err)?;
-        let mut restored = 0;
-        let mut restore_error = None;
-        store.for_each_device_in(store_shard, |id, device| {
-            if restore_error.is_some() {
-                return;
-            }
-            self.registry.restore_device(
-                id,
-                from_stored(device.status),
-                device.fails,
-                device.succs,
-                device.outcomes.iter().map(from_outcome_rec).collect(),
-                device.outcomes_total,
-            );
-            let prior = DevicePrior::from_state(device);
-            let slot = if prior.abandoned {
-                Slot::Abandoned
-            } else {
-                match provision_device(&self.design, &self.cfg, id) {
-                    Ok(mut session) => {
-                        fast_forward(&mut session, &self.cfg, &prior);
-                        Slot::Ready { session: Box::new(session), events_seen: prior.events_seen }
-                    }
-                    Err(e) => {
-                        restore_error.get_or_insert(e);
-                        return;
-                    }
-                }
-            };
-            lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).insert(id, slot);
-            restored += 1;
-        });
-        if let Some(e) = restore_error {
-            return Err(e);
+        Ok(self.restore_devices(store, Some(store_shard))?.len())
+    }
+
+    /// Session events journaled for `id` so far (0 for an unjournaled
+    /// service, or a device without a live session): where a resumed
+    /// campaign picks up the device's schedule.
+    pub(crate) fn events_seen(&self, id: DeviceId) -> u32 {
+        match lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).get(&id) {
+            Some(Slot::Ready { events_seen, .. }) => *events_seen,
+            _ => 0,
         }
-        Ok(restored)
+    }
+
+    /// Counts `sessions` scheduled sessions refused because their
+    /// device's home shard is sick.
+    pub(crate) fn count_unavailable(&self, sessions: u32) {
+        for _ in 0..sessions {
+            self.metrics.session_unavailable();
+        }
+    }
+
+    /// Every enrolled id, ascending.
+    pub(crate) fn enrolled_ids(&self) -> Vec<DeviceId> {
+        self.registry.ids()
     }
 }
 
