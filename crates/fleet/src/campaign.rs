@@ -23,7 +23,7 @@
 //! exactly the same accept/reject totals as the same campaign with 1.
 
 use crate::durable::open_state_dir;
-use crate::metrics::{FleetMetrics, FleetSnapshot};
+use crate::metrics::FleetSnapshot;
 use crate::pool::WorkerPool;
 use crate::registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome};
 use crate::service::{EnrollCommit, FleetService, ServiceVerdict, SessionGate};
@@ -337,24 +337,17 @@ pub(crate) enum SessionEvent {
     },
 }
 
-/// Per-session CRP-cache delta, counted into `metrics`: the verifier's
-/// cumulative counters minus a `baseline` of [`DeviceSession::crp_stats`]
-/// taken before the session. Sessions run sequentially per device, so the
-/// delta is exact and scheduling-independent.
-pub(crate) fn crp_delta(session: &DeviceSession, baseline: (u64, u64), metrics: &FleetMetrics) -> (u32, u32) {
+/// Per-session CRP-cache delta: the verifier's cumulative counters minus
+/// a `baseline` of [`DeviceSession::crp_stats`] taken before the session.
+/// Sessions run sequentially per device, so the delta is exact and
+/// scheduling-independent.
+pub(crate) fn crp_delta(session: &DeviceSession, baseline: (u64, u64)) -> (u32, u32) {
     let (h1, m1) = session.crp_stats();
-    let (hits, misses) = (h1.saturating_sub(baseline.0), m1.saturating_sub(baseline.1));
-    metrics.record_crp(hits, misses);
-    (hits as u32, misses as u32)
+    (h1.saturating_sub(baseline.0) as u32, m1.saturating_sub(baseline.1) as u32)
 }
 
 /// Runs one session (with retries) against an already-provisioned device.
-pub(crate) fn run_one_session(
-    session: &mut DeviceSession,
-    cfg: &CampaignConfig,
-    metrics: &FleetMetrics,
-) -> SessionEvent {
-    metrics.session_started();
+pub(crate) fn run_one_session(session: &mut DeviceSession, cfg: &CampaignConfig) -> SessionEvent {
     // A new session starts with a cold CRP cache; retry attempts within it
     // replay the same challenge stream and hit.
     session.verifier.begin_session();
@@ -365,10 +358,7 @@ pub(crate) fn run_one_session(
         let request = AttestationRequest::random(&mut session.rng);
         let report = match session.prover.attest(request) {
             Ok(report) => report,
-            Err(_) => {
-                metrics.device_fault();
-                return SessionEvent::Fault { retried: attempts - 1, dropped: 0 };
-            }
+            Err(_) => return SessionEvent::Fault { retried: attempts - 1, dropped: 0 },
         };
         let compute_s = session.prover.clock().duration_ns(report.cycles) * 1e-9;
         let verdict = session.verifier.verify(request, &report, compute_s);
@@ -384,10 +374,8 @@ pub(crate) fn run_one_session(
                 attempts,
                 elapsed_s,
             };
-            metrics.session_closed(&outcome);
             return SessionEvent::Closed { outcome, retried: attempts - 1, dropped: 0, lost: false };
         }
-        metrics.attempt_retried();
         // Exponential backoff in simulated time: it delays the session
         // (and can push it over the timeout) without sleeping the worker.
         backoff_s += cfg.policy.backoff_base_s * f64::from(1u32 << (attempts - 1).min(16));
@@ -399,12 +387,7 @@ pub(crate) fn run_one_session(
 /// machine. Sessions that die without a verdict (deadline, channel fully
 /// lost) count as failed-and-timed-out towards the lifecycle, never as a
 /// crash.
-pub(crate) fn run_one_chaos_session(
-    session: &mut DeviceSession,
-    cfg: &CampaignConfig,
-    metrics: &FleetMetrics,
-) -> SessionEvent {
-    metrics.session_started();
+pub(crate) fn run_one_chaos_session(session: &mut DeviceSession, cfg: &CampaignConfig) -> SessionEvent {
     session.verifier.begin_session();
     let mut policy = RetryPolicy::for_verifier(&session.verifier, cfg.policy.max_attempts);
     policy.backoff_base_s = cfg.policy.backoff_base_s;
@@ -418,11 +401,7 @@ pub(crate) fn run_one_chaos_session(
         &mut session.rng,
     );
     let dropped = report.messages_dropped();
-    metrics.messages_dropped(u64::from(dropped));
     let retried = u32::from(report.attempts > 1);
-    if report.attempts > 1 {
-        metrics.attempt_retried();
-    }
     let (outcome, lost) = match &report.result {
         Ok(verdict) => (
             SessionOutcome {
@@ -435,26 +414,19 @@ pub(crate) fn run_one_chaos_session(
             },
             false,
         ),
-        Err(PufattError::Timeout { .. }) | Err(PufattError::ChannelLost { .. }) => {
-            metrics.session_lost();
-            (
-                SessionOutcome {
-                    accepted: false,
-                    response_ok: false,
-                    time_ok: false,
-                    timed_out: true,
-                    attempts: report.attempts,
-                    elapsed_s: report.elapsed_s,
-                },
-                true,
-            )
-        }
-        Err(_) => {
-            metrics.device_fault();
-            return SessionEvent::Fault { retried, dropped };
-        }
+        Err(PufattError::Timeout { .. }) | Err(PufattError::ChannelLost { .. }) => (
+            SessionOutcome {
+                accepted: false,
+                response_ok: false,
+                time_ok: false,
+                timed_out: true,
+                attempts: report.attempts,
+                elapsed_s: report.elapsed_s,
+            },
+            true,
+        ),
+        Err(_) => return SessionEvent::Fault { retried, dropped },
     };
-    metrics.session_closed(&outcome);
     SessionEvent::Closed { outcome, retried, dropped, lost }
 }
 

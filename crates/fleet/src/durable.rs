@@ -27,9 +27,9 @@
 //! restored from the store. Then each device fast-forwards: its
 //! journaled cursor restores the RNG positions
 //! directly (no replay), any committed session events *after* the last
-//! cursor are re-run against scratch metrics purely to advance RNG and
-//! channel state (refusals consumed no randomness and are skipped), and
-//! the remaining sessions run live. A crash can lose at most the
+//! cursor are re-run, uncounted, purely to advance RNG and channel
+//! state (refusals consumed no randomness and are skipped), and the
+//! remaining sessions run live. A crash can lose at most the
 //! unflushed group-commit tail of each shard — and every lost record is
 //! re-derived identically by re-running those sessions, so the final
 //! report is bit-identical to a run that was never interrupted (modulo
@@ -53,7 +53,7 @@
 //! by their id alone.
 
 use crate::campaign::{run_one_chaos_session, run_one_session, CampaignConfig, DeviceSession};
-use crate::metrics::{FleetMetrics, LatencyHistogram};
+use crate::metrics::LatencyHistogram;
 use crate::registry::FleetStatus;
 use pufatt::PufattError;
 use pufatt_store::record::{OutcomeRec, Record, StoredStatus};
@@ -194,20 +194,19 @@ impl DevicePrior {
 
 /// Fast-forwards a freshly provisioned session to a device's committed
 /// position: jump to the cursor (absolute RNG word positions — nothing
-/// before it is replayed), then re-run only the post-cursor event tail
-/// against scratch metrics (the real counters were already restored from
-/// the store; refusals consumed no randomness and are skipped).
+/// before it is replayed), then re-run only the post-cursor event tail,
+/// discarding its events (the counters were already restored from the
+/// store; refusals consumed no randomness and are skipped).
 pub(crate) fn fast_forward(session: &mut DeviceSession, cfg: &CampaignConfig, prior: &DevicePrior) {
     if let Some(cursor) = &prior.cursor {
         session.restore_cursor(cursor);
     }
-    let scratch = FleetMetrics::new();
     for &event in &prior.events {
         if event != EV_REFUSED {
             if cfg.chaos.is_some() {
-                run_one_chaos_session(session, cfg, &scratch);
+                run_one_chaos_session(session, cfg);
             } else {
-                run_one_session(session, cfg, &scratch);
+                run_one_session(session, cfg);
             }
         }
     }

@@ -1,5 +1,14 @@
 //! Campaign metrics: lock-free counters and a latency histogram.
 //!
+//! The durable counters (sessions started, accepted, rejected, …, and the
+//! latency histogram) are never bumped directly. The service counts each
+//! session record it emits through [`FleetMetrics::count`], which applies
+//! the store's one counting rule ([`Counters::tally`]) — the same function
+//! journal replay runs. Live totals therefore equal the totals replayed
+//! from the journal by construction. Only two counters are live-only:
+//! `sessions_unavailable` and `devices_enrolled_online` (see their
+//! mutators for why neither is journaled).
+//!
 //! Workers on many threads record outcomes concurrently; everything here
 //! is an [`AtomicU64`] with relaxed ordering — the counters are monotonic
 //! statistics, not synchronisation, so no ordering stronger than the
@@ -8,8 +17,9 @@
 //! taken mid-campaign can be off by in-flight sessions; taken after
 //! drain it is exact).
 
-use crate::registry::{SessionOutcome, StatusCounts};
-use pufatt_store::{Counters, StoreStats};
+use crate::registry::StatusCounts;
+use pufatt_store::state::COUNTERS;
+use pufatt_store::{Counter, Counters, Record, StoreStats};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -76,18 +86,9 @@ impl LatencyHistogram {
 /// the reporter.
 #[derive(Debug, Default)]
 pub struct FleetMetrics {
-    sessions_started: AtomicU64,
-    sessions_accepted: AtomicU64,
-    sessions_rejected: AtomicU64,
-    sessions_timed_out: AtomicU64,
-    attempts_retried: AtomicU64,
-    sessions_refused: AtomicU64,
+    /// The durable counters, indexed by [`Counter`].
+    durable: [AtomicU64; COUNTERS],
     sessions_unavailable: AtomicU64,
-    device_faults: AtomicU64,
-    messages_dropped: AtomicU64,
-    sessions_lost: AtomicU64,
-    crp_hits: AtomicU64,
-    crp_misses: AtomicU64,
     devices_enrolled_online: AtomicU64,
     latency: LatencyHistogram,
 }
@@ -98,36 +99,19 @@ impl FleetMetrics {
         FleetMetrics::default()
     }
 
-    /// A session left the queue and began its first attempt.
-    pub fn session_started(&self) {
-        self.sessions_started.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session ended accepted.
-    pub fn session_accepted(&self) {
-        self.sessions_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session ended rejected (response/time check failed after all
-    /// attempts).
-    pub fn session_rejected(&self) {
-        self.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session ended rejected specifically by exceeding the scheduler's
-    /// session timeout (also counted in `rejected`).
-    pub fn session_timed_out(&self) {
-        self.sessions_timed_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One attempt failed and the session is retrying.
-    pub fn attempt_retried(&self) {
-        self.attempts_retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session was refused without running (device revoked).
-    pub fn session_refused(&self) {
-        self.sessions_refused.fetch_add(1, Ordering::Relaxed);
+    /// Counts one session record — closed, faulted, refused, or a device
+    /// abandoned at provisioning — by the store's own rule
+    /// ([`Counters::tally`]), so the live totals equal what replaying the
+    /// same records gives.
+    pub fn count(&self, record: &Record) {
+        let slot = Counters::tally(record, |counter, n| {
+            if n > 0 {
+                self.durable[counter as usize].fetch_add(n, Ordering::Relaxed);
+            }
+        });
+        if let Some(slot) = slot {
+            self.latency.buckets[slot].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// A session was refused because its device's storage shard is sick
@@ -136,32 +120,8 @@ impl FleetMetrics {
     /// counters: after the shard reopens, a resumed campaign runs these
     /// sessions for real, so carrying the refusal count forward would
     /// double-book them.
-    pub fn session_unavailable(&self) {
-        self.sessions_unavailable.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A device errored outside the protocol (trap, provisioning fault).
-    pub fn device_fault(&self) {
-        self.device_faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` protocol messages were lost in transit during a chaos session.
-    pub fn messages_dropped(&self, n: u64) {
-        self.messages_dropped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A session died without a verdict: the deadline expired or the
-    /// channel ate every attempt (also counted in `rejected` — a lost
-    /// session is a failed session for lifecycle purposes).
-    pub fn session_lost(&self) {
-        self.sessions_lost.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session's verifier served `hits` reference responses from its CRP
-    /// cache and emulated `misses`.
-    pub fn record_crp(&self, hits: u64, misses: u64) {
-        self.crp_hits.fetch_add(hits, Ordering::Relaxed);
-        self.crp_misses.fetch_add(misses, Ordering::Relaxed);
+    pub fn sessions_unavailable(&self, n: u64) {
+        self.sessions_unavailable.fetch_add(n, Ordering::Relaxed);
     }
 
     /// A device beyond the configured fleet size was admitted while the
@@ -172,49 +132,15 @@ impl FleetMetrics {
         self.devices_enrolled_online.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a finished session's end-to-end latency.
-    pub fn observe_latency(&self, elapsed_s: f64) {
-        self.latency.record(elapsed_s);
-    }
-
-    /// Counts a closed session's verdict — accepted, or rejected (and
-    /// possibly timed out) — and records its latency.
-    pub(crate) fn session_closed(&self, outcome: &SessionOutcome) {
-        if outcome.accepted {
-            self.session_accepted();
-        } else {
-            self.session_rejected();
-            if outcome.timed_out {
-                self.session_timed_out();
-            }
-        }
-        self.observe_latency(outcome.elapsed_s);
-    }
-
-    /// The latency histogram.
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
-    }
-
     /// Rebuilds metrics from a durable store's recovered counters, so a
     /// resumed campaign continues counting where the interrupted run's
     /// *committed* records left off and its final snapshot equals an
     /// uninterrupted run's.
     pub fn from_store_counters(c: &Counters) -> Self {
         let m = FleetMetrics::new();
-        m.sessions_started.store(c.started, Ordering::Relaxed);
-        m.sessions_accepted.store(c.accepted, Ordering::Relaxed);
-        m.sessions_rejected.store(c.rejected, Ordering::Relaxed);
-        m.sessions_timed_out.store(c.timed_out, Ordering::Relaxed);
-        m.attempts_retried.store(c.retried, Ordering::Relaxed);
-        m.sessions_refused.store(c.refused, Ordering::Relaxed);
-        m.device_faults.store(c.faults, Ordering::Relaxed);
-        m.messages_dropped.store(c.dropped, Ordering::Relaxed);
-        m.sessions_lost.store(c.lost, Ordering::Relaxed);
-        m.crp_hits.store(c.crp_hits, Ordering::Relaxed);
-        m.crp_misses.store(c.crp_misses, Ordering::Relaxed);
-        for (bucket, &n) in m.latency.buckets.iter().zip(c.latency.iter()) {
-            bucket.store(n, Ordering::Relaxed);
+        let live = m.durable.iter().chain(&m.latency.buckets);
+        for (counter, &n) in live.zip(c.values.iter().chain(&c.latency)) {
+            counter.store(n, Ordering::Relaxed);
         }
         m
     }
@@ -222,19 +148,20 @@ impl FleetMetrics {
     /// Point-in-time copy of all counters, paired with the registry's
     /// device counts.
     pub fn snapshot(&self, devices: StatusCounts) -> FleetSnapshot {
+        let get = |counter: Counter| self.durable[counter as usize].load(Ordering::Relaxed);
         FleetSnapshot {
-            sessions_started: self.sessions_started.load(Ordering::Relaxed),
-            sessions_accepted: self.sessions_accepted.load(Ordering::Relaxed),
-            sessions_rejected: self.sessions_rejected.load(Ordering::Relaxed),
-            sessions_timed_out: self.sessions_timed_out.load(Ordering::Relaxed),
-            attempts_retried: self.attempts_retried.load(Ordering::Relaxed),
-            sessions_refused: self.sessions_refused.load(Ordering::Relaxed),
+            sessions_started: get(Counter::Started),
+            sessions_accepted: get(Counter::Accepted),
+            sessions_rejected: get(Counter::Rejected),
+            sessions_timed_out: get(Counter::TimedOut),
+            attempts_retried: get(Counter::Retried),
+            sessions_refused: get(Counter::Refused),
             sessions_unavailable: self.sessions_unavailable.load(Ordering::Relaxed),
-            device_faults: self.device_faults.load(Ordering::Relaxed),
-            messages_dropped: self.messages_dropped.load(Ordering::Relaxed),
-            sessions_lost: self.sessions_lost.load(Ordering::Relaxed),
-            crp_hits: self.crp_hits.load(Ordering::Relaxed),
-            crp_misses: self.crp_misses.load(Ordering::Relaxed),
+            device_faults: get(Counter::Faults),
+            messages_dropped: get(Counter::Dropped),
+            sessions_lost: get(Counter::Lost),
+            crp_hits: get(Counter::CrpHits),
+            crp_misses: get(Counter::CrpMisses),
             devices_enrolled_online: self.devices_enrolled_online.load(Ordering::Relaxed),
             devices,
             latency_buckets_us: self.latency.nonzero_buckets(),
@@ -246,7 +173,7 @@ impl FleetMetrics {
 /// Point-in-time view of a campaign, suitable for printing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSnapshot {
-    /// Sessions that began their first attempt.
+    /// Sessions that ran, to a verdict or into a device fault.
     pub sessions_started: u64,
     /// Sessions accepted by the verifier.
     pub sessions_accepted: u64,
@@ -262,7 +189,8 @@ pub struct FleetSnapshot {
     /// (Degraded or Failed) — typed availability refusals, never
     /// verdicts. Zero whenever storage stayed healthy.
     pub sessions_unavailable: u64,
-    /// Devices that faulted outside the protocol.
+    /// Sessions that faulted outside the protocol, plus devices abandoned
+    /// at provisioning.
     pub device_faults: u64,
     /// Protocol messages lost in transit (chaos campaigns).
     pub messages_dropped: u64,
@@ -354,6 +282,11 @@ impl fmt::Display for FleetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_campaign, small_test_config, ChaosConfig};
+    use crate::durable::to_outcome_rec;
+    use crate::registry::SessionOutcome;
+    use pufatt_faults::FaultPlan;
+    use pufatt_store::StoredStatus;
 
     #[test]
     fn bucket_indexing_is_log_scale() {
@@ -377,55 +310,73 @@ mod tests {
         assert_eq!(buckets[1].1, 1);
     }
 
+    /// A closed-session record built the way the service builds one.
+    fn closed(id: u32, outcome: &SessionOutcome, retried: u32, lost: bool, status: StoredStatus, fails: u32) -> Record {
+        let rec = to_outcome_rec(outcome, retried, 0, lost, 56, 8);
+        Record::SessionClosed { id, outcome: rec, status, fails, succs: 0 }
+    }
+
+    fn outcome(accepted: bool, timed_out: bool, elapsed_s: f64) -> SessionOutcome {
+        SessionOutcome {
+            accepted,
+            response_ok: accepted,
+            time_ok: !timed_out,
+            timed_out,
+            attempts: 1,
+            elapsed_s,
+        }
+    }
+
     #[test]
     fn restored_counters_continue_where_the_store_left_off() {
+        // One record of every counted kind, as the service emits them.
+        // Counting them live and replaying them into the store must give
+        // the same snapshot.
+        let records = [
+            Record::DeviceEnrolled { id: 0 },
+            Record::DeviceEnrolled { id: 1 },
+            Record::DeviceEnrolled { id: 2 },
+            closed(0, &outcome(true, false, 1e-3), 1, false, StoredStatus::Active, 0),
+            closed(0, &outcome(false, true, 1.5), 2, false, StoredStatus::Active, 1),
+            // A lost session, as `abort_session` builds it.
+            closed(0, &outcome(false, true, 1.0), 0, true, StoredStatus::Quarantined, 2),
+            Record::SessionFault { id: 1, retried: 1, dropped: 3, crp_hits: 4, crp_misses: 5 },
+            Record::StatusChanged { id: 1, status: StoredStatus::Revoked },
+            Record::SessionRefused { id: 1 },
+            Record::DeviceAbandoned { id: 2 },
+        ];
         let live = FleetMetrics::new();
-        live.session_started();
-        live.session_started();
-        live.session_accepted();
-        live.session_rejected();
-        live.session_timed_out();
-        live.attempt_retried();
-        live.session_refused();
-        live.device_fault();
-        live.messages_dropped(3);
-        live.session_lost();
-        live.record_crp(56, 8);
-        live.observe_latency(1e-3);
-        live.observe_latency(0.5);
+        let mut persisted = pufatt_store::StoreState::new(8);
+        for (seq, record) in (1..).zip(&records) {
+            live.count(record);
+            persisted.apply(seq, record).expect("legal record");
+        }
 
-        let mut persisted = Counters {
-            started: 2,
-            accepted: 1,
-            rejected: 1,
-            timed_out: 1,
-            retried: 1,
-            refused: 1,
-            faults: 1,
-            dropped: 3,
-            lost: 1,
-            crp_hits: 56,
-            crp_misses: 8,
-            ..Counters::default()
-        };
-        persisted.latency[LatencyHistogram::bucket_index(1e-3)] += 1;
-        persisted.latency[LatencyHistogram::bucket_index(0.5)] += 1;
-
-        let restored = FleetMetrics::from_store_counters(&persisted);
-        let devices = StatusCounts { active: 1, quarantined: 0, revoked: 0 };
-        assert_eq!(restored.snapshot(devices), live.snapshot(devices));
+        let devices = StatusCounts { active: 1, quarantined: 1, revoked: 1 };
+        let snap = live.snapshot(devices);
+        assert_eq!(FleetMetrics::from_store_counters(&persisted.counters).snapshot(devices), snap);
+        let counted = [
+            snap.sessions_started,
+            snap.sessions_accepted,
+            snap.sessions_rejected,
+            snap.sessions_timed_out,
+            snap.attempts_retried,
+            snap.sessions_refused,
+            snap.device_faults,
+            snap.messages_dropped,
+            snap.sessions_lost,
+            snap.crp_hits,
+            snap.crp_misses,
+        ];
+        assert_eq!(counted, [4, 1, 2, 2, 4, 1, 2, 3, 1, 3 * 56 + 4, 3 * 8 + 5]);
+        assert_eq!(snap.latency_buckets_us.iter().map(|&(_, n)| n).sum::<u64>(), 3);
     }
 
     #[test]
     fn snapshot_copies_counters() {
         let m = FleetMetrics::new();
-        m.session_started();
-        m.session_started();
-        m.session_accepted();
-        m.session_rejected();
-        m.session_timed_out();
-        m.attempt_retried();
-        m.observe_latency(1e-3);
+        m.count(&closed(0, &outcome(true, false, 1e-3), 0, false, StoredStatus::Active, 0));
+        m.count(&closed(0, &outcome(false, true, 1e-3), 1, false, StoredStatus::Active, 1));
         let snap = m.snapshot(StatusCounts { active: 3, quarantined: 1, revoked: 0 });
         assert_eq!(snap.sessions_started, 2);
         assert_eq!(snap.sessions_accepted, 1);
@@ -437,5 +388,17 @@ mod tests {
         let rendered = snap.to_string();
         assert!(rendered.contains("accepted"), "display mentions acceptances: {rendered}");
         assert!(rendered.contains('#'), "display draws histogram bars: {rendered}");
+    }
+
+    #[test]
+    fn drained_chaos_campaign_accounts_for_every_started_session() {
+        let mut cfg = small_test_config(12, 3, 0xACC7);
+        cfg.chaos = Some(ChaosConfig {
+            plan: FaultPlan::clean(0xACC7).with_drops(0.5).with_bit_flips(0.02),
+            flaky_fraction: 0.5,
+        });
+        let snap = run_campaign(&cfg).expect("campaign runs").snapshot;
+        assert!(snap.sessions_lost > 0 && snap.messages_dropped > 0, "the plan must bite: {snap}");
+        assert_eq!(snap.sessions_started, snap.sessions_accepted + snap.sessions_rejected + snap.device_faults);
     }
 }

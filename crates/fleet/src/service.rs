@@ -309,9 +309,13 @@ impl FleetService {
         Ok(())
     }
 
-    /// Appends `record` to the journal (group-committed, forced-sync
-    /// fallback under backpressure). No-op for unjournaled services.
+    /// Counts `record` into the live metrics, then appends it to the
+    /// journal (group-committed, forced-sync fallback under backpressure).
+    /// Every session record the service emits comes through here, journal
+    /// or not, so the live counters are exactly what replaying the records
+    /// gives.
     fn journal_event(&self, record: &Record) {
+        self.metrics.count(record);
         if let Some(store) = &self.journal {
             // A failed append has already degraded the record's home shard,
             // so every subsequent request for its devices is refused up
@@ -430,7 +434,6 @@ impl FleetService {
                 Ok(EnrollOutcome { fresh, status })
             }
             Err(e) => {
-                self.metrics.device_fault();
                 self.journal_event(&Record::DeviceAbandoned { id });
                 slots.insert(id, Slot::Abandoned);
                 Err(e)
@@ -449,11 +452,10 @@ impl FleetService {
             // device RNG is consumed — re-driving the session after a
             // reopen yields the verdict it would always have had.
             Some(_) if self.storage_guard(id).is_err() => {
-                self.metrics.session_unavailable();
+                self.metrics.sessions_unavailable(1);
                 Err(SessionGate::Unavailable)
             }
             Some(FleetStatus::Revoked) => {
-                self.metrics.session_refused();
                 self.journal_event(&Record::SessionRefused { id });
                 self.journal_cursor(id, slots);
                 Err(SessionGate::Refused)
@@ -509,11 +511,11 @@ impl FleetService {
         };
         let crp0 = session.crp_stats();
         let event = if self.cfg.chaos.is_some() {
-            run_one_chaos_session(session, &self.cfg, &self.metrics)
+            run_one_chaos_session(session, &self.cfg)
         } else {
-            run_one_session(session, &self.cfg, &self.metrics)
+            run_one_session(session, &self.cfg)
         };
-        let (crp_hits, crp_misses) = crp_delta(session, crp0, &self.metrics);
+        let (crp_hits, crp_misses) = crp_delta(session, crp0);
         let verdict = match event {
             SessionEvent::Closed { outcome, retried, dropped, lost } => {
                 let rec = to_outcome_rec(&outcome, retried, dropped, lost, crp_hits, crp_misses);
@@ -556,9 +558,6 @@ impl FleetService {
             attempts: 1,
             elapsed_s: self.cfg.timeout_s,
         };
-        self.metrics.session_started();
-        self.metrics.session_lost();
-        self.metrics.session_closed(&outcome);
         if self.close(id, &outcome, to_outcome_rec(&outcome, 0, 0, true, 0, 0)).is_some() {
             // An abort consumed no device randomness, so the cursor written
             // after it repeats the previous RNG positions with the event
@@ -570,10 +569,7 @@ impl FleetService {
     /// Revokes a device (operator action). Returns its post-call status,
     /// or `Ok(None)` for unknown ids. The revocation record is journaled
     /// with a forced sync *before* the registry transition becomes
-    /// visible: an operator's revocation must survive an immediate crash,
-    /// and a crash between the two steps merely re-applies the record on
-    /// resume — never the reverse (a visible revocation the journal has
-    /// no memory of).
+    /// visible, so an operator's revocation survives an immediate crash.
     ///
     /// # Errors
     ///
@@ -581,20 +577,11 @@ impl FleetService {
     /// is left untouched, so the operator sees the revocation refused
     /// rather than a trust decision that would evaporate on restart.
     pub fn revoke(&self, id: DeviceId) -> Result<Option<FleetStatus>, PufattError> {
-        let _slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        let Some(status) = self.registry.status(id) else {
-            return Ok(None);
+        let record = |status| {
+            (status != FleetStatus::Revoked)
+                .then_some(Record::StatusChanged { id, status: pufatt_store::record::StoredStatus::Revoked })
         };
-        self.storage_guard(id)?;
-        if status != FleetStatus::Revoked {
-            if let Some(store) = &self.journal {
-                let rec = Record::StatusChanged { id, status: pufatt_store::record::StoredStatus::Revoked };
-                // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
-                store.append_synced(&rec).map_err(storage_err)?;
-            }
-            self.registry.revoke(id);
-        }
-        Ok(self.registry.status(id))
+        self.operator_transition(id, record, || self.registry.revoke(id))
     }
 
     /// Re-enrolls a known device (operator action): back to Active with
@@ -607,17 +594,40 @@ impl FleetService {
     /// [`PufattError::Storage`] if the synced append fails; the registry
     /// is left untouched.
     pub fn re_enroll(&self, id: DeviceId) -> Result<bool, PufattError> {
+        let record = |_| Some(Record::DeviceReEnrolled { id });
+        let known = self.operator_transition(id, record, || {
+            self.registry.re_enroll(id);
+        })?;
+        Ok(known.is_some())
+    }
+
+    /// An operator transition of known device `id`: `record` maps its
+    /// current status to the record to journal (`None`: nothing to do),
+    /// which is appended with a forced sync *before* `apply` makes the
+    /// transition visible in the registry. An operator's decision must
+    /// survive an immediate crash, and a crash between the two steps
+    /// merely re-applies the record on resume — never the reverse (a
+    /// visible transition the journal has no memory of). Returns the
+    /// post-call status, `None` for unknown ids.
+    fn operator_transition(
+        &self,
+        id: DeviceId,
+        record: impl FnOnce(FleetStatus) -> Option<Record>,
+        apply: impl FnOnce(),
+    ) -> Result<Option<FleetStatus>, PufattError> {
         let _slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        if self.registry.status(id).is_none() {
-            return Ok(false);
-        }
+        let Some(status) = self.registry.status(id) else {
+            return Ok(None);
+        };
         self.storage_guard(id)?;
-        if let Some(store) = &self.journal {
-            let rec = Record::DeviceReEnrolled { id };
-            // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
-            store.append_synced(&rec).map_err(storage_err)?;
+        if let Some(rec) = record(status) {
+            if let Some(store) = &self.journal {
+                // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
+                store.append_synced(&rec).map_err(storage_err)?;
+            }
+            apply();
         }
-        Ok(self.registry.re_enroll(id))
+        Ok(self.registry.status(id))
     }
 
     /// A device's current lifecycle state.
@@ -711,9 +721,7 @@ impl FleetService {
     /// Counts `sessions` scheduled sessions refused because their
     /// device's home shard is sick.
     pub(crate) fn count_unavailable(&self, sessions: u32) {
-        for _ in 0..sessions {
-            self.metrics.session_unavailable();
-        }
+        self.metrics.sessions_unavailable(u64::from(sessions));
     }
 
     /// Every enrolled id, ascending.

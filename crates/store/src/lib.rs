@@ -49,7 +49,7 @@ pub mod wal;
 pub use crpdb::DurableCrpDb;
 pub use record::{OutcomeRec, Record, StoredStatus};
 pub use sharded::{Committer, ShardHealth, ShardedOptions, ShardedStore};
-pub use state::{Counters, CursorInfo, DeviceState, MetaInfo, StatusTally, StoreState};
+pub use state::{Counter, Counters, CursorInfo, DeviceState, MetaInfo, StatusTally, StoreState};
 pub use store::{DurableStore, StoreOptions, StoreStats};
 pub use vfs::{
     error_plan, ErrorInjection, InjectedErrorKind, SimVfs, StdVfs, TornMode, Vfs, INJECTED_ERROR_KINDS, TORN_MODES,

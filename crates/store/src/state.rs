@@ -12,6 +12,7 @@
 use crate::record::{read_outcome, write_outcome_into, OutcomeRec, Reader, Record, StoredStatus, LATENCY_SLOTS};
 use crate::StoreError;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::{Index, IndexMut};
 
 /// Per-device session event kinds, in schedule order — enough for a
 /// resumed campaign to know how many sessions already ran and which of
@@ -106,72 +107,111 @@ impl DeviceState {
     }
 }
 
+/// The durable campaign counters, in on-disk order: a counter's
+/// discriminant is its index in [`Counters::values`] and its position in
+/// the snapshot body, so reordering this list changes the format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Sessions that ran, to a verdict or into a device fault.
+    Started,
+    /// Sessions accepted.
+    Accepted,
+    /// Sessions rejected (includes timed-out and lost ones).
+    Rejected,
+    /// Rejected sessions whose cause was the timeout.
+    TimedOut,
+    /// Attempts retried.
+    Retried,
+    /// Sessions refused up front.
+    Refused,
+    /// Device faults (session faults + provisioning failures).
+    Faults,
+    /// Protocol messages lost in transit.
+    Dropped,
+    /// Sessions that ended without a verdict.
+    Lost,
+    /// Verifier CRP-cache hits across all sessions.
+    CrpHits,
+    /// Verifier CRP-cache misses (emulations) across all sessions.
+    CrpMisses,
+}
+
+/// Number of durable counters.
+pub const COUNTERS: usize = Counter::CrpMisses as usize + 1;
+
 /// Global campaign counters, mirroring the fleet metrics so a recovered
 /// snapshot reports the same totals an uninterrupted run would.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
-    /// Sessions that began their first attempt.
-    pub started: u64,
-    /// Sessions accepted.
-    pub accepted: u64,
-    /// Sessions rejected (includes timed-out and lost ones).
-    pub rejected: u64,
-    /// Rejected sessions whose cause was the timeout.
-    pub timed_out: u64,
-    /// Attempts retried.
-    pub retried: u64,
-    /// Sessions refused up front.
-    pub refused: u64,
-    /// Device faults (session faults + provisioning failures).
-    pub faults: u64,
-    /// Protocol messages lost in transit.
-    pub dropped: u64,
-    /// Sessions that ended without a verdict.
-    pub lost: u64,
-    /// Verifier CRP-cache hits across all sessions.
-    pub crp_hits: u64,
-    /// Verifier CRP-cache misses (emulations) across all sessions.
-    pub crp_misses: u64,
+    /// Counter values, indexed by [`Counter`].
+    pub values: [u64; COUNTERS],
     /// Latency histogram occupancy by log₂ slot.
     pub latency: [u64; LATENCY_SLOTS],
 }
 
-impl Default for Counters {
-    fn default() -> Self {
-        Counters {
-            started: 0,
-            accepted: 0,
-            rejected: 0,
-            timed_out: 0,
-            retried: 0,
-            refused: 0,
-            faults: 0,
-            dropped: 0,
-            lost: 0,
-            crp_hits: 0,
-            crp_misses: 0,
-            latency: [0; LATENCY_SLOTS],
-        }
+impl Index<Counter> for Counters {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.values[counter as usize]
+    }
+}
+
+impl IndexMut<Counter> for Counters {
+    fn index_mut(&mut self, counter: Counter) -> &mut u64 {
+        &mut self.values[counter as usize]
     }
 }
 
 impl Counters {
+    /// The one rule for which record bumps which counter: calls `add` with
+    /// every counter `record` contributes to and the amount, and returns
+    /// the latency slot of a closed session. Replay
+    /// ([`StoreState::apply`]) and the fleet's live metrics both count
+    /// through this, so live totals equal replayed ones by construction.
+    pub fn tally(record: &Record, mut add: impl FnMut(Counter, u64)) -> Option<usize> {
+        match record {
+            Record::SessionClosed { outcome: o, .. } => {
+                add(if o.accepted { Counter::Accepted } else { Counter::Rejected }, 1);
+                add(Counter::TimedOut, u64::from(o.timed_out));
+                add(Counter::Lost, u64::from(o.lost));
+                Self::ran(&mut add, o.retried, o.dropped, o.crp_hits, o.crp_misses);
+                return Some(usize::from(o.latency_slot));
+            }
+            Record::SessionFault { retried, dropped, crp_hits, crp_misses, .. } => {
+                add(Counter::Faults, 1);
+                Self::ran(&mut add, *retried, *dropped, *crp_hits, *crp_misses);
+            }
+            Record::SessionRefused { .. } => add(Counter::Refused, 1),
+            Record::DeviceAbandoned { .. } => add(Counter::Faults, 1),
+            _ => {}
+        }
+        None
+    }
+
+    /// What every session that ran — to a verdict or into a fault — adds.
+    fn ran(add: &mut impl FnMut(Counter, u64), retried: u32, dropped: u32, crp_hits: u32, crp_misses: u32) {
+        add(Counter::Started, 1);
+        add(Counter::Retried, u64::from(retried));
+        add(Counter::Dropped, u64::from(dropped));
+        add(Counter::CrpHits, u64::from(crp_hits));
+        add(Counter::CrpMisses, u64::from(crp_misses));
+    }
+
+    /// Counts one record into these totals (see [`Counters::tally`]). A
+    /// closed session's latency slot must be in range.
+    pub fn count(&mut self, record: &Record) {
+        if let Some(slot) = Self::tally(record, |counter, n| self[counter] += n) {
+            self.latency[slot] += 1;
+        }
+    }
+
     /// Adds `other`'s totals into `self` — used to aggregate per-shard
     /// counters into a fleet-wide view.
     pub fn merge(&mut self, other: &Counters) {
-        self.started += other.started;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.timed_out += other.timed_out;
-        self.retried += other.retried;
-        self.refused += other.refused;
-        self.faults += other.faults;
-        self.dropped += other.dropped;
-        self.lost += other.lost;
-        self.crp_hits += other.crp_hits;
-        self.crp_misses += other.crp_misses;
-        for (slot, v) in self.latency.iter_mut().zip(other.latency.iter()) {
-            *slot += v;
+        let theirs = other.values.iter().chain(&other.latency);
+        for (mine, theirs) in self.values.iter_mut().chain(&mut self.latency).zip(theirs) {
+            *mine += theirs;
         }
     }
 }
@@ -312,24 +352,6 @@ impl StoreState {
                     device.outcomes.pop_front();
                 }
                 device.outcomes_total += 1;
-                let c = &mut self.counters;
-                c.started += 1;
-                if outcome.accepted {
-                    c.accepted += 1;
-                } else {
-                    c.rejected += 1;
-                }
-                if outcome.timed_out {
-                    c.timed_out += 1;
-                }
-                if outcome.lost {
-                    c.lost += 1;
-                }
-                c.retried += u64::from(outcome.retried);
-                c.dropped += u64::from(outcome.dropped);
-                c.crp_hits += u64::from(outcome.crp_hits);
-                c.crp_misses += u64::from(outcome.crp_misses);
-                c.latency[outcome.latency_slot as usize] += 1;
             }
             Record::SessionRefused { id } => {
                 let device = self.device_mut(*id)?;
@@ -343,9 +365,8 @@ impl StoreState {
                 device.events.push(EV_REFUSED);
                 device.events_seen += 1;
                 device.refused += 1;
-                self.counters.refused += 1;
             }
-            Record::SessionFault { id, retried, dropped, crp_hits, crp_misses } => {
+            Record::SessionFault { id, .. } => {
                 let device = self.device_mut(*id)?;
                 if device.status == StoredStatus::Revoked {
                     return Err(StoreError::IllegalTransition {
@@ -357,19 +378,11 @@ impl StoreState {
                 device.events.push(EV_FAULT);
                 device.events_seen += 1;
                 device.faults += 1;
-                let c = &mut self.counters;
-                c.started += 1;
-                c.faults += 1;
-                c.retried += u64::from(*retried);
-                c.dropped += u64::from(*dropped);
-                c.crp_hits += u64::from(*crp_hits);
-                c.crp_misses += u64::from(*crp_misses);
             }
             Record::DeviceAbandoned { id } => {
                 let device = self.device_mut(*id)?;
                 device.abandoned = true;
                 device.faults += 1;
-                self.counters.faults += 1;
             }
             Record::CrpConsumed { a, b } => {
                 self.spent.insert((*a, *b));
@@ -410,6 +423,7 @@ impl StoreState {
                 });
             }
         }
+        self.counters.count(record);
         self.last_seq = seq;
         Ok(())
     }
@@ -450,23 +464,7 @@ impl StoreState {
                 u64le(out, m.seed);
             }
         }
-        let c = &self.counters;
-        for v in [
-            c.started,
-            c.accepted,
-            c.rejected,
-            c.timed_out,
-            c.retried,
-            c.refused,
-            c.faults,
-            c.dropped,
-            c.lost,
-            c.crp_hits,
-            c.crp_misses,
-        ] {
-            u64le(out, v);
-        }
-        for v in c.latency {
+        for &v in self.counters.values.iter().chain(&self.counters.latency) {
             u64le(out, v);
         }
         u32le(out, self.devices.len() as u32);
@@ -529,22 +527,9 @@ impl StoreState {
             }),
             other => return Err(StoreError::Corrupt(format!("bad meta flag {other}"))),
         };
-        let mut counters = Counters {
-            started: r.u64()?,
-            accepted: r.u64()?,
-            rejected: r.u64()?,
-            timed_out: r.u64()?,
-            retried: r.u64()?,
-            refused: r.u64()?,
-            faults: r.u64()?,
-            dropped: r.u64()?,
-            lost: r.u64()?,
-            crp_hits: r.u64()?,
-            crp_misses: r.u64()?,
-            latency: [0; LATENCY_SLOTS],
-        };
-        for slot in counters.latency.iter_mut() {
-            *slot = r.u64()?;
+        let mut counters = Counters::default();
+        for v in counters.values.iter_mut().chain(&mut counters.latency) {
+            *v = r.u64()?;
         }
         let device_count = r.u32()?;
         let mut devices = BTreeMap::new();
@@ -670,10 +655,10 @@ mod tests {
         apply(&mut s, Record::StatusChanged { id: 1, status: StoredStatus::Revoked });
         apply(&mut s, Record::SessionRefused { id: 1 });
         apply(&mut s, Record::CrpConsumed { a: 5, b: 6 });
-        assert_eq!(s.counters.started, 2);
-        assert_eq!(s.counters.accepted, 1);
-        assert_eq!(s.counters.rejected, 1);
-        assert_eq!(s.counters.refused, 1);
+        assert_eq!(s.counters[Counter::Started], 2);
+        assert_eq!(s.counters[Counter::Accepted], 1);
+        assert_eq!(s.counters[Counter::Rejected], 1);
+        assert_eq!(s.counters[Counter::Refused], 1);
         assert_eq!(s.counters.latency[13], 2);
         assert_eq!(s.status_tally(), StatusTally { active: 1, quarantined: 0, revoked: 1 });
         assert!(s.is_spent(5, 6));
@@ -806,22 +791,64 @@ mod tests {
 
     #[test]
     fn counters_merge_adds_totals() {
-        let mut a = Counters {
-            started: 3,
-            accepted: 2,
-            latency: [0; LATENCY_SLOTS],
-            ..Counters::default()
-        };
+        let mut a = Counters::default();
+        a[Counter::Started] = 3;
+        a[Counter::Accepted] = 2;
         a.latency[4] = 7;
-        let mut b = Counters { started: 5, rejected: 1, ..Counters::default() };
+        let mut b = Counters::default();
+        b[Counter::Started] = 5;
+        b[Counter::Rejected] = 1;
         b.latency[4] = 1;
         b.latency[9] = 2;
         a.merge(&b);
-        assert_eq!(a.started, 8);
-        assert_eq!(a.accepted, 2);
-        assert_eq!(a.rejected, 1);
+        assert_eq!(a[Counter::Started], 8);
+        assert_eq!(a[Counter::Accepted], 2);
+        assert_eq!(a[Counter::Rejected], 1);
         assert_eq!(a.latency[4], 8);
         assert_eq!(a.latency[9], 2);
+    }
+
+    #[test]
+    fn counter_section_layout_is_pinned() {
+        // The round-trip tests pass whatever the counter order; this pins
+        // the order itself, so a snapshot written by an earlier build
+        // decodes into the same counters. Each counter is set by name.
+        let mut s = StoreState::new(4);
+        s.counters[Counter::Started] = 0x0807_0605_0403_0201;
+        s.counters[Counter::Accepted] = 102;
+        s.counters[Counter::Rejected] = 103;
+        s.counters[Counter::TimedOut] = 104;
+        s.counters[Counter::Retried] = 105;
+        s.counters[Counter::Refused] = 106;
+        s.counters[Counter::Faults] = 107;
+        s.counters[Counter::Dropped] = 108;
+        s.counters[Counter::Lost] = 109;
+        s.counters[Counter::CrpHits] = 110;
+        s.counters[Counter::CrpMisses] = 111;
+        s.counters.latency[0] = 200;
+        s.counters.latency[13] = 213;
+        s.counters.latency[LATENCY_SLOTS - 1] = 231;
+        let mut body = Vec::new();
+        s.encode(&mut body);
+
+        // last_seq (8) + history_capacity (8) + absent-meta flag (1), then
+        // the counters in on-disk order, then every latency slot.
+        let mut expected = [0u64; 11 + 32];
+        expected[..11].copy_from_slice(&[0x0807_0605_0403_0201, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111]);
+        expected[11] = 200;
+        expected[11 + 13] = 213;
+        expected[11 + 31] = 231;
+        let expected: Vec<u8> = expected.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let section = &body[17..17 + expected.len()];
+        assert_eq!(section[..8], [1, 2, 3, 4, 5, 6, 7, 8], "counters are little-endian");
+        assert_eq!(section, &expected[..]);
+        // Only the empty device and spent-challenge counts follow.
+        assert_eq!(body.len(), 17 + expected.len() + 4 + 4);
+
+        let decoded = StoreState::decode(&body).unwrap();
+        assert_eq!(decoded.counters, s.counters);
+        assert_eq!(decoded.counters[Counter::TimedOut], 104);
+        assert_eq!(decoded.counters.latency[13], 213);
     }
 
     #[test]
