@@ -166,6 +166,29 @@ pub struct AluPufDesign {
     /// stimulus vectors can be filled without searching the bus lists.
     a_pi_pos: Vec<u32>,
     b_pi_pos: Vec<u32>,
+    /// Idle bit-sliced engines, shared by every device, instance and
+    /// emulator of this design (see [`AluPufDesign::idle_engines`]).
+    engines: EnginePool,
+}
+
+/// The design's pool of idle [`SlicedWaveSimulator`]s. An engine depends
+/// only on the netlist plus a delay table, and every checkout retargets it
+/// to the caller's delays, so one pool serves every chip of the design and
+/// grows with the number of concurrent users, not with fleet size. A clone
+/// of the design starts with an empty pool.
+#[derive(Default)]
+struct EnginePool(Mutex<Vec<SlicedWaveSimulator>>);
+
+impl Clone for EnginePool {
+    fn clone(&self) -> Self {
+        EnginePool::default()
+    }
+}
+
+impl std::fmt::Debug for EnginePool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EnginePool").field("idle", &lock(&self.0).len()).finish()
+    }
 }
 
 impl AluPufDesign {
@@ -229,6 +252,7 @@ impl AluPufDesign {
             fanouts,
             a_pi_pos,
             b_pi_pos,
+            engines: EnginePool::default(),
         }
     }
 
@@ -377,22 +401,86 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Checks an engine out of `pool`, building one only when the pool is dry —
-/// repeated batch calls (the fleet pattern) pay construction once per
-/// concurrently-active worker, not once per call.
-pub(crate) fn checkout_engine(
-    pool: &Mutex<Vec<SlicedWaveSimulator>>,
-    design: &AluPufDesign,
-    delays_ps: &[f64],
-) -> SlicedWaveSimulator {
-    lock(pool)
-        .pop()
-        .unwrap_or_else(|| SlicedWaveSimulator::new(design.netlist(), delays_ps))
-}
+impl AluPufDesign {
+    /// Runs `f` on a bit-sliced engine retargeted to `delays_ps`, checked
+    /// out of the design's pool (built only when the pool is dry) and
+    /// returned afterwards (an engine whose `f` panicked is dropped). The
+    /// pool's mutex is a leaf lock: it is held only to pop or push, never
+    /// while `f` runs, and nothing else is locked under it.
+    pub(crate) fn with_engine<T>(&self, delays_ps: &[f64], f: impl FnOnce(&mut SlicedWaveSimulator) -> T) -> T {
+        let pooled = lock(&self.engines.0).pop();
+        let mut engine = match pooled {
+            Some(mut engine) => {
+                engine.set_delays_ps(delays_ps);
+                engine
+            }
+            None => SlicedWaveSimulator::new(&self.netlist, delays_ps),
+        };
+        let out = f(&mut engine);
+        lock(&self.engines.0).push(engine);
+        out
+    }
 
-/// Returns a checked-out engine to its pool.
-pub(crate) fn return_engine(pool: &Mutex<Vec<SlicedWaveSimulator>>, engine: SlicedWaveSimulator) {
-    lock(pool).push(engine);
+    /// Number of idle engines in the design's pool. While no evaluation
+    /// runs, this is the most bit-sliced evaluations that ever ran at once
+    /// over all chips of the design.
+    pub fn idle_engines(&self) -> usize {
+        lock(&self.engines.0).len()
+    }
+
+    /// Evaluates a group of up to [`LANES`] challenges on `chip` (operating
+    /// with the effective gate delays `delays_ps`), each majority-voted
+    /// over `votes` arbiter draws against the clock period `cycle_ps`
+    /// (`f64::INFINITY` for safe clocking).
+    ///
+    /// The noise-free settling times of the whole group come from one
+    /// bit-sliced run; the arbiter noise is then drawn from `rng` in
+    /// challenge order, vote order and bit order. Responses and the RNG
+    /// position afterwards are therefore bit-identical to calling
+    /// [`PufInstance::evaluate_voted_clocked`] on each challenge in turn —
+    /// this is the prover's per-query unit of work, without an event
+    /// simulator per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `N > LANES`, `votes == 0`, or `delays_ps` does not have
+    /// one delay per gate.
+    pub fn evaluate_voted_group<const N: usize, R: Rng + ?Sized>(
+        &self,
+        chip: &PufChip,
+        delays_ps: &[f64],
+        challenges: &[Challenge; N],
+        cycle_ps: f64,
+        votes: u32,
+        rng: &mut R,
+    ) -> [RawResponse; N] {
+        assert!(N <= LANES, "at most {LANES} challenges per group");
+        assert!(votes > 0, "at least one vote required");
+        let w = self.width();
+        let mut settle = [[(0.0f64, 0.0f64); 64]; N];
+        self.with_engine(delays_ps, |engine| {
+            let (mut from, mut to) = (Vec::new(), Vec::new());
+            self.stimulus_lanes_into(challenges, &mut from, &mut to);
+            engine.run_lanes(&from, &to);
+            let (mut t0, mut t1) = ([0.0f64; LANES], [0.0f64; LANES]);
+            for i in 0..w {
+                engine.settle_lanes_into(self.alu0.sum[i], &mut t0);
+                engine.settle_lanes_into(self.alu1.sum[i], &mut t1);
+                for (j, lane) in settle.iter_mut().enumerate() {
+                    lane[i] = (t0[j], t1[j]);
+                }
+            }
+        });
+        let deadline = cycle_ps - self.config.arbiter.setup_time_ps;
+        // Zero delay-line offsets: only the FPGA tuning loop sets them, on
+        // a `PufInstance`.
+        let pdl = [0.0f64; 64];
+        std::array::from_fn(|j| {
+            let settle = |i: usize| settle[j][i];
+            let bits = vote_bits(self, &chip.arbiter_offset_ps, &pdl[..w], &settle, deadline, votes, rng);
+            RawResponse::new(bits, w)
+        })
+    }
 }
 
 /// One manufactured ALU PUF die.
@@ -465,10 +553,6 @@ pub struct PufInstance<'a> {
     /// FPGA prototype); zero for ASIC instances.
     pdl_offset_ps: Vec<f64>,
     scratch: RefCell<EvalScratch<'a>>,
-    /// Long-lived bit-sliced engines for the batch paths: checked out by
-    /// batch workers and returned when the batch completes, so repeated
-    /// `evaluate_batch` calls reuse engines instead of rebuilding them.
-    batch_engines: Mutex<Vec<SlicedWaveSimulator>>,
 }
 
 impl<'a> PufInstance<'a> {
@@ -499,7 +583,6 @@ impl<'a> PufInstance<'a> {
             delays_ps,
             pdl_offset_ps: vec![0.0; design.width()],
             scratch,
-            batch_engines: Mutex::new(Vec::new()),
         }
     }
 
@@ -621,7 +704,6 @@ impl<'a> PufInstance<'a> {
     ) -> RawResponse {
         assert!(votes > 0, "at least one vote required");
         let deadline = cycle_ps - self.design.config.arbiter.setup_time_ps;
-        let w = self.design.width();
         // The settling times are noise-free, so one simulation serves every
         // vote; only the arbiter draws are repeated (the RNG consumption is
         // identical to simulating each vote from scratch).
@@ -632,21 +714,16 @@ impl<'a> PufInstance<'a> {
         let sim = &s.sim;
         let settle =
             |i: usize| (sim.settle_or_zero(self.design.alu0.sum[i]), sim.settle_or_zero(self.design.alu1.sum[i]));
-        let mut ones = [0u32; 64];
-        for _ in 0..votes {
-            let r =
-                race_bits(self.design, &self.puf_chip.arbiter_offset_ps, &self.pdl_offset_ps, &settle, deadline, rng);
-            for (b, count) in ones.iter_mut().enumerate().take(w) {
-                *count += ((r >> b) & 1) as u32;
-            }
-        }
-        let mut bits = 0u64;
-        for (b, &count) in ones.iter().enumerate().take(w) {
-            if 2 * count > votes {
-                bits |= 1 << b;
-            }
-        }
-        RawResponse::new(bits, w)
+        let bits = vote_bits(
+            self.design,
+            &self.puf_chip.arbiter_offset_ps,
+            &self.pdl_offset_ps,
+            &settle,
+            deadline,
+            votes,
+            rng,
+        );
+        RawResponse::new(bits, self.design.width())
     }
 
     /// Evaluates one challenge with the response register clocked at
@@ -668,7 +745,7 @@ impl<'a> PufInstance<'a> {
     /// blocks (by global index) evaluated by the bit-sliced waveform engine;
     /// workers pull whole blocks off a shared atomic cursor (chunked work
     /// stealing), and each worker checks a long-lived engine out of the
-    /// instance's pool, so repeated batch calls pay engine construction
+    /// design's pool, so repeated batch calls pay engine construction
     /// once.
     pub fn evaluate_batch(&self, challenges: &[Challenge], noise_seed: u64, threads: usize) -> Vec<RawResponse> {
         self.evaluate_batch_inner(challenges, noise_seed, 1, f64::INFINITY, threads)
@@ -714,7 +791,6 @@ impl<'a> PufInstance<'a> {
         let delays = self.delays_ps.as_slice();
         let offsets = self.puf_chip.arbiter_offset_ps.as_slice();
         let pdl = self.pdl_offset_ps.as_slice();
-        let engines = &self.batch_engines;
         let mut out = vec![RawResponse::new(0, w); challenges.len()];
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<&mut [RawResponse]>> = out.chunks_mut(LANES).map(Mutex::new).collect();
@@ -722,46 +798,34 @@ impl<'a> PufInstance<'a> {
             let (next, slots) = (&next, &slots);
             for _ in 0..threads {
                 scope.spawn(move || {
-                    let mut engine = checkout_engine(engines, design, delays);
-                    let (mut from, mut to) = (Vec::new(), Vec::new());
-                    let (sum0, sum1) = design.sum_buses();
-                    let mut t0 = vec![[0.0f64; LANES]; w];
-                    let mut t1 = vec![[0.0f64; LANES]; w];
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= blocks {
-                            break;
-                        }
-                        let start = b * LANES;
-                        let chs = &challenges[start..challenges.len().min(start + LANES)];
-                        design.stimulus_lanes_into(chs, &mut from, &mut to);
-                        engine.run_lanes(&from, &to);
-                        for i in 0..w {
-                            engine.settle_lanes_into(sum0[i], &mut t0[i]);
-                            engine.settle_lanes_into(sum1[i], &mut t1[i]);
-                        }
-                        let mut slot = lock(&slots[b]);
-                        for (k, resp) in slot.iter_mut().enumerate() {
-                            let mut rng =
-                                ChaCha8Rng::seed_from_u64(challenge_stream_seed(noise_seed, (start + k) as u64));
-                            let settle = |i: usize| (t0[i][k], t1[i][k]);
-                            let mut ones = [0u32; 64];
-                            for _ in 0..votes {
-                                let r = race_bits(design, offsets, pdl, &settle, deadline_ps, &mut rng);
-                                for (bit, count) in ones.iter_mut().enumerate().take(w) {
-                                    *count += ((r >> bit) & 1) as u32;
-                                }
+                    design.with_engine(delays, |engine| {
+                        let (mut from, mut to) = (Vec::new(), Vec::new());
+                        let (sum0, sum1) = design.sum_buses();
+                        let mut t0 = vec![[0.0f64; LANES]; w];
+                        let mut t1 = vec![[0.0f64; LANES]; w];
+                        loop {
+                            let b = next.fetch_add(1, Ordering::Relaxed);
+                            if b >= blocks {
+                                break;
                             }
-                            let mut bits = 0u64;
-                            for (bit, &count) in ones.iter().enumerate().take(w) {
-                                if 2 * count > votes {
-                                    bits |= 1 << bit;
-                                }
+                            let start = b * LANES;
+                            let chs = &challenges[start..challenges.len().min(start + LANES)];
+                            design.stimulus_lanes_into(chs, &mut from, &mut to);
+                            engine.run_lanes(&from, &to);
+                            for i in 0..w {
+                                engine.settle_lanes_into(sum0[i], &mut t0[i]);
+                                engine.settle_lanes_into(sum1[i], &mut t1[i]);
                             }
-                            *resp = RawResponse::new(bits, w);
+                            let mut slot = lock(&slots[b]);
+                            for (k, resp) in slot.iter_mut().enumerate() {
+                                let mut rng =
+                                    ChaCha8Rng::seed_from_u64(challenge_stream_seed(noise_seed, (start + k) as u64));
+                                let settle = |i: usize| (t0[i][k], t1[i][k]);
+                                let bits = vote_bits(design, offsets, pdl, &settle, deadline_ps, votes, &mut rng);
+                                *resp = RawResponse::new(bits, w);
+                            }
                         }
-                    }
-                    return_engine(engines, engine);
+                    });
                 });
             }
         });
@@ -843,6 +907,34 @@ fn race_bits<R: Rng + ?Sized>(
         };
         if bit {
             bits |= 1 << i;
+        }
+    }
+    bits
+}
+
+/// Temporal majority over `votes` calls of [`race_bits`] on the same
+/// settling times: a bit is 1 iff it won a strict majority of the draws.
+fn vote_bits<R: Rng + ?Sized>(
+    design: &AluPufDesign,
+    arbiter_offset_ps: &[f64],
+    pdl_offset_ps: &[f64],
+    settle: &impl Fn(usize) -> (f64, f64),
+    deadline_ps: f64,
+    votes: u32,
+    rng: &mut R,
+) -> u64 {
+    let w = design.config.width;
+    let mut ones = [0u32; 64];
+    for _ in 0..votes {
+        let r = race_bits(design, arbiter_offset_ps, pdl_offset_ps, settle, deadline_ps, rng);
+        for (b, count) in ones.iter_mut().enumerate().take(w) {
+            *count += ((r >> b) & 1) as u32;
+        }
+    }
+    let mut bits = 0u64;
+    for (b, &count) in ones.iter().enumerate().take(w) {
+        if 2 * count > votes {
+            bits |= 1 << b;
         }
     }
     bits

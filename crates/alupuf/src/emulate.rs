@@ -14,7 +14,7 @@
 
 use crate::challenge::Challenge;
 use crate::challenge::RawResponse;
-use crate::device::{checkout_engine, lock, return_engine, AluPufDesign, PufChip, PufInstance};
+use crate::device::{lock, AluPufDesign, PufChip, PufInstance};
 use pufatt_silicon::env::Environment;
 use pufatt_silicon::sim::EventSimulator;
 use pufatt_silicon::wave::{SlicedWaveSimulator, LANES};
@@ -151,15 +151,12 @@ struct EmuScratch<'a> {
 /// Caches one simulation engine over the design's shared fanout CSR, so
 /// repeated [`PufEmulator::emulate`] calls allocate nothing at steady
 /// state; [`PufEmulator::emulate_batch`] fans challenges across scoped
-/// worker threads, each with its own engine.
+/// worker threads, each with a bit-sliced engine from the design's pool.
 #[derive(Debug)]
 pub struct PufEmulator<'a> {
     design: &'a AluPufDesign,
     table: DelayTable,
     scratch: RefCell<EmuScratch<'a>>,
-    /// Pooled bit-sliced engines for [`PufEmulator::emulate_batch`]; reused
-    /// across calls so repeated batches pay construction once.
-    engines: Mutex<Vec<SlicedWaveSimulator>>,
 }
 
 impl<'a> PufEmulator<'a> {
@@ -177,7 +174,7 @@ impl<'a> PufEmulator<'a> {
             from: Vec::new(),
             to: Vec::new(),
         });
-        PufEmulator { design, table, scratch, engines: Mutex::new(Vec::new()) }
+        PufEmulator { design, table, scratch }
     }
 
     /// Convenience: enroll a chip and build its emulator in one step.
@@ -206,18 +203,16 @@ impl<'a> PufEmulator<'a> {
     /// any `threads` value. Challenges are packed into 64-lane blocks
     /// evaluated by pooled bit-sliced engines; workers steal whole blocks.
     pub fn emulate_batch(&self, challenges: &[Challenge], threads: usize) -> Vec<RawResponse> {
-        emulate_blocks(self.design, &self.table, &self.engines, challenges, threads)
+        emulate_blocks(self.design, &self.table, challenges, threads)
     }
 }
 
 /// The shared bit-sliced batch emulation path behind [`PufEmulator`] and
 /// [`SharedPufEmulator`]: fixed 64-lane blocks by global index, engines
-/// checked out of `engines` (and returned), whole-block work stealing when
-/// `threads > 1`.
+/// from the design's pool, whole-block work stealing when `threads > 1`.
 fn emulate_blocks(
     design: &AluPufDesign,
     table: &DelayTable,
-    engines: &Mutex<Vec<SlicedWaveSimulator>>,
     challenges: &[Challenge],
     threads: usize,
 ) -> Vec<RawResponse> {
@@ -233,14 +228,14 @@ fn emulate_blocks(
     if threads == 1 {
         // The verifier session path: no spawn, one pooled engine, and
         // consecutive blocks benefit from incremental cone reuse.
-        let mut engine = checkout_engine(engines, design, delays);
-        let (mut from, mut to) = (Vec::new(), Vec::new());
-        for (b, slot) in out.chunks_mut(LANES).enumerate() {
-            let start = b * LANES;
-            let chs = &challenges[start..challenges.len().min(start + LANES)];
-            emulate_one_block(design, offsets, &mut engine, chs, &mut from, &mut to, slot);
-        }
-        return_engine(engines, engine);
+        design.with_engine(delays, |engine| {
+            let (mut from, mut to) = (Vec::new(), Vec::new());
+            for (b, slot) in out.chunks_mut(LANES).enumerate() {
+                let start = b * LANES;
+                let chs = &challenges[start..challenges.len().min(start + LANES)];
+                emulate_one_block(design, offsets, engine, chs, &mut from, &mut to, slot);
+            }
+        });
         return out;
     }
     let next = AtomicUsize::new(0);
@@ -249,19 +244,19 @@ fn emulate_blocks(
         let (next, slots) = (&next, &slots);
         for _ in 0..threads {
             scope.spawn(move || {
-                let mut engine = checkout_engine(engines, design, delays);
-                let (mut from, mut to) = (Vec::new(), Vec::new());
-                loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= blocks {
-                        break;
+                design.with_engine(delays, |engine| {
+                    let (mut from, mut to) = (Vec::new(), Vec::new());
+                    loop {
+                        let b = next.fetch_add(1, Ordering::Relaxed);
+                        if b >= blocks {
+                            break;
+                        }
+                        let start = b * LANES;
+                        let chs = &challenges[start..challenges.len().min(start + LANES)];
+                        let mut slot = lock(&slots[b]);
+                        emulate_one_block(design, offsets, engine, chs, &mut from, &mut to, &mut slot[..]);
                     }
-                    let start = b * LANES;
-                    let chs = &challenges[start..challenges.len().min(start + LANES)];
-                    let mut slot = lock(&slots[b]);
-                    emulate_one_block(design, offsets, &mut engine, chs, &mut from, &mut to, &mut slot[..]);
-                }
-                return_engine(engines, engine);
+                });
             });
         }
     });
@@ -304,22 +299,12 @@ fn emulate_one_block(
 
 /// An owned, thread-safe emulator: the same semantics as [`PufEmulator`],
 /// but holding its design by `Arc` so long-lived verifier endpoints can
-/// cache one emulator (and its pooled engines) across calls instead of
-/// rebuilding an engine per emulation.
-///
-/// Cloning yields an independent emulator with a dry engine pool — engines
-/// are scratch state, never shared between clones.
-#[derive(Debug)]
+/// cache one emulator across calls. Its bit-sliced engines come from the
+/// design's pool, which every emulator and device of the design shares.
+#[derive(Debug, Clone)]
 pub struct SharedPufEmulator {
     design: Arc<AluPufDesign>,
     table: DelayTable,
-    engines: Mutex<Vec<SlicedWaveSimulator>>,
-}
-
-impl Clone for SharedPufEmulator {
-    fn clone(&self) -> Self {
-        SharedPufEmulator::new(Arc::clone(&self.design), self.table.clone())
-    }
 }
 
 impl SharedPufEmulator {
@@ -333,7 +318,7 @@ impl SharedPufEmulator {
     pub fn new(design: Arc<AluPufDesign>, table: DelayTable) -> Self {
         assert_eq!(table.delays_ps.len(), design.netlist().gate_count(), "delay table does not match design");
         assert_eq!(table.arbiter_offset_ps.len(), design.width(), "arbiter offsets do not match design");
-        SharedPufEmulator { design, table, engines: Mutex::new(Vec::new()) }
+        SharedPufEmulator { design, table }
     }
 
     /// The design being emulated.
@@ -354,32 +339,19 @@ impl SharedPufEmulator {
     /// Emulates one challenge (noise-free, maximum-likelihood arbiter
     /// resolution), bit-identical to [`PufEmulator::emulate`].
     pub fn emulate(&self, challenge: Challenge) -> RawResponse {
-        let mut out = [RawResponse::new(0, self.design.width())];
-        let mut engine = checkout_engine(&self.engines, &self.design, &self.table.delays_ps);
-        let (mut from, mut to) = (Vec::new(), Vec::new());
-        emulate_one_block(
-            &self.design,
-            &self.table.arbiter_offset_ps,
-            &mut engine,
-            std::slice::from_ref(&challenge),
-            &mut from,
-            &mut to,
-            &mut out,
-        );
-        return_engine(&self.engines, engine);
-        out[0]
+        self.emulate_many(std::slice::from_ref(&challenge))[0]
     }
 
     /// Emulates a small ordered set of challenges in one 64-lane pass per
     /// block on the current thread (the verifier session shape).
     pub fn emulate_many(&self, challenges: &[Challenge]) -> Vec<RawResponse> {
-        emulate_blocks(&self.design, &self.table, &self.engines, challenges, 1)
+        emulate_blocks(&self.design, &self.table, challenges, 1)
     }
 
     /// Parallel batched emulation; identical to [`SharedPufEmulator::emulate_many`]
     /// for any `threads` value.
     pub fn emulate_batch(&self, challenges: &[Challenge], threads: usize) -> Vec<RawResponse> {
-        emulate_blocks(&self.design, &self.table, &self.engines, challenges, threads)
+        emulate_blocks(&self.design, &self.table, challenges, threads)
     }
 }
 

@@ -1,7 +1,7 @@
 //! PUF evaluation throughput: baseline vs. reused engine vs. parallel batch.
 //!
 //! Not a paper figure — the performance benchmark for the zero-allocation
-//! simulation engine. Three configurations evaluate the same challenge set
+//! simulation engine. These configurations evaluate the same challenge set
 //! on the same `paper_32bit` chip:
 //!
 //! 1. **baseline** — the pre-engine per-challenge-reconstruction path,
@@ -11,7 +11,13 @@
 //!    pre-sim and fills a fresh event heap;
 //! 2. **reused** — one `PufInstance`, its engine scratch reused serially;
 //! 3. **batch** — `evaluate_batch` at 1/2/4/8 threads (bit-identical
-//!    output at every thread count).
+//!    output at every thread count);
+//! 4. **emulator_incremental** — the verifier's noise-free
+//!    `PufEmulator::emulate_batch` on one thread;
+//! 5. **device_respond** — the prover's unit of work per `PUF()` query:
+//!    `DevicePuf::respond` on groups of 8 challenges, 5 majority votes
+//!    each, through helper-data generation and obfuscation. Its
+//!    challenges/s counts challenges, not votes.
 //!
 //! Results are printed and written to `BENCH_puf_eval.json` at the
 //! workspace root for CI artifact upload. `--test` (as passed by
@@ -20,8 +26,10 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::Instant;
 
+use pufatt::DevicePuf;
 use pufatt_alupuf::challenge::Challenge;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign, PufChip, PufInstance};
 use pufatt_bench::{full_scale, header};
@@ -66,7 +74,7 @@ fn main() {
     println!("  {n} challenges per configuration{}", if smoke { " (smoke mode)" } else { "" });
     println!("  host: {cpu_model}, {cores} core(s)");
 
-    let design = AluPufDesign::new(AluPufConfig::paper_32bit());
+    let design = Arc::new(AluPufDesign::new(AluPufConfig::paper_32bit()));
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
     let chip = design.fabricate(&ChipSampler::new(), &mut rng);
     let challenges: Vec<Challenge> = (0..n).map(|_| Challenge::random(&mut rng, 32)).collect();
@@ -168,6 +176,23 @@ fn main() {
         std::hint::black_box(out);
     }
     push(&mut rows, "emulator_incremental", 1, emu_secs, baseline_secs);
+
+    // 5. The prover's per-query unit: one voted, pipelined 8-challenge
+    // group per `respond`. Every round restarts the device's noise stream,
+    // so every round must produce the same outputs.
+    let mut device = DevicePuf::new(Arc::clone(&design), Arc::new(chip.clone()), Environment::nominal(), NOISE_SEED)
+        .expect("32-bit width supported");
+    let groups: Vec<[Challenge; 8]> = challenges.chunks_exact(8).map(|g| std::array::from_fn(|j| g[j])).collect();
+    let mut respond_secs = f64::INFINITY;
+    let mut respond_ref: Option<u64> = None;
+    for _ in 0..batch_rounds {
+        device.restore_noise_state(0, 0);
+        let start = Instant::now();
+        let digest = groups.iter().fold(0u64, |acc, g| acc.rotate_left(7) ^ device.respond(g).z);
+        respond_secs = respond_secs.min(start.elapsed().as_secs_f64());
+        assert_eq!(*respond_ref.get_or_insert(digest), digest, "device respond changed between rounds");
+    }
+    push(&mut rows, "device_respond", 1, respond_secs, baseline_secs);
 
     for r in &rows {
         println!(

@@ -58,10 +58,11 @@ pub struct DevicePuf {
     design: Arc<AluPufDesign>,
     chip: Arc<PufChip>,
     env: Environment,
-    /// Effective per-gate delays at `env`, computed once at construction;
-    /// per-call instances are rebuilt from this cache instead of re-running
-    /// the delay model (`PufInstance` borrows the design, so it cannot
-    /// outlive a method call on the `Arc`-holding device).
+    /// Effective per-gate delays at `env`, computed once at construction.
+    /// PUF queries retarget a pooled bit-sliced engine of the design to
+    /// them; timing analyses rebuild a short-lived `PufInstance` from them
+    /// (it borrows the design, so it cannot outlive a method call on the
+    /// `Arc`-holding device).
     delays_ps: Vec<f64>,
     pipeline: PufPipeline,
     rng: ChaCha8Rng,
@@ -215,30 +216,26 @@ impl DevicePuf {
     }
 
     /// Evaluates a single raw (pre-pipeline) response with the device's
-    /// configured voting — the primitive other protocols built on the same
-    /// hardware use (e.g. [`crate::slender`]).
+    /// configured voting, clocking and fault — the primitive for protocols
+    /// that consume raw responses instead of the 8-response pipeline.
     pub fn evaluate_raw(&mut self, challenge: Challenge) -> RawResponse {
-        let raw = {
-            let instance = PufInstance::from_delays(&self.design, &self.chip, self.env, self.delays_ps.clone());
-            match self.cycle_ps {
-                Some(cycle) => instance.evaluate_voted_clocked(challenge, cycle, self.votes, &mut self.rng),
-                None => instance.evaluate_voted(challenge, self.votes, &mut self.rng),
-            }
-        };
+        let [raw] = self.evaluate_group(&[challenge]);
         self.apply_fault(raw)
     }
 
     /// Evaluates one group of 8 challenges through the full pipeline.
     pub fn respond(&mut self, challenges: &[Challenge; RESPONSES_PER_OUTPUT]) -> ProveOutput {
-        let raw: [RawResponse; RESPONSES_PER_OUTPUT] = {
-            let instance = PufInstance::from_delays(&self.design, &self.chip, self.env, self.delays_ps.clone());
-            std::array::from_fn(|j| match self.cycle_ps {
-                Some(cycle) => instance.evaluate_voted_clocked(challenges[j], cycle, self.votes, &mut self.rng),
-                None => instance.evaluate_voted(challenges[j], self.votes, &mut self.rng),
-            })
-        };
-        let raw = raw.map(|r| self.apply_fault(r));
+        let raw = self.evaluate_group(challenges).map(|r| self.apply_fault(r));
         self.pipeline.prove(&raw)
+    }
+
+    /// Voted raw responses for a group of challenges from one bit-sliced
+    /// run, drawing arbiter noise exactly as a per-challenge loop of
+    /// [`PufInstance::evaluate_voted_clocked`] would.
+    fn evaluate_group<const N: usize>(&mut self, challenges: &[Challenge; N]) -> [RawResponse; N] {
+        let cycle_ps = self.cycle_ps.unwrap_or(f64::INFINITY);
+        self.design
+            .evaluate_voted_group(&self.chip, &self.delays_ps, challenges, cycle_ps, self.votes, &mut self.rng)
     }
 
     /// Helper words accumulated since the last [`DevicePuf::take_helper_log`].
@@ -326,8 +323,8 @@ impl PufPort for SharedDevicePuf {
 const CRP_CACHE_CAP: usize = 4096;
 
 /// The verifier's model of one enrolled device: a shared emulator (design +
-/// delay table + pooled bit-sliced engines) + pipeline + a session-scoped
-/// arrival-time/CRP cache.
+/// delay table, with bit-sliced engines from the design's pool) + pipeline
+/// + a session-scoped CRP cache.
 ///
 /// The cache maps a full challenge `(a, b)` to the emulated raw response
 /// bits. It is cleared by [`VerifierPuf::begin_session`], making per-session

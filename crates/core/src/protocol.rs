@@ -337,11 +337,10 @@ impl ProverDevice {
         request: AttestationRequest,
         tamper: Option<MidTraversalTamper>,
     ) -> Result<AttestationReport, PufattError> {
-        // Fresh run: reset architectural state, keep memory (program +
-        // whatever the adversary planted), plant the challenges.
-        let memory: Vec<u32> = self.cpu.memory().to_vec();
+        // Fresh run: reset architectural state (`Cpu::reset` keeps memory:
+        // the program plus whatever the adversary planted), plant the
+        // challenges.
         self.cpu.reset();
-        self.cpu.memory_mut().copy_from_slice(&memory);
         self.cpu.store_word(self.layout.seed_cell, request.r0)?;
         self.cpu.store_word(self.layout.x0_cell, request.x0)?;
         self.puf.with(|d| {

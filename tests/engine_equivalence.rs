@@ -7,18 +7,21 @@
 //! across consecutive blocks. This suite pins all of them to the scalar
 //! reference for every shipped design (paper 32-bit, FPGA 16-bit, and the
 //! carry-lookahead / carry-select ablations) at thread counts 1/2/4/8,
-//! and checks that pooled-engine reuse across repeated batch calls never
-//! changes a response.
+//! pins the prover's grouped device path (`DevicePuf`) to a loop of scalar
+//! voted evaluations, and checks that pooled-engine reuse — across
+//! repeated batch calls and across chips of one design — never changes a
+//! response.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use pufatt_alupuf::challenge::Challenge;
+use pufatt::ports::{DevicePuf, ResponseFault};
+use pufatt_alupuf::challenge::{Challenge, RawResponse};
 use pufatt_alupuf::device::{challenge_stream_seed, AdderKind, AluPufConfig, AluPufDesign, PufChip, PufInstance};
 use pufatt_alupuf::emulate::{DelayTable, PufEmulator, SharedPufEmulator};
 use pufatt_silicon::env::Environment;
 use pufatt_silicon::variation::ChipSampler;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use std::sync::Arc;
@@ -112,10 +115,11 @@ fn emulator_paths_bit_identical_for_all_designs() {
     }
 }
 
-/// Repeated batch calls reuse pooled engines (and, on the single-thread
-/// path, the incremental dirty-cone state from the previous block/call).
-/// Reuse must never change a response — run the same and permuted batches
-/// repeatedly through one instance and demand identical bits every time.
+/// Repeated batch calls reuse the design's pooled engines (and, on the
+/// single-thread path, the incremental dirty-cone state from the previous
+/// block). Reuse must never change a response — run the same and permuted
+/// batches repeatedly through one instance and demand identical bits every
+/// time, and retarget one engine from chip to chip.
 #[test]
 fn pooled_engine_reuse_is_response_invariant() {
     let (design, chip, challenges) = fixture(AluPufConfig::paper_32bit());
@@ -148,6 +152,134 @@ fn pooled_engine_reuse_is_response_invariant() {
         assert_eq!(again, first, "device batch changed on reuse round {round}");
         let emu_again: Vec<u64> = emu.emulate_batch(&challenges, 1).iter().map(|r| r.bits()).collect();
         assert_eq!(emu_again, emu_first, "emulator batch changed on reuse round {round}");
+    }
+
+    // Cross-chip reuse: the design's one pooled engine serves chip A, then
+    // is retargeted to chip B on the *same* one-block stimulus (so stale
+    // waveforms from A would look clean). It must match a fresh engine
+    // for B.
+    let block = &challenges[..64];
+    let design = AluPufDesign::new(AluPufConfig::paper_32bit());
+    let mut rng = ChaCha8Rng::seed_from_u64(CHIP_SEED ^ 1);
+    let (chip_a, chip_b) =
+        (design.fabricate(&ChipSampler::new(), &mut rng), design.fabricate(&ChipSampler::new(), &mut rng));
+    let emu_a = PufEmulator::enroll(&design, &chip_a, Environment::nominal());
+    let emu_b = PufEmulator::enroll(&design, &chip_b, Environment::nominal());
+    let fresh_design = design.clone();
+    assert_eq!(fresh_design.idle_engines(), 0, "a cloned design starts with an empty pool");
+    let fresh_b: Vec<u64> = PufEmulator::enroll(&fresh_design, &chip_b, Environment::nominal())
+        .emulate_batch(block, 1)
+        .iter()
+        .map(|r| r.bits())
+        .collect();
+    let scalar_b: Vec<u64> = block.iter().map(|&ch| emu_b.emulate(ch).bits()).collect();
+    assert_eq!(fresh_b, scalar_b, "a fresh engine for chip B must match the scalar reference");
+    let a_bits: Vec<u64> = emu_a.emulate_batch(block, 1).iter().map(|r| r.bits()).collect();
+    assert_eq!(design.idle_engines(), 1, "chip A's engine returns to the design's pool");
+    let b_bits: Vec<u64> = emu_b.emulate_batch(block, 1).iter().map(|r| r.bits()).collect();
+    assert_eq!(design.idle_engines(), 1, "chip B reused chip A's engine");
+    assert_ne!(a_bits, b_bits, "two chips must not emulate identically");
+    assert_eq!(b_bits, fresh_b, "an engine that served chip A diverged for chip B");
+    let inst_b = PufInstance::new(&design, &chip_b, Environment::nominal());
+    let fresh_inst_b = PufInstance::new(&fresh_design, &chip_b, Environment::nominal());
+    assert_eq!(
+        inst_b.evaluate_batch(block, NOISE_SEED, 1),
+        fresh_inst_b.evaluate_batch(block, NOISE_SEED, 1),
+        "device batch for chip B diverged on a reused engine"
+    );
+}
+
+/// The scalar reference of one device query: each challenge voted through
+/// `PufInstance::evaluate_voted_clocked` in turn, then the injected fault
+/// applied to the raw responses in order — the order `DevicePuf` has
+/// always drawn its noise in. `rng` and `evaluations` are the reference's
+/// noise cursor, compared against `DevicePuf::noise_state`.
+fn scalar_device_query(
+    inst: &PufInstance<'_>,
+    challenges: &[Challenge],
+    cycle_ps: f64,
+    votes: u32,
+    fault: Option<ResponseFault>,
+    rng: &mut ChaCha8Rng,
+    evaluations: &mut u64,
+) -> Vec<RawResponse> {
+    let raw: Vec<RawResponse> = challenges
+        .iter()
+        .map(|&ch| inst.evaluate_voted_clocked(ch, cycle_ps, votes, rng))
+        .collect();
+    raw.into_iter()
+        .map(|r| {
+            let Some(fault) = fault else { return r };
+            *evaluations += 1;
+            let width = r.width();
+            let mut bits = r.bits();
+            for i in 0..width {
+                if rng.gen::<f64>() < fault.flip_probability {
+                    bits ^= 1 << i;
+                }
+            }
+            if evaluations.is_multiple_of(u64::from(fault.burst_period)) {
+                let start = rng.gen_range(0..width);
+                for j in 0..(fault.burst_weight as usize).min(width) {
+                    bits ^= 1 << ((start + j) % width);
+                }
+            }
+            RawResponse::new(bits, width)
+        })
+        .collect()
+}
+
+/// The prover's grouped query path (`DevicePuf::respond`, one bit-sliced
+/// run per 8 challenges) and its single-challenge path
+/// (`DevicePuf::evaluate_raw`) must equal a loop of scalar voted
+/// evaluations — responses *and* the journaled noise cursor
+/// (`noise_state`) — for every shipped design, under safe clocking and an
+/// overclocked period (the setup-violation branch), at 1 and 5 votes,
+/// with and without an injected response fault.
+#[test]
+fn device_group_path_matches_scalar_voted_loop() {
+    const QUERIES: usize = 4;
+    let fault = ResponseFault { flip_probability: 0.02, burst_weight: 3, burst_period: 3 };
+    for (name, config) in shipped_configs() {
+        let (design, chip, challenges) = fixture(config);
+        let inst = PufInstance::new(&design, &chip, Environment::nominal());
+        // Half the static critical path: random operands settle on both
+        // sides of this deadline, so both arbiter branches are exercised.
+        let overclocked = 0.5 * inst.alu_critical_path_ps() + design.config().arbiter.setup_time_ps;
+        let (shared_design, shared_chip) = (Arc::new(design.clone()), Arc::new(chip.clone()));
+        for cycle_ps in [None, Some(overclocked)] {
+            for votes in [1u32, 5] {
+                for fault in [None, Some(fault)] {
+                    let case = format!("{name}: cycle {cycle_ps:?}, {votes} vote(s), fault {}", fault.is_some());
+                    let mut device = DevicePuf::new(
+                        Arc::clone(&shared_design),
+                        Arc::clone(&shared_chip),
+                        Environment::nominal(),
+                        NOISE_SEED,
+                    )
+                    .expect("supported width");
+                    device.set_cycle_ps(cycle_ps);
+                    device.set_votes(votes);
+                    device.set_response_fault(fault);
+                    let mut rng = ChaCha8Rng::seed_from_u64(NOISE_SEED);
+                    let mut evaluations = 0u64;
+                    let cycle = cycle_ps.unwrap_or(f64::INFINITY);
+                    for q in 0..QUERIES {
+                        let group: [Challenge; 8] = std::array::from_fn(|j| challenges[8 * q + j]);
+                        let raw = scalar_device_query(&inst, &group, cycle, votes, fault, &mut rng, &mut evaluations);
+                        let expected = device.pipeline().prove(&raw.try_into().expect("8 responses"));
+                        assert_eq!(device.respond(&group), expected, "{case}: query {q} diverged");
+                        assert_eq!(device.noise_state(), (rng.word_pos(), evaluations), "{case}: query {q} cursor");
+                    }
+                    for &ch in &challenges[8 * QUERIES..8 * QUERIES + 8] {
+                        let expected =
+                            scalar_device_query(&inst, &[ch], cycle, votes, fault, &mut rng, &mut evaluations);
+                        assert_eq!(device.evaluate_raw(ch), expected[0], "{case}: evaluate_raw diverged");
+                        assert_eq!(device.noise_state(), (rng.word_pos(), evaluations), "{case}: evaluate_raw cursor");
+                    }
+                }
+            }
+        }
     }
 }
 
