@@ -56,11 +56,12 @@ fn main() {
 
     // Soundness: single tampered word in the attested region's free data
     // space (tampering executed code would additionally trap the CPU).
-    let tamper_at = (prover.layout().x0_cell - 10) as usize;
-    prover.memory_mut()[tamper_at] ^= 0x8000_0000;
+    let tamper_at = prover.layout().x0_cell - 10;
+    let pristine = prover.memory()[tamper_at as usize];
+    prover.write_words(tamper_at, &[pristine ^ 0x8000_0000]).expect("in memory");
     let (verdict, _) = run_session(&mut prover, &verifier, AttestationRequest::random(&mut rng)).expect("run");
     row("tampered memory detected", "yes", if verdict.accepted { "NO" } else { "yes (response)" });
-    prover.memory_mut()[tamper_at] ^= 0x8000_0000;
+    prover.write_words(tamper_at, &[pristine]).expect("in memory");
 
     // The attack matrix.
     let region = prover.expected_region();

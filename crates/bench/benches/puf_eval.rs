@@ -18,6 +18,11 @@
 //!    `DevicePuf::respond` on groups of 8 challenges, 5 majority votes
 //!    each, through helper-data generation and obfuscation. Its
 //!    challenges/s counts challenges, not votes.
+//! 6. **prover_attest** — one whole `ProverDevice::attest` on the toy
+//!    (`fpga_16bit`, 128 SWATT rounds, no PUF query) and the paper
+//!    (`paper_32bit`, 2048 rounds, 8 PUF queries) devices: ns per attest
+//!    and ns per simulated cycle. On toy this is pure pe32 interpretation.
+//!    These rows go to a separate `prover_rows` array.
 //!
 //! Results are printed and written to `BENCH_puf_eval.json` at the
 //! workspace root for CI artifact upload. `--test` (as passed by
@@ -29,6 +34,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use pufatt::protocol::{provision, puf_limited_clock, AttestationRequest, Channel};
 use pufatt::DevicePuf;
 use pufatt_alupuf::challenge::Challenge;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign, PufChip, PufInstance};
@@ -37,6 +43,7 @@ use pufatt_silicon::env::Environment;
 use pufatt_silicon::netlist::{GateKind, NetId};
 use pufatt_silicon::sim::EventSimulator;
 use pufatt_silicon::variation::ChipSampler;
+use pufatt_swatt::checksum::SwattParams;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -194,10 +201,44 @@ fn main() {
     }
     push(&mut rows, "device_respond", 1, respond_secs, baseline_secs);
 
+    // 6. Whole prover attestations, best of a few rounds; every round
+    // restarts the PUF's noise stream, so every round must produce the
+    // same reports.
+    let prover_rows: Vec<ProverRow> = [
+        (
+            "prover_attest_toy",
+            AluPufConfig::fpga_16bit(),
+            SwattParams { region_bits: 8, rounds: 128, puf_interval: 32 },
+        ),
+        (
+            "prover_attest_paper",
+            AluPufConfig::paper_32bit(),
+            SwattParams { region_bits: 10, rounds: 2048, puf_interval: 32 },
+        ),
+    ]
+    .into_iter()
+    .map(|(name, config, params)| {
+        let attests = match (smoke, config.width) {
+            (true, 32) => 2,
+            (true, _) => 200,
+            (false, 32) => 64,
+            (false, _) => 20_000,
+        };
+        prover_attest_row(name, config, params, attests, batch_rounds)
+    })
+    .collect();
+
     for r in &rows {
         println!(
             "    {:<22} {:>2} thread(s): {:>9.0} challenges/s  {:>12.3e} events/s  ({:>5.2}x vs baseline)",
             r.name, r.threads, r.challenges_per_sec, r.events_per_sec, r.speedup_vs_baseline
+        );
+    }
+
+    for r in &prover_rows {
+        println!(
+            "    {:<22} {:>9.0} ns/attest  {:>6.2} ns/cycle  ({} cycles per attest)",
+            r.name, r.ns_per_attest, r.ns_per_cycle, r.cycles_per_attest
         );
     }
 
@@ -256,21 +297,84 @@ fn main() {
             )
         })
         .collect();
+    let json_prover_rows: Vec<String> = prover_rows
+        .iter()
+        .map(|r| {
+            format!(
+                concat!(
+                    "    {{\"name\": \"{}\", \"attests\": {}, \"cycles_per_attest\": {}, ",
+                    "\"ns_per_attest\": {:.1}, \"ns_per_cycle\": {:.3}}}"
+                ),
+                r.name, r.attests, r.cycles_per_attest, r.ns_per_attest, r.ns_per_cycle
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"puf_eval\",\n  \"design\": \"paper_32bit\",\n  \"smoke\": {},\n",
             "  \"cpu_model\": \"{}\",\n  \"cores\": {},\n",
-            "  \"events_per_challenge\": {:.1},\n  \"rows\": [\n{}\n  ]\n}}\n"
+            "  \"events_per_challenge\": {:.1},\n  \"rows\": [\n{}\n  ],\n",
+            "  \"prover_rows\": [\n{}\n  ]\n}}\n"
         ),
         smoke,
         cpu_model.replace('"', "'"),
         cores,
         events_per_challenge,
-        json_rows.join(",\n")
+        json_rows.join(",\n"),
+        json_prover_rows.join(",\n")
     );
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_puf_eval.json");
     std::fs::write(out_path, json).expect("write BENCH_puf_eval.json");
     println!("  wrote {out_path}");
+}
+
+struct ProverRow {
+    name: &'static str,
+    attests: usize,
+    cycles_per_attest: u64,
+    ns_per_attest: f64,
+    ns_per_cycle: f64,
+}
+
+/// Provisions one device the way the fleet does (PUF-limited clock, PUF
+/// coupled to it) and times `attests` attestations, best of `rounds`.
+fn prover_attest_row(
+    name: &'static str,
+    config: AluPufConfig,
+    params: SwattParams,
+    attests: usize,
+    rounds: usize,
+) -> ProverRow {
+    let enrolled = pufatt::enroll(config, 0xA77E57, 0).expect("supported width");
+    let clock = puf_limited_clock(&enrolled, 1.10, 16, 1);
+    let (mut prover, _, _) =
+        provision(&enrolled, params, clock, Channel::sensor_link(), 2, 1.10).expect("device provisions");
+    let mut request_rng = ChaCha8Rng::seed_from_u64(3);
+    let requests: Vec<AttestationRequest> =
+        (0..attests).map(|_| AttestationRequest::random(&mut request_rng)).collect();
+    let mut secs = f64::INFINITY;
+    let mut reference: Option<(u64, u64)> = None;
+    for _ in 0..rounds {
+        prover.puf().with(|d| d.restore_noise_state(0, 0));
+        let start = Instant::now();
+        let (mut digest, mut cycles) = (0u64, 0u64);
+        for &request in &requests {
+            let report = prover.attest(request).expect("honest attestation runs");
+            digest = digest.rotate_left(7) ^ u64::from(report.response[0]);
+            cycles += report.cycles;
+        }
+        secs = secs.min(start.elapsed().as_secs_f64());
+        let first = *reference.get_or_insert((digest, cycles));
+        assert_eq!(first, (digest, cycles), "{name}: reports changed between rounds");
+    }
+    let total_cycles = reference.map_or(0, |(_, cycles)| cycles);
+    ProverRow {
+        name,
+        attests,
+        cycles_per_attest: total_cycles / attests as u64,
+        ns_per_attest: secs * 1e9 / attests as f64,
+        ns_per_cycle: secs * 1e9 / total_cycles as f64,
+    }
 }
 
 /// One pending output change, ordered exactly as the pre-engine simulator

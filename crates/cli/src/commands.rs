@@ -114,8 +114,8 @@ pub fn attest(argv: &[String]) -> Result<(), String> {
         run_session(&mut attacker, &verifier, request).map_err(|e| e.to_string())?.0
     } else {
         if args.has("malware") {
-            let at = (prover.layout().x0_cell - 8) as usize;
-            prover.memory_mut()[at] = 0xEB1B_EB1B;
+            let at = prover.layout().x0_cell - 8;
+            prover.write_words(at, &[0xEB1B_EB1B]).map_err(|e| e.to_string())?;
             println!("infected attested region at word {at}");
         }
         if plan_spec.is_empty() && channel_spec.is_empty() {

@@ -86,15 +86,11 @@ pub fn build_malicious_prover(
     // adversary reads them live (a copy would go stale).
     let redirect = Redirection { malware_start: 0, malware_end: region_words - 2, copy_base };
     let mut prover = ProverDevice::new(puf, params, &CodegenOptions { redirect: Some(redirect) }, base_clock)?;
-    for (offset, &word) in expected_region[..region_words as usize - 2].iter().enumerate() {
-        prover.memory_mut()[copy_base as usize + offset] = word;
-    }
+    prover.write_words(copy_base, &expected_region[..region_words as usize - 2])?;
     // Plant some malware in a gap of the attested region (below the
     // challenge cells).
-    let malware_at = region_words as usize - 18;
-    for (i, slot) in prover.memory_mut()[malware_at..malware_at + 8].iter_mut().enumerate() {
-        *slot = 0xEB1B_0000 | i as u32;
-    }
+    let malware: [u32; 8] = std::array::from_fn(|i| 0xEB1B_0000 | i as u32);
+    prover.write_words(region_words - 18, &malware)?;
     let clock = Clock::new(base_clock.frequency_mhz * overclock);
     prover.set_clock(clock, true);
     Ok(prover)

@@ -276,9 +276,22 @@ impl ProverDevice {
         self.cpu.memory()[..self.layout.region_end as usize].to_vec()
     }
 
-    /// Direct memory access — the adversary's lever.
-    pub fn memory_mut(&mut self) -> &mut [u32] {
-        self.cpu.memory_mut()
+    /// Read-only view of the device's whole memory.
+    pub fn memory(&self) -> &[u32] {
+        self.cpu.memory()
+    }
+
+    /// Writes `words` to consecutive addresses from `base` — the
+    /// adversary's lever (malware injection, a stashed copy of expected
+    /// memory). Goes through [`Cpu::write_words`], so a write over the
+    /// program keeps the CPU's instruction cache in step.
+    ///
+    /// # Errors
+    ///
+    /// [`PufattError::ProverTrap`] if the range leaves memory; nothing is
+    /// written then.
+    pub fn write_words(&mut self, base: u32, words: &[u32]) -> Result<(), PufattError> {
+        Ok(self.cpu.write_words(base, words)?)
     }
 
     /// The shared PUF instance this device evaluates. Exposed so campaign
@@ -680,7 +693,8 @@ mod tests {
         let (mut prover, verifier) = setup();
         // Flip one word inside the attested region (not the challenge
         // cells).
-        prover.memory_mut()[100] ^= 0x1;
+        let word = prover.memory()[100];
+        prover.write_words(100, &[word ^ 0x1]).unwrap();
         let request = AttestationRequest { x0: 5, r0: 6 };
         let (verdict, _) = run_session(&mut prover, &verifier, request).unwrap();
         assert!(!verdict.response_ok, "tampering must break the response");

@@ -247,7 +247,10 @@ impl DeviceSession {
             .with(|d| d.restore_noise_state(cursor.noise_pos, cursor.noise_evals));
         if self.tamper_parity() != cursor.tamper_parity {
             let cell = self.tamper_cell;
-            self.prover.memory_mut()[cell] ^= pufatt_faults::MID_TRAVERSAL_XOR;
+            let word = self.prover.memory()[cell] ^ pufatt_faults::MID_TRAVERSAL_XOR;
+            // A parity can only differ when the cell exists (`tamper_baseline`
+            // is `Some`), so this in-memory write cannot trap.
+            let _ = self.prover.write_words(cell as u32, &[word]);
         }
     }
 
@@ -256,9 +259,9 @@ impl DeviceSession {
         self.verifier.crp_cache_stats()
     }
 
-    fn tamper_parity(&mut self) -> bool {
+    fn tamper_parity(&self) -> bool {
         match self.tamper_baseline {
-            Some(baseline) => self.prover.memory_mut()[self.tamper_cell] != baseline,
+            Some(baseline) => self.prover.memory()[self.tamper_cell] != baseline,
             None => false,
         }
     }
@@ -301,7 +304,7 @@ pub(crate) fn provision_device(
         LossyChannel::ideal(verifier.channel())
     };
     let tamper_cell = pufatt_faults::mid_traversal_addr(&prover.layout()) as usize;
-    let tamper_baseline = prover.memory_mut().get(tamper_cell).copied();
+    let tamper_baseline = prover.memory().get(tamper_cell).copied();
     Ok(DeviceSession {
         prover,
         verifier,

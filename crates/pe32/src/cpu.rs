@@ -1,5 +1,14 @@
 //! The PE32 machine: memory, register file, cycle-accounted interpreter,
 //! clock model, and the PUF-mode execution state.
+//!
+//! The interpreter decodes the program image once, at
+//! [`Cpu::load_program`], into a per-word instruction cache that covers the
+//! image only. Every write goes through [`Cpu::store_word`] (or its bulk
+//! form [`Cpu::write_words`]), which re-decodes a cached word it
+//! overwrites, so the cache always equals `Instruction::decode` of memory.
+//! A fetch outside the image, or of a word that does not decode, takes the
+//! load-and-decode path, so traps and their order are those of an
+//! interpreter that decodes every word on every step.
 
 use crate::isa::{AluOp, Instruction, Reg};
 use crate::puf_port::{PufOutput, PufPort};
@@ -102,6 +111,16 @@ pub struct RunResult {
     pub instructions: u64,
 }
 
+/// One instruction-cache entry: a decoded word and its base cycle cost
+/// (cached too, so `step` charges cycles without a second dispatch on the
+/// instruction), or `None` where the word does not decode.
+type CacheEntry = Option<(Instruction, u8)>;
+
+fn cache_entry(word: u32) -> CacheEntry {
+    // `base_cycles` is at most 4.
+    Instruction::decode(word).ok().map(|inst| (inst, inst.base_cycles() as u8))
+}
+
 /// The PE32 processor with word-addressed memory.
 pub struct Cpu {
     regs: [u32; 16],
@@ -112,6 +131,9 @@ pub struct Cpu {
     puf_mode: bool,
     puf_result: Option<PufOutput>,
     memory: Vec<u32>,
+    /// The instruction cache: one entry per word of the loaded image, kept
+    /// in step with memory by `store_word`.
+    decoded: Vec<CacheEntry>,
     puf: Option<Box<dyn PufPort + Send>>,
     clock: Clock,
 }
@@ -145,6 +167,7 @@ impl Cpu {
             puf_mode: false,
             puf_result: None,
             memory: vec![0; mem_words],
+            decoded: Vec::new(),
             puf: None,
             clock: Clock::default(),
         }
@@ -157,11 +180,6 @@ impl Cpu {
         self.puf = Some(puf);
     }
 
-    /// Detaches and returns the PUF device.
-    pub fn detach_puf(&mut self) -> Option<Box<dyn PufPort + Send>> {
-        self.puf.take()
-    }
-
     /// Sets the core clock.
     pub fn set_clock(&mut self, clock: Clock) {
         self.clock = clock;
@@ -172,8 +190,9 @@ impl Cpu {
         self.clock
     }
 
-    /// Loads a program image at word address 0 and resets execution state
-    /// (registers, pc, cycle counters; memory beyond the image is kept).
+    /// Loads a program image at word address 0, decodes it into the
+    /// instruction cache, and resets execution state (registers, pc, cycle
+    /// counters; memory beyond the image is kept but not cached).
     ///
     /// # Panics
     ///
@@ -181,6 +200,7 @@ impl Cpu {
     pub fn load_program(&mut self, image: &[u32]) {
         assert!(image.len() <= self.memory.len(), "program image larger than memory");
         self.memory[..image.len()].copy_from_slice(image);
+        self.decoded = image.iter().map(|&word| cache_entry(word)).collect();
         self.reset();
     }
 
@@ -197,18 +217,15 @@ impl Cpu {
 
     /// Reads a register (`r0` reads zero).
     pub fn reg(&self, r: Reg) -> u32 {
-        if r.index() == 0 {
-            0
-        } else {
-            self.regs[r.index()]
-        }
+        // `set_reg` never leaves `regs[0]` non-zero.
+        self.regs[r.index()]
     }
 
     /// Writes a register (writes to `r0` are discarded).
     pub fn set_reg(&mut self, r: Reg, value: u32) {
-        if r.index() != 0 {
-            self.regs[r.index()] = value;
-        }
+        // Write, then re-zero `r0`: no branch on the destination.
+        self.regs[r.index()] = value;
+        self.regs[0] = 0;
     }
 
     /// Program counter (word address).
@@ -219,6 +236,11 @@ impl Cpu {
     /// Cycles consumed so far.
     pub fn cycles(&self) -> u64 {
         self.cycles
+    }
+
+    /// Instructions retired so far.
+    pub fn instructions(&self) -> u64 {
+        self.instructions
     }
 
     /// Whether the CPU has executed `halt`.
@@ -240,29 +262,68 @@ impl Cpu {
         self.memory.get(addr as usize).copied().ok_or(Trap::OutOfBounds { addr })
     }
 
-    /// Writes a memory word.
+    /// Writes a memory word; a write into the loaded image re-decodes the
+    /// cached instruction there.
     ///
     /// # Errors
     ///
     /// [`Trap::OutOfBounds`] outside memory.
+    #[inline]
     pub fn store_word(&mut self, addr: u32, value: u32) -> Result<(), Trap> {
-        match self.memory.get_mut(addr as usize) {
-            Some(slot) => {
-                *slot = value;
-                Ok(())
-            }
-            None => Err(Trap::OutOfBounds { addr }),
+        let slot = self.memory.get_mut(addr as usize).ok_or(Trap::OutOfBounds { addr })?;
+        *slot = value;
+        if let Some(cached) = self.decoded.get_mut(addr as usize) {
+            *cached = cache_entry(value);
         }
+        Ok(())
     }
 
-    /// Direct view of memory (e.g. for the verifier's expected-memory copy).
+    /// Writes `words` to consecutive addresses from `base` (the adversary's
+    /// lever: malware injection, a stashed copy of expected memory).
+    ///
+    /// # Errors
+    ///
+    /// [`Trap::OutOfBounds`] at the first address outside memory; nothing
+    /// is written then.
+    pub fn write_words(&mut self, base: u32, words: &[u32]) -> Result<(), Trap> {
+        let end = base as usize + words.len();
+        if end > self.memory.len() {
+            let addr = base.max(self.memory.len() as u32);
+            return Err(Trap::OutOfBounds { addr });
+        }
+        for (addr, &word) in (base..).zip(words) {
+            self.store_word(addr, word)?;
+        }
+        Ok(())
+    }
+
+    /// Read-only view of memory (e.g. for the verifier's expected-memory
+    /// copy). Writes go through [`Cpu::store_word`] so the instruction
+    /// cache stays in step.
     pub fn memory(&self) -> &[u32] {
         &self.memory
     }
 
-    /// Mutable view of memory (the adversary's lever: malware injection).
-    pub fn memory_mut(&mut self) -> &mut [u32] {
-        &mut self.memory
+    /// The instruction at `pc` and its base cycle cost, exactly as
+    /// [`Cpu::step`] would execute it: from the instruction cache inside
+    /// the loaded image, otherwise loaded and decoded.
+    ///
+    /// # Errors
+    ///
+    /// [`Trap::OutOfBounds`] if `pc` is outside memory,
+    /// [`Trap::IllegalInstruction`] if the word there does not decode.
+    #[inline]
+    pub(crate) fn fetch(&self) -> Result<(Instruction, u8), Trap> {
+        match self.decoded.get(self.pc as usize) {
+            Some(Some(entry)) => Ok(*entry),
+            _ => self.load_and_decode(self.pc).map(|inst| (inst, inst.base_cycles() as u8)),
+        }
+    }
+
+    #[cold]
+    fn load_and_decode(&self, addr: u32) -> Result<Instruction, Trap> {
+        let word = self.load_word(addr)?;
+        Instruction::decode(word).map_err(|e| Trap::IllegalInstruction { word: e.word, addr })
     }
 
     /// Executes one instruction.
@@ -270,15 +331,16 @@ impl Cpu {
     /// # Errors
     ///
     /// Propagates execution traps; the CPU is left at the faulting state.
+    // Always inlined, so `run`'s loop holds the fetch and dispatch with no
+    // call per simulated instruction (plain `#[inline]` was not enough).
+    #[inline(always)]
     pub fn step(&mut self) -> Result<(), Trap> {
         if self.halted {
             return Ok(());
         }
-        let addr = self.pc;
-        let word = self.load_word(addr)?;
-        let inst = Instruction::decode(word).map_err(|e| Trap::IllegalInstruction { word: e.word, addr })?;
+        let (inst, base_cycles) = self.fetch()?;
         self.pc = self.pc.wrapping_add(1);
-        self.cycles += inst.base_cycles();
+        self.cycles += u64::from(base_cycles);
         self.instructions += 1;
 
         match inst {

@@ -129,8 +129,7 @@ pub fn run_profiled(cpu: &mut Cpu, max_cycles: u64) -> Result<ExecutionProfile, 
             return Err(Trap::CycleLimit);
         }
         let pc = cpu.pc();
-        let word = cpu.load_word(pc)?;
-        let class = Instruction::decode(word).map(|i| InstClass::of(&i)).unwrap_or(InstClass::Other);
+        let class = InstClass::of(&cpu.fetch()?.0);
         let before = cpu.cycles();
         cpu.step()?;
         let spent = cpu.cycles() - before;

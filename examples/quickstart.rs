@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // A compromised device does not.
-    let tamper_at = (prover.layout().x0_cell - 8) as usize;
-    prover.memory_mut()[tamper_at] = 0xEB1B_EB1B;
+    let tamper_at = prover.layout().x0_cell - 8;
+    prover.write_words(tamper_at, &[0xEB1B_EB1B])?;
     let (verdict, _) = run_session(&mut prover, &verifier, AttestationRequest::random(&mut rng))?;
     println!("after malware injection: {verdict}");
     assert!(!verdict.accepted, "malware must be detected");
