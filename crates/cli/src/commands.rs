@@ -332,13 +332,24 @@ pub(crate) fn campaign_config(args: &Args) -> Result<CampaignConfig, String> {
             max_attempts: args.num_or("retries", defaults.policy.max_attempts)?,
             ..defaults.policy
         },
-        timeout_s: args.num_or("timeout-ms", defaults.timeout_s * 1e3)? * 1e-3,
+        timeout_s: timeout_s(args, defaults.timeout_s)?,
         history_capacity: args.num_or("history", defaults.history_capacity)?,
         queue_depth: defaults.queue_depth,
         commit_interval_s: commit_interval_s(args)?,
         fail_fast: args.has("fail-fast"),
         chaos,
     })
+}
+
+/// Parses `--timeout-ms` (simulated milliseconds) into seconds. A NaN
+/// would make every deadline comparison false, so sessions would never
+/// time out: only finite values ≥ 0 are accepted.
+fn timeout_s(args: &Args, default_s: f64) -> Result<f64, String> {
+    let ms: f64 = args.num_or("timeout-ms", default_s * 1e3)?;
+    if !(ms >= 0.0 && ms.is_finite()) {
+        return Err(format!("--timeout-ms: {ms} ms is not a valid session timeout (finite, ≥ 0)"));
+    }
+    Ok(ms * 1e-3)
 }
 
 /// Parses `--commit-interval` (milliseconds) into seconds. Unspecified, a
@@ -748,6 +759,14 @@ mod tests {
         .expect("chaos fleet");
         assert!(fleet(&argv("--devices 4 --fault-plan bogus=1")).is_err(), "bad plans are refused");
         assert!(fleet(&argv("--devices 4 --fault-plan drop=0.5 --flaky 2.0")).is_err(), "fractions are bounded");
+    }
+
+    #[test]
+    fn fleet_rejects_a_non_finite_or_negative_timeout() {
+        for bad in ["nan", "inf", "-5"] {
+            let err = fleet(&argv(&format!("--devices 2 --timeout-ms {bad}"))).expect_err("invalid timeout");
+            assert!(err.contains("--timeout-ms"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -215,14 +215,6 @@ impl DevicePuf {
         RawResponse::new(bits, width)
     }
 
-    /// Evaluates a single raw (pre-pipeline) response with the device's
-    /// configured voting, clocking and fault — the primitive for protocols
-    /// that consume raw responses instead of the 8-response pipeline.
-    pub fn evaluate_raw(&mut self, challenge: Challenge) -> RawResponse {
-        let [raw] = self.evaluate_group(&[challenge]);
-        self.apply_fault(raw)
-    }
-
     /// Evaluates one group of 8 challenges through the full pipeline.
     pub fn respond(&mut self, challenges: &[Challenge; RESPONSES_PER_OUTPUT]) -> ProveOutput {
         let raw = self.evaluate_group(challenges).map(|r| self.apply_fault(r));

@@ -44,6 +44,12 @@ impl Channel {
     pub fn transfer_s(&self, bits: u64) -> f64 {
         self.latency_s + bits as f64 / self.bandwidth_bps
     }
+
+    /// Wire-to-wire time of one attempt: the request out, `compute_s` on
+    /// the prover, the report back.
+    pub fn attempt_s(&self, request_bits: u64, compute_s: f64, report_bits: u64) -> f64 {
+        self.transfer_s(request_bits) + compute_s + self.transfer_s(report_bits)
+    }
 }
 
 /// The verifier's challenge message.
@@ -459,9 +465,9 @@ impl Verifier {
     /// expects); the elapsed time is computed from the report's cycle count
     /// at that clock plus channel time in both directions.
     pub fn verify(&self, request: AttestationRequest, report: &AttestationReport, prover_compute_s: f64) -> Verdict {
-        let elapsed_s = self.channel.transfer_s(request.wire_bits())
-            + prover_compute_s
-            + self.channel.transfer_s(report.wire_bits());
+        let elapsed_s = self
+            .channel
+            .attempt_s(request.wire_bits(), prover_compute_s, report.wire_bits());
         self.verify_timed(request, report, elapsed_s)
     }
 
@@ -587,6 +593,10 @@ pub fn run_session(
 /// leaving every attack detected (attacks fail deterministically, not by
 /// bad luck).
 ///
+/// A thin driver of [`AttestSession`] under [`RetryPolicy::plain`] with no
+/// backoff and no deadline, over the verifier's clean [`Channel`]. A zero
+/// budget is treated as one attempt.
+///
 /// Returns the final verdict and the number of attempts made.
 ///
 /// # Errors
@@ -598,18 +608,301 @@ pub fn run_session_with_retry<R: Rng + ?Sized>(
     rng: &mut R,
     max_attempts: usize,
 ) -> Result<(Verdict, usize), PufattError> {
-    // A zero budget is treated as one attempt instead of panicking — fault
-    // campaigns construct retry budgets dynamically, and misconfiguration
-    // must surface as a verdict, never as a crash.
-    let max_attempts = max_attempts.max(1);
-    let mut attempt = 1;
-    loop {
-        let request = AttestationRequest::random(rng);
-        let (verdict, _) = run_session(prover, verifier, request)?;
-        if verdict.accepted || attempt == max_attempts {
-            return Ok((verdict, attempt));
+    let policy = RetryPolicy::plain(u32::try_from(max_attempts).unwrap_or(u32::MAX), 0.0, f64::INFINITY);
+    let channel = verifier.channel();
+    let outcome = AttestSession::new(policy).run(verifier, rng, |_, request, _| {
+        let report = prover.attest(request)?;
+        let compute_s = prover.clock().duration_ns(report.cycles) * 1e-9;
+        let elapsed_s = channel.attempt_s(request.wire_bits(), compute_s, report.wire_bits());
+        Ok(Exchange::Delivered { report, elapsed_s })
+    });
+    Ok((outcome.result?, outcome.attempts as usize))
+}
+
+/// How a session's clock and deadline behave: the two retry disciplines
+/// of one [`RetryPolicy`] (DESIGN.md §9.2 tabulates them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetryMode {
+    /// A verdict's session time is its own attempt plus every wait so
+    /// far; crossing the deadline rejects that attempt, and the session
+    /// keeps retrying.
+    Plain,
+    /// One clock sums every attempt, lost-message wait and backoff;
+    /// crossing the deadline ends the session with
+    /// [`PufattError::Timeout`].
+    Chaos,
+}
+
+/// When the verifier retries, how long it waits, and when it gives up:
+/// the data [`AttestSession`] runs on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryPolicy {
+    /// Attempts per session (1 = no retry).
+    pub max_attempts: u32,
+    /// Backoff before retry `k` is `backoff_base_s · 2^(k-1)`, capped at
+    /// [`RetryPolicy::backoff_cap_s`].
+    pub backoff_base_s: f64,
+    /// Upper bound on a single backoff wait.
+    pub backoff_cap_s: f64,
+    /// How long the verifier waits for a report before declaring the
+    /// attempt lost (a dropped message costs exactly this much time).
+    pub attempt_timeout_s: f64,
+    /// Session deadline; what crossing it does depends on
+    /// [`RetryPolicy::mode`].
+    pub deadline_s: f64,
+    /// The clock and deadline discipline.
+    pub mode: RetryMode,
+}
+
+impl RetryPolicy {
+    /// The plain policy: uncapped backoff, and a deadline that rejects the
+    /// attempt crossing it (a lost attempt, which a clean link never
+    /// produces, waits out the whole deadline).
+    pub fn plain(max_attempts: u32, backoff_base_s: f64, deadline_s: f64) -> Self {
+        RetryPolicy {
+            max_attempts: max_attempts.max(1),
+            backoff_base_s,
+            backoff_cap_s: f64::INFINITY,
+            attempt_timeout_s: deadline_s,
+            deadline_s,
+            mode: RetryMode::Plain,
         }
-        attempt += 1;
+    }
+
+    /// The chaos policy, derived from a verifier's calibrated δ: the
+    /// verifier waits `2 δ` per attempt (a report later than that is
+    /// either lost or useless, since `elapsed > δ` already rejects), backs
+    /// off from 50 ms capped at 0.8 s, and budgets the deadline so that
+    /// `max_attempts` fully-lost attempts plus their backoffs still fit —
+    /// i.e. exhausting the channel yields [`PufattError::ChannelLost`],
+    /// not a premature timeout.
+    pub fn for_verifier(verifier: &Verifier, max_attempts: u32) -> Self {
+        let max_attempts = max_attempts.max(1);
+        let attempt_timeout_s = 2.0 * verifier.delta_s;
+        let policy = RetryPolicy {
+            max_attempts,
+            backoff_base_s: 0.05,
+            backoff_cap_s: 0.8,
+            attempt_timeout_s,
+            deadline_s: 0.0,
+            mode: RetryMode::Chaos,
+        };
+        let backoff_total: f64 = (2..=max_attempts).map(|k| policy.backoff_s(k)).sum();
+        let deadline_s = f64::from(max_attempts) * attempt_timeout_s + backoff_total + verifier.delta_s;
+        RetryPolicy { deadline_s, ..policy }
+    }
+
+    /// The backoff wait before retry `attempt` (1-based; attempt 1 has no
+    /// backoff).
+    pub fn backoff_s(&self, attempt: u32) -> f64 {
+        if attempt <= 1 {
+            return 0.0;
+        }
+        (self.backoff_base_s * f64::from(1u32 << (attempt - 2).min(16))).min(self.backoff_cap_s)
+    }
+}
+
+/// What the caller's exchange of one request produced.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Exchange {
+    /// The report arrived after `elapsed_s` seconds wire to wire.
+    Delivered {
+        /// The prover's report.
+        report: AttestationReport,
+        /// The attempt's wire-to-wire time, which δ judges.
+        elapsed_s: f64,
+    },
+    /// The request or the report was lost in transit.
+    Lost,
+}
+
+/// The machine's answer to each event.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SessionStep {
+    /// Send this request to the prover.
+    Send(AttestationRequest),
+    /// The attempt failed: wait `backoff_s`, then call
+    /// [`AttestSession::next_request`].
+    Retry {
+        /// The wait before the next attempt, already on the session clock.
+        backoff_s: f64,
+    },
+    /// The session is over.
+    Done(AttestOutcome),
+}
+
+/// How one attestation session ended.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttestOutcome {
+    /// The last verdict (its `accepted` cleared if a plain deadline
+    /// rejected it), or the typed error that ended the session:
+    /// [`PufattError::Timeout`], [`PufattError::ChannelLost`] or a prover
+    /// fault.
+    pub result: Result<Verdict, PufattError>,
+    /// Attempts started.
+    pub attempts: u32,
+    /// The session's simulated time under its [`RetryMode`].
+    pub elapsed_s: f64,
+    /// Plain policy only: the session crossed its deadline, which rejects
+    /// the final verdict. (Under the chaos policy crossing it ends the
+    /// session with [`PufattError::Timeout`] instead.)
+    pub late: bool,
+    /// The retry counter this session adds: `attempts − 1` under
+    /// [`RetryMode::Plain`], `1` if it retried at all under
+    /// [`RetryMode::Chaos`].
+    pub retried: u32,
+}
+
+/// One verifier-side attestation session as a sans-IO state machine: the
+/// paper's Fig. 2 verifier, re-challenging a device whose report fails.
+///
+/// The machine owns the attempt count, backoff, session clock and
+/// deadline of one session, and calls the [`Verifier`] on each delivered
+/// report. The caller owns everything else — the RNG, the prover and the
+/// channel — and reports back what each request met. Everything is
+/// simulated time: lost messages cost the per-attempt timeout, backoff is
+/// added to the clock, and nothing sleeps.
+///
+/// ```text
+///            ┌──────────────── Retry { backoff_s } ◀──────────────────┐
+///            ▼                                                        │
+///   next_request(rng) ──chaos: clock > deadline──▶ Done(Timeout)      │
+///            │                                                        │
+///      Send(request) ── the caller carries it to the prover and back  │
+///            │                                                        │
+///            ├──lost()──▶ clock += attempt_timeout ──attempts left────┤
+///            │                   └──none left──▶ Done(last verdict    │
+///            │                                     or ChannelLost)    │
+///   offer(report, elapsed) ──chaos: clock > deadline──▶ Done(Timeout) │
+///            │  verify_timed (plain: past the deadline ⇒ rejected)    │
+///            ├──rejected, attempts left──────────────────────────────▶┘
+///            ▼
+///   Done(verdict)   accepted, or rejected with no attempts left
+/// ```
+///
+/// [`AttestSession::run`] is the loop every in-process driver uses; a
+/// driver that really waits steps the calls itself.
+#[derive(Debug, Clone)]
+pub struct AttestSession {
+    policy: RetryPolicy,
+    attempts: u32,
+    /// Chaos: the whole session so far. Plain: the waits only (backoffs
+    /// and lost-message timeouts); delivered attempts are timed alone.
+    clock_s: f64,
+    last: Option<Verdict>,
+}
+
+impl AttestSession {
+    /// A session that has not started its first attempt.
+    pub fn new(policy: RetryPolicy) -> Self {
+        AttestSession { policy, attempts: 0, clock_s: 0.0, last: None }
+    }
+
+    /// Starts the next attempt: checks the chaos deadline first, then
+    /// draws the request from `rng` (a session that times out here draws
+    /// nothing).
+    pub fn next_request<R: Rng + ?Sized>(&mut self, rng: &mut R) -> SessionStep {
+        self.attempts += 1;
+        if self.policy.mode == RetryMode::Chaos && self.clock_s > self.policy.deadline_s {
+            return self.timeout();
+        }
+        SessionStep::Send(AttestationRequest::random(rng))
+    }
+
+    /// The report for `request` arrived `elapsed_s` after the request
+    /// left: appraise it.
+    pub fn offer(
+        &mut self,
+        verifier: &Verifier,
+        request: AttestationRequest,
+        report: &AttestationReport,
+        elapsed_s: f64,
+    ) -> SessionStep {
+        if self.policy.mode == RetryMode::Chaos {
+            self.clock_s += elapsed_s;
+            if self.clock_s > self.policy.deadline_s {
+                return self.timeout();
+            }
+        }
+        // δ judges the attempt's own wire-to-wire time; the deadline
+        // judges the session.
+        let mut verdict = verifier.verify_timed(request, report, elapsed_s);
+        let late = self.policy.mode == RetryMode::Plain && verdict.elapsed_s + self.clock_s > self.policy.deadline_s;
+        verdict.accepted &= !late;
+        self.last = Some(verdict);
+        if verdict.accepted {
+            return self.done(Ok(verdict));
+        }
+        self.retry_or(Ok(verdict))
+    }
+
+    /// The request or its report was lost: the verifier waited out the
+    /// attempt timeout.
+    pub fn lost(&mut self) -> SessionStep {
+        self.clock_s += self.policy.attempt_timeout_s;
+        self.retry_or(self.last.ok_or(PufattError::ChannelLost { attempts: self.attempts }))
+    }
+
+    /// The prover faulted outside the protocol: the session ends with
+    /// `error`.
+    pub fn fault(&self, error: PufattError) -> AttestOutcome {
+        self.outcome(Err(error))
+    }
+
+    /// Drives the session to its end — the one attempt/retry loop.
+    /// `exchange` carries each request (with its 1-based attempt number)
+    /// to the prover and back; an `Err` from it is a prover fault.
+    pub fn run<R, F>(mut self, verifier: &Verifier, rng: &mut R, mut exchange: F) -> AttestOutcome
+    where
+        R: Rng + ?Sized,
+        F: FnMut(&mut R, AttestationRequest, u32) -> Result<Exchange, PufattError>,
+    {
+        let mut step = self.next_request(rng);
+        loop {
+            step = match step {
+                SessionStep::Send(request) => match exchange(rng, request, self.attempts) {
+                    Ok(Exchange::Delivered { report, elapsed_s }) => self.offer(verifier, request, &report, elapsed_s),
+                    Ok(Exchange::Lost) => self.lost(),
+                    Err(error) => return self.fault(error),
+                },
+                SessionStep::Retry { .. } => self.next_request(rng),
+                SessionStep::Done(outcome) => return outcome,
+            };
+        }
+    }
+
+    /// Ends with `result` if no attempts are left, else books the next
+    /// backoff and asks for a retry.
+    fn retry_or(&mut self, result: Result<Verdict, PufattError>) -> SessionStep {
+        if self.attempts >= self.policy.max_attempts.max(1) {
+            return self.done(result);
+        }
+        let backoff_s = self.policy.backoff_s(self.attempts + 1);
+        self.clock_s += backoff_s;
+        SessionStep::Retry { backoff_s }
+    }
+
+    fn timeout(&self) -> SessionStep {
+        self.done(Err(PufattError::Timeout { elapsed_s: self.clock_s, deadline_s: self.policy.deadline_s }))
+    }
+
+    fn done(&self, result: Result<Verdict, PufattError>) -> SessionStep {
+        SessionStep::Done(self.outcome(result))
+    }
+
+    fn outcome(&self, result: Result<Verdict, PufattError>) -> AttestOutcome {
+        let (elapsed_s, late) = match (self.policy.mode, &result) {
+            (RetryMode::Plain, Ok(verdict)) => {
+                let elapsed_s = verdict.elapsed_s + self.clock_s;
+                (elapsed_s, elapsed_s > self.policy.deadline_s)
+            }
+            _ => (self.clock_s, false),
+        };
+        let retried = match self.policy.mode {
+            RetryMode::Plain => self.attempts.saturating_sub(1),
+            RetryMode::Chaos => u32::from(self.attempts > 1),
+        };
+        AttestOutcome { result, attempts: self.attempts, elapsed_s, late, retried }
     }
 }
 
@@ -751,5 +1044,40 @@ mod tests {
     fn channel_model_accounts_latency_and_bandwidth() {
         let ch = Channel { bandwidth_bps: 1000.0, latency_s: 0.5 };
         assert!((ch.transfer_s(1000) - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn session_machine_steps_through_retry_loss_and_done() {
+        use rand::SeedableRng;
+        let (mut prover, verifier) = setup();
+        let word = prover.memory()[100];
+        prover.write_words(100, &[word ^ 1]).unwrap();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        // Plain: a lost attempt waits out the whole 10 s deadline.
+        let policy = RetryPolicy::plain(3, 0.05, 10.0);
+        let mut session = AttestSession::new(policy);
+        // Attempt 1: a tampered report is rejected, so retry after 50 ms.
+        let SessionStep::Send(request) = session.next_request(&mut rng) else {
+            panic!("first attempt sends")
+        };
+        let report = prover.attest(request).unwrap();
+        let compute_s = prover.clock().duration_ns(report.cycles) * 1e-9;
+        let elapsed_s = verifier.channel().attempt_s(request.wire_bits(), compute_s, report.wire_bits());
+        let step = session.offer(&verifier, request, &report, elapsed_s);
+        assert_eq!(step, SessionStep::Retry { backoff_s: 0.05 });
+        // Attempt 2 is lost: retry after 100 ms more.
+        assert!(matches!(session.next_request(&mut rng), SessionStep::Send(_)));
+        assert_eq!(session.lost(), SessionStep::Retry { backoff_s: 0.1 });
+        // Attempt 3 re-offers the first report. The last attempt ends the
+        // session with its verdict, timed as its own attempt plus every
+        // wait so far, which the lost attempt pushed past the deadline.
+        assert!(matches!(session.next_request(&mut rng), SessionStep::Send(_)));
+        let SessionStep::Done(outcome) = session.offer(&verifier, request, &report, elapsed_s) else {
+            panic!("no attempts left")
+        };
+        let verdict = outcome.result.clone().unwrap();
+        assert!(!verdict.accepted && !verdict.response_ok);
+        assert_eq!((outcome.attempts, outcome.retried, outcome.late), (3, 2, true));
+        assert_eq!(outcome.elapsed_s, elapsed_s + (0.05 + 10.0 + 0.1));
     }
 }

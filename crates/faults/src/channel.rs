@@ -7,7 +7,7 @@
 //! the stochastic part on top, drawn from a caller-supplied seeded RNG so
 //! a chaos run replays bit-for-bit.
 
-use crate::plan::FaultPlan;
+use crate::plan::{parse_jitter_ms, FaultPlan};
 use pufatt::Channel;
 use rand::Rng;
 
@@ -131,13 +131,7 @@ impl LossyChannel {
                 "drop" => channel.drop_rate = rate(value)?,
                 "dup" => channel.duplicate_rate = rate(value)?,
                 "reorder" => channel.reorder_rate = rate(value)?,
-                "jitter-ms" => {
-                    let ms: f64 = value.parse().map_err(|_| format!("`jitter-ms`: cannot parse `{value}`"))?;
-                    if ms < 0.0 {
-                        return Err(format!("`jitter-ms`: must be ≥ 0, got {ms}"));
-                    }
-                    channel.jitter_s = ms * 1e-3;
-                }
+                "jitter-ms" => channel.jitter_s = parse_jitter_ms(value)?,
                 other => return Err(format!("unknown channel key `{other}`")),
             }
         }
@@ -220,5 +214,9 @@ mod tests {
         assert!(ch.base.bandwidth_bps > 1e7);
         assert!(LossyChannel::parse("carrier-pigeon", &plan).is_err());
         assert!(LossyChannel::parse("sensor,bogus=1", &plan).is_err());
+        for bad in ["nan", "inf", "-1"] {
+            let err = LossyChannel::parse(&format!("sensor,jitter-ms={bad}"), &plan).expect_err("invalid jitter");
+            assert!(err.contains("jitter-ms") && err.contains("finite"), "jitter-ms={bad}: {err}");
+        }
     }
 }

@@ -13,10 +13,10 @@
 //!   (`--fault-plan flip=0.01,drop=0.05,...`) or built with combinators.
 //! * [`channel`] — the [`LossyChannel`]: the clean bandwidth/latency model
 //!   plus seeded stochastic delivery.
-//! * [`session`] — the chaos session runner: verifier-side retry with
-//!   exponential backoff, per-attempt timeouts, and a hard session
-//!   deadline, every failure a typed [`pufatt::PufattError`], never a
-//!   panic.
+//! * [`session`] — the chaos session runner: the device end of the core
+//!   session machine over a lossy channel. Retry with exponential
+//!   backoff, per-attempt timeouts and a hard session deadline, every
+//!   failure a typed [`pufatt::PufattError`], never a panic.
 //! * [`sweep`] — the `noise_sweep` experiment reproducing the paper's
 //!   false-negative boundary at the code's `t = 7`.
 //!
@@ -66,7 +66,7 @@ pub mod sweep;
 pub use channel::{Delivery, LossyChannel};
 pub use plan::FaultPlan;
 pub use session::{
-    apply_device_faults, mid_traversal_addr, run_chaos_session, run_clean_session, ChaosReport, RetryPolicy,
-    MID_TRAVERSAL_CYCLE, MID_TRAVERSAL_XOR,
+    apply_device_faults, mid_traversal_addr, run_chaos_session, ChaosReport, RetryPolicy, MID_TRAVERSAL_CYCLE,
+    MID_TRAVERSAL_XOR,
 };
 pub use sweep::{run_noise_sweep, NoiseSweep, SweepConfig, WeightRow, PAPER_T};

@@ -97,18 +97,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds message duplication.
-    pub fn with_duplicates(mut self, rate: f64) -> Self {
-        self.duplicate_rate = rate;
-        self
-    }
-
-    /// Adds message reordering.
-    pub fn with_reorders(mut self, rate: f64) -> Self {
-        self.reorder_rate = rate;
-        self
-    }
-
     /// Adds uniform latency jitter (milliseconds, for symmetry with the
     /// CLI syntax).
     pub fn with_jitter_ms(mut self, jitter_ms: f64) -> Self {
@@ -120,12 +108,6 @@ impl FaultPlan {
     /// budget consumed).
     pub fn with_clock_skew(mut self, factor: f64) -> Self {
         self.clock_skew = factor;
-        self
-    }
-
-    /// Sets the coupled overclocking attack factor.
-    pub fn with_overclock(mut self, factor: f64) -> Self {
-        self.overclock = factor;
         self
     }
 
@@ -194,8 +176,8 @@ impl FaultPlan {
             };
             let factor = |v: &str| -> Result<f64, String> {
                 let f: f64 = v.parse().map_err(|_| format!("`{key}`: cannot parse `{v}`"))?;
-                if f <= 0.0 {
-                    return Err(format!("`{key}`: factor must be positive, got {f}"));
+                if !(f.is_finite() && f > 0.0) {
+                    return Err(format!("`{key}`: factor must be positive and finite, got {f}"));
                 }
                 Ok(f)
             };
@@ -214,13 +196,7 @@ impl FaultPlan {
                 "drop" => plan.drop_rate = rate(value)?,
                 "dup" => plan.duplicate_rate = rate(value)?,
                 "reorder" => plan.reorder_rate = rate(value)?,
-                "jitter-ms" => {
-                    let ms: f64 = value.parse().map_err(|_| format!("`jitter-ms`: cannot parse `{value}`"))?;
-                    if ms < 0.0 {
-                        return Err(format!("`jitter-ms`: must be ≥ 0, got {ms}"));
-                    }
-                    plan.jitter_s = ms * 1e-3;
-                }
+                "jitter-ms" => plan.jitter_s = parse_jitter_ms(value)?,
                 "skew" => plan.clock_skew = factor(value)?,
                 "overclock" => plan.overclock = factor(value)?,
                 "tamper" => {
@@ -235,6 +211,16 @@ impl FaultPlan {
         }
         Ok(plan)
     }
+}
+
+/// Parses a `jitter-ms` value (finite milliseconds ≥ 0) into seconds; the
+/// fault-plan and channel syntaxes share it.
+pub(crate) fn parse_jitter_ms(value: &str) -> Result<f64, String> {
+    let ms: f64 = value.parse().map_err(|_| format!("`jitter-ms`: cannot parse `{value}`"))?;
+    if !(ms.is_finite() && ms >= 0.0) {
+        return Err(format!("`jitter-ms`: must be finite and ≥ 0, got {ms}"));
+    }
+    Ok(ms * 1e-3)
 }
 
 impl fmt::Display for FaultPlan {
@@ -315,6 +301,13 @@ mod tests {
         assert!(FaultPlan::parse("burst=9", 0).is_err(), "burst needs @period");
         assert!(FaultPlan::parse("burst=9@0", 0).is_err(), "zero period");
         assert!(FaultPlan::parse("skew=0", 0).is_err(), "zero factor");
+        for bad in ["nan", "inf", "-inf"] {
+            for key in ["jitter-ms", "skew", "overclock"] {
+                let err = FaultPlan::parse(&format!("{key}={bad}"), 0).expect_err("non-finite value");
+                assert!(err.contains(key) && err.contains("finite"), "{key}={bad}: {err}");
+            }
+        }
+        assert!(FaultPlan::parse("jitter-ms=-1", 0).is_err(), "negative jitter");
         assert!(FaultPlan::parse("tamper=0", 0).is_err(), "attempts are 1-based");
         assert!(FaultPlan::parse("flip", 0).is_err(), "missing value");
     }

@@ -1,24 +1,9 @@
 //! The chaos session runner: one attestation session driven through a
-//! [`LossyChannel`] under a [`FaultPlan`], with verifier-side retry,
-//! exponential backoff, and explicit deadline enforcement.
-//!
-//! The retry state machine (documented in DESIGN.md §9):
-//!
-//! ```text
-//!            ┌────────────────────────────────────────────────┐
-//!            │                 attempt k ≤ max                │
-//!            ▼                                                │
-//!   send request ──drop──▶ wait attempt_timeout ──┐           │
-//!        │                                        │           │
-//!     prover attests (faults apply)               ├─▶ backoff ┤
-//!        │                                        │  2^(k-1)·b│
-//!   send report ───drop──▶ wait attempt_timeout ──┘  (capped) │
-//!        │                                                    │
-//!     verify_timed ──reject────────────────────▶──────────────┘
-//!        │                     any point: elapsed > deadline ──▶ Err(Timeout)
-//!     accept ──▶ Ok            all attempts lost ──▶ Err(ChannelLost)
-//!                              retries exhausted  ──▶ Ok(rejected verdict)
-//! ```
+//! [`LossyChannel`] under a [`FaultPlan`]. The retry, backoff and deadline
+//! decisions are the core session machine's
+//! ([`pufatt::protocol::AttestSession`], whose docs draw its states); this
+//! module is the device end it talks to — the channel legs, the prover and
+//! the plan's mid-traversal tamper.
 //!
 //! Everything is simulated time: drops cost the verifier its per-attempt
 //! timeout, backoff delays accumulate into the session's elapsed time, and
@@ -27,7 +12,8 @@
 
 use crate::channel::{Delivery, LossyChannel};
 use crate::plan::FaultPlan;
-use pufatt::protocol::{run_session, AttestationRequest, MidTraversalTamper, ProverDevice, Verifier};
+pub use pufatt::protocol::RetryPolicy;
+use pufatt::protocol::{AttestOutcome, AttestSession, Exchange, MidTraversalTamper, ProverDevice, Verifier};
 use pufatt::{PufattError, Verdict};
 use rand::Rng;
 
@@ -46,58 +32,6 @@ pub fn mid_traversal_addr(layout: &pufatt_swatt::SwattLayout) -> u32 {
     layout.x0_cell.saturating_sub(8)
 }
 
-/// When the verifier retries, how long it waits, and when it gives up.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Attempts per session (1 = no retry).
-    pub max_attempts: u32,
-    /// Backoff before retry `k` is `backoff_base_s · 2^(k-1)`, capped at
-    /// [`RetryPolicy::backoff_cap_s`].
-    pub backoff_base_s: f64,
-    /// Upper bound on a single backoff wait.
-    pub backoff_cap_s: f64,
-    /// How long the verifier waits for a report before declaring the
-    /// attempt lost (a dropped message costs exactly this much time).
-    pub attempt_timeout_s: f64,
-    /// Hard session deadline: once total elapsed time crosses it the
-    /// session fails with [`PufattError::Timeout`], whatever else happened.
-    pub deadline_s: f64,
-}
-
-impl RetryPolicy {
-    /// Derives a policy from a verifier's calibrated δ: the verifier waits
-    /// `2 δ` per attempt (a report later than that is either lost or
-    /// useless, since `elapsed > δ` already rejects), backs off from 50 ms,
-    /// and budgets the deadline so that `max_attempts` fully-lost attempts
-    /// plus their backoffs still fit — i.e. exhausting the channel yields
-    /// [`PufattError::ChannelLost`], not a premature timeout.
-    pub fn for_verifier(verifier: &Verifier, max_attempts: u32) -> Self {
-        let max_attempts = max_attempts.max(1);
-        let attempt_timeout_s = 2.0 * verifier.delta_s;
-        let backoff_base_s = 0.05;
-        let backoff_cap_s = 0.8;
-        let backoff_total: f64 = (1..max_attempts)
-            .map(|k| (backoff_base_s * f64::from(1u32 << (k - 1).min(16))).min(backoff_cap_s))
-            .sum();
-        RetryPolicy {
-            max_attempts,
-            backoff_base_s,
-            backoff_cap_s,
-            attempt_timeout_s,
-            deadline_s: f64::from(max_attempts) * attempt_timeout_s + backoff_total + verifier.delta_s,
-        }
-    }
-
-    /// The backoff wait before retry `attempt` (1-based; attempt 1 has no
-    /// backoff).
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        if attempt <= 1 {
-            return 0.0;
-        }
-        (self.backoff_base_s * f64::from(1u32 << (attempt - 2).min(16))).min(self.backoff_cap_s)
-    }
-}
-
 /// Everything one chaos session produced, whether it ended in a verdict or
 /// a typed failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,9 +42,15 @@ pub struct ChaosReport {
     pub result: Result<Verdict, PufattError>,
     /// Attempts started (1 = first try succeeded or session died early).
     pub attempts: u32,
-    /// Total simulated session time: transfers, compute, lost-message
-    /// waits, and backoff.
+    /// Simulated session time: under the chaos policy every transfer,
+    /// compute, lost-message wait and backoff (see
+    /// [`pufatt::protocol::RetryMode`] for the plain policy's).
     pub elapsed_s: f64,
+    /// Plain policy only: the session crossed its deadline, which rejects
+    /// the final verdict.
+    pub late: bool,
+    /// The retry counter the session adds under its policy.
+    pub retried: u32,
     /// Request messages lost in transit.
     pub requests_dropped: u32,
     /// Report messages lost in transit.
@@ -156,7 +96,10 @@ pub fn apply_device_faults(prover: &mut ProverDevice, plan: &FaultPlan) {
 }
 
 /// Runs one attestation session through the lossy channel under the plan's
-/// message and memory faults, with retry/backoff/deadline per `policy`.
+/// message and memory faults, with retry/backoff/deadline per `policy`:
+/// the device end of an [`AttestSession`]. Each attempt draws the request
+/// leg, then the prover attests (under the plan's mid-traversal tamper if
+/// it is due), then the report leg.
 ///
 /// Device-side faults (response flips, clock skew/overclock) are *not*
 /// applied here — call [`apply_device_faults`] once per prover first; this
@@ -170,118 +113,55 @@ pub fn run_chaos_session<R: Rng + ?Sized>(
     policy: &RetryPolicy,
     rng: &mut R,
 ) -> ChaosReport {
-    let mut report = ChaosReport {
+    // Collects what the channel did; the session fields are filled from
+    // the machine's outcome at the end.
+    let mut tally = ChaosReport {
         result: Err(PufattError::ChannelLost { attempts: 0 }),
         attempts: 0,
         elapsed_s: 0.0,
+        late: false,
+        retried: 0,
         requests_dropped: 0,
         reports_dropped: 0,
         duplicates: 0,
         reordered: 0,
     };
-    let mut last_verdict: Option<Verdict> = None;
-    let max_attempts = policy.max_attempts.max(1);
-
-    for attempt in 1..=max_attempts {
-        report.attempts = attempt;
-        report.elapsed_s += policy.backoff_s(attempt);
-        if report.elapsed_s > policy.deadline_s {
-            report.result = Err(PufattError::Timeout { elapsed_s: report.elapsed_s, deadline_s: policy.deadline_s });
-            return report;
-        }
-
-        let request = AttestationRequest::random(rng);
-
-        // Request leg: verifier → prover.
-        let request_latency_s = match channel.transmit(request.wire_bits(), rng) {
-            Delivery::Dropped => {
-                report.requests_dropped += 1;
-                report.elapsed_s += policy.attempt_timeout_s;
-                continue;
-            }
-            Delivery::Delivered { latency_s, duplicated, reordered } => {
-                report.duplicates += u32::from(duplicated);
-                report.reordered += u32::from(reordered);
-                latency_s
-            }
+    let outcome = AttestSession::new(*policy).run(verifier, rng, |rng, request, attempt| {
+        let Some(request_latency_s) = leg(channel, request.wire_bits(), rng, &mut tally) else {
+            tally.requests_dropped += 1;
+            return Ok(Exchange::Lost);
         };
-
-        // The prover computes; the plan may rewrite attested memory while
-        // the traversal runs.
         let tamper = (plan.tamper_at_attempt == Some(attempt)).then(|| MidTraversalTamper {
             at_cycle: MID_TRAVERSAL_CYCLE,
             addr: mid_traversal_addr(&prover.layout()),
             xor: MID_TRAVERSAL_XOR,
         });
-        let attestation = match prover.attest_with_tamper(request, tamper) {
-            Ok(attestation) => attestation,
-            Err(e) => {
-                report.result = Err(e);
-                return report;
-            }
+        let report = prover.attest_with_tamper(request, tamper)?;
+        let compute_s = prover.clock().duration_ns(report.cycles) * 1e-9;
+        let Some(report_latency_s) = leg(channel, report.wire_bits(), rng, &mut tally) else {
+            tally.reports_dropped += 1;
+            return Ok(Exchange::Lost);
         };
-        let compute_s = prover.clock().duration_ns(attestation.cycles) * 1e-9;
-
-        // Report leg: prover → verifier.
-        let report_latency_s = match channel.transmit(attestation.wire_bits(), rng) {
-            Delivery::Dropped => {
-                report.reports_dropped += 1;
-                report.elapsed_s += policy.attempt_timeout_s;
-                continue;
-            }
-            Delivery::Delivered { latency_s, duplicated, reordered } => {
-                report.duplicates += u32::from(duplicated);
-                report.reordered += u32::from(reordered);
-                latency_s
-            }
-        };
-
-        let attempt_elapsed_s = request_latency_s + compute_s + report_latency_s;
-        report.elapsed_s += attempt_elapsed_s;
-        if report.elapsed_s > policy.deadline_s {
-            report.result = Err(PufattError::Timeout { elapsed_s: report.elapsed_s, deadline_s: policy.deadline_s });
-            return report;
-        }
-
-        // The δ bound judges the attempt's own wire-to-wire time, not the
-        // retries before it; the deadline above judges the whole session.
-        let verdict = verifier.verify_timed(request, &attestation, attempt_elapsed_s);
-        last_verdict = Some(verdict);
-        if verdict.accepted {
-            report.result = Ok(verdict);
-            return report;
-        }
-    }
-
-    report.result = match last_verdict {
-        Some(verdict) => Ok(verdict),
-        None => Err(PufattError::ChannelLost { attempts: report.attempts }),
-    };
-    report
+        Ok(Exchange::Delivered {
+            report,
+            elapsed_s: request_latency_s + compute_s + report_latency_s,
+        })
+    });
+    let AttestOutcome { result, attempts, elapsed_s, late, retried } = outcome;
+    ChaosReport { result, attempts, elapsed_s, late, retried, ..tally }
 }
 
-/// Convenience wrapper for fault-free comparison runs: one clean session
-/// through [`run_session`], shaped like a [`ChaosReport`].
-///
-/// # Errors
-///
-/// Propagates prover traps.
-pub fn run_clean_session<R: Rng + ?Sized>(
-    prover: &mut ProverDevice,
-    verifier: &Verifier,
-    rng: &mut R,
-) -> Result<ChaosReport, PufattError> {
-    let request = AttestationRequest::random(rng);
-    let (verdict, _) = run_session(prover, verifier, request)?;
-    Ok(ChaosReport {
-        result: Ok(verdict),
-        attempts: 1,
-        elapsed_s: verdict.elapsed_s,
-        requests_dropped: 0,
-        reports_dropped: 0,
-        duplicates: 0,
-        reordered: 0,
-    })
+/// One message leg: its latency, or `None` if it was lost. Duplicates and
+/// reorders are tallied into `tally`.
+fn leg<R: Rng + ?Sized>(channel: &LossyChannel, bits: u64, rng: &mut R, tally: &mut ChaosReport) -> Option<f64> {
+    match channel.transmit(bits, rng) {
+        Delivery::Dropped => None,
+        Delivery::Delivered { latency_s, duplicated, reordered } => {
+            tally.duplicates += u32::from(duplicated);
+            tally.reordered += u32::from(reordered);
+            Some(latency_s)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -29,10 +29,10 @@ use crate::registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome};
 use crate::service::{EnrollCommit, FleetService, ServiceVerdict, SessionGate};
 use pufatt::adversary::build_malicious_prover;
 use pufatt::enroll::enroll_with_design;
-use pufatt::protocol::{provision, AttestationRequest, Channel, ProverDevice, Verifier};
+use pufatt::protocol::{provision, Channel, ProverDevice, RetryPolicy, Verifier};
 use pufatt::PufattError;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign};
-use pufatt_faults::{apply_device_faults, run_chaos_session, ChaosReport, FaultPlan, LossyChannel, RetryPolicy};
+use pufatt_faults::{apply_device_faults, run_chaos_session, ChaosReport, FaultPlan, LossyChannel};
 use pufatt_store::{CursorInfo, Record, ShardedStore};
 use pufatt_swatt::checksum::SwattParams;
 use rand::SeedableRng;
@@ -210,6 +210,8 @@ pub(crate) struct DeviceSession {
     /// The faults this device lives with (clean unless chaos marked it
     /// flaky).
     plan: FaultPlan,
+    /// The retry policy its sessions run under ([`retry_policy`]).
+    policy: RetryPolicy,
     /// The word index chaos tamper targets in this device's memory.
     tamper_cell: usize,
     /// That word's pristine value at provision time. Mid-traversal tamper
@@ -306,6 +308,7 @@ pub(crate) fn provision_device(
     let tamper_cell = pufatt_faults::mid_traversal_addr(&prover.layout()) as usize;
     let tamper_baseline = prover.memory().get(tamper_cell).copied();
     Ok(DeviceSession {
+        policy: retry_policy(&verifier, cfg),
         prover,
         verifier,
         rng: ChaCha8Rng::seed_from_u64(splitmix64(seed ^ 3)),
@@ -316,28 +319,22 @@ pub(crate) fn provision_device(
     })
 }
 
-/// How one scheduled session ended, with the per-session metric deltas
-/// a journaled service records alongside the outcome.
-pub(crate) enum SessionEvent {
-    /// The session reached a verdict to record in the registry.
-    Closed {
-        /// The verdict.
-        outcome: SessionOutcome,
-        /// Retry increments this session contributed to the counters.
-        retried: u32,
-        /// Messages the channel ate during this session.
-        dropped: u32,
-        /// Whether the session died without a verdict (deadline/channel)
-        /// and the rejection is synthetic.
-        lost: bool,
-    },
-    /// The device faulted outside the protocol; no verdict.
-    Fault {
-        /// Retry increments counted before the fault.
-        retried: u32,
-        /// Messages dropped before the fault.
-        dropped: u32,
-    },
+/// The retry policy a campaign's sessions run under (DESIGN.md §9.2).
+/// A plain campaign takes its backoff and timeout as they are. A chaos
+/// campaign takes the lossy-link policy derived from the verifier's δ,
+/// with the campaign's backoff base and its deadline capped at the
+/// campaign timeout.
+fn retry_policy(verifier: &Verifier, cfg: &CampaignConfig) -> RetryPolicy {
+    let (max_attempts, backoff_base_s) = (cfg.policy.max_attempts, cfg.policy.backoff_base_s);
+    if cfg.chaos.is_none() {
+        return RetryPolicy::plain(max_attempts, backoff_base_s, cfg.timeout_s);
+    }
+    let policy = RetryPolicy::for_verifier(verifier, max_attempts);
+    RetryPolicy {
+        backoff_base_s,
+        deadline_s: policy.deadline_s.min(cfg.timeout_s),
+        ..policy
+    }
 }
 
 /// Per-session CRP-cache delta: the verifier's cumulative counters minus
@@ -349,88 +346,35 @@ pub(crate) fn crp_delta(session: &DeviceSession, baseline: (u64, u64)) -> (u32, 
     (h1.saturating_sub(baseline.0) as u32, m1.saturating_sub(baseline.1) as u32)
 }
 
-/// Runs one session (with retries) against an already-provisioned device.
-pub(crate) fn run_one_session(session: &mut DeviceSession, cfg: &CampaignConfig) -> SessionEvent {
+/// Runs one session (with retries) against an already-provisioned device:
+/// the session machine under the device's policy, over its channel (ideal
+/// unless chaos made it flaky).
+pub(crate) fn run_session(session: &mut DeviceSession) -> ChaosReport {
+    let DeviceSession { prover, verifier, rng, channel, plan, policy, .. } = session;
     // A new session starts with a cold CRP cache; retry attempts within it
     // replay the same challenge stream and hit.
-    session.verifier.begin_session();
-    let mut attempts = 0u32;
-    let mut backoff_s = 0.0f64;
-    loop {
-        attempts += 1;
-        let request = AttestationRequest::random(&mut session.rng);
-        let report = match session.prover.attest(request) {
-            Ok(report) => report,
-            Err(_) => return SessionEvent::Fault { retried: attempts - 1, dropped: 0 },
-        };
-        let compute_s = session.prover.clock().duration_ns(report.cycles) * 1e-9;
-        let verdict = session.verifier.verify(request, &report, compute_s);
-        let elapsed_s = verdict.elapsed_s + backoff_s;
-        let timed_out = elapsed_s > cfg.timeout_s;
-        let accepted = verdict.accepted && !timed_out;
-        if accepted || attempts >= cfg.policy.max_attempts.max(1) {
-            let outcome = SessionOutcome {
-                accepted,
-                response_ok: verdict.response_ok,
-                time_ok: verdict.time_ok,
-                timed_out,
-                attempts,
-                elapsed_s,
-            };
-            return SessionEvent::Closed { outcome, retried: attempts - 1, dropped: 0, lost: false };
-        }
-        // Exponential backoff in simulated time: it delays the session
-        // (and can push it over the timeout) without sleeping the worker.
-        backoff_s += cfg.policy.backoff_base_s * f64::from(1u32 << (attempts - 1).min(16));
-    }
+    verifier.begin_session();
+    run_chaos_session(prover, verifier, channel, plan, policy, rng)
 }
 
-/// Runs one session through the chaos harness: the device's lossy channel,
-/// its fault plan, and the verifier-side retry/backoff/deadline state
-/// machine. Sessions that die without a verdict (deadline, channel fully
-/// lost) count as failed-and-timed-out towards the lifecycle, never as a
+/// The registry outcome of a session, `None` if the device faulted. A
+/// session that died without a verdict (deadline, channel fully lost)
+/// counts as failed-and-timed-out towards the lifecycle, never as a
 /// crash.
-pub(crate) fn run_one_chaos_session(session: &mut DeviceSession, cfg: &CampaignConfig) -> SessionEvent {
-    session.verifier.begin_session();
-    let mut policy = RetryPolicy::for_verifier(&session.verifier, cfg.policy.max_attempts);
-    policy.backoff_base_s = cfg.policy.backoff_base_s;
-    policy.deadline_s = policy.deadline_s.min(cfg.timeout_s);
-    let report: ChaosReport = run_chaos_session(
-        &mut session.prover,
-        &session.verifier,
-        &session.channel,
-        &session.plan,
-        &policy,
-        &mut session.rng,
-    );
-    let dropped = report.messages_dropped();
-    let retried = u32::from(report.attempts > 1);
-    let (outcome, lost) = match &report.result {
-        Ok(verdict) => (
-            SessionOutcome {
-                accepted: verdict.accepted,
-                response_ok: verdict.response_ok,
-                time_ok: verdict.time_ok,
-                timed_out: false,
-                attempts: report.attempts,
-                elapsed_s: report.elapsed_s,
-            },
-            false,
-        ),
-        Err(PufattError::Timeout { .. }) | Err(PufattError::ChannelLost { .. }) => (
-            SessionOutcome {
-                accepted: false,
-                response_ok: false,
-                time_ok: false,
-                timed_out: true,
-                attempts: report.attempts,
-                elapsed_s: report.elapsed_s,
-            },
-            true,
-        ),
-        Err(_) => return SessionEvent::Fault { retried, dropped },
+pub(crate) fn session_outcome(report: &ChaosReport) -> Option<SessionOutcome> {
+    let (accepted, response_ok, time_ok, timed_out) = match report.result {
+        Ok(v) => (v.accepted, v.response_ok, v.time_ok, report.late),
+        Err(_) if report.timed_out() => (false, false, false, true),
+        Err(_) => return None,
     };
-    SessionEvent::Closed { outcome, retried, dropped, lost }
+    Some(SessionOutcome {
+        accepted,
+        response_ok,
+        time_ok,
+        timed_out,
+        attempts: report.attempts,
+        elapsed_s: report.elapsed_s,
+    })
 }
 
 /// Rejects configurations no campaign can run, before any thread spawns.

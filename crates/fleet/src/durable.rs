@@ -52,7 +52,7 @@
 //! [`devices_enrolled_online`](crate::metrics::FleetSnapshot::devices_enrolled_online)
 //! by their id alone.
 
-use crate::campaign::{run_one_chaos_session, run_one_session, CampaignConfig, DeviceSession};
+use crate::campaign::{run_session, CampaignConfig, DeviceSession};
 use crate::metrics::LatencyHistogram;
 use crate::registry::FleetStatus;
 use pufatt::PufattError;
@@ -197,17 +197,13 @@ impl DevicePrior {
 /// before it is replayed), then re-run only the post-cursor event tail,
 /// discarding its events (the counters were already restored from the
 /// store; refusals consumed no randomness and are skipped).
-pub(crate) fn fast_forward(session: &mut DeviceSession, cfg: &CampaignConfig, prior: &DevicePrior) {
+pub(crate) fn fast_forward(session: &mut DeviceSession, prior: &DevicePrior) {
     if let Some(cursor) = &prior.cursor {
         session.restore_cursor(cursor);
     }
     for &event in &prior.events {
         if event != EV_REFUSED {
-            if cfg.chaos.is_some() {
-                run_one_chaos_session(session, cfg);
-            } else {
-                run_one_session(session, cfg);
-            }
+            run_session(session);
         }
     }
 }

@@ -181,7 +181,9 @@ pub struct FleetSnapshot {
     pub sessions_rejected: u64,
     /// Rejected sessions whose cause was the session timeout.
     pub sessions_timed_out: u64,
-    /// Individual attempts that failed and were retried.
+    /// Retries, counted per the campaign's retry policy: every retried
+    /// attempt in a plain campaign, every session that retried at all in
+    /// a chaos campaign (`pufatt::protocol::RetryMode`).
     pub attempts_retried: u64,
     /// Sessions refused up front because the device was revoked.
     pub sessions_refused: u64,

@@ -41,8 +41,8 @@
 //! shards attest fully in parallel.
 
 use crate::campaign::{
-    crp_delta, device_is_flaky, device_is_tampered, provision_device, run_one_chaos_session, run_one_session,
-    CampaignConfig, DeviceRecord, DeviceSession, SessionEvent,
+    crp_delta, device_is_flaky, device_is_tampered, provision_device, run_session, session_outcome, CampaignConfig,
+    DeviceRecord, DeviceSession,
 };
 use crate::durable::{
     config_fingerprint, fast_forward, from_outcome_rec, from_stored, journal, storage_err, to_outcome_rec, to_stored,
@@ -302,7 +302,7 @@ impl FleetService {
             Slot::Abandoned
         } else {
             let mut session = provision_device(&self.design, &self.cfg, id)?;
-            fast_forward(&mut session, &self.cfg, prior);
+            fast_forward(&mut session, prior);
             Slot::Ready { session: Box::new(session), events_seen: prior.events_seen }
         };
         lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).insert(id, slot);
@@ -490,10 +490,9 @@ impl FleetService {
         }
     }
 
-    /// Runs exactly one attestation session for `id` (with the campaign's
-    /// retry policy, and through the chaos harness when the configuration
-    /// carries a fault plan), applies the lifecycle policy, and returns
-    /// the verdict.
+    /// Runs exactly one attestation session for `id` under the device's
+    /// retry policy (plain, or chaos when the configuration carries a
+    /// fault plan), applies the lifecycle policy, and returns the verdict.
     pub fn attest(&self, id: DeviceId) -> ServiceVerdict {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         // Checked again here (not only at open_session): the shard may
@@ -510,15 +509,12 @@ impl FleetService {
             return ServiceVerdict::Unknown;
         };
         let crp0 = session.crp_stats();
-        let event = if self.cfg.chaos.is_some() {
-            run_one_chaos_session(session, &self.cfg)
-        } else {
-            run_one_session(session, &self.cfg)
-        };
+        let report = run_session(session);
         let (crp_hits, crp_misses) = crp_delta(session, crp0);
-        let verdict = match event {
-            SessionEvent::Closed { outcome, retried, dropped, lost } => {
-                let rec = to_outcome_rec(&outcome, retried, dropped, lost, crp_hits, crp_misses);
+        let (retried, dropped) = (report.retried, report.messages_dropped());
+        let verdict = match session_outcome(&report) {
+            Some(outcome) => {
+                let rec = to_outcome_rec(&outcome, retried, dropped, report.timed_out(), crp_hits, crp_misses);
                 // Registry entries are never removed, so this cannot
                 // happen; journal nothing rather than a guessed status.
                 let Some(status) = self.close(id, &outcome, rec) else {
@@ -526,7 +522,7 @@ impl FleetService {
                 };
                 ServiceVerdict::Closed { outcome, status }
             }
-            SessionEvent::Fault { retried, dropped } => {
+            None => {
                 self.journal_event(&Record::SessionFault { id, retried, dropped, crp_hits, crp_misses });
                 ServiceVerdict::Fault
             }

@@ -66,6 +66,9 @@ pub struct OutcomeRec {
     /// Simulated end-to-end seconds, as IEEE-754 bits (exact roundtrip).
     pub elapsed_bits: u64,
     /// Retry increments the session contributed to the campaign counters.
+    /// Under the plain retry policy that is every retry (`attempts − 1`);
+    /// under the chaos policy it is 1 for a session that retried at all
+    /// (`pufatt::protocol::RetryMode`).
     pub retried: u32,
     /// Protocol messages the channel ate during the session.
     pub dropped: u32,

@@ -230,9 +230,7 @@ fn scalar_device_query(
 }
 
 /// The prover's grouped query path (`DevicePuf::respond`, one bit-sliced
-/// run per 8 challenges) and its single-challenge path
-/// (`DevicePuf::evaluate_raw`) must equal a loop of scalar voted
-/// evaluations — responses *and* the journaled noise cursor
+/// run per 8 challenges) must equal a loop of scalar voted evaluations — responses *and* the journaled noise cursor
 /// (`noise_state`) — for every shipped design, under safe clocking and an
 /// overclocked period (the setup-violation branch), at 1 and 5 votes,
 /// with and without an injected response fault.
@@ -270,12 +268,6 @@ fn device_group_path_matches_scalar_voted_loop() {
                         let expected = device.pipeline().prove(&raw.try_into().expect("8 responses"));
                         assert_eq!(device.respond(&group), expected, "{case}: query {q} diverged");
                         assert_eq!(device.noise_state(), (rng.word_pos(), evaluations), "{case}: query {q} cursor");
-                    }
-                    for &ch in &challenges[8 * QUERIES..8 * QUERIES + 8] {
-                        let expected =
-                            scalar_device_query(&inst, &[ch], cycle, votes, fault, &mut rng, &mut evaluations);
-                        assert_eq!(device.evaluate_raw(ch), expected[0], "{case}: evaluate_raw diverged");
-                        assert_eq!(device.noise_state(), (rng.word_pos(), evaluations), "{case}: evaluate_raw cursor");
                     }
                 }
             }
