@@ -153,8 +153,6 @@ impl AluPufConfig {
 pub struct AluPufDesign {
     config: AluPufConfig,
     netlist: Netlist,
-    a_bus: Vec<NetId>,
-    b_bus: Vec<NetId>,
     alu0: RcaPorts,
     alu1: RcaPorts,
     design_skew_ps: Vec<f64>,
@@ -171,13 +169,35 @@ pub struct AluPufDesign {
     engines: EnginePool,
 }
 
-/// The design's pool of idle [`SlicedWaveSimulator`]s. An engine depends
-/// only on the netlist plus a delay table, and every checkout retargets it
-/// to the caller's delays, so one pool serves every chip of the design and
-/// grows with the number of concurrent users, not with fleet size. A clone
-/// of the design starts with an empty pool.
+/// The design's pool of idle [`LaneEngine`]s. An engine depends only on
+/// the netlist plus a delay table, and every checkout retargets it to the
+/// caller's delays, so one pool serves every chip of the design and grows
+/// with the number of concurrent users, not with fleet size. A clone of the
+/// design starts with an empty pool.
 #[derive(Default)]
-struct EnginePool(Mutex<Vec<SlicedWaveSimulator>>);
+struct EnginePool(Mutex<Vec<LaneEngine>>);
+
+/// A pooled bit-sliced engine together with the stimulus buffers it is fed
+/// from, so a checkout from a warm pool allocates nothing.
+pub(crate) struct LaneEngine {
+    sim: SlicedWaveSimulator,
+    from: Vec<u64>,
+    to: Vec<u64>,
+}
+
+impl LaneEngine {
+    /// Races up to [`LANES`] challenges of `design`, one per lane (see
+    /// [`AluPufDesign::stimulus_lanes_into`]).
+    pub(crate) fn run(&mut self, design: &AluPufDesign, challenges: &[Challenge]) {
+        design.stimulus_lanes_into(challenges, &mut self.from, &mut self.to);
+        self.sim.run_lanes(&self.from, &self.to);
+    }
+
+    /// Per-lane settling times of `net` in the last run.
+    pub(crate) fn settle_lanes_into(&self, net: NetId, out: &mut [f64; LANES]) {
+        self.sim.settle_lanes_into(net, out);
+    }
+}
 
 impl Clone for EnginePool {
     fn clone(&self) -> Self {
@@ -243,8 +263,6 @@ impl AluPufDesign {
         AluPufDesign {
             config,
             netlist,
-            a_bus,
-            b_bus,
             alu0,
             alu1,
             design_skew_ps,
@@ -275,11 +293,6 @@ impl AluPufDesign {
     /// with [`EventSimulator::with_fanouts`] instead of re-deriving it.
     pub fn fanout_csr(&self) -> &FanoutCsr {
         &self.fanouts
-    }
-
-    /// The shared operand input buses `(a, b)` of both ALUs.
-    pub fn operand_buses(&self) -> (&[NetId], &[NetId]) {
-        (&self.a_bus, &self.b_bus)
     }
 
     /// Per-bit design skew in ps (positive skew favours a `0` response).
@@ -407,14 +420,18 @@ impl AluPufDesign {
     /// returned afterwards (an engine whose `f` panicked is dropped). The
     /// pool's mutex is a leaf lock: it is held only to pop or push, never
     /// while `f` runs, and nothing else is locked under it.
-    pub(crate) fn with_engine<T>(&self, delays_ps: &[f64], f: impl FnOnce(&mut SlicedWaveSimulator) -> T) -> T {
+    pub(crate) fn with_engine<T>(&self, delays_ps: &[f64], f: impl FnOnce(&mut LaneEngine) -> T) -> T {
         let pooled = lock(&self.engines.0).pop();
         let mut engine = match pooled {
             Some(mut engine) => {
-                engine.set_delays_ps(delays_ps);
+                engine.sim.set_delays_ps(delays_ps);
                 engine
             }
-            None => SlicedWaveSimulator::new(&self.netlist, delays_ps),
+            None => LaneEngine {
+                sim: SlicedWaveSimulator::new(&self.netlist, delays_ps),
+                from: Vec::new(),
+                to: Vec::new(),
+            },
         };
         let out = f(&mut engine);
         lock(&self.engines.0).push(engine);
@@ -459,9 +476,7 @@ impl AluPufDesign {
         let w = self.width();
         let mut settle = [[(0.0f64, 0.0f64); 64]; N];
         self.with_engine(delays_ps, |engine| {
-            let (mut from, mut to) = (Vec::new(), Vec::new());
-            self.stimulus_lanes_into(challenges, &mut from, &mut to);
-            engine.run_lanes(&from, &to);
+            engine.run(self, challenges);
             let (mut t0, mut t1) = ([0.0f64; LANES], [0.0f64; LANES]);
             for i in 0..w {
                 engine.settle_lanes_into(self.alu0.sum[i], &mut t0);
@@ -799,7 +814,6 @@ impl<'a> PufInstance<'a> {
             for _ in 0..threads {
                 scope.spawn(move || {
                     design.with_engine(delays, |engine| {
-                        let (mut from, mut to) = (Vec::new(), Vec::new());
                         let (sum0, sum1) = design.sum_buses();
                         let mut t0 = vec![[0.0f64; LANES]; w];
                         let mut t1 = vec![[0.0f64; LANES]; w];
@@ -810,8 +824,7 @@ impl<'a> PufInstance<'a> {
                             }
                             let start = b * LANES;
                             let chs = &challenges[start..challenges.len().min(start + LANES)];
-                            design.stimulus_lanes_into(chs, &mut from, &mut to);
-                            engine.run_lanes(&from, &to);
+                            engine.run(design, chs);
                             for i in 0..w {
                                 engine.settle_lanes_into(sum0[i], &mut t0[i]);
                                 engine.settle_lanes_into(sum1[i], &mut t1[i]);
@@ -842,8 +855,8 @@ impl<'a> PufInstance<'a> {
         let sim = &s.sim;
         let settle =
             |i: usize| (sim.settle_or_zero(self.design.alu0.sum[i]), sim.settle_or_zero(self.design.alu1.sum[i]));
-        let bits =
-            race_bits(self.design, &self.puf_chip.arbiter_offset_ps, &self.pdl_offset_ps, &settle, deadline_ps, rng);
+        let (offsets, pdl) = (&self.puf_chip.arbiter_offset_ps, &self.pdl_offset_ps);
+        let bits = race_bits(self.design, offsets, pdl, &settle, deadline_ps, u64::MAX, rng);
         RawResponse::new(bits, self.design.width())
     }
 
@@ -867,8 +880,8 @@ impl<'a> PufInstance<'a> {
             delta_ps.push(delta);
         }
         let settle = |i: usize| (settle0[i], settle1[i]);
-        let bits =
-            race_bits(self.design, &self.puf_chip.arbiter_offset_ps, &self.pdl_offset_ps, &settle, deadline_ps, rng);
+        let (offsets, pdl) = (&self.puf_chip.arbiter_offset_ps, &self.pdl_offset_ps);
+        let bits = race_bits(self.design, offsets, pdl, &settle, deadline_ps, u64::MAX, rng);
         Evaluation {
             response: RawResponse::new(bits, w),
             delta_ps,
@@ -878,42 +891,53 @@ impl<'a> PufInstance<'a> {
     }
 }
 
-/// Resolves all `width` arbiters against per-bit settling times, drawing
-/// metastability and jitter noise from `rng` in bit order (the draw
-/// sequence is shared by the serial and batched paths). `settle(i)` returns
-/// the `(alu0, alu1)` settling times of sum bit `i` — a simulator lookup on
-/// the scalar path, a lane extraction on the bit-sliced path.
+/// Resolves the arbiters of the bits set in `open` against per-bit settling
+/// times, drawing metastability and jitter noise from `rng` in bit order
+/// (the draw sequence is shared by the serial and batched paths); the
+/// other bits read 0. A bit outside `open` still advances `rng` by exactly
+/// the words its race would draw, so the stream does not depend on `open`,
+/// but skips the math. `settle(i)` returns the `(alu0, alu1)` settling
+/// times of sum bit `i` — a simulator lookup on the scalar path, a lane
+/// extraction on the bit-sliced path.
 fn race_bits<R: Rng + ?Sized>(
     design: &AluPufDesign,
     arbiter_offset_ps: &[f64],
     pdl_offset_ps: &[f64],
     settle: &impl Fn(usize) -> (f64, f64),
     deadline_ps: f64,
+    open: u64,
     rng: &mut R,
 ) -> u64 {
     let cfg = &design.config.arbiter;
     let mut bits = 0u64;
     for i in 0..design.config.width {
         let (t0, t1) = settle(i);
-        let delta = t0 - t1 + design.design_skew_ps[i] + arbiter_offset_ps[i] + pdl_offset_ps[i];
         let bit = if t0.max(t1) > deadline_ps {
             // Setup-time violation: the response register samples an
             // unresolved race.
             rng.gen::<bool>()
         } else {
-            let noisy = delta + gaussian(rng) * cfg.jitter_sigma_ps;
+            let (u1, u2) = gaussian_uniforms(rng);
+            let u: f64 = rng.gen::<f64>();
+            if open >> i & 1 == 0 {
+                continue;
+            }
+            let delta = t0 - t1 + design.design_skew_ps[i] + arbiter_offset_ps[i] + pdl_offset_ps[i];
+            let noisy = delta + box_muller(u1, u2) * cfg.jitter_sigma_ps;
             let p_one = 1.0 / (1.0 + (noisy / cfg.metastability_tau_ps).exp());
-            rng.gen::<f64>() < p_one
+            u < p_one
         };
         if bit {
             bits |= 1 << i;
         }
     }
-    bits
+    bits & open
 }
 
 /// Temporal majority over `votes` calls of [`race_bits`] on the same
 /// settling times: a bit is 1 iff it won a strict majority of the draws.
+/// Once a bit's majority is settled either way, its remaining races only
+/// advance `rng`, so the draws are those of `votes` calls on every bit.
 fn vote_bits<R: Rng + ?Sized>(
     design: &AluPufDesign,
     arbiter_offset_ps: &[f64],
@@ -925,8 +949,16 @@ fn vote_bits<R: Rng + ?Sized>(
 ) -> u64 {
     let w = design.config.width;
     let mut ones = [0u32; 64];
-    for _ in 0..votes {
-        let r = race_bits(design, arbiter_offset_ps, pdl_offset_ps, settle, deadline_ps, rng);
+    for vote in 0..votes {
+        let left = votes - vote;
+        // Open: neither already won (`2·ones > votes`) nor out of reach
+        // with every remaining vote (`2·(ones + left) <= votes`).
+        let open = ones[..w]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| 2 * count <= votes && 2 * (count + left) > votes)
+            .fold(0u64, |open, (b, _)| open | 1 << b);
+        let r = race_bits(design, arbiter_offset_ps, pdl_offset_ps, settle, deadline_ps, open, rng);
         for (b, count) in ones.iter_mut().enumerate().take(w) {
             *count += ((r >> b) & 1) as u32;
         }
@@ -955,14 +987,26 @@ pub fn challenge_stream_seed(noise_seed: u64, index: u64) -> u64 {
 }
 
 pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let (u1, u2) = gaussian_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms of one Box–Muller draw: `u1` in (0, 1), redrawn while
+/// it is zero, then `u2` in [0, 1).
+#[inline]
+fn gaussian_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     loop {
         let u1: f64 = rng.gen::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
+        if u1 > f64::MIN_POSITIVE {
+            return (u1, rng.gen::<f64>());
         }
-        let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     }
+}
+
+/// A standard gaussian from the uniforms of [`gaussian_uniforms`].
+#[inline]
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -1105,8 +1149,18 @@ mod tests {
         let ch = Challenge::new(0x5A, 0xC3, 8);
         let (from, to) = d.stimulus_vectors(ch);
         let mask = crate::challenge::width_mask(8);
-        let from_ref = d.netlist.input_vector(&[(&d.a_bus, !ch.a & mask), (&d.b_bus, !ch.b & mask)]);
-        let to_ref = d.netlist.input_vector(&[(&d.a_bus, ch.a), (&d.b_bus, ch.b)]);
+        let bus = |name: &str| -> Vec<NetId> {
+            (0..8)
+                .map(|i| {
+                    let want = format!("{name}[{i}]");
+                    let named = |n: &&NetId| d.netlist.net(**n).name.as_deref() == Some(want.as_str());
+                    *d.netlist.primary_inputs().iter().find(named).expect("operand bus bit")
+                })
+                .collect()
+        };
+        let (a_bus, b_bus) = (bus("a"), bus("b"));
+        let from_ref = d.netlist.input_vector(&[(&a_bus, !ch.a & mask), (&b_bus, !ch.b & mask)]);
+        let to_ref = d.netlist.input_vector(&[(&a_bus, ch.a), (&b_bus, ch.b)]);
         assert_eq!(from, from_ref);
         assert_eq!(to, to_ref);
         // The buffers are reused without reallocation on the second fill.

@@ -14,10 +14,10 @@
 
 use crate::challenge::Challenge;
 use crate::challenge::RawResponse;
-use crate::device::{lock, AluPufDesign, PufChip, PufInstance};
+use crate::device::{lock, AluPufDesign, LaneEngine, PufChip, PufInstance};
 use pufatt_silicon::env::Environment;
 use pufatt_silicon::sim::EventSimulator;
-use pufatt_silicon::wave::{SlicedWaveSimulator, LANES};
+use pufatt_silicon::wave::LANES;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -229,11 +229,10 @@ fn emulate_blocks(
         // The verifier session path: no spawn, one pooled engine, and
         // consecutive blocks benefit from incremental cone reuse.
         design.with_engine(delays, |engine| {
-            let (mut from, mut to) = (Vec::new(), Vec::new());
             for (b, slot) in out.chunks_mut(LANES).enumerate() {
                 let start = b * LANES;
                 let chs = &challenges[start..challenges.len().min(start + LANES)];
-                emulate_one_block(design, offsets, engine, chs, &mut from, &mut to, slot);
+                emulate_one_block(design, offsets, engine, chs, slot);
             }
         });
         return out;
@@ -244,18 +243,15 @@ fn emulate_blocks(
         let (next, slots) = (&next, &slots);
         for _ in 0..threads {
             scope.spawn(move || {
-                design.with_engine(delays, |engine| {
-                    let (mut from, mut to) = (Vec::new(), Vec::new());
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= blocks {
-                            break;
-                        }
-                        let start = b * LANES;
-                        let chs = &challenges[start..challenges.len().min(start + LANES)];
-                        let mut slot = lock(&slots[b]);
-                        emulate_one_block(design, offsets, engine, chs, &mut from, &mut to, &mut slot[..]);
+                design.with_engine(delays, |engine| loop {
+                    let b = next.fetch_add(1, Ordering::Relaxed);
+                    if b >= blocks {
+                        break;
                     }
+                    let start = b * LANES;
+                    let chs = &challenges[start..challenges.len().min(start + LANES)];
+                    let mut slot = lock(&slots[b]);
+                    emulate_one_block(design, offsets, engine, chs, &mut slot[..]);
                 });
             });
         }
@@ -269,15 +265,12 @@ fn emulate_blocks(
 fn emulate_one_block(
     design: &AluPufDesign,
     arbiter_offset_ps: &[f64],
-    engine: &mut SlicedWaveSimulator,
+    engine: &mut LaneEngine,
     challenges: &[Challenge],
-    from: &mut Vec<u64>,
-    to: &mut Vec<u64>,
     out: &mut [RawResponse],
 ) {
     let w = design.width();
-    design.stimulus_lanes_into(challenges, from, to);
-    engine.run_lanes(from, to);
+    engine.run(design, challenges);
     let (sum0, sum1) = design.sum_buses();
     let mut t0 = [0.0f64; LANES];
     let mut t1 = [0.0f64; LANES];
@@ -323,11 +316,6 @@ impl SharedPufEmulator {
 
     /// The design being emulated.
     pub fn design(&self) -> &AluPufDesign {
-        &self.design
-    }
-
-    /// The shared design handle.
-    pub fn design_arc(&self) -> &Arc<AluPufDesign> {
         &self.design
     }
 

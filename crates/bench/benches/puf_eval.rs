@@ -38,7 +38,7 @@ use pufatt::protocol::{provision, puf_limited_clock, AttestationRequest, Channel
 use pufatt::DevicePuf;
 use pufatt_alupuf::challenge::Challenge;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign, PufChip, PufInstance};
-use pufatt_bench::{full_scale, header};
+use pufatt_bench::{cores, cpu_model, full_scale, header, host_json};
 use pufatt_silicon::env::Environment;
 use pufatt_silicon::netlist::{GateKind, NetId};
 use pufatt_silicon::sim::EventSimulator;
@@ -73,13 +73,9 @@ fn main() {
         2048
     };
 
-    let cpu_model = cpu_model();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     header("PERF", "PUF evaluation throughput (paper_32bit, bit-sliced engine)");
     println!("  {n} challenges per configuration{}", if smoke { " (smoke mode)" } else { "" });
-    println!("  host: {cpu_model}, {cores} core(s)");
+    println!("  host: {}, {} core(s)", cpu_model(), cores());
 
     let design = Arc::new(AluPufDesign::new(AluPufConfig::paper_32bit()));
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
@@ -311,14 +307,12 @@ fn main() {
         .collect();
     let json = format!(
         concat!(
-            "{{\n  \"bench\": \"puf_eval\",\n  \"design\": \"paper_32bit\",\n  \"smoke\": {},\n",
-            "  \"cpu_model\": \"{}\",\n  \"cores\": {},\n",
+            "{{\n  \"bench\": \"puf_eval\",\n  \"design\": \"paper_32bit\",\n  \"smoke\": {},\n{}",
             "  \"events_per_challenge\": {:.1},\n  \"rows\": [\n{}\n  ],\n",
             "  \"prover_rows\": [\n{}\n  ]\n}}\n"
         ),
         smoke,
-        cpu_model.replace('"', "'"),
-        cores,
+        host_json(),
         events_per_challenge,
         json_rows.join(",\n"),
         json_prover_rows.join(",\n")
@@ -482,20 +476,6 @@ fn baseline_gate_eval(kind: GateKind, a: bool, b: bool) -> bool {
         GateKind::Nor2 => !(a | b),
         GateKind::Xnor2 => !(a ^ b),
     }
-}
-
-/// Host CPU model for the bench artifact, so recorded numbers carry their
-/// hardware provenance (`/proc/cpuinfo` on Linux; "unknown" elsewhere).
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {

@@ -19,7 +19,7 @@
 //! `cargo test` to harness=false benches) or `PUFATT_SMOKE=1` selects a
 //! small workload.
 
-use pufatt_bench::{full_scale, header, timed};
+use pufatt_bench::{full_scale, header, host_json, timed};
 use pufatt_store::record::{OutcomeRec, Record, StoredStatus};
 use pufatt_store::{DurableStore, ShardedOptions, ShardedStore, StdVfs, StoreError, StoreOptions};
 use std::sync::Arc;
@@ -327,8 +327,9 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"store_wal\",\n  \"smoke\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"store_wal\",\n  \"smoke\": {},\n{}  \"rows\": [\n{}\n  ]\n}}\n",
         smoke,
+        host_json(),
         json_rows.join(",\n")
     );
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store_wal.json");

@@ -17,7 +17,7 @@
 //! `cargo test` to harness=false benches) or `PUFATT_SMOKE=1` selects a
 //! small workload.
 
-use pufatt_bench::{full_scale, header, timed};
+use pufatt_bench::{full_scale, header, host_json, timed};
 use pufatt_fleet::campaign::small_test_config;
 use pufatt_transport::loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 use pufatt_transport::server::{Server, ServerConfig};
@@ -117,8 +117,9 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"transport_load\",\n  \"smoke\": {},\n  \"sessions_per_device\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"transport_load\",\n  \"smoke\": {},\n{}  \"sessions_per_device\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
         smoke,
+        host_json(),
         sessions,
         rows.join(",\n")
     );

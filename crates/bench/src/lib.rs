@@ -45,6 +45,33 @@ pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// Host CPU model for a bench artifact, so recorded numbers carry their
+/// hardware provenance (`/proc/cpuinfo` on Linux; "unknown" elsewhere).
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Logical cores available to this process.
+pub fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// The host's `"cpu_model"` and `"cores"` members for a `BENCH_*.json`
+/// object: one per line, indented two spaces, each ending in a comma.
+pub fn host_json() -> String {
+    format!("  \"cpu_model\": \"{}\",\n  \"cores\": {},\n", cpu_model().replace('"', "'"), cores())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,5 +88,13 @@ mod tests {
     #[test]
     fn timed_passes_value_through() {
         assert_eq!(timed("t", || 42), 42);
+    }
+
+    #[test]
+    fn host_json_is_two_members() {
+        let json = host_json();
+        assert!(json.starts_with("  \"cpu_model\": \""), "{json}");
+        assert!(json.ends_with(&format!("  \"cores\": {},\n", cores())), "{json}");
+        assert_eq!(json.lines().count(), 2);
     }
 }

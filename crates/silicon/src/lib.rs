@@ -53,9 +53,10 @@
 //! assert_eq!(result.word(&ports.sum), 0b1000);
 //! ```
 
-// The SIMD/parallel simulation kernels are the only unsafe code in the
-// workspace; every unsafe operation must sit in an explicit `unsafe {}`
-// block with a SAFETY comment, even inside unsafe fns.
+// The simulation kernels are this crate's only unsafe code (the vendored
+// ChaCha generator's SSE2 refill is the workspace's other); every unsafe
+// operation must sit in an explicit `unsafe {}` block with a SAFETY
+// comment, even inside unsafe fns.
 #![deny(unsafe_op_in_unsafe_fn)]
 // Tests may unwrap/expect freely; library code must not panic on fallible
 // paths (the clippy lints in Cargo.toml enforce this, and CI denies them).
