@@ -66,12 +66,6 @@ pub struct CircuitModel {
 }
 
 impl CircuitModel {
-    /// Extracts the model from a netlist, including its fanout CSR.
-    pub fn from_netlist(name: impl Into<String>, netlist: &Netlist) -> Self {
-        let csr = netlist.fanout_csr();
-        Self::from_netlist_with_csr(name, netlist, &csr)
-    }
-
     /// Extracts the model from a netlist plus an externally held CSR (the
     /// one simulators actually use — verifying a freshly built CSR would
     /// only test the builder against itself).

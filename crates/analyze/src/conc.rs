@@ -43,7 +43,7 @@ use std::path::PathBuf;
 
 /// The documented lock classes and their acquisition ranks. A thread may
 /// only acquire a lock whose rank is *strictly greater* than every lock
-/// it already holds. The first seven classes (ranks 10–70) are enforced
+/// it already holds. The first six classes (ranks 10–70) are enforced
 /// at runtime by `pufatt-fleet`'s `sync::rank` witness; the store/core
 /// classes cannot use that witness (the dependency points the other way)
 /// so they are documented here and checked statically only.
@@ -53,7 +53,6 @@ pub const RANKS: &[(&str, u32)] = &[
     ("ticket_table", 30),
     ("conn_writer", 40),
     ("service_slot", 50),
-    ("registry_shard", 60),
     ("pool_receiver", 70),
     ("store_inner", 80),
     ("vfs_handles", 90),
@@ -74,8 +73,6 @@ const CLASS_MAP: &[(&str, &str)] = &[
     ("table", "ticket_table"),
     ("stream", "conn_writer"),
     ("slots", "service_slot"),
-    ("shard", "registry_shard"),
-    ("s", "registry_shard"),
     ("receiver", "pool_receiver"),
     ("inner", "store_inner"),
     ("handles", "vfs_handles"),
@@ -122,7 +119,6 @@ const BLOCKING_OPS: &[(&str, &str)] = &[
 /// a ticket-table guard as a `ticket_table -> service_slot` edge without
 /// whole-program analysis.
 const CALL_SUMMARIES: &[(&str, &str)] = &[
-    ("registry.", "registry_shard"),
     ("service.", "service_slot"),
     ("store.", "store_inner"),
     ("journal.", "store_inner"),
@@ -728,7 +724,6 @@ mod tests {
             ("ticket_table", 30),
             ("conn_writer", 40),
             ("service_slot", 50),
-            ("registry_shard", 60),
             ("pool_receiver", 70),
         ];
         for (class, rank) in expect {
@@ -792,12 +787,12 @@ mod tests {
 
     #[test]
     fn call_summaries_create_edges() {
-        // service_slot(50) held while calling into the registry (60): in
+        // service_slot(50) held while calling into the store (80): in
         // order. The reverse would be a rank violation.
-        let good = "fn f(&self) {\n    let g = lock(&self.slots[i]);\n    self.registry.enroll(id);\n}\n";
+        let good = "fn f(&self) {\n    let g = lock(&self.slots[i]);\n    self.store.append(rec);\n}\n";
         assert!(!lints(good).contains(&LintId::LockOrderCycle));
-        let bad = "fn f(&self) {\n    let g = lock(self.shard(id));\n    self.service.attest(id);\n}\n";
-        assert!(lints(bad).contains(&LintId::LockOrderCycle), "registry_shard(60) -> service_slot(50)");
+        let bad = "fn f(&self) {\n    let g = lock(receiver);\n    self.service.attest(id);\n}\n";
+        assert!(lints(bad).contains(&LintId::LockOrderCycle), "pool_receiver(70) -> service_slot(50)");
     }
 
     #[test]

@@ -250,19 +250,19 @@ fn conc_lints(src: &str) -> Vec<LintId> {
 
 #[test]
 fn conc001_lock_order_rank_violation() {
-    // registry_shard (60) held while a service_slot (50) lock is taken:
+    // pool_receiver (70) held while a service_slot (50) lock is taken:
     // backwards against the documented rank order.
-    let src = "fn f(&self) {\n    let g = lock(self.shard(id));\n    let h = lock(&self.slots[0]);\n}\n";
+    let src = "fn f(&self) {\n    let g = lock(receiver);\n    let h = lock(&self.slots[0]);\n}\n";
     assert!(conc_lints(src).contains(&LintId::LockOrderCycle), "{:?}", conc_lints(src));
 }
 
 #[test]
 fn conc001_opposite_orders_across_files_flagged_in_merged_graph() {
-    // File a takes slot -> shard (ascending: fine); file b takes the
+    // File a takes slot -> receiver (ascending: fine); file b takes the
     // same pair backwards. The merged class graph pins the violation to
     // file b's inner acquisition.
-    let a = "fn f(&self) {\n    let g = lock(&self.slots[0]);\n    let h = lock(self.shard(id));\n}\n";
-    let b = "fn g(&self) {\n    let g = lock(self.shard(id));\n    let h = lock(&self.slots[0]);\n}\n";
+    let a = "fn f(&self) {\n    let g = lock(&self.slots[0]);\n    let h = lock(receiver);\n}\n";
+    let b = "fn g(&self) {\n    let g = lock(receiver);\n    let h = lock(&self.slots[0]);\n}\n";
     assert!(conc::scan_sources(&[("a.rs", a)]).is_empty(), "in-order file alone is clean");
     let diags = conc::scan_sources(&[("a.rs", a), ("b.rs", b)]);
     assert!(

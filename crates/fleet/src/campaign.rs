@@ -49,7 +49,7 @@ pub struct CampaignConfig {
     pub devices: usize,
     /// Worker threads running sessions.
     pub workers: usize,
-    /// Registry shards.
+    /// Lock shards of the service's device table (scheduling only).
     pub shards: usize,
     /// Attestation sessions per device.
     pub sessions_per_device: u32,
@@ -67,7 +67,7 @@ pub struct CampaignConfig {
     /// Session timeout in simulated seconds (elapsed time beyond this
     /// rejects the attempt even if the response verifies).
     pub timeout_s: f64,
-    /// Retained outcomes per device in the registry.
+    /// Retained outcomes per device in its lifecycle history.
     pub history_capacity: usize,
     /// Pending jobs the pool queue holds before submits block.
     pub queue_depth: usize,
@@ -144,8 +144,8 @@ pub struct CampaignReport {
     pub panicked_jobs: u64,
 }
 
-/// One device's campaign outcome, reconstructed from the registry after
-/// the pool drains.
+/// One device's campaign outcome, read from its service slot after the
+/// pool drains.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceRecord {
     /// The device id.
@@ -357,7 +357,7 @@ pub(crate) fn run_session(session: &mut DeviceSession) -> ChaosReport {
     run_chaos_session(prover, verifier, channel, plan, policy, rng)
 }
 
-/// The registry outcome of a session, `None` if the device faulted. A
+/// The lifecycle outcome of a session, `None` if the device faulted. A
 /// session that died without a verdict (deadline, channel fully lost)
 /// counts as failed-and-timed-out towards the lifecycle, never as a
 /// crash.
@@ -510,7 +510,7 @@ impl RunningCampaign {
 
     /// Admits a new device while the campaign runs. The enrollment is
     /// journaled with a forced sync *before* the device becomes visible in
-    /// the registry or the pool, so a crash leaves it either fully
+    /// the service or the pool, so a crash leaves it either fully
     /// admitted or entirely absent. Returns `false` (and does nothing) if
     /// the device is already enrolled; ids inside the configured fleet
     /// always are, since their own jobs enroll them.

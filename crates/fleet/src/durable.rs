@@ -23,7 +23,7 @@
 //! Campaigns are deterministic in their configuration (see
 //! [`crate::campaign`]): every per-device random stream derives from the
 //! seed and device id, and one device's sessions run in order. Resume
-//! exploits this twice over. The registry, metrics, and histories are
+//! exploits this twice over. The lifecycles, metrics, and histories are
 //! restored from the store. Then each device fast-forwards: its
 //! journaled cursor restores the RNG positions
 //! directly (no replay), any committed session events *after* the last
@@ -37,7 +37,7 @@
 //!
 //! Resuming under a different configuration is refused via the persisted
 //! config fingerprint ([`config_fingerprint`]) rather than silently
-//! blending two campaigns. Worker count, registry shard count, queue
+//! blending two campaigns. Worker count, slot shard count, queue
 //! depth, and the commit interval are deliberately *excluded* from the
 //! fingerprint — they change scheduling and durability latency, never
 //! verdicts.

@@ -6,9 +6,9 @@
 //! [`FleetService`], provisions, gates, runs, journals and restores every
 //! device session; everything else is a driver over it or a part of it:
 //!
-//! * [`registry`] — fleet state sharded over independent locks, with an
-//!   `Active → Quarantined → Revoked` lifecycle and bounded per-device
-//!   session history.
+//! * [`registry`] — the per-device record: an
+//!   `Active → Quarantined → Revoked` lifecycle and bounded session
+//!   history, kept in the device's one slot in the service.
 //! * [`pool`] — a `std::thread` worker pool behind a bounded queue
 //!   (backpressure by blocking submit), with contained job panics and
 //!   graceful drain on shutdown.
@@ -68,7 +68,7 @@ pub use campaign::{
 pub use durable::{config_fingerprint, open_state_dir};
 pub use metrics::{FleetMetrics, FleetSnapshot, LatencyHistogram, LATENCY_BUCKETS};
 pub use pool::{SubmitError, WorkerPool};
-pub use registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome, ShardedRegistry, StatusCounts};
+pub use registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome, StatusCounts};
 pub use service::{EnrollOutcome, FleetService, ServiceVerdict, SessionGate};
 
 // The whole design rests on prover/verifier state being movable across
@@ -78,6 +78,6 @@ const _: () = {
     assert_send::<pufatt::ProverDevice>();
     assert_send::<pufatt::Verifier>();
     assert_send::<pufatt::EnrolledDevice>();
-    assert_send::<ShardedRegistry>();
+    assert_send::<FleetService>();
     assert_send::<FleetMetrics>();
 };

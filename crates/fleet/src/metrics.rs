@@ -145,7 +145,7 @@ impl FleetMetrics {
         m
     }
 
-    /// Point-in-time copy of all counters, paired with the registry's
+    /// Point-in-time copy of all counters, paired with the fleet's
     /// device counts.
     pub fn snapshot(&self, devices: StatusCounts) -> FleetSnapshot {
         let get = |counter: Counter| self.durable[counter as usize].load(Ordering::Relaxed);

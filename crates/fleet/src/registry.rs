@@ -1,22 +1,17 @@
-//! The sharded device registry: fleet state under concurrent access.
+//! Device lifecycle: the per-device record the verifier keeps.
 //!
-//! A campaign runs many attestation sessions at once, and every session
-//! must consult and update device state (is this device still eligible?
-//! how many times has it failed in a row?). A single `Mutex<HashMap>`
-//! would serialise the whole fleet on that one lock; the registry instead
-//! splits the id space over `N` shards, each behind its own [`Mutex`], so
-//! sessions against different devices contend only when their ids hash to
-//! the same shard.
+//! Per device the fleet keeps a [`FleetStatus`] lifecycle, the two streak
+//! counters its transitions are decided by, and a bounded [`RingBuffer`]
+//! of recent [`SessionOutcome`]s — enough history for an operator to ask
+//! "why was this device quarantined?" without the record growing without
+//! bound on a long-lived service.
 //!
-//! Per device the registry keeps a [`FleetStatus`] lifecycle and a bounded
-//! [`RingBuffer`] of recent [`SessionOutcome`]s — enough history for an
-//! operator to ask "why was this device quarantined?" without the registry
-//! growing without bound on a long-lived service.
+//! `DeviceLifecycle` is a plain value with no lock of its own: it lives
+//! in the device's entry of [`FleetService`](crate::FleetService)'s slot
+//! map, next to the live session, and is only touched under that entry's
+//! slot-shard lock.
 
-use crate::sync::{lock_ranked, rank};
 use pufatt::RingBuffer;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Identifier of a fleet device.
 pub type DeviceId = u32;
@@ -86,14 +81,6 @@ impl Default for LifecyclePolicy {
     }
 }
 
-#[derive(Debug, Clone)]
-struct FleetDevice {
-    status: FleetStatus,
-    consecutive_failures: u32,
-    consecutive_successes: u32,
-    history: RingBuffer<SessionOutcome>,
-}
-
 /// Device counts by lifecycle state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatusCounts {
@@ -110,98 +97,75 @@ impl StatusCounts {
     pub fn total(&self) -> usize {
         self.active + self.quarantined + self.revoked
     }
+
+    /// Counts one more device in `status`.
+    pub(crate) fn add(&mut self, status: FleetStatus) {
+        match status {
+            FleetStatus::Active => self.active += 1,
+            FleetStatus::Quarantined => self.quarantined += 1,
+            FleetStatus::Revoked => self.revoked += 1,
+        }
+    }
 }
 
-/// Fleet state split over independently locked shards.
-#[derive(Debug)]
-pub struct ShardedRegistry {
-    shards: Vec<Mutex<HashMap<DeviceId, FleetDevice>>>,
-    history_capacity: usize,
+/// One device's lifecycle: its status, the streak counters that decide
+/// its transitions, and its bounded session history.
+#[derive(Debug, Clone)]
+pub(crate) struct DeviceLifecycle {
+    status: FleetStatus,
+    consecutive_failures: u32,
+    consecutive_successes: u32,
+    history: RingBuffer<SessionOutcome>,
 }
 
-impl ShardedRegistry {
-    /// Creates an empty registry with `shards` locks, keeping at most
-    /// `history_capacity` outcomes per device.
+impl DeviceLifecycle {
+    /// A freshly enrolled device: [`FleetStatus::Active`], keeping at
+    /// most `history_capacity` outcomes.
     ///
     /// # Panics
     ///
-    /// Panics if either argument is zero.
-    pub fn new(shards: usize, history_capacity: usize) -> Self {
-        assert!(shards > 0, "registry needs at least one shard");
-        assert!(history_capacity > 0, "device history capacity must be positive");
-        ShardedRegistry {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            history_capacity,
+    /// Panics if `history_capacity` is zero.
+    pub(crate) fn new(history_capacity: usize) -> Self {
+        DeviceLifecycle {
+            status: FleetStatus::Active,
+            consecutive_failures: 0,
+            consecutive_successes: 0,
+            history: RingBuffer::new(history_capacity),
         }
     }
 
-    /// Number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, id: DeviceId) -> &Mutex<HashMap<DeviceId, FleetDevice>> {
-        // Fibonacci hashing spreads both sequential and structured id
-        // spaces evenly over the shards.
-        let h = (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h as usize) % self.shards.len()]
-    }
-
-    /// Enrolls a device as [`FleetStatus::Active`]. Returns `false` (and
-    /// changes nothing) if the id is already present.
-    pub fn enroll(&self, id: DeviceId) -> bool {
-        let mut shard = lock_ranked(self.shard(id), rank::REGISTRY_SHARD);
-        if shard.contains_key(&id) {
-            return false;
-        }
-        shard.insert(
-            id,
-            FleetDevice {
-                status: FleetStatus::Active,
-                consecutive_failures: 0,
-                consecutive_successes: 0,
-                history: RingBuffer::new(self.history_capacity),
-            },
-        );
-        true
-    }
-
-    /// Re-enrolls a known device: back to [`FleetStatus::Active`] with the
-    /// failure counter cleared (history is kept — the record of *why* it
-    /// was revoked survives the decision to trust it again). Returns
-    /// `false` for unknown ids.
-    pub fn re_enroll(&self, id: DeviceId) -> bool {
-        let mut shard = lock_ranked(self.shard(id), rank::REGISTRY_SHARD);
-        match shard.get_mut(&id) {
-            Some(device) => {
-                device.status = FleetStatus::Active;
-                device.consecutive_failures = 0;
-                device.consecutive_successes = 0;
-                true
-            }
-            None => false,
+    /// Rebuilds a device from persisted state (durable-store recovery).
+    /// `history` is oldest-first; `total_recorded` is the all-time session
+    /// count, so the rebuilt [`RingBuffer`] reports the same
+    /// retention/eviction numbers as the uninterrupted original.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history_capacity` is zero.
+    pub(crate) fn restore(
+        history_capacity: usize,
+        status: FleetStatus,
+        consecutive_failures: u32,
+        consecutive_successes: u32,
+        history: Vec<SessionOutcome>,
+        total_recorded: u64,
+    ) -> Self {
+        DeviceLifecycle {
+            status,
+            consecutive_failures,
+            consecutive_successes,
+            history: RingBuffer::rehydrate(history_capacity, history, total_recorded),
         }
     }
 
-    /// A device's current status.
-    pub fn status(&self, id: DeviceId) -> Option<FleetStatus> {
-        lock_ranked(self.shard(id), rank::REGISTRY_SHARD).get(&id).map(|d| d.status)
+    /// The device's current status.
+    pub(crate) fn status(&self) -> FleetStatus {
+        self.status
     }
 
-    /// Manually revokes a device.
-    pub fn revoke(&self, id: DeviceId) {
-        if let Some(d) = lock_ranked(self.shard(id), rank::REGISTRY_SHARD).get_mut(&id) {
-            d.status = FleetStatus::Revoked;
-        }
-    }
-
-    /// Manually quarantines a device (no-op if revoked).
-    pub fn quarantine(&self, id: DeviceId) {
-        if let Some(d) = lock_ranked(self.shard(id), rank::REGISTRY_SHARD).get_mut(&id) {
-            if d.status != FleetStatus::Revoked {
-                d.status = FleetStatus::Quarantined;
-            }
-        }
+    /// The retained session history, oldest first.
+    pub(crate) fn history(&self) -> Vec<SessionOutcome> {
+        self.history.iter().cloned().collect()
     }
 
     /// Records a session outcome and applies `policy`'s lifecycle
@@ -209,130 +173,50 @@ impl ShardedRegistry {
     /// demote an active device, `reactivate_after` consecutive successes
     /// promote a quarantined one back (a `0` reactivates on the first
     /// success), and `revoke_after` further consecutive failures inside
-    /// quarantine revoke it. Returns the post-transition status, or `None`
-    /// for unknown ids.
-    pub fn record_outcome(
-        &self,
-        id: DeviceId,
-        outcome: SessionOutcome,
-        policy: &LifecyclePolicy,
-    ) -> Option<FleetStatus> {
-        self.record_outcome_traced(id, outcome, policy).map(|(status, _, _)| status)
-    }
-
-    /// [`ShardedRegistry::record_outcome`], additionally exposing the
-    /// post-transition streak counters `(status, consecutive_failures,
-    /// consecutive_successes)`. The durable campaign journals these with
-    /// each session so recovery can restore a device without re-deriving
-    /// the lifecycle policy's decisions.
-    pub fn record_outcome_traced(
-        &self,
-        id: DeviceId,
-        outcome: SessionOutcome,
-        policy: &LifecyclePolicy,
-    ) -> Option<(FleetStatus, u32, u32)> {
-        let mut shard = lock_ranked(self.shard(id), rank::REGISTRY_SHARD);
-        let device = shard.get_mut(&id)?;
+    /// quarantine revoke it. Returns the post-transition `(status,
+    /// consecutive_failures, consecutive_successes)`, which the service
+    /// journals with each session so recovery can restore a device
+    /// without re-deriving the policy's decisions.
+    pub(crate) fn record(&mut self, outcome: SessionOutcome, policy: &LifecyclePolicy) -> (FleetStatus, u32, u32) {
         if outcome.accepted {
-            device.consecutive_failures = 0;
-            device.consecutive_successes += 1;
-            if device.status == FleetStatus::Quarantined
-                && device.consecutive_successes >= policy.reactivate_after.max(1)
-            {
-                device.status = FleetStatus::Active;
-                device.consecutive_successes = 0;
+            self.consecutive_failures = 0;
+            self.consecutive_successes += 1;
+            if self.status == FleetStatus::Quarantined && self.consecutive_successes >= policy.reactivate_after.max(1) {
+                self.status = FleetStatus::Active;
+                self.consecutive_successes = 0;
             }
         } else {
-            device.consecutive_successes = 0;
-            device.consecutive_failures += 1;
-            if device.status == FleetStatus::Active && device.consecutive_failures >= policy.quarantine_after {
-                device.status = FleetStatus::Quarantined;
-                device.consecutive_failures = 0;
-            } else if device.status == FleetStatus::Quarantined && device.consecutive_failures >= policy.revoke_after {
-                device.status = FleetStatus::Revoked;
+            self.consecutive_successes = 0;
+            self.consecutive_failures += 1;
+            if self.status == FleetStatus::Active && self.consecutive_failures >= policy.quarantine_after {
+                self.status = FleetStatus::Quarantined;
+                self.consecutive_failures = 0;
+            } else if self.status == FleetStatus::Quarantined && self.consecutive_failures >= policy.revoke_after {
+                self.status = FleetStatus::Revoked;
             }
         }
-        device.history.push(outcome);
-        Some((device.status, device.consecutive_failures, device.consecutive_successes))
+        self.history.push(outcome);
+        (self.status, self.consecutive_failures, self.consecutive_successes)
     }
 
-    /// Restores a device from persisted state (durable-store recovery),
-    /// enrolling it if unknown and otherwise overwriting its lifecycle
-    /// state wholesale. `history` is oldest-first; `total_recorded` is the
-    /// all-time session count, so the rebuilt [`RingBuffer`] reports the
-    /// same retention/eviction numbers as the uninterrupted original.
-    pub fn restore_device(
-        &self,
-        id: DeviceId,
-        status: FleetStatus,
-        consecutive_failures: u32,
-        consecutive_successes: u32,
-        history: Vec<SessionOutcome>,
-        total_recorded: u64,
-    ) {
-        let mut shard = lock_ranked(self.shard(id), rank::REGISTRY_SHARD);
-        shard.insert(
-            id,
-            FleetDevice {
-                status,
-                consecutive_failures,
-                consecutive_successes,
-                history: RingBuffer::rehydrate(self.history_capacity, history, total_recorded),
-            },
-        );
+    /// Re-enrollment: back to [`FleetStatus::Active`] with both streaks
+    /// cleared. History is kept — the record of *why* the device was
+    /// revoked survives the decision to trust it again.
+    pub(crate) fn re_enroll(&mut self) {
+        self.status = FleetStatus::Active;
+        self.consecutive_failures = 0;
+        self.consecutive_successes = 0;
     }
 
-    /// A device's retained session history, oldest first.
-    pub fn history(&self, id: DeviceId) -> Option<Vec<SessionOutcome>> {
-        lock_ranked(self.shard(id), rank::REGISTRY_SHARD)
-            .get(&id)
-            .map(|d| d.history.iter().cloned().collect())
-    }
-
-    /// Total sessions ever recorded for a device (retained + rolled off).
-    pub fn sessions_recorded(&self, id: DeviceId) -> Option<u64> {
-        lock_ranked(self.shard(id), rank::REGISTRY_SHARD)
-            .get(&id)
-            .map(|d| d.history.total_pushed())
-    }
-
-    /// Number of enrolled devices (all states).
-    pub fn device_count(&self) -> usize {
-        self.shards.iter().map(|s| lock_ranked(s, rank::REGISTRY_SHARD).len()).sum()
-    }
-
-    /// Device counts by state, taken shard by shard (each shard is
-    /// consistent; the total is a near-point-in-time view).
-    pub fn status_counts(&self) -> StatusCounts {
-        let mut counts = StatusCounts::default();
-        for shard in &self.shards {
-            for device in lock_ranked(shard, rank::REGISTRY_SHARD).values() {
-                match device.status {
-                    FleetStatus::Active => counts.active += 1,
-                    FleetStatus::Quarantined => counts.quarantined += 1,
-                    FleetStatus::Revoked => counts.revoked += 1,
-                }
-            }
-        }
-        counts
-    }
-
-    /// All enrolled ids, ascending.
-    pub fn ids(&self) -> Vec<DeviceId> {
-        let mut ids: Vec<DeviceId> = self
-            .shards
-            .iter()
-            .flat_map(|s| lock_ranked(s, rank::REGISTRY_SHARD).keys().copied().collect::<Vec<_>>())
-            .collect();
-        ids.sort_unstable();
-        ids
+    /// Manual revocation.
+    pub(crate) fn revoke(&mut self) {
+        self.status = FleetStatus::Revoked;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::lock;
 
     fn failed() -> SessionOutcome {
         SessionOutcome {
@@ -357,47 +241,33 @@ mod tests {
     }
 
     #[test]
-    fn enrollment_and_duplicate_refusal() {
-        let reg = ShardedRegistry::new(4, 8);
-        assert!(reg.enroll(7));
-        assert!(!reg.enroll(7), "duplicate enroll must be refused");
-        assert_eq!(reg.status(7), Some(FleetStatus::Active));
-        assert_eq!(reg.status(8), None);
-        assert_eq!(reg.device_count(), 1);
-    }
-
-    #[test]
     fn failures_quarantine_then_revoke() {
-        let reg = ShardedRegistry::new(2, 8);
         let policy = LifecyclePolicy {
             quarantine_after: 2,
             revoke_after: 2,
             ..LifecyclePolicy::default()
         };
-        reg.enroll(1);
-        assert_eq!(reg.record_outcome(1, failed(), &policy), Some(FleetStatus::Active));
-        assert_eq!(reg.record_outcome(1, failed(), &policy), Some(FleetStatus::Quarantined));
-        assert_eq!(reg.record_outcome(1, failed(), &policy), Some(FleetStatus::Quarantined));
-        assert_eq!(reg.record_outcome(1, failed(), &policy), Some(FleetStatus::Revoked));
-        assert_eq!(reg.status_counts(), StatusCounts { active: 0, quarantined: 0, revoked: 1 });
+        let mut device = DeviceLifecycle::new(8);
+        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Active);
+        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Quarantined);
+        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Quarantined);
+        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Revoked);
+        let mut counts = StatusCounts::default();
+        counts.add(device.status());
+        assert_eq!(counts, StatusCounts { active: 0, quarantined: 0, revoked: 1 });
     }
 
     #[test]
     fn reactivation_needs_consecutive_successes() {
-        let reg = ShardedRegistry::new(2, 8);
         let policy = LifecyclePolicy {
             quarantine_after: 1,
             reactivate_after: 2,
             ..LifecyclePolicy::default()
         };
-        reg.enroll(1);
-        assert_eq!(reg.record_outcome(1, failed(), &policy), Some(FleetStatus::Quarantined));
-        assert_eq!(
-            reg.record_outcome(1, passed(), &policy),
-            Some(FleetStatus::Quarantined),
-            "one success is not enough"
-        );
-        assert_eq!(reg.record_outcome(1, passed(), &policy), Some(FleetStatus::Active), "the second one is");
+        let mut device = DeviceLifecycle::new(8);
+        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Quarantined);
+        assert_eq!(device.record(passed(), &policy).0, FleetStatus::Quarantined, "one success is not enough");
+        assert_eq!(device.record(passed(), &policy).0, FleetStatus::Active, "the second one is");
     }
 
     #[test]
@@ -405,98 +275,57 @@ mod tests {
         // Alternating pass/fail never strings together the two successes
         // reactivation demands, and quarantine failures only revoke when
         // *consecutive* — the hysteresis holds the device in quarantine.
-        let reg = ShardedRegistry::new(2, 8);
         let policy = LifecyclePolicy {
             quarantine_after: 2,
             revoke_after: 2,
             reactivate_after: 2,
             ..LifecyclePolicy::default()
         };
-        reg.enroll(1);
-        reg.record_outcome(1, failed(), &policy);
-        reg.record_outcome(1, failed(), &policy);
-        assert_eq!(reg.status(1), Some(FleetStatus::Quarantined));
+        let mut device = DeviceLifecycle::new(8);
+        device.record(failed(), &policy);
+        device.record(failed(), &policy);
+        assert_eq!(device.status(), FleetStatus::Quarantined);
         for _ in 0..6 {
-            reg.record_outcome(1, passed(), &policy);
-            assert_eq!(reg.record_outcome(1, failed(), &policy), Some(FleetStatus::Quarantined), "no flapping");
+            device.record(passed(), &policy);
+            assert_eq!(device.record(failed(), &policy).0, FleetStatus::Quarantined, "no flapping");
         }
     }
 
     #[test]
     fn re_enrollment_reactivates_a_revoked_device() {
-        let reg = ShardedRegistry::new(2, 8);
-        reg.enroll(3);
-        reg.revoke(3);
-        assert_eq!(reg.status(3), Some(FleetStatus::Revoked));
-        assert!(reg.re_enroll(3));
-        assert_eq!(reg.status(3), Some(FleetStatus::Active));
-        assert!(!reg.re_enroll(99), "unknown devices cannot re-enroll");
+        let policy = LifecyclePolicy::default();
+        let mut device = DeviceLifecycle::new(8);
+        device.record(failed(), &policy);
+        device.revoke();
+        assert_eq!(device.status(), FleetStatus::Revoked);
+        device.re_enroll();
+        assert_eq!(device.status(), FleetStatus::Active);
+        assert_eq!(device.record(failed(), &policy), (FleetStatus::Active, 1, 0), "streaks start over");
+        assert_eq!(device.history().len(), 2, "history survives re-enrollment");
     }
 
     #[test]
     fn history_is_bounded_per_device() {
-        let reg = ShardedRegistry::new(2, 3);
         let policy = LifecyclePolicy::default();
-        reg.enroll(1);
+        let mut device = DeviceLifecycle::new(3);
         for _ in 0..5 {
-            reg.record_outcome(1, passed(), &policy);
+            device.record(passed(), &policy);
         }
-        assert_eq!(reg.history(1).unwrap().len(), 3);
-        assert_eq!(reg.sessions_recorded(1), Some(5));
+        assert_eq!(device.history().len(), 3);
+        assert_eq!(device.history.total_pushed(), 5);
     }
 
     #[test]
-    fn restore_device_rebuilds_lifecycle_and_history() {
-        let reg = ShardedRegistry::new(2, 3);
-        reg.restore_device(9, FleetStatus::Quarantined, 1, 0, vec![passed(), failed()], 5);
-        assert_eq!(reg.status(9), Some(FleetStatus::Quarantined));
-        assert_eq!(reg.history(9).unwrap().len(), 2);
-        assert_eq!(reg.sessions_recorded(9), Some(5), "all-time count survives restore");
+    fn restore_rebuilds_lifecycle_and_history() {
+        let mut device = DeviceLifecycle::restore(3, FleetStatus::Quarantined, 1, 0, vec![passed(), failed()], 5);
+        assert_eq!(device.status(), FleetStatus::Quarantined);
+        assert_eq!(device.history().len(), 2);
+        assert_eq!(device.history.total_pushed(), 5, "all-time count survives restore");
         let policy = LifecyclePolicy { revoke_after: 2, ..LifecyclePolicy::default() };
         assert_eq!(
-            reg.record_outcome_traced(9, failed(), &policy),
-            Some((FleetStatus::Revoked, 2, 0)),
+            device.record(failed(), &policy),
+            (FleetStatus::Revoked, 2, 0),
             "restored streaks feed straight into the lifecycle policy"
         );
-    }
-
-    #[test]
-    fn sharding_spreads_devices() {
-        let reg = ShardedRegistry::new(8, 4);
-        for id in 0..64 {
-            reg.enroll(id);
-        }
-        assert_eq!(reg.device_count(), 64);
-        assert_eq!(reg.ids(), (0..64).collect::<Vec<_>>());
-        let nonempty = reg.shards.iter().filter(|s| !lock(s).is_empty()).count();
-        assert!(nonempty >= 6, "sequential ids should hit most shards, got {nonempty}");
-    }
-
-    #[test]
-    fn concurrent_updates_from_many_threads() {
-        use std::sync::Arc;
-        let reg = Arc::new(ShardedRegistry::new(4, 4));
-        let policy = LifecyclePolicy::default();
-        for id in 0..32 {
-            reg.enroll(id);
-        }
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let reg = Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    for id in (t..32).step_by(4) {
-                        for _ in 0..10 {
-                            reg.record_outcome(id, passed(), &policy);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        for id in 0..32 {
-            assert_eq!(reg.sessions_recorded(id), Some(10));
-        }
     }
 }

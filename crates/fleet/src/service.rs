@@ -6,8 +6,8 @@
 //! order the network delivers them, so [`FleetService`] works per
 //! request:
 //!
-//! * [`FleetService::enroll`] provisions one device (registry entry plus
-//!   a live prover/verifier session slot);
+//! * [`FleetService::enroll`] provisions one device (its lifecycle record
+//!   plus a live prover/verifier session, in one slot);
 //! * [`FleetService::open_session`] gates one attestation session (the
 //!   revocation check before each session);
 //! * [`FleetService::attest`] runs exactly one session and applies the
@@ -32,13 +32,21 @@
 //! # Ordering contract
 //!
 //! One device's sessions must be applied in order (each session advances
-//! the device's seeded RNG). The service serialises per *slot shard*:
-//! every call for device `id` locks shard [`FleetService::shard_of`]`(id)`
-//! for the duration of the session. A transport that dispatches each
-//! device's requests to one shard-affine worker (as `pufatt-transport`
-//! does), or a campaign that runs each device's schedule inside one pool
-//! job, therefore preserves per-device order end to end while distinct
-//! shards attest fully in parallel.
+//! the device's seeded RNG). Each device has one slot — its lifecycle,
+//! history, live session and journal cursor — in one sharded map, and
+//! the service serialises per *slot shard*: every call for device `id`
+//! locks shard [`FleetService::shard_of`]`(id)` for the duration of the
+//! session, and that is the only fleet lock a session takes. A transport
+//! that dispatches each device's requests to one shard-affine worker (as
+//! `pufatt-transport` does), or a campaign that runs each device's
+//! schedule inside one pool job, therefore preserves per-device order end
+//! to end while distinct shards attest fully in parallel.
+//!
+//! Fleet-wide reads ([`FleetService::snapshot`],
+//! [`FleetService::device_records`]) walk the slot shards one lock at a
+//! time, so each device is read in one consistent view, but a read that
+//! arrives under load waits behind at most one in-flight session per
+//! shard.
 
 use crate::campaign::{
     crp_delta, device_is_flaky, device_is_tampered, provision_device, run_session, session_outcome, CampaignConfig,
@@ -49,7 +57,7 @@ use crate::durable::{
     DevicePrior,
 };
 use crate::metrics::{FleetMetrics, FleetSnapshot};
-use crate::registry::{DeviceId, FleetStatus, SessionOutcome, ShardedRegistry};
+use crate::registry::{DeviceId, DeviceLifecycle, FleetStatus, SessionOutcome, StatusCounts};
 use crate::sync::{lock_ranked, rank};
 use pufatt::PufattError;
 use pufatt_alupuf::device::AluPufDesign;
@@ -62,19 +70,17 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One device's server-side state.
-enum Slot {
-    /// Provisioned and ready to attest.
-    Ready {
-        /// Live prover/verifier session state.
-        session: Box<DeviceSession>,
-        /// Session events journaled for this device (the cursor position a
-        /// journaled service writes after each one). Tracked here so the
-        /// service never has to read the store back on the hot path.
-        events_seen: u32,
-    },
-    /// Provisioning failed; the device is enrolled in the registry but can
-    /// never run a session this campaign.
-    Abandoned,
+struct Slot {
+    /// Status, streak counters and bounded session history.
+    lifecycle: DeviceLifecycle,
+    /// Live prover/verifier session state. `None` when provisioning
+    /// failed: the device is enrolled but abandoned, and can never run a
+    /// session this campaign.
+    session: Option<Box<DeviceSession>>,
+    /// Session events journaled for this device (the cursor position a
+    /// journaled service writes after each one). Tracked here so the
+    /// service never has to read the store back on the hot path.
+    events_seen: u32,
 }
 
 /// How an enrollment record is committed (OPERATIONS.md §3).
@@ -138,7 +144,7 @@ pub enum ServiceVerdict {
     /// refused without running.
     Refused,
     /// The device faulted outside the protocol (trap mid-attestation);
-    /// no verdict, nothing recorded in the registry.
+    /// no verdict, nothing recorded in the device's lifecycle.
     Fault,
     /// The device id is not enrolled (or was never provisioned).
     Unknown,
@@ -151,7 +157,6 @@ pub enum ServiceVerdict {
 pub struct FleetService {
     cfg: CampaignConfig,
     design: Arc<AluPufDesign>,
-    registry: ShardedRegistry,
     metrics: FleetMetrics,
     slots: Vec<Mutex<HashMap<DeviceId, Slot>>>,
     next_ticket: AtomicU64,
@@ -186,7 +191,6 @@ impl FleetService {
         let shards = cfg.shards.max(1);
         Ok(FleetService {
             design: Arc::new(AluPufDesign::new(cfg.puf.clone())),
-            registry: ShardedRegistry::new(shards, cfg.history_capacity.max(1)),
             metrics: FleetMetrics::new(),
             slots: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             next_ticket: AtomicU64::new(1),
@@ -244,10 +248,11 @@ impl FleetService {
     }
 
     /// Rebuilds the in-memory state of the devices `store` holds — all of
-    /// them, or only those homed on store shard `only`: registry entry,
-    /// then a provisioned session fast-forwarded to the journaled cursor
-    /// (or an abandoned slot). Provisioning dominates a restart, so it is
-    /// spread over the host's cores. Returns the restored ids.
+    /// them, or only those homed on store shard `only`: each device's slot
+    /// is inserted whole, its lifecycle with a provisioned session
+    /// fast-forwarded to the journaled cursor (or abandoned). Provisioning
+    /// dominates a restart, so it is spread over the host's cores. Returns
+    /// the restored ids.
     ///
     /// # Errors
     ///
@@ -255,17 +260,17 @@ impl FleetService {
     /// device that provisioned before must provision again — so failing
     /// here means the store and the configuration disagree.
     fn restore_devices(&self, store: &ShardedStore, only: Option<usize>) -> Result<Vec<DeviceId>, PufattError> {
-        let mut priors = Vec::new();
+        let mut devices = Vec::new();
         let visit = |id: DeviceId, device: &DeviceState| {
-            self.registry.restore_device(
-                id,
+            let lifecycle = DeviceLifecycle::restore(
+                self.cfg.history_capacity.max(1),
                 from_stored(device.status),
                 device.fails,
                 device.succs,
                 device.outcomes.iter().map(from_outcome_rec).collect(),
                 device.outcomes_total,
             );
-            priors.push((id, DevicePrior::from_state(device)));
+            devices.push((id, DevicePrior::from_state(device), lifecycle));
         };
         match only {
             Some(shard) => store.for_each_device_in(shard, visit),
@@ -276,13 +281,13 @@ impl FleetService {
         let next = AtomicUsize::new(0);
         let threads = std::thread::available_parallelism()
             .map_or(1, NonZeroUsize::get)
-            .min(priors.len());
+            .min(devices.len());
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(|| {
-                        while let Some((id, prior)) = priors.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            self.restore_slot(*id, prior)?;
+                        while let Some((id, prior, lifecycle)) = devices.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            self.restore_slot(*id, prior, lifecycle.clone())?;
                         }
                         Ok::<(), PufattError>(())
                     })
@@ -292,19 +297,21 @@ impl FleetService {
                 .into_iter()
                 .try_for_each(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         })?;
-        Ok(priors.into_iter().map(|(id, _)| id).collect())
+        Ok(devices.into_iter().map(|(id, ..)| id).collect())
     }
 
-    /// Fills restored device `id`'s slot: provisioned and fast-forwarded
-    /// to `prior`, or abandoned if provisioning failed for good before.
-    fn restore_slot(&self, id: DeviceId, prior: &DevicePrior) -> Result<(), PufattError> {
-        let slot = if prior.abandoned {
-            Slot::Abandoned
+    /// Inserts restored device `id`'s slot: `lifecycle` with a session
+    /// provisioned and fast-forwarded to `prior`, or none if provisioning
+    /// failed for good before.
+    fn restore_slot(&self, id: DeviceId, prior: &DevicePrior, lifecycle: DeviceLifecycle) -> Result<(), PufattError> {
+        let session = if prior.abandoned {
+            None
         } else {
             let mut session = provision_device(&self.design, &self.cfg, id)?;
             fast_forward(&mut session, prior);
-            Slot::Ready { session: Box::new(session), events_seen: prior.events_seen }
+            Some(Box::new(session))
         };
+        let slot = Slot { lifecycle, session, events_seen: prior.events_seen };
         lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).insert(id, slot);
         Ok(())
     }
@@ -343,22 +350,17 @@ impl FleetService {
         Ok(())
     }
 
-    /// Journals the post-session cursor for a device's live slot.
-    fn journal_cursor(&self, id: DeviceId, slots: &mut HashMap<DeviceId, Slot>) {
-        if let (Some(_), Some(Slot::Ready { session, events_seen })) = (&self.journal, slots.get_mut(&id)) {
-            *events_seen += 1;
-            self.journal_event(&session.cursor_record(id, *events_seen));
+    /// Journals the post-session cursor for a device with a live session.
+    fn journal_cursor(&self, id: DeviceId, slot: &mut Slot) {
+        if let (Some(_), Some(session)) = (&self.journal, &mut slot.session) {
+            slot.events_seen += 1;
+            self.journal_event(&session.cursor_record(id, slot.events_seen));
         }
     }
 
     /// The verdict-affecting configuration this service runs.
     pub fn config(&self) -> &CampaignConfig {
         &self.cfg
-    }
-
-    /// Number of slot shards (serialisation domains for per-device order).
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// The shard all of device `id`'s requests must be serialised on.
@@ -373,8 +375,9 @@ impl FleetService {
     ///
     /// # Errors
     ///
-    /// Propagates the provisioning failure; the device stays enrolled in
-    /// the registry but is marked abandoned and counted as a device fault.
+    /// Propagates the provisioning failure; the device stays enrolled,
+    /// but its slot holds no session (abandoned) and it is counted as a
+    /// device fault.
     /// [`PufattError::StorageUnavailable`] if the device's durable home
     /// shard is sick — nothing is admitted that could not be journaled.
     pub fn enroll(&self, id: DeviceId) -> Result<EnrollOutcome, PufattError> {
@@ -385,10 +388,9 @@ impl FleetService {
     /// `commit` says.
     pub(crate) fn enroll_as(&self, id: DeviceId, commit: EnrollCommit) -> Result<EnrollOutcome, PufattError> {
         let live = |slots: &HashMap<DeviceId, Slot>| {
-            slots.contains_key(&id).then(|| EnrollOutcome {
-                fresh: false,
-                status: self.registry.status(id).unwrap_or(FleetStatus::Active),
-            })
+            slots
+                .get(&id)
+                .map(|slot| EnrollOutcome { fresh: false, status: slot.lifecycle.status() })
         };
         {
             let slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
@@ -403,74 +405,74 @@ impl FleetService {
         let provisioned = provision_device(&self.design, &self.cfg, id);
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         self.storage_guard(id)?;
-        if self.registry.status(id).is_none() {
-            // Admit-or-absent: the enrollment is journaled before the
-            // device becomes visible in the registry or a slot.
-            if let Some(store) = &self.journal {
-                let record = Record::DeviceEnrolled { id };
-                let committed = match commit {
-                    // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
-                    EnrollCommit::Synced => store.append_synced(&record),
-                    EnrollCommit::Grouped => journal(store, &record),
-                };
-                match committed {
-                    Ok(()) | Err(StoreError::IllegalTransition { .. }) => {}
-                    Err(e) => return Err(storage_err(e)),
-                }
-            }
-        }
-        let fresh = self.registry.enroll(id);
-        if fresh && id as usize >= self.cfg.devices {
-            self.metrics.device_enrolled_online();
-        }
         if let Some(outcome) = live(&slots) {
             // A concurrent enroll of the same id provisioned it first.
             return Ok(outcome);
         }
-        match provisioned {
-            Ok(session) => {
-                slots.insert(id, Slot::Ready { session: Box::new(session), events_seen: 0 });
-                let status = self.registry.status(id).unwrap_or(FleetStatus::Active);
-                Ok(EnrollOutcome { fresh, status })
-            }
-            Err(e) => {
-                self.journal_event(&Record::DeviceAbandoned { id });
-                slots.insert(id, Slot::Abandoned);
-                Err(e)
+        // Admit-or-absent: the enrollment is journaled before the device
+        // becomes visible in its slot.
+        if let Some(store) = &self.journal {
+            let record = Record::DeviceEnrolled { id };
+            let committed = match commit {
+                // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
+                EnrollCommit::Synced => store.append_synced(&record),
+                EnrollCommit::Grouped => journal(store, &record),
+            };
+            match committed {
+                Ok(()) | Err(StoreError::IllegalTransition { .. }) => {}
+                Err(e) => return Err(storage_err(e)),
             }
         }
+        if id as usize >= self.cfg.devices {
+            self.metrics.device_enrolled_online();
+        }
+        let (session, result) = match provisioned {
+            Ok(session) => (Some(Box::new(session)), Ok(EnrollOutcome { fresh: true, status: FleetStatus::Active })),
+            Err(e) => {
+                self.journal_event(&Record::DeviceAbandoned { id });
+                (None, Err(e))
+            }
+        };
+        let lifecycle = DeviceLifecycle::new(self.cfg.history_capacity.max(1));
+        slots.insert(id, Slot { lifecycle, session, events_seen: 0 });
+        result
     }
 
     /// The checks every session entry point makes first, under the
-    /// device's slot-shard lock. `Err` ends the request with the gate it
-    /// names, already accounted for.
-    fn precheck(&self, id: DeviceId, slots: &mut HashMap<DeviceId, Slot>) -> Result<(), SessionGate> {
-        match self.registry.status(id) {
-            None => Err(SessionGate::Unknown),
-            // Refused before the revocation branch: a sick shard cannot
-            // even journal a refusal, so no record is attempted and no
-            // device RNG is consumed — re-driving the session after a
-            // reopen yields the verdict it would always have had.
-            Some(_) if self.storage_guard(id).is_err() => {
-                self.metrics.sessions_unavailable(1);
-                Err(SessionGate::Unavailable)
-            }
-            Some(FleetStatus::Revoked) => {
-                self.journal_event(&Record::SessionRefused { id });
-                self.journal_cursor(id, slots);
-                Err(SessionGate::Refused)
-            }
-            Some(_) => Ok(()),
+    /// device's slot-shard lock. Returns the device's slot, or `Err` with
+    /// the gate that ends the request, already accounted for.
+    fn precheck<'s>(&self, id: DeviceId, slots: &'s mut HashMap<DeviceId, Slot>) -> Result<&'s mut Slot, SessionGate> {
+        let Some(slot) = slots.get_mut(&id) else {
+            return Err(SessionGate::Unknown);
+        };
+        // Refused before the revocation branch: a sick shard cannot even
+        // journal a refusal, so no record is attempted and no device RNG
+        // is consumed — re-driving the session after a reopen yields the
+        // verdict it would always have had.
+        if self.storage_guard(id).is_err() {
+            self.metrics.sessions_unavailable(1);
+            return Err(SessionGate::Unavailable);
         }
+        if slot.lifecycle.status() == FleetStatus::Revoked {
+            self.journal_event(&Record::SessionRefused { id });
+            self.journal_cursor(id, slot);
+            return Err(SessionGate::Refused);
+        }
+        Ok(slot)
     }
 
     /// Applies a closed session's outcome to the device's lifecycle and
-    /// journals it as `rec`. Returns the post-transition status, `None`
-    /// (journaling nothing) for an id the registry does not hold.
-    fn close(&self, id: DeviceId, outcome: &SessionOutcome, rec: OutcomeRec) -> Option<FleetStatus> {
-        let (status, fails, succs) = self.registry.record_outcome_traced(id, outcome.clone(), &self.cfg.policy)?;
+    /// journals it as `rec`. Returns the post-transition status.
+    fn close(
+        &self,
+        id: DeviceId,
+        lifecycle: &mut DeviceLifecycle,
+        outcome: &SessionOutcome,
+        rec: OutcomeRec,
+    ) -> FleetStatus {
+        let (status, fails, succs) = lifecycle.record(outcome.clone(), &self.cfg.policy);
         self.journal_event(&Record::SessionClosed { id, outcome: rec, status: to_stored(status), fails, succs });
-        Some(status)
+        status
     }
 
     /// Gates one attestation session: the pre-session revocation check. A
@@ -478,15 +480,10 @@ impl FleetService {
     /// started).
     pub fn open_session(&self, id: DeviceId) -> SessionGate {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        if let Err(gate) = self.precheck(id, &mut slots) {
-            return gate;
-        }
-        match slots.get(&id) {
-            None => SessionGate::Unknown,
-            Some(Slot::Abandoned) => SessionGate::Faulty,
-            Some(Slot::Ready { .. }) => {
-                SessionGate::Granted { ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed) }
-            }
+        match self.precheck(id, &mut slots) {
+            Err(gate) => gate,
+            Ok(Slot { session: None, .. }) => SessionGate::Faulty,
+            Ok(_) => SessionGate::Granted { ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed) },
         }
     }
 
@@ -499,13 +496,13 @@ impl FleetService {
         // have sickened between the gate and the attest, and running the
         // session would advance device RNG towards a verdict the journal
         // could never hold.
-        match self.precheck(id, &mut slots) {
-            Ok(()) => {}
+        let slot = match self.precheck(id, &mut slots) {
+            Ok(slot) => slot,
             Err(SessionGate::Unavailable) => return ServiceVerdict::Unavailable,
             Err(SessionGate::Refused) => return ServiceVerdict::Refused,
             Err(_) => return ServiceVerdict::Unknown,
-        }
-        let Some(Slot::Ready { session, .. }) = slots.get_mut(&id) else {
+        };
+        let Some(session) = slot.session.as_mut() else {
             return ServiceVerdict::Unknown;
         };
         let crp0 = session.crp_stats();
@@ -515,11 +512,7 @@ impl FleetService {
         let verdict = match session_outcome(&report) {
             Some(outcome) => {
                 let rec = to_outcome_rec(&outcome, retried, dropped, report.timed_out(), crp_hits, crp_misses);
-                // Registry entries are never removed, so this cannot
-                // happen; journal nothing rather than a guessed status.
-                let Some(status) = self.close(id, &outcome, rec) else {
-                    return ServiceVerdict::Unknown;
-                };
+                let status = self.close(id, &mut slot.lifecycle, &outcome, rec);
                 ServiceVerdict::Closed { outcome, status }
             }
             None => {
@@ -527,7 +520,7 @@ impl FleetService {
                 ServiceVerdict::Fault
             }
         };
-        self.journal_cursor(id, &mut slots);
+        self.journal_cursor(id, slot);
         verdict
     }
 
@@ -540,12 +533,12 @@ impl FleetService {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         // An abort racing a revocation is refused like any session on a
         // revoked device. On a sick shard the lost-session outcome cannot
-        // be journaled, and counting it into the registry would put
+        // be journaled, and counting it into the lifecycle would put
         // memory ahead of the store: it is dropped as unavailable (the
         // session was never granted in the first place).
-        if self.precheck(id, &mut slots).is_err() {
+        let Ok(slot) = self.precheck(id, &mut slots) else {
             return;
-        }
+        };
         let outcome = SessionOutcome {
             accepted: false,
             response_ok: false,
@@ -554,22 +547,21 @@ impl FleetService {
             attempts: 1,
             elapsed_s: self.cfg.timeout_s,
         };
-        if self.close(id, &outcome, to_outcome_rec(&outcome, 0, 0, true, 0, 0)).is_some() {
-            // An abort consumed no device randomness, so the cursor written
-            // after it repeats the previous RNG positions with the event
-            // count advanced — a restart resumes exactly here.
-            self.journal_cursor(id, &mut slots);
-        }
+        self.close(id, &mut slot.lifecycle, &outcome, to_outcome_rec(&outcome, 0, 0, true, 0, 0));
+        // An abort consumed no device randomness, so the cursor written
+        // after it repeats the previous RNG positions with the event count
+        // advanced — a restart resumes exactly here.
+        self.journal_cursor(id, slot);
     }
 
     /// Revokes a device (operator action). Returns its post-call status,
     /// or `Ok(None)` for unknown ids. The revocation record is journaled
-    /// with a forced sync *before* the registry transition becomes
+    /// with a forced sync *before* the lifecycle transition becomes
     /// visible, so an operator's revocation survives an immediate crash.
     ///
     /// # Errors
     ///
-    /// [`PufattError::Storage`] if the synced append fails. The registry
+    /// [`PufattError::Storage`] if the synced append fails. The lifecycle
     /// is left untouched, so the operator sees the revocation refused
     /// rather than a trust decision that would evaporate on restart.
     pub fn revoke(&self, id: DeviceId) -> Result<Option<FleetStatus>, PufattError> {
@@ -577,30 +569,27 @@ impl FleetService {
             (status != FleetStatus::Revoked)
                 .then_some(Record::StatusChanged { id, status: pufatt_store::record::StoredStatus::Revoked })
         };
-        self.operator_transition(id, record, || self.registry.revoke(id))
+        self.operator_transition(id, record, DeviceLifecycle::revoke)
     }
 
     /// Re-enrolls a known device (operator action): back to Active with
     /// streaks cleared, history kept. Returns `Ok(false)` for unknown
-    /// ids. Journaled with a forced sync before the registry transition,
+    /// ids. Journaled with a forced sync before the lifecycle transition,
     /// like [`FleetService::revoke`].
     ///
     /// # Errors
     ///
-    /// [`PufattError::Storage`] if the synced append fails; the registry
+    /// [`PufattError::Storage`] if the synced append fails; the lifecycle
     /// is left untouched.
     pub fn re_enroll(&self, id: DeviceId) -> Result<bool, PufattError> {
         let record = |_| Some(Record::DeviceReEnrolled { id });
-        let known = self.operator_transition(id, record, || {
-            self.registry.re_enroll(id);
-        })?;
-        Ok(known.is_some())
+        Ok(self.operator_transition(id, record, DeviceLifecycle::re_enroll)?.is_some())
     }
 
     /// An operator transition of known device `id`: `record` maps its
     /// current status to the record to journal (`None`: nothing to do),
     /// which is appended with a forced sync *before* `apply` makes the
-    /// transition visible in the registry. An operator's decision must
+    /// transition visible in the device's lifecycle. An operator's decision must
     /// survive an immediate crash, and a crash between the two steps
     /// merely re-applies the record on resume — never the reverse (a
     /// visible transition the journal has no memory of). Returns the
@@ -609,48 +598,68 @@ impl FleetService {
         &self,
         id: DeviceId,
         record: impl FnOnce(FleetStatus) -> Option<Record>,
-        apply: impl FnOnce(),
+        apply: impl FnOnce(&mut DeviceLifecycle),
     ) -> Result<Option<FleetStatus>, PufattError> {
-        let _slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        let Some(status) = self.registry.status(id) else {
+        let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
+        let Some(slot) = slots.get_mut(&id) else {
             return Ok(None);
         };
         self.storage_guard(id)?;
-        if let Some(rec) = record(status) {
+        if let Some(rec) = record(slot.lifecycle.status()) {
             if let Some(store) = &self.journal {
                 // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
                 store.append_synced(&rec).map_err(storage_err)?;
             }
-            apply();
+            apply(&mut slot.lifecycle);
         }
-        Ok(self.registry.status(id))
+        Ok(Some(slot.lifecycle.status()))
     }
 
     /// A device's current lifecycle state.
     pub fn status(&self, id: DeviceId) -> Option<FleetStatus> {
-        self.registry.status(id)
+        lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT)
+            .get(&id)
+            .map(|slot| slot.lifecycle.status())
     }
 
-    /// Point-in-time counters and device states.
+    /// Point-in-time counters and device states. Statuses are counted
+    /// shard by shard (each shard is consistent; the total is a
+    /// near-point-in-time view), waiting behind any session in flight on
+    /// a shard.
     pub fn snapshot(&self) -> FleetSnapshot {
-        self.metrics.snapshot(self.registry.status_counts())
+        let mut counts = StatusCounts::default();
+        for shard in &self.slots {
+            for slot in lock_ranked(shard, rank::SERVICE_SLOT).values() {
+                counts.add(slot.lifecycle.status());
+            }
+        }
+        self.metrics.snapshot(counts)
     }
 
     /// Per-device end states and retained histories, ascending by id —
     /// the determinism witness a [`CampaignReport`](crate::CampaignReport)
-    /// carries, so two runs can be compared bit for bit.
+    /// carries, so two runs can be compared bit for bit. Each device's
+    /// status and history are read together, under its shard's lock.
     pub fn device_records(&self) -> Vec<DeviceRecord> {
-        self.registry
-            .ids()
-            .into_iter()
-            .map(|id| DeviceRecord {
-                id,
-                tampered: device_is_tampered(self.cfg.seed, id, self.cfg.tamper_fraction),
-                flaky: matches!(&self.cfg.chaos, Some(c) if device_is_flaky(self.cfg.seed, id, c.flaky_fraction)),
-                status: self.registry.status(id).unwrap_or(FleetStatus::Active),
-                outcomes: self.registry.history(id).unwrap_or_default(),
+        let mut records: Vec<DeviceRecord> = self
+            .slots
+            .iter()
+            .flat_map(|shard| {
+                let slots = lock_ranked(shard, rank::SERVICE_SLOT);
+                slots
+                    .iter()
+                    .map(|(&id, slot)| DeviceRecord {
+                        id,
+                        tampered: device_is_tampered(self.cfg.seed, id, self.cfg.tamper_fraction),
+                        flaky: matches!(&self.cfg.chaos, Some(c) if device_is_flaky(self.cfg.seed, id, c.flaky_fraction)),
+                        status: slot.lifecycle.status(),
+                        outcomes: slot.lifecycle.history(),
+                    })
+                    .collect::<Vec<_>>()
             })
-            .collect()
+            .collect();
+        records.sort_unstable_by_key(|record| record.id);
+        records
     }
 
     /// Flushes any group-committed tail and writes a snapshot checkpoint,
@@ -679,7 +688,7 @@ impl FleetService {
     /// Operator recovery: reopens a sick *store* shard (fresh handles,
     /// shard-local recovery against whatever is actually durable) and
     /// rebuilds the in-memory state of every device homed on it from the
-    /// reopened journal — registry entry, provisioned session,
+    /// reopened journal — lifecycle, provisioned session,
     /// fast-forward to the journaled cursor. In-memory progress past the
     /// durable prefix (the at-most-one session whose record the failing
     /// append lost) is rewound; re-driving it yields a bit-identical
@@ -709,7 +718,7 @@ impl FleetService {
     /// campaign picks up the device's schedule.
     pub(crate) fn events_seen(&self, id: DeviceId) -> u32 {
         match lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).get(&id) {
-            Some(Slot::Ready { events_seen, .. }) => *events_seen,
+            Some(Slot { session: Some(_), events_seen, .. }) => *events_seen,
             _ => 0,
         }
     }
@@ -722,7 +731,13 @@ impl FleetService {
 
     /// Every enrolled id, ascending.
     pub(crate) fn enrolled_ids(&self) -> Vec<DeviceId> {
-        self.registry.ids()
+        let mut ids: Vec<DeviceId> = self
+            .slots
+            .iter()
+            .flat_map(|shard| lock_ranked(shard, rank::SERVICE_SLOT).keys().copied().collect::<Vec<_>>())
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -738,7 +753,7 @@ mod tests {
         let service = FleetService::new(cfg.clone()).expect("valid config");
         let ids: Vec<DeviceId> = (0..cfg.devices as DeviceId).collect();
         for &id in &ids {
-            // Abandoned devices keep their registry entry; the client just
+            // Abandoned devices keep their slot; the client just
             // skips their sessions (same as the in-process campaign).
             let _ = service.enroll(id);
         }
@@ -785,6 +800,58 @@ mod tests {
         let (records, snapshot) = drive_service(&cfg);
         assert_eq!(records, in_process.device_records);
         assert_eq!(snapshot, in_process.snapshot);
+    }
+
+    #[test]
+    fn fleet_reads_run_beside_pool_attests() {
+        // Snapshots and device records walk the slot shards while pool
+        // workers attest a multi-shard fleet: a rendezvous after every
+        // session hands the reader a turn while the other workers are
+        // mid-session. Every read sees the whole fleet, every lock is
+        // taken in rank order (the debug witness would panic the job or
+        // the reader otherwise), and scheduling still cannot change a
+        // verdict.
+        let mut cfg = small_test_config(24, 1, 0x5EAD);
+        cfg.sessions_per_device = 3;
+        let reference = run_campaign(&cfg).expect("campaign runs");
+        let service = Arc::new(FleetService::new(cfg.clone()).expect("valid config"));
+        for id in 0..cfg.devices as DeviceId {
+            let _ = service.enroll(id);
+        }
+        let (turn, turns) = std::sync::mpsc::sync_channel::<()>(0);
+        let reader = {
+            let (service, devices) = (Arc::clone(&service), cfg.devices);
+            std::thread::spawn(move || {
+                let mut reads = 0;
+                for () in turns {
+                    assert_eq!(service.snapshot().devices.total(), devices, "every enrolled device is counted");
+                    let ids: Vec<DeviceId> = service.device_records().iter().map(|r| r.id).collect();
+                    assert_eq!(ids, (0..devices as DeviceId).collect::<Vec<_>>());
+                    reads += 1;
+                }
+                reads
+            })
+        };
+        let pool = crate::pool::WorkerPool::new(3, 4);
+        for id in 0..cfg.devices as DeviceId {
+            let (service, turn, sessions) = (Arc::clone(&service), turn.clone(), cfg.sessions_per_device);
+            pool.submit(move || {
+                for _ in 0..sessions {
+                    if matches!(service.open_session(id), SessionGate::Granted { .. }) {
+                        let _ = service.attest(id);
+                    }
+                    // Fails only once the reader is gone; its join below
+                    // reports why.
+                    let _ = turn.send(());
+                }
+            });
+        }
+        drop(turn);
+        assert_eq!(pool.shutdown(), 0, "no attest job panicked");
+        let reads = reader.join().expect("reader never panicked");
+        assert_eq!(reads, cfg.devices * cfg.sessions_per_device as usize, "one read after every session");
+        assert_eq!(service.device_records(), reference.device_records, "verdicts match a one-worker run");
+        assert_eq!(service.snapshot(), reference.snapshot, "counters match a one-worker run");
     }
 
     #[test]

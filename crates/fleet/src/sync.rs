@@ -21,7 +21,7 @@ use std::sync::{Mutex, MutexGuard};
 /// thread) poisons any `Mutex` it held; the default `lock().unwrap()`
 /// then panics in *every* later session that touches the same shard or
 /// queue, cascading one contained failure into a wedged fleet. All the
-/// state behind this crate's locks — registry shards, the pool's job
+/// state behind this crate's locks — service slot shards, the pool's job
 /// receiver — stays internally consistent under any interleaving of its
 /// updates, so the right response to poison is to keep going, not to
 /// propagate it.
@@ -44,8 +44,6 @@ pub mod rank {
     pub const CONN_WRITER: u32 = 40;
     /// A `FleetService` per-device slot shard.
     pub const SERVICE_SLOT: u32 = 50;
-    /// A `Registry` shard.
-    pub const REGISTRY_SHARD: u32 = 60;
     /// A `WorkerPool`'s shared job receiver.
     pub const POOL_RECEIVER: u32 = 70;
 
@@ -57,7 +55,6 @@ pub mod rank {
             TICKET_TABLE => "ticket_table",
             CONN_WRITER => "conn_writer",
             SERVICE_SLOT => "service_slot",
-            REGISTRY_SHARD => "registry_shard",
             POOL_RECEIVER => "pool_receiver",
             _ => "unknown",
         }
@@ -180,7 +177,7 @@ mod tests {
         assert_eq!((rank::TICKET_TABLE, rank::name(30)), (30, "ticket_table"));
         assert_eq!((rank::CONN_WRITER, rank::name(40)), (40, "conn_writer"));
         assert_eq!((rank::SERVICE_SLOT, rank::name(50)), (50, "service_slot"));
-        assert_eq!((rank::REGISTRY_SHARD, rank::name(60)), (60, "registry_shard"));
+        assert_eq!(rank::name(60), "unknown", "rank 60 is retired, not reused");
         assert_eq!((rank::POOL_RECEIVER, rank::name(70)), (70, "pool_receiver"));
     }
 
@@ -190,8 +187,8 @@ mod tests {
     fn out_of_order_acquisition_panics_under_debug_assertions() {
         let a = Mutex::new(());
         let b = Mutex::new(());
-        let _shard = lock_ranked(&a, rank::REGISTRY_SHARD);
-        let _slot = lock_ranked(&b, rank::SERVICE_SLOT); // 50 under 60: backwards
+        let _receiver = lock_ranked(&a, rank::POOL_RECEIVER);
+        let _slot = lock_ranked(&b, rank::SERVICE_SLOT); // 50 under 70: backwards
     }
 
     #[cfg(debug_assertions)]
@@ -216,7 +213,7 @@ mod tests {
         // not even observed in release builds.
         let a = Mutex::new(());
         let b = Mutex::new(());
-        let _shard = lock_ranked(&a, rank::REGISTRY_SHARD);
+        let _receiver = lock_ranked(&a, rank::POOL_RECEIVER);
         let _slot = lock_ranked(&b, rank::SERVICE_SLOT);
     }
 

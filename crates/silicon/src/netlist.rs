@@ -328,16 +328,6 @@ impl Netlist {
         self.gate(GateKind::Nand2, &[a, b])
     }
 
-    /// Appends a two-input NOR gate.
-    pub fn nor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(GateKind::Nor2, &[a, b])
-    }
-
-    /// Appends a two-input XNOR gate.
-    pub fn xnor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(GateKind::Xnor2, &[a, b])
-    }
-
     fn alloc_net(&mut self, name: Option<String>, driver: Option<GateId>) -> NetId {
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net { driver, name });
@@ -537,12 +527,6 @@ impl FanoutCsr {
         let lo = self.offsets[net_index] as usize;
         let hi = self.offsets[net_index + 1] as usize;
         &self.targets[lo..hi]
-    }
-
-    /// The CSR edge range of `net`: `targets[range]` (and any parallel
-    /// per-edge array laid out in the same order) holds its readers.
-    pub fn range_at(&self, net_index: usize) -> core::ops::Range<usize> {
-        self.offsets[net_index] as usize..self.offsets[net_index + 1] as usize
     }
 
     /// Fanout count of `net` (the load-model input).

@@ -63,30 +63,6 @@ impl ChipSampler {
         }
     }
 
-    /// Overrides the σ/µ ratio of the threshold-voltage distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= ratio <= 0.3` (larger ratios put devices outside
-    /// the delay model's validity range).
-    pub fn with_sigma_ratio(mut self, ratio: f64) -> Self {
-        assert!((0.0..=0.3).contains(&ratio), "sigma ratio {ratio} out of range");
-        self.sigma_ratio = ratio;
-        self
-    }
-
-    /// Overrides the quad-tree configuration.
-    pub fn with_model(mut self, model: QuadTreeModel) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Overrides the technology.
-    pub fn with_technology(mut self, technology: Technology) -> Self {
-        self.technology = technology;
-        self
-    }
-
     /// The technology this sampler draws devices in.
     pub fn technology(&self) -> &Technology {
         &self.technology
@@ -135,11 +111,6 @@ impl ChipSampler {
             .collect();
 
         Chip { vth, technology: self.technology.clone() }
-    }
-
-    /// Samples `count` chips.
-    pub fn sample_many<R: Rng + ?Sized>(&self, netlist: &Netlist, count: usize, rng: &mut R) -> Vec<Chip> {
-        (0..count).map(|_| self.sample(netlist, rng)).collect()
     }
 }
 

@@ -143,11 +143,6 @@ impl SlicedWaveSimulator {
         }
     }
 
-    /// Number of primary inputs (the length `run_lanes` expects).
-    pub fn primary_input_count(&self) -> usize {
-        self.pis.len()
-    }
-
     /// Rescales per-gate delays in place (same indexing as the constructor)
     /// and invalidates stored waveforms.
     ///

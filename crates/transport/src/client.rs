@@ -125,11 +125,6 @@ impl Client {
         self.recv(corr)
     }
 
-    /// Replies parked by [`Client::recv`] that no one has collected yet.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Tears the socket down; further calls fail with typed errors.
     pub fn shutdown(&self) {
         self.stream.shutdown();

@@ -1,7 +1,7 @@
 //! Attestation as a service: the PUFatt fleet behind a socket.
 //!
 //! Everything below PR 5 runs the fleet *in process* — the verifier, the
-//! simulated provers, the lifecycle registry, and the chaos channels all
+//! simulated provers, the device lifecycles, and the chaos channels all
 //! share one address space. This crate puts a wire between the verifier
 //! and its clients without changing a single verdict:
 //!
@@ -32,7 +32,7 @@
 //! # Determinism contract
 //!
 //! The server serialises each device's heavy work onto a single dispatch
-//! worker chosen by registry shard, and every session's randomness comes
+//! worker chosen by its service slot shard, and every session's randomness comes
 //! from the device's own seeded stream — so a seeded load-generator
 //! campaign over a real socket produces verdicts and final fleet state
 //! **bit-identical** to the same campaign run in process. The e2e tests

@@ -751,7 +751,7 @@ fn handle_request(
                 },
             ),
             // The journal refused the synced append: the revocation did
-            // NOT take (the registry is untouched), and the client must
+            // NOT take (the lifecycle is untouched), and the client must
             // hear that rather than a cheerful RevokeOk.
             Err(e) => writer.send(
                 corr,

@@ -4,8 +4,9 @@
 //!
 //! Run with `cargo run --release --example fleet_campaign`.
 //!
-//! This drives the `pufatt-fleet` engine end to end: a sharded registry
-//! tracks per-device state, a worker pool runs sessions concurrently, and
+//! This drives the `pufatt-fleet` engine end to end: the service keeps
+//! each device's lifecycle and live session in one sharded slot map, a
+//! worker pool runs sessions concurrently, and
 //! every verdict comes from the full PUFatt protocol (PE32 checksum, ALU
 //! PUF, time bound δ). Compromised devices mount the memory-copy attack
 //! and are caught by the time bound, retried per policy, quarantined, and
@@ -13,7 +14,9 @@
 //! seed: rerunning with a different worker count changes only wall-clock
 //! time, never the verdicts.
 
-use pufatt_fleet::{device_is_tampered, run_campaign, CampaignConfig, FleetStatus, LifecyclePolicy, ShardedRegistry};
+use pufatt_fleet::{
+    device_is_tampered, run_campaign, CampaignConfig, FleetService, FleetStatus, LifecyclePolicy, SessionGate,
+};
 
 fn main() {
     // A mid-sized sensor fleet: 96 devices, 1 in 6 compromised, three
@@ -33,7 +36,7 @@ fn main() {
         ..CampaignConfig::default()
     };
     println!(
-        "enrolling {} devices ({} workers, {} registry shards, ~{:.0}% compromised)\n",
+        "enrolling {} devices ({} workers, {} slot shards, ~{:.0}% compromised)\n",
         cfg.devices,
         cfg.workers,
         cfg.shards,
@@ -63,13 +66,14 @@ fn main() {
     );
     println!("all of them ended the campaign quarantined or revoked; every honest device stayed active");
 
-    // The registry is also usable standalone — e.g. an operator manually
-    // re-trusting a repaired device.
-    let registry = ShardedRegistry::new(4, 16);
-    registry.enroll(7);
-    registry.revoke(7);
-    assert_eq!(registry.status(7), Some(FleetStatus::Revoked));
-    registry.re_enroll(7);
-    assert_eq!(registry.status(7), Some(FleetStatus::Active));
+    // The same engine answers operator actions one request at a time —
+    // e.g. revoking a device, then re-trusting it once it is repaired.
+    let service = FleetService::new(cfg).expect("service");
+    service.enroll(7).expect("provision");
+    assert_eq!(service.revoke(7).expect("unjournaled"), Some(FleetStatus::Revoked));
+    assert_eq!(service.open_session(7), SessionGate::Refused);
+    assert!(service.re_enroll(7).expect("unjournaled"));
+    assert_eq!(service.status(7), Some(FleetStatus::Active));
+    assert!(matches!(service.open_session(7), SessionGate::Granted { .. }));
     println!("manual lifecycle check: revoke → re-enroll round-trips");
 }

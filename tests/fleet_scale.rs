@@ -6,7 +6,7 @@
 //! pure function of the configuration. These tests pin that property at
 //! fleet scale, plus the lifecycle behaviour an operator relies on.
 
-use pufatt_fleet::{device_is_tampered, run_campaign, small_test_config, FleetStatus, ShardedRegistry};
+use pufatt_fleet::{device_is_tampered, run_campaign, small_test_config, FleetService, FleetStatus, SessionGate};
 
 /// The headline determinism claim: a multi-worker campaign over ≥64
 /// devices produces exactly the same accept/reject totals as the same
@@ -61,19 +61,25 @@ fn compromised_devices_are_isolated_and_honest_ones_stay_active() {
     );
 }
 
-/// The registry lifecycle from the operator's side: revoked devices are
+/// The device lifecycle from the operator's side: revoked devices are
 /// refused, and re-enrollment makes a device eligible again.
 #[test]
 fn revocation_refusal_and_re_enrollment() {
-    let registry = ShardedRegistry::new(8, 16);
+    let mut cfg = small_test_config(16, 1, 0x0BE7);
+    cfg.shards = 8;
+    let service = FleetService::new(cfg).expect("valid config");
     for id in 0..16 {
-        assert!(registry.enroll(id));
+        assert!(service.enroll(id).expect("provision").fresh);
     }
-    registry.revoke(3);
-    assert_eq!(registry.status(3), Some(FleetStatus::Revoked));
-    assert_eq!(registry.status_counts().revoked, 1);
-    assert!(registry.re_enroll(3));
-    assert_eq!(registry.status(3), Some(FleetStatus::Active));
-    assert_eq!(registry.status_counts().revoked, 0);
-    assert_eq!(registry.status_counts().active, 16);
+    assert_eq!(service.revoke(3).expect("unjournaled"), Some(FleetStatus::Revoked));
+    assert_eq!(service.status(3), Some(FleetStatus::Revoked));
+    assert_eq!(service.snapshot().devices.revoked, 1);
+    assert_eq!(service.open_session(3), SessionGate::Refused, "revoked devices are refused");
+    assert!(service.re_enroll(3).expect("unjournaled"));
+    assert_eq!(service.status(3), Some(FleetStatus::Active));
+    assert!(matches!(service.open_session(3), SessionGate::Granted { .. }));
+    assert_eq!(service.snapshot().devices.revoked, 0);
+    assert_eq!(service.snapshot().devices.active, 16);
+    assert_eq!(service.status(99), None);
+    assert!(!service.re_enroll(99).expect("unjournaled"), "unknown devices cannot re-enroll");
 }
