@@ -10,9 +10,10 @@
 //! source for the ways they are most plausibly broken:
 //!
 //! * `DUR001` — an externally-visible record class (`Meta`,
-//!   `DeviceEnrolled`, `DeviceReEnrolled`, `StatusChanged`,
-//!   `CrpConsumed`) reaches `append_nosync`, so a crash can lose a
-//!   decision another party already observed;
+//!   `DeviceEnrolled`, `DeviceReEnrolled`, `StatusChanged`) reaches a
+//!   group-commit append — `append_nosync`, or the fleet's `journal`
+//!   helper in front of it — so a crash can lose a decision another party
+//!   already observed;
 //! * `DUR002` — a `rename` whose source was never `sync`'d in the same
 //!   function (the commit protocol reordered or skipped);
 //! * `DUR003` — a write (`truncate`/`append`) directly targeting a path
@@ -44,14 +45,13 @@ use std::io;
 use std::path::PathBuf;
 
 /// Record classes whose loss is visible outside the process (campaign
-/// identity, fleet membership, lifecycle/trust transitions, spent CRPs).
-const CRITICAL_RECORDS: &[&str] = &[
-    "Meta",
-    "DeviceEnrolled",
-    "DeviceReEnrolled",
-    "StatusChanged",
-    "CrpConsumed",
-];
+/// identity, fleet membership, lifecycle/trust transitions).
+const CRITICAL_RECORDS: &[&str] = &["Meta", "DeviceEnrolled", "DeviceReEnrolled", "StatusChanged"];
+
+/// Group-commit appends: the record argument may be lost by a crash.
+/// `journal(` is the fleet's free-function wrapper around the sharded
+/// store's group-commit `append`.
+const UNSYNCED_APPENDS: &[&str] = &[".append_nosync(", "journal("];
 
 /// Sync-class calls whose `Result` must not be discarded.
 const SYNC_CALLS: &[&str] = &[
@@ -225,21 +225,29 @@ pub fn scan_source(name: &str, source: &str) -> Vec<Diagnostic> {
             }
         }
 
-        // ---- DUR001: critical record reaches append_nosync ------------
-        let mut search = 0;
-        while let Some(rel) = code[search..].find(".append_nosync(") {
-            let at = search + rel;
-            search = at + 15;
-            let args = call_args(code, at, ".append_nosync(");
-            let inline = CRITICAL_RECORDS.iter().find(|r| args.contains(&format!("Record::{r}")));
-            let via_var = tokens(args).map(|(_, t)| t).find(|t| critical_vars.contains(*t));
-            if let Some(class) = inline.map(|r| (*r).to_string()).or_else(|| via_var.map(String::from)) {
+        // ---- DUR001: critical record reaches a group-commit append -----
+        for pat in UNSYNCED_APPENDS {
+            let mut search = 0;
+            while let Some(rel) = code[search..].find(pat) {
+                let at = search + rel;
+                search = at + pat.len();
+                // `journal(` must be the whole name, not `with_journal(`.
+                if !pat.starts_with('.') && at > 0 && is_ident_char(code.as_bytes()[at - 1] as char) {
+                    continue;
+                }
+                let args = call_args(code, at, pat);
+                let inline = CRITICAL_RECORDS.iter().find(|r| args.contains(&format!("Record::{r}")));
+                let via_var = tokens(args).map(|(_, t)| t).find(|t| critical_vars.contains(*t));
+                let Some(class) = inline.map(|r| (*r).to_string()).or_else(|| via_var.map(String::from)) else {
+                    continue;
+                };
                 if !allow {
+                    let call = pat.trim_matches(['.', '(']);
                     out.push(
                         Diagnostic::new(
                             LintId::UnsyncedCriticalRecord,
                             loc.clone(),
-                            format!("externally-visible record `{class}` is appended without fsync (`append_nosync`)"),
+                            format!("externally-visible record `{class}` is appended without fsync (`{call}`)"),
                             "route it through `append_synced` so the decision survives a crash",
                         )
                         .with_classes(vec![class]),
@@ -408,13 +416,27 @@ mod tests {
 
     #[test]
     fn critical_record_to_append_nosync_is_flagged_inline_and_via_binding() {
-        let inline = "fn f(&self) { self.store.append_nosync(&Record::CrpConsumed { id, n }); }";
+        let inline = "fn f(&self) { self.store.append_nosync(&Record::DeviceReEnrolled { id }); }";
         assert_eq!(lints(inline), vec![LintId::UnsyncedCriticalRecord]);
         let via_var = "fn f(&self) {\n    let rec = Record::StatusChanged { id, status };\n    self.store.append_nosync(&rec);\n}\n";
         assert_eq!(lints(via_var), vec![LintId::UnsyncedCriticalRecord]);
         // Synced appends and non-critical records are clean.
         assert!(lints("fn f(&self) { self.store.append_synced(&Record::Meta { h }); }").is_empty());
         assert!(lints("fn f(&self) { self.store.append_nosync(&Record::SessionClosed { id }); }").is_empty());
+    }
+
+    #[test]
+    fn critical_record_to_journal_is_flagged_inline_and_via_binding() {
+        let inline = "fn f(&self) { journal(&store, &Record::Meta { h }); }";
+        assert_eq!(lints(inline), vec![LintId::UnsyncedCriticalRecord]);
+        let via_var =
+            "fn f(&self) {\n    let record = Record::DeviceEnrolled { id };\n    journal(store, &record)?;\n}\n";
+        assert_eq!(lints(via_var), vec![LintId::UnsyncedCriticalRecord]);
+        // Session records, a forwarded parameter, and longer names that
+        // end in `journal` are clean.
+        assert!(lints("fn f(&self) { let _ = journal(store, &Record::SessionClosed { id }); }").is_empty());
+        assert!(lints("fn f(&self, record: &Record) { let _ = journal(store, record); }").is_empty());
+        assert!(lints("fn f(&self) { FleetService::with_journal(cfg, Record::Meta { h }); }").is_empty());
     }
 
     #[test]

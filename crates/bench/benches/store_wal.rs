@@ -4,9 +4,9 @@
 //! subsystem. Three families of measurements against the production file
 //! backend in a temporary directory:
 //!
-//! * single-WAL appends: per-record fsync (`sync_every = 1`, the
-//!   consume-once CRP setting) vs batched fsync (`sync_every = 64`), plus
-//!   a recovery replay of the batched workload;
+//! * single-WAL appends: per-record fsync (`append_synced`, the forced
+//!   path) vs batched fsync (`append_nosync` plus a `sync` every 64
+//!   records), plus a recovery replay of the batched workload;
 //! * group commit: a sharded store with a background committer bounding
 //!   commit latency to 1 / 5 / 20 ms, appends spread across every shard —
 //!   the campaign-journal configuration, swept over the latency bound;
@@ -66,10 +66,9 @@ fn session_record(id: u32, succs: u32, i: usize) -> Record {
     }
 }
 
-fn open(dir: &std::path::Path, sync_every: u32) -> DurableStore {
+fn open(dir: &std::path::Path) -> DurableStore {
     let vfs = StdVfs::open(dir).expect("temp dir");
-    let opts = StoreOptions { history_capacity: 64, sync_every, ..StoreOptions::default() };
-    DurableStore::open(Arc::new(vfs), opts).expect("open store")
+    DurableStore::open(Arc::new(vfs), StoreOptions::default()).expect("open store")
 }
 
 /// Size-triggered compaction off so the WAL keeps the whole workload:
@@ -81,13 +80,27 @@ fn open_sharded(dir: &std::path::Path) -> Arc<ShardedStore> {
     Arc::new(ShardedStore::open(Arc::new(vfs), opts).expect("open sharded store"))
 }
 
-fn append_run(dir: &std::path::Path, name: &'static str, sync_every: u32, records: usize) -> Row {
+/// One enrollment, then `records` session closures. Every `batch`-th
+/// append (the enrollment is the first) commits: `1` forces each record
+/// through `append_synced`, larger values batch `append_nosync`s between
+/// explicit syncs.
+fn append_run(dir: &std::path::Path, name: &'static str, batch: usize, records: usize) -> Row {
     std::fs::remove_dir_all(dir).ok();
-    let store = open(dir, sync_every);
-    store.append(&Record::DeviceEnrolled { id: 0 }).expect("enroll");
+    let store = open(dir);
+    let append = |n: usize, record: &Record| {
+        if batch == 1 {
+            store.append_synced(record).expect("append");
+        } else {
+            store.append_nosync(record).expect("append");
+            if n.is_multiple_of(batch) {
+                store.sync().expect("batch sync");
+            }
+        }
+    };
+    append(1, &Record::DeviceEnrolled { id: 0 });
     let start = Instant::now();
     for i in 0..records {
-        store.append(&session_record(0, (i + 1) as u32, i)).expect("append");
+        append(i + 2, &session_record(0, (i + 1) as u32, i));
     }
     store.sync().expect("final sync");
     let seconds = start.elapsed().as_secs_f64();
@@ -249,10 +262,10 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("pufatt-bench-wal-{}", std::process::id()));
 
     let mut rows = Vec::new();
-    rows.push(timed("append, fsync per record (sync_every=1) ", || {
+    rows.push(timed("append, fsync per record (append_synced)", || {
         append_run(&dir, "append_synced_each", 1, synced_n)
     }));
-    rows.push(timed("append, batched fsync  (sync_every=64)", || {
+    rows.push(timed("append, batched fsync  (sync every 64) ", || {
         append_run(&dir, "append_batched_64", 64, batched_n)
     }));
 
@@ -263,7 +276,7 @@ fn main() {
     let batched_wal_bytes = rows[1].wal_bytes;
     let recovery = timed("recovery (replay WAL into a snapshot) ", || {
         let start = Instant::now();
-        let store = open(&dir, 64);
+        let store = open(&dir);
         let seconds = start.elapsed().as_secs_f64();
         let replayed = store.stats().records_replayed as usize;
         assert_eq!(replayed, batched_n + 1, "recovery must replay the whole workload");

@@ -187,10 +187,10 @@ pub fn enroll_fleet(config: AluPufConfig, base_seed: u64, count: usize) -> Resul
 ///
 /// Consumed challenges are remembered, so a second [`CrpDatabase::consume`]
 /// of the same challenge is a typed [`PufattError::ChallengeReused`] —
-/// distinguishable from a challenge that was never enrolled. A durable
-/// deployment persists the spent set (see the `pufatt-store` crate) and
-/// re-marks it via [`CrpDatabase::mark_spent`] after a restart, so a crash
-/// can lose an unused CRP but never re-issue a consumed one.
+/// distinguishable from a challenge that was never enrolled. The spent set
+/// lives in memory only: PUFatt's verifier never spends stored CRPs (it
+/// recomputes every response with `PUF.Emulate()`), so this database is
+/// the paper's comparison baseline, not a durable verifier component.
 #[derive(Debug, Clone)]
 pub struct CrpDatabase {
     entries: HashMap<Challenge, RawResponse>,
@@ -239,22 +239,12 @@ impl CrpDatabase {
         }
     }
 
-    /// Marks a challenge as spent without returning its response — how a
-    /// durable spent set is re-applied after recovery. Returns whether the
-    /// challenge was present (an absent one is still recorded as spent, so
-    /// the refusal stays typed as a reuse).
-    pub fn mark_spent(&mut self, challenge: Challenge) -> bool {
-        let was_present = self.entries.remove(&challenge).is_some();
-        self.spent.insert(challenge);
-        was_present
-    }
-
-    /// Whether a challenge has been consumed (or marked spent).
+    /// Whether a challenge has been consumed.
     pub fn is_spent(&self, challenge: Challenge) -> bool {
         self.spent.contains(&challenge)
     }
 
-    /// Challenges consumed or marked spent so far.
+    /// Challenges consumed so far.
     pub fn spent_count(&self) -> usize {
         self.spent.len()
     }
@@ -329,26 +319,6 @@ mod tests {
             "never-enrolled challenges are a distinct error"
         );
         assert_eq!(db.len(), 19);
-    }
-
-    #[test]
-    fn mark_spent_blocks_reissue_after_recovery() {
-        // Simulates the durable-store restart path: a fresh database built
-        // from the same enrollment, with the persisted spent set re-applied.
-        let dev = enroll(small_config(), 3, 0).unwrap();
-        let db = dev.record_crp_database_batch(10, 5, 6, 1);
-        let ch = {
-            let mut first = db.clone();
-            let picked = first.challenges().next().unwrap();
-            first.consume(picked).unwrap();
-            picked
-        };
-        let mut recovered = db;
-        assert!(recovered.mark_spent(ch), "challenge was present before recovery");
-        assert!(
-            matches!(recovered.consume(ch), Err(PufattError::ChallengeReused { .. })),
-            "a recovered spent set must refuse re-issue"
-        );
     }
 
     #[test]

@@ -416,6 +416,7 @@ impl FleetService {
             let committed = match commit {
                 // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
                 EnrollCommit::Synced => store.append_synced(&record),
+                // analyze: allow(dur: configured-fleet enrollment; a resume re-derives and re-journals what a crash loses)
                 EnrollCommit::Grouped => journal(store, &record),
             };
             match committed {

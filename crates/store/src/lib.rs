@@ -1,9 +1,9 @@
 //! Durable verifier state for the PUFatt reproduction.
 //!
 //! An attestation verifier is only as trustworthy as its memory: if a
-//! restart forgets which CRPs were consumed or which devices were revoked,
-//! an adversary's cheapest attack is pulling the power cord. This crate
-//! gives the fleet layer a small, auditable persistence core:
+//! restart forgets which devices were revoked, an adversary's cheapest
+//! attack is pulling the power cord. This crate gives the fleet layer a
+//! small, auditable persistence core, built on `std` alone:
 //!
 //! * [`wal`] — an append-only write-ahead log of CRC32-framed,
 //!   length-prefixed records. Recovery walks the valid prefix and stops at
@@ -18,17 +18,17 @@
 //!   ([`SimVfs`]) that can crash the process model at *every* write,
 //!   flush, and rename boundary — recovery is proven by exhaustive
 //!   enumeration of crash points, not by sampling.
-//! * [`crpdb`] — [`DurableCrpDb`]: consume-once CRP discipline that
-//!   survives restarts (journal-then-release; a crash loses an unused
-//!   CRP, never re-issues a consumed one).
+//! * [`sharded`] — [`ShardedStore`]: one [`DurableStore`] per device-id
+//!   range behind a manifest, with group commit and a background
+//!   [`Committer`].
 //!
 //! # What never touches the disk
 //!
 //! Records and snapshots carry *public* protocol facts: device ids,
-//! lifecycle states, verdict booleans, challenge values. Raw PUF
-//! responses and helper data have no representation in the on-disk
-//! format at all — a stolen state directory gives a modelling adversary
-//! nothing the wire did not already expose.
+//! lifecycle states, verdict booleans, counters, generator positions.
+//! Challenges, raw PUF responses and helper data have no representation
+//! in the on-disk format at all — a stolen state directory gives a
+//! modelling adversary nothing the wire did not already expose.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,7 +38,6 @@
 
 use std::fmt;
 
-pub mod crpdb;
 pub mod record;
 pub mod sharded;
 pub mod state;
@@ -46,10 +45,9 @@ pub mod store;
 pub mod vfs;
 pub mod wal;
 
-pub use crpdb::DurableCrpDb;
 pub use record::{OutcomeRec, Record, StoredStatus};
 pub use sharded::{Committer, ShardHealth, ShardedOptions, ShardedStore};
-pub use state::{Counter, Counters, CursorInfo, DeviceState, MetaInfo, StatusTally, StoreState};
+pub use state::{Counter, Counters, CursorInfo, DeviceState, MetaInfo, StoreState};
 pub use store::{DurableStore, StoreOptions, StoreStats};
 pub use vfs::{
     error_plan, ErrorInjection, InjectedErrorKind, SimVfs, StdVfs, TornMode, Vfs, INJECTED_ERROR_KINDS, TORN_MODES,

@@ -6,11 +6,14 @@
 //! little-endian fields.
 //!
 //! **Secrecy rule:** records hold *public* protocol facts only — device
-//! ids, lifecycle states, verdict booleans, challenge values (sent in the
-//! clear during attestation anyway). PUF responses and helper data never
-//! enter the log; [`Record::CrpConsumed`] stores the challenge alone, so
-//! even a stolen state directory hands a modelling adversary nothing the
-//! wire did not already expose.
+//! ids, lifecycle states, verdict booleans, counters, generator
+//! positions. No record has a field that could hold a challenge, a PUF
+//! response or helper data, so even a stolen state directory hands a
+//! modelling adversary nothing the wire did not already expose.
+//!
+//! Tag 8 belonged to the retired `CrpConsumed` kind (a consume-once CRP
+//! journal no verifier used). It is reserved and never reused: a
+//! checksum-valid frame carrying it is refused as corrupt.
 
 use crate::StoreError;
 
@@ -160,14 +163,6 @@ pub enum Record {
     DeviceAbandoned {
         /// The device id.
         id: u32,
-    },
-    /// A challenge/response pair was consumed from a CRP database. Only
-    /// the challenge (public) is stored — never the response.
-    CrpConsumed {
-        /// Challenge word A.
-        a: u64,
-        /// Challenge word B.
-        b: u64,
     },
     /// A resume cursor: the deterministic generator positions a device's
     /// schedule had reached after its most recent journaled event. Resume
@@ -346,11 +341,6 @@ impl Record {
                 w.u8(7);
                 w.u32(*id);
             }
-            Record::CrpConsumed { a, b } => {
-                w.u8(8);
-                w.u64(*a);
-                w.u64(*b);
-            }
             Record::DeviceCursor {
                 id,
                 events_done,
@@ -406,7 +396,6 @@ impl Record {
                 crp_misses: r.u32()?,
             },
             7 => Record::DeviceAbandoned { id: r.u32()? },
-            8 => Record::CrpConsumed { a: r.u64()?, b: r.u64()? },
             9 => Record::DeviceCursor {
                 id: r.u32()?,
                 events_done: r.u32()?,
@@ -476,7 +465,6 @@ mod tests {
             Record::SessionRefused { id: 1 },
             Record::SessionFault { id: 2, retried: 1, dropped: 4, crp_hits: 16, crp_misses: 48 },
             Record::DeviceAbandoned { id: 5 },
-            Record::CrpConsumed { a: u64::MAX, b: 0x0123_4567_89AB_CDEF },
             Record::DeviceCursor {
                 id: 11,
                 events_done: 3,
@@ -518,13 +506,32 @@ mod tests {
     }
 
     #[test]
+    fn retired_crp_consumed_tag_is_refused() {
+        // Tag 8 was `CrpConsumed { a: u64, b: u64 }`. A well-formed body
+        // under it is still refused: the tag is reserved, never reused.
+        let mut payload = 1u64.to_le_bytes().to_vec();
+        payload.push(8);
+        payload.extend_from_slice(&[0u8; 16]);
+        let err = Record::decode(&payload).unwrap_err();
+        assert!(matches!(&err, StoreError::Corrupt(m) if m.contains("unknown record tag 8")), "got {err:?}");
+    }
+
+    #[test]
     fn records_never_carry_response_material() {
         // The codec's whole vocabulary: ids, statuses, verdict booleans,
-        // counters, and challenge words. A CRP record is 25 bytes — seq,
-        // tag, and the two public challenge words; no field exists that
-        // could hold a response or helper bits.
+        // counters, and generator positions. A cursor is 42 bytes — seq,
+        // tag, id, event count, three positions and a flag; no field exists
+        // that could hold a challenge, a response or helper bits.
         let mut payload = Vec::new();
-        Record::CrpConsumed { a: 1, b: 2 }.encode(9, &mut payload);
-        assert_eq!(payload.len(), 8 + 1 + 16);
+        Record::DeviceCursor {
+            id: 1,
+            events_done: 2,
+            session_pos: 3,
+            noise_pos: 4,
+            noise_evals: 5,
+            tamper_parity: false,
+        }
+        .encode(9, &mut payload);
+        assert_eq!(payload.len(), 8 + 1 + 4 + 4 + 3 * 8 + 1);
     }
 }

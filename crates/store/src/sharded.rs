@@ -38,7 +38,7 @@
 //! typed, retryable refusal rather than unbounded memory-ahead-of-disk.
 
 use crate::record::Record;
-use crate::state::{Counters, DeviceState, MetaInfo, StatusTally, StoreState};
+use crate::state::{Counters, DeviceState, MetaInfo, StoreState};
 use crate::store::{DurableStore, StoreOptions, StoreStats};
 use crate::vfs::Vfs;
 use crate::wal::crc32;
@@ -91,13 +91,6 @@ impl Default for ShardedOptions {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn encode_manifest(shards: u32, range_width: u32) -> Vec<u8> {
     let mut out = MANIFEST_MAGIC.to_vec();
     out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
@@ -145,7 +138,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<(u32, u32), StoreError> {
 ///
 /// A sick shard refuses appends with [`StoreError::ShardUnavailable`]
 /// *before* anything is applied or written; reads (device lookups,
-/// tallies) keep serving the last recovered in-memory state. Healthy
+/// counters) keep serving the last recovered in-memory state. Healthy
 /// shards are entirely unaffected. Recovery is operator-driven via
 /// [`ShardedStore::reopen_shard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,7 +214,6 @@ impl ShardedStore {
         };
         let store_opts = StoreOptions {
             history_capacity: opts.history_capacity,
-            sync_every: 1,
             commit_queue_limit: opts.commit_queue_limit,
         };
         let mut shards = Vec::with_capacity(shard_count as usize);
@@ -337,9 +329,6 @@ impl ShardedStore {
             | Record::SessionFault { id, .. }
             | Record::DeviceAbandoned { id }
             | Record::DeviceCursor { id, .. } => self.shard_of_id(*id),
-            // Challenges have no device affinity; hash them so the spent
-            // set spreads evenly.
-            Record::CrpConsumed { a, b } => (splitmix64(a ^ b.rotate_left(32)) % u64::from(self.shard_count)) as usize,
         }
     }
 
@@ -353,8 +342,8 @@ impl ShardedStore {
     /// Degraded or Failed (refused before anything is applied — other
     /// shards keep accepting); [`StoreError::Backpressure`] when the
     /// shard's commit queue is full (nothing applied — flush and retry);
-    /// otherwise as [`DurableStore::append`]. A storage failure here
-    /// degrades the home shard.
+    /// otherwise as [`DurableStore::append_nosync`]. A storage failure
+    /// here degrades the home shard.
     pub fn append(&self, record: &Record) -> Result<(), StoreError> {
         let shard = self.shard_of(record);
         self.guard(shard)?;
@@ -363,8 +352,8 @@ impl ShardedStore {
     }
 
     /// Appends a record and syncs its shard before returning: the record
-    /// is committed when this returns. Enrollment admissions and external
-    /// consume-once CRP releases use this.
+    /// is committed when this returns. Campaign identity, synced
+    /// enrollment admissions and operator transitions use this.
     ///
     /// # Errors
     ///
@@ -378,6 +367,25 @@ impl ShardedStore {
         Ok(())
     }
 
+    /// Runs `op` on every healthy shard, attempting all of them even after
+    /// one fails; each failing shard degrades, and sick shards (read-only
+    /// until [`ShardedStore::reopen_shard`]) are skipped. Returns how many
+    /// shards failed and the first failure.
+    fn for_each_healthy(&self, op: impl Fn(&DurableStore) -> Result<(), StoreError>) -> (usize, Option<StoreError>) {
+        let mut failures = 0;
+        let mut first_err = None;
+        for (i, shard) in self.shards.iter().enumerate() {
+            if self.shard_health(i) != ShardHealth::Healthy {
+                continue;
+            }
+            if let Err(e) = op(shard) {
+                failures += 1;
+                first_err.get_or_insert(self.note(i, e));
+            }
+        }
+        (failures, first_err)
+    }
+
     /// Commits every healthy shard's pending group-commit batch: one
     /// fsync per dirty shard. Every healthy shard is attempted even if
     /// one fails; a failing shard degrades (its poisoned handle is never
@@ -389,55 +397,7 @@ impl ShardedStore {
     /// The first *new* failure encountered, after all healthy shards were
     /// attempted. Already-sick shards are not re-reported.
     pub fn flush(&self) -> Result<(), StoreError> {
-        let mut first_err = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if self.shard_health(i) != ShardHealth::Healthy {
-                continue; // read-only until reopen_shard
-            }
-            if shard.unsynced() > 0 {
-                if let Err(e) = shard.sync() {
-                    first_err.get_or_insert(self.note(i, e));
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Compacts any shard whose WAL has outgrown
-    /// [`ShardedOptions::compact_wal_bytes`] — shards compact
-    /// independently, so a hot range never forces a cold shard to rewrite
-    /// its snapshot. Returns how many shards compacted.
-    ///
-    /// # Errors
-    ///
-    /// The first *new* I/O failure, after every eligible shard was
-    /// attempted (the failing shard degrades; sick shards are skipped).
-    pub fn maybe_compact(&self) -> Result<usize, StoreError> {
-        if self.compact_wal_bytes == 0 {
-            return Ok(0);
-        }
-        let mut compacted = 0;
-        let mut first_err = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if self.shard_health(i) != ShardHealth::Healthy {
-                continue;
-            }
-            if shard.stats().wal_bytes > self.compact_wal_bytes {
-                match shard.checkpoint() {
-                    Ok(()) => compacted += 1,
-                    Err(e) => {
-                        first_err.get_or_insert(self.note(i, e));
-                    }
-                }
-            }
-        }
-        match first_err {
-            None => Ok(compacted),
-            Some(e) => Err(e),
-        }
+        self.for_each_healthy(DurableStore::sync).1.map_or(Ok(()), Err)
     }
 
     /// Writes a fresh snapshot and compacts the WAL on every healthy
@@ -449,30 +409,12 @@ impl ShardedStore {
     /// The first *new* failure, after all healthy shards were attempted;
     /// the failing shard degrades.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
-        let mut first_err = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if self.shard_health(i) != ShardHealth::Healthy {
-                continue;
-            }
-            if let Err(e) = shard.checkpoint() {
-                first_err.get_or_insert(self.note(i, e));
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        self.for_each_healthy(DurableStore::checkpoint).1.map_or(Ok(()), Err)
     }
 
     /// Campaign identity, if recorded (held by shard 0).
     pub fn meta(&self) -> Option<MetaInfo> {
         self.shards[0].meta()
-    }
-
-    /// Whether a challenge has been durably consumed (on its home shard).
-    pub fn is_spent(&self, a: u64, b: u64) -> bool {
-        let shard = (splitmix64(a ^ b.rotate_left(32)) % u64::from(self.shard_count)) as usize;
-        self.shards[shard].is_spent(a, b)
     }
 
     /// A copy of one device's durable state, if it is enrolled.
@@ -513,18 +455,6 @@ impl ShardedStore {
         total
     }
 
-    /// Device counts by lifecycle state, summed across shards.
-    pub fn status_tally(&self) -> StatusTally {
-        let mut tally = StatusTally::default();
-        for shard in &self.shards {
-            let t = shard.status_tally();
-            tally.active += t.active;
-            tally.quarantined += t.quarantined;
-            tally.revoked += t.revoked;
-        }
-        tally
-    }
-
     /// Durability counters summed across shards, plus the shard-health
     /// tally ([`StoreStats::shards_total`] and friends).
     pub fn stats(&self) -> StoreStats {
@@ -559,51 +489,30 @@ impl ShardedStore {
         self.shards.iter().any(DurableStore::is_broken)
     }
 
-    /// Number of shards (from the manifest).
-    pub fn shard_count(&self) -> u32 {
-        self.shard_count
-    }
-
-    /// Consecutive device ids per range stripe (from the manifest).
-    pub fn range_width(&self) -> u32 {
-        self.range_width
-    }
-
     /// Records awaiting their group-commit sync, summed across shards.
     pub fn unsynced(&self) -> u32 {
         self.shards.iter().map(DurableStore::unsynced).sum()
     }
 
-    /// One committer heartbeat: flush every healthy shard's pending batch
-    /// and run size-triggered compaction, degrading any shard that hits a
-    /// storage failure. Returns how many shards *newly* failed this tick
-    /// (also accumulated into [`ShardedStore::commit_failures`]) — a
-    /// count, not a `Result`, because a tick always does everything it
-    /// can: healthy shards commit even while a sick one waits for its
-    /// operator, and the failure is reported through the health machine
-    /// rather than swallowed.
+    /// One committer heartbeat: flush every healthy shard's pending batch,
+    /// then compact any shard whose WAL has outgrown
+    /// [`ShardedOptions::compact_wal_bytes`] — shards compact
+    /// independently, so a hot range never forces a cold shard to rewrite
+    /// its snapshot. A shard that hits a storage failure degrades. Returns
+    /// how many shards *newly* failed this tick (also accumulated into
+    /// [`ShardedStore::commit_failures`]) — a count, not a `Result`,
+    /// because a tick always does everything it can: healthy shards
+    /// commit even while a sick one waits for its operator, and the
+    /// failure is reported through the health machine rather than
+    /// swallowed.
     pub fn commit_tick(&self) -> usize {
-        let mut failures = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if self.shard_health(i) != ShardHealth::Healthy {
-                continue;
-            }
-            if shard.unsynced() > 0 {
-                if let Err(e) = shard.sync() {
-                    // fsyncgate: the poisoned handle is never re-synced;
-                    // the shard degrades and waits for reopen_shard.
-                    let _ = self.note(i, e);
-                    failures += 1;
-                    continue;
-                }
-            }
+        let (failures, _) = self.for_each_healthy(|shard| {
+            shard.sync()?;
             if self.compact_wal_bytes > 0 && shard.stats().wal_bytes > self.compact_wal_bytes {
-                if let Err(e) = shard.checkpoint() {
-                    let _ = self.note(i, e);
-                    failures += 1;
-                }
+                shard.checkpoint()?;
             }
-        }
+            Ok(())
+        });
         if failures > 0 {
             self.commit_failures.fetch_add(failures as u64, Ordering::AcqRel);
         }
@@ -710,15 +619,25 @@ mod tests {
         for id in 0..9 {
             store.append(&Record::DeviceEnrolled { id }).unwrap();
         }
-        store.append(&Record::CrpConsumed { a: 11, b: 22 }).unwrap();
+        let cursor = Record::DeviceCursor {
+            id: 5,
+            events_done: 0,
+            session_pos: 11,
+            noise_pos: 22,
+            noise_evals: 0,
+            tamper_parity: false,
+        };
+        store.append(&cursor).unwrap();
         store.flush().unwrap();
         drop(store);
         assert!(vfs.exists("manifest.bin"));
         assert!(vfs.exists("shard-000/wal.log"));
         let store = open_sim(&vfs, small_opts());
         assert_eq!(store.meta().unwrap().devices, 9);
-        assert_eq!(store.status_tally().active, 9);
-        assert!(store.is_spent(11, 22));
+        let mut active = 0;
+        store.for_each_device(|_, d| active += usize::from(d.status == StoredStatus::Active));
+        assert_eq!(active, 9);
+        assert_eq!(store.device(5).unwrap().cursor.map(|c| (c.session_pos, c.noise_pos)), Some((11, 22)));
         assert!(store.device(8).is_some());
         assert!(store.device(9).is_none());
         let mut seen = Vec::new();
@@ -740,8 +659,8 @@ mod tests {
         // Reopening with different (even implausible-to-change) geometry
         // keeps the on-disk layout: device 6 is still found in shard 3.
         let store = open_sim(&vfs, ShardedOptions { shards: 2, range_width: 64, ..ShardedOptions::default() });
-        assert_eq!(store.shard_count(), 4);
-        assert_eq!(store.range_width(), 2);
+        assert_eq!(store.stats().shards_total, 4);
+        assert_eq!(store.shard_of_id(6), 3);
         assert!(store.device(6).is_some());
     }
 
@@ -749,7 +668,7 @@ mod tests {
     fn legacy_single_wal_layout_is_refused() {
         let vfs = SimVfs::new();
         let single = DurableStore::open(Arc::new(vfs.clone()), StoreOptions::default()).unwrap();
-        single.append(&Record::DeviceEnrolled { id: 0 }).unwrap();
+        single.append_synced(&Record::DeviceEnrolled { id: 0 }).unwrap();
         drop(single);
         let err = ShardedStore::open(Arc::new(vfs), small_opts()).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "got {err:?}");
@@ -795,8 +714,9 @@ mod tests {
         // survives on every shard, the unflushed tail is gone.
         let disk = vfs.power_cut(TornMode::Drop);
         let store = open_sim(&disk, small_opts());
-        let tally = store.status_tally();
-        assert_eq!(tally.active, 8);
+        let mut active = 0;
+        store.for_each_device(|_, d| active += usize::from(d.status == StoredStatus::Active));
+        assert_eq!(active, 8);
         for id in 0..8 {
             assert!(store.device(id).is_some(), "committed device {id} lost");
         }
@@ -817,11 +737,9 @@ mod tests {
                 .append(&Record::StatusChanged { id: 0, status: StoredStatus::Active })
                 .unwrap();
         }
-        store.flush().unwrap();
         let before = store.stats().snapshots_written;
-        let compacted = store.maybe_compact().unwrap();
-        assert_eq!(compacted, 1, "exactly the hot shard compacts");
-        assert_eq!(store.stats().snapshots_written, before + 1);
+        assert_eq!(store.commit_tick(), 0, "the tick commits and compacts without failure");
+        assert_eq!(store.stats().snapshots_written, before + 1, "exactly the hot shard compacts");
     }
 
     #[test]

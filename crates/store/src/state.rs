@@ -11,7 +11,7 @@
 
 use crate::record::{read_outcome, write_outcome_into, OutcomeRec, Reader, Record, StoredStatus, LATENCY_SLOTS};
 use crate::StoreError;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Index, IndexMut};
 
 /// Per-device session event kinds, in schedule order — enough for a
@@ -216,18 +216,6 @@ impl Counters {
     }
 }
 
-/// Device counts by lifecycle state (the store-side mirror of the fleet
-/// registry's tally).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatusTally {
-    /// Devices currently active.
-    pub active: usize,
-    /// Devices currently quarantined.
-    pub quarantined: usize,
-    /// Devices currently revoked.
-    pub revoked: usize,
-}
-
 /// The full durable state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreState {
@@ -235,8 +223,6 @@ pub struct StoreState {
     pub meta: Option<MetaInfo>,
     /// Per-device state, keyed by device id.
     pub devices: BTreeMap<u32, DeviceState>,
-    /// Challenges consumed from CRP databases (public values only).
-    pub spent: BTreeSet<(u64, u64)>,
     /// Global campaign counters.
     pub counters: Counters,
     /// Highest applied record sequence number (0 = none).
@@ -251,7 +237,6 @@ impl StoreState {
         StoreState {
             meta: None,
             devices: BTreeMap::new(),
-            spent: BTreeSet::new(),
             counters: Counters::default(),
             last_seq: 0,
             history_capacity: history_capacity.max(1),
@@ -384,9 +369,6 @@ impl StoreState {
                 device.abandoned = true;
                 device.faults += 1;
             }
-            Record::CrpConsumed { a, b } => {
-                self.spent.insert((*a, *b));
-            }
             Record::DeviceCursor {
                 id,
                 events_done,
@@ -426,24 +408,6 @@ impl StoreState {
         self.counters.count(record);
         self.last_seq = seq;
         Ok(())
-    }
-
-    /// Whether a challenge has already been consumed.
-    pub fn is_spent(&self, a: u64, b: u64) -> bool {
-        self.spent.contains(&(a, b))
-    }
-
-    /// Device counts by lifecycle state.
-    pub fn status_tally(&self) -> StatusTally {
-        let mut tally = StatusTally::default();
-        for device in self.devices.values() {
-            match device.status {
-                StoredStatus::Active => tally.active += 1,
-                StoredStatus::Quarantined => tally.quarantined += 1,
-                StoredStatus::Revoked => tally.revoked += 1,
-            }
-        }
-        tally
     }
 
     // ------------------------------------------------------------- codec
@@ -496,11 +460,9 @@ impl StoreState {
                 write_outcome_into(out, o);
             }
         }
-        u32le(out, self.spent.len() as u32);
-        for (a, b) in &self.spent {
-            u64le(out, *a);
-            u64le(out, *b);
-        }
+        // Reserved: the spent-challenge count of the retired `CrpConsumed`
+        // kind, always 0, so snapshots keep their layout in both directions.
+        u32le(out, 0);
     }
 
     /// Parses a snapshot body back into a state.
@@ -603,13 +565,14 @@ impl StoreState {
                 return Err(StoreError::Corrupt(format!("duplicate device {id} in snapshot")));
             }
         }
-        let spent_count = r.u32()?;
-        let mut spent = BTreeSet::new();
-        for _ in 0..spent_count {
-            spent.insert((r.u64()?, r.u64()?));
+        let spent = r.u32()?;
+        if spent != 0 {
+            return Err(StoreError::Corrupt(format!(
+                "snapshot holds {spent} spent challenges of the retired CrpConsumed kind"
+            )));
         }
         r.done()?;
-        Ok(StoreState { meta, devices, spent, counters, last_seq, history_capacity })
+        Ok(StoreState { meta, devices, counters, last_seq, history_capacity })
     }
 }
 
@@ -654,15 +617,26 @@ mod tests {
         apply(&mut s, closed(1, false, StoredStatus::Quarantined, 0));
         apply(&mut s, Record::StatusChanged { id: 1, status: StoredStatus::Revoked });
         apply(&mut s, Record::SessionRefused { id: 1 });
-        apply(&mut s, Record::CrpConsumed { a: 5, b: 6 });
+        apply(
+            &mut s,
+            Record::DeviceCursor {
+                id: 0,
+                events_done: 1,
+                session_pos: 5,
+                noise_pos: 6,
+                noise_evals: 7,
+                tamper_parity: false,
+            },
+        );
         assert_eq!(s.counters[Counter::Started], 2);
         assert_eq!(s.counters[Counter::Accepted], 1);
         assert_eq!(s.counters[Counter::Rejected], 1);
         assert_eq!(s.counters[Counter::Refused], 1);
         assert_eq!(s.counters.latency[13], 2);
-        assert_eq!(s.status_tally(), StatusTally { active: 1, quarantined: 0, revoked: 1 });
-        assert!(s.is_spent(5, 6));
-        assert!(!s.is_spent(6, 5));
+        let statuses: Vec<StoredStatus> = s.devices.values().map(|d| d.status).collect();
+        assert_eq!(statuses, vec![StoredStatus::Active, StoredStatus::Revoked]);
+        assert_eq!(s.devices[&0].cursor.map(|c| (c.session_pos, c.noise_pos)), Some((5, 6)));
+        assert!(s.devices[&1].cursor.is_none());
         assert_eq!(s.devices[&1].events, vec![EV_CLOSED, EV_REFUSED]);
         assert_eq!(s.last_seq, 8);
     }
@@ -696,7 +670,7 @@ mod tests {
         s.apply(3, &Record::DeviceReEnrolled { id: 7 }).unwrap();
         assert_eq!(s.devices[&7].status, StoredStatus::Active);
         // Sequence numbers only move forward.
-        assert!(matches!(s.apply(3, &Record::CrpConsumed { a: 1, b: 2 }), Err(StoreError::Corrupt(_))));
+        assert!(matches!(s.apply(3, &Record::DeviceAbandoned { id: 7 }), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
@@ -735,8 +709,8 @@ mod tests {
         apply(&mut s, closed(1, false, StoredStatus::Quarantined, 0));
         apply(&mut s, Record::SessionFault { id: 2, retried: 1, dropped: 2, crp_hits: 0, crp_misses: 24 });
         apply(&mut s, Record::DeviceAbandoned { id: 2 });
-        apply(&mut s, Record::CrpConsumed { a: 1, b: 2 });
-        apply(&mut s, Record::CrpConsumed { a: 3, b: 4 });
+        apply(&mut s, Record::StatusChanged { id: 1, status: StoredStatus::Revoked });
+        apply(&mut s, Record::DeviceReEnrolled { id: 1 });
         let mut body = Vec::new();
         s.encode(&mut body);
         let decoded = StoreState::decode(&body).unwrap();
@@ -842,13 +816,27 @@ mod tests {
         let section = &body[17..17 + expected.len()];
         assert_eq!(section[..8], [1, 2, 3, 4, 5, 6, 7, 8], "counters are little-endian");
         assert_eq!(section, &expected[..]);
-        // Only the empty device and spent-challenge counts follow.
+        // Only the empty device count and the reserved zero follow.
         assert_eq!(body.len(), 17 + expected.len() + 4 + 4);
 
         let decoded = StoreState::decode(&body).unwrap();
         assert_eq!(decoded.counters, s.counters);
         assert_eq!(decoded.counters[Counter::TimedOut], 104);
         assert_eq!(decoded.counters.latency[13], 213);
+    }
+
+    #[test]
+    fn retired_spent_challenges_are_refused() {
+        // A snapshot whose reserved trailing count is non-zero carries
+        // `CrpConsumed` challenges this format no longer holds.
+        let mut body = Vec::new();
+        StoreState::new(4).encode(&mut body);
+        let count = body.len() - 4;
+        assert_eq!(body[count..], [0, 0, 0, 0], "the reserved count is written as 0");
+        body[count] = 1;
+        body.extend_from_slice(&[0u8; 16]);
+        let err = StoreState::decode(&body).unwrap_err();
+        assert!(matches!(&err, StoreError::Corrupt(m) if m.contains("CrpConsumed")), "got {err:?}");
     }
 
     #[test]

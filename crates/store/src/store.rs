@@ -3,9 +3,12 @@
 //! # Commit protocol
 //!
 //! * An append validates the record against the in-memory state (the same
-//!   transition function recovery uses), frames it into the WAL, and
-//!   syncs per the [`StoreOptions::sync_every`] policy. A record is
-//!   *committed* once its frame is fully on stable storage.
+//!   transition function recovery uses) and frames it into the WAL. A
+//!   record is *committed* once its frame is fully on stable storage, and
+//!   there are exactly two ways to get it there:
+//!   [`DurableStore::append_synced`] syncs before it returns (forced), and
+//!   [`DurableStore::append_nosync`] leaves the sync to the next
+//!   [`DurableStore::sync`] (group commit).
 //! * A snapshot is written to `snapshot.tmp`, synced, then renamed onto
 //!   `snapshot.bin` — the rename is the atomic commit point. Only after
 //!   the rename does compaction truncate the WAL: at every instant the
@@ -27,7 +30,7 @@
 //! to reopen and recover.
 
 use crate::record::Record;
-use crate::state::{MetaInfo, StatusTally, StoreState};
+use crate::state::{MetaInfo, StoreState};
 use crate::vfs::Vfs;
 use crate::wal::{self, Wal};
 use crate::StoreError;
@@ -53,22 +56,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct StoreOptions {
     /// Retained outcomes per device (mirrors the registry's bound).
     pub history_capacity: usize,
-    /// Sync the WAL after every `sync_every` appends. `1` (the default)
-    /// commits each record before the append returns; larger values batch
-    /// syncs — a crash can then lose up to `sync_every - 1` tail records,
-    /// which recovery replays the campaign without.
-    pub sync_every: u32,
     /// Bound on records a group-commit writer may leave unsynced before
     /// [`DurableStore::append_nosync`] refuses with
     /// [`StoreError::Backpressure`]. `0` (the default) means unbounded —
-    /// only [`DurableStore::append_nosync`] consults this; the policy and
-    /// forced-sync paths never queue past their own bounds.
+    /// only [`DurableStore::append_nosync`] consults this; the forced-sync
+    /// path never queues.
     pub commit_queue_limit: u32,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
-        StoreOptions { history_capacity: 64, sync_every: 1, commit_queue_limit: 0 }
+        StoreOptions { history_capacity: 64, commit_queue_limit: 0 }
     }
 }
 
@@ -114,18 +112,6 @@ impl fmt::Display for StoreStats {
         }
         Ok(())
     }
-}
-
-/// When an append's frame must reach stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SyncMode {
-    /// Follow [`StoreOptions::sync_every`].
-    Policy,
-    /// Sync before returning (the CRP consume-once path).
-    Force,
-    /// Never sync here — a group committer owns the fsync schedule, and
-    /// [`StoreOptions::commit_queue_limit`] bounds what may accumulate.
-    Queue,
 }
 
 struct Inner {
@@ -302,7 +288,11 @@ impl DurableStore {
         Ok(())
     }
 
-    fn append_inner(&self, record: &Record, mode: SyncMode) -> Result<u64, StoreError> {
+    /// Validates, applies and writes `record`; with `force` the frame is
+    /// synced before returning, without it a group committer (or an
+    /// explicit sync) owns the fsync and
+    /// [`StoreOptions::commit_queue_limit`] bounds what may accumulate.
+    fn append_inner(&self, record: &Record, force: bool) -> Result<u64, StoreError> {
         let mut inner = lock(&self.inner);
         if inner.broken {
             return Err(StoreError::Broken);
@@ -310,11 +300,9 @@ impl DurableStore {
         // Backpressure is checked before anything is applied or written:
         // a refused append leaves no trace in memory or on disk, so the
         // caller can sync and retry the identical record.
-        if mode == SyncMode::Queue {
-            let limit = inner.opts.commit_queue_limit;
-            if limit > 0 && inner.unsynced >= limit {
-                return Err(StoreError::Backpressure);
-            }
+        let limit = inner.opts.commit_queue_limit;
+        if !force && limit > 0 && inner.unsynced >= limit {
+            return Err(StoreError::Backpressure);
         }
         let seq = inner.state.last_seq + 1;
         // Validate-and-apply before touching the disk: an illegal record
@@ -330,14 +318,7 @@ impl DurableStore {
             return Err(e);
         }
         inner.unsynced += 1;
-        let must_sync = match mode {
-            SyncMode::Force => true,
-            SyncMode::Policy => inner.unsynced >= inner.opts.sync_every.max(1),
-            // Group commit: the committer (or an explicit sync) decides
-            // when the batch hits the platter.
-            SyncMode::Queue => false,
-        };
-        if must_sync {
+        if force {
             if let Err(e) = inner.wal.sync() {
                 inner.broken = true;
                 return Err(e);
@@ -349,44 +330,36 @@ impl DurableStore {
         Ok(seq)
     }
 
-    /// Appends a record, syncing per the store's batching policy. Returns
-    /// the record's sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::IllegalTransition`] / [`StoreError::Corrupt`] if the
-    /// record is invalid against the current state (nothing is written);
-    /// [`StoreError::Broken`] once any earlier write failed.
-    pub fn append(&self, record: &Record) -> Result<u64, StoreError> {
-        self.append_inner(record, SyncMode::Policy)
-    }
-
     /// Appends a record without syncing — the group-commit path. The
     /// record is acknowledged once it is in the OS write queue; it
     /// *commits* when the next [`DurableStore::sync`] (typically a
     /// committer thread on a latency bound) returns. A crash before that
     /// sync loses the record; group-commit callers must be able to re-run
-    /// the work that produced it.
+    /// the work that produced it. Returns the record's sequence number.
     ///
     /// # Errors
     ///
     /// [`StoreError::Backpressure`] if [`StoreOptions::commit_queue_limit`]
     /// is non-zero and that many records are already awaiting their sync
     /// (nothing is applied or written — sync and retry); otherwise as
-    /// [`DurableStore::append`].
+    /// [`DurableStore::append_synced`].
     pub fn append_nosync(&self, record: &Record) -> Result<u64, StoreError> {
-        self.append_inner(record, SyncMode::Queue)
+        self.append_inner(record, false)
     }
 
     /// Appends a record and syncs unconditionally: when this returns the
-    /// record is committed. The CRP path uses this — a consume must be
-    /// durable *before* the response is released.
+    /// record (and every unsynced one before it) is committed. Decisions
+    /// another party may already have observed — campaign identity,
+    /// admissions, operator transitions — take this path. Returns the
+    /// record's sequence number.
     ///
     /// # Errors
     ///
-    /// As [`DurableStore::append`].
+    /// [`StoreError::IllegalTransition`] / [`StoreError::Corrupt`] if the
+    /// record is invalid against the current state (nothing is written);
+    /// [`StoreError::Broken`] once any earlier write failed.
     pub fn append_synced(&self, record: &Record) -> Result<u64, StoreError> {
-        self.append_inner(record, SyncMode::Force)
+        self.append_inner(record, true)
     }
 
     /// Flushes any batched appends to stable storage.
@@ -467,16 +440,6 @@ impl DurableStore {
         lock(&self.inner).state.meta
     }
 
-    /// Whether a challenge has been durably consumed.
-    pub fn is_spent(&self, a: u64, b: u64) -> bool {
-        lock(&self.inner).state.is_spent(a, b)
-    }
-
-    /// Device counts by lifecycle state.
-    pub fn status_tally(&self) -> StatusTally {
-        lock(&self.inner).state.status_tally()
-    }
-
     /// Durability counters.
     pub fn stats(&self) -> StoreStats {
         lock(&self.inner).stats
@@ -526,33 +489,34 @@ mod tests {
     fn appended_records_survive_reopen_via_snapshot() {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs);
-        store.append(&Record::DeviceEnrolled { id: 4 }).unwrap();
-        store.append(&Record::CrpConsumed { a: 10, b: 20 }).unwrap();
-        assert_eq!(store.stats().records_appended, 2);
+        store.append_synced(&Record::DeviceEnrolled { id: 4 }).unwrap();
+        store.append_synced(&Record::DeviceEnrolled { id: 5 }).unwrap();
+        store
+            .append_synced(&Record::StatusChanged { id: 5, status: StoredStatus::Quarantined })
+            .unwrap();
+        assert_eq!(store.stats().records_appended, 3);
         drop(store);
         let store = open_sim(&vfs);
         // Replayed from the WAL…
-        assert_eq!(store.stats().records_replayed, 2);
-        assert!(store.is_spent(10, 20));
+        assert_eq!(store.stats().records_replayed, 3);
+        assert_eq!(store.state().devices[&5].status, StoredStatus::Quarantined);
         assert_eq!(store.state().devices[&4].status, StoredStatus::Active);
         drop(store);
         // …then covered by the open-time snapshot: the third open replays
         // nothing because compaction emptied the WAL.
         let store = open_sim(&vfs);
         assert_eq!(store.stats().records_replayed, 0);
-        assert!(store.is_spent(10, 20));
+        assert_eq!(store.state().devices[&5].status, StoredStatus::Quarantined);
     }
 
     #[test]
     fn unsynced_tail_is_recovered_and_counted() {
         let vfs = SimVfs::new();
-        let store =
-            DurableStore::open(Arc::new(vfs.clone()), StoreOptions { sync_every: 1000, ..StoreOptions::default() })
-                .unwrap();
-        store.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        let store = open_sim(&vfs);
+        store.append_nosync(&Record::DeviceEnrolled { id: 1 }).unwrap();
         store.sync().unwrap();
-        store.append(&Record::DeviceEnrolled { id: 2 }).unwrap(); // never synced
-                                                                  // Power-cut with a torn tail: the unsynced frame is half-written.
+        // Never synced: a power cut with a torn tail half-writes its frame.
+        store.append_nosync(&Record::DeviceEnrolled { id: 2 }).unwrap();
         let disk = vfs.power_cut(TornMode::Torn);
         let store = open_sim(&disk);
         assert_eq!(store.stats().records_replayed, 1, "only the committed record");
@@ -565,8 +529,8 @@ mod tests {
     fn illegal_records_never_reach_the_wal() {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs);
-        store.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
-        let err = store.append(&Record::DeviceEnrolled { id: 1 }).unwrap_err();
+        store.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        let err = store.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap_err();
         assert!(matches!(err, StoreError::IllegalTransition { id: 1, .. }));
         // The refused record left no trace: reopen replays only the good one.
         drop(store);
@@ -578,12 +542,12 @@ mod tests {
     fn write_failure_breaks_the_handle() {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs);
-        store.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        store.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap();
         let ops = vfs.ops();
         vfs.set_crash_at(Some(ops)); // next mutating op dies
-        assert!(matches!(store.append(&Record::DeviceEnrolled { id: 2 }), Err(StoreError::Crashed)));
+        assert!(matches!(store.append_synced(&Record::DeviceEnrolled { id: 2 }), Err(StoreError::Crashed)));
         assert!(store.is_broken());
-        assert!(matches!(store.append(&Record::DeviceEnrolled { id: 3 }), Err(StoreError::Broken)));
+        assert!(matches!(store.append_synced(&Record::DeviceEnrolled { id: 3 }), Err(StoreError::Broken)));
         assert!(matches!(store.sync(), Err(StoreError::Broken)));
         assert!(matches!(store.checkpoint(), Err(StoreError::Broken)));
     }
@@ -593,10 +557,10 @@ mod tests {
         use crate::vfs::{ErrorInjection, InjectedErrorKind};
         let vfs = SimVfs::new();
         let store = open_sim(&vfs);
-        store.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        store.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap();
         // The next WAL append lands in the cache, but its fsync fails.
         vfs.inject(ErrorInjection::at_op(vfs.ops() + 1, InjectedErrorKind::SyncFail));
-        assert!(matches!(store.append(&Record::DeviceEnrolled { id: 2 }), Err(StoreError::Io(_))));
+        assert!(matches!(store.append_synced(&Record::DeviceEnrolled { id: 2 }), Err(StoreError::Io(_))));
         // fsyncgate: the handle is poisoned — no retry ever re-syncs it.
         assert!(store.is_broken());
         assert!(matches!(store.sync(), Err(StoreError::Broken)));
@@ -608,7 +572,7 @@ mod tests {
         assert!(!store.is_broken());
         assert!(store.state().devices.contains_key(&1));
         // The store is writable again after recovery.
-        store.append(&Record::DeviceEnrolled { id: 7 }).unwrap();
+        store.append_synced(&Record::DeviceEnrolled { id: 7 }).unwrap();
         assert!(store.state().devices.contains_key(&7));
     }
 
@@ -617,9 +581,9 @@ mod tests {
         use crate::vfs::{ErrorInjection, InjectedErrorKind};
         let vfs = SimVfs::new();
         let store = open_sim(&vfs);
-        store.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        store.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap();
         vfs.inject(ErrorInjection::on_prefix("", InjectedErrorKind::Eio).sticky());
-        assert!(store.append(&Record::DeviceEnrolled { id: 2 }).is_err());
+        assert!(store.append_synced(&Record::DeviceEnrolled { id: 2 }).is_err());
         assert!(store.is_broken());
         assert!(store.reopen().is_err(), "recovery on a dead disk must fail");
         assert!(store.is_broken(), "a failed reopen leaves the handle poisoned");
@@ -634,7 +598,7 @@ mod tests {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs);
         for id in 0..10 {
-            store.append(&Record::DeviceEnrolled { id }).unwrap();
+            store.append_synced(&Record::DeviceEnrolled { id }).unwrap();
         }
         let before = store.stats().wal_bytes;
         store.checkpoint().unwrap();
@@ -679,8 +643,8 @@ mod tests {
         let vfs = SimVfs::new();
         let a = DurableStore::open_at(Arc::new(vfs.clone()), StoreOptions::default(), "shard-000/").unwrap();
         let b = DurableStore::open_at(Arc::new(vfs.clone()), StoreOptions::default(), "shard-001/").unwrap();
-        a.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
-        b.append(&Record::DeviceEnrolled { id: 2 }).unwrap();
+        a.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        b.append_synced(&Record::DeviceEnrolled { id: 2 }).unwrap();
         b.checkpoint().unwrap();
         drop(a);
         drop(b);
@@ -698,12 +662,12 @@ mod tests {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs);
         let meta = Record::Meta { config_hash: 7, devices: 3, sessions_per_device: 2, seed: 11 };
-        store.append(&meta).unwrap();
+        store.append_synced(&meta).unwrap();
         assert_eq!(store.meta().unwrap().config_hash, 7);
         // Re-stating the same identity is idempotent; changing it is not.
-        store.append(&meta).unwrap();
+        store.append_synced(&meta).unwrap();
         assert!(store
-            .append(&Record::Meta { config_hash: 8, devices: 3, sessions_per_device: 2, seed: 11 })
+            .append_synced(&Record::Meta { config_hash: 8, devices: 3, sessions_per_device: 2, seed: 11 })
             .is_err());
         drop(store);
         let store = open_sim(&vfs);
@@ -714,7 +678,7 @@ mod tests {
     fn snapshot_corruption_is_fatal_not_silent() {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs);
-        store.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        store.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap();
         drop(store);
         // Flip one byte inside the (synced, atomically renamed) snapshot:
         // this is disk rot, not a torn write, and must stop recovery.

@@ -4,15 +4,13 @@
 //! The matrix test runs one synthetic campaign workload crash-free to
 //! count the backend operations it performs, then re-runs it crashing at
 //! *every* operation index under *every* torn-tail mode. After each crash
-//! the store is reopened and three invariants are checked against the
+//! the store is reopened and two invariants are checked against the
 //! shadow history of the crash-free run:
 //!
 //! 1. **Committed prefix** — the recovered state equals the state after
 //!    some prefix of the workload's records, and that prefix covers every
 //!    append the workload saw acknowledged before the crash.
-//! 2. **No CRP re-issue** — every challenge whose consumption was
-//!    acknowledged is still spent after recovery.
-//! 3. **Monotone lifecycle** — implied by (1): prefix states only ever
+//! 2. **Monotone lifecycle** — implied by (1): prefix states only ever
 //!    contain transitions the state machine admitted.
 //!
 //! A second enumeration crashes *recovery itself* at every operation and
@@ -55,7 +53,7 @@ fn outcome(accepted: bool) -> OutcomeRec {
 
 /// A small campaign exercising every record type, in an order the state
 /// machine admits: enrollment, a lifecycle walk to revocation, a refusal,
-/// CRP consumption, re-enrollment, a fault, and an abandonment.
+/// resume cursors, re-enrollment, a fault, and an abandonment.
 fn workload() -> Vec<Record> {
     use Record::*;
     vec![
@@ -76,7 +74,14 @@ fn workload() -> Vec<Record> {
             fails: 0,
             succs: 1,
         },
-        CrpConsumed { a: 7, b: 9 },
+        DeviceCursor {
+            id: 0,
+            events_done: 1,
+            session_pos: 40,
+            noise_pos: 640,
+            noise_evals: 32,
+            tamper_parity: false,
+        },
         SessionClosed {
             id: 1,
             outcome: outcome(false),
@@ -106,7 +111,14 @@ fn workload() -> Vec<Record> {
             succs: 0,
         },
         SessionRefused { id: 1 },
-        CrpConsumed { a: 8, b: 10 },
+        DeviceCursor {
+            id: 1,
+            events_done: 5,
+            session_pos: 200,
+            noise_pos: 3200,
+            noise_evals: 160,
+            tamper_parity: true,
+        },
         DeviceReEnrolled { id: 1 },
         SessionClosed {
             id: 1,
@@ -118,7 +130,14 @@ fn workload() -> Vec<Record> {
         SessionFault { id: 2, retried: 1, dropped: 2, crp_hits: 8, crp_misses: 16 },
         StatusChanged { id: 2, status: StoredStatus::Quarantined },
         DeviceAbandoned { id: 3 },
-        CrpConsumed { a: 11, b: 12 },
+        DeviceCursor {
+            id: 2,
+            events_done: 1,
+            session_pos: 48,
+            noise_pos: 768,
+            noise_evals: 40,
+            tamper_parity: false,
+        },
         SessionClosed {
             id: 0,
             outcome: outcome(true),
@@ -169,7 +188,7 @@ fn workload_is_legal_and_replayable() {
     assert_eq!(store.state(), prefix_states(&workload())[total], "replay lands on the final prefix state");
 }
 
-/// Invariants 1–3 at one crash point, one torn mode.
+/// Invariants 1–2 at one crash point, one torn mode.
 fn check_crash_point(k: u64, mode: pufatt_store::TornMode) {
     let records = workload();
     let prefixes = prefix_states(&records);
@@ -191,17 +210,7 @@ fn check_crash_point(k: u64, mode: pufatt_store::TornMode) {
     assert!(n >= acked, "crash op {k} ({mode:?}): {acked} appends acknowledged but only {n} recovered");
     assert_eq!(state, prefixes[n], "crash op {k} ({mode:?}): recovered state is not a committed prefix");
 
-    // Invariant 2: no CRP re-issue — every acknowledged consumption is
-    // still spent after recovery.
-    for record in records.iter().take(acked) {
-        if let Record::CrpConsumed { a, b } = record {
-            assert!(store.is_spent(*a, *b), "crash op {k} ({mode:?}): consumed CRP ({a},{b}) forgotten");
-        }
-    }
-
-    // Invariant 3 (monotone lifecycle) is implied by invariant 1, but
-    // cross-check the tally the fleet layer reads.
-    assert_eq!(store.status_tally(), prefixes[n].status_tally());
+    // Invariant 2 (monotone lifecycle) is implied by invariant 1.
 
     // Recovery must also have left a self-contained snapshot: a second
     // clean open replays nothing new and lands on the same state.
@@ -317,7 +326,7 @@ proptest! {
     /// Encode/decode round-trip for every record type under arbitrary
     /// field values the codec admits.
     #[test]
-    fn record_roundtrip(seq in any::<u64>(), tag in 0usize..10, a in any::<u64>(), b in any::<u64>(),
+    fn record_roundtrip(seq in any::<u64>(), tag in 0usize..9, a in any::<u64>(), b in any::<u64>(),
                         id in any::<u32>(), small in any::<u32>(), flag in any::<bool>(),
                         slot in 0u8..(LATENCY_SLOTS as u8)) {
         let out = OutcomeRec {
@@ -343,7 +352,6 @@ proptest! {
             5 => Record::SessionRefused { id },
             6 => Record::SessionFault { id, retried: small, dropped: small, crp_hits: small ^ 2, crp_misses: small ^ 3 },
             7 => Record::DeviceAbandoned { id },
-            8 => Record::CrpConsumed { a, b },
             _ => Record::DeviceCursor {
                 id,
                 events_done: small,

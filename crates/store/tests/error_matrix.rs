@@ -93,14 +93,21 @@ fn workload() -> Vec<Op> {
         Op::AppendSynced(DeviceEnrolled { id: 4 }),
         Op::AppendSynced(DeviceEnrolled { id: 6 }),
         Op::Append(closed(0, true, StoredStatus::Active, 0, 1)),
-        Op::Append(CrpConsumed { a: 7, b: 9 }),
+        Op::Append(DeviceCursor {
+            id: 6,
+            events_done: 0,
+            session_pos: 0,
+            noise_pos: 0,
+            noise_evals: 0,
+            tamper_parity: false,
+        }),
         Op::Flush,
         Op::Append(closed(2, false, StoredStatus::Active, 1, 0)),
         Op::Append(SessionFault { id: 4, retried: 1, dropped: 2, crp_hits: 0, crp_misses: 8 }),
         Op::Append(StatusChanged { id: 2, status: StoredStatus::Revoked }),
         Op::Flush,
         Op::Append(closed(6, true, StoredStatus::Active, 0, 1)),
-        Op::AppendSynced(CrpConsumed { a: 8, b: 10 }),
+        Op::AppendSynced(DeviceEnrolled { id: 8 }),
         Op::Append(closed(0, true, StoredStatus::Active, 0, 2)),
         Op::Flush,
     ]

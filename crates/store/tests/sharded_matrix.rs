@@ -91,7 +91,7 @@ fn workload() -> Vec<Op> {
             noise_evals: 32,
             tamper_parity: false,
         }),
-        Op::Append(CrpConsumed { a: 7, b: 9 }),
+        Op::Append(closed(6, true, StoredStatus::Active, 0, 1)),
         Op::Flush,
         Op::Append(closed(2, false, StoredStatus::Active, 1, 0)),
         Op::Append(SessionFault { id: 4, retried: 1, dropped: 2, crp_hits: 0, crp_misses: 8 }),
@@ -109,7 +109,7 @@ fn workload() -> Vec<Op> {
         Op::Append(DeviceAbandoned { id: 6 }),
         Op::Flush,
         Op::Append(closed(1, true, StoredStatus::Active, 0, 1)),
-        Op::AppendSynced(CrpConsumed { a: 8, b: 10 }),
+        Op::AppendSynced(DeviceEnrolled { id: 8 }),
         Op::Append(closed(0, true, StoredStatus::Active, 0, 2)),
     ]
 }
@@ -181,9 +181,11 @@ fn workload_is_legal_and_replayable() {
     // No power cut intervened, so a reopen sees even the unflushed tail.
     let store = ShardedStore::open(Arc::new(vfs), opts()).unwrap();
     assert_eq!(store.meta().unwrap().devices, 8);
-    assert_eq!(store.status_tally().active, 5, "devices 0,1,2,4,6 all end Active");
-    assert!(store.is_spent(7, 9));
-    assert!(store.is_spent(8, 10));
+    let mut active = 0;
+    store.for_each_device(|_, d| active += usize::from(d.status == StoredStatus::Active));
+    assert_eq!(active, 6, "devices 0,1,2,4,6,8 all end Active");
+    assert_eq!(store.device(6).unwrap().outcomes_total, 1);
+    assert_eq!(store.device(8).unwrap().events_seen, 0, "the online enrollment ran no session");
     let d0 = store.device(0).unwrap();
     assert_eq!(d0.events_seen, 2);
     assert_eq!(d0.events.len(), 1, "the cursor dropped the covered event");
