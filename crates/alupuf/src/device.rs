@@ -496,6 +496,56 @@ impl AluPufDesign {
             RawResponse::new(bits, w)
         })
     }
+
+    /// The attestation-clock calibration of [`PufInstance::calibrate_cycle_ps`]
+    /// for the chip whose effective gate delays are `delays_ps`.
+    ///
+    /// The first challenge is the full-carry canary (all ones + 1), which
+    /// ripples the complete carry chain: attestation fires it in every PUF
+    /// query, so the clock must accommodate it. The other `samples − 1`
+    /// are drawn from `rng`, and after each challenge `rng` advances by
+    /// the words one arbiter race at a safe clock draws. So the challenges
+    /// and the stream position afterwards are exactly those of evaluating
+    /// each challenge in turn, while the settling times come from the
+    /// design's pooled bit-sliced engine, 64 challenges per run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples == 0`, `guard < 1.0`, or `delays_ps` does not
+    /// have one delay per gate.
+    pub fn calibrate_cycle_ps<R: Rng + ?Sized>(
+        &self,
+        delays_ps: &[f64],
+        samples: usize,
+        guard: f64,
+        rng: &mut R,
+    ) -> f64 {
+        assert!(samples > 0, "need at least one calibration sample");
+        assert!(guard >= 1.0, "guard band must not cut into observed settling times");
+        let w = self.width();
+        let canary = Challenge::new(crate::challenge::width_mask(w), 1, w);
+        let challenges: Vec<Challenge> = (0..samples)
+            .map(|i| {
+                let ch = if i == 0 { canary } else { Challenge::random(rng, w) };
+                // At an infinite deadline the race's draws do not depend on
+                // the settling times, and with no bit open it skips the math.
+                race_bits(self, &[], &[], &|_| (0.0, 0.0), f64::INFINITY, 0, rng);
+                ch
+            })
+            .collect();
+        let mut worst = 0.0f64;
+        self.with_engine(delays_ps, |engine| {
+            let mut settle = [0.0f64; LANES];
+            for block in challenges.chunks(LANES) {
+                engine.run(self, block);
+                for &net in self.alu0.sum.iter().chain(&self.alu1.sum) {
+                    engine.settle_lanes_into(net, &mut settle);
+                    worst = settle[..block.len()].iter().fold(worst, |worst, &t| worst.max(t));
+                }
+            }
+        });
+        worst * guard + self.config.arbiter.setup_time_ps
+    }
 }
 
 /// One manufactured ALU PUF die.
@@ -653,27 +703,13 @@ impl<'a> PufInstance<'a> {
     /// attestation clock is set near this empirical limit ("it is crucial
     /// to carefully set the clock frequency used for attestation").
     ///
+    /// See [`AluPufDesign::calibrate_cycle_ps`] for how `rng` is consumed.
+    ///
     /// # Panics
     ///
     /// Panics if `samples == 0` or `guard < 1.0`.
     pub fn calibrate_cycle_ps<R: Rng + ?Sized>(&self, samples: usize, guard: f64, rng: &mut R) -> f64 {
-        assert!(samples > 0, "need at least one calibration sample");
-        assert!(guard >= 1.0, "guard band must not cut into observed settling times");
-        let w = self.design.width();
-        let mask = crate::challenge::width_mask(w);
-        // The full-carry canary (all-ones + 1) exercises the complete carry
-        // chain; attestation fires it in every PUF query, so the clock must
-        // accommodate it.
-        let canary = Challenge::new(mask, 1, w);
-        let mut worst = 0.0f64;
-        for i in 0..samples {
-            let ch = if i == 0 { canary } else { Challenge::random(rng, w) };
-            let e = self.evaluate_detailed(ch, rng);
-            for t in e.settle0_ps.iter().chain(&e.settle1_ps) {
-                worst = worst.max(*t);
-            }
-        }
-        worst * guard + self.design.config.arbiter.setup_time_ps
+        self.design.calibrate_cycle_ps(&self.delays_ps, samples, guard, rng)
     }
 
     /// Evaluates one challenge with full detail.

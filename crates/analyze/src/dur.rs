@@ -39,7 +39,7 @@
 
 use crate::taint::{clean_lines, collect_rs, is_ident_char, tokens};
 use crate::{Diagnostic, LintId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -154,7 +154,8 @@ pub fn scan_source(name: &str, source: &str) -> Vec<Diagnostic> {
     let mut fn_name = String::new();
     let mut synced: BTreeSet<String> = BTreeSet::new();
     let mut renamed_to: BTreeSet<String> = BTreeSet::new();
-    let mut critical_vars: BTreeSet<String> = BTreeSet::new();
+    // Variables bound to a critical record, each mapped to its class.
+    let mut critical_vars: BTreeMap<String, &'static str> = BTreeMap::new();
     let mut snapshot_committed = false;
     // Active `if <recv>.<sync>().is_err()` guard: receiver and the depth
     // to drop back to when its block closes.
@@ -215,11 +216,11 @@ pub fn scan_source(name: &str, source: &str) -> Vec<Diagnostic> {
         if trimmed.starts_with("let ") {
             if let Some(eq) = code.find('=') {
                 let rhs = &code[eq + 1..];
-                if CRITICAL_RECORDS.iter().any(|r| rhs.contains(&format!("Record::{r}"))) {
+                if let Some(class) = CRITICAL_RECORDS.iter().find(|r| rhs.contains(&format!("Record::{r}"))) {
                     let lhs = code[..eq].trim().trim_start_matches("let ").trim_start_matches("mut ").trim();
                     let end = lhs.find(|c: char| !is_ident_char(c)).unwrap_or(lhs.len());
                     if end > 0 {
-                        critical_vars.insert(lhs[..end].to_string());
+                        critical_vars.insert(lhs[..end].to_string(), class);
                     }
                 }
             }
@@ -237,8 +238,8 @@ pub fn scan_source(name: &str, source: &str) -> Vec<Diagnostic> {
                 }
                 let args = call_args(code, at, pat);
                 let inline = CRITICAL_RECORDS.iter().find(|r| args.contains(&format!("Record::{r}")));
-                let via_var = tokens(args).map(|(_, t)| t).find(|t| critical_vars.contains(*t));
-                let Some(class) = inline.map(|r| (*r).to_string()).or_else(|| via_var.map(String::from)) else {
+                let via_var = || tokens(args).find_map(|(_, t)| critical_vars.get(t));
+                let Some(class) = inline.or_else(via_var).map(|r| (*r).to_string()) else {
                     continue;
                 };
                 if !allow {
@@ -414,12 +415,23 @@ mod tests {
         scan_source("fixture.rs", src).into_iter().map(|d| d.lint).collect()
     }
 
+    /// The one diagnostic `src` raises: its lint, its classes, and whether
+    /// the message names the first class.
+    fn only_diagnostic(src: &str) -> (LintId, Vec<String>, bool) {
+        let diags = scan_source("fixture.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        let d = &diags[0];
+        let named = d.message.contains(&format!("`{}`", d.classes[0]));
+        (d.lint, d.classes.clone(), named)
+    }
+
     #[test]
     fn critical_record_to_append_nosync_is_flagged_inline_and_via_binding() {
         let inline = "fn f(&self) { self.store.append_nosync(&Record::DeviceReEnrolled { id }); }";
-        assert_eq!(lints(inline), vec![LintId::UnsyncedCriticalRecord]);
+        let flagged = |class: &str| (LintId::UnsyncedCriticalRecord, vec![class.to_string()], true);
+        assert_eq!(only_diagnostic(inline), flagged("DeviceReEnrolled"));
         let via_var = "fn f(&self) {\n    let rec = Record::StatusChanged { id, status };\n    self.store.append_nosync(&rec);\n}\n";
-        assert_eq!(lints(via_var), vec![LintId::UnsyncedCriticalRecord]);
+        assert_eq!(only_diagnostic(via_var), flagged("StatusChanged"));
         // Synced appends and non-critical records are clean.
         assert!(lints("fn f(&self) { self.store.append_synced(&Record::Meta { h }); }").is_empty());
         assert!(lints("fn f(&self) { self.store.append_nosync(&Record::SessionClosed { id }); }").is_empty());
@@ -428,10 +440,11 @@ mod tests {
     #[test]
     fn critical_record_to_journal_is_flagged_inline_and_via_binding() {
         let inline = "fn f(&self) { journal(&store, &Record::Meta { h }); }";
-        assert_eq!(lints(inline), vec![LintId::UnsyncedCriticalRecord]);
+        let flagged = |class: &str| (LintId::UnsyncedCriticalRecord, vec![class.to_string()], true);
+        assert_eq!(only_diagnostic(inline), flagged("Meta"));
         let via_var =
             "fn f(&self) {\n    let record = Record::DeviceEnrolled { id };\n    journal(store, &record)?;\n}\n";
-        assert_eq!(lints(via_var), vec![LintId::UnsyncedCriticalRecord]);
+        assert_eq!(only_diagnostic(via_var), flagged("DeviceEnrolled"));
         // Session records, a forwarded parameter, and longer names that
         // end in `journal` are clean.
         assert!(lints("fn f(&self) { let _ = journal(store, &Record::SessionClosed { id }); }").is_empty());

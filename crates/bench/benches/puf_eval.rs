@@ -23,6 +23,17 @@
 //!    (`paper_32bit`, 2048 rounds, 8 PUF queries) devices: ns per attest
 //!    and ns per simulated cycle. On toy this is pure pe32 interpretation.
 //!    These rows go to a separate `prover_rows` array.
+//! 7. **calibrate_scalar / calibrate_sliced** — the attestation-clock
+//!    calibration of one `paper_32bit` chip at 16 and 128 samples: the
+//!    challenge-by-challenge `evaluate_detailed` loop, frozen here as it
+//!    ran before calibration moved to the bit-sliced engine, against the
+//!    shipped `PufInstance::calibrate_cycle_ps` (same clock bits, same
+//!    noise-stream position).
+//! 8. **provision_device** — `FleetService::enroll` on a fresh in-memory
+//!    service, per device, for the toy fleet (`small_test_config`) and a
+//!    paper-scale fleet: enrollment, clock calibration, loading the shared
+//!    program image and the golden run. These and the calibration rows go
+//!    to a separate `provision_rows` array.
 //!
 //! Results are printed and written to `BENCH_puf_eval.json` at the
 //! workspace root for CI artifact upload. `--test` (as passed by
@@ -39,6 +50,8 @@ use pufatt::DevicePuf;
 use pufatt_alupuf::challenge::Challenge;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign, PufChip, PufInstance};
 use pufatt_bench::{cores, cpu_model, full_scale, header, host_json};
+use pufatt_fleet::campaign::{small_test_config, CampaignConfig};
+use pufatt_fleet::FleetService;
 use pufatt_silicon::env::Environment;
 use pufatt_silicon::netlist::{GateKind, NetId};
 use pufatt_silicon::sim::EventSimulator;
@@ -224,6 +237,24 @@ fn main() {
     })
     .collect();
 
+    // 7 + 8. Provisioning: clock calibration and whole device enrollment.
+    let calibrate_rounds = if smoke { 1 } else { 9 };
+    let mut provision_rows: Vec<ProvisionRow> = [16, 128]
+        .into_iter()
+        .flat_map(|samples| calibrate_rows(&design, &chip, samples, calibrate_rounds))
+        .collect();
+    let paper_fleet = CampaignConfig {
+        puf: AluPufConfig::paper_32bit(),
+        params: SwattParams { region_bits: 10, rounds: 2048, puf_interval: 32 },
+        ..small_test_config(0, 1, 0xF1EE7)
+    };
+    provision_rows.push(provision_row(
+        "provision_device_toy",
+        small_test_config(0, 1, 0xF1EE7),
+        if smoke { 32 } else { 512 },
+    ));
+    provision_rows.push(provision_row("provision_device_paper", paper_fleet, if smoke { 4 } else { 64 }));
+
     for r in &rows {
         println!(
             "    {:<22} {:>2} thread(s): {:>9.0} challenges/s  {:>12.3e} events/s  ({:>5.2}x vs baseline)",
@@ -236,6 +267,10 @@ fn main() {
             "    {:<22} {:>9.0} ns/attest  {:>6.2} ns/cycle  ({} cycles per attest)",
             r.name, r.ns_per_attest, r.ns_per_cycle, r.cycles_per_attest
         );
+    }
+
+    for r in &provision_rows {
+        println!("    {:<22} {:>4} item(s): {:>9.1} us each", r.name, r.items, r.us_per_item);
     }
 
     let reused = rows.iter().find(|r| r.name == "reused_engine").expect("reused row");
@@ -305,17 +340,25 @@ fn main() {
             )
         })
         .collect();
+    let json_provision_rows: Vec<String> = provision_rows
+        .iter()
+        .map(|r| {
+            format!("    {{\"name\": \"{}\", \"items\": {}, \"us_per_item\": {:.2}}}", r.name, r.items, r.us_per_item)
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"puf_eval\",\n  \"design\": \"paper_32bit\",\n  \"smoke\": {},\n{}",
             "  \"events_per_challenge\": {:.1},\n  \"rows\": [\n{}\n  ],\n",
-            "  \"prover_rows\": [\n{}\n  ]\n}}\n"
+            "  \"prover_rows\": [\n{}\n  ],\n",
+            "  \"provision_rows\": [\n{}\n  ]\n}}\n"
         ),
         smoke,
         host_json(),
         events_per_challenge,
         json_rows.join(",\n"),
-        json_prover_rows.join(",\n")
+        json_prover_rows.join(",\n"),
+        json_provision_rows.join(",\n")
     );
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_puf_eval.json");
     std::fs::write(out_path, json).expect("write BENCH_puf_eval.json");
@@ -368,6 +411,88 @@ fn prover_attest_row(
         cycles_per_attest: total_cycles / attests as u64,
         ns_per_attest: secs * 1e9 / attests as f64,
         ns_per_cycle: secs * 1e9 / total_cycles as f64,
+    }
+}
+
+/// A provisioning row: microseconds per calibration or per device.
+struct ProvisionRow {
+    name: String,
+    items: usize,
+    us_per_item: f64,
+}
+
+/// The scalar and the sliced calibration of `chip` at `samples` samples,
+/// best of `rounds` interleaved rounds of 64 calibrations each. Both must
+/// give the same clock bits and leave the noise stream at the same word.
+fn calibrate_rows(design: &AluPufDesign, chip: &PufChip, samples: usize, rounds: usize) -> [ProvisionRow; 2] {
+    const CALIBRATIONS: u64 = 64;
+    let inst = PufInstance::new(design, chip, Environment::nominal());
+    let (mut scalar_secs, mut sliced_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        let start = Instant::now();
+        let scalar: Vec<(u64, u64)> = (0..CALIBRATIONS)
+            .map(|seed| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                (scalar_calibrate_cycle_ps(&inst, samples, 1.10, &mut rng).to_bits(), rng.word_pos())
+            })
+            .collect();
+        scalar_secs = scalar_secs.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        let sliced: Vec<(u64, u64)> = (0..CALIBRATIONS)
+            .map(|seed| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                (inst.calibrate_cycle_ps(samples, 1.10, &mut rng).to_bits(), rng.word_pos())
+            })
+            .collect();
+        sliced_secs = sliced_secs.min(start.elapsed().as_secs_f64());
+        assert_eq!(scalar, sliced, "sliced calibration must reproduce the scalar one at {samples} samples");
+    }
+    let row = |name: &str, secs: f64| ProvisionRow {
+        name: format!("{name}_{samples}"),
+        items: CALIBRATIONS as usize,
+        us_per_item: secs * 1e6 / CALIBRATIONS as f64,
+    };
+    [
+        row("calibrate_scalar", scalar_secs),
+        row("calibrate_sliced", sliced_secs),
+    ]
+}
+
+/// The calibration loop as it ran before the bit-sliced pass, kept as the
+/// baseline: one detailed scalar evaluation per challenge, every arbiter
+/// race of it resolved.
+fn scalar_calibrate_cycle_ps<R: Rng + ?Sized>(inst: &PufInstance<'_>, samples: usize, guard: f64, rng: &mut R) -> f64 {
+    let w = inst.design().width();
+    let canary = Challenge::new((1u64 << w) - 1, 1, w);
+    let mut worst = 0.0f64;
+    for i in 0..samples {
+        let ch = if i == 0 { canary } else { Challenge::random(rng, w) };
+        let e = inst.evaluate_detailed(ch, rng);
+        for t in e.settle0_ps.iter().chain(&e.settle1_ps) {
+            worst = worst.max(*t);
+        }
+    }
+    worst * guard + inst.design().config().arbiter.setup_time_ps
+}
+
+/// `FleetService::enroll` of `devices` devices on a fresh service, per
+/// device, best of three services (one in smoke mode).
+fn provision_row(name: &str, cfg: CampaignConfig, devices: u32) -> ProvisionRow {
+    let rounds = if devices < 64 { 1 } else { 3 };
+    let mut secs = f64::INFINITY;
+    for _ in 0..rounds {
+        let service = FleetService::new(cfg.clone()).expect("supported configuration");
+        let start = Instant::now();
+        for id in 0..devices {
+            // Compromised devices provision too; only a fault is an error.
+            service.enroll(id).expect("device provisions");
+        }
+        secs = secs.min(start.elapsed().as_secs_f64());
+    }
+    ProvisionRow {
+        name: name.to_string(),
+        items: devices as usize,
+        us_per_item: secs * 1e6 / f64::from(devices),
     }
 }
 

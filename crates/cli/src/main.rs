@@ -116,12 +116,34 @@ commands:
                                               default .)
 ";
 
+/// The [`USAGE`] entry of one subcommand: its header line and the
+/// indented flag lines under it, or `None` for an unknown command.
+fn command_usage(command: &str) -> Option<String> {
+    let mut lines = USAGE.lines();
+    let head = lines.find(|line| {
+        let rest = line.strip_prefix("  ").and_then(|l| l.strip_prefix(command));
+        rest.is_some_and(|rest| rest.starts_with(' '))
+    })?;
+    let mut text = format!("usage: pufatt {command} [flags]\n\n{head}\n");
+    for line in lines.take_while(|line| line.starts_with("    ")) {
+        text.push_str(line);
+        text.push('\n');
+    }
+    Some(text)
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = argv.split_first() else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+        if let Some(text) = command_usage(command) {
+            print!("{text}");
+            return ExitCode::SUCCESS;
+        }
+    }
     let result = match command.as_str() {
         "enroll" => commands::enroll(rest),
         "attest" => commands::attest(rest),

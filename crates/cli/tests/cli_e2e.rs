@@ -23,6 +23,36 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn every_subcommand_prints_its_own_flags_on_help() {
+    let commands = [
+        ("enroll", "--fab-seed"),
+        ("attest", "--table"),
+        ("characterize", "--chips"),
+        ("dot", "--width"),
+        ("profile", "--program"),
+        ("fleet", "--devices"),
+        ("serve", "--listen"),
+        ("loadgen", "--connect"),
+        ("noise-sweep", "--max-weight"),
+        ("analyze", "--deny"),
+    ];
+    for (command, flag) in commands {
+        for help in ["--help", "-h"] {
+            let out = pufatt().args([command, help]).output().expect("binary runs");
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "{command} {help}: {}", String::from_utf8_lossy(&out.stderr));
+            assert!(text.starts_with(&format!("usage: pufatt {command} ")), "{command} {help}: {text}");
+            assert!(text.contains(flag), "{command} {help} must list {flag}: {text}");
+            // Only this subcommand's entry, not the whole command list.
+            assert!(!text.contains("commands:"), "{command} {help}: {text}");
+        }
+    }
+    // Help wins over other flags, even ones the subcommand would reject.
+    let out = pufatt().args(["fleet", "--bogus", "--help"]).output().expect("binary runs");
+    assert!(out.status.success());
+}
+
+#[test]
 fn no_args_fails_with_usage() {
     let out = pufatt().output().expect("binary runs");
     assert!(!out.status.success());

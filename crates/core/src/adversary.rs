@@ -19,7 +19,9 @@
 
 use crate::error::PufattError;
 use crate::ports::SharedDevicePuf;
-use crate::protocol::{run_session, AttestationReport, AttestationRequest, Channel, ProverDevice, Verdict, Verifier};
+use crate::protocol::{
+    run_session, AttestationReport, AttestationRequest, Channel, ProgramImage, ProverDevice, Verdict, Verifier,
+};
 use pufatt_pe32::cpu::Clock;
 use pufatt_swatt::checksum::SwattParams;
 use pufatt_swatt::codegen::{CodegenOptions, Redirection};
@@ -77,20 +79,56 @@ pub fn build_malicious_prover(
     base_clock: Clock,
     overclock: f64,
 ) -> Result<ProverDevice, PufattError> {
-    let region_words = expected_region.len() as u32;
-    // The copy region must clear the honest layout's scratch; place it one
-    // full region above the region end.
-    let copy_base = region_words * 4;
-    // Redirect everything except the two challenge cells at the top of the
-    // region: their values change per request and are public, so the
-    // adversary reads them live (a copy would go stale).
-    let redirect = Redirection { malware_start: 0, malware_end: region_words - 2, copy_base };
-    let mut prover = ProverDevice::new(puf, params, &CodegenOptions { redirect: Some(redirect) }, base_clock)?;
-    prover.write_words(copy_base, &expected_region[..region_words as usize - 2])?;
+    let image = memory_copy_image(params, expected_region.len() as u32)?;
+    malicious_prover_from_image(puf, &image, expected_region, base_clock, overclock)
+}
+
+/// The adversary's redirecting checksum program for an attested region of
+/// `region_words` words. The copy region must clear the honest layout's
+/// scratch, so it sits one full region above the region end. Everything
+/// except the two challenge cells at the top of the region is redirected:
+/// their values change per request and are public, so the adversary reads
+/// them live (a copy would go stale).
+///
+/// # Errors
+///
+/// Propagates code-generation failures.
+pub fn memory_copy_image(params: SwattParams, region_words: u32) -> Result<ProgramImage, PufattError> {
+    let redirect = Redirection {
+        malware_start: 0,
+        malware_end: region_words - 2,
+        copy_base: region_words * 4,
+    };
+    ProgramImage::build(params, &CodegenOptions { redirect: Some(redirect) })
+}
+
+/// [`build_malicious_prover`] with the redirecting program already
+/// assembled by [`memory_copy_image`].
+///
+/// # Errors
+///
+/// [`PufattError::Codegen`] if `image` does not redirect the reads of
+/// `expected_region`; trap errors if a planted word falls outside memory.
+pub fn malicious_prover_from_image(
+    puf: SharedDevicePuf,
+    image: &ProgramImage,
+    expected_region: &[u32],
+    base_clock: Clock,
+    overclock: f64,
+) -> Result<ProverDevice, PufattError> {
+    let redirect = image.options().redirect;
+    let Some(Redirection { malware_start, malware_end, copy_base }) = redirect else {
+        return Err(PufattError::Codegen("the memory-copy adversary needs a redirecting program".into()));
+    };
+    let pristine = expected_region
+        .get(malware_start as usize..malware_end as usize)
+        .ok_or_else(|| PufattError::Codegen("the redirected range exceeds the expected region".into()))?;
+    let mut prover = ProverDevice::from_image(puf, image, base_clock);
+    prover.write_words(copy_base, pristine)?;
     // Plant some malware in a gap of the attested region (below the
     // challenge cells).
     let malware: [u32; 8] = std::array::from_fn(|i| 0xEB1B_0000 | i as u32);
-    prover.write_words(region_words - 18, &malware)?;
+    prover.write_words(malware_end - 16, &malware)?;
     let clock = Clock::new(base_clock.frequency_mhz * overclock);
     prover.set_clock(clock, true);
     Ok(prover)

@@ -46,7 +46,9 @@ impl EnrolledDevice {
         self.env
     }
 
-    /// Builds the device-side PUF endpoint (prover).
+    /// Builds the device-side PUF endpoint (prover). Its effective gate
+    /// delays are the ones the delay table recorded: the same chip at the
+    /// same operating point.
     ///
     /// # Panics
     ///
@@ -54,7 +56,8 @@ impl EnrolledDevice {
     /// enrollment already validated.
     #[allow(clippy::expect_used)]
     pub fn device_puf(&self, noise_seed: u64) -> DevicePuf {
-        DevicePuf::new(self.design.clone(), self.chip.clone(), self.env, noise_seed)
+        let delays_ps = self.table.delays_ps().to_vec();
+        DevicePuf::with_delays(self.design.clone(), self.chip.clone(), self.env, delays_ps, noise_seed)
             .expect("width validated at enrollment") // analyze: allow(panic: enroll() rejects unsupported widths)
     }
 

@@ -71,7 +71,8 @@ pub use error::PufattError;
 pub use pipeline::{ProveOutput, PufPipeline};
 pub use ports::{DevicePuf, ResponseFault, SharedDevicePuf, VerifierPuf, VerifierRoundPuf};
 pub use protocol::{
-    authenticate_with_database, provision, puf_limited_clock, run_session, run_session_with_retry, AttestationReport,
-    AttestationRequest, Channel, MidTraversalTamper, ProverDevice, Verdict, Verifier,
+    authenticate_with_database, provision, provision_from_image, puf_limited_clock, run_session,
+    run_session_with_retry, AttestationReport, AttestationRequest, Channel, MidTraversalTamper, ProgramImage,
+    ProverDevice, Verdict, Verifier,
 };
 pub use ring::RingBuffer;

@@ -22,6 +22,7 @@ use pufatt_alupuf::challenge::RawResponse;
 use pufatt_ecc::gf2::BitVec;
 use pufatt_ecc::rm::ReedMuller1;
 use pufatt_ecc::{Decoder, HelperData, ReverseFuzzyExtractor};
+use std::sync::{Arc, OnceLock};
 
 /// Seed of the burst-scattering interleaver permutation.
 ///
@@ -85,6 +86,15 @@ pub struct ProveOutput {
 #[derive(Debug, Clone)]
 pub struct PufPipeline {
     width: usize,
+    /// The code and interleaver of this width: built once per process and
+    /// shared by every pipeline of the width, so a clone costs one
+    /// reference count.
+    tables: Arc<WidthTables>,
+}
+
+/// The immutable per-width part of a [`PufPipeline`].
+#[derive(Debug)]
+struct WidthTables {
     fe: ReverseFuzzyExtractor<ReedMuller1>,
     /// `interleave[src] = dst`: raw response bit → code-domain bit.
     interleave: Vec<usize>,
@@ -92,9 +102,25 @@ pub struct PufPipeline {
     deinterleave: Vec<usize>,
 }
 
+impl WidthTables {
+    fn new(width: usize) -> Self {
+        let interleave = interleaver(width);
+        let mut deinterleave = vec![0usize; width];
+        for (src, &dst) in interleave.iter().enumerate() {
+            deinterleave[dst] = src;
+        }
+        WidthTables {
+            fe: ReverseFuzzyExtractor::new(ReedMuller1::new(width.trailing_zeros())),
+            interleave,
+            deinterleave,
+        }
+    }
+}
+
 impl PufPipeline {
     /// Builds the pipeline for a response width (must be a power of two in
-    /// `4..=32`; the paper uses 32 in simulation, 16 on FPGA).
+    /// `4..=32`; the paper uses 32 in simulation, 16 on FPGA). The code of
+    /// each width is built on first use and shared afterwards.
     ///
     /// # Errors
     ///
@@ -105,18 +131,11 @@ impl PufPipeline {
         if !ok {
             return Err(PufattError::UnsupportedWidth { width });
         }
-        let m = width.trailing_zeros();
-        let interleave = interleaver(width);
-        let mut deinterleave = vec![0usize; width];
-        for (src, &dst) in interleave.iter().enumerate() {
-            deinterleave[dst] = src;
-        }
-        Ok(PufPipeline {
-            width,
-            fe: ReverseFuzzyExtractor::new(ReedMuller1::new(m)),
-            interleave,
-            deinterleave,
-        })
+        // One slot per supported width, 2^2 through 2^5.
+        static TABLES: [OnceLock<Arc<WidthTables>>; 4] = [const { OnceLock::new() }; 4];
+        let slot = &TABLES[width.trailing_zeros() as usize - 2];
+        let tables = slot.get_or_init(|| Arc::new(WidthTables::new(width))).clone();
+        Ok(PufPipeline { width, tables })
     }
 
     /// The paper's simulated configuration: 32-bit responses with
@@ -133,7 +152,7 @@ impl PufPipeline {
 
     /// Helper bits per raw response (`n − k`; 26 for the paper's code).
     pub fn helper_bits(&self) -> usize {
-        self.fe.decoder().code().syndrome_bits()
+        self.tables.fe.decoder().code().syndrome_bits()
     }
 
     fn permute_word(map: &[usize], word: u64) -> u64 {
@@ -146,7 +165,7 @@ impl PufPipeline {
 
     /// The raw response mapped into the code domain.
     fn to_code_domain(&self, r: RawResponse) -> BitVec {
-        BitVec::from_word(Self::permute_word(&self.interleave, r.bits()), self.width)
+        BitVec::from_word(Self::permute_word(&self.tables.interleave, r.bits()), self.width)
     }
 
     /// Prover side: helper syndromes + obfuscated output from 8 noisy raw
@@ -162,7 +181,7 @@ impl PufPipeline {
         for (j, &r) in raw.iter().enumerate() {
             assert_eq!(r.width(), self.width, "response width mismatch");
             // analyze: allow(panic: width equality asserted one line up)
-            let h: HelperData = self.fe.generate(&self.to_code_domain(r)).expect("width checked");
+            let h: HelperData = self.tables.fe.generate(&self.to_code_domain(r)).expect("width checked");
             helpers[j] = h.0.as_word() as u32;
             ys[j] = r.bits();
         }
@@ -189,19 +208,20 @@ impl PufPipeline {
         references: &[RawResponse; RESPONSES_PER_OUTPUT],
         helpers: &[u32; RESPONSES_PER_OUTPUT],
     ) -> Result<u64, PufattError> {
-        let bound = self.fe.decoder().guaranteed_correction();
+        let bound = self.tables.fe.decoder().guaranteed_correction();
         let mut ys = [0u64; RESPONSES_PER_OUTPUT];
         for (j, (&r, &h)) in references.iter().zip(helpers).enumerate() {
             assert_eq!(r.width(), self.width, "reference width mismatch");
             let helper = HelperData(BitVec::from_word(h as u64, self.helper_bits()));
             let rec = self
+                .tables
                 .fe
                 .reproduce(&self.to_code_domain(r), &helper)
                 .map_err(|_| PufattError::ReconstructionFailed { index: j })?;
             if rec.corrected_errors > bound {
                 return Err(PufattError::OutOfTolerance { index: j, corrected: rec.corrected_errors, bound });
             }
-            ys[j] = Self::permute_word(&self.deinterleave, rec.response.as_word());
+            ys[j] = Self::permute_word(&self.tables.deinterleave, rec.response.as_word());
         }
         Ok(obfuscate(&ys, self.width))
     }

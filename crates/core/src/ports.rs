@@ -59,10 +59,10 @@ pub struct DevicePuf {
     chip: Arc<PufChip>,
     env: Environment,
     /// Effective per-gate delays at `env`, computed once at construction.
-    /// PUF queries retarget a pooled bit-sliced engine of the design to
-    /// them; timing analyses rebuild a short-lived `PufInstance` from them
-    /// (it borrows the design, so it cannot outlive a method call on the
-    /// `Arc`-holding device).
+    /// PUF queries and the clock calibration retarget a pooled bit-sliced
+    /// engine of the design to them; static timing rebuilds a short-lived
+    /// `PufInstance` from them (it borrows the design, so it cannot outlive
+    /// a method call on the `Arc`-holding device).
     delays_ps: Vec<f64>,
     pipeline: PufPipeline,
     rng: ChaCha8Rng,
@@ -95,8 +95,20 @@ impl DevicePuf {
         env: Environment,
         noise_seed: u64,
     ) -> Result<Self, PufattError> {
-        let pipeline = PufPipeline::for_width(design.width())?;
         let delays_ps = design.effective_delays_ps(chip.silicon(), &env);
+        DevicePuf::with_delays(design, chip, env, delays_ps, noise_seed)
+    }
+
+    /// [`DevicePuf::new`] with the chip's effective delays at `env`
+    /// already computed (enrollment holds them in its delay table).
+    pub(crate) fn with_delays(
+        design: Arc<AluPufDesign>,
+        chip: Arc<PufChip>,
+        env: Environment,
+        delays_ps: Vec<f64>,
+        noise_seed: u64,
+    ) -> Result<Self, PufattError> {
+        let pipeline = PufPipeline::for_width(design.width())?;
         Ok(DevicePuf {
             design,
             chip,
@@ -142,10 +154,10 @@ impl DevicePuf {
 
     /// Empirical attestation-clock calibration (see
     /// [`PufInstance::calibrate_cycle_ps`]); uses the device's own noise
-    /// source for sampling.
+    /// source for sampling, and leaves it where a challenge-by-challenge
+    /// calibration would.
     pub fn calibrate_cycle_ps(&mut self, samples: usize, guard: f64) -> f64 {
-        let instance = PufInstance::from_delays(&self.design, &self.chip, self.env, self.delays_ps.clone());
-        instance.calibrate_cycle_ps(samples, guard, &mut self.rng)
+        self.design.calibrate_cycle_ps(&self.delays_ps, samples, guard, &mut self.rng)
     }
 
     /// The post-processing pipeline.

@@ -211,6 +211,50 @@ pub struct MidTraversalTamper {
     pub xor: u32,
 }
 
+/// The checksum program of one `(SwattParams, CodegenOptions)`, generated
+/// and assembled once: its layout and its memory image. Every prover of
+/// the configuration loads the same image ([`ProverDevice::from_image`]),
+/// so a fleet assembles each program once instead of once per device.
+#[derive(Debug, Clone)]
+pub struct ProgramImage {
+    params: SwattParams,
+    options: CodegenOptions,
+    layout: SwattLayout,
+    words: Vec<u32>,
+}
+
+impl ProgramImage {
+    /// Generates the checksum program for `params` and `options` and
+    /// assembles it.
+    ///
+    /// # Errors
+    ///
+    /// [`PufattError::Codegen`] if the generated program fails to assemble
+    /// or does not fit beneath the region's challenge cells.
+    pub fn build(params: SwattParams, options: &CodegenOptions) -> Result<Self, PufattError> {
+        let generated = generate(&params, options);
+        let program = assemble(&generated.source).map_err(|e| PufattError::Codegen(e.to_string()))?;
+        if program.image.len() as u32 > generated.layout.x0_cell {
+            return Err(PufattError::Codegen(format!(
+                "program ({} words) collides with challenge cells at {}",
+                program.image.len(),
+                generated.layout.x0_cell
+            )));
+        }
+        Ok(ProgramImage {
+            params,
+            options: *options,
+            layout: generated.layout,
+            words: program.image,
+        })
+    }
+
+    /// The code-generation options the program was built with.
+    pub fn options(&self) -> CodegenOptions {
+        self.options
+    }
+}
+
 /// The prover: a PE32 device with the attestation program in memory and the
 /// ALU PUF on its port.
 pub struct ProverDevice {
@@ -245,26 +289,23 @@ impl ProverDevice {
         options: &CodegenOptions,
         clock: Clock,
     ) -> Result<Self, PufattError> {
-        let generated = generate(&params, options);
-        let program = assemble(&generated.source).map_err(|e| PufattError::Codegen(e.to_string()))?;
-        if program.image.len() as u32 > generated.layout.x0_cell {
-            return Err(PufattError::Codegen(format!(
-                "program ({} words) collides with challenge cells at {}",
-                program.image.len(),
-                generated.layout.x0_cell
-            )));
-        }
-        let mut cpu = Cpu::new(generated.layout.memory_words.max(64) as usize);
+        Ok(ProverDevice::from_image(puf, &ProgramImage::build(params, options)?, clock))
+    }
+
+    /// Provisions a prover from an already assembled program: loads
+    /// `image` into a fresh memory and wires up the PUF.
+    pub fn from_image(puf: SharedDevicePuf, image: &ProgramImage, clock: Clock) -> Self {
+        let mut cpu = Cpu::new(image.layout.memory_words.max(64) as usize);
         cpu.set_clock(clock);
         cpu.attach_puf(Box::new(puf.clone()));
-        cpu.load_program(&program.image);
-        Ok(ProverDevice {
+        cpu.load_program(&image.words);
+        ProverDevice {
             cpu,
             puf,
-            layout: generated.layout,
-            params,
-            image_words: program.image.len(),
-        })
+            layout: image.layout,
+            params: image.params,
+            image_words: image.words.len(),
+        }
     }
 
     /// The device's memory layout.
@@ -549,8 +590,26 @@ pub fn provision(
     noise_seed: u64,
     slack: f64,
 ) -> Result<(ProverDevice, Verifier, u64), PufattError> {
+    let image = ProgramImage::build(params, &CodegenOptions::default())?;
+    provision_from_image(enrolled, &image, clock, channel, noise_seed, slack)
+}
+
+/// [`provision`] with the honest checksum program already assembled, for
+/// callers that provision many devices of one configuration.
+///
+/// # Errors
+///
+/// Propagates trap errors from the golden run.
+pub fn provision_from_image(
+    enrolled: &crate::enroll::EnrolledDevice,
+    image: &ProgramImage,
+    clock: Clock,
+    channel: Channel,
+    noise_seed: u64,
+    slack: f64,
+) -> Result<(ProverDevice, Verifier, u64), PufattError> {
     let puf = enrolled.device_handle(noise_seed);
-    let mut prover = ProverDevice::new(puf, params, &CodegenOptions::default(), clock)?;
+    let mut prover = ProverDevice::from_image(puf, image, clock);
     // The ALU PUF shares the CPU clock network: couple it, so the honest
     // device also lives with its calibrated timing margin.
     prover.set_clock(clock, true);
@@ -561,8 +620,15 @@ pub fn provision(
     let report_bits = golden.wire_bits();
     let delta_s = Verifier::calibrate_delta(golden.cycles, clock, channel, report_bits, slack);
 
-    let verifier =
-        Verifier::new(expected_region, enrolled.verifier_puf()?, params, prover.layout(), channel, clock, delta_s);
+    let verifier = Verifier::new(
+        expected_region,
+        enrolled.verifier_puf()?,
+        prover.params(),
+        prover.layout(),
+        channel,
+        clock,
+        delta_s,
+    );
     Ok((prover, verifier, golden.cycles))
 }
 

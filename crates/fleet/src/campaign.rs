@@ -27,18 +27,21 @@ use crate::metrics::FleetSnapshot;
 use crate::pool::WorkerPool;
 use crate::registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome};
 use crate::service::{EnrollCommit, FleetService, ServiceVerdict, SessionGate};
-use pufatt::adversary::build_malicious_prover;
+use pufatt::adversary::{malicious_prover_from_image, memory_copy_image};
 use pufatt::enroll::enroll_with_design;
-use pufatt::protocol::{provision, Channel, ProverDevice, RetryPolicy, Verifier};
+use pufatt::protocol::{
+    provision_from_image, puf_limited_clock, Channel, ProgramImage, ProverDevice, RetryPolicy, Verifier,
+};
 use pufatt::PufattError;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign};
 use pufatt_faults::{apply_device_faults, run_chaos_session, ChaosReport, FaultPlan, LossyChannel};
 use pufatt_store::{CursorInfo, Record, ShardedStore};
 use pufatt_swatt::checksum::SwattParams;
+use pufatt_swatt::codegen::CodegenOptions;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Everything a campaign needs; [`CampaignConfig::default`] is a small
@@ -269,25 +272,65 @@ impl DeviceSession {
     }
 }
 
+/// What every device of a campaign is built from: the PUF design, and
+/// the checksum programs, each generated and assembled on first use and
+/// loaded by every later device. Compromised devices load the memory-copy
+/// program in place of the honest one.
+pub(crate) struct ProductLine {
+    design: Arc<AluPufDesign>,
+    params: SwattParams,
+    honest: OnceLock<Result<ProgramImage, PufattError>>,
+    memory_copy: OnceLock<Result<ProgramImage, PufattError>>,
+}
+
+impl ProductLine {
+    pub(crate) fn new(cfg: &CampaignConfig) -> Self {
+        ProductLine {
+            design: Arc::new(AluPufDesign::new(cfg.puf.clone())),
+            params: cfg.params,
+            honest: OnceLock::new(),
+            memory_copy: OnceLock::new(),
+        }
+    }
+
+    /// The honest program. A build failure is kept, so every device fails
+    /// to provision with the same error, as each would building its own.
+    fn honest(&self) -> Result<&ProgramImage, PufattError> {
+        let built = self
+            .honest
+            .get_or_init(|| ProgramImage::build(self.params, &CodegenOptions::default()));
+        built.as_ref().map_err(Clone::clone)
+    }
+
+    /// The memory-copy program for an attested region of `region_words`
+    /// words (the same for every device of the line).
+    fn memory_copy(&self, region_words: u32) -> Result<&ProgramImage, PufattError> {
+        let built = self.memory_copy.get_or_init(|| memory_copy_image(self.params, region_words));
+        built.as_ref().map_err(Clone::clone)
+    }
+}
+
 pub(crate) fn provision_device(
-    design: &Arc<AluPufDesign>,
+    line: &ProductLine,
     cfg: &CampaignConfig,
     id: DeviceId,
 ) -> Result<DeviceSession, PufattError> {
     let seed = device_seed(cfg.seed, id);
-    let enrolled = enroll_with_design(design, seed)?;
+    let enrolled = enroll_with_design(&line.design, seed)?;
     // The attestation clock comes from the device's own PUF timing limit
     // (the §4.2 overclock defence); few samples keep provisioning cheap.
-    let clock = pufatt::protocol::puf_limited_clock(&enrolled, 1.10, 16, splitmix64(seed ^ 1));
+    let clock = puf_limited_clock(&enrolled, 1.10, 16, splitmix64(seed ^ 1));
     let (prover, verifier, _) =
-        provision(&enrolled, cfg.params, clock, Channel::sensor_link(), splitmix64(seed ^ 2), 1.10)?;
+        provision_from_image(&enrolled, line.honest()?, clock, Channel::sensor_link(), splitmix64(seed ^ 2), 1.10)?;
     let prover = if device_is_tampered(cfg.seed, id, cfg.tamper_fraction) {
         // A compromised device mounts the memory-copy attack (§4): the
         // redirecting checksum forges the response from a pristine copy,
         // and the per-round redirection overhead breaks the time bound —
         // so the verifier rejects it every session, deterministically.
         let expected_region = prover.expected_region();
-        build_malicious_prover(enrolled.device_handle(splitmix64(seed ^ 4)), cfg.params, &expected_region, clock, 1.0)?
+        let image = line.memory_copy(expected_region.len() as u32)?;
+        let puf = enrolled.device_handle(splitmix64(seed ^ 4));
+        malicious_prover_from_image(puf, image, &expected_region, clock, 1.0)?
     } else {
         prover
     };

@@ -50,7 +50,7 @@
 
 use crate::campaign::{
     crp_delta, device_is_flaky, device_is_tampered, provision_device, run_session, session_outcome, CampaignConfig,
-    DeviceRecord, DeviceSession,
+    DeviceRecord, DeviceSession, ProductLine,
 };
 use crate::durable::{
     config_fingerprint, fast_forward, from_outcome_rec, from_stored, journal, storage_err, to_outcome_rec, to_stored,
@@ -60,7 +60,6 @@ use crate::metrics::{FleetMetrics, FleetSnapshot};
 use crate::registry::{DeviceId, DeviceLifecycle, FleetStatus, SessionOutcome, StatusCounts};
 use crate::sync::{lock_ranked, rank};
 use pufatt::PufattError;
-use pufatt_alupuf::device::AluPufDesign;
 use pufatt_store::record::{OutcomeRec, Record};
 use pufatt_store::state::MetaInfo;
 use pufatt_store::{DeviceState, ShardedStore, StoreError};
@@ -156,7 +155,7 @@ pub enum ServiceVerdict {
 /// The fleet engine behind a per-request API — see the module docs.
 pub struct FleetService {
     cfg: CampaignConfig,
-    design: Arc<AluPufDesign>,
+    line: ProductLine,
     metrics: FleetMetrics,
     slots: Vec<Mutex<HashMap<DeviceId, Slot>>>,
     next_ticket: AtomicU64,
@@ -190,7 +189,7 @@ impl FleetService {
         }
         let shards = cfg.shards.max(1);
         Ok(FleetService {
-            design: Arc::new(AluPufDesign::new(cfg.puf.clone())),
+            line: ProductLine::new(&cfg),
             metrics: FleetMetrics::new(),
             slots: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             next_ticket: AtomicU64::new(1),
@@ -307,7 +306,7 @@ impl FleetService {
         let session = if prior.abandoned {
             None
         } else {
-            let mut session = provision_device(&self.design, &self.cfg, id)?;
+            let mut session = provision_device(&self.line, &self.cfg, id)?;
             fast_forward(&mut session, prior);
             Some(Box::new(session))
         };
@@ -399,10 +398,11 @@ impl FleetService {
                 return Ok(outcome);
             }
         }
-        // Provisioning (~ms) touches no shared state, so it runs outside
-        // the slot-shard lock: devices that share a shard never serialize
-        // on each other's provisioning.
-        let provisioned = provision_device(&self.design, &self.cfg, id);
+        // Provisioning (0.1–2 ms) touches no shared state but the product
+        // line's programs, built once, so it runs outside the slot-shard
+        // lock: devices that share a shard never serialize on each other's
+        // provisioning.
+        let provisioned = provision_device(&self.line, &self.cfg, id);
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         self.storage_guard(id)?;
         if let Some(outcome) = live(&slots) {
