@@ -148,6 +148,12 @@ impl fmt::Display for PufattError {
 
 impl std::error::Error for PufattError {}
 
+impl From<pufatt_store::codec::CodecError> for PufattError {
+    fn from(e: pufatt_store::codec::CodecError) -> Self {
+        PufattError::Malformed(format!("attestation message {e}"))
+    }
+}
+
 impl From<pufatt_pe32::cpu::Trap> for PufattError {
     fn from(t: pufatt_pe32::cpu::Trap) -> Self {
         PufattError::ProverTrap(t)

@@ -18,6 +18,7 @@ use crate::obfuscate::RESPONSES_PER_OUTPUT;
 use crate::ports::{SharedDevicePuf, VerifierPuf, VerifierRoundPuf};
 use pufatt_pe32::asm::assemble;
 use pufatt_pe32::cpu::{Clock, Cpu, Trap};
+use pufatt_store::codec::{Reader, Writer};
 use pufatt_swatt::checksum::{self, SwattParams, STATE_WORDS};
 use pufatt_swatt::codegen::{generate, CodegenOptions, SwattLayout};
 use rand::Rng;
@@ -73,10 +74,11 @@ impl AttestationRequest {
     }
 
     /// Serialises the request (8 bytes, little-endian x₀ then r₀).
-    pub fn to_bytes(&self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[..4].copy_from_slice(&self.x0.to_le_bytes());
-        out[4..].copy_from_slice(&self.r0.to_le_bytes());
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8);
+        let mut w = Writer(&mut out);
+        w.u32(self.x0);
+        w.u32(self.r0);
         out
     }
 
@@ -86,28 +88,15 @@ impl AttestationRequest {
     ///
     /// [`PufattError::Malformed`] for a wrong-size buffer.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PufattError> {
-        if bytes.len() != 8 {
-            return Err(PufattError::Malformed(format!("attestation request must be 8 bytes, got {}", bytes.len())));
-        }
-        Ok(AttestationRequest {
-            x0: le32(bytes, 0).unwrap_or(0),
-            r0: le32(bytes, 4).unwrap_or(0),
-        })
+        let mut r = Reader::new(bytes);
+        let request = AttestationRequest { x0: r.u32()?, r0: r.u32()? };
+        r.done()?;
+        Ok(request)
     }
 }
 
-/// Little-endian u32 at byte offset `at`, `None` past the end.
-fn le32(bytes: &[u8], at: usize) -> Option<u32> {
-    let b = bytes.get(at..at + 4)?;
-    Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-/// Little-endian u64 at byte offset `at`, `None` past the end.
-fn le64(bytes: &[u8], at: usize) -> Option<u64> {
-    let lo = le32(bytes, at)?;
-    let hi = le32(bytes, at + 4)?;
-    Some(lo as u64 | (hi as u64) << 32)
-}
+/// Leading bytes of every serialised [`AttestationReport`].
+const REPORT_MAGIC: &[u8; 4] = b"PATR";
 
 /// The prover's answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,12 +118,13 @@ impl AttestationReport {
     /// Serialises the report: magic `PATR`, cycle count, helper count,
     /// response lanes, helper words (all little-endian).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + 4 * (STATE_WORDS + self.helper_words.len()));
-        out.extend_from_slice(b"PATR");
-        out.extend_from_slice(&self.cycles.to_le_bytes());
-        out.extend_from_slice(&(self.helper_words.len() as u32).to_le_bytes());
-        for w in self.response.iter().chain(&self.helper_words) {
-            out.extend_from_slice(&w.to_le_bytes());
+        let mut out = Vec::with_capacity(16 + 4 * (STATE_WORDS + self.helper_words.len()));
+        let mut w = Writer(&mut out);
+        w.bytes(REPORT_MAGIC);
+        w.u64(self.cycles);
+        w.u32(self.helper_words.len() as u32);
+        for &word in self.response.iter().chain(&self.helper_words) {
+            w.u32(word);
         }
         out
     }
@@ -145,22 +135,20 @@ impl AttestationReport {
     ///
     /// [`PufattError::Malformed`] describing the first structural problem.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PufattError> {
-        if bytes.len() < 16 || &bytes[..4] != b"PATR" {
+        let mut r = Reader::new(bytes);
+        if &r.array::<4>()? != REPORT_MAGIC {
             return Err(PufattError::Malformed("not an attestation report".into()));
         }
-        let cycles = le64(bytes, 4).unwrap_or(0);
-        let helper_count = le32(bytes, 12).unwrap_or(0) as usize;
-        let expected = 16 + 4 * (STATE_WORDS + helper_count);
-        if bytes.len() != expected {
-            return Err(PufattError::Malformed(format!(
-                "attestation report should be {expected} bytes, got {}",
-                bytes.len()
-            )));
+        let cycles = r.u64()?;
+        let helper_count = r.u32()?;
+        let mut response = [0u32; STATE_WORDS];
+        for lane in &mut response {
+            *lane = r.u32()?;
         }
-        // The length check above guarantees every `word(i)` is in range.
-        let word = |i: usize| le32(bytes, 16 + 4 * i).unwrap_or(0);
-        let response: [u32; STATE_WORDS] = std::array::from_fn(word);
-        let helper_words = (0..helper_count).map(|i| word(STATE_WORDS + i)).collect();
+        // Each word is read before it is stored, so a hostile count costs
+        // at most the words the buffer actually holds.
+        let helper_words = (0..helper_count).map(|_| r.u32()).collect::<Result<Vec<u32>, _>>()?;
+        r.done()?;
         Ok(AttestationReport { response, helper_words, cycles })
     }
 }

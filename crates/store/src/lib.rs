@@ -5,6 +5,8 @@
 //! attack is pulling the power cord. This crate gives the fleet layer a
 //! small, auditable persistence core, built on `std` alone:
 //!
+//! * [`codec`] — the bounded little-endian [`codec::Reader`] and
+//!   [`codec::Writer`] every byte format in the system is written with.
 //! * [`wal`] — an append-only write-ahead log of CRC32-framed,
 //!   length-prefixed records. Recovery walks the valid prefix and stops at
 //!   the first torn, truncated, or bit-corrupted frame: a record is
@@ -38,6 +40,7 @@
 
 use std::fmt;
 
+pub mod codec;
 pub mod record;
 pub mod sharded;
 pub mod state;
@@ -124,3 +127,9 @@ impl fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<codec::CodecError> for StoreError {
+    fn from(e: codec::CodecError) -> Self {
+        StoreError::Corrupt(format!("undecodable record or snapshot: {e}"))
+    }
+}

@@ -1,9 +1,9 @@
-//! Typed WAL records and their binary codec.
+//! Typed WAL records and their binary layout.
 //!
 //! Every record starts with its monotonically increasing sequence number
 //! (the snapshot/compaction coordination point: replay skips records a
 //! snapshot already covers) followed by a tag byte and fixed-width
-//! little-endian fields.
+//! little-endian fields, written and read with [`crate::codec`].
 //!
 //! **Secrecy rule:** records hold *public* protocol facts only — device
 //! ids, lifecycle states, verdict booleans, counters, generator
@@ -15,6 +15,7 @@
 //! journal no verifier used). It is reserved and never reused: a
 //! checksum-valid frame carrying it is refused as corrupt.
 
+use crate::codec::{Reader, Writer};
 use crate::StoreError;
 
 /// Number of latency histogram slots mirrored from the fleet metrics
@@ -33,7 +34,7 @@ pub enum StoredStatus {
 }
 
 impl StoredStatus {
-    fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             StoredStatus::Active => 0,
             StoredStatus::Quarantined => 1,
@@ -41,7 +42,7 @@ impl StoredStatus {
         }
     }
 
-    fn from_byte(b: u8) -> Result<Self, StoreError> {
+    pub(crate) fn from_byte(b: u8) -> Result<Self, StoreError> {
         match b {
             0 => Ok(StoredStatus::Active),
             1 => Ok(StoredStatus::Quarantined),
@@ -190,72 +191,7 @@ pub enum Record {
 
 // ------------------------------------------------------------------ codec
 
-struct Writer<'a>(&'a mut Vec<u8>);
-
-impl Writer<'_> {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn flag(&mut self, v: bool) {
-        self.0.push(u8::from(v));
-    }
-}
-
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| StoreError::Corrupt("record truncated".into()))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, StoreError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, StoreError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    pub(crate) fn flag(&mut self) -> Result<bool, StoreError> {
-        Ok(self.u8()? != 0)
-    }
-
-    pub(crate) fn done(&self) -> Result<(), StoreError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(StoreError::Corrupt("trailing bytes after record".into()))
-        }
-    }
-}
-
-fn write_outcome(w: &mut Writer<'_>, o: &OutcomeRec) {
+pub(crate) fn write_outcome(w: &mut Writer<'_>, o: &OutcomeRec) {
     w.flag(o.accepted);
     w.flag(o.response_ok);
     w.flag(o.time_ok);
@@ -285,10 +221,6 @@ pub(crate) fn read_outcome(r: &mut Reader<'_>) -> Result<OutcomeRec, StoreError>
         crp_hits: r.u32()?,
         crp_misses: r.u32()?,
     })
-}
-
-pub(crate) fn write_outcome_into(out: &mut Vec<u8>, o: &OutcomeRec) {
-    write_outcome(&mut Writer(out), o);
 }
 
 impl Record {
@@ -408,17 +340,6 @@ impl Record {
         };
         r.done()?;
         Ok((seq, record))
-    }
-
-    /// Persists the status byte for [`StoredStatus`] values embedded in
-    /// snapshots.
-    pub(crate) fn status_byte(status: StoredStatus) -> u8 {
-        status.to_byte()
-    }
-
-    /// Parses a persisted status byte.
-    pub(crate) fn status_from_byte(b: u8) -> Result<StoredStatus, StoreError> {
-        StoredStatus::from_byte(b)
     }
 }
 

@@ -37,6 +37,7 @@
 //! shard, further appends fail with [`StoreError::Backpressure`] — a
 //! typed, retryable refusal rather than unbounded memory-ahead-of-disk.
 
+use crate::codec::{Reader, Writer};
 use crate::record::Record;
 use crate::state::{Counters, DeviceState, MetaInfo, StoreState};
 use crate::store::{DurableStore, StoreOptions, StoreStats};
@@ -93,29 +94,28 @@ impl Default for ShardedOptions {
 
 fn encode_manifest(shards: u32, range_width: u32) -> Vec<u8> {
     let mut out = MANIFEST_MAGIC.to_vec();
-    out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    out.extend_from_slice(&shards.to_le_bytes());
-    out.extend_from_slice(&range_width.to_le_bytes());
+    let mut w = Writer(&mut out);
+    w.u32(MANIFEST_VERSION);
+    w.u32(shards);
+    w.u32(range_width);
     let crc = crc32(&out[MANIFEST_MAGIC.len()..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    Writer(&mut out).u32(crc);
     out
 }
 
 fn decode_manifest(bytes: &[u8]) -> Result<(u32, u32), StoreError> {
-    if bytes.len() != MANIFEST_MAGIC.len() + 16 || bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-        return Err(StoreError::Corrupt("shard manifest header invalid".into()));
-    }
-    let word = |i: usize| {
-        let o = MANIFEST_MAGIC.len() + 4 * i;
-        u32::from_le_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]])
-    };
-    if crc32(&bytes[MANIFEST_MAGIC.len()..MANIFEST_MAGIC.len() + 12]) != word(3) {
+    let words = bytes
+        .strip_prefix(&MANIFEST_MAGIC)
+        .ok_or_else(|| StoreError::Corrupt("shard manifest header invalid".into()))?;
+    let mut r = Reader::new(words);
+    let (version, shards, range_width, crc) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+    r.done()?;
+    if crc32(&words[..12]) != crc {
         return Err(StoreError::Corrupt("shard manifest checksum mismatch".into()));
     }
-    if word(0) != MANIFEST_VERSION {
-        return Err(StoreError::Corrupt(format!("shard manifest version {} unsupported", word(0))));
+    if version != MANIFEST_VERSION {
+        return Err(StoreError::Corrupt(format!("shard manifest version {version} unsupported")));
     }
-    let (shards, range_width) = (word(1), word(2));
     if shards == 0 || shards > MAX_SHARDS || range_width == 0 {
         return Err(StoreError::Corrupt(format!(
             "shard manifest geometry implausible ({shards} shards, range width {range_width})"

@@ -9,7 +9,8 @@
 //! forward. A WAL whose checksum-valid frames violate these rules is
 //! refused as corrupt rather than replayed into nonsense.
 
-use crate::record::{read_outcome, write_outcome_into, OutcomeRec, Reader, Record, StoredStatus, LATENCY_SLOTS};
+use crate::codec::{Reader, Writer};
+use crate::record::{read_outcome, write_outcome, OutcomeRec, Record, StoredStatus, LATENCY_SLOTS};
 use crate::StoreError;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Index, IndexMut};
@@ -414,55 +415,48 @@ impl StoreState {
 
     /// Serialises the state into a snapshot body.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let u32le = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
-        let u64le = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        u64le(out, self.last_seq);
-        u64le(out, self.history_capacity as u64);
-        match &self.meta {
-            None => out.push(0),
-            Some(m) => {
-                out.push(1);
-                u64le(out, m.config_hash);
-                u32le(out, m.devices);
-                u32le(out, m.sessions_per_device);
-                u64le(out, m.seed);
-            }
+        let mut w = Writer(out);
+        w.u64(self.last_seq);
+        w.u64(self.history_capacity as u64);
+        w.flag(self.meta.is_some());
+        if let Some(m) = &self.meta {
+            w.u64(m.config_hash);
+            w.u32(m.devices);
+            w.u32(m.sessions_per_device);
+            w.u64(m.seed);
         }
         for &v in self.counters.values.iter().chain(&self.counters.latency) {
-            u64le(out, v);
+            w.u64(v);
         }
-        u32le(out, self.devices.len() as u32);
+        w.u32(self.devices.len() as u32);
         for (id, d) in &self.devices {
-            u32le(out, *id);
-            out.push(Record::status_byte(d.status));
-            u32le(out, d.fails);
-            u32le(out, d.succs);
-            out.push(u8::from(d.abandoned));
-            u64le(out, d.refused);
-            u64le(out, d.faults);
-            u64le(out, d.outcomes_total);
-            u32le(out, d.events.len() as u32);
-            out.extend_from_slice(&d.events);
-            u32le(out, d.events_seen);
-            match &d.cursor {
-                None => out.push(0),
-                Some(c) => {
-                    out.push(1);
-                    u32le(out, c.events_done);
-                    u64le(out, c.session_pos);
-                    u64le(out, c.noise_pos);
-                    u64le(out, c.noise_evals);
-                    out.push(u8::from(c.tamper_parity));
-                }
+            w.u32(*id);
+            w.u8(d.status.to_byte());
+            w.u32(d.fails);
+            w.u32(d.succs);
+            w.flag(d.abandoned);
+            w.u64(d.refused);
+            w.u64(d.faults);
+            w.u64(d.outcomes_total);
+            w.u32(d.events.len() as u32);
+            w.bytes(&d.events);
+            w.u32(d.events_seen);
+            w.flag(d.cursor.is_some());
+            if let Some(c) = &d.cursor {
+                w.u32(c.events_done);
+                w.u64(c.session_pos);
+                w.u64(c.noise_pos);
+                w.u64(c.noise_evals);
+                w.flag(c.tamper_parity);
             }
-            u32le(out, d.outcomes.len() as u32);
+            w.u32(d.outcomes.len() as u32);
             for o in &d.outcomes {
-                write_outcome_into(out, o);
+                write_outcome(&mut w, o);
             }
         }
         // Reserved: the spent-challenge count of the retired `CrpConsumed`
         // kind, always 0, so snapshots keep their layout in both directions.
-        u32le(out, 0);
+        w.u32(0);
     }
 
     /// Parses a snapshot body back into a state.
@@ -497,7 +491,7 @@ impl StoreState {
         let mut devices = BTreeMap::new();
         for _ in 0..device_count {
             let id = r.u32()?;
-            let status = Record::status_from_byte(r.u8()?)?;
+            let status = StoredStatus::from_byte(r.u8()?)?;
             let fails = r.u32()?;
             let succs = r.u32()?;
             let abandoned = r.flag()?;
@@ -505,13 +499,9 @@ impl StoreState {
             let faults = r.u64()?;
             let outcomes_total = r.u64()?;
             let event_count = r.u32()? as usize;
-            let mut events = Vec::with_capacity(event_count.min(1 << 16));
-            for _ in 0..event_count {
-                let ev = r.u8()?;
-                if ev > EV_FAULT {
-                    return Err(StoreError::Corrupt(format!("bad event kind {ev}")));
-                }
-                events.push(ev);
+            let events = r.bytes(event_count)?.to_vec();
+            if let Some(ev) = events.iter().find(|&&ev| ev > EV_FAULT) {
+                return Err(StoreError::Corrupt(format!("bad event kind {ev}")));
             }
             let events_seen = r.u32()?;
             if (events_seen as usize) < events.len() {

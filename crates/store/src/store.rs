@@ -44,7 +44,9 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// The snapshot staging file (atomically renamed onto [`SNAPSHOT_FILE`]).
 pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
-/// Identifies a snapshot file (and its format revision).
+/// Identifies a snapshot file (and its format revision). The magic is
+/// followed by one frame in the WAL layout (`len`, `crc`, body), parsed by
+/// [`wal::split_frame`] with no bound beyond `u32`.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PUFATTS1";
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -140,17 +142,12 @@ fn read_snapshot(vfs: &dyn Vfs, opts: StoreOptions, path: &str) -> Result<StoreS
     // The snapshot only ever appears via atomic rename of a synced temp
     // file, so damage here is real corruption, never a torn write — the
     // fail-safe response is to stop, not to silently restart the campaign.
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 8 || bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err(StoreError::Corrupt("snapshot header invalid".into()));
-    }
-    let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-    let crc = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-    let body = bytes
-        .get(16..16 + len)
-        .filter(|_| bytes.len() == 16 + len)
-        .ok_or_else(|| StoreError::Corrupt("snapshot body truncated".into()))?;
-    if wal::crc32(body) != crc {
-        return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
+    let frame = bytes
+        .strip_prefix(&SNAPSHOT_MAGIC)
+        .ok_or_else(|| StoreError::Corrupt("snapshot header invalid".into()))?;
+    let (body, end) = wal::split_frame(frame, u32::MAX).map_err(|e| StoreError::Corrupt(format!("snapshot {e}")))?;
+    if end != frame.len() {
+        return Err(StoreError::Corrupt(format!("{} trailing bytes after snapshot", frame.len() - end)));
     }
     StoreState::decode(body)
 }
@@ -158,11 +155,9 @@ fn read_snapshot(vfs: &dyn Vfs, opts: StoreOptions, path: &str) -> Result<StoreS
 fn write_snapshot(vfs: &dyn Vfs, state: &StoreState, tmp: &str, path: &str) -> Result<(), StoreError> {
     let mut body = Vec::new();
     state.encode(&mut body);
-    let mut file = Vec::with_capacity(16 + body.len());
+    let mut file = Vec::with_capacity(SNAPSHOT_MAGIC.len() + wal::FRAME_HEADER + body.len());
     file.extend_from_slice(&SNAPSHOT_MAGIC);
-    file.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    file.extend_from_slice(&wal::crc32(&body).to_le_bytes());
-    file.extend_from_slice(&body);
+    wal::encode_frame(&body, &mut file);
     vfs.truncate(tmp, &file)?;
     vfs.sync(tmp)?;
     // The commit point: after this rename the new snapshot is the

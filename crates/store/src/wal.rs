@@ -9,6 +9,11 @@
 //!                                             crc  = CRC-32/IEEE of payload)
 //! ```
 //!
+//! [`FrameHeader::parse`] is the one parser of that header, with the
+//! length bound as its parameter: the WAL's [`MAX_FRAME_LEN`], the
+//! snapshot file's single frame, and the 4 KiB socket frames of
+//! `pufatt-transport` all go through it.
+//!
 //! # Recovery
 //!
 //! [`recover`] walks frames from the front and stops at the first one
@@ -21,6 +26,7 @@
 //! its bytes are fully on stable storage — the property the crash-matrix
 //! tests enumerate.
 
+use crate::codec::{Reader, Writer};
 use crate::vfs::Vfs;
 use crate::StoreError;
 use std::sync::Arc;
@@ -32,7 +38,8 @@ pub const WAL_MAGIC: [u8; 8] = *b"PUFATTW1";
 /// is corruption, not a record.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
-const FRAME_HEADER: usize = 8; // len + crc
+/// Bytes of the `len + crc` frame header.
+pub const FRAME_HEADER: usize = 8;
 
 // ------------------------------------------------------------------ CRC32
 
@@ -65,29 +72,77 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Encodes one frame (length, CRC, payload) into `out`.
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let mut w = Writer(out);
+    w.u32(payload.len() as u32);
+    w.u32(crc32(payload));
+    w.bytes(payload);
+}
+
+/// A parsed frame header: the payload length and its CRC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Payload bytes that follow the header.
+    pub len: usize,
+    /// CRC-32/IEEE the payload must match.
+    pub crc: u32,
+}
+
+impl FrameHeader {
+    /// Parses the header at the front of `bytes`, refusing a length prefix
+    /// above `max_len` before anything is read or reserved for the
+    /// payload. The one parser of the layout, for the WAL, the snapshot
+    /// file and the wire.
+    ///
+    /// # Errors
+    ///
+    /// Why the bytes hold no header: torn, or a length above `max_len`.
+    pub fn parse(bytes: &[u8], max_len: u32) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
+        let (Ok(len), Ok(crc)) = (r.u32(), r.u32()) else {
+            return Err(format!("header torn: {} of {FRAME_HEADER} bytes", bytes.len()));
+        };
+        if len > max_len {
+            return Err(format!("length prefix {len} exceeds {max_len}"));
+        }
+        Ok(FrameHeader { len: len as usize, crc })
+    }
+
+    /// Checks `payload` against the header's CRC.
+    ///
+    /// # Errors
+    ///
+    /// A CRC mismatch.
+    pub fn check(&self, payload: &[u8]) -> Result<(), String> {
+        if crc32(payload) == self.crc {
+            Ok(())
+        } else {
+            Err("payload crc mismatch".into())
+        }
+    }
+}
+
+/// Splits one checksum-valid frame, with a payload of at most `max_len`
+/// bytes, off the front of `bytes`. Returns the payload and the total
+/// frame length.
+///
+/// # Errors
+///
+/// Why the bytes hold no such frame.
+pub fn split_frame(bytes: &[u8], max_len: u32) -> Result<(&[u8], usize), String> {
+    let header = FrameHeader::parse(bytes, max_len)?;
+    let end = FRAME_HEADER.saturating_add(header.len);
+    let payload = bytes
+        .get(FRAME_HEADER..end)
+        .ok_or_else(|| format!("payload truncated: {} of {end} bytes", bytes.len()))?;
+    header.check(payload)?;
+    Ok((payload, end))
 }
 
 /// Attempts to decode one frame at the front of `bytes`. Returns the
 /// payload and the total frame length, or `None` if the bytes do not hold
 /// a complete, checksum-valid frame (torn tail — stop here).
 pub fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
-    if bytes.len() < FRAME_HEADER {
-        return None;
-    }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    if len > MAX_FRAME_LEN {
-        return None;
-    }
-    let crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    let end = FRAME_HEADER.checked_add(len as usize)?;
-    if bytes.len() < end {
-        return None;
-    }
-    let payload = &bytes[FRAME_HEADER..end];
-    (crc32(payload) == crc).then_some((payload, end))
+    split_frame(bytes, MAX_FRAME_LEN).ok()
 }
 
 // --------------------------------------------------------------- recovery

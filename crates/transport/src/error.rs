@@ -14,6 +14,7 @@
 //! [`Transport`]: PufattError::Transport
 
 use pufatt::PufattError;
+use pufatt_store::codec::CodecError;
 use std::fmt;
 
 /// Protocol-level error codes carried by `Response::Error` frames.
@@ -160,6 +161,12 @@ impl fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
+
+impl From<CodecError> for TransportError {
+    fn from(e: CodecError) -> Self {
+        TransportError::Malformed(format!("message {e}"))
+    }
+}
 
 impl TransportError {
     /// Wraps an I/O error, classifying timeouts and disconnects into

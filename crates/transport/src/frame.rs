@@ -5,14 +5,15 @@
 //!                                            crc = CRC-32/IEEE of payload)
 //! ```
 //!
-//! The layout and checksum are exactly `pufatt_store::wal`'s — the one
-//! framing discipline the repo already trusts against torn and bit-rotted
-//! bytes — with two differences a live socket forces:
+//! The layout, the checksum and the header parser are `pufatt_store::wal`'s
+//! (`wal::encode_frame`, `wal::FrameHeader::parse`, `wal::split_frame`) —
+//! the one framing discipline the repo already trusts against torn and
+//! bit-rotted bytes — with two differences a live socket forces:
 //!
-//! * **Tighter length bound.** A WAL frame may hold a whole fleet
-//!   snapshot; a protocol message is a few dozen bytes. [`MAX_FRAME_LEN`]
-//!   is 4 KiB, so a hostile length prefix cannot make the server reserve
-//!   a megabyte per connection.
+//! * **Tighter length bound.** A WAL frame may hold a megabyte; a
+//!   protocol message is a few dozen bytes. [`MAX_FRAME_LEN`] is 4 KiB,
+//!   passed to the shared parser as its bound, so a hostile length prefix
+//!   cannot make the server reserve a megabyte per connection.
 //! * **No resynchronisation.** The WAL stops at the first bad frame and
 //!   keeps the prefix; a socket has no "rest of the file" to keep. A CRC
 //!   or length failure here poisons the connection — the peer closes it
@@ -25,15 +26,14 @@
 //! a polite close, the latter a torn frame).
 
 use crate::error::TransportError;
-use pufatt_store::wal::crc32;
+use pufatt_store::wal::{self, FrameHeader};
 use std::io::{Read, Write};
+
+pub use pufatt_store::wal::FRAME_HEADER;
 
 /// Upper bound on one frame's payload. Anything larger in a length
 /// prefix is an attack or corruption, never a message.
 pub const MAX_FRAME_LEN: u32 = 4096;
-
-/// Bytes of the `len + crc` frame header.
-pub const FRAME_HEADER: usize = 8;
 
 /// Appends one framed payload to `out`.
 ///
@@ -44,9 +44,7 @@ pub const FRAME_HEADER: usize = 8;
 /// not a runtime condition.
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
     assert!(payload.len() <= MAX_FRAME_LEN as usize, "outbound frame exceeds MAX_FRAME_LEN");
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    wal::encode_frame(payload, out);
 }
 
 /// Decodes one frame at the front of `bytes` (for in-memory corpora and
@@ -58,23 +56,7 @@ pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
 /// [`TransportError::Frame`] on a short header, an implausible length, a
 /// truncated payload, or a CRC mismatch.
 pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), TransportError> {
-    if bytes.len() < FRAME_HEADER {
-        return Err(TransportError::Frame(format!("header torn: {} of {FRAME_HEADER} bytes", bytes.len())));
-    }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    if len > MAX_FRAME_LEN {
-        return Err(TransportError::Frame(format!("length prefix {len} exceeds {MAX_FRAME_LEN}")));
-    }
-    let crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    let end = FRAME_HEADER + len as usize;
-    if bytes.len() < end {
-        return Err(TransportError::Frame(format!("payload truncated: {} of {end} bytes", bytes.len())));
-    }
-    let payload = &bytes[FRAME_HEADER..end];
-    if crc32(payload) != crc {
-        return Err(TransportError::Frame("payload crc mismatch".into()));
-    }
-    Ok((payload, end))
+    wal::split_frame(bytes, MAX_FRAME_LEN).map_err(TransportError::Frame)
 }
 
 /// Reads exactly `buf.len()` bytes, translating I/O failures into the
@@ -112,16 +94,10 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>, timeout_ms: u64) -> 
     if !read_exact_or_eof(r, &mut header, true, timeout_ms)? {
         return Ok(false);
     }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    if len > MAX_FRAME_LEN {
-        return Err(TransportError::Frame(format!("length prefix {len} exceeds {MAX_FRAME_LEN}")));
-    }
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    payload.resize(len as usize, 0);
+    let header = FrameHeader::parse(&header, MAX_FRAME_LEN).map_err(TransportError::Frame)?;
+    payload.resize(header.len, 0);
     read_exact_or_eof(r, payload, false, timeout_ms)?;
-    if crc32(payload) != crc {
-        return Err(TransportError::Frame("payload crc mismatch".into()));
-    }
+    header.check(payload).map_err(TransportError::Frame)?;
     Ok(true)
 }
 

@@ -1,7 +1,9 @@
 //! Typed wire messages and their binary codec.
 //!
 //! Every frame payload is `corr:u32le tag:u8 fields`, with fixed-width
-//! little-endian fields in the `crates/store` record style. The
+//! little-endian fields written and read with `pufatt_store::codec`, the
+//! codec of the journal records; the one variable-length field, the
+//! `Error` detail, is a `len:u16le` UTF-8 string on top of it. The
 //! correlation id ties a response to its request, so a client may pipeline
 //! many devices' requests down one connection and match replies out of
 //! order.
@@ -20,6 +22,7 @@
 
 use crate::error::{ErrorCode, TransportError};
 use pufatt_fleet::{DeviceId, FleetStatus};
+use pufatt_store::codec::{Reader, Writer};
 
 /// Identifies the protocol family (first field of `Hello`).
 pub const PROTOCOL_MAGIC: [u8; 8] = *b"PUFATTN1";
@@ -236,104 +239,22 @@ pub enum Response {
 
 // ------------------------------------------------------------------ codec
 
-struct Writer<'a>(&'a mut Vec<u8>);
-
-impl Writer<'_> {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn flag(&mut self, v: bool) {
-        self.0.push(u8::from(v));
-    }
-    fn bytes8(&mut self, v: &[u8; 8]) {
-        self.0.extend_from_slice(v);
-    }
-    fn str16(&mut self, v: &str) {
-        let bytes = v.as_bytes();
-        let take = bytes.len().min(MAX_DETAIL_LEN);
-        // Truncate on a char boundary so the wire always carries UTF-8.
-        let take = (0..=take).rev().find(|&i| v.is_char_boundary(i)).unwrap_or(0);
-        self.0.extend_from_slice(&(take as u16).to_le_bytes());
-        self.0.extend_from_slice(&bytes[..take]);
-    }
+/// Writes a UTF-8 string as `len:u16le bytes`, cut to [`MAX_DETAIL_LEN`]
+/// bytes on a char boundary so the wire always carries UTF-8.
+fn write_str16(w: &mut Writer<'_>, v: &str) {
+    let take = v.len().min(MAX_DETAIL_LEN);
+    let take = (0..=take).rev().find(|&i| v.is_char_boundary(i)).unwrap_or(0);
+    w.u16(take as u16);
+    w.bytes(&v.as_bytes()[..take]);
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
+/// Reads a string written by [`write_str16`].
+fn read_str16(r: &mut Reader<'_>) -> Result<String, TransportError> {
+    let len = r.u16()? as usize;
+    if len > MAX_DETAIL_LEN {
+        return Err(TransportError::Malformed(format!("detail length {len} exceeds {MAX_DETAIL_LEN}")));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TransportError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| TransportError::Malformed("message truncated".into()))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, TransportError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, TransportError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, TransportError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, TransportError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn flag(&mut self) -> Result<bool, TransportError> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn bytes8(&mut self) -> Result<[u8; 8], TransportError> {
-        let b = self.take(8)?;
-        let mut out = [0u8; 8];
-        out.copy_from_slice(b);
-        Ok(out)
-    }
-
-    fn str16(&mut self) -> Result<String, TransportError> {
-        let len = self.u16()? as usize;
-        if len > MAX_DETAIL_LEN {
-            return Err(TransportError::Malformed(format!("detail length {len} exceeds {MAX_DETAIL_LEN}")));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| TransportError::Malformed("detail is not UTF-8".into()))
-    }
-
-    fn done(&self) -> Result<(), TransportError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(TransportError::Malformed(format!("{} trailing bytes after message", self.bytes.len() - self.pos)))
-        }
-    }
+    String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| TransportError::Malformed("detail is not UTF-8".into()))
 }
 
 impl Request {
@@ -344,7 +265,7 @@ impl Request {
         match self {
             Request::Hello { magic, min_version, max_version } => {
                 w.u8(0);
-                w.bytes8(magic);
+                w.bytes(magic);
                 w.u16(*min_version);
                 w.u16(*max_version);
             }
@@ -382,7 +303,7 @@ impl Request {
         let corr = r.u32()?;
         let request = match r.u8()? {
             0 => Request::Hello {
-                magic: r.bytes8()?,
+                magic: r.array()?,
                 min_version: r.u16()?,
                 max_version: r.u16()?,
             },
@@ -472,7 +393,7 @@ impl Response {
             Response::Error { code, detail } => {
                 w.u8(8);
                 w.u8(code.to_byte());
-                w.str16(detail);
+                write_str16(&mut w, detail);
             }
         }
     }
@@ -526,7 +447,10 @@ impl Response {
             }),
             6 => Response::ShutdownAck,
             7 => Response::Busy { retry_after_ms: r.u32()? },
-            8 => Response::Error { code: ErrorCode::from_byte(r.u8()?)?, detail: r.str16()? },
+            8 => Response::Error {
+                code: ErrorCode::from_byte(r.u8()?)?,
+                detail: read_str16(&mut r)?,
+            },
             tag => return Err(TransportError::Malformed(format!("unknown response tag {tag}"))),
         };
         r.done()?;
