@@ -237,17 +237,8 @@ pub fn dot(argv: &[String]) -> Result<(), String> {
 }
 
 /// `pufatt profile`: cycle attribution of a built-in PE32 program.
-///
-/// Accepts `--threads` for interface uniformity with the other commands,
-/// but cycle-accurate profiling of one CPU is inherently serial; the flag
-/// is validated and reported, never fanned out.
 pub fn profile(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["program", "threads"], &[])?;
-    let threads: usize = args.num_or("threads", default_threads())?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    println!("threads: {threads} resolved (cycle-accurate profiling runs on one core)");
+    let args = Args::parse(argv, &["program"], &[])?;
     let source = match args.get_or("program", "fibonacci") {
         "fibonacci" => pufatt_pe32::programs::fibonacci(),
         "memcpy" => pufatt_pe32::programs::memcpy(),

@@ -78,6 +78,14 @@ commands:
                   --resume                   (continue an interrupted campaign
                                               from --state-dir; verdicts match
                                               an uninterrupted run)
+                  --commit-interval <ms>     (default 5 with --state-dir, else
+                                              0; group-commit latency bound,
+                                              0 = fsync every record)
+                  --fail-fast                (stop at the first storage failure
+                                              instead of degrading the shard)
+                  --online-enroll <n>        (default 0; admit n more devices
+                                              while the fleet attests; needs
+                                              --state-dir)
   serve         expose the fleet engine on a socket (attestation as a service)
                   --listen <endpoint>        (required; uds:/path or tcp:host:port)
                   --max-conns <n>            (default 256; excess sheds Busy)
@@ -88,11 +96,15 @@ commands:
                   --dispatch-shards <n>      (default: all cores; worker pools)
                   --queue-depth <n>          (default 64; per-pool backlog)
                   --drain-grace-ms <n>       (default 5000; shutdown grace)
-                  plus every fleet campaign flag (--devices, --seed, ...);
+                  --state-dir <path>         (journal the campaign, as fleet)
+                  campaign flags, as for fleet: --devices --workers
+                  --threads --shards --sessions --seed --tamper --profile
+                  --rounds --region-bits --retries --timeout-ms --history
+                  --fault-plan --flaky --commit-interval --fail-fast;
                   runs until a wire Shutdown arrives, then drains and
                   prints the campaign snapshot
   loadgen       drive a running server with concurrent simulated devices
-                  --connect <endpoint>       (required; matches --listen)
+                  --connect <endpoint>       (required; the server's endpoint)
                   --devices <n>              (default 64)
                   --sessions <n>             (default 2; per device)
                   --connections <n>          (default 4; client sockets)
@@ -112,6 +124,7 @@ commands:
                 secret-taint lint (lint codes NET*/SWP*/TNT*)
                   --deny                     (exit nonzero on any finding; CI)
                   --lints                    (list the lint catalogue)
+                  --json                     (machine-readable report)
                   --src-root <path>          (repo root for the taint scan;
                                               default .)
 ";
