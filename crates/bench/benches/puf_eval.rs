@@ -29,11 +29,13 @@
 //!    ran before calibration moved to the bit-sliced engine, against the
 //!    shipped `PufInstance::calibrate_cycle_ps` (same clock bits, same
 //!    noise-stream position).
-//! 8. **provision_device** — `FleetService::enroll` on a fresh in-memory
+//! 8. **enroll / first_attest / steady_attest** — on a fresh in-memory
 //!    service, per device, for the toy fleet (`small_test_config`) and a
-//!    paper-scale fleet: enrollment, clock calibration, loading the shared
-//!    program image and the golden run. These and the calibration rows go
-//!    to a separate `provision_rows` array.
+//!    paper-scale fleet: `FleetService::enroll`, then each device's first
+//!    session (`open_session` + `attest`), which provisions the device
+//!    (enrollment, clock calibration, loading the shared program image,
+//!    the golden run), then its second session, which does not. These and
+//!    the calibration rows go to a separate `provision_rows` array.
 //!
 //! Results are printed and written to `BENCH_puf_eval.json` at the
 //! workspace root for CI artifact upload. `--test` (as passed by
@@ -51,7 +53,7 @@ use pufatt_alupuf::challenge::Challenge;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign, PufChip, PufInstance};
 use pufatt_bench::{cores, cpu_model, full_scale, header, host_json};
 use pufatt_fleet::campaign::{small_test_config, CampaignConfig};
-use pufatt_fleet::FleetService;
+use pufatt_fleet::{FleetService, ServiceVerdict, SessionGate};
 use pufatt_silicon::env::Environment;
 use pufatt_silicon::netlist::{GateKind, NetId};
 use pufatt_silicon::sim::EventSimulator;
@@ -237,7 +239,8 @@ fn main() {
     })
     .collect();
 
-    // 7 + 8. Provisioning: clock calibration and whole device enrollment.
+    // 7 + 8. Provisioning: clock calibration, then a service's enroll and
+    // first and steady sessions.
     let calibrate_rounds = if smoke { 1 } else { 9 };
     let mut provision_rows: Vec<ProvisionRow> = [16, 128]
         .into_iter()
@@ -248,12 +251,8 @@ fn main() {
         params: SwattParams { region_bits: 10, rounds: 2048, puf_interval: 32 },
         ..small_test_config(0, 1, 0xF1EE7)
     };
-    provision_rows.push(provision_row(
-        "provision_device_toy",
-        small_test_config(0, 1, 0xF1EE7),
-        if smoke { 32 } else { 512 },
-    ));
-    provision_rows.push(provision_row("provision_device_paper", paper_fleet, if smoke { 4 } else { 64 }));
+    provision_rows.extend(service_rows("toy", small_test_config(0, 1, 0xF1EE7), if smoke { 32 } else { 512 }));
+    provision_rows.extend(service_rows("paper", paper_fleet, if smoke { 4 } else { 64 }));
 
     for r in &rows {
         println!(
@@ -475,25 +474,46 @@ fn scalar_calibrate_cycle_ps<R: Rng + ?Sized>(inst: &PufInstance<'_>, samples: u
     worst * guard + inst.design().config().arbiter.setup_time_ps
 }
 
-/// `FleetService::enroll` of `devices` devices on a fresh service, per
-/// device, best of three services (one in smoke mode).
-fn provision_row(name: &str, cfg: CampaignConfig, devices: u32) -> ProvisionRow {
+/// Per device of `devices` on a fresh service: `FleetService::enroll`,
+/// the first session (which provisions the device) and the second, best
+/// of three services (one in smoke mode).
+fn service_rows(fleet: &str, cfg: CampaignConfig, devices: u32) -> [ProvisionRow; 3] {
     let rounds = if devices < 64 { 1 } else { 3 };
-    let mut secs = f64::INFINITY;
+    let mut best = [f64::INFINITY; 3];
     for _ in 0..rounds {
         let service = FleetService::new(cfg.clone()).expect("supported configuration");
-        let start = Instant::now();
-        for id in 0..devices {
-            // Compromised devices provision too; only a fault is an error.
-            service.enroll(id).expect("device provisions");
+        let timed = |step: &dyn Fn(u32)| {
+            let start = Instant::now();
+            (0..devices).for_each(step);
+            start.elapsed().as_secs_f64()
+        };
+        // Compromised devices attest too, to a rejection; only a fault is
+        // an error.
+        let attest = |id| {
+            assert!(matches!(service.open_session(id), SessionGate::Granted { .. }), "device {id} is granted");
+            assert!(matches!(service.attest(id), ServiceVerdict::Closed { .. }), "device {id} reaches a verdict");
+        };
+        let secs = [
+            timed(&|id| {
+                service.enroll(id).expect("device enrolls");
+            }),
+            timed(&attest),
+            timed(&attest),
+        ];
+        for (best, secs) in best.iter_mut().zip(secs) {
+            *best = best.min(secs);
         }
-        secs = secs.min(start.elapsed().as_secs_f64());
     }
-    ProvisionRow {
-        name: name.to_string(),
+    let row = |step: &str, secs: f64| ProvisionRow {
+        name: format!("{step}_{fleet}"),
         items: devices as usize,
         us_per_item: secs * 1e6 / f64::from(devices),
-    }
+    };
+    [
+        row("enroll", best[0]),
+        row("first_attest", best[1]),
+        row("steady_attest", best[2]),
+    ]
 }
 
 /// One pending output change, ordered exactly as the pre-engine simulator

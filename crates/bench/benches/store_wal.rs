@@ -12,7 +12,8 @@
 //!   the campaign-journal configuration, swept over the latency bound;
 //! * fleet scale: enroll a large fleet (1M devices at `PUFATT_FULL=1`),
 //!   journal one session per device, kill the store without a checkpoint,
-//!   and time the streaming recovery that reopens it.
+//!   and time the streaming recovery that reopens it, then the toy
+//!   `FleetService::with_journal` restore over the recovered store.
 //!
 //! Results are printed and written to `BENCH_store_wal.json` at the
 //! workspace root for CI artifact upload. `--test` (as passed by
@@ -20,6 +21,7 @@
 //! small workload.
 
 use pufatt_bench::{full_scale, header, host_json, timed};
+use pufatt_fleet::{small_test_config, FleetService};
 use pufatt_store::record::{OutcomeRec, Record, StoredStatus};
 use pufatt_store::{DurableStore, ShardedOptions, ShardedStore, StdVfs, StoreError, StoreOptions};
 use std::sync::Arc;
@@ -239,6 +241,23 @@ fn fleet_runs(dir: &std::path::Path, devices: usize) -> Vec<Row> {
         records_per_sec: replayed as f64 / seconds.max(1e-9),
         wal_bytes: killed_wal_bytes,
         mb_per_sec: killed_wal_bytes as f64 / 1e6 / seconds.max(1e-9),
+    });
+
+    // What a restarted `pufatt serve --state-dir` does next, before it
+    // answers: rebuild every device's slot from the recovered store. Its
+    // `records` are the devices restored.
+    let start = Instant::now();
+    let service = FleetService::with_journal(small_test_config(devices, 1, 0x5E12), store).expect("service restore");
+    let seconds = start.elapsed().as_secs_f64();
+    assert_eq!(service.snapshot().devices.total(), devices, "the service must restore every device");
+    rows.push(Row {
+        name: "service_restore",
+        devices,
+        records: devices,
+        seconds,
+        records_per_sec: devices as f64 / seconds.max(1e-9),
+        wal_bytes: 0,
+        mb_per_sec: 0.0,
     });
     rows
 }

@@ -241,6 +241,11 @@ impl ProgramImage {
     pub fn options(&self) -> CodegenOptions {
         self.options
     }
+
+    /// The memory layout every prover loaded with this program has.
+    pub fn layout(&self) -> SwattLayout {
+        self.layout
+    }
 }
 
 /// The prover: a PE32 device with the attestation program in memory and the

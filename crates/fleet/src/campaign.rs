@@ -302,11 +302,23 @@ impl ProductLine {
         built.as_ref().map_err(Clone::clone)
     }
 
-    /// The memory-copy program for an attested region of `region_words`
-    /// words (the same for every device of the line).
-    fn memory_copy(&self, region_words: u32) -> Result<&ProgramImage, PufattError> {
+    /// The memory-copy program, redirecting the honest program's attested
+    /// region.
+    fn memory_copy(&self) -> Result<&ProgramImage, PufattError> {
+        let region_words = self.honest()?.layout().region_end;
         let built = self.memory_copy.get_or_init(|| memory_copy_image(self.params, region_words));
         built.as_ref().map_err(Clone::clone)
+    }
+
+    /// Builds the programs device `id` loads, so a configuration whose
+    /// programs cannot be generated is refused at enrollment, before any
+    /// device is provisioned.
+    pub(crate) fn check_programs(&self, cfg: &CampaignConfig, id: DeviceId) -> Result<(), PufattError> {
+        self.honest()?;
+        if device_is_tampered(cfg.seed, id, cfg.tamper_fraction) {
+            self.memory_copy()?;
+        }
+        Ok(())
     }
 }
 
@@ -327,10 +339,8 @@ pub(crate) fn provision_device(
         // redirecting checksum forges the response from a pristine copy,
         // and the per-round redirection overhead breaks the time bound —
         // so the verifier rejects it every session, deterministically.
-        let expected_region = prover.expected_region();
-        let image = line.memory_copy(expected_region.len() as u32)?;
         let puf = enrolled.device_handle(splitmix64(seed ^ 4));
-        malicious_prover_from_image(puf, image, &expected_region, clock, 1.0)?
+        malicious_prover_from_image(puf, line.memory_copy()?, &prover.expected_region(), clock, 1.0)?
     } else {
         prover
     };
@@ -443,7 +453,7 @@ fn run_device(service: &FleetService, id: DeviceId) {
         Err(PufattError::Storage(_) | PufattError::StorageUnavailable { .. }) => {
             return service.count_unavailable(owed());
         }
-        // A provisioning fault, which the service has already counted.
+        // A program build fault, which the service has already counted.
         Err(_) => return,
     }
     for left in (0..owed()).rev() {

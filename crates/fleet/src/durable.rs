@@ -24,12 +24,12 @@
 //! [`crate::campaign`]): every per-device random stream derives from the
 //! seed and device id, and one device's sessions run in order. Resume
 //! exploits this twice over. The lifecycles, metrics, and histories are
-//! restored from the store. Then each device fast-forwards: its
-//! journaled cursor restores the RNG positions
-//! directly (no replay), any committed session events *after* the last
-//! cursor are re-run, uncounted, purely to advance RNG and channel
-//! state (refusals consumed no randomness and are skipped), and the
-//! remaining sessions run live. A crash can lose at most the
+//! restored from the store. Then each device, provisioned when its first
+//! session needs it, fast-forwards: its journaled cursor restores the RNG
+//! positions directly (no replay), any committed session events *after*
+//! the last cursor are re-run, uncounted, purely to advance RNG and
+//! channel state (refusals consumed no randomness and are skipped), and
+//! the remaining sessions run live. A crash can lose at most the
 //! unflushed group-commit tail of each shard — and every lost record is
 //! re-derived identically by re-running those sessions, so the final
 //! report is bit-identical to a run that was never interrupted (modulo
@@ -167,28 +167,20 @@ pub(crate) fn journal(store: &ShardedStore, record: &Record) -> Result<(), Store
     }
 }
 
-/// A device's committed position when the store was opened: what resume
-/// must fast-forward past before running live sessions.
+/// A device's committed position when the store was opened: what its
+/// session must fast-forward past, once provisioned, before running live
+/// sessions. The default is a freshly enrolled device's.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DevicePrior {
     /// Session events after the last cursor (full history if none).
     pub events: Vec<u8>,
-    /// Total session events ever committed for the device.
-    pub events_seen: u32,
     /// The last committed cursor, if any.
     pub cursor: Option<CursorInfo>,
-    /// Whether provisioning already failed for good.
-    pub abandoned: bool,
 }
 
 impl DevicePrior {
     pub(crate) fn from_state(d: &pufatt_store::DeviceState) -> Self {
-        DevicePrior {
-            events: d.events.clone(),
-            events_seen: d.events_seen,
-            cursor: d.cursor,
-            abandoned: d.abandoned,
-        }
+        DevicePrior { events: d.events.clone(), cursor: d.cursor }
     }
 }
 

@@ -6,8 +6,9 @@
 //! order the network delivers them, so [`FleetService`] works per
 //! request:
 //!
-//! * [`FleetService::enroll`] provisions one device (its lifecycle record
-//!   plus a live prover/verifier session, in one slot);
+//! * [`FleetService::enroll`] admits one device: its lifecycle record, in
+//!   one slot. The device's prover/verifier session is provisioned (the
+//!   golden run included) by the first call that needs it, as on restore;
 //! * [`FleetService::open_session`] gates one attestation session (the
 //!   revocation check before each session);
 //! * [`FleetService::attest`] runs exactly one session and applies the
@@ -33,10 +34,11 @@
 //!
 //! One device's sessions must be applied in order (each session advances
 //! the device's seeded RNG). Each device has one slot — its lifecycle,
-//! history, live session and journal cursor — in one sharded map, and
+//! history, session and journal cursor — in one sharded map, and
 //! the service serialises per *slot shard*: every call for device `id`
 //! locks shard [`FleetService::shard_of`]`(id)` for the duration of the
-//! session, and that is the only fleet lock a session takes. A transport
+//! session (provisioning included, on a device's first), and that is the
+//! only fleet lock a session takes. A transport
 //! that dispatches each device's requests to one shard-affine worker (as
 //! `pufatt-transport` does), or a campaign that runs each device's
 //! schedule inside one pool job, therefore preserves per-device order end
@@ -64,22 +66,31 @@ use pufatt_store::record::{OutcomeRec, Record};
 use pufatt_store::state::MetaInfo;
 use pufatt_store::{DeviceState, ShardedStore, StoreError};
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One device's server-side state.
 struct Slot {
     /// Status, streak counters and bounded session history.
     lifecycle: DeviceLifecycle,
-    /// Live prover/verifier session state. `None` when provisioning
-    /// failed: the device is enrolled but abandoned, and can never run a
-    /// session this campaign.
-    session: Option<Box<DeviceSession>>,
+    /// The device's prover/verifier session, provisioned on first use.
+    session: SessionState,
     /// Session events journaled for this device (the cursor position a
     /// journaled service writes after each one). Tracked here so the
     /// service never has to read the store back on the hot path.
     events_seen: u32,
+}
+
+/// Where a device's prover/verifier session stands.
+enum SessionState {
+    /// Not provisioned yet. The first call that needs the session
+    /// provisions it and fast-forwards it past this committed position.
+    Pending(DevicePrior),
+    /// Provisioned, at the device's current position.
+    Live(Box<DeviceSession>),
+    /// Provisioning failed: the device is enrolled but can never run a
+    /// session this campaign.
+    Abandoned,
 }
 
 /// How an enrollment record is committed (OPERATIONS.md §3).
@@ -142,10 +153,11 @@ pub enum ServiceVerdict {
     /// The device was revoked when the attest arrived; the session was
     /// refused without running.
     Refused,
-    /// The device faulted outside the protocol (trap mid-attestation);
-    /// no verdict, nothing recorded in the device's lifecycle.
+    /// The device faulted outside the protocol (trap mid-attestation, or
+    /// it could not be provisioned); no verdict, nothing recorded in the
+    /// device's lifecycle.
     Fault,
-    /// The device id is not enrolled (or was never provisioned).
+    /// The device id is not enrolled.
     Unknown,
     /// The device's durable home shard is sick; the session was refused
     /// before running (see [`SessionGate::Unavailable`]).
@@ -202,10 +214,11 @@ impl FleetService {
     /// Builds a service whose state is journaled through (and restored
     /// from) a sharded durable store — the `pufatt serve --state-dir`
     /// entry point. An empty store starts fresh; a store holding this
-    /// configuration's campaign is restored: every enrolled device is
-    /// re-provisioned and fast-forwarded to its journaled cursor, so the
-    /// restarted service hands out **bit-identical** verdicts from where
-    /// the previous process stopped.
+    /// configuration's campaign is restored: every enrolled device gets
+    /// its lifecycle back, and its session is provisioned and
+    /// fast-forwarded to its journaled cursor when it is first needed, so
+    /// the restarted service hands out **bit-identical** verdicts from
+    /// where the previous process stopped.
     ///
     /// # Errors
     ///
@@ -233,7 +246,7 @@ impl FleetService {
             }
         }
         service.metrics = FleetMetrics::from_store_counters(&store.counters());
-        for id in service.restore_devices(&store, None)? {
+        for id in service.restore_devices(&store, None) {
             if id as usize >= service.cfg.devices {
                 service.metrics.device_enrolled_online();
             }
@@ -248,17 +261,9 @@ impl FleetService {
 
     /// Rebuilds the in-memory state of the devices `store` holds — all of
     /// them, or only those homed on store shard `only`: each device's slot
-    /// is inserted whole, its lifecycle with a provisioned session
-    /// fast-forwarded to the journaled cursor (or abandoned). Provisioning
-    /// dominates a restart, so it is spread over the host's cores. Returns
-    /// the restored ids.
-    ///
-    /// # Errors
-    ///
-    /// The first provisioning failure. Provisioning is deterministic — a
-    /// device that provisioned before must provision again — so failing
-    /// here means the store and the configuration disagree.
-    fn restore_devices(&self, store: &ShardedStore, only: Option<usize>) -> Result<Vec<DeviceId>, PufattError> {
+    /// is inserted whole, its lifecycle restored and its session pending
+    /// at the journaled position (or abandoned). Returns the restored ids.
+    fn restore_devices(&self, store: &ShardedStore, only: Option<usize>) -> Vec<DeviceId> {
         let mut devices = Vec::new();
         let visit = |id: DeviceId, device: &DeviceState| {
             let lifecycle = DeviceLifecycle::restore(
@@ -269,50 +274,26 @@ impl FleetService {
                 device.outcomes.iter().map(from_outcome_rec).collect(),
                 device.outcomes_total,
             );
-            devices.push((id, DevicePrior::from_state(device), lifecycle));
+            let session = if device.abandoned {
+                SessionState::Abandoned
+            } else {
+                SessionState::Pending(DevicePrior::from_state(device))
+            };
+            devices.push((id, Slot { lifecycle, session, events_seen: device.events_seen }));
         };
+        // Collected first: the store holds its shard lock while it visits,
+        // and that ranks below the slot locks.
         match only {
             Some(shard) => store.for_each_device_in(shard, visit),
             None => store.for_each_device(visit),
         }
-        // Workers pull devices off a shared index, so a descheduled
-        // thread never strands a fixed share of the fleet.
-        let next = AtomicUsize::new(0);
-        let threads = std::thread::available_parallelism()
-            .map_or(1, NonZeroUsize::get)
-            .min(devices.len());
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        while let Some((id, prior, lifecycle)) = devices.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            self.restore_slot(*id, prior, lifecycle.clone())?;
-                        }
-                        Ok::<(), PufattError>(())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .try_for_each(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-        })?;
-        Ok(devices.into_iter().map(|(id, ..)| id).collect())
-    }
-
-    /// Inserts restored device `id`'s slot: `lifecycle` with a session
-    /// provisioned and fast-forwarded to `prior`, or none if provisioning
-    /// failed for good before.
-    fn restore_slot(&self, id: DeviceId, prior: &DevicePrior, lifecycle: DeviceLifecycle) -> Result<(), PufattError> {
-        let session = if prior.abandoned {
-            None
-        } else {
-            let mut session = provision_device(&self.line, &self.cfg, id)?;
-            fast_forward(&mut session, prior);
-            Some(Box::new(session))
-        };
-        let slot = Slot { lifecycle, session, events_seen: prior.events_seen };
-        lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).insert(id, slot);
-        Ok(())
+        devices
+            .into_iter()
+            .map(|(id, slot)| {
+                lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).insert(id, slot);
+                id
+            })
+            .collect()
     }
 
     /// Counts `record` into the live metrics, then appends it to the
@@ -349,11 +330,39 @@ impl FleetService {
         Ok(())
     }
 
-    /// Journals the post-session cursor for a device with a live session.
+    /// Journals the post-session cursor of a device that is not
+    /// abandoned.
     fn journal_cursor(&self, id: DeviceId, slot: &mut Slot) {
-        if let (Some(_), Some(session)) = (&self.journal, &mut slot.session) {
+        if self.journal.is_none() {
+            return;
+        }
+        if let Some(session) = self.live(id, &mut slot.session) {
             slot.events_seen += 1;
             self.journal_event(&session.cursor_record(id, slot.events_seen));
+        }
+    }
+
+    /// Device `id`'s session, provisioned and fast-forwarded to its
+    /// committed position on first use; `None` if the device is abandoned.
+    /// A provisioning failure (a golden-run trap) journals the device
+    /// abandoned, for good.
+    fn live<'s>(&self, id: DeviceId, state: &'s mut SessionState) -> Option<&'s mut DeviceSession> {
+        if let SessionState::Pending(prior) = state {
+            let provisioned = provision_device(&self.line, &self.cfg, id).map(|mut session| {
+                fast_forward(&mut session, prior);
+                session
+            });
+            *state = match provisioned {
+                Ok(session) => SessionState::Live(Box::new(session)),
+                Err(_) => {
+                    self.journal_event(&Record::DeviceAbandoned { id });
+                    SessionState::Abandoned
+                }
+            };
+        }
+        match state {
+            SessionState::Live(session) => Some(session),
+            _ => None,
         }
     }
 
@@ -367,16 +376,16 @@ impl FleetService {
         id as usize % self.slots.len()
     }
 
-    /// Enrolls and provisions one device. Idempotent: a second call for a
-    /// live device changes nothing and reports `fresh: false`. On a
-    /// journaled service the enrollment is force-synced before the device
-    /// becomes visible.
+    /// Enrolls one device. Idempotent: a second call for an enrolled
+    /// device changes nothing and reports `fresh: false`. On a journaled
+    /// service the enrollment is force-synced before the device becomes
+    /// visible. The device's programs are built here (once per service);
+    /// the device itself is provisioned by its first session.
     ///
     /// # Errors
     ///
-    /// Propagates the provisioning failure; the device stays enrolled,
-    /// but its slot holds no session (abandoned) and it is counted as a
-    /// device fault.
+    /// The program build failure ([`PufattError::Codegen`]); the device
+    /// stays enrolled, but abandoned, and it is counted as a device fault.
     /// [`PufattError::StorageUnavailable`] if the device's durable home
     /// shard is sick — nothing is admitted that could not be journaled.
     pub fn enroll(&self, id: DeviceId) -> Result<EnrollOutcome, PufattError> {
@@ -386,28 +395,10 @@ impl FleetService {
     /// [`FleetService::enroll`] with the enrollment record committed as
     /// `commit` says.
     pub(crate) fn enroll_as(&self, id: DeviceId, commit: EnrollCommit) -> Result<EnrollOutcome, PufattError> {
-        let live = |slots: &HashMap<DeviceId, Slot>| {
-            slots
-                .get(&id)
-                .map(|slot| EnrollOutcome { fresh: false, status: slot.lifecycle.status() })
-        };
-        {
-            let slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-            self.storage_guard(id)?;
-            if let Some(outcome) = live(&slots) {
-                return Ok(outcome);
-            }
-        }
-        // Provisioning (0.1–2 ms) touches no shared state but the product
-        // line's programs, built once, so it runs outside the slot-shard
-        // lock: devices that share a shard never serialize on each other's
-        // provisioning.
-        let provisioned = provision_device(&self.line, &self.cfg, id);
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         self.storage_guard(id)?;
-        if let Some(outcome) = live(&slots) {
-            // A concurrent enroll of the same id provisioned it first.
-            return Ok(outcome);
+        if let Some(slot) = slots.get(&id) {
+            return Ok(EnrollOutcome { fresh: false, status: slot.lifecycle.status() });
         }
         // Admit-or-absent: the enrollment is journaled before the device
         // becomes visible in its slot.
@@ -427,11 +418,14 @@ impl FleetService {
         if id as usize >= self.cfg.devices {
             self.metrics.device_enrolled_online();
         }
-        let (session, result) = match provisioned {
-            Ok(session) => (Some(Box::new(session)), Ok(EnrollOutcome { fresh: true, status: FleetStatus::Active })),
+        let (session, result) = match self.line.check_programs(&self.cfg, id) {
+            Ok(()) => (
+                SessionState::Pending(DevicePrior::default()),
+                Ok(EnrollOutcome { fresh: true, status: FleetStatus::Active }),
+            ),
             Err(e) => {
                 self.journal_event(&Record::DeviceAbandoned { id });
-                (None, Err(e))
+                (SessionState::Abandoned, Err(e))
             }
         };
         let lifecycle = DeviceLifecycle::new(self.cfg.history_capacity.max(1));
@@ -478,12 +472,13 @@ impl FleetService {
 
     /// Gates one attestation session: the pre-session revocation check. A
     /// revoked device's session is counted as refused here (never
-    /// started).
+    /// started). Provisions nothing unless a refusal's cursor needs it, so
+    /// a socket server can gate on a connection's reader thread.
     pub fn open_session(&self, id: DeviceId) -> SessionGate {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         match self.precheck(id, &mut slots) {
             Err(gate) => gate,
-            Ok(Slot { session: None, .. }) => SessionGate::Faulty,
+            Ok(Slot { session: SessionState::Abandoned, .. }) => SessionGate::Faulty,
             Ok(_) => SessionGate::Granted { ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed) },
         }
     }
@@ -491,6 +486,8 @@ impl FleetService {
     /// Runs exactly one attestation session for `id` under the device's
     /// retry policy (plain, or chaos when the configuration carries a
     /// fault plan), applies the lifecycle policy, and returns the verdict.
+    /// A device's first session provisions it first; a device that fails
+    /// to provision is abandoned and answers [`ServiceVerdict::Fault`].
     pub fn attest(&self, id: DeviceId) -> ServiceVerdict {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         // Checked again here (not only at open_session): the shard may
@@ -503,8 +500,8 @@ impl FleetService {
             Err(SessionGate::Refused) => return ServiceVerdict::Refused,
             Err(_) => return ServiceVerdict::Unknown,
         };
-        let Some(session) = slot.session.as_mut() else {
-            return ServiceVerdict::Unknown;
+        let Some(session) = self.live(id, &mut slot.session) else {
+            return ServiceVerdict::Fault;
         };
         let crp0 = session.crp_stats();
         let report = run_session(session);
@@ -689,8 +686,8 @@ impl FleetService {
     /// Operator recovery: reopens a sick *store* shard (fresh handles,
     /// shard-local recovery against whatever is actually durable) and
     /// rebuilds the in-memory state of every device homed on it from the
-    /// reopened journal — lifecycle, provisioned session,
-    /// fast-forward to the journaled cursor. In-memory progress past the
+    /// reopened journal — lifecycle, and a session pending at the
+    /// journaled cursor. In-memory progress past the
     /// durable prefix (the at-most-one session whose record the failing
     /// append lost) is rewound; re-driving it yields a bit-identical
     /// verdict, exactly like a post-power-cut resume. Returns the number
@@ -704,24 +701,22 @@ impl FleetService {
     ///
     /// [`PufattError::Storage`] for an unjournaled service or when the
     /// underlying reopen fails (the shard is then marked Failed and keeps
-    /// refusing); provisioning errors if the restored records disagree
-    /// with the configuration.
+    /// refusing).
     pub fn reopen_shard(&self, store_shard: usize) -> Result<usize, PufattError> {
         let Some(store) = &self.journal else {
             return Err(PufattError::Storage("service has no journal; nothing to reopen".into()));
         };
         store.reopen_shard(store_shard).map_err(storage_err)?;
-        Ok(self.restore_devices(store, Some(store_shard))?.len())
+        Ok(self.restore_devices(store, Some(store_shard)).len())
     }
 
     /// Session events journaled for `id` so far (0 for an unjournaled
-    /// service, or a device without a live session): where a resumed
-    /// campaign picks up the device's schedule.
+    /// service or an unknown device): where a resumed campaign picks up
+    /// the device's schedule.
     pub(crate) fn events_seen(&self, id: DeviceId) -> u32 {
-        match lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).get(&id) {
-            Some(Slot { session: Some(_), events_seen, .. }) => *events_seen,
-            _ => 0,
-        }
+        lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT)
+            .get(&id)
+            .map_or(0, |slot| slot.events_seen)
     }
 
     /// Counts `sessions` scheduled sessions refused because their
@@ -1064,6 +1059,91 @@ mod tests {
             }
         }
         assert_eq!(service.device_records(), reference_records, "degradation and reopen must not change verdicts");
+    }
+
+    const REVOKED: DeviceId = 3;
+
+    /// A journaled fleet on `vfs`: every device enrolled and attested once,
+    /// then device [`REVOKED`] revoked by the operator.
+    fn journaled_fleet(cfg: &CampaignConfig, vfs: &pufatt_store::SimVfs) -> (FleetService, Arc<ShardedStore>) {
+        let store = open_store(cfg, vfs);
+        let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("fresh journal");
+        for id in 0..cfg.devices as DeviceId {
+            service.enroll(id).expect("device enrolls");
+            assert!(matches!(service.open_session(id), SessionGate::Granted { .. }));
+            assert!(matches!(service.attest(id), ServiceVerdict::Closed { .. }));
+        }
+        service.revoke(REVOKED).expect("journal accepts");
+        (service, store)
+    }
+
+    /// Devices among `ids` whose session is provisioned.
+    fn live_sessions(service: &FleetService, ids: &[DeviceId]) -> usize {
+        ids.iter()
+            .filter(|&&id| {
+                let slots = lock_ranked(&service.slots[service.shard_of(id)], rank::SERVICE_SLOT);
+                matches!(slots.get(&id), Some(Slot { session: SessionState::Live(_), .. }))
+            })
+            .count()
+    }
+
+    /// Checks devices `ids` of a service just rebuilt from `store`: none is
+    /// provisioned, each resumes at its journaled event count, and the
+    /// revoked device's refusal journals `reference`, the state a service
+    /// that never restarted leaves.
+    fn assert_rebuilt_pending(service: &FleetService, store: &ShardedStore, ids: &[DeviceId], reference: &DeviceState) {
+        assert_eq!(live_sessions(service, ids), 0, "rebuilding provisions no device");
+        for &id in ids {
+            let journaled = store.device(id).expect("enrolled").events_seen;
+            assert!(journaled > 0, "device {id} ran a session");
+            assert_eq!(service.events_seen(id), journaled, "device {id} resumes at its journaled count");
+        }
+        assert_eq!(service.open_session(REVOKED), SessionGate::Refused);
+        assert_eq!(store.device(REVOKED).as_ref(), Some(reference), "refusal cursor matches the unrestarted one");
+    }
+
+    #[test]
+    fn restore_and_reopen_leave_devices_pending_at_their_journaled_position() {
+        let cfg = small_test_config(8, 1, 0x1A2F);
+        let ids: Vec<DeviceId> = (0..cfg.devices as DeviceId).collect();
+        let (service, store) = journaled_fleet(&cfg, &pufatt_store::SimVfs::new());
+        assert_eq!(live_sessions(&service, &ids), ids.len());
+        assert_eq!(service.open_session(REVOKED), SessionGate::Refused);
+        let reference = store.device(REVOKED).expect("enrolled");
+
+        let vfs = pufatt_store::SimVfs::new();
+        drop(journaled_fleet(&cfg, &vfs));
+        let store = open_store(&cfg, &vfs);
+        let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("restore");
+        assert_rebuilt_pending(&service, &store, &ids, &reference);
+
+        let (service, store) = journaled_fleet(&cfg, &pufatt_store::SimVfs::new());
+        let shard = store.shard_of_id(REVOKED);
+        let homed: Vec<DeviceId> = ids.iter().copied().filter(|&id| store.shard_of_id(id) == shard).collect();
+        assert_eq!(service.reopen_shard(shard).expect("reopen"), homed.len());
+        assert_rebuilt_pending(&service, &store, &homed, &reference);
+    }
+
+    #[test]
+    fn unbuildable_program_fails_enroll_typed_and_abandons_the_device() {
+        // A 32-word region cannot hold the checksum program, so every
+        // device of this configuration fails alike.
+        let mut cfg = small_test_config(2, 1, 0xC0DE);
+        cfg.params.region_bits = 5;
+        let vfs = pufatt_store::SimVfs::new();
+        let store = open_store(&cfg, &vfs);
+        let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("fresh journal");
+        assert!(matches!(service.enroll(0), Err(PufattError::Codegen(_))));
+        // The store applies an abandonment only to an enrolled device.
+        let device = store.device(0).expect("enrollment journaled");
+        assert!(device.abandoned && device.faults == 1, "{device:?}");
+        assert_eq!(service.snapshot().device_faults, 1);
+        assert_eq!(service.open_session(0), SessionGate::Faulty);
+        assert!(matches!(service.enroll(0), Ok(EnrollOutcome { fresh: false, .. })));
+        drop(service);
+        let service = FleetService::with_journal(cfg.clone(), open_store(&cfg, &vfs)).expect("restore");
+        assert_eq!(service.open_session(0), SessionGate::Faulty);
+        assert_eq!(service.snapshot().device_faults, 1);
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub enum Request {
         /// Highest version the client accepts.
         max_version: u16,
     },
-    /// Enroll (and provision) a device. Idempotent.
+    /// Enroll a device; its first attestation provisions it. Idempotent.
     Enroll {
         /// The device id.
         device: DeviceId,
@@ -173,7 +173,7 @@ pub enum Response {
         /// The version both sides will speak.
         version: u16,
     },
-    /// The device is enrolled and provisioned.
+    /// The device is enrolled.
     EnrollOk {
         /// The device id.
         device: DeviceId,

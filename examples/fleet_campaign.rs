@@ -69,7 +69,7 @@ fn main() {
     // The same engine answers operator actions one request at a time —
     // e.g. revoking a device, then re-trusting it once it is repaired.
     let service = FleetService::new(cfg).expect("service");
-    service.enroll(7).expect("provision");
+    service.enroll(7).expect("enroll");
     assert_eq!(service.revoke(7).expect("unjournaled"), Some(FleetStatus::Revoked));
     assert_eq!(service.open_session(7), SessionGate::Refused);
     assert!(service.re_enroll(7).expect("unjournaled"));
