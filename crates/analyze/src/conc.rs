@@ -1,9 +1,9 @@
 //! Pass 4 — concurrency verifier over the fleet/transport/store/core
 //! sources.
 //!
-//! PRs 6–8 made the reproduction genuinely concurrent: per-shard dispatch
-//! pools, a background group-commit thread, a socket server whose handler
-//! threads share a ticket table and a connection map. The deadlock- and
+//! PRs 6–8 made the reproduction genuinely concurrent: a campaign worker
+//! pool, a background group-commit thread, a socket server whose handler
+//! threads share a connection map and the fleet's slot shards. The deadlock- and
 //! stall-freedom arguments for that code live in module docs; this pass
 //! turns them into checked facts. It extracts a *lock-acquisition graph*
 //! from the sources — every `sync::lock` / `sync::lock_ranked` wrapper
@@ -43,15 +43,13 @@ use std::path::PathBuf;
 
 /// The documented lock classes and their acquisition ranks. A thread may
 /// only acquire a lock whose rank is *strictly greater* than every lock
-/// it already holds. The first six classes (ranks 10–70) are enforced
+/// it already holds. The first four classes (ranks 10–70) are enforced
 /// at runtime by `pufatt-fleet`'s `sync::rank` witness; the store/core
 /// classes cannot use that witness (the dependency points the other way)
 /// so they are documented here and checked statically only.
 pub const RANKS: &[(&str, u32)] = &[
     ("server_conns", 10),
     ("handler_handles", 20),
-    ("ticket_table", 30),
-    ("conn_writer", 40),
     ("service_slot", 50),
     ("pool_receiver", 70),
     ("store_inner", 80),
@@ -68,10 +66,6 @@ pub const RANKS: &[(&str, u32)] = &[
 const CLASS_MAP: &[(&str, &str)] = &[
     ("conns", "server_conns"),
     ("handler_handles", "handler_handles"),
-    ("tickets", "ticket_table"),
-    ("tickets_job", "ticket_table"),
-    ("table", "ticket_table"),
-    ("stream", "conn_writer"),
     ("slots", "service_slot"),
     ("receiver", "pool_receiver"),
     ("inner", "store_inner"),
@@ -116,8 +110,8 @@ const BLOCKING_OPS: &[(&str, &str)] = &[
 /// Interprocedural summaries: a method call through one of these
 /// receivers momentarily acquires the named class inside the callee.
 /// This small table is what lets the pass see `service.enroll(..)` under
-/// a ticket-table guard as a `ticket_table -> service_slot` edge without
-/// whole-program analysis.
+/// a connection-map guard as a `server_conns -> service_slot` edge
+/// without whole-program analysis.
 const CALL_SUMMARIES: &[(&str, &str)] = &[
     ("service.", "service_slot"),
     ("store.", "store_inner"),
@@ -491,9 +485,6 @@ pub fn scan_source(name: &str, source: &str) -> FileScan {
             while let Some(rel) = code[search..].find(op) {
                 let at = search + rel;
                 search = at + op.len();
-                if op == ".submit(" && code[..at].ends_with("try") {
-                    continue; // `.try_submit(` never blocks
-                }
                 let mut offenders: Vec<(String, String)> = held
                     .iter()
                     .filter(|h| !h.class.as_deref().is_some_and(|c| BLOCKING_EXEMPT.contains(&c)))
@@ -721,21 +712,22 @@ mod tests {
         let expect = [
             ("server_conns", 10),
             ("handler_handles", 20),
-            ("ticket_table", 30),
-            ("conn_writer", 40),
             ("service_slot", 50),
             ("pool_receiver", 70),
         ];
         for (class, rank) in expect {
             assert_eq!(rank_of(class), Some(rank), "class {class}");
         }
+        for retired in ["ticket_table", "conn_writer"] {
+            assert_eq!(rank_of(retired), None, "class {retired} is retired");
+        }
     }
 
     #[test]
     fn rank_violation_and_cycle_are_flagged() {
-        let src = "fn a(&self) {\n    let g = lock(&self.inner);\n    let h = lock(&self.tickets);\n}\n";
-        assert!(lints(src).contains(&LintId::LockOrderCycle), "store_inner(80) -> ticket_table(30)");
-        let clean = "fn a(&self) {\n    let g = lock(&self.tickets);\n    let h = lock(&self.inner);\n}\n";
+        let src = "fn a(&self) {\n    let g = lock(&self.inner);\n    let h = lock(&self.conns);\n}\n";
+        assert!(lints(src).contains(&LintId::LockOrderCycle), "store_inner(80) -> server_conns(10)");
+        let clean = "fn a(&self) {\n    let g = lock(&self.conns);\n    let h = lock(&self.inner);\n}\n";
         assert!(!lints(clean).contains(&LintId::LockOrderCycle));
     }
 

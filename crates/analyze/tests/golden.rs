@@ -447,8 +447,8 @@ fn shipped_sources_pass_the_concurrency_verifier() {
     // each one is a deliberate, documented exception (see DESIGN.md §10):
     // 2 in fleet/service.rs (fsync-before-visibility under the slot
     // shard), 1 in fleet/pool.rs (recv on the shared receiver IS the
-    // handoff), 1 in transport/server.rs (whole-frame writer lock),
-    // 1 in transport/shim.rs (self-terminating chaos pump thread).
+    // handoff), 1 in transport/shim.rs (self-terminating chaos pump
+    // thread).
     let mut markers = 0;
     for root in &roots {
         for entry in walk(root) {
@@ -456,7 +456,7 @@ fn shipped_sources_pass_the_concurrency_verifier() {
             markers += text.matches("analyze: allow(conc:").count();
         }
     }
-    assert_eq!(markers, 5, "conc-allowlist size changed; review the new/removed markers");
+    assert_eq!(markers, 4, "conc-allowlist size changed; review the new/removed markers");
 }
 
 #[test]

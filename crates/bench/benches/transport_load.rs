@@ -8,9 +8,10 @@
 //!
 //! The headline row holds ≥10 000 concurrent devices in flight — every
 //! device enrolled, holding an open attestation ticket, and pipelining
-//! its sessions — which exercises the per-shard dispatch pools, the
-//! bounded-queue backpressure (`Busy` + retry), and the graceful drain in
-//! one sweep.
+//! its sessions. Each connection's handler runs its requests one at a
+//! time, so a deep window queues in that connection's socket, never in
+//! the server; with the rate limit off no row should see a `Busy` retry.
+//! The sweep ends in the graceful drain.
 //!
 //! Results are printed and written to `BENCH_transport.json` at the
 //! workspace root for CI artifact upload. `--test` (as passed by
@@ -41,7 +42,6 @@ fn run_sweep(sock_dir: &std::path::Path, sweep: &Sweep, sessions: u32) -> (Loadg
         ServerConfig {
             rate_limit_per_s: 0.0,
             max_connections: sweep.connections + 8,
-            queue_depth: 512,
             read_timeout_ms: 120_000,
             write_timeout_ms: 120_000,
             ..ServerConfig::default()

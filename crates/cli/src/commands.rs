@@ -258,13 +258,12 @@ pub fn profile(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `pufatt fleet`: a concurrent fleet-scale attestation campaign.
 /// Campaign flags shared by `fleet` and `serve` (the server fronts the
-/// same engine, so it takes the same knobs).
+/// same engine, so it takes the same knobs). `fleet` adds its worker
+/// pool's `--workers`/`--threads`; `serve` runs each connection on its
+/// own thread and has no pool to size.
 pub(crate) const CAMPAIGN_VALUE_KEYS: &[&str] = &[
     "devices",
-    "workers",
-    "threads",
     "shards",
     "sessions",
     "seed",
@@ -356,13 +355,14 @@ fn commit_interval_s(args: &Args) -> Result<f64, String> {
     Ok(ms * 1e-3)
 }
 
-/// Prints the standard campaign header shared by `fleet` and `serve`.
-pub(crate) fn print_campaign_banner(cfg: &CampaignConfig) {
+/// Prints the standard campaign header shared by `fleet` and `serve`;
+/// `workers` is the campaign pool's size, `None` where there is no pool.
+pub(crate) fn print_campaign_banner(cfg: &CampaignConfig, workers: Option<usize>) {
+    let workers = workers.map_or(String::new(), |n| format!("{n} workers, "));
     println!(
-        "campaign: {} devices x {} sessions, {} workers, {} shards, seed {:#x}, tamper {:.1}%",
+        "campaign: {} devices x {} sessions, {workers}{} shards, seed {:#x}, tamper {:.1}%",
         cfg.devices,
         cfg.sessions_per_device,
-        cfg.workers,
         cfg.shards,
         cfg.seed,
         cfg.tamper_fraction * 100.0
@@ -375,14 +375,15 @@ pub(crate) fn print_campaign_banner(cfg: &CampaignConfig) {
     }
 }
 
+/// `pufatt fleet`: a concurrent fleet-scale attestation campaign.
 pub fn fleet(argv: &[String]) -> Result<(), String> {
     let mut value_keys = CAMPAIGN_VALUE_KEYS.to_vec();
-    value_keys.extend_from_slice(&["state-dir", "online-enroll"]);
+    value_keys.extend_from_slice(&["workers", "threads", "state-dir", "online-enroll"]);
     let mut bool_keys = CAMPAIGN_BOOL_KEYS.to_vec();
     bool_keys.push("resume");
     let args = Args::parse(argv, &value_keys, &bool_keys)?;
     let cfg = campaign_config(&args)?;
-    print_campaign_banner(&cfg);
+    print_campaign_banner(&cfg, Some(cfg.workers));
     let state_dir = args.get_or("state-dir", "");
     let resume = args.has("resume");
     if resume && state_dir.is_empty() {

@@ -88,17 +88,17 @@ commands:
                                               --state-dir)
   serve         expose the fleet engine on a socket (attestation as a service)
                   --listen <endpoint>        (required; uds:/path or tcp:host:port)
-                  --max-conns <n>            (default 256; excess sheds Busy)
+                  --max-conns <n>            (default 256; excess sheds Busy;
+                                              one session per connection
+                                              runs at a time)
                   --read-timeout-ms <n>      (default 5000; idle cutoff)
                   --write-timeout-ms <n>     (default 5000)
                   --rate-limit <f64>         (default 0 = off; requests/s)
                   --rate-burst <n>           (default 64; token-bucket depth)
-                  --dispatch-shards <n>      (default: all cores; worker pools)
-                  --queue-depth <n>          (default 64; per-pool backlog)
                   --drain-grace-ms <n>       (default 5000; shutdown grace)
                   --state-dir <path>         (journal the campaign, as fleet)
-                  campaign flags, as for fleet: --devices --workers
-                  --threads --shards --sessions --seed --tamper --profile
+                  campaign flags, as for fleet less its worker pool:
+                  --devices --shards --sessions --seed --tamper --profile
                   --rounds --region-bits --retries --timeout-ms --history
                   --fault-plan --flaky --commit-interval --fail-fast;
                   runs until a wire Shutdown arrives, then drains and

@@ -28,8 +28,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         "write-timeout-ms",
         "rate-limit",
         "rate-burst",
-        "dispatch-shards",
-        "queue-depth",
         "drain-grace-ms",
     ]);
     let args = Args::parse(argv, &value_keys, CAMPAIGN_BOOL_KEYS)?;
@@ -42,12 +40,10 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         write_timeout_ms: args.num_or("write-timeout-ms", defaults.write_timeout_ms)?,
         rate_limit_per_s: args.num_or("rate-limit", defaults.rate_limit_per_s)?,
         rate_burst: args.num_or("rate-burst", defaults.rate_burst)?,
-        dispatch_shards: args.num_or("dispatch-shards", defaults.dispatch_shards)?,
-        queue_depth: args.num_or("queue-depth", defaults.queue_depth)?,
         drain_grace_ms: args.num_or("drain-grace-ms", defaults.drain_grace_ms)?,
         ..defaults
     };
-    print_campaign_banner(&cfg);
+    print_campaign_banner(&cfg, None);
     let state_dir = args.get_or("state-dir", "");
     let server = if state_dir.is_empty() {
         Server::start(&endpoint, cfg, server_cfg)
@@ -82,13 +78,11 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     }
     let t = &report.transport;
     println!(
-        "transport: {} conn(s) served, {} shed, {} request(s), {} busy (queue {}, rate {}), \
-         {} malformed, {} frame error(s), {} idle timeout(s), {} aborted session(s), {} panicked job(s)",
+        "transport: {} conn(s) served, {} shed, {} request(s), {} busy (rate limit), \
+         {} malformed, {} frame error(s), {} idle timeout(s), {} aborted session(s), {} panicked handler(s)",
         t.connections_served,
         t.connections_shed,
         t.requests,
-        t.busy_queue + t.busy_rate,
-        t.busy_queue,
         t.busy_rate,
         t.malformed,
         t.frame_errors,
@@ -181,8 +175,6 @@ mod tests {
             "6",
             "--sessions",
             "1",
-            "--workers",
-            "2",
             "--profile",
             "fpga16",
             "--rounds",
@@ -245,8 +237,6 @@ mod tests {
                 "--devices",
                 "4",
                 "--sessions",
-                "2",
-                "--workers",
                 "2",
                 "--profile",
                 "fpga16",

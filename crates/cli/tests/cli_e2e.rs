@@ -25,8 +25,6 @@ fn help_prints_usage() {
 /// Flags shared by `fleet` and `serve`.
 const CAMPAIGN_FLAGS: &[&str] = &[
     "--devices",
-    "--workers",
-    "--threads",
     "--shards",
     "--sessions",
     "--seed",
@@ -67,7 +65,14 @@ fn every_subcommand_prints_its_own_flags_on_help() {
         ("characterize", vec!["--profile", "--chips", "--challenges", "--threads", "--seed"]),
         ("dot", vec!["--width", "--out", "--chip-seed"]),
         ("profile", vec!["--program"]),
-        ("fleet", [CAMPAIGN_FLAGS, &["--resume", "--online-enroll"]].concat()),
+        (
+            "fleet",
+            [
+                CAMPAIGN_FLAGS,
+                &["--workers", "--threads", "--resume", "--online-enroll"],
+            ]
+            .concat(),
+        ),
         (
             "serve",
             [
@@ -79,8 +84,6 @@ fn every_subcommand_prints_its_own_flags_on_help() {
                     "--write-timeout-ms",
                     "--rate-limit",
                     "--rate-burst",
-                    "--dispatch-shards",
-                    "--queue-depth",
                     "--drain-grace-ms",
                 ],
             ]

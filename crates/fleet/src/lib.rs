@@ -67,7 +67,7 @@ pub use campaign::{
 };
 pub use durable::{config_fingerprint, open_state_dir};
 pub use metrics::{FleetMetrics, FleetSnapshot, LatencyHistogram, LATENCY_BUCKETS};
-pub use pool::{SubmitError, WorkerPool};
+pub use pool::WorkerPool;
 pub use registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome, StatusCounts};
 pub use service::{EnrollOutcome, FleetService, ServiceVerdict, SessionGate};
 

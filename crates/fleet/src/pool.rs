@@ -9,19 +9,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Why [`WorkerPool::try_submit`] could not take a job right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The queue is at capacity — the caller should shed load (reply
-    /// `Busy`) rather than block.
-    QueueFull,
-}
 
 /// A fixed set of worker threads draining one bounded job queue.
 pub struct WorkerPool {
@@ -74,31 +66,6 @@ impl WorkerPool {
         };
         if sender.send(Box::new(job)).is_err() {
             panic!("all workers exited");
-        }
-    }
-
-    /// Enqueues a job without blocking. A full queue returns
-    /// [`SubmitError::QueueFull`] and hands the job back untouched —
-    /// this is the load-shedding submit a server uses so a saturated
-    /// fleet answers `Busy` instead of stacking connections behind a
-    /// blocking [`WorkerPool::submit`].
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] when the bounded queue is at capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`WorkerPool::shutdown`] or if every worker
-    /// died — both caller bugs, exactly as for [`WorkerPool::submit`].
-    pub fn try_submit<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), SubmitError> {
-        let Some(sender) = self.sender.as_ref() else {
-            panic!("try_submit after shutdown");
-        };
-        match sender.try_send(Box::new(job)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(TrySendError::Disconnected(_)) => panic!("all workers exited"),
         }
     }
 
@@ -194,31 +161,6 @@ mod tests {
         }
         assert_eq!(pool.shutdown(), 5, "five jobs panicked");
         assert_eq!(counter.load(Ordering::Relaxed), 5, "the others still ran");
-    }
-
-    #[test]
-    fn try_submit_sheds_load_instead_of_blocking() {
-        // One worker parked on a gate: the queue fills, and further
-        // try_submits fail fast instead of blocking the producer.
-        let gate = Arc::new(Mutex::new(()));
-        let held = gate.lock().expect("fresh mutex");
-        let pool = WorkerPool::new(1, 2);
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let gate = Arc::clone(&gate);
-            let ran = Arc::clone(&ran);
-            let _ = pool.try_submit(move || {
-                drop(gate.lock());
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // Worker holds one job, queue holds two: at least one submission
-        // must have been shed.
-        assert!(pool.try_submit(|| {}).is_err(), "queue must report full");
-        drop(held);
-        pool.shutdown();
-        let ran = ran.load(Ordering::Relaxed);
-        assert!((1..8).contains(&ran), "some ran ({ran}), some were shed");
     }
 
     #[test]

@@ -38,11 +38,12 @@
 //! the service serialises per *slot shard*: every call for device `id`
 //! locks shard [`FleetService::shard_of`]`(id)` for the duration of the
 //! session (provisioning included, on a device's first), and that is the
-//! only fleet lock a session takes. A transport
-//! that dispatches each device's requests to one shard-affine worker (as
-//! `pufatt-transport` does), or a campaign that runs each device's
-//! schedule inside one pool job, therefore preserves per-device order end
-//! to end while distinct shards attest fully in parallel.
+//! only fleet lock a session takes. A transport that runs each
+//! connection's requests one at a time in arrival order (as
+//! `pufatt-transport` does, with each client sending a device's requests
+//! in protocol order), or a campaign that runs each device's schedule
+//! inside one pool job, therefore preserves per-device order end to end
+//! while distinct shards attest fully in parallel.
 //!
 //! Fleet-wide reads ([`FleetService::snapshot`],
 //! [`FleetService::device_records`]) walk the slot shards one lock at a
@@ -183,8 +184,9 @@ pub struct FleetService {
 
 impl FleetService {
     /// Builds a service around a campaign configuration. The `workers` and
-    /// `queue_depth` fields belong to whoever drives the service (the
-    /// campaign pool, or the transport's dispatch); `devices` only marks
+    /// `queue_depth` fields size the campaign pool and are not read here
+    /// (the socket server runs each connection on its own thread and
+    /// ignores them); `devices` only marks
     /// where online enrollment begins. Everything verdict-affecting (seed,
     /// PUF profile, checksum parameters, policy, chaos plan) is honoured.
     ///

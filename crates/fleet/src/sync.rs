@@ -38,10 +38,6 @@ pub mod rank {
     pub const SERVER_CONNS: u32 = 10;
     /// `transport::Server`'s handler `JoinHandle` list.
     pub const HANDLER_HANDLES: u32 = 20;
-    /// A connection's pending-ticket table.
-    pub const TICKET_TABLE: u32 = 30;
-    /// A connection's shared frame writer.
-    pub const CONN_WRITER: u32 = 40;
     /// A `FleetService` per-device slot shard.
     pub const SERVICE_SLOT: u32 = 50;
     /// A `WorkerPool`'s shared job receiver.
@@ -52,8 +48,6 @@ pub mod rank {
         match rank {
             SERVER_CONNS => "server_conns",
             HANDLER_HANDLES => "handler_handles",
-            TICKET_TABLE => "ticket_table",
-            CONN_WRITER => "conn_writer",
             SERVICE_SLOT => "service_slot",
             POOL_RECEIVER => "pool_receiver",
             _ => "unknown",
@@ -174,10 +168,10 @@ mod tests {
         // the mirror-image assertion).
         assert_eq!((rank::SERVER_CONNS, rank::name(10)), (10, "server_conns"));
         assert_eq!((rank::HANDLER_HANDLES, rank::name(20)), (20, "handler_handles"));
-        assert_eq!((rank::TICKET_TABLE, rank::name(30)), (30, "ticket_table"));
-        assert_eq!((rank::CONN_WRITER, rank::name(40)), (40, "conn_writer"));
         assert_eq!((rank::SERVICE_SLOT, rank::name(50)), (50, "service_slot"));
-        assert_eq!(rank::name(60), "unknown", "rank 60 is retired, not reused");
+        for retired in [30, 40, 60] {
+            assert_eq!(rank::name(retired), "unknown", "rank {retired} is retired, not reused");
+        }
         assert_eq!((rank::POOL_RECEIVER, rank::name(70)), (70, "pool_receiver"));
     }
 
@@ -197,7 +191,7 @@ mod tests {
         let a = Mutex::new(1);
         let b = Mutex::new(2);
         {
-            let g = lock_ranked(&a, rank::TICKET_TABLE);
+            let g = lock_ranked(&a, rank::HANDLER_HANDLES);
             let h = lock_ranked(&b, rank::SERVICE_SLOT);
             assert_eq!(*g + *h, 3);
         }

@@ -6,8 +6,7 @@
 //! generator keeps a window of requests in flight by issuing several
 //! [`Client::send`]s before collecting with [`Client::recv`], and the
 //! correlation id (echoed by the server in every response) pairs answers
-//! with questions regardless of completion order — dispatched verdicts
-//! legitimately overtake inline errors on the wire.
+//! with questions regardless of the order they arrive in.
 
 use crate::conn::{Endpoint, Stream};
 use crate::error::{ErrorCode, TransportError};
@@ -88,7 +87,7 @@ impl Client {
             if let Some(response) = self.pending.remove(&corr) {
                 return Ok(response);
             }
-            let (got_corr, response) = self.recv_any()?;
+            let (got_corr, response) = self.read_response()?;
             self.pending.insert(got_corr, response);
         }
     }
@@ -104,6 +103,11 @@ impl Client {
                 return Ok((corr, response));
             }
         }
+        self.read_response()
+    }
+
+    /// Reads the next response off the socket, bypassing `pending`.
+    fn read_response(&mut self) -> Result<(u32, Response), TransportError> {
         let mut payload = std::mem::take(&mut self.buf);
         let outcome = read_frame(&mut self.stream, &mut payload, self.read_timeout_ms);
         let decoded = match outcome {
@@ -128,5 +132,49 @@ impl Client {
     /// Tears the socket down; further calls fail with typed errors.
     pub fn shutdown(&self) {
         self.stream.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use super::*;
+    use crate::conn::Listener;
+    use crate::message::negotiate;
+
+    #[test]
+    fn recv_waits_past_replies_to_other_requests() {
+        // A server that answers two pipelined requests in reverse order:
+        // waiting for the first must park the second, then read on.
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let endpoint = listener.local_endpoint();
+        let server = std::thread::spawn(move || {
+            let mut stream = listener.accept().unwrap();
+            let mut payload = Vec::new();
+            let mut corrs = Vec::new();
+            for _ in 0..3 {
+                assert!(read_frame(&mut stream, &mut payload, 5_000).unwrap());
+                let (corr, request) = Request::decode(&payload).unwrap();
+                if let Request::Hello { magic, min_version, max_version } = request {
+                    let version = negotiate(magic, min_version, max_version).unwrap();
+                    let mut out = Vec::new();
+                    Response::HelloAck { version }.encode(corr, &mut out);
+                    write_frame(&mut stream, &out, 5_000).unwrap();
+                } else {
+                    corrs.push(corr);
+                }
+            }
+            for corr in corrs.into_iter().rev() {
+                let mut out = Vec::new();
+                Response::ShutdownAck.encode(corr, &mut out);
+                write_frame(&mut stream, &out, 5_000).unwrap();
+            }
+        });
+        let mut client = Client::connect(&endpoint, 5_000, 5_000).unwrap();
+        let first = client.send(&Request::Stats).unwrap();
+        let second = client.send(&Request::Stats).unwrap();
+        assert!(matches!(client.recv(first).unwrap(), Response::ShutdownAck));
+        assert!(matches!(client.recv(second).unwrap(), Response::ShutdownAck));
+        server.join().unwrap();
     }
 }

@@ -197,36 +197,18 @@ impl Listener {
         }
     }
 
-    /// Switches the accept loop between blocking and polling mode.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] if the socket refuses the option.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> Result<(), TransportError> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking).map_err(|e| io_err(&e)),
-            #[cfg(unix)]
-            Listener::Uds(l) => l.set_nonblocking(nonblocking).map_err(|e| io_err(&e)),
-        }
-    }
-
-    /// Accepts one connection; `Ok(None)` when nonblocking and nothing is
-    /// pending.
+    /// Blocks until one connection arrives. An acceptor thread is
+    /// stopped by raising its own flag and then connecting to
+    /// [`Listener::local_endpoint`] to wake it.
     ///
     /// # Errors
     ///
     /// [`TransportError::Closed`] on accept failures.
-    pub fn accept(&self) -> Result<Option<Stream>, TransportError> {
-        let result = match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+    pub fn accept(&self) -> Result<Stream, TransportError> {
+        match self {
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)).map_err(|e| io_err(&e)),
             #[cfg(unix)]
-            Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
-        };
-        match result {
-            Ok(stream) => Ok(Some(stream)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(None),
-            Err(e) => Err(io_err(&e)),
+            Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)).map_err(|e| io_err(&e)),
         }
     }
 
@@ -265,7 +247,7 @@ mod tests {
         let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
         let endpoint = listener.local_endpoint();
         let mut client = Stream::connect(&endpoint).unwrap();
-        let mut server = listener.accept().unwrap().unwrap();
+        let mut server = listener.accept().unwrap();
         client.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
         server.read_exact(&mut buf).unwrap();
@@ -280,7 +262,7 @@ mod tests {
         let path = dir.join("t.sock");
         let listener = Listener::bind(&Endpoint::Uds(path.clone())).unwrap();
         let mut client = Stream::connect(&Endpoint::Uds(path.clone())).unwrap();
-        let mut server = listener.accept().unwrap().unwrap();
+        let mut server = listener.accept().unwrap();
         client.write_all(b"uds!").unwrap();
         let mut buf = [0u8; 4];
         server.read_exact(&mut buf).unwrap();
@@ -290,12 +272,5 @@ mod tests {
         drop(server);
         let _rebound = Listener::bind(&Endpoint::Uds(path)).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn nonblocking_accept_returns_none_when_idle() {
-        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-        listener.set_nonblocking(true).unwrap();
-        assert!(listener.accept().unwrap().is_none());
     }
 }

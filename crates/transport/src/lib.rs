@@ -14,10 +14,10 @@
 //!   panic-free and never over-reads.
 //! * [`conn`] — endpoints, streams, and listeners over unix-domain
 //!   sockets (production) and loopback TCP (portability).
-//! * [`server`] — the multi-threaded attestation server: per-connection
-//!   framing threads, per-shard dispatch into bounded worker pools,
-//!   token-bucket rate limiting, `Busy` backpressure, idle timeouts, and
-//!   graceful drain with no lost in-flight sessions.
+//! * [`server`] — the multi-threaded attestation server: one handler
+//!   thread per connection running its requests in order, connection
+//!   shedding and token-bucket rate limiting with `Busy`, idle timeouts,
+//!   and graceful drain with no lost in-flight sessions.
 //! * [`client`] — a blocking protocol client with correlation-id
 //!   matching and typed errors.
 //! * [`loadgen`] — the load generator: tens of thousands of simulated
@@ -31,12 +31,12 @@
 //!
 //! # Determinism contract
 //!
-//! The server serialises each device's heavy work onto a single dispatch
-//! worker chosen by its service slot shard, and every session's randomness comes
-//! from the device's own seeded stream — so a seeded load-generator
-//! campaign over a real socket produces verdicts and final fleet state
-//! **bit-identical** to the same campaign run in process. The e2e tests
-//! pin exactly that.
+//! The server runs each connection's requests in arrival order, a client
+//! sends each device's requests in protocol order, and every session's
+//! randomness comes from the device's own seeded stream — so a seeded
+//! load-generator campaign over a real socket produces verdicts and final
+//! fleet state **bit-identical** to the same campaign run in process. The
+//! e2e tests pin exactly that.
 
 pub mod client;
 pub mod conn;

@@ -146,7 +146,7 @@ pub struct LoadgenReport {
     pub sessions_unavailable: u64,
     /// Devices that stopped because their storage shard was unavailable.
     pub devices_unavailable: u64,
-    /// `Busy` answers absorbed (queue or rate backpressure).
+    /// `Busy` answers absorbed (rate-limit backpressure).
     pub busy_retries: u64,
     /// Real connections that completed their share.
     pub connections: u64,
@@ -536,33 +536,26 @@ mod tests {
     /// A server that completes the handshake, reads one request, then
     /// vanishes — the canonical mid-campaign connection loss.
     fn vanish_after_first_request(listener: Listener) {
-        loop {
-            match listener.accept() {
-                Ok(Some(mut stream)) => {
-                    let _ = stream.set_read_timeout_ms(5_000);
-                    let _ = stream.set_write_timeout_ms(5_000);
-                    let mut payload = Vec::new();
-                    if !matches!(read_frame(&mut stream, &mut payload, 5_000), Ok(true)) {
-                        return;
-                    }
-                    let Ok((corr, Request::Hello { magic, min_version, max_version })) = Request::decode(&payload)
-                    else {
-                        return;
-                    };
-                    let Ok(version) = negotiate(magic, min_version, max_version) else {
-                        return;
-                    };
-                    let mut out = Vec::new();
-                    Response::HelloAck { version }.encode(corr, &mut out);
-                    let _ = write_frame(&mut stream, &out, 5_000);
-                    // Swallow the first real request, then drop the socket.
-                    let _ = read_frame(&mut stream, &mut payload, 5_000);
-                    return;
-                }
-                Ok(None) => std::thread::sleep(std::time::Duration::from_millis(1)),
-                Err(_) => return,
-            }
+        let Ok(mut stream) = listener.accept() else {
+            return;
+        };
+        let _ = stream.set_read_timeout_ms(5_000);
+        let _ = stream.set_write_timeout_ms(5_000);
+        let mut payload = Vec::new();
+        if !matches!(read_frame(&mut stream, &mut payload, 5_000), Ok(true)) {
+            return;
         }
+        let Ok((corr, Request::Hello { magic, min_version, max_version })) = Request::decode(&payload) else {
+            return;
+        };
+        let Ok(version) = negotiate(magic, min_version, max_version) else {
+            return;
+        };
+        let mut out = Vec::new();
+        Response::HelloAck { version }.encode(corr, &mut out);
+        let _ = write_frame(&mut stream, &out, 5_000);
+        // Swallow the first real request, then drop the socket.
+        let _ = read_frame(&mut stream, &mut payload, 5_000);
     }
 
     #[test]

@@ -221,8 +221,8 @@ pub enum Response {
     StatsReply(WireStats),
     /// The server accepted the shutdown request and is draining.
     ShutdownAck,
-    /// The server is saturated (full dispatch queue or rate limit); try
-    /// the same request again after the hint.
+    /// The server is at its connection limit or the request is over the
+    /// rate limit; try the same request again after the hint.
     Busy {
         /// Suggested client-side backoff in milliseconds.
         retry_after_ms: u32,

@@ -4,28 +4,26 @@
 //! # Architecture
 //!
 //! ```text
-//! acceptor thread ──┬─▶ handler thread (conn 1) ──┬─▶ inline: Hello,
-//!                   ├─▶ handler thread (conn 2)   │   ChallengeRequest,
-//!                   └─▶ …        (≤ max_conns)    │   Revoke, Stats
-//!                                                 └─▶ dispatch: Enroll,
-//!                                                     Attest
-//!                                                        │ try_submit
-//!                                                        ▼
-//!                                  shard pools (1 worker each, bounded
-//!                                  queue) ──▶ FleetService ──▶ reply via
-//!                                  the connection's shared writer
+//! acceptor thread ──┬─▶ handler thread (conn 1) ──┐
+//!                   ├─▶ handler thread (conn 2) ──┼─▶ FleetService
+//!                   └─▶ …        (≤ max_conns) ───┘
 //! ```
 //!
-//! * **Backpressure, not backlog.** Every queue is bounded: the acceptor
-//!   sheds connections over `max_connections` with a `Busy` frame, the
-//!   per-shard dispatch queues shed requests with `Busy` when full
-//!   ([`WorkerPool::try_submit`]), and an optional per-connection token
-//!   bucket sheds request floods the same way. Nothing grows with load.
-//! * **Per-device order.** Device `id`'s heavy work always lands on pool
-//!   `service.shard_of(id) % pools`, each pool has exactly one worker, so
-//!   one device's enroll/attest jobs run in submission order even while
-//!   distinct shards proceed in parallel — the property that makes a
-//!   seeded campaign over sockets bit-identical to an in-process run.
+//! A handler thread owns its connection: it reads each request, runs it
+//! on the service, and writes the reply before it reads the next one.
+//!
+//! * **Backpressure, not backlog.** The acceptor sheds connections over
+//!   `max_connections` with a `Busy` frame, and an optional
+//!   per-connection token bucket sheds request floods the same way. A
+//!   connection runs one request at a time, so at most `max_connections`
+//!   sessions run at once; a client that pipelines deeper waits in its
+//!   own socket buffer. Nothing grows with load.
+//! * **Per-device order.** A connection's requests run in arrival order,
+//!   and every call for a device holds that device's slot-shard lock for
+//!   the whole session. A client that sends each device's requests in
+//!   protocol order therefore has them applied in that order — the
+//!   property that makes a seeded campaign over sockets bit-identical to
+//!   an in-process run.
 //! * **Typed failure.** Idle/read timeouts, torn frames, and vanished
 //!   peers surface as [`TransportError`] variants (mapped into the
 //!   `faults` taxonomy), are counted in [`TransportStats`], and close
@@ -35,10 +33,9 @@
 //!   lifecycle, exactly like a session a chaos channel ate.
 //! * **Graceful drain.** `Shutdown` (or [`Server::initiate_drain`]) stops
 //!   the acceptor, refuses new enrolls/sessions with `Draining`, lets
-//!   open tickets attest, force-closes stragglers after a grace period,
-//!   then drains the dispatch pools so every queued job completes —
-//!   [`Server::finish`] returns only after no in-flight session can be
-//!   lost.
+//!   open tickets attest, and force-closes stragglers after a grace
+//!   period. [`Server::finish`] returns only after every handler has
+//!   exited, so no in-flight session can be lost.
 
 use crate::conn::{Endpoint, Listener, Stream};
 use crate::error::{ErrorCode, TransportError};
@@ -46,12 +43,12 @@ use crate::frame::{read_frame, write_frame};
 use crate::message::{negotiate, Request, Response, WireStats};
 use pufatt::PufattError;
 use pufatt_fleet::campaign::CampaignConfig;
-use pufatt_fleet::pool::SubmitError;
 use pufatt_fleet::registry::DeviceId;
 use pufatt_fleet::service::{EnrollOutcome, ServiceVerdict, SessionGate};
 use pufatt_fleet::sync::{lock, lock_ranked, rank};
-use pufatt_fleet::{DeviceRecord, FleetService, FleetSnapshot, WorkerPool};
+use pufatt_fleet::{DeviceRecord, FleetService, FleetSnapshot};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -62,6 +59,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Connections beyond this are shed at accept with a `Busy` frame.
+    /// Each connection runs one request at a time, so this also bounds
+    /// the sessions the server runs at once.
     pub max_connections: usize,
     /// Per-connection read timeout in ms (idle clients are disconnected);
     /// `0` blocks forever.
@@ -73,10 +72,6 @@ pub struct ServerConfig {
     pub rate_limit_per_s: f64,
     /// Token-bucket burst capacity.
     pub rate_burst: u32,
-    /// Dispatch pools (one single-worker pool per dispatch shard).
-    pub dispatch_shards: usize,
-    /// Pending jobs each dispatch pool queues before shedding `Busy`.
-    pub queue_depth: usize,
     /// Backoff hint carried in `Busy` replies, in ms.
     pub busy_retry_ms: u32,
     /// How long [`Server::finish`] waits for connections to close before
@@ -92,8 +87,6 @@ impl Default for ServerConfig {
             write_timeout_ms: 5_000,
             rate_limit_per_s: 0.0,
             rate_burst: 64,
-            dispatch_shards: std::thread::available_parallelism().map_or(4, usize::from),
-            queue_depth: 64,
             busy_retry_ms: 10,
             drain_grace_ms: 5_000,
         }
@@ -109,7 +102,8 @@ pub struct TransportStats {
     pub connections_shed: u64,
     /// Requests decoded and handled.
     pub requests: u64,
-    /// `Busy` replies from full dispatch queues.
+    /// Always 0: requests never queue behind a full dispatch queue. Kept
+    /// for readers that still sum it into their busy-reply count.
     pub busy_queue: u64,
     /// `Busy` replies from the per-connection rate limiter.
     pub busy_rate: u64,
@@ -132,7 +126,6 @@ struct Counters {
     connections_served: AtomicU64,
     connections_shed: AtomicU64,
     requests: AtomicU64,
-    busy_queue: AtomicU64,
     busy_rate: AtomicU64,
     malformed: AtomicU64,
     frame_errors: AtomicU64,
@@ -152,7 +145,7 @@ impl Counters {
             connections_served: self.connections_served.load(Ordering::Relaxed),
             connections_shed: self.connections_shed.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
-            busy_queue: self.busy_queue.load(Ordering::Relaxed),
+            busy_queue: 0,
             busy_rate: self.busy_rate.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
             frame_errors: self.frame_errors.load(Ordering::Relaxed),
@@ -174,59 +167,19 @@ pub struct ServerReport {
     pub device_records: Vec<DeviceRecord>,
     /// Socket-side counters.
     pub transport: TransportStats,
-    /// Dispatch jobs that panicked (0 in a healthy run).
+    /// Connection handler threads that panicked (0 in a healthy run).
     pub panicked_jobs: u64,
 }
-
-/// A reply writer shared between the handler thread and dispatched jobs.
-struct ConnWriter {
-    stream: Mutex<Stream>,
-    write_timeout_ms: u64,
-    counters: Arc<Counters>,
-}
-
-impl ConnWriter {
-    fn send(&self, corr: u32, response: &Response) {
-        let mut payload = Vec::new();
-        response.encode(corr, &mut payload);
-        // The writer lock must cover the whole frame write: interleaved
-        // frames from the handler and a pool job would corrupt the wire
-        // stream. `conn_writer` is the highest-ranked transport class, so
-        // nothing is ever acquired under it.
-        let mut stream = lock_ranked(&self.stream, rank::CONN_WRITER);
-        // analyze: allow(conc: serialises whole frames; leaf lock by rank)
-        if write_frame(&mut *stream, &payload, self.write_timeout_ms).is_err() {
-            Counters::bump(&self.counters.write_errors);
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TicketState {
-    /// Granted, waiting for its `Attest`.
-    Open,
-    /// Its `Attest` is queued or running on a dispatch pool.
-    Dispatched,
-}
-
-type TicketTable = Mutex<HashMap<DeviceId, (u64, TicketState)>>;
 
 struct Shared {
     service: Arc<FleetService>,
     cfg: ServerConfig,
-    pools: Vec<WorkerPool>,
-    counters: Arc<Counters>,
+    counters: Counters,
     draining: AtomicBool,
     /// Live connections: id → shutdown handle (for forced drain).
     conns: Mutex<HashMap<u64, Stream>>,
     conn_exited: Condvar,
     handler_handles: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl Shared {
-    fn pool_for(&self, id: DeviceId) -> &WorkerPool {
-        &self.pools[self.service.shard_of(id) % self.pools.len()]
-    }
 }
 
 /// A simple token bucket: `rate` tokens/second, up to `burst` banked.
@@ -304,16 +257,11 @@ impl Server {
         cfg: ServerConfig,
     ) -> Result<Self, TransportError> {
         let listener = Listener::bind(endpoint)?;
-        listener.set_nonblocking(true)?;
         let endpoint = listener.local_endpoint();
-        let pools = (0..cfg.dispatch_shards.max(1))
-            .map(|_| WorkerPool::new(1, cfg.queue_depth.max(1)))
-            .collect();
         let shared = Arc::new(Shared {
             service,
             cfg,
-            pools,
-            counters: Arc::new(Counters::default()),
+            counters: Counters::default(),
             draining: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             conn_exited: Condvar::new(),
@@ -357,14 +305,20 @@ impl Server {
 
     /// Drains and shuts down: waits up to `drain_grace_ms` for
     /// connections to close on their own, force-closes the rest, joins
-    /// every thread, completes every queued dispatch job, and returns the
-    /// final report. No in-flight session is lost: a job that was queued
-    /// runs to its verdict, a ticket that was open when its connection
-    /// died is recorded as an aborted (lost) session.
+    /// every thread, and returns the final report. No in-flight session
+    /// is lost: a request being handled runs to its verdict, and a ticket
+    /// that was open when its connection died is recorded as an aborted
+    /// (lost) session.
     pub fn finish(mut self) -> ServerReport {
         self.initiate_drain();
         if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+            // The acceptor blocks in `accept`; a connection of our own
+            // wakes it to see the drain flag. If that connect fails, the
+            // listener is already closed (the acceptor is exiting) or out
+            // of reach, and a join could wait forever.
+            if Stream::connect(&self.endpoint).is_ok() {
+                let _ = handle.join();
+            }
         }
         // Phase 1: let connections finish politely.
         let deadline = Instant::now() + Duration::from_millis(self.shared.cfg.drain_grace_ms);
@@ -397,31 +351,11 @@ impl Server {
         let mut guard = lock_ranked(&self.shared.handler_handles, rank::HANDLER_HANDLES);
         let handles: Vec<_> = guard.drain(..).collect();
         drop(guard);
-        for handle in handles {
-            let _ = handle.join();
-        }
-        // All handlers are gone; nothing can submit. Drain the pools so
-        // every queued enroll/attest completes before the report.
-        let shared = match Arc::try_unwrap(self.shared) {
-            Ok(shared) => shared,
-            Err(arc) => {
-                // Unreachable in practice (all thread-held clones were
-                // joined above); degrade to a drop-drain rather than
-                // panicking in shutdown.
-                let report = ServerReport {
-                    snapshot: arc.service.snapshot(),
-                    device_records: arc.service.device_records(),
-                    transport: arc.counters.stats(),
-                    panicked_jobs: 0,
-                };
-                return report;
-            }
-        };
-        let panicked_jobs: u64 = shared.pools.into_iter().map(WorkerPool::shutdown).sum();
+        let panicked_jobs = handles.into_iter().filter_map(|handle| handle.join().err()).count() as u64;
         ServerReport {
-            snapshot: shared.service.snapshot(),
-            device_records: shared.service.device_records(),
-            transport: shared.counters.stats(),
+            snapshot: self.shared.service.snapshot(),
+            device_records: self.shared.service.device_records(),
+            transport: self.shared.counters.stats(),
             panicked_jobs,
         }
     }
@@ -429,13 +363,18 @@ impl Server {
 
 fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
     let mut next_conn_id = 0u64;
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(Some(stream)) => {
+    loop {
+        let accepted = listener.accept();
+        // A connection accepted while draining (`finish`'s wake-up among
+        // them) is dropped unserved.
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok(stream) => {
                 next_conn_id += 1;
                 admit_connection(shared, stream, next_conn_id);
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(2)),
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -463,9 +402,15 @@ fn admit_connection(shared: &Arc<Shared>, stream: Stream, conn_id: u64) {
     let spawned = std::thread::Builder::new()
         .name(format!("pufatt-conn-{conn_id}"))
         .spawn(move || {
-            handle_connection(&thread_shared, stream, conn_id);
+            // Deregister even if the handler panics, so `finish` does not
+            // wait out its grace period for a dead connection; the panic
+            // then reaches `finish` through the join.
+            let served = catch_unwind(AssertUnwindSafe(|| handle_connection(&thread_shared, stream)));
             lock_ranked(&thread_shared.conns, rank::SERVER_CONNS).remove(&conn_id);
             thread_shared.conn_exited.notify_all();
+            if let Err(panic) = served {
+                resume_unwind(panic);
+            }
         });
     match spawned {
         Ok(handle) => lock_ranked(&shared.handler_handles, rank::HANDLER_HANDLES).push(handle),
@@ -484,25 +429,16 @@ fn count_connection_end(counters: &Counters, err: &TransportError) {
     }
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: Stream, _conn_id: u64) {
+fn handle_connection(shared: &Shared, stream: Stream) {
     let cfg = &shared.cfg;
     let counters = &shared.counters;
     let _ = stream.set_read_timeout_ms(cfg.read_timeout_ms);
     let _ = stream.set_write_timeout_ms(cfg.write_timeout_ms);
-    let writer = match stream.try_clone() {
-        Ok(clone) => Arc::new(ConnWriter {
-            stream: Mutex::new(clone),
-            write_timeout_ms: cfg.write_timeout_ms,
-            counters: Arc::clone(counters),
-        }),
-        Err(_) => return,
-    };
-    let tickets: Arc<TicketTable> = Arc::new(Mutex::new(HashMap::new()));
-    let mut reader = stream;
+    let mut conn = Conn { shared, stream, tickets: HashMap::new(), reply: Vec::new() };
     let mut payload = Vec::new();
 
     // --- Handshake: the first frame must be a valid Hello. -------------
-    match read_frame(&mut reader, &mut payload, cfg.read_timeout_ms) {
+    match read_frame(&mut conn.stream, &mut payload, cfg.read_timeout_ms) {
         Ok(true) => {}
         Ok(false) => return,
         Err(e) => {
@@ -513,20 +449,20 @@ fn handle_connection(shared: &Arc<Shared>, stream: Stream, _conn_id: u64) {
     match Request::decode(&payload) {
         Ok((corr, Request::Hello { magic, min_version, max_version })) => {
             match negotiate(magic, min_version, max_version) {
-                Ok(version) => writer.send(corr, &Response::HelloAck { version }),
+                Ok(version) => conn.send(corr, &Response::HelloAck { version }),
                 Err(e) => {
                     let code = match e {
                         TransportError::VersionMismatch { .. } => ErrorCode::VersionMismatch,
                         _ => ErrorCode::Malformed,
                     };
-                    writer.send(corr, &Response::Error { code, detail: e.to_string() });
+                    conn.send(corr, &Response::Error { code, detail: e.to_string() });
                     Counters::bump(&counters.malformed);
                     return;
                 }
             }
         }
         Ok((corr, _)) => {
-            writer.send(
+            conn.send(
                 corr,
                 &Response::Error {
                     code: ErrorCode::Malformed,
@@ -545,7 +481,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: Stream, _conn_id: u64) {
     // --- Steady state. --------------------------------------------------
     let mut bucket = TokenBucket::new(cfg.rate_limit_per_s, cfg.rate_burst);
     let exit_err = loop {
-        match read_frame(&mut reader, &mut payload, cfg.read_timeout_ms) {
+        match read_frame(&mut conn.stream, &mut payload, cfg.read_timeout_ms) {
             Ok(true) => {}
             Ok(false) => break None, // clean close
             Err(e) => break Some(e),
@@ -556,217 +492,123 @@ fn handle_connection(shared: &Arc<Shared>, stream: Stream, _conn_id: u64) {
                 // The frame was checksum-valid, so framing is still in
                 // sync: answer the error and keep the connection.
                 Counters::bump(&counters.malformed);
-                writer.send(0, &Response::Error { code: ErrorCode::Malformed, detail: e.to_string() });
+                conn.send(0, &Response::Error { code: ErrorCode::Malformed, detail: e.to_string() });
                 continue;
             }
         };
         Counters::bump(&counters.requests);
         if let Err(wait_ms) = bucket.admit() {
             Counters::bump(&counters.busy_rate);
-            writer.send(corr, &Response::Busy { retry_after_ms: wait_ms.max(cfg.busy_retry_ms) });
+            conn.send(corr, &Response::Busy { retry_after_ms: wait_ms.max(cfg.busy_retry_ms) });
             continue;
         }
-        handle_request(shared, &writer, &tickets, corr, request);
-        if shared.draining.load(Ordering::SeqCst) && lock_ranked(&tickets, rank::TICKET_TABLE).is_empty() {
+        conn.handle(corr, request);
+        if shared.draining.load(Ordering::SeqCst) && conn.tickets.is_empty() {
             break None; // nothing left in flight on this connection
         }
     };
     if let Some(e) = &exit_err {
         count_connection_end(counters, e);
     }
-    // Any ticket still Open was a session the transport lost: record it
+    // Every ticket still open was a session the transport lost: record it
     // (lost + rejected + lifecycle) exactly like a chaos-eaten session.
-    // Dispatched tickets stay — their queued jobs run to a real verdict.
-    let open: Vec<DeviceId> = lock_ranked(&tickets, rank::TICKET_TABLE)
-        .iter()
-        .filter(|(_, (_, state))| *state == TicketState::Open)
-        .map(|(&id, _)| id)
-        .collect();
-    for id in open {
-        lock_ranked(&tickets, rank::TICKET_TABLE).remove(&id);
+    for (id, _) in conn.tickets.drain() {
         Counters::bump(&counters.sessions_aborted);
         shared.service.abort_session(id);
     }
 }
 
-fn handle_request(
-    shared: &Arc<Shared>,
-    writer: &Arc<ConnWriter>,
-    tickets: &Arc<TicketTable>,
-    corr: u32,
-    request: Request,
-) {
-    let service = &shared.service;
-    let counters = &shared.counters;
-    let draining = shared.draining.load(Ordering::SeqCst);
-    match request {
-        Request::Hello { .. } => {
-            Counters::bump(&counters.malformed);
-            writer.send(corr, &Response::Error { code: ErrorCode::Malformed, detail: "duplicate Hello".into() });
+/// One connection as its handler thread sees it. Only the handler reads
+/// or writes the socket, so nothing here is shared.
+struct Conn<'a> {
+    shared: &'a Shared,
+    stream: Stream,
+    /// Tickets granted and not yet attested: device → ticket.
+    tickets: HashMap<DeviceId, u64>,
+    /// Reused encode buffer for replies.
+    reply: Vec<u8>,
+}
+
+impl Conn<'_> {
+    fn send(&mut self, corr: u32, response: &Response) {
+        self.reply.clear();
+        response.encode(corr, &mut self.reply);
+        if write_frame(&mut self.stream, &self.reply, self.shared.cfg.write_timeout_ms).is_err() {
+            Counters::bump(&self.shared.counters.write_errors);
         }
-        Request::Enroll { device } => {
-            if draining {
-                writer.send(corr, &Response::Error { code: ErrorCode::Draining, detail: "server draining".into() });
-                return;
+    }
+
+    fn handle(&mut self, corr: u32, request: Request) {
+        let service = &self.shared.service;
+        let draining = self.shared.draining.load(Ordering::SeqCst);
+        let response = match request {
+            Request::Hello { .. } => {
+                Counters::bump(&self.shared.counters.malformed);
+                Response::Error { code: ErrorCode::Malformed, detail: "duplicate Hello".into() }
             }
-            let service = Arc::clone(service);
-            let writer_job = Arc::clone(writer);
-            let job = move || {
-                let response = match service.enroll(device) {
-                    Ok(EnrollOutcome { fresh, status }) => Response::EnrollOk { device, fresh, status: status.into() },
-                    Err(e) => Response::Error {
-                        code: storage_aware_code(&e, ErrorCode::DeviceFault),
-                        detail: error_detail(&e),
-                    },
-                };
-                writer_job.send(corr, &response);
-            };
-            if shared.pool_for(device).try_submit(job) == Err(SubmitError::QueueFull) {
-                Counters::bump(&counters.busy_queue);
-                writer.send(corr, &Response::Busy { retry_after_ms: shared.cfg.busy_retry_ms });
+            Request::Enroll { .. } | Request::ChallengeRequest { .. } if draining => {
+                Response::Error { code: ErrorCode::Draining, detail: "server draining".into() }
             }
-        }
-        Request::ChallengeRequest { device } => {
-            if draining {
-                writer.send(corr, &Response::Error { code: ErrorCode::Draining, detail: "server draining".into() });
-                return;
-            }
-            match service.open_session(device) {
-                SessionGate::Granted { ticket } => {
-                    // A forgotten earlier ticket is replaced; it carried
-                    // no metrics, so dropping it silently is neutral.
-                    lock_ranked(tickets, rank::TICKET_TABLE).insert(device, (ticket, TicketState::Open));
-                    writer.send(corr, &Response::Challenge { device, ticket });
-                }
-                SessionGate::Refused => writer.send(
-                    corr,
-                    &Response::Error {
-                        code: ErrorCode::Refused,
-                        detail: format!("device {device} is revoked"),
-                    },
-                ),
-                SessionGate::Faulty => writer.send(
-                    corr,
-                    &Response::Error {
-                        code: ErrorCode::DeviceFault,
-                        detail: format!("device {device} faulted"),
-                    },
-                ),
-                SessionGate::Unknown => writer.send(
-                    corr,
-                    &Response::Error {
-                        code: ErrorCode::UnknownDevice,
-                        detail: format!("device {device} not enrolled"),
-                    },
-                ),
-                SessionGate::Unavailable => writer.send(
-                    corr,
-                    &Response::Error {
-                        code: ErrorCode::StorageUnavailable,
-                        detail: format!("device {device}'s storage shard is unavailable"),
-                    },
-                ),
-            }
-        }
-        Request::Attest { device, ticket } => {
-            {
-                let mut table = lock_ranked(tickets, rank::TICKET_TABLE);
-                match table.get(&device) {
-                    Some(&(granted, TicketState::Open)) if granted == ticket => {
-                        table.insert(device, (ticket, TicketState::Dispatched));
-                    }
-                    Some(&(_, TicketState::Dispatched)) => {
-                        drop(table);
-                        writer.send(
-                            corr,
-                            &Response::Error {
-                                code: ErrorCode::BadTicket,
-                                detail: format!("device {device} already attesting"),
-                            },
-                        );
-                        return;
-                    }
-                    _ => {
-                        drop(table);
-                        writer.send(
-                            corr,
-                            &Response::Error {
-                                code: ErrorCode::BadTicket,
-                                detail: format!("no open session for device {device} and that ticket"),
-                            },
-                        );
-                        return;
-                    }
-                }
-            }
-            let service = Arc::clone(service);
-            let writer_job = Arc::clone(writer);
-            let tickets_job = Arc::clone(tickets);
-            let job = move || {
-                let response = match service.attest(device) {
-                    ServiceVerdict::Closed { outcome, status } => Response::Verdict {
-                        device,
-                        accepted: outcome.accepted,
-                        response_ok: outcome.response_ok,
-                        time_ok: outcome.time_ok,
-                        timed_out: outcome.timed_out,
-                        attempts: outcome.attempts,
-                        elapsed_bits: outcome.elapsed_s.to_bits(),
-                        status: status.into(),
-                    },
-                    ServiceVerdict::Refused => Response::Error {
-                        code: ErrorCode::Refused,
-                        detail: format!("device {device} is revoked"),
-                    },
-                    ServiceVerdict::Fault => Response::Error {
-                        code: ErrorCode::DeviceFault,
-                        detail: format!("device {device} faulted"),
-                    },
-                    ServiceVerdict::Unknown => Response::Error {
-                        code: ErrorCode::UnknownDevice,
-                        detail: format!("device {device} not enrolled"),
-                    },
-                    ServiceVerdict::Unavailable => Response::Error {
-                        code: ErrorCode::StorageUnavailable,
-                        detail: format!("device {device}'s storage shard is unavailable"),
-                    },
-                };
-                lock_ranked(&tickets_job, rank::TICKET_TABLE).remove(&device);
-                writer_job.send(corr, &response);
-            };
-            if shared.pool_for(device).try_submit(job) == Err(SubmitError::QueueFull) {
-                // Reopen the ticket so the client can retry the Attest.
-                lock_ranked(tickets, rank::TICKET_TABLE).insert(device, (ticket, TicketState::Open));
-                Counters::bump(&counters.busy_queue);
-                writer.send(corr, &Response::Busy { retry_after_ms: shared.cfg.busy_retry_ms });
-            }
-        }
-        Request::Revoke { device } => match service.revoke(device) {
-            Ok(Some(status)) => writer.send(corr, &Response::RevokeOk { device, status: status.into() }),
-            Ok(None) => writer.send(
-                corr,
-                &Response::Error {
-                    code: ErrorCode::UnknownDevice,
-                    detail: format!("device {device} not enrolled"),
-                },
-            ),
-            // The journal refused the synced append: the revocation did
-            // NOT take (the lifecycle is untouched), and the client must
-            // hear that rather than a cheerful RevokeOk.
-            Err(e) => writer.send(
-                corr,
-                &Response::Error {
+            Request::Enroll { device } => match service.enroll(device) {
+                Ok(EnrollOutcome { fresh, status }) => Response::EnrollOk { device, fresh, status: status.into() },
+                Err(e) => Response::Error {
                     code: storage_aware_code(&e, ErrorCode::DeviceFault),
                     detail: error_detail(&e),
                 },
-            ),
-        },
-        Request::Stats => {
-            let snap = service.snapshot();
-            let store = service.store_stats();
-            writer.send(
-                corr,
-                &Response::StatsReply(WireStats {
+            },
+            Request::ChallengeRequest { device } => match service.open_session(device) {
+                SessionGate::Granted { ticket } => {
+                    // A forgotten earlier ticket is replaced; it carried
+                    // no metrics, so dropping it silently is neutral.
+                    self.tickets.insert(device, ticket);
+                    Response::Challenge { device, ticket }
+                }
+                SessionGate::Refused => refused(device),
+                SessionGate::Faulty => device_fault(device),
+                SessionGate::Unknown => unknown_device(device),
+                SessionGate::Unavailable => shard_unavailable(device),
+            },
+            Request::Attest { device, ticket } => {
+                if self.tickets.get(&device) == Some(&ticket) {
+                    self.tickets.remove(&device);
+                    match service.attest(device) {
+                        ServiceVerdict::Closed { outcome, status } => Response::Verdict {
+                            device,
+                            accepted: outcome.accepted,
+                            response_ok: outcome.response_ok,
+                            time_ok: outcome.time_ok,
+                            timed_out: outcome.timed_out,
+                            attempts: outcome.attempts,
+                            elapsed_bits: outcome.elapsed_s.to_bits(),
+                            status: status.into(),
+                        },
+                        ServiceVerdict::Refused => refused(device),
+                        ServiceVerdict::Fault => device_fault(device),
+                        ServiceVerdict::Unknown => unknown_device(device),
+                        ServiceVerdict::Unavailable => shard_unavailable(device),
+                    }
+                } else {
+                    Response::Error {
+                        code: ErrorCode::BadTicket,
+                        detail: format!("no open session for device {device} and that ticket"),
+                    }
+                }
+            }
+            Request::Revoke { device } => match service.revoke(device) {
+                Ok(Some(status)) => Response::RevokeOk { device, status: status.into() },
+                Ok(None) => unknown_device(device),
+                // The journal refused the synced append: the revocation
+                // did NOT take (the lifecycle is untouched), and the
+                // client must hear that rather than a cheerful RevokeOk.
+                Err(e) => Response::Error {
+                    code: storage_aware_code(&e, ErrorCode::DeviceFault),
+                    detail: error_detail(&e),
+                },
+            },
+            Request::Stats => {
+                let snap = service.snapshot();
+                let store = service.store_stats();
+                Response::StatsReply(WireStats {
                     started: snap.sessions_started,
                     accepted: snap.sessions_accepted,
                     rejected: snap.sessions_rejected,
@@ -783,15 +625,44 @@ fn handle_request(
                     shards_total: store.as_ref().map_or(0, |s| u64::from(s.shards_total)),
                     shards_degraded: store.as_ref().map_or(0, |s| u64::from(s.shards_degraded)),
                     shards_failed: store.as_ref().map_or(0, |s| u64::from(s.shards_failed)),
-                }),
-            );
-        }
-        Request::Shutdown => {
-            // Raise the flag before the ack travels: a client that saw the
-            // ack must observe the server as draining.
-            shared.draining.store(true, Ordering::SeqCst);
-            writer.send(corr, &Response::ShutdownAck);
-        }
+                })
+            }
+            Request::Shutdown => {
+                // Raise the flag before the ack travels: a client that saw
+                // the ack must observe the server as draining.
+                self.shared.draining.store(true, Ordering::SeqCst);
+                Response::ShutdownAck
+            }
+        };
+        self.send(corr, &response);
+    }
+}
+
+fn refused(device: DeviceId) -> Response {
+    Response::Error {
+        code: ErrorCode::Refused,
+        detail: format!("device {device} is revoked"),
+    }
+}
+
+fn device_fault(device: DeviceId) -> Response {
+    Response::Error {
+        code: ErrorCode::DeviceFault,
+        detail: format!("device {device} faulted"),
+    }
+}
+
+fn unknown_device(device: DeviceId) -> Response {
+    Response::Error {
+        code: ErrorCode::UnknownDevice,
+        detail: format!("device {device} not enrolled"),
+    }
+}
+
+fn shard_unavailable(device: DeviceId) -> Response {
+    Response::Error {
+        code: ErrorCode::StorageUnavailable,
+        detail: format!("device {device}'s storage shard is unavailable"),
     }
 }
 

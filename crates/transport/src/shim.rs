@@ -79,7 +79,6 @@ impl LossyProxy {
     /// [`TransportError::Closed`] when the listen bind fails.
     pub fn start(listen: &Endpoint, upstream: Endpoint, seed: u64, cfg: ProxyConfig) -> Result<Self, TransportError> {
         let listener = Listener::bind(listen)?;
-        listener.set_nonblocking(true)?;
         let endpoint = listener.local_endpoint();
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
@@ -88,14 +87,19 @@ impl LossyProxy {
                 .name("pufatt-lossy-proxy".into())
                 .spawn(move || {
                     let mut conn_index = 0u64;
-                    while !stop.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok(Some(downstream)) => {
+                    loop {
+                        let accepted = listener.accept();
+                        // A connection accepted after `stop` (its wake-up
+                        // among them) is dropped unproxied.
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        match accepted {
+                            Ok(downstream) => {
                                 conn_index += 1;
                                 let conn_seed = splitmix64(seed ^ splitmix64(conn_index));
                                 proxy_connection(downstream, &upstream, conn_seed, &cfg);
                             }
-                            Ok(None) => std::thread::sleep(Duration::from_millis(2)),
                             Err(_) => std::thread::sleep(Duration::from_millis(10)),
                         }
                     }
@@ -116,7 +120,11 @@ impl LossyProxy {
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+            // Wake the blocked `accept` to see the flag; as in
+            // `Server::finish`, a failed connect means a join could hang.
+            if Stream::connect(&self.endpoint).is_ok() {
+                let _ = handle.join();
+            }
         }
     }
 }

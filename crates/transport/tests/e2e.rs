@@ -24,7 +24,6 @@ fn uds_endpoint(tag: &str) -> Endpoint {
 fn identity_server_config() -> ServerConfig {
     ServerConfig {
         rate_limit_per_s: 0.0, // backpressure off: identity runs must not shed
-        queue_depth: 256,
         ..ServerConfig::default()
     }
 }
@@ -258,4 +257,54 @@ fn capacity_and_rate_limits_shed_with_busy() {
     let report = server.finish();
     assert_eq!(report.transport.connections_shed, 1);
     assert!(report.transport.busy_rate >= 1);
+}
+
+#[test]
+fn pipelined_connection_is_never_answered_busy() {
+    // One connection pipelines a whole phase at a time. The server reads
+    // and answers a connection's requests in order, so a deep pipeline
+    // only waits its turn; with the rate limit off nothing answers Busy.
+    const DEVICES: u32 = 256;
+    let cfg = small_test_config(DEVICES as usize, 1, 23);
+    let server =
+        Server::start(&Endpoint::Tcp("127.0.0.1:0".into()), cfg, ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(server.endpoint(), 30_000, 30_000).expect("client connects");
+
+    let enrolls: Vec<u32> = (0..DEVICES)
+        .map(|device| client.send(&Request::Enroll { device }).unwrap())
+        .collect();
+    for corr in enrolls {
+        match client.recv(corr).unwrap() {
+            Response::EnrollOk { .. } => {}
+            other => panic!("expected EnrollOk, got {other:?}"),
+        }
+    }
+    let challenges: Vec<u32> = (0..DEVICES)
+        .map(|device| client.send(&Request::ChallengeRequest { device }).unwrap())
+        .collect();
+    let tickets: Vec<u64> = challenges
+        .into_iter()
+        .map(|corr| match client.recv(corr).unwrap() {
+            Response::Challenge { ticket, .. } => ticket,
+            other => panic!("expected a challenge, got {other:?}"),
+        })
+        .collect();
+    let attests: Vec<u32> = (0..DEVICES)
+        .zip(tickets)
+        .map(|(device, ticket)| client.send(&Request::Attest { device, ticket }).unwrap())
+        .collect();
+    let mut verdicts = 0;
+    for corr in attests {
+        match client.recv(corr).unwrap() {
+            Response::Verdict { .. } => verdicts += 1,
+            other => panic!("expected a verdict, got {other:?}"),
+        }
+    }
+    assert_eq!(verdicts, DEVICES);
+    drop(client);
+
+    let report = server.finish();
+    assert_eq!(report.transport.busy_queue, 0);
+    assert_eq!(report.transport.busy_rate, 0);
+    assert_eq!(report.snapshot.sessions_started, u64::from(DEVICES));
 }
