@@ -79,7 +79,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let t = &report.transport;
     println!(
         "transport: {} conn(s) served, {} shed, {} request(s), {} busy (rate limit), \
-         {} malformed, {} frame error(s), {} idle timeout(s), {} aborted session(s), {} panicked handler(s)",
+         {} malformed, {} frame error(s), {} idle timeout(s), {} aborted session(s), {} reply write(s), \
+         {} panicked handler(s)",
         t.connections_served,
         t.connections_shed,
         t.requests,
@@ -88,6 +89,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         t.frame_errors,
         t.idle_timeouts,
         t.sessions_aborted,
+        t.reply_writes,
         report.panicked_jobs,
     );
     Ok(())

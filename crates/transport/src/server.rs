@@ -9,15 +9,25 @@
 //!                   └─▶ …        (≤ max_conns) ───┘
 //! ```
 //!
-//! A handler thread owns its connection: it reads each request, runs it
-//! on the service, and writes the reply before it reads the next one.
+//! A handler thread owns its connection. One `read` takes every request
+//! frame the socket holds into the connection's fixed `FrameReader`;
+//! the handler runs those requests on the service one at a time, in
+//! arrival order, and frames each reply into an output buffer. It writes
+//! that buffer with one `write` when no whole request is left to run,
+//! that is, just before it would wait on the socket, and on every path
+//! out of the connection. A pipelining client therefore costs about one
+//! read and one write per burst, not per request.
 //!
 //! * **Backpressure, not backlog.** The acceptor sheds connections over
 //!   `max_connections` with a `Busy` frame, and an optional
 //!   per-connection token bucket sheds request floods the same way. A
 //!   connection runs one request at a time, so at most `max_connections`
-//!   sessions run at once; a client that pipelines deeper waits in its
-//!   own socket buffer. Nothing grows with load.
+//!   sessions run at once. A client that pipelines deeper than one
+//!   buffer fill waits in its own socket buffer, and a connection holds
+//!   back at most the replies to one buffer fill of requests. Nothing
+//!   grows with load. The acceptor joins the handler threads that have
+//!   exited each time it admits a connection, so a server whose clients
+//!   come and go keeps no thread of a closed connection.
 //! * **Per-device order.** A connection's requests run in arrival order,
 //!   and every call for a device holds that device's slot-shard lock for
 //!   the whole session. A client that sends each device's requests in
@@ -39,7 +49,7 @@
 
 use crate::conn::{Endpoint, Listener, Stream};
 use crate::error::{ErrorCode, TransportError};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{encode_frame, write_frame, FrameReader};
 use crate::message::{negotiate, Request, Response, WireStats};
 use pufatt::PufattError;
 use pufatt_fleet::campaign::CampaignConfig;
@@ -48,6 +58,7 @@ use pufatt_fleet::service::{EnrollOutcome, ServiceVerdict, SessionGate};
 use pufatt_fleet::sync::{lock, lock_ranked, rank};
 use pufatt_fleet::{DeviceRecord, FleetService, FleetSnapshot};
 use std::collections::HashMap;
+use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -117,8 +128,13 @@ pub struct TransportStats {
     pub peer_drops: u64,
     /// Open sessions aborted because their connection died.
     pub sessions_aborted: u64,
-    /// Reply writes that failed (peer gone before its answer).
+    /// Replies lost to failed writes (peer gone before its answer). A
+    /// failed write of a batch counts every reply in it.
     pub write_errors: u64,
+    /// Socket writes that carried replies. A handler writes its buffered
+    /// replies once per burst of requests, so this reads below the
+    /// number of replies under pipelined load.
+    pub reply_writes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -133,6 +149,7 @@ struct Counters {
     peer_drops: AtomicU64,
     sessions_aborted: AtomicU64,
     write_errors: AtomicU64,
+    reply_writes: AtomicU64,
 }
 
 impl Counters {
@@ -153,6 +170,7 @@ impl Counters {
             peer_drops: self.peer_drops.load(Ordering::Relaxed),
             sessions_aborted: self.sessions_aborted.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
+            reply_writes: self.reply_writes.load(Ordering::Relaxed),
         }
     }
 }
@@ -179,7 +197,11 @@ struct Shared {
     /// Live connections: id → shutdown handle (for forced drain).
     conns: Mutex<HashMap<u64, Stream>>,
     conn_exited: Condvar,
+    /// Handler threads not yet joined: the live ones, plus any that
+    /// exited since the last admit.
     handler_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Handler threads joined at an admit whose join returned a panic.
+    reaped_panics: AtomicU64,
 }
 
 /// A simple token bucket: `rate` tokens/second, up to `burst` banked.
@@ -266,6 +288,7 @@ impl Server {
             conns: Mutex::new(HashMap::new()),
             conn_exited: Condvar::new(),
             handler_handles: Mutex::new(Vec::new()),
+            reaped_panics: AtomicU64::new(0),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -290,6 +313,18 @@ impl Server {
     /// Socket-side counters so far.
     pub fn transport_stats(&self) -> TransportStats {
         self.shared.counters.stats()
+    }
+
+    /// Connections being served right now.
+    pub fn live_connections(&self) -> usize {
+        lock_ranked(&self.shared.conns, rank::SERVER_CONNS).len()
+    }
+
+    /// Handler threads not yet joined. The acceptor joins the exited ones
+    /// at each admit, so this stays near [`Server::live_connections`]
+    /// however many connections have come and gone.
+    pub fn retained_handlers(&self) -> usize {
+        lock_ranked(&self.shared.handler_handles, rank::HANDLER_HANDLES).len()
     }
 
     /// Starts the drain: stop accepting, refuse new sessions, let open
@@ -351,7 +386,7 @@ impl Server {
         let mut guard = lock_ranked(&self.shared.handler_handles, rank::HANDLER_HANDLES);
         let handles: Vec<_> = guard.drain(..).collect();
         drop(guard);
-        let panicked_jobs = handles.into_iter().filter_map(|handle| handle.join().err()).count() as u64;
+        let panicked_jobs = join_counting_panics(handles) + self.shared.reaped_panics.load(Ordering::Relaxed);
         ServerReport {
             snapshot: self.shared.service.snapshot(),
             device_records: self.shared.service.device_records(),
@@ -380,8 +415,25 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
     }
 }
 
+/// Moves the handles of threads that have exited out of `handles`.
+fn take_finished(handles: &mut Vec<JoinHandle<()>>) -> Vec<JoinHandle<()>> {
+    handles.extract_if(.., |handle| handle.is_finished()).collect()
+}
+
+/// Joins `handles` and returns how many of their threads panicked.
+fn join_counting_panics(handles: Vec<JoinHandle<()>>) -> u64 {
+    handles.into_iter().filter_map(|handle| handle.join().err()).count() as u64
+}
+
 fn admit_connection(shared: &Arc<Shared>, stream: Stream, conn_id: u64) {
     let counters = &shared.counters;
+    // Join the handlers that have exited, with the lock released, so the
+    // handle list holds only live connections; `finish` adds their panics
+    // to its own.
+    let finished = take_finished(&mut lock_ranked(&shared.handler_handles, rank::HANDLER_HANDLES));
+    shared
+        .reaped_panics
+        .fetch_add(join_counting_panics(finished), Ordering::Relaxed);
     let at_capacity = lock_ranked(&shared.conns, rank::SERVER_CONNS).len() >= shared.cfg.max_connections;
     if at_capacity {
         // Shed with a Busy frame instead of queueing unboundedly.
@@ -434,79 +486,18 @@ fn handle_connection(shared: &Shared, stream: Stream) {
     let counters = &shared.counters;
     let _ = stream.set_read_timeout_ms(cfg.read_timeout_ms);
     let _ = stream.set_write_timeout_ms(cfg.write_timeout_ms);
-    let mut conn = Conn { shared, stream, tickets: HashMap::new(), reply: Vec::new() };
-    let mut payload = Vec::new();
-
-    // --- Handshake: the first frame must be a valid Hello. -------------
-    match read_frame(&mut conn.stream, &mut payload, cfg.read_timeout_ms) {
-        Ok(true) => {}
-        Ok(false) => return,
-        Err(e) => {
-            count_connection_end(counters, &e);
-            return;
-        }
-    }
-    match Request::decode(&payload) {
-        Ok((corr, Request::Hello { magic, min_version, max_version })) => {
-            match negotiate(magic, min_version, max_version) {
-                Ok(version) => conn.send(corr, &Response::HelloAck { version }),
-                Err(e) => {
-                    let code = match e {
-                        TransportError::VersionMismatch { .. } => ErrorCode::VersionMismatch,
-                        _ => ErrorCode::Malformed,
-                    };
-                    conn.send(corr, &Response::Error { code, detail: e.to_string() });
-                    Counters::bump(&counters.malformed);
-                    return;
-                }
-            }
-        }
-        Ok((corr, _)) => {
-            conn.send(
-                corr,
-                &Response::Error {
-                    code: ErrorCode::Malformed,
-                    detail: "expected Hello before any request".into(),
-                },
-            );
-            Counters::bump(&counters.malformed);
-            return;
-        }
-        Err(_) => {
-            Counters::bump(&counters.malformed);
-            return;
-        }
-    }
-
-    // --- Steady state. --------------------------------------------------
-    let mut bucket = TokenBucket::new(cfg.rate_limit_per_s, cfg.rate_burst);
-    let exit_err = loop {
-        match read_frame(&mut conn.stream, &mut payload, cfg.read_timeout_ms) {
-            Ok(true) => {}
-            Ok(false) => break None, // clean close
-            Err(e) => break Some(e),
-        }
-        let (corr, request) = match Request::decode(&payload) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                // The frame was checksum-valid, so framing is still in
-                // sync: answer the error and keep the connection.
-                Counters::bump(&counters.malformed);
-                conn.send(0, &Response::Error { code: ErrorCode::Malformed, detail: e.to_string() });
-                continue;
-            }
-        };
-        Counters::bump(&counters.requests);
-        if let Err(wait_ms) = bucket.admit() {
-            Counters::bump(&counters.busy_rate);
-            conn.send(corr, &Response::Busy { retry_after_ms: wait_ms.max(cfg.busy_retry_ms) });
-            continue;
-        }
-        conn.handle(corr, request);
-        if shared.draining.load(Ordering::SeqCst) && conn.tickets.is_empty() {
-            break None; // nothing left in flight on this connection
-        }
+    let mut conn = Conn {
+        shared,
+        stream,
+        frames: FrameReader::new(),
+        tickets: HashMap::new(),
+        reply: Vec::new(),
+        out: Vec::new(),
+        buffered_replies: 0,
     };
+    let exit_err = conn.serve();
+    // Whatever ended the connection, the replies already run go out.
+    conn.write_replies();
     if let Some(e) = &exit_err {
         count_connection_end(counters, e);
     }
@@ -523,19 +514,129 @@ fn handle_connection(shared: &Shared, stream: Stream) {
 struct Conn<'a> {
     shared: &'a Shared,
     stream: Stream,
+    /// Request frames read from the socket and not yet run.
+    frames: FrameReader,
     /// Tickets granted and not yet attested: device → ticket.
     tickets: HashMap<DeviceId, u64>,
-    /// Reused encode buffer for replies.
+    /// Reused encode buffer for one reply's payload.
     reply: Vec<u8>,
+    /// Framed replies not yet written.
+    out: Vec<u8>,
+    /// How many replies `out` holds.
+    buffered_replies: u64,
 }
 
 impl Conn<'_> {
+    /// Serves the connection until it closes, returning the transport
+    /// error that ended it, if one did.
+    fn serve(&mut self) -> Option<TransportError> {
+        let shared = self.shared;
+        let cfg = &shared.cfg;
+        let counters = &shared.counters;
+        let mut payload = Vec::new();
+
+        // --- Handshake: the first frame must be a valid Hello. ---------
+        match self.next_frame(&mut payload) {
+            Ok(true) => {}
+            Ok(false) => return None,
+            Err(e) => return Some(e),
+        }
+        match Request::decode(&payload) {
+            Ok((corr, Request::Hello { magic, min_version, max_version })) => {
+                match negotiate(magic, min_version, max_version) {
+                    Ok(version) => self.send(corr, &Response::HelloAck { version }),
+                    Err(e) => {
+                        let code = match e {
+                            TransportError::VersionMismatch { .. } => ErrorCode::VersionMismatch,
+                            _ => ErrorCode::Malformed,
+                        };
+                        self.send(corr, &Response::Error { code, detail: e.to_string() });
+                        Counters::bump(&counters.malformed);
+                        return None;
+                    }
+                }
+            }
+            Ok((corr, _)) => {
+                self.send(
+                    corr,
+                    &Response::Error {
+                        code: ErrorCode::Malformed,
+                        detail: "expected Hello before any request".into(),
+                    },
+                );
+                Counters::bump(&counters.malformed);
+                return None;
+            }
+            Err(_) => {
+                Counters::bump(&counters.malformed);
+                return None;
+            }
+        }
+
+        // --- Steady state. ----------------------------------------------
+        let mut bucket = TokenBucket::new(cfg.rate_limit_per_s, cfg.rate_burst);
+        loop {
+            match self.next_frame(&mut payload) {
+                Ok(true) => {}
+                Ok(false) => return None, // clean close
+                Err(e) => return Some(e),
+            }
+            let (corr, request) = match Request::decode(&payload) {
+                Ok(decoded) => decoded,
+                Err(e) => {
+                    // The frame was checksum-valid, so framing is still in
+                    // sync: answer the error and keep the connection.
+                    Counters::bump(&counters.malformed);
+                    self.send(0, &Response::Error { code: ErrorCode::Malformed, detail: e.to_string() });
+                    continue;
+                }
+            };
+            Counters::bump(&counters.requests);
+            if let Err(wait_ms) = bucket.admit() {
+                Counters::bump(&counters.busy_rate);
+                self.send(corr, &Response::Busy { retry_after_ms: wait_ms.max(cfg.busy_retry_ms) });
+                continue;
+            }
+            self.handle(corr, request);
+            if shared.draining.load(Ordering::SeqCst) && self.tickets.is_empty() {
+                return None; // nothing left in flight on this connection
+            }
+        }
+    }
+
+    /// Reads the next request frame into `payload`. When no whole frame
+    /// is buffered, the read may wait for the peer, so the replies run so
+    /// far are written first.
+    fn next_frame(&mut self, payload: &mut Vec<u8>) -> Result<bool, TransportError> {
+        if !self.frames.has_frame() {
+            self.write_replies();
+        }
+        self.frames
+            .read_frame(&mut self.stream, payload, self.shared.cfg.read_timeout_ms)
+    }
+
+    /// Frames a reply into the output buffer; [`Conn::write_replies`]
+    /// sends it.
     fn send(&mut self, corr: u32, response: &Response) {
         self.reply.clear();
         response.encode(corr, &mut self.reply);
-        if write_frame(&mut self.stream, &self.reply, self.shared.cfg.write_timeout_ms).is_err() {
-            Counters::bump(&self.shared.counters.write_errors);
+        encode_frame(&self.reply, &mut self.out);
+        self.buffered_replies += 1;
+    }
+
+    /// Writes every buffered reply with one `write_all`. A failed write
+    /// loses them all, and each counts in `write_errors`.
+    fn write_replies(&mut self) {
+        if self.buffered_replies == 0 {
+            return;
         }
+        let counters = &self.shared.counters;
+        Counters::bump(&counters.reply_writes);
+        if self.stream.write_all(&self.out).is_err() {
+            counters.write_errors.fetch_add(self.buffered_replies, Ordering::Relaxed);
+        }
+        self.out.clear();
+        self.buffered_replies = 0;
     }
 
     fn handle(&mut self, corr: u32, request: Request) {
@@ -682,5 +783,36 @@ fn storage_aware_code(e: &PufattError, default: ErrorCode) -> ErrorCode {
     match e {
         PufattError::StorageUnavailable { .. } => ErrorCode::StorageUnavailable,
         _ => default,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn reaping_counts_a_panicked_handler_once() {
+        let (release, wait) = mpsc::channel::<()>();
+        let live = std::thread::spawn(move || {
+            let _ = wait.recv();
+        });
+        let crashed = std::thread::spawn(|| panic!("handler crashed"));
+        while !crashed.is_finished() {
+            std::thread::yield_now();
+        }
+        let mut handles = vec![live, crashed];
+
+        // At an admit: the exited handler is joined and its panic counted.
+        let reaped = join_counting_panics(take_finished(&mut handles));
+        assert_eq!(reaped, 1);
+        assert_eq!(handles.len(), 1, "the live handler is kept");
+        assert!(take_finished(&mut handles).is_empty(), "a live handler is not reaped");
+
+        // At finish: the rest are joined, and the reaped panic is not
+        // counted again.
+        release.send(()).unwrap();
+        assert_eq!(join_counting_panics(handles) + reaped, 1);
     }
 }

@@ -308,3 +308,91 @@ fn pipelined_connection_is_never_answered_busy() {
     assert_eq!(report.transport.busy_rate, 0);
     assert_eq!(report.snapshot.sessions_started, u64::from(DEVICES));
 }
+
+#[test]
+fn pipelined_burst_is_answered_in_order_with_batched_writes() {
+    // A raw socket sends Hello and a burst of requests in one write. The
+    // handler runs them in arrival order (each challenge needs the enroll
+    // before it) and writes its replies in batches, not one by one.
+    const DEVICES: u32 = 128;
+    let cfg = small_test_config(DEVICES as usize, 1, 31);
+    let server =
+        Server::start(&Endpoint::Tcp("127.0.0.1:0".into()), cfg, identity_server_config()).expect("server starts");
+    let mut stream = pufatt_transport::Stream::connect(server.endpoint()).expect("connects");
+    stream.set_read_timeout_ms(10_000).unwrap();
+
+    let mut requests = vec![pufatt_transport::hello()];
+    requests.extend((0..DEVICES).map(|device| Request::Enroll { device }));
+    requests.extend((0..DEVICES).map(|device| Request::ChallengeRequest { device }));
+    let mut burst = Vec::new();
+    let mut payload = Vec::new();
+    for (corr, request) in requests.iter().enumerate() {
+        payload.clear();
+        request.encode(corr as u32, &mut payload);
+        pufatt_transport::encode_frame(&payload, &mut burst);
+    }
+    std::io::Write::write_all(&mut stream, &burst).unwrap();
+
+    let mut reply = Vec::new();
+    for (expected_corr, request) in requests.iter().enumerate() {
+        assert!(pufatt_transport::read_frame(&mut stream, &mut reply, 10_000).unwrap());
+        let (corr, response) = Response::decode(&reply).unwrap();
+        assert_eq!(corr, expected_corr as u32, "replies come back in request order");
+        match (request, response) {
+            (Request::Hello { .. }, Response::HelloAck { .. }) => {}
+            (Request::Enroll { device }, Response::EnrollOk { device: got, .. }) => assert_eq!(got, *device),
+            (Request::ChallengeRequest { device }, Response::Challenge { device: got, .. }) => assert_eq!(got, *device),
+            (request, response) => panic!("{request:?} answered {response:?}"),
+        }
+    }
+    let replies = requests.len() as u64;
+    let writes = server.transport_stats().reply_writes;
+    assert!(writes < replies, "{replies} replies took {writes} writes");
+    drop(stream);
+
+    let report = server.finish();
+    assert_eq!(report.transport.requests, replies - 1, "every request after the Hello ran");
+    assert_eq!(report.transport.write_errors, 0);
+    assert_eq!(report.transport.sessions_aborted, u64::from(DEVICES), "the open tickets died with the connection");
+}
+
+/// `VmSize` and `VmRSS` from `/proc/self/status`, where the OS has one.
+fn vm_report() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .filter(|line| line.starts_with("VmSize:") || line.starts_with("VmRSS:"))
+        .map(|line| line.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+#[cfg(unix)]
+#[test]
+fn reaped_handlers_stay_bounded_over_sequential_connections() {
+    // Connect, Hello, close, one connection at a time. Each admit joins
+    // the handlers that have exited, so the server never keeps more than
+    // the live connections plus one handler still on its way out.
+    const CYCLES: u64 = 2_000;
+    let cfg = small_test_config(1, 1, 29);
+    let server = Server::start(&uds_endpoint("reap"), cfg, identity_server_config()).expect("server starts");
+    for cycle in 1..=CYCLES {
+        let client = Client::connect(server.endpoint(), 10_000, 10_000).expect("client connects");
+        let live = server.live_connections();
+        let retained = server.retained_handlers();
+        assert!(retained <= live + 1, "cycle {cycle}: {retained} handler(s) kept for {live} live connection(s)");
+        drop(client);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while server.live_connections() > 0 {
+            assert!(std::time::Instant::now() < deadline, "cycle {cycle}: the handler never saw the close");
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        if cycle == 100 || cycle == CYCLES {
+            // A report, not a gate: the host's other tenants move these.
+            println!("after {cycle} connections: {}", vm_report());
+        }
+    }
+    let report = server.finish();
+    assert_eq!(report.transport.connections_served, CYCLES);
+    assert_eq!(report.panicked_jobs, 0);
+}
