@@ -56,7 +56,6 @@ fn run_sweep(sock_dir: &std::path::Path, sweep: &Sweep, sessions: u32) -> (Loadg
         window: sweep.window,
         read_timeout_ms: 120_000,
         write_timeout_ms: 120_000,
-        ..LoadgenConfig::default()
     })
     .expect("loadgen runs");
     let server_report = server.finish();

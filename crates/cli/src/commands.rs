@@ -324,7 +324,6 @@ pub(crate) fn campaign_config(args: &Args) -> Result<CampaignConfig, String> {
         },
         timeout_s: timeout_s(args, defaults.timeout_s)?,
         history_capacity: args.num_or("history", defaults.history_capacity)?,
-        queue_depth: defaults.queue_depth,
         commit_interval_s: commit_interval_s(args)?,
         fail_fast: args.has("fail-fast"),
         chaos,

@@ -121,7 +121,6 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         window: args.num_or("window", defaults.window)?,
         read_timeout_ms: args.num_or("read-timeout-ms", defaults.read_timeout_ms)?,
         write_timeout_ms: args.num_or("write-timeout-ms", defaults.write_timeout_ms)?,
-        ..defaults
     };
     let concurrent = (cfg.connections * cfg.window) as u64;
     println!(

@@ -6,8 +6,9 @@
 //! [`FleetService`], which provisions each device,
 //! gates and runs its sessions, applies the retry/quarantine/revocation
 //! lifecycle and records metrics: the pool runs one job per device, and
-//! that job is `enroll` followed by `open_session`/`attest` for every
-//! session the device's schedule still owes. [`run_campaign`] drives an
+//! that job steps the device's [`DeviceDriver`] (`enroll`, then
+//! `open_session`/`attest` for every session its schedule still owes)
+//! against the service. [`run_campaign`] drives an
 //! in-memory service; [`RunningCampaign`] drives a journaled one and
 //! resumes an interrupted run (see [`crate::durable`]).
 //!
@@ -22,6 +23,7 @@
 //! model, not wall-clock. A campaign with 8 workers therefore produces
 //! exactly the same accept/reject totals as the same campaign with 1.
 
+use crate::driver::{DeviceDriver, DeviceTally, Outcome, Step};
 use crate::durable::open_state_dir;
 use crate::metrics::FleetSnapshot;
 use crate::pool::WorkerPool;
@@ -72,8 +74,6 @@ pub struct CampaignConfig {
     pub timeout_s: f64,
     /// Retained outcomes per device in its lifecycle history.
     pub history_capacity: usize,
-    /// Pending jobs the pool queue holds before submits block.
-    pub queue_depth: usize,
     /// Chaos mode: a fault plan and the fraction of the fleet it afflicts.
     /// `None` runs the campaign exactly as before (ideal channel, no
     /// injected faults).
@@ -123,7 +123,6 @@ impl Default for CampaignConfig {
             policy: LifecyclePolicy::default(),
             timeout_s: 1.0,
             history_capacity: 64,
-            queue_depth: 64,
             chaos: None,
             commit_interval_s: 0.0,
             fail_fast: false,
@@ -438,44 +437,62 @@ fn validate(cfg: &CampaignConfig) -> Result<(), PufattError> {
     Ok(())
 }
 
-/// One device's pool job: enroll the device on the service, then run
-/// what its schedule still owes — `sessions_per_device` minus the
-/// session events a journal already holds for it.
+/// One device's pool job: step its [`DeviceDriver`] against the service,
+/// owing `sessions_per_device` minus the session events a journal already
+/// holds for it.
 ///
 /// A sick home shard stops the device, never the campaign: the rest of
 /// its schedule is counted as unavailable, and a resume after the shard
 /// reopens re-derives those sessions bit-identically.
 fn run_device(service: &FleetService, id: DeviceId) {
-    let owed = || service.config().sessions_per_device.saturating_sub(service.events_seen(id));
-    match service.enroll_as(id, EnrollCommit::Grouped) {
-        Ok(_) => {}
-        // A sick home shard refused the device: nothing was admitted.
-        Err(PufattError::Storage(_) | PufattError::StorageUnavailable { .. }) => {
-            return service.count_unavailable(owed());
-        }
-        // A program build fault, which the service has already counted.
-        Err(_) => return,
-    }
-    for left in (0..owed()).rev() {
-        let ran = match service.open_session(id) {
-            SessionGate::Granted { .. } => service.attest(id) != ServiceVerdict::Unavailable,
-            SessionGate::Refused => true,
-            SessionGate::Unavailable => false,
-            SessionGate::Faulty | SessionGate::Unknown => return,
+    let owed = service.config().sessions_per_device.saturating_sub(service.events_seen(id));
+    let mut driver = DeviceDriver::new(id, owed);
+    let mut tally = DeviceTally::default();
+    loop {
+        let step = driver.next();
+        let outcome = match step {
+            Step::Enroll => match service.enroll_as(id, EnrollCommit::Grouped) {
+                Ok(_) => Outcome::Enrolled,
+                // A sick home shard refused the device: nothing was admitted.
+                Err(PufattError::Storage(_) | PufattError::StorageUnavailable { .. }) => Outcome::Unavailable,
+                // A program build fault, which the service has already counted.
+                Err(_) => Outcome::Fault,
+            },
+            Step::Open => match service.open_session(id) {
+                SessionGate::Granted { ticket } => Outcome::Granted { ticket },
+                SessionGate::Refused => Outcome::Refused,
+                SessionGate::Faulty => Outcome::Fault,
+                SessionGate::Unknown => Outcome::Unknown,
+                SessionGate::Unavailable => Outcome::Unavailable,
+            },
+            Step::Attest { .. } => match service.attest(id) {
+                ServiceVerdict::Closed { outcome, .. } => Outcome::Verdict { accepted: outcome.accepted },
+                ServiceVerdict::Refused => Outcome::Refused,
+                ServiceVerdict::Fault => Outcome::Fault,
+                ServiceVerdict::Unknown => Outcome::Unknown,
+                ServiceVerdict::Unavailable => Outcome::Unavailable,
+            },
+            Step::Done => return,
         };
-        if !ran {
-            // The service counted this session; the rest follow it.
-            return service.count_unavailable(left);
+        driver.record(outcome, &mut tally);
+        if outcome == Outcome::Unavailable {
+            // The gate at `Open` or `Attest` counted the session it
+            // refused; the rest of the schedule is counted here.
+            service.count_unavailable(tally.sessions_unavailable - u64::from(step != Step::Enroll));
         }
     }
 }
+
+/// Device jobs the campaign pool queues before a submit blocks
+/// (scheduling only: it never changes a verdict).
+const POOL_QUEUE_DEPTH: usize = 64;
 
 /// Starts the campaign pool with one job per configured device, plus one
 /// per device a journal restored past the configured range (admitted
 /// online by an earlier run).
 fn start_pool(service: &Arc<FleetService>) -> WorkerPool {
     let cfg = service.config();
-    let pool = WorkerPool::new(cfg.workers, cfg.queue_depth.max(1));
+    let pool = WorkerPool::new(cfg.workers, POOL_QUEUE_DEPTH);
     let online = service.enrolled_ids().into_iter().filter(|&id| id as usize >= cfg.devices);
     for id in (0..cfg.devices as DeviceId).chain(online) {
         submit(&pool, service, id);
@@ -674,7 +691,6 @@ pub fn small_test_config(devices: usize, workers: usize, seed: u64) -> CampaignC
         policy: LifecyclePolicy { max_attempts: 2, ..LifecyclePolicy::default() },
         timeout_s: 1.0,
         history_capacity: 16,
-        queue_depth: 32,
         chaos: None,
         commit_interval_s: 0.0,
         fail_fast: false,

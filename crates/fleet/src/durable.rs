@@ -37,10 +37,9 @@
 //!
 //! Resuming under a different configuration is refused via the persisted
 //! config fingerprint ([`config_fingerprint`]) rather than silently
-//! blending two campaigns. Worker count, slot shard count, queue
-//! depth, and the commit interval are deliberately *excluded* from the
-//! fingerprint — they change scheduling and durability latency, never
-//! verdicts.
+//! blending two campaigns. Worker count, slot shard count and the
+//! commit interval are deliberately *excluded* from the fingerprint —
+//! they change scheduling and durability latency, never verdicts.
 //!
 //! # Online enrollment
 //!
@@ -63,8 +62,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Fingerprint of the verdict-affecting configuration fields, persisted
-/// in [`Record::Meta`]. Scheduling knobs (workers, shards, queue depth,
-/// commit interval) are excluded: a campaign may legitimately be resumed
+/// in [`Record::Meta`]. Scheduling knobs (workers, shards, commit
+/// interval) are excluded: a campaign may legitimately be resumed
 /// on a machine with a different core count or durability budget.
 pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
     let text = format!(
@@ -228,7 +227,6 @@ mod tests {
         let mut other_workers = cfg.clone();
         other_workers.workers = 7;
         other_workers.shards = 3;
-        other_workers.queue_depth = 5;
         other_workers.commit_interval_s = 0.25;
         assert_eq!(config_fingerprint(&cfg), config_fingerprint(&other_workers));
         let mut other_seed = cfg.clone();

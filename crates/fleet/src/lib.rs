@@ -24,6 +24,11 @@
 //!   [`RunningCampaign`] drives a journaled service: it resumes an
 //!   interrupted run to the uninterrupted report and admits devices
 //!   online.
+//! * [`driver`] — one device's schedule (enroll, then open and attest
+//!   each session it owes) as a sans-IO state machine, and the rules for
+//!   what a refusal, a fault or a sick shard does to it. The campaign
+//!   steps it against the service in process; the socket load generator
+//!   steps it over the wire.
 //! * [`durable`] — the journal codecs, the config fingerprint, and the
 //!   per-device RNG cursors that let a restarted device jump (instead of
 //!   replaying) to where it stopped.
@@ -54,6 +59,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod campaign;
+pub mod driver;
 pub mod durable;
 pub mod metrics;
 pub mod pool;

@@ -23,10 +23,11 @@
 //! Both fronts drive this one engine: the `pufatt-transport` socket
 //! server, and [`run_campaign`](crate::campaign::run_campaign) /
 //! [`RunningCampaign`](crate::campaign::RunningCampaign), whose pool job
-//! per device is just `enroll` followed by `open_session`/`attest` for
-//! each scheduled session. A fixed-seed fleet therefore gets
-//! **bit-identical** verdicts whichever front drives it and in whatever
-//! order its devices interleave (pinned by
+//! per device steps its [`DeviceDriver`](crate::driver::DeviceDriver) —
+//! `enroll`, then `open_session`/`attest` for each scheduled session —
+//! as the socket load generator does over the wire. A fixed-seed fleet
+//! therefore gets **bit-identical** verdicts whichever front drives it
+//! and in whatever order its devices interleave (pinned by
 //! `service_matches_in_process_campaign` below and end to end over real
 //! sockets by `pufatt-transport`).
 //!
@@ -183,12 +184,12 @@ pub struct FleetService {
 }
 
 impl FleetService {
-    /// Builds a service around a campaign configuration. The `workers` and
-    /// `queue_depth` fields size the campaign pool and are not read here
-    /// (the socket server runs each connection on its own thread and
-    /// ignores them); `devices` only marks
-    /// where online enrollment begins. Everything verdict-affecting (seed,
-    /// PUF profile, checksum parameters, policy, chaos plan) is honoured.
+    /// Builds a service around a campaign configuration. The `workers`
+    /// field sizes the campaign pool and is not read here (the socket
+    /// server runs each connection on its own thread and ignores it);
+    /// `devices` only marks where online enrollment begins. Everything
+    /// verdict-affecting (seed, PUF profile, checksum parameters, policy,
+    /// chaos plan) is honoured.
     ///
     /// # Errors
     ///
@@ -723,8 +724,8 @@ impl FleetService {
 
     /// Counts `sessions` scheduled sessions refused because their
     /// device's home shard is sick.
-    pub(crate) fn count_unavailable(&self, sessions: u32) {
-        self.metrics.sessions_unavailable(u64::from(sessions));
+    pub(crate) fn count_unavailable(&self, sessions: u64) {
+        self.metrics.sessions_unavailable(sessions);
     }
 
     /// Every enrolled id, ascending.

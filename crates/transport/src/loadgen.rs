@@ -2,22 +2,22 @@
 //! over a bounded set of real connections.
 //!
 //! Each connection thread owns the devices whose `id % connections`
-//! matches it and drives every one through the full protocol —
-//! `Enroll`, then `sessions_per_device` rounds of `ChallengeRequest` +
-//! `Attest` — keeping up to `window` devices in flight concurrently via
-//! correlation-id pipelining. Concurrency is therefore
-//! `connections × window` devices, which reaches tens of thousands
-//! without tens of thousands of sockets or threads.
+//! matches it and drives every one through its schedule — `Enroll`, then
+//! `sessions_per_device` rounds of `ChallengeRequest` + `Attest` — keeping
+//! up to `window` devices in flight concurrently via correlation-id
+//! pipelining. Concurrency is therefore `connections × window` devices,
+//! which reaches tens of thousands without tens of thousands of sockets
+//! or threads.
 //!
-//! The generator follows the service's own semantics exactly, which is
-//! what makes its campaigns comparable to in-process runs:
-//!
-//! * a refused `ChallengeRequest` still *spends* one of the device's
-//!   sessions (the in-process campaign counts one refusal per scheduled
-//!   session of a revoked device);
-//! * an `Enroll` fault abandons the device without opening sessions;
-//! * `Busy` answers are retried after the server's hint — backpressure
-//!   is a pacing signal, not an error.
+//! Each device's schedule is a [`DeviceDriver`], the one the in-process
+//! campaign steps: the generator maps every wire reply onto the driver's
+//! [`Outcome`] and sends the request for its next [`Step`]. So what a
+//! refusal, a device fault or a sick storage shard does to a schedule is
+//! decided in one place (`pufatt_fleet::driver`), and a socket campaign
+//! keeps the in-process campaign's accounting. Only the wire's own
+//! concerns live here: pipelining, `Busy` answers re-sent after the
+//! server's hint (backpressure is a pacing signal, not an error), latency
+//! samples, and stranding devices when a connection dies.
 //!
 //! Latency is sampled per *session* (send of its `ChallengeRequest` to
 //! receipt of its `Verdict`, busy-retry backoff included) — the
@@ -27,10 +27,15 @@ use crate::client::Client;
 use crate::conn::Endpoint;
 use crate::error::{ErrorCode, TransportError};
 use crate::message::{Request, Response};
+use pufatt_fleet::driver::{DeviceDriver, DeviceTally, Outcome, Step};
 use pufatt_fleet::registry::DeviceId;
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// `Busy` answers re-sent per request; one more stops the device as
+/// errored.
+const MAX_BUSY_RETRIES: u32 = 1_000;
 
 /// What to drive and how hard.
 #[derive(Debug, Clone)]
@@ -49,8 +54,6 @@ pub struct LoadgenConfig {
     pub read_timeout_ms: u64,
     /// Socket write timeout in ms (`0` = block forever).
     pub write_timeout_ms: u64,
-    /// `Busy` answers tolerated per request before the device errors out.
-    pub max_busy_retries: u32,
 }
 
 impl Default for LoadgenConfig {
@@ -63,7 +66,6 @@ impl Default for LoadgenConfig {
             window: 16,
             read_timeout_ms: 30_000,
             write_timeout_ms: 30_000,
-            max_busy_retries: 1_000,
         }
     }
 }
@@ -80,6 +82,19 @@ pub enum LostPhase {
     Attesting,
     /// The connection died before its stride reached this device.
     Unstarted,
+}
+
+impl From<Step> for LostPhase {
+    /// The phase a device whose request for `step` is outstanding is lost
+    /// in.
+    fn from(step: Step) -> Self {
+        match step {
+            Step::Enroll => LostPhase::Enrolling,
+            Step::Open => LostPhase::AwaitingChallenge,
+            Step::Attest { .. } => LostPhase::Attesting,
+            Step::Done => LostPhase::Unstarted,
+        }
+    }
 }
 
 impl fmt::Display for LostPhase {
@@ -139,8 +154,10 @@ pub struct LoadgenReport {
     pub sessions_refused: u64,
     /// Verdicts with `accepted = true`.
     pub sessions_accepted: u64,
-    /// Enrolls answered with a device fault.
-    pub enroll_faults: u64,
+    /// Device faults the server answered: at `Enroll` (the device's
+    /// programs could not be built) or at `Attest` (its first session
+    /// could not provision it, or it trapped).
+    pub device_faults: u64,
     /// Sessions refused with `storage-unavailable` (the device's durable
     /// home shard was sick; its remaining schedule is counted here).
     pub sessions_unavailable: u64,
@@ -172,68 +189,57 @@ pub struct LoadgenReport {
 impl LoadgenReport {
     /// Renders one JSON object (no trailing newline) for bench output.
     pub fn json_object(&self, label: &str, concurrent_devices: u64) -> String {
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"connections\":{},\"concurrent_devices\":{},",
-                "\"devices_completed\":{},\"devices_errored\":{},\"devices_unavailable\":{},",
-                "\"sessions_completed\":{},\"sessions_refused\":{},\"sessions_accepted\":{},",
-                "\"sessions_unavailable\":{},",
-                "\"enroll_faults\":{},\"busy_retries\":{},\"connections_lost\":{},",
-                "\"wall_s\":{:.6},\"sessions_per_s\":{:.1},",
-                "\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}"
-            ),
-            label,
-            self.connections,
-            concurrent_devices,
-            self.devices_completed,
-            self.devices_errored,
-            self.devices_unavailable,
-            self.sessions_completed,
-            self.sessions_refused,
-            self.sessions_accepted,
-            self.sessions_unavailable,
-            self.enroll_faults,
-            self.busy_retries,
-            self.connection_lost.as_ref().map_or(0, |l| l.connections_lost),
-            self.wall_s,
-            self.sessions_per_s,
-            self.p50_us,
-            self.p90_us,
-            self.p99_us,
-            self.max_us,
+        let counts = [
+            ("connections", self.connections),
+            ("concurrent_devices", concurrent_devices),
+            ("devices_completed", self.devices_completed),
+            ("devices_errored", self.devices_errored),
+            ("devices_unavailable", self.devices_unavailable),
+            ("sessions_completed", self.sessions_completed),
+            ("sessions_refused", self.sessions_refused),
+            ("sessions_accepted", self.sessions_accepted),
+            ("sessions_unavailable", self.sessions_unavailable),
+            ("device_faults", self.device_faults),
+            ("busy_retries", self.busy_retries),
+            ("connections_lost", self.connection_lost.as_ref().map_or(0, |l| l.connections_lost)),
+        ];
+        let mut row = format!("{{\"label\":\"{label}\"");
+        for (key, value) in counts {
+            row += &format!(",\"{key}\":{value}");
+        }
+        row + &format!(
+            ",\"wall_s\":{:.6},\"sessions_per_s\":{:.1},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}",
+            self.wall_s, self.sessions_per_s, self.p50_us, self.p90_us, self.p99_us, self.max_us
         )
     }
 }
 
-/// One device's progress on its connection.
+/// One device in flight on its connection.
 struct InFlight {
-    id: DeviceId,
-    /// Sessions this device still owes (including the one in flight).
-    remaining: u32,
-    /// The request awaiting its reply (resent verbatim on `Busy`).
-    request: Request,
-    /// When this session's `ChallengeRequest` went out.
-    session_started: Option<Instant>,
+    driver: DeviceDriver,
+    /// When the device's current session sent its `ChallengeRequest`.
+    session_started: Instant,
     busy_retries: u32,
 }
 
+/// One connection's share of the campaign: its devices in flight, the
+/// next device of its stride, and what its devices did. The devices'
+/// protocol counts are a [`DeviceTally`]; the rest belongs to the wire.
 #[derive(Default)]
-struct ConnTally {
-    devices_completed: u64,
-    devices_errored: u64,
-    devices_unavailable: u64,
-    sessions_completed: u64,
-    sessions_refused: u64,
-    sessions_accepted: u64,
-    sessions_unavailable: u64,
-    enroll_faults: u64,
+struct Lane {
+    /// Devices awaiting a reply, by the correlation id of their request.
+    inflight: HashMap<u32, InFlight>,
+    next_device: u32,
+    tally: DeviceTally,
     busy_retries: u64,
     latencies_us: Vec<u64>,
-    /// Whether the TCP connect + handshake succeeded (distinguishes a
-    /// server that was never reachable from one that vanished mid-run).
+    /// Whether the connect + handshake succeeded (distinguishes a server
+    /// that was never reachable from one that vanished mid-run).
     connected: bool,
     /// Stranded devices with the phase each was lost in.
     lost_devices: Vec<(DeviceId, LostPhase)>,
+    /// The transport error that ended the connection early, rendered.
+    error: Option<String>,
 }
 
 /// Runs a full campaign against a live server and reports throughput and
@@ -246,7 +252,6 @@ struct ConnTally {
 /// not fail the call: its stranded devices are counted in
 /// `devices_errored` and itemised, with the root-cause error, in the
 /// report's [`LoadgenReport::connection_lost`] summary.
-#[allow(clippy::result_large_err)] // the spawn closure carries drive_connection's tally-with-error pair
 pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, TransportError> {
     let connections = cfg.connections.max(1);
     let started = Instant::now();
@@ -259,270 +264,145 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, TransportError>
             .map_err(|e| TransportError::Closed(format!("spawn loadgen worker: {e}")))?;
         handles.push(handle);
     }
-    let mut tally = ConnTally::default();
-    let mut live_connections = 0u64;
-    let mut connections_lost = 0u64;
-    let mut any_connected = false;
-    let mut first_error = String::new();
+    let mut total = Lane::default();
+    let (mut connections_lost, mut first_error) = (0u64, None);
     for handle in handles {
-        match handle.join() {
-            Ok(Ok(conn_tally)) => {
-                live_connections += 1;
-                any_connected = true;
-                merge(&mut tally, conn_tally);
-            }
-            Ok(Err((conn_tally, err))) => {
-                connections_lost += 1;
-                any_connected |= conn_tally.connected;
-                if first_error.is_empty() {
-                    first_error = err.to_string();
-                }
-                merge(&mut tally, conn_tally);
-            }
-            Err(_) => {
-                connections_lost += 1;
-                if first_error.is_empty() {
-                    first_error = "loadgen worker panicked".into();
-                }
-            }
+        let run = handle.join().unwrap_or_else(|_| Lane {
+            error: Some("loadgen worker panicked".into()),
+            ..Lane::default()
+        });
+        if let Some(error) = run.error {
+            connections_lost += 1;
+            first_error.get_or_insert(error);
         }
+        total.connected |= run.connected;
+        total.tally.merge(&run.tally);
+        total.busy_retries += run.busy_retries;
+        total.latencies_us.extend(run.latencies_us);
+        total.lost_devices.extend(run.lost_devices);
     }
-    if !any_connected {
+    if !total.connected {
         return Err(TransportError::Closed("no loadgen connection reached the server".into()));
     }
     let wall_s = started.elapsed().as_secs_f64();
-    tally.latencies_us.sort_unstable();
+    let latencies = &mut total.latencies_us;
+    latencies.sort_unstable();
     let pct = |p: f64| -> u64 {
-        if tally.latencies_us.is_empty() {
-            return 0;
-        }
-        let idx = ((tally.latencies_us.len() as f64 * p).ceil() as usize).clamp(1, tally.latencies_us.len());
-        tally.latencies_us[idx - 1]
+        let idx = ((latencies.len() as f64 * p).ceil() as usize).clamp(1, latencies.len().max(1));
+        latencies.get(idx - 1).copied().unwrap_or(0)
     };
-    let connection_lost = (connections_lost > 0).then(|| {
-        let mut devices = std::mem::take(&mut tally.lost_devices);
+    let stranded = total.lost_devices.len() as u64;
+    let connection_lost = first_error.map(|first_error| {
+        let mut devices = std::mem::take(&mut total.lost_devices);
         devices.sort_unstable_by_key(|&(id, _)| id);
         ConnectionLost { connections_lost, first_error, devices }
     });
+    let tally = total.tally;
     Ok(LoadgenReport {
         devices_completed: tally.devices_completed,
-        devices_errored: tally.devices_errored,
+        devices_errored: tally.devices_errored + stranded,
         devices_unavailable: tally.devices_unavailable,
         sessions_completed: tally.sessions_completed,
         sessions_refused: tally.sessions_refused,
         sessions_accepted: tally.sessions_accepted,
         sessions_unavailable: tally.sessions_unavailable,
-        enroll_faults: tally.enroll_faults,
-        busy_retries: tally.busy_retries,
-        connections: live_connections,
+        device_faults: tally.device_faults,
+        busy_retries: total.busy_retries,
+        connections: connections as u64 - connections_lost,
         wall_s,
         sessions_per_s: if wall_s > 0.0 { tally.sessions_completed as f64 / wall_s } else { 0.0 },
         p50_us: pct(0.50),
         p90_us: pct(0.90),
         p99_us: pct(0.99),
-        max_us: tally.latencies_us.last().copied().unwrap_or(0),
+        max_us: latencies.last().copied().unwrap_or(0),
         connection_lost,
     })
 }
 
-fn merge(into: &mut ConnTally, from: ConnTally) {
-    into.devices_completed += from.devices_completed;
-    into.devices_errored += from.devices_errored;
-    into.devices_unavailable += from.devices_unavailable;
-    into.sessions_completed += from.sessions_completed;
-    into.sessions_refused += from.sessions_refused;
-    into.sessions_accepted += from.sessions_accepted;
-    into.sessions_unavailable += from.sessions_unavailable;
-    into.enroll_faults += from.enroll_faults;
-    into.busy_retries += from.busy_retries;
-    into.latencies_us.extend(from.latencies_us);
-    into.lost_devices.extend(from.lost_devices);
-}
-
-/// Drives this connection's device stride to completion. On a transport
-/// error the tally so far rides along with the error.
-#[allow(clippy::result_large_err)]
-fn drive_connection(cfg: &LoadgenConfig, conn_index: usize) -> Result<ConnTally, (ConnTally, TransportError)> {
-    let mut tally = ConnTally::default();
-    let mut client = match Client::connect(&cfg.endpoint, cfg.read_timeout_ms, cfg.write_timeout_ms) {
-        Ok(client) => client,
-        Err(e) => {
-            // Never reached the server: the whole stride is unstarted.
-            strand(&mut tally, &HashMap::new(), conn_index as u32, cfg.devices, cfg.connections.max(1) as u32);
-            return Err((tally, e));
-        }
-    };
-    tally.connected = true;
-    let connections = cfg.connections.max(1) as u32;
-    let mut next_device = conn_index as u32;
-    let window = cfg.window.max(1);
-    let mut inflight: HashMap<u32, InFlight> = HashMap::new();
-    loop {
-        // Fill the window with fresh devices.
-        while inflight.len() < window && next_device < cfg.devices {
-            let id = next_device;
-            next_device += connections;
-            let request = Request::Enroll { device: id };
-            match client.send(&request) {
-                Ok(corr) => {
-                    inflight.insert(
-                        corr,
-                        InFlight {
-                            id,
-                            remaining: cfg.sessions_per_device,
-                            request,
-                            session_started: None,
-                            busy_retries: 0,
-                        },
-                    );
-                }
-                Err(e) => {
-                    tally.devices_errored += 1;
-                    tally.lost_devices.push((id, LostPhase::Enrolling));
-                    strand(&mut tally, &inflight, next_device, cfg.devices, connections);
-                    return Err((tally, e));
-                }
-            }
-        }
-        if inflight.is_empty() {
-            return Ok(tally);
-        }
-        let (corr, response) = match client.recv_any() {
-            Ok(pair) => pair,
-            Err(e) => {
-                strand(&mut tally, &inflight, next_device, cfg.devices, connections);
-                return Err((tally, e));
-            }
-        };
-        let Some(mut entry) = inflight.remove(&corr) else {
-            continue; // stale reply for a device we already gave up on
-        };
-        let was_busy = matches!(response, Response::Busy { .. });
-        let next = match response {
-            Response::Busy { retry_after_ms } => {
-                entry.busy_retries += 1;
-                tally.busy_retries += 1;
-                if entry.busy_retries > cfg.max_busy_retries {
-                    tally.devices_errored += 1;
-                    continue;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(u64::from(retry_after_ms.max(1))));
-                Some(entry.request.clone())
-            }
-            Response::EnrollOk { .. } => {
-                if entry.remaining == 0 {
-                    tally.devices_completed += 1;
-                    None
-                } else {
-                    entry.session_started = Some(Instant::now());
-                    Some(Request::ChallengeRequest { device: entry.id })
-                }
-            }
-            Response::Challenge { device, ticket } => Some(Request::Attest { device, ticket }),
-            Response::Verdict { accepted, .. } => {
-                tally.sessions_completed += 1;
-                tally.sessions_accepted += u64::from(accepted);
-                if let Some(t0) = entry.session_started.take() {
-                    tally
-                        .latencies_us
-                        .push(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-                }
-                entry.remaining -= 1;
-                if entry.remaining > 0 {
-                    entry.session_started = Some(Instant::now());
-                    Some(Request::ChallengeRequest { device: entry.id })
-                } else {
-                    tally.devices_completed += 1;
-                    None
-                }
-            }
-            Response::Error { code: ErrorCode::Refused, .. } => {
-                // One scheduled session spent on a revoked device —
-                // mirrors the in-process campaign's refusal accounting.
-                tally.sessions_refused += 1;
-                entry.remaining = entry.remaining.saturating_sub(1);
-                if entry.remaining > 0 {
-                    entry.session_started = Some(Instant::now());
-                    Some(Request::ChallengeRequest { device: entry.id })
-                } else {
-                    tally.devices_completed += 1;
-                    None
-                }
-            }
-            Response::Error { code: ErrorCode::DeviceFault, .. } => {
-                // Provisioning faulted: the device is abandoned with no
-                // sessions, as in process.
-                tally.enroll_faults += 1;
-                tally.devices_completed += 1;
-                None
-            }
-            Response::Error { code: ErrorCode::StorageUnavailable, .. } => {
-                // The device's durable home shard is sick: the server
-                // refuses its requests up front. Mirror the fleet's own
-                // accounting — the rest of this device's schedule is
-                // unavailable and the device stops (its healthy-shard
-                // peers keep attesting on this same connection).
-                tally.sessions_unavailable += u64::from(entry.remaining);
-                tally.devices_unavailable += 1;
-                None
-            }
-            Response::Error { .. }
-            | Response::HelloAck { .. }
-            | Response::RevokeOk { .. }
-            | Response::StatsReply(_)
-            | Response::ShutdownAck => {
-                tally.devices_errored += 1;
-                None
-            }
-        };
-        if let Some(request) = next {
-            if !was_busy {
-                entry.busy_retries = 0;
-            }
-            match client.send(&request) {
-                Ok(new_corr) => {
-                    entry.request = request;
-                    inflight.insert(new_corr, entry);
-                }
-                Err(e) => {
-                    tally.devices_errored += 1;
-                    tally.lost_devices.push((entry.id, phase_of(&request)));
-                    strand(&mut tally, &inflight, next_device, cfg.devices, connections);
-                    return Err((tally, e));
-                }
-            }
-        }
-    }
-}
-
-/// The loss phase a device's outstanding request pins it to.
-fn phase_of(request: &Request) -> LostPhase {
-    match request {
-        Request::Enroll { .. } => LostPhase::Enrolling,
-        Request::ChallengeRequest { .. } => LostPhase::AwaitingChallenge,
-        Request::Attest { .. } => LostPhase::Attesting,
-        _ => LostPhase::Unstarted,
-    }
-}
-
-/// Records every device this connection strands when it dies: the
-/// in-flight ones (with the phase their outstanding request names) plus
-/// the unstarted remainder of its stride, all counted as errored.
-fn strand(tally: &mut ConnTally, inflight: &HashMap<u32, InFlight>, next_device: u32, devices: u32, connections: u32) {
-    for entry in inflight.values() {
-        tally.lost_devices.push((entry.id, phase_of(&entry.request)));
-    }
-    let mut id = next_device;
-    while id < devices {
-        tally.lost_devices.push((id, LostPhase::Unstarted));
-        id += connections;
-    }
-    let unstarted = u64::from(if next_device < devices {
-        (devices - next_device).div_ceil(connections)
-    } else {
-        0
+/// Drives this connection's device stride to completion. When the
+/// connection dies, every device in flight is stranded in the phase of
+/// its pending step, and the rest of the stride is stranded unstarted.
+fn drive_connection(cfg: &LoadgenConfig, conn_index: usize) -> Lane {
+    let mut lane = Lane { next_device: conn_index as u32, ..Lane::default() };
+    let result = Client::connect(&cfg.endpoint, cfg.read_timeout_ms, cfg.write_timeout_ms).and_then(|mut client| {
+        lane.connected = true;
+        lane.pump(cfg, &mut client)
     });
-    tally.devices_errored += inflight.len() as u64 + unstarted;
+    if let Err(e) = result {
+        for entry in lane.inflight.values() {
+            lane.lost_devices.push((entry.driver.id(), entry.driver.next().into()));
+        }
+        let unstarted = (lane.next_device..cfg.devices).step_by(cfg.connections.max(1));
+        lane.lost_devices.extend(unstarted.map(|id| (id, LostPhase::Unstarted)));
+        lane.error = Some(e.to_string());
+    }
+    lane
+}
+
+impl Lane {
+    /// The connection's request loop: fill the window with fresh devices,
+    /// then feed each reply to its device's driver and send the request
+    /// for the driver's next step. Returns when every device is done, or
+    /// with the transport error that ended the connection (a device whose
+    /// request could not be sent is stranded here; the rest by the
+    /// caller).
+    fn pump(&mut self, cfg: &LoadgenConfig, client: &mut Client) -> Result<(), TransportError> {
+        loop {
+            let entry = if self.inflight.len() < cfg.window.max(1) && self.next_device < cfg.devices {
+                let driver = DeviceDriver::new(self.next_device, cfg.sessions_per_device);
+                self.next_device += cfg.connections.max(1) as u32;
+                InFlight { driver, session_started: Instant::now(), busy_retries: 0 }
+            } else if self.inflight.is_empty() {
+                return Ok(());
+            } else {
+                let (corr, response) = client.recv_any()?;
+                let Some(mut entry) = self.inflight.remove(&corr) else {
+                    continue; // stale reply for a device we already gave up on
+                };
+                let outcome = match response {
+                    Response::Busy { retry_after_ms } if entry.busy_retries < MAX_BUSY_RETRIES => {
+                        entry.busy_retries += 1;
+                        self.busy_retries += 1;
+                        std::thread::sleep(Duration::from_millis(u64::from(retry_after_ms.max(1))));
+                        None
+                    }
+                    Response::EnrollOk { .. } => Some(Outcome::Enrolled),
+                    Response::Challenge { ticket, .. } => Some(Outcome::Granted { ticket }),
+                    Response::Verdict { accepted, .. } => {
+                        let elapsed = entry.session_started.elapsed().as_micros();
+                        self.latencies_us.push(elapsed.min(u128::from(u64::MAX)) as u64);
+                        Some(Outcome::Verdict { accepted })
+                    }
+                    Response::Error { code: ErrorCode::Refused, .. } => Some(Outcome::Refused),
+                    Response::Error { code: ErrorCode::DeviceFault, .. } => Some(Outcome::Fault),
+                    Response::Error { code: ErrorCode::StorageUnavailable, .. } => Some(Outcome::Unavailable),
+                    // Any other answer (a `Busy` past the cap included) is one
+                    // the schedule cannot take: the driver stops the device as
+                    // errored.
+                    _ => Some(Outcome::Unknown),
+                };
+                if let Some(outcome) = outcome {
+                    entry.busy_retries = 0;
+                    entry.driver.record(outcome, &mut self.tally);
+                    if entry.driver.next() == Step::Open {
+                        entry.session_started = Instant::now();
+                    }
+                }
+                entry
+            };
+            let (device, step) = (entry.driver.id(), entry.driver.next());
+            let request = match step {
+                Step::Enroll => Request::Enroll { device },
+                Step::Open => Request::ChallengeRequest { device },
+                Step::Attest { ticket } => Request::Attest { device, ticket },
+                Step::Done => continue,
+            };
+            let corr = client
+                .send(&request)
+                .inspect_err(|_| self.lost_devices.push((device, step.into())))?;
+            self.inflight.insert(corr, entry);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -571,7 +451,6 @@ mod tests {
             window: 1,
             read_timeout_ms: 2_000,
             write_timeout_ms: 2_000,
-            ..LoadgenConfig::default()
         };
         let report = run_loadgen(&cfg).expect("a connected-then-lost campaign still reports");
         let lost = report.connection_lost.expect("typed connection-loss summary");

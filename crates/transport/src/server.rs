@@ -775,13 +775,14 @@ fn error_detail(e: &PufattError) -> String {
     e.to_string()
 }
 
-/// Picks the wire code for a service error: a typed per-shard storage
-/// refusal travels as its own stable code (the client can distinguish
-/// "this shard is sick, others work" from a device-level fault);
-/// everything else keeps the request's default code.
+/// Picks the wire code for a service error: a storage failure — the
+/// typed per-shard refusal, or the append that just found the shard sick —
+/// travels as its own stable code (the client can distinguish "this shard
+/// is sick, others work" from a device-level fault); everything else
+/// keeps the request's default code.
 fn storage_aware_code(e: &PufattError, default: ErrorCode) -> ErrorCode {
     match e {
-        PufattError::StorageUnavailable { .. } => ErrorCode::StorageUnavailable,
+        PufattError::Storage(_) | PufattError::StorageUnavailable { .. } => ErrorCode::StorageUnavailable,
         _ => default,
     }
 }

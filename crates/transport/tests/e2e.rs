@@ -7,13 +7,16 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pufatt_fleet::campaign::{run_campaign, small_test_config};
+use pufatt_fleet::campaign::{run_campaign, run_persistent_campaign, small_test_config};
+use pufatt_fleet::FleetService;
+use pufatt_store::{ErrorInjection, InjectedErrorKind, ShardedOptions, ShardedStore, SimVfs};
 use pufatt_transport::client::Client;
 use pufatt_transport::error::{ErrorCode, TransportError};
 use pufatt_transport::loadgen::{run_loadgen, LoadgenConfig};
 use pufatt_transport::message::{Request, Response, PROTOCOL_MAGIC};
 use pufatt_transport::server::{Server, ServerConfig};
 use pufatt_transport::Endpoint;
+use std::sync::Arc;
 
 fn uds_endpoint(tag: &str) -> Endpoint {
     let dir = std::env::temp_dir().join(format!("pufatt-e2e-{}", std::process::id()));
@@ -70,6 +73,53 @@ fn uds_loadgen_campaign_is_bit_identical_to_in_process() {
 #[test]
 fn tcp_loadgen_campaign_is_bit_identical_to_in_process() {
     assert_served_matches_in_process(&Endpoint::Tcp("127.0.0.1:0".into()), 12, 0xBEEF);
+}
+
+/// A journaled service whose store shard 1 fails every I/O from the first
+/// append on, in the geometry of the fleet crate's sick-shard campaign
+/// test (4 store shards of 2 ids each).
+fn sick_shard_store(history_capacity: usize) -> Arc<ShardedStore> {
+    let vfs = SimVfs::new();
+    let opts = ShardedOptions {
+        history_capacity,
+        shards: 4,
+        range_width: 2,
+        ..ShardedOptions::default()
+    };
+    let store = Arc::new(ShardedStore::open(Arc::new(vfs.clone()), opts).expect("fresh store"));
+    vfs.inject(ErrorInjection::on_prefix("shard-001/", InjectedErrorKind::Eio).sticky());
+    store
+}
+
+#[test]
+fn sick_shard_loadgen_campaign_matches_in_process() {
+    let mut cfg = small_test_config(8, 2, 0xD16E);
+    cfg.tamper_fraction = 0.0;
+    let store = sick_shard_store(cfg.history_capacity);
+    let sick = (0..cfg.devices as u32).filter(|&id| store.shard_of_id(id) == 1).count() as u64;
+    assert!(sick > 0, "test geometry must home devices on the sick shard");
+    let in_process = run_persistent_campaign(&cfg, &store, false).expect("degraded campaign reports");
+
+    let service = FleetService::with_journal(cfg.clone(), sick_shard_store(cfg.history_capacity)).expect("service");
+    let server =
+        Server::start_with_service(&Endpoint::Tcp("127.0.0.1:0".into()), Arc::new(service), identity_server_config())
+            .expect("server starts");
+    let report = run_loadgen(&LoadgenConfig {
+        endpoint: server.endpoint().clone(),
+        devices: cfg.devices as u32,
+        sessions_per_device: cfg.sessions_per_device,
+        connections: 2,
+        window: 4,
+        ..LoadgenConfig::default()
+    })
+    .expect("loadgen runs");
+    let served = server.finish();
+
+    assert_eq!(report.devices_errored, 0, "a sick shard strands no device: {report:?}");
+    assert_eq!(report.device_faults, 0, "a storage refusal is not a device fault: {report:?}");
+    assert_eq!(report.sessions_unavailable, in_process.snapshot.sessions_unavailable, "{report:?}");
+    assert_eq!(report.devices_unavailable, sick, "{report:?}");
+    assert_eq!(served.device_records, in_process.device_records, "healthy-shard verdicts must match");
 }
 
 #[test]
