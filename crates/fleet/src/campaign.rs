@@ -606,11 +606,6 @@ impl RunningCampaign {
         }
     }
 
-    /// The campaign's sharded store (e.g. for progress statistics).
-    pub fn store(&self) -> &Arc<ShardedStore> {
-        &self.store
-    }
-
     /// Drains the pool, flushes the group commit, folds the WAL into
     /// fresh snapshots, and reports — the report is bit-identical to an
     /// uninterrupted in-memory run of the same configuration.

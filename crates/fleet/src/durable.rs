@@ -53,9 +53,8 @@
 
 use crate::campaign::{run_session, CampaignConfig, DeviceSession};
 use crate::metrics::LatencyHistogram;
-use crate::registry::FleetStatus;
 use pufatt::PufattError;
-use pufatt_store::record::{OutcomeRec, Record, StoredStatus};
+use pufatt_store::record::{OutcomeRec, Record};
 use pufatt_store::state::{CursorInfo, EV_REFUSED};
 use pufatt_store::{ShardedOptions, ShardedStore, StdVfs, StoreError};
 use std::path::Path;
@@ -98,22 +97,6 @@ pub(crate) fn storage_err(e: StoreError) -> PufattError {
     match e {
         StoreError::ShardUnavailable { shard } => PufattError::StorageUnavailable { shard },
         other => PufattError::Storage(other.to_string()),
-    }
-}
-
-pub(crate) fn to_stored(status: FleetStatus) -> StoredStatus {
-    match status {
-        FleetStatus::Active => StoredStatus::Active,
-        FleetStatus::Quarantined => StoredStatus::Quarantined,
-        FleetStatus::Revoked => StoredStatus::Revoked,
-    }
-}
-
-pub(crate) fn from_stored(status: StoredStatus) -> FleetStatus {
-    match status {
-        StoredStatus::Active => FleetStatus::Active,
-        StoredStatus::Quarantined => FleetStatus::Quarantined,
-        StoredStatus::Revoked => FleetStatus::Revoked,
     }
 }
 

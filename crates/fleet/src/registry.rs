@@ -16,17 +16,10 @@ use pufatt::RingBuffer;
 /// Identifier of a fleet device.
 pub type DeviceId = u32;
 
-/// Lifecycle state of one fleet device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetStatus {
-    /// Eligible for attestation.
-    Active,
-    /// Failing repeatedly; still attested, but on probation — further
-    /// failures revoke it, a success reactivates it.
-    Quarantined,
-    /// Out of service; sessions are refused until re-enrollment.
-    Revoked,
-}
+/// Lifecycle state of one fleet device. It is the store's status enum,
+/// so the registry, the journal and the wire share one type and one byte
+/// codec, and no conversion sits between them.
+pub use pufatt_store::record::StoredStatus as FleetStatus;
 
 /// Outcome of one attestation session (possibly after retries).
 #[derive(Debug, Clone, PartialEq)]

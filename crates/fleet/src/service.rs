@@ -57,8 +57,7 @@ use crate::campaign::{
     DeviceRecord, DeviceSession, ProductLine,
 };
 use crate::durable::{
-    config_fingerprint, fast_forward, from_outcome_rec, from_stored, journal, storage_err, to_outcome_rec, to_stored,
-    DevicePrior,
+    config_fingerprint, fast_forward, from_outcome_rec, journal, storage_err, to_outcome_rec, DevicePrior,
 };
 use crate::metrics::{FleetMetrics, FleetSnapshot};
 use crate::registry::{DeviceId, DeviceLifecycle, FleetStatus, SessionOutcome, StatusCounts};
@@ -271,7 +270,7 @@ impl FleetService {
         let visit = |id: DeviceId, device: &DeviceState| {
             let lifecycle = DeviceLifecycle::restore(
                 self.cfg.history_capacity.max(1),
-                from_stored(device.status),
+                device.status,
                 device.fails,
                 device.succs,
                 device.outcomes.iter().map(from_outcome_rec).collect(),
@@ -469,7 +468,7 @@ impl FleetService {
         rec: OutcomeRec,
     ) -> FleetStatus {
         let (status, fails, succs) = lifecycle.record(outcome.clone(), &self.cfg.policy);
-        self.journal_event(&Record::SessionClosed { id, outcome: rec, status: to_stored(status), fails, succs });
+        self.journal_event(&Record::SessionClosed { id, outcome: rec, status, fails, succs });
         status
     }
 
@@ -567,8 +566,7 @@ impl FleetService {
     /// rather than a trust decision that would evaporate on restart.
     pub fn revoke(&self, id: DeviceId) -> Result<Option<FleetStatus>, PufattError> {
         let record = |status| {
-            (status != FleetStatus::Revoked)
-                .then_some(Record::StatusChanged { id, status: pufatt_store::record::StoredStatus::Revoked })
+            (status != FleetStatus::Revoked).then_some(Record::StatusChanged { id, status: FleetStatus::Revoked })
         };
         self.operator_transition(id, record, DeviceLifecycle::revoke)
     }

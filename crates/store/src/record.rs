@@ -22,19 +22,25 @@ use crate::StoreError;
 /// (log₂-bucketed microseconds).
 pub const LATENCY_SLOTS: usize = 32;
 
-/// Lifecycle state as persisted (mirrors the fleet registry's states).
+/// Lifecycle state of one fleet device: the one status type of the
+/// system. The fleet registry keeps it as `pufatt_fleet::FleetStatus`,
+/// and the wire carries it as `pufatt_transport::WireStatus`; both names
+/// are re-exports of this enum, and the journal and the wire write it
+/// with the same byte ([`StoredStatus::to_byte`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StoredStatus {
     /// Eligible for attestation.
     Active,
-    /// On probation after repeated failures.
+    /// Failing repeatedly; still attested, but on probation — further
+    /// failures revoke it, a success reactivates it.
     Quarantined,
-    /// Out of service until re-enrollment.
+    /// Out of service; sessions are refused until re-enrollment.
     Revoked,
 }
 
 impl StoredStatus {
-    pub(crate) fn to_byte(self) -> u8 {
+    /// The status byte the journal and the wire both carry.
+    pub fn to_byte(self) -> u8 {
         match self {
             StoredStatus::Active => 0,
             StoredStatus::Quarantined => 1,
@@ -42,12 +48,18 @@ impl StoredStatus {
         }
     }
 
-    pub(crate) fn from_byte(b: u8) -> Result<Self, StoreError> {
+    /// Parses a status byte.
+    ///
+    /// # Errors
+    ///
+    /// The message `unknown status byte N`, which each format wraps in
+    /// its own error (the journal's `Corrupt`, the wire's `Malformed`).
+    pub fn from_byte(b: u8) -> Result<Self, String> {
         match b {
             0 => Ok(StoredStatus::Active),
             1 => Ok(StoredStatus::Quarantined),
             2 => Ok(StoredStatus::Revoked),
-            other => Err(StoreError::Corrupt(format!("unknown status byte {other}"))),
+            other => Err(format!("unknown status byte {other}")),
         }
     }
 }
@@ -311,11 +323,14 @@ impl Record {
             },
             1 => Record::DeviceEnrolled { id: r.u32()? },
             2 => Record::DeviceReEnrolled { id: r.u32()? },
-            3 => Record::StatusChanged { id: r.u32()?, status: StoredStatus::from_byte(r.u8()?)? },
+            3 => Record::StatusChanged {
+                id: r.u32()?,
+                status: StoredStatus::from_byte(r.u8()?).map_err(StoreError::Corrupt)?,
+            },
             4 => Record::SessionClosed {
                 id: r.u32()?,
                 outcome: read_outcome(&mut r)?,
-                status: StoredStatus::from_byte(r.u8()?)?,
+                status: StoredStatus::from_byte(r.u8()?).map_err(StoreError::Corrupt)?,
                 fails: r.u32()?,
                 succs: r.u32()?,
             },

@@ -491,7 +491,7 @@ impl StoreState {
         let mut devices = BTreeMap::new();
         for _ in 0..device_count {
             let id = r.u32()?;
-            let status = StoredStatus::from_byte(r.u8()?)?;
+            let status = StoredStatus::from_byte(r.u8()?).map_err(StoreError::Corrupt)?;
             let fails = r.u32()?;
             let succs = r.u32()?;
             let abandoned = r.flag()?;

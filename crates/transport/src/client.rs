@@ -1,16 +1,19 @@
 //! A blocking protocol client: dial, handshake, then correlated
 //! request/response exchange.
 //!
-//! The client is deliberately simple — one socket, one outstanding-reply
-//! table, no internal threads. Pipelining comes from *callers*: the load
-//! generator keeps a window of requests in flight by issuing several
-//! [`Client::send`]s before collecting with [`Client::recv`], and the
-//! correlation id (echoed by the server in every response) pairs answers
-//! with questions regardless of the order they arrive in.
+//! The client is deliberately simple — one socket, one [`FrameReader`],
+//! one outstanding-reply table, no internal threads. Pipelining comes
+//! from *callers*: the load generator keeps a window of requests in
+//! flight by issuing several [`Client::send`]s before collecting with
+//! [`Client::recv`], and the correlation id (echoed by the server in
+//! every response) pairs answers with questions regardless of the order
+//! they arrive in. Replies are read through the frame reader, so one
+//! `read` takes every reply the socket holds and the next ones are
+//! decoded without touching the socket.
 
 use crate::conn::{Endpoint, Stream};
 use crate::error::{ErrorCode, TransportError};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{write_frame, FrameReader};
 use crate::message::{hello, Request, Response, PROTOCOL_VERSION};
 use std::collections::HashMap;
 
@@ -20,6 +23,8 @@ pub struct Client {
     read_timeout_ms: u64,
     write_timeout_ms: u64,
     next_corr: u32,
+    /// Reply frames read from the socket and not yet decoded.
+    frames: FrameReader,
     /// Replies that arrived while waiting for a different correlation id.
     pending: HashMap<u32, Response>,
     buf: Vec<u8>,
@@ -42,6 +47,7 @@ impl Client {
             read_timeout_ms,
             write_timeout_ms,
             next_corr: 0,
+            frames: FrameReader::new(),
             pending: HashMap::new(),
             buf: Vec::new(),
         };
@@ -108,15 +114,10 @@ impl Client {
 
     /// Reads the next response off the socket, bypassing `pending`.
     fn read_response(&mut self) -> Result<(u32, Response), TransportError> {
-        let mut payload = std::mem::take(&mut self.buf);
-        let outcome = read_frame(&mut self.stream, &mut payload, self.read_timeout_ms);
-        let decoded = match outcome {
-            Ok(true) => Response::decode(&payload),
-            Ok(false) => Err(TransportError::Closed("server closed the connection".into())),
-            Err(e) => Err(e),
-        };
-        self.buf = payload;
-        decoded
+        if !self.frames.read_frame(&mut self.stream, &mut self.buf, self.read_timeout_ms)? {
+            return Err(TransportError::Closed("server closed the connection".into()));
+        }
+        Response::decode(&self.buf)
     }
 
     /// One full round trip: send, then wait for that reply.
@@ -150,10 +151,11 @@ mod tests {
         let endpoint = listener.local_endpoint();
         let server = std::thread::spawn(move || {
             let mut stream = listener.accept().unwrap();
+            let mut frames = FrameReader::new();
             let mut payload = Vec::new();
             let mut corrs = Vec::new();
             for _ in 0..3 {
-                assert!(read_frame(&mut stream, &mut payload, 5_000).unwrap());
+                assert!(frames.read_frame(&mut stream, &mut payload, 5_000).unwrap());
                 let (corr, request) = Request::decode(&payload).unwrap();
                 if let Request::Hello { magic, min_version, max_version } = request {
                     let version = negotiate(magic, min_version, max_version).unwrap();

@@ -17,7 +17,9 @@ use pufatt::PufattError;
 use pufatt_store::codec::CodecError;
 use std::fmt;
 
-/// Protocol-level error codes carried by `Response::Error` frames.
+/// Protocol-level error codes carried by `Response::Error` frames. Each
+/// code has one row in `CODES`, in declaration order: a new code is
+/// appended here and there, so no existing wire byte moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The client's offered version range does not intersect the server's.
@@ -48,21 +50,25 @@ pub enum ErrorCode {
     StorageUnavailable,
 }
 
+/// Every code with its display name. A code's wire byte is its index
+/// here, which is also its position in [`ErrorCode`]'s declaration.
+const CODES: [(ErrorCode, &str); 10] = [
+    (ErrorCode::VersionMismatch, "version-mismatch"),
+    (ErrorCode::Malformed, "malformed"),
+    (ErrorCode::UnknownDevice, "unknown-device"),
+    (ErrorCode::Refused, "refused"),
+    (ErrorCode::DeviceFault, "device-fault"),
+    (ErrorCode::BadTicket, "bad-ticket"),
+    (ErrorCode::RateLimited, "rate-limited"),
+    (ErrorCode::Draining, "draining"),
+    (ErrorCode::Internal, "internal"),
+    (ErrorCode::StorageUnavailable, "storage-unavailable"),
+];
+
 impl ErrorCode {
     /// The wire byte for this code.
     pub fn to_byte(self) -> u8 {
-        match self {
-            ErrorCode::VersionMismatch => 0,
-            ErrorCode::Malformed => 1,
-            ErrorCode::UnknownDevice => 2,
-            ErrorCode::Refused => 3,
-            ErrorCode::DeviceFault => 4,
-            ErrorCode::BadTicket => 5,
-            ErrorCode::RateLimited => 6,
-            ErrorCode::Draining => 7,
-            ErrorCode::Internal => 8,
-            ErrorCode::StorageUnavailable => 9,
-        }
+        self as u8
     }
 
     /// Parses a wire byte.
@@ -71,37 +77,16 @@ impl ErrorCode {
     ///
     /// [`TransportError::Malformed`] on an unknown code byte.
     pub fn from_byte(b: u8) -> Result<Self, TransportError> {
-        Ok(match b {
-            0 => ErrorCode::VersionMismatch,
-            1 => ErrorCode::Malformed,
-            2 => ErrorCode::UnknownDevice,
-            3 => ErrorCode::Refused,
-            4 => ErrorCode::DeviceFault,
-            5 => ErrorCode::BadTicket,
-            6 => ErrorCode::RateLimited,
-            7 => ErrorCode::Draining,
-            8 => ErrorCode::Internal,
-            9 => ErrorCode::StorageUnavailable,
-            other => return Err(TransportError::Malformed(format!("unknown error code byte {other}"))),
-        })
+        CODES
+            .get(usize::from(b))
+            .map(|&(code, _)| code)
+            .ok_or_else(|| TransportError::Malformed(format!("unknown error code byte {b}")))
     }
 }
 
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ErrorCode::VersionMismatch => "version-mismatch",
-            ErrorCode::Malformed => "malformed",
-            ErrorCode::UnknownDevice => "unknown-device",
-            ErrorCode::Refused => "refused",
-            ErrorCode::DeviceFault => "device-fault",
-            ErrorCode::BadTicket => "bad-ticket",
-            ErrorCode::RateLimited => "rate-limited",
-            ErrorCode::Draining => "draining",
-            ErrorCode::Internal => "internal",
-            ErrorCode::StorageUnavailable => "storage-unavailable",
-        };
-        f.write_str(name)
+        f.write_str(CODES[*self as usize].1)
     }
 }
 
@@ -208,20 +193,12 @@ mod tests {
 
     #[test]
     fn error_codes_roundtrip() {
-        for code in [
-            ErrorCode::VersionMismatch,
-            ErrorCode::Malformed,
-            ErrorCode::UnknownDevice,
-            ErrorCode::Refused,
-            ErrorCode::DeviceFault,
-            ErrorCode::BadTicket,
-            ErrorCode::RateLimited,
-            ErrorCode::Draining,
-            ErrorCode::Internal,
-            ErrorCode::StorageUnavailable,
-        ] {
+        for (byte, &(code, name)) in CODES.iter().enumerate() {
+            assert_eq!(usize::from(code.to_byte()), byte);
             assert_eq!(ErrorCode::from_byte(code.to_byte()).unwrap(), code);
+            assert_eq!(code.to_string(), name);
         }
+        assert!(ErrorCode::from_byte(10).is_err());
         assert!(ErrorCode::from_byte(200).is_err());
     }
 

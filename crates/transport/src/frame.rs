@@ -21,13 +21,12 @@
 //!   PR 3 retry machine's job, not the framing layer's.
 //!
 //! Reads are incremental and bounded: the length is validated from the
-//! header alone, *before* any payload is read or allocated, and a clean
-//! EOF on a frame boundary is distinguished from one mid-frame (the
-//! former is a polite close, the latter a torn frame). [`read_frame`]
-//! reads exactly one frame, header and payload, off a socket.
-//! `FrameReader` is the server's buffered form of it: one `read` takes
-//! whatever the socket holds into a fixed buffer, and the frames in it
-//! are handed out without further syscalls.
+//! header alone, *before* any payload is read, and a clean EOF on a
+//! frame boundary is distinguished from one mid-frame (the former is a
+//! polite close, the latter a torn frame). [`FrameReader`] is the one
+//! reader of frames off a socket, on both sides of a connection: one
+//! `read` takes whatever the socket holds into a fixed buffer, and the
+//! frames in it are handed out without further syscalls.
 
 use crate::error::TransportError;
 use pufatt_store::wal::{self, FrameHeader};
@@ -52,7 +51,7 @@ pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
 }
 
 /// Decodes one frame at the front of `bytes` (for in-memory corpora and
-/// tests; sockets use [`read_frame`]). Returns the payload and total
+/// tests; sockets use [`FrameReader`]). Returns the payload and total
 /// bytes consumed.
 ///
 /// # Errors
@@ -63,48 +62,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), TransportError> {
     wal::split_frame(bytes, MAX_FRAME_LEN).map_err(TransportError::Frame)
 }
 
-/// Reads exactly `buf.len()` bytes, translating I/O failures into the
-/// typed taxonomy. Returns `Ok(false)` on a clean EOF *before any byte*
-/// when `eof_ok` — the peer closed on a frame boundary.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8], eof_ok: bool, timeout_ms: u64) -> Result<bool, TransportError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && eof_ok {
-                    return Ok(false);
-                }
-                return Err(TransportError::Frame(format!("eof mid-frame: {filled} of {} bytes", buf.len())));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(TransportError::from_io(&e, timeout_ms)),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one complete frame from a socket into `payload` (reused across
-/// calls — no per-frame allocation once warm). Returns `Ok(false)` on a
-/// clean close (EOF exactly on a frame boundary).
-///
-/// # Errors
-///
-/// [`TransportError::Frame`] on torn/oversized/corrupt frames,
-/// [`TransportError::Timeout`] when the socket's read timeout expires,
-/// [`TransportError::Closed`] when the peer vanishes mid-conversation.
-pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>, timeout_ms: u64) -> Result<bool, TransportError> {
-    let mut header = [0u8; FRAME_HEADER];
-    if !read_exact_or_eof(r, &mut header, true, timeout_ms)? {
-        return Ok(false);
-    }
-    let header = FrameHeader::parse(&header, MAX_FRAME_LEN).map_err(TransportError::Frame)?;
-    payload.resize(header.len, 0);
-    read_exact_or_eof(r, payload, false, timeout_ms)?;
-    header.check(payload).map_err(TransportError::Frame)?;
-    Ok(true)
-}
-
 /// A connection's buffered frame reader. One `read` fills its buffer
 /// with as many frames as the socket holds, and
 /// [`FrameReader::read_frame`] then hands them out one at a time without
@@ -112,11 +69,11 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>, timeout_ms: u64) -> 
 ///
 /// The buffer holds exactly one maximal frame (`FRAME_HEADER +
 /// MAX_FRAME_LEN` bytes), so any frame the bound admits fits and the
-/// memory a connection pins is fixed. The checks are [`read_frame`]'s: a
-/// length prefix over the bound is refused from the header alone, a CRC
-/// mismatch or an EOF inside a frame is a [`TransportError::Frame`], and
-/// an EOF on a frame boundary is a clean close.
-pub(crate) struct FrameReader {
+/// memory a connection pins is fixed. A length prefix over the bound is
+/// refused from the header alone, a CRC mismatch or an EOF inside a frame
+/// is a [`TransportError::Frame`], and an EOF on a frame boundary is a
+/// clean close.
+pub struct FrameReader {
     buf: Box<[u8]>,
     /// Start of the bytes not yet handed out.
     start: usize,
@@ -158,9 +115,9 @@ impl FrameReader {
     ///
     /// # Errors
     ///
-    /// As [`read_frame`]: [`TransportError::Frame`] on torn, oversized or
-    /// corrupt frames, [`TransportError::Timeout`] when the socket's read
-    /// timeout expires, [`TransportError::Closed`] when the peer vanishes.
+    /// [`TransportError::Frame`] on torn, oversized or corrupt frames,
+    /// [`TransportError::Timeout`] when the socket's read timeout expires,
+    /// [`TransportError::Closed`] when the peer vanishes.
     pub fn read_frame(
         &mut self,
         r: &mut impl Read,
@@ -190,6 +147,12 @@ impl FrameReader {
                 Err(e) => return Err(TransportError::from_io(&e, timeout_ms)),
             }
         }
+    }
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -286,29 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_handles_clean_close_and_torn_frames() {
-        let mut wire = Vec::new();
-        encode_frame(b"msg", &mut wire);
-        let mut cursor = std::io::Cursor::new(wire.clone());
-        let mut payload = Vec::new();
-        assert!(read_frame(&mut cursor, &mut payload, 0).unwrap());
-        assert_eq!(payload, b"msg");
-        assert!(!read_frame(&mut cursor, &mut payload, 0).unwrap(), "EOF on boundary is a clean close");
-        // EOF inside a frame is torn, not clean.
-        for cut in 1..wire.len() {
-            let mut cursor = std::io::Cursor::new(wire[..cut].to_vec());
-            assert!(matches!(read_frame(&mut cursor, &mut payload, 0), Err(TransportError::Frame(_))), "cut at {cut}");
-        }
-    }
-
-    #[test]
     fn hostile_length_prefix_is_rejected_before_allocation() {
         let mut wire = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
         wire.extend_from_slice(&[0u8; 4]);
         assert!(matches!(decode_frame(&wire), Err(TransportError::Frame(_))));
         let mut cursor = std::io::Cursor::new(wire);
         let mut payload = Vec::new();
-        assert!(matches!(read_frame(&mut cursor, &mut payload, 0), Err(TransportError::Frame(_))));
+        assert!(matches!(FrameReader::new().read_frame(&mut cursor, &mut payload, 0), Err(TransportError::Frame(_))));
     }
 
     #[test]

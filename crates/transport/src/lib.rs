@@ -7,7 +7,8 @@
 //!
 //! * [`frame`] — length-prefixed, CRC-framed transport frames (the WAL's
 //!   `PUFATTW1` discipline pointed at a socket, with a hostile-input
-//!   length bound).
+//!   length bound) and [`FrameReader`], the one buffered reader of
+//!   frames off a socket, on the server and the client alike.
 //! * [`message`] — the versioned protocol: magic + version negotiation,
 //!   typed `Enroll` / `ChallengeRequest` / `Attest` / `Revoke` requests,
 //!   verdict / `Busy` / error responses. Decoding arbitrary bytes is
@@ -50,7 +51,7 @@ pub mod shim;
 pub use client::Client;
 pub use conn::{Endpoint, Listener, Stream};
 pub use error::{ErrorCode, TransportError};
-pub use frame::{decode_frame, encode_frame, read_frame, write_frame, FRAME_HEADER, MAX_FRAME_LEN};
+pub use frame::{decode_frame, encode_frame, write_frame, FrameReader, FRAME_HEADER, MAX_FRAME_LEN};
 pub use loadgen::{run_loadgen, ConnectionLost, LoadgenConfig, LoadgenReport, LostPhase};
 pub use message::{hello, negotiate, Request, Response, WireStats, WireStatus, PROTOCOL_MAGIC, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ServerReport, TransportStats};

@@ -410,7 +410,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::conn::Listener;
-    use crate::frame::{read_frame, write_frame};
+    use crate::frame::{write_frame, FrameReader};
     use crate::message::negotiate;
 
     /// A server that completes the handshake, reads one request, then
@@ -421,8 +421,9 @@ mod tests {
         };
         let _ = stream.set_read_timeout_ms(5_000);
         let _ = stream.set_write_timeout_ms(5_000);
+        let mut frames = FrameReader::new();
         let mut payload = Vec::new();
-        if !matches!(read_frame(&mut stream, &mut payload, 5_000), Ok(true)) {
+        if !matches!(frames.read_frame(&mut stream, &mut payload, 5_000), Ok(true)) {
             return;
         }
         let Ok((corr, Request::Hello { magic, min_version, max_version })) = Request::decode(&payload) else {
@@ -435,7 +436,7 @@ mod tests {
         Response::HelloAck { version }.encode(corr, &mut out);
         let _ = write_frame(&mut stream, &out, 5_000);
         // Swallow the first real request, then drop the socket.
-        let _ = read_frame(&mut stream, &mut payload, 5_000);
+        let _ = frames.read_frame(&mut stream, &mut payload, 5_000);
     }
 
     #[test]

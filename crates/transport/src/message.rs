@@ -33,55 +33,12 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// Longest `detail` string an `Error` response may carry.
 pub const MAX_DETAIL_LEN: usize = 512;
 
-/// Lifecycle state on the wire (mirrors `pufatt_fleet::FleetStatus`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireStatus {
-    /// Eligible for attestation.
-    Active,
-    /// On probation after repeated failures.
-    Quarantined,
-    /// Out of service until re-enrollment.
-    Revoked,
-}
-
-impl WireStatus {
-    fn to_byte(self) -> u8 {
-        match self {
-            WireStatus::Active => 0,
-            WireStatus::Quarantined => 1,
-            WireStatus::Revoked => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<Self, TransportError> {
-        match b {
-            0 => Ok(WireStatus::Active),
-            1 => Ok(WireStatus::Quarantined),
-            2 => Ok(WireStatus::Revoked),
-            other => Err(TransportError::Malformed(format!("unknown status byte {other}"))),
-        }
-    }
-}
-
-impl From<FleetStatus> for WireStatus {
-    fn from(s: FleetStatus) -> Self {
-        match s {
-            FleetStatus::Active => WireStatus::Active,
-            FleetStatus::Quarantined => WireStatus::Quarantined,
-            FleetStatus::Revoked => WireStatus::Revoked,
-        }
-    }
-}
-
-impl From<WireStatus> for FleetStatus {
-    fn from(s: WireStatus) -> Self {
-        match s {
-            WireStatus::Active => FleetStatus::Active,
-            WireStatus::Quarantined => FleetStatus::Quarantined,
-            WireStatus::Revoked => FleetStatus::Revoked,
-        }
-    }
-}
+/// The lifecycle status a reply carries: a second name of
+/// `pufatt_fleet::FleetStatus` (the store's status enum), written with
+/// that enum's one byte codec. attestbench imports this name and calls
+/// `WireStatus::from(status)`, which the blanket `From<T> for T` impl
+/// covers; the name can go once attestbench says `FleetStatus`.
+pub use pufatt_fleet::FleetStatus as WireStatus;
 
 /// What a client sends.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,7 +137,7 @@ pub enum Response {
         /// Whether this call created the device.
         fresh: bool,
         /// Lifecycle state after the call.
-        status: WireStatus,
+        status: FleetStatus,
     },
     /// A session is open; attest it with this ticket.
     Challenge {
@@ -207,7 +164,7 @@ pub enum Response {
         /// Simulated end-to-end seconds, as bits.
         elapsed_bits: u64,
         /// Lifecycle state after the outcome was applied.
-        status: WireStatus,
+        status: FleetStatus,
     },
     /// The device was revoked.
     RevokeOk {
@@ -215,7 +172,7 @@ pub enum Response {
         device: DeviceId,
         /// Lifecycle state after the call (Revoked, or the prior state
         /// for unknown ids — those answer `UnknownDevice` instead).
-        status: WireStatus,
+        status: FleetStatus,
     },
     /// The server's headline counters.
     StatsReply(WireStats),
@@ -413,7 +370,7 @@ impl Response {
             1 => Response::EnrollOk {
                 device: r.u32()?,
                 fresh: r.flag()?,
-                status: WireStatus::from_byte(r.u8()?)?,
+                status: FleetStatus::from_byte(r.u8()?).map_err(TransportError::Malformed)?,
             },
             2 => Response::Challenge { device: r.u32()?, ticket: r.u64()? },
             3 => Response::Verdict {
@@ -424,9 +381,12 @@ impl Response {
                 timed_out: r.flag()?,
                 attempts: r.u32()?,
                 elapsed_bits: r.u64()?,
-                status: WireStatus::from_byte(r.u8()?)?,
+                status: FleetStatus::from_byte(r.u8()?).map_err(TransportError::Malformed)?,
             },
-            4 => Response::RevokeOk { device: r.u32()?, status: WireStatus::from_byte(r.u8()?)? },
+            4 => Response::RevokeOk {
+                device: r.u32()?,
+                status: FleetStatus::from_byte(r.u8()?).map_err(TransportError::Malformed)?,
+            },
             5 => Response::StatsReply(WireStats {
                 started: r.u64()?,
                 accepted: r.u64()?,
@@ -514,7 +474,7 @@ mod tests {
     fn every_response_roundtrips() {
         let responses = [
             Response::HelloAck { version: 1 },
-            Response::EnrollOk { device: 9, fresh: true, status: WireStatus::Active },
+            Response::EnrollOk { device: 9, fresh: true, status: FleetStatus::Active },
             Response::Challenge { device: 9, ticket: 42 },
             Response::Verdict {
                 device: 9,
@@ -524,9 +484,9 @@ mod tests {
                 timed_out: true,
                 attempts: 3,
                 elapsed_bits: 1.25f64.to_bits(),
-                status: WireStatus::Quarantined,
+                status: FleetStatus::Quarantined,
             },
-            Response::RevokeOk { device: 9, status: WireStatus::Revoked },
+            Response::RevokeOk { device: 9, status: FleetStatus::Revoked },
             Response::StatsReply(WireStats {
                 started: 1,
                 accepted: 2,
@@ -610,10 +570,11 @@ mod tests {
     }
 
     #[test]
-    fn wire_status_mirrors_fleet_status() {
-        for s in [FleetStatus::Active, FleetStatus::Quarantined, FleetStatus::Revoked] {
-            assert_eq!(FleetStatus::from(WireStatus::from(s)), s);
-        }
+    fn unknown_status_byte_is_malformed() {
         assert!(WireStatus::from_byte(3).is_err());
+        let mut buf = Vec::new();
+        Response::RevokeOk { device: 9, status: FleetStatus::Revoked }.encode(1, &mut buf);
+        *buf.last_mut().unwrap() = 3;
+        assert!(matches!(Response::decode(&buf), Err(TransportError::Malformed(_))));
     }
 }

@@ -10,13 +10,15 @@
 //! ```
 //!
 //! A handler thread owns its connection. One `read` takes every request
-//! frame the socket holds into the connection's fixed `FrameReader`;
-//! the handler runs those requests on the service one at a time, in
-//! arrival order, and frames each reply into an output buffer. It writes
-//! that buffer with one `write` when no whole request is left to run,
-//! that is, just before it would wait on the socket, and on every path
-//! out of the connection. A pipelining client therefore costs about one
-//! read and one write per burst, not per request.
+//! frame the socket holds into the connection's fixed [`FrameReader`].
+//! The first frame is the handshake; the handler answers every later
+//! request with `respond`, a plain `(service, tickets, draining,
+//! request) → response` function that touches no socket, one request at
+//! a time in arrival order, and frames each reply into an output buffer.
+//! It writes that buffer with one `write` when no whole request is left
+//! to run, that is, just before it would wait on the socket, and on
+//! every path out of the connection. A pipelining client therefore costs
+//! about one read and one write per burst, not per request.
 //!
 //! * **Backpressure, not backlog.** The acceptor sheds connections over
 //!   `max_connections` with a `Busy` frame, and an optional
@@ -155,6 +157,14 @@ struct Counters {
 impl Counters {
     fn bump(field: &AtomicU64) {
         field.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a reply that refuses the protocol itself, a malformed
+    /// request or a failed handshake, in `malformed`.
+    fn count_reply(&self, response: &Response) {
+        if let Response::Error { code: ErrorCode::Malformed | ErrorCode::VersionMismatch, .. } = response {
+            Counters::bump(&self.malformed);
+        }
     }
 
     fn stats(&self) -> TransportStats {
@@ -534,59 +544,36 @@ impl Conn<'_> {
         let cfg = &shared.cfg;
         let counters = &shared.counters;
         let mut payload = Vec::new();
-
-        // --- Handshake: the first frame must be a valid Hello. ---------
-        match self.next_frame(&mut payload) {
-            Ok(true) => {}
-            Ok(false) => return None,
-            Err(e) => return Some(e),
-        }
-        match Request::decode(&payload) {
-            Ok((corr, Request::Hello { magic, min_version, max_version })) => {
-                match negotiate(magic, min_version, max_version) {
-                    Ok(version) => self.send(corr, &Response::HelloAck { version }),
-                    Err(e) => {
-                        let code = match e {
-                            TransportError::VersionMismatch { .. } => ErrorCode::VersionMismatch,
-                            _ => ErrorCode::Malformed,
-                        };
-                        self.send(corr, &Response::Error { code, detail: e.to_string() });
-                        Counters::bump(&counters.malformed);
-                        return None;
-                    }
-                }
-            }
-            Ok((corr, _)) => {
-                self.send(
-                    corr,
-                    &Response::Error {
-                        code: ErrorCode::Malformed,
-                        detail: "expected Hello before any request".into(),
-                    },
-                );
-                Counters::bump(&counters.malformed);
-                return None;
-            }
-            Err(_) => {
-                Counters::bump(&counters.malformed);
-                return None;
-            }
-        }
-
-        // --- Steady state. ----------------------------------------------
         let mut bucket = TokenBucket::new(cfg.rate_limit_per_s, cfg.rate_burst);
+        let mut negotiated = false;
         loop {
             match self.next_frame(&mut payload) {
                 Ok(true) => {}
                 Ok(false) => return None, // clean close
                 Err(e) => return Some(e),
             }
-            let (corr, request) = match Request::decode(&payload) {
+            let decoded = Request::decode(&payload);
+            if !negotiated {
+                // The first frame must be a Hello the server accepts. Any
+                // other first frame ends the connection: an undecodable
+                // one with no reply, the rest after their error reply.
+                let Ok((corr, request)) = decoded else {
+                    Counters::bump(&counters.malformed);
+                    return None;
+                };
+                let reply = handshake(request);
+                negotiated = matches!(reply, Response::HelloAck { .. });
+                self.send(corr, &reply);
+                if !negotiated {
+                    return None;
+                }
+                continue;
+            }
+            let (corr, request) = match decoded {
                 Ok(decoded) => decoded,
                 Err(e) => {
                     // The frame was checksum-valid, so framing is still in
                     // sync: answer the error and keep the connection.
-                    Counters::bump(&counters.malformed);
                     self.send(0, &Response::Error { code: ErrorCode::Malformed, detail: e.to_string() });
                     continue;
                 }
@@ -597,7 +584,8 @@ impl Conn<'_> {
                 self.send(corr, &Response::Busy { retry_after_ms: wait_ms.max(cfg.busy_retry_ms) });
                 continue;
             }
-            self.handle(corr, request);
+            let response = respond(&shared.service, &mut self.tickets, &shared.draining, request);
+            self.send(corr, &response);
             if shared.draining.load(Ordering::SeqCst) && self.tickets.is_empty() {
                 return None; // nothing left in flight on this connection
             }
@@ -616,8 +604,10 @@ impl Conn<'_> {
     }
 
     /// Frames a reply into the output buffer; [`Conn::write_replies`]
-    /// sends it.
+    /// sends it. A reply refusing the protocol itself counts in
+    /// `malformed` ([`Counters::count_reply`]).
     fn send(&mut self, corr: u32, response: &Response) {
+        self.shared.counters.count_reply(response);
         self.reply.clear();
         response.encode(corr, &mut self.reply);
         encode_frame(&self.reply, &mut self.out);
@@ -638,104 +628,129 @@ impl Conn<'_> {
         self.out.clear();
         self.buffered_replies = 0;
     }
+}
 
-    fn handle(&mut self, corr: u32, request: Request) {
-        let service = &self.shared.service;
-        let draining = self.shared.draining.load(Ordering::SeqCst);
-        let response = match request {
-            Request::Hello { .. } => {
-                Counters::bump(&self.shared.counters.malformed);
-                Response::Error { code: ErrorCode::Malformed, detail: "duplicate Hello".into() }
+/// The reply to a connection's first request: `HelloAck` at the
+/// negotiated version, or the error that ends the connection.
+fn handshake(request: Request) -> Response {
+    match request {
+        Request::Hello { magic, min_version, max_version } => match negotiate(magic, min_version, max_version) {
+            Ok(version) => Response::HelloAck { version },
+            Err(e) => {
+                let code = match e {
+                    TransportError::VersionMismatch { .. } => ErrorCode::VersionMismatch,
+                    _ => ErrorCode::Malformed,
+                };
+                Response::Error { code, detail: e.to_string() }
             }
-            Request::Enroll { .. } | Request::ChallengeRequest { .. } if draining => {
-                Response::Error { code: ErrorCode::Draining, detail: "server draining".into() }
-            }
-            Request::Enroll { device } => match service.enroll(device) {
-                Ok(EnrollOutcome { fresh, status }) => Response::EnrollOk { device, fresh, status: status.into() },
-                Err(e) => Response::Error {
-                    code: storage_aware_code(&e, ErrorCode::DeviceFault),
-                    detail: error_detail(&e),
-                },
+        },
+        _ => Response::Error {
+            code: ErrorCode::Malformed,
+            detail: "expected Hello before any request".into(),
+        },
+    }
+}
+
+/// Answers one request after the handshake on `service`. `tickets` are
+/// the connection's granted and not yet attested sessions (device →
+/// ticket); `draining` refuses new enrolls and sessions and is raised by
+/// `Shutdown`. It touches no socket: the connection reads the request
+/// and writes the reply.
+fn respond(
+    service: &FleetService,
+    tickets: &mut HashMap<DeviceId, u64>,
+    draining: &AtomicBool,
+    request: Request,
+) -> Response {
+    match request {
+        Request::Hello { .. } => Response::Error { code: ErrorCode::Malformed, detail: "duplicate Hello".into() },
+        Request::Enroll { .. } | Request::ChallengeRequest { .. } if draining.load(Ordering::SeqCst) => {
+            Response::Error { code: ErrorCode::Draining, detail: "server draining".into() }
+        }
+        Request::Enroll { device } => match service.enroll(device) {
+            Ok(EnrollOutcome { fresh, status }) => Response::EnrollOk { device, fresh, status },
+            Err(e) => Response::Error {
+                code: storage_aware_code(&e, ErrorCode::DeviceFault),
+                detail: error_detail(&e),
             },
-            Request::ChallengeRequest { device } => match service.open_session(device) {
-                SessionGate::Granted { ticket } => {
-                    // A forgotten earlier ticket is replaced; it carried
-                    // no metrics, so dropping it silently is neutral.
-                    self.tickets.insert(device, ticket);
-                    Response::Challenge { device, ticket }
+        },
+        Request::ChallengeRequest { device } => match service.open_session(device) {
+            SessionGate::Granted { ticket } => {
+                // A forgotten earlier ticket is replaced; it carried
+                // no metrics, so dropping it silently is neutral.
+                tickets.insert(device, ticket);
+                Response::Challenge { device, ticket }
+            }
+            SessionGate::Refused => refused(device),
+            SessionGate::Faulty => device_fault(device),
+            SessionGate::Unknown => unknown_device(device),
+            SessionGate::Unavailable => shard_unavailable(device),
+        },
+        Request::Attest { device, ticket } => {
+            if tickets.get(&device) == Some(&ticket) {
+                tickets.remove(&device);
+                match service.attest(device) {
+                    ServiceVerdict::Closed { outcome, status } => Response::Verdict {
+                        device,
+                        accepted: outcome.accepted,
+                        response_ok: outcome.response_ok,
+                        time_ok: outcome.time_ok,
+                        timed_out: outcome.timed_out,
+                        attempts: outcome.attempts,
+                        elapsed_bits: outcome.elapsed_s.to_bits(),
+                        status,
+                    },
+                    ServiceVerdict::Refused => refused(device),
+                    ServiceVerdict::Fault => device_fault(device),
+                    ServiceVerdict::Unknown => unknown_device(device),
+                    ServiceVerdict::Unavailable => shard_unavailable(device),
                 }
-                SessionGate::Refused => refused(device),
-                SessionGate::Faulty => device_fault(device),
-                SessionGate::Unknown => unknown_device(device),
-                SessionGate::Unavailable => shard_unavailable(device),
-            },
-            Request::Attest { device, ticket } => {
-                if self.tickets.get(&device) == Some(&ticket) {
-                    self.tickets.remove(&device);
-                    match service.attest(device) {
-                        ServiceVerdict::Closed { outcome, status } => Response::Verdict {
-                            device,
-                            accepted: outcome.accepted,
-                            response_ok: outcome.response_ok,
-                            time_ok: outcome.time_ok,
-                            timed_out: outcome.timed_out,
-                            attempts: outcome.attempts,
-                            elapsed_bits: outcome.elapsed_s.to_bits(),
-                            status: status.into(),
-                        },
-                        ServiceVerdict::Refused => refused(device),
-                        ServiceVerdict::Fault => device_fault(device),
-                        ServiceVerdict::Unknown => unknown_device(device),
-                        ServiceVerdict::Unavailable => shard_unavailable(device),
-                    }
-                } else {
-                    Response::Error {
-                        code: ErrorCode::BadTicket,
-                        detail: format!("no open session for device {device} and that ticket"),
-                    }
+            } else {
+                Response::Error {
+                    code: ErrorCode::BadTicket,
+                    detail: format!("no open session for device {device} and that ticket"),
                 }
             }
-            Request::Revoke { device } => match service.revoke(device) {
-                Ok(Some(status)) => Response::RevokeOk { device, status: status.into() },
-                Ok(None) => unknown_device(device),
-                // The journal refused the synced append: the revocation
-                // did NOT take (the lifecycle is untouched), and the
-                // client must hear that rather than a cheerful RevokeOk.
-                Err(e) => Response::Error {
-                    code: storage_aware_code(&e, ErrorCode::DeviceFault),
-                    detail: error_detail(&e),
-                },
+        }
+        Request::Revoke { device } => match service.revoke(device) {
+            Ok(Some(status)) => Response::RevokeOk { device, status },
+            Ok(None) => unknown_device(device),
+            // The journal refused the synced append: the revocation
+            // did NOT take (the lifecycle is untouched), and the
+            // client must hear that rather than a cheerful RevokeOk.
+            Err(e) => Response::Error {
+                code: storage_aware_code(&e, ErrorCode::DeviceFault),
+                detail: error_detail(&e),
             },
-            Request::Stats => {
-                let snap = service.snapshot();
-                let store = service.store_stats();
-                Response::StatsReply(WireStats {
-                    started: snap.sessions_started,
-                    accepted: snap.sessions_accepted,
-                    rejected: snap.sessions_rejected,
-                    timed_out: snap.sessions_timed_out,
-                    refused: snap.sessions_refused,
-                    lost: snap.sessions_lost,
-                    faults: snap.device_faults,
-                    active: snap.devices.active as u64,
-                    quarantined: snap.devices.quarantined as u64,
-                    revoked: snap.devices.revoked as u64,
-                    crp_hits: snap.crp_hits,
-                    crp_misses: snap.crp_misses,
-                    unavailable: snap.sessions_unavailable,
-                    shards_total: store.as_ref().map_or(0, |s| u64::from(s.shards_total)),
-                    shards_degraded: store.as_ref().map_or(0, |s| u64::from(s.shards_degraded)),
-                    shards_failed: store.as_ref().map_or(0, |s| u64::from(s.shards_failed)),
-                })
-            }
-            Request::Shutdown => {
-                // Raise the flag before the ack travels: a client that saw
-                // the ack must observe the server as draining.
-                self.shared.draining.store(true, Ordering::SeqCst);
-                Response::ShutdownAck
-            }
-        };
-        self.send(corr, &response);
+        },
+        Request::Stats => {
+            let snap = service.snapshot();
+            let store = service.store_stats();
+            Response::StatsReply(WireStats {
+                started: snap.sessions_started,
+                accepted: snap.sessions_accepted,
+                rejected: snap.sessions_rejected,
+                timed_out: snap.sessions_timed_out,
+                refused: snap.sessions_refused,
+                lost: snap.sessions_lost,
+                faults: snap.device_faults,
+                active: snap.devices.active as u64,
+                quarantined: snap.devices.quarantined as u64,
+                revoked: snap.devices.revoked as u64,
+                crp_hits: snap.crp_hits,
+                crp_misses: snap.crp_misses,
+                unavailable: snap.sessions_unavailable,
+                shards_total: store.as_ref().map_or(0, |s| u64::from(s.shards_total)),
+                shards_degraded: store.as_ref().map_or(0, |s| u64::from(s.shards_degraded)),
+                shards_failed: store.as_ref().map_or(0, |s| u64::from(s.shards_failed)),
+            })
+        }
+        Request::Shutdown => {
+            // Raise the flag before the ack travels: a client that saw
+            // the ack must observe the server as draining.
+            draining.store(true, Ordering::SeqCst);
+            Response::ShutdownAck
+        }
     }
 }
 
@@ -792,6 +807,33 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use std::sync::mpsc;
+
+    #[test]
+    fn respond_refuses_a_second_hello_and_runs_the_session_on() {
+        let service = FleetService::new(pufatt_fleet::small_test_config(1, 1, 3)).unwrap();
+        let counters = Counters::default();
+        let draining = AtomicBool::new(false);
+        let mut tickets = HashMap::new();
+        // What a connection does with each request after its handshake.
+        let mut run = |request| {
+            let response = respond(&service, &mut tickets, &draining, request);
+            counters.count_reply(&response);
+            response
+        };
+        assert!(matches!(run(Request::Enroll { device: 0 }), Response::EnrollOk { device: 0, fresh: true, .. }));
+        let ticket = match run(Request::ChallengeRequest { device: 0 }) {
+            Response::Challenge { device: 0, ticket } => ticket,
+            other => panic!("expected a challenge, got {other:?}"),
+        };
+        let again = run(crate::message::hello());
+        assert!(matches!(again, Response::Error { code: ErrorCode::Malformed, .. }), "{again:?}");
+        assert_eq!(counters.stats().malformed, 1);
+        let verdict = run(Request::Attest { device: 0, ticket });
+        assert!(matches!(verdict, Response::Verdict { device: 0, .. }), "{verdict:?}");
+        assert!(tickets.is_empty(), "the attested ticket is spent");
+        assert_eq!(counters.stats().malformed, 1);
+        assert_eq!(service.snapshot().sessions_started, 1);
+    }
 
     #[test]
     fn reaping_counts_a_panicked_handler_once() {

@@ -120,6 +120,12 @@ fn sick_shard_loadgen_campaign_matches_in_process() {
     assert_eq!(report.sessions_unavailable, in_process.snapshot.sessions_unavailable, "{report:?}");
     assert_eq!(report.devices_unavailable, sick, "{report:?}");
     assert_eq!(served.device_records, in_process.device_records, "healthy-shard verdicts must match");
+    // The sick shard refuses these devices' `Enroll`, before any session
+    // gate, and a server cannot know how many sessions a client meant to
+    // run, so its snapshot counts none of them; the in-process campaign
+    // and loadgen count every session a refused device owed.
+    assert!(in_process.snapshot.sessions_unavailable > 0);
+    assert_eq!(served.snapshot.sessions_unavailable, 0, "{:?}", served.snapshot);
 }
 
 #[test]
@@ -255,8 +261,9 @@ fn version_negotiation_rejects_a_future_only_client() {
     let mut payload = Vec::new();
     Request::Hello { magic: PROTOCOL_MAGIC, min_version: 2, max_version: 3 }.encode(7, &mut payload);
     pufatt_transport::write_frame(&mut stream, &payload, 0).unwrap();
+    let mut frames = pufatt_transport::FrameReader::new();
     let mut reply = Vec::new();
-    assert!(pufatt_transport::read_frame(&mut stream, &mut reply, 10_000).unwrap());
+    assert!(frames.read_frame(&mut stream, &mut reply, 10_000).unwrap());
     let (corr, response) = Response::decode(&reply).unwrap();
     assert_eq!(corr, 7);
     match response {
@@ -264,8 +271,47 @@ fn version_negotiation_rejects_a_future_only_client() {
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
     // …and the server closed the connection afterwards.
-    assert!(!pufatt_transport::read_frame(&mut stream, &mut reply, 10_000).unwrap());
+    assert!(!frames.read_frame(&mut stream, &mut reply, 10_000).unwrap());
     server.finish();
+}
+
+#[test]
+fn a_bad_first_frame_ends_the_connection() {
+    let cfg = small_test_config(1, 1, 19);
+    let server =
+        Server::start(&Endpoint::Tcp("127.0.0.1:0".into()), cfg, identity_server_config()).expect("server starts");
+    let mut stats = Vec::new();
+    Request::Stats.encode(4, &mut stats);
+    let mut bad_magic = Vec::new();
+    Request::Hello { magic: *b"NOTPUFAT", min_version: 1, max_version: 1 }.encode(5, &mut bad_magic);
+    // Each first frame, and the reply it gets before the server closes:
+    // none for a payload that does not decode, a typed error otherwise.
+    let cases = [
+        ("undecodable", vec![0xEE; 3], None),
+        ("not a Hello", stats, Some((4, "expected Hello before any request"))),
+        ("bad magic", bad_magic, Some((5, ""))),
+    ];
+    for (name, first, expected) in cases {
+        let mut stream = pufatt_transport::Stream::connect(server.endpoint()).expect("connects");
+        stream.set_read_timeout_ms(10_000).unwrap();
+        pufatt_transport::write_frame(&mut stream, &first, 0).unwrap();
+        let mut frames = pufatt_transport::FrameReader::new();
+        let mut reply = Vec::new();
+        if let Some((want_corr, want_detail)) = expected {
+            assert!(frames.read_frame(&mut stream, &mut reply, 10_000).unwrap(), "{name}: no reply");
+            match Response::decode(&reply).unwrap() {
+                (corr, Response::Error { code: ErrorCode::Malformed, detail }) => {
+                    assert_eq!(corr, want_corr, "{name}");
+                    assert!(detail.contains(want_detail), "{name}: {detail}");
+                }
+                other => panic!("{name}: expected a Malformed error, got {other:?}"),
+            }
+        }
+        assert!(!frames.read_frame(&mut stream, &mut reply, 10_000).unwrap(), "{name}: the server must close");
+    }
+    let report = server.finish();
+    assert_eq!(report.transport.malformed, 3);
+    assert_eq!(report.transport.requests, 0, "a handshake frame is not a request");
 }
 
 #[test]
@@ -383,9 +429,10 @@ fn pipelined_burst_is_answered_in_order_with_batched_writes() {
     }
     std::io::Write::write_all(&mut stream, &burst).unwrap();
 
+    let mut frames = pufatt_transport::FrameReader::new();
     let mut reply = Vec::new();
     for (expected_corr, request) in requests.iter().enumerate() {
-        assert!(pufatt_transport::read_frame(&mut stream, &mut reply, 10_000).unwrap());
+        assert!(frames.read_frame(&mut stream, &mut reply, 10_000).unwrap());
         let (corr, response) = Response::decode(&reply).unwrap();
         assert_eq!(corr, expected_corr as u32, "replies come back in request order");
         match (request, response) {

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use pufatt_transport::error::{ErrorCode, TransportError};
-use pufatt_transport::frame::{decode_frame, encode_frame, read_frame, FRAME_HEADER, MAX_FRAME_LEN};
+use pufatt_transport::frame::{decode_frame, encode_frame, FrameReader, FRAME_HEADER, MAX_FRAME_LEN};
 use pufatt_transport::message::{Request, Response, WireStats, WireStatus, PROTOCOL_MAGIC};
 
 // ------------------------------------------------------------ strategies
@@ -162,7 +162,7 @@ proptest! {
         let _ = Response::decode(&bytes);
         let mut cursor = std::io::Cursor::new(bytes);
         let mut payload = Vec::new();
-        let _ = read_frame(&mut cursor, &mut payload, 0);
+        let _ = FrameReader::new().read_frame(&mut cursor, &mut payload, 0);
     }
 
     /// Truncating a valid frame anywhere yields a Frame error (or, at a
@@ -178,7 +178,7 @@ proptest! {
         prop_assert!(matches!(decode_frame(&wire[..cut]), Err(TransportError::Frame(_))));
         let mut cursor = std::io::Cursor::new(wire[..cut].to_vec());
         let mut buf = Vec::new();
-        match read_frame(&mut cursor, &mut buf, 0) {
+        match FrameReader::new().read_frame(&mut cursor, &mut buf, 0) {
             Ok(false) => prop_assert_eq!(cut, 0, "clean close only at a frame boundary"),
             Err(TransportError::Frame(_)) => {}
             other => return Err(TestCaseError::fail(format!("unexpected: {other:?}"))),
@@ -215,7 +215,7 @@ proptest! {
         if wire.len() >= FRAME_HEADER {
             let mut cursor = std::io::Cursor::new(wire);
             let mut buf = Vec::new();
-            match read_frame(&mut cursor, &mut buf, 0) {
+            match FrameReader::new().read_frame(&mut cursor, &mut buf, 0) {
                 Err(TransportError::Frame(_)) => {}
                 other => return Err(TestCaseError::fail(format!("unexpected: {other:?}"))),
             }
@@ -291,7 +291,7 @@ fn malformed_corpus_is_typed_and_panic_free() {
         let empty = bytes.is_empty();
         let mut cursor = std::io::Cursor::new(bytes);
         let mut buf = Vec::new();
-        match read_frame(&mut cursor, &mut buf, 0) {
+        match FrameReader::new().read_frame(&mut cursor, &mut buf, 0) {
             Ok(true) => panic!("{name} must never yield a frame"),
             Ok(false) => assert!(empty, "{name}: clean close is only legal on a frame boundary"),
             Err(_) => {}

@@ -21,7 +21,7 @@ use pufatt_store::{
     Vfs,
 };
 use pufatt_transport::{
-    decode_frame, encode_frame, read_frame, ErrorCode, Request, Response, TransportError, WireStats, WireStatus,
+    decode_frame, encode_frame, ErrorCode, FrameReader, Request, Response, TransportError, WireStats, WireStatus,
 };
 use std::sync::Arc;
 
@@ -283,16 +283,17 @@ fn wal_and_wire_frames_are_pinned_and_refuse_cuts() {
     for cut in 1..frame.len() {
         let mut socket = std::io::Cursor::new(&frame[..cut]);
         assert!(
-            matches!(read_frame(&mut socket, &mut read, 0), Err(TransportError::Frame(_))),
+            matches!(FrameReader::new().read_frame(&mut socket, &mut read, 0), Err(TransportError::Frame(_))),
             "socket: prefix of {cut} bytes accepted"
         );
     }
     let mut longer = frame.clone();
     longer.push(0);
     let mut socket = std::io::Cursor::new(longer);
-    assert!(read_frame(&mut socket, &mut read, 0).expect("first frame reads"));
+    let mut frames = FrameReader::new();
+    assert!(frames.read_frame(&mut socket, &mut read, 0).expect("first frame reads"));
     assert_eq!(read, payload);
-    assert!(matches!(read_frame(&mut socket, &mut read, 0), Err(TransportError::Frame(_))));
+    assert!(matches!(frames.read_frame(&mut socket, &mut read, 0), Err(TransportError::Frame(_))));
 }
 
 fn requests() -> Vec<Request> {
