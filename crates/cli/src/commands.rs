@@ -279,14 +279,6 @@ pub(crate) const CAMPAIGN_VALUE_KEYS: &[&str] = &[
     "commit-interval",
 ];
 
-/// Campaign boolean flags shared by `fleet` and `serve`.
-///
-/// `--fail-fast` flips the storage-failure policy: instead of degrading a
-/// sick shard to read-only refusals and finishing the healthy rest of the
-/// fleet, the campaign stops at the first storage failure with a typed
-/// error.
-pub(crate) const CAMPAIGN_BOOL_KEYS: &[&str] = &["fail-fast"];
-
 /// Builds a [`CampaignConfig`] from parsed campaign flags (see
 /// [`CAMPAIGN_VALUE_KEYS`]).
 pub(crate) fn campaign_config(args: &Args) -> Result<CampaignConfig, String> {
@@ -378,9 +370,12 @@ pub(crate) fn print_campaign_banner(cfg: &CampaignConfig, workers: Option<usize>
 pub fn fleet(argv: &[String]) -> Result<(), String> {
     let mut value_keys = CAMPAIGN_VALUE_KEYS.to_vec();
     value_keys.extend_from_slice(&["workers", "threads", "state-dir", "online-enroll"]);
-    let mut bool_keys = CAMPAIGN_BOOL_KEYS.to_vec();
-    bool_keys.push("resume");
-    let args = Args::parse(argv, &value_keys, &bool_keys)?;
+    // `--fail-fast` flips the storage-failure policy: instead of degrading
+    // a sick shard to read-only refusals and finishing the healthy rest of
+    // the fleet, the campaign stops at the first storage failure with a
+    // typed error. Only a campaign's `finish` reads it, so `serve` has no
+    // such flag.
+    let args = Args::parse(argv, &value_keys, &["fail-fast", "resume"])?;
     let cfg = campaign_config(&args)?;
     print_campaign_banner(&cfg, Some(cfg.workers));
     let state_dir = args.get_or("state-dir", "");

@@ -100,7 +100,7 @@ commands:
                   campaign flags, as for fleet less its worker pool:
                   --devices --shards --sessions --seed --tamper --profile
                   --rounds --region-bits --retries --timeout-ms --history
-                  --fault-plan --flaky --commit-interval --fail-fast;
+                  --fault-plan --flaky --commit-interval;
                   runs until a wire Shutdown arrives, then drains and
                   prints the campaign snapshot
   loadgen       drive a running server with concurrent simulated devices

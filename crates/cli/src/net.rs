@@ -11,7 +11,7 @@
 //! (which is how the two commands compose into one scripted e2e run).
 
 use crate::args::Args;
-use crate::commands::{campaign_config, print_campaign_banner, CAMPAIGN_BOOL_KEYS, CAMPAIGN_VALUE_KEYS};
+use crate::commands::{campaign_config, print_campaign_banner, CAMPAIGN_VALUE_KEYS};
 use pufatt_transport::client::Client;
 use pufatt_transport::loadgen::{run_loadgen, LoadgenConfig};
 use pufatt_transport::message::{Request, Response};
@@ -30,7 +30,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         "rate-burst",
         "drain-grace-ms",
     ]);
-    let args = Args::parse(argv, &value_keys, CAMPAIGN_BOOL_KEYS)?;
+    let args = Args::parse(argv, &value_keys, &[])?;
     let cfg = campaign_config(&args)?;
     let endpoint = Endpoint::parse(args.require("listen")?);
     let defaults = ServerConfig::default();
@@ -41,7 +41,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         rate_limit_per_s: args.num_or("rate-limit", defaults.rate_limit_per_s)?,
         rate_burst: args.num_or("rate-burst", defaults.rate_burst)?,
         drain_grace_ms: args.num_or("drain-grace-ms", defaults.drain_grace_ms)?,
-        ..defaults
     };
     print_campaign_banner(&cfg, None);
     let state_dir = args.get_or("state-dir", "");

@@ -38,7 +38,6 @@ const CAMPAIGN_FLAGS: &[&str] = &[
     "--fault-plan",
     "--flaky",
     "--commit-interval",
-    "--fail-fast",
     "--state-dir",
 ];
 
@@ -69,7 +68,7 @@ fn every_subcommand_prints_its_own_flags_on_help() {
             "fleet",
             [
                 CAMPAIGN_FLAGS,
-                &["--workers", "--threads", "--resume", "--online-enroll"],
+                &["--workers", "--threads", "--resume", "--online-enroll", "--fail-fast"],
             ]
             .concat(),
         ),
@@ -132,6 +131,18 @@ fn every_subcommand_prints_its_own_flags_on_help() {
     let out = pufatt().args(["profile", "--threads", "2"]).output().expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument `--threads`"));
+}
+
+#[test]
+fn serve_refuses_fail_fast() {
+    // Only a campaign's `finish` reads the storage-failure policy, and a
+    // server has none: the flag is refused, not accepted and ignored.
+    let out = pufatt()
+        .args(["serve", "--listen", "uds:/nonexistent/pufatt.sock", "--fail-fast"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument `--fail-fast`"));
 }
 
 #[test]

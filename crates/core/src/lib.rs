@@ -17,8 +17,6 @@
 //!   impersonation.
 //! * [`sidechannel`] — power-leakage model of the obfuscation network and
 //!   the dual-rail countermeasure (§4.1's side-channel discussion).
-//! * [`ring`] — the bounded retention buffer the fleet registry keeps
-//!   per-device session history in.
 //! * [`slender`] — Slender-PUF-style substring authentication over the
 //!   same enrolled hardware (the paper's reference \[22\]).
 //!
@@ -61,7 +59,6 @@ pub mod obfuscate;
 pub mod pipeline;
 pub mod ports;
 pub mod protocol;
-pub mod ring;
 pub mod sidechannel;
 pub mod slender;
 
@@ -75,4 +72,3 @@ pub use protocol::{
     run_session_with_retry, AttestationReport, AttestationRequest, Channel, MidTraversalTamper, ProgramImage,
     ProverDevice, Verdict, Verifier,
 };
-pub use ring::RingBuffer;

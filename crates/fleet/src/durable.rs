@@ -23,8 +23,12 @@
 //! Campaigns are deterministic in their configuration (see
 //! [`crate::campaign`]): every per-device random stream derives from the
 //! seed and device id, and one device's sessions run in order. Resume
-//! exploits this twice over. The lifecycles, metrics, and histories are
-//! restored from the store. Then each device, provisioned when its first
+//! exploits this twice over. Each device's record — lifecycle, history,
+//! event tail and cursor — is the store's [`DeviceState`], which the
+//! service's slot keeps live and advances with the same
+//! [`DeviceState::apply`] replay runs, so a restore is a plain copy of
+//! it; the metrics are restored
+//! from the store's counters. Then each device, provisioned when its first
 //! session needs it, fast-forwards: its journaled cursor restores the RNG
 //! positions directly (no replay), any committed session events *after*
 //! the last cursor are re-run, uncounted, purely to advance RNG and
@@ -55,8 +59,8 @@ use crate::campaign::{run_session, CampaignConfig, DeviceSession};
 use crate::metrics::LatencyHistogram;
 use pufatt::PufattError;
 use pufatt_store::record::{OutcomeRec, Record};
-use pufatt_store::state::{CursorInfo, EV_REFUSED};
-use pufatt_store::{ShardedOptions, ShardedStore, StdVfs, StoreError};
+use pufatt_store::state::EV_REFUSED;
+use pufatt_store::{DeviceState, ShardedOptions, ShardedStore, StdVfs, StoreError};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -149,33 +153,16 @@ pub(crate) fn journal(store: &ShardedStore, record: &Record) -> Result<(), Store
     }
 }
 
-/// A device's committed position when the store was opened: what its
-/// session must fast-forward past, once provisioned, before running live
-/// sessions. The default is a freshly enrolled device's.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DevicePrior {
-    /// Session events after the last cursor (full history if none).
-    pub events: Vec<u8>,
-    /// The last committed cursor, if any.
-    pub cursor: Option<CursorInfo>,
-}
-
-impl DevicePrior {
-    pub(crate) fn from_state(d: &pufatt_store::DeviceState) -> Self {
-        DevicePrior { events: d.events.clone(), cursor: d.cursor }
-    }
-}
-
-/// Fast-forwards a freshly provisioned session to a device's committed
-/// position: jump to the cursor (absolute RNG word positions — nothing
-/// before it is replayed), then re-run only the post-cursor event tail,
-/// discarding its events (the counters were already restored from the
-/// store; refusals consumed no randomness and are skipped).
-pub(crate) fn fast_forward(session: &mut DeviceSession, prior: &DevicePrior) {
-    if let Some(cursor) = &prior.cursor {
+/// Fast-forwards a freshly provisioned session to the committed position
+/// in `device`'s record: jump to its cursor (absolute RNG word positions —
+/// nothing before it is replayed), then re-run only the post-cursor event
+/// tail, discarding its events (the record already counts them; refusals
+/// consumed no randomness and are skipped).
+pub(crate) fn fast_forward(session: &mut DeviceSession, device: &DeviceState) {
+    if let Some(cursor) = &device.cursor {
         session.restore_cursor(cursor);
     }
-    for &event in &prior.events {
+    for &event in &device.events {
         if event != EV_REFUSED {
             run_session(session);
         }

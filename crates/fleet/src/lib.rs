@@ -6,9 +6,11 @@
 //! [`FleetService`], provisions, gates, runs, journals and restores every
 //! device session; everything else is a driver over it or a part of it:
 //!
-//! * [`registry`] — the per-device record: an
-//!   `Active → Quarantined → Revoked` lifecycle and bounded session
-//!   history, kept in the device's one slot in the service.
+//! * [`registry`] — the lifecycle policy: the pure
+//!   `Active → Quarantined → Revoked` decision a closed session makes.
+//!   The per-device record it decides on is the store's
+//!   `pufatt_store::DeviceState`, kept in the device's one slot in the
+//!   service.
 //! * [`pool`] — a `std::thread` worker pool behind a bounded queue
 //!   (backpressure by blocking submit), with contained job panics and
 //!   graceful drain on shutdown.

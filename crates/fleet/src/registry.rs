@@ -1,17 +1,17 @@
-//! Device lifecycle: the per-device record the verifier keeps.
+//! Device lifecycle: the policy that decides a device's trust.
 //!
-//! Per device the fleet keeps a [`FleetStatus`] lifecycle, the two streak
-//! counters its transitions are decided by, and a bounded [`RingBuffer`]
-//! of recent [`SessionOutcome`]s — enough history for an operator to ask
+//! Per device the verifier keeps one record, the store's
+//! [`DeviceState`](pufatt_store::DeviceState): a [`FleetStatus`]
+//! lifecycle, the two streak counters its transitions are decided by, a
+//! bounded history of recent outcomes — enough for an operator to ask
 //! "why was this device quarantined?" without the record growing without
-//! bound on a long-lived service.
-//!
-//! `DeviceLifecycle` is a plain value with no lock of its own: it lives
-//! in the device's entry of [`FleetService`](crate::FleetService)'s slot
-//! map, next to the live session, and is only touched under that entry's
-//! slot-shard lock.
-
-use pufatt::RingBuffer;
+//! bound on a long-lived service — and the session event tail and cursor
+//! a resume starts from. [`FleetService`](crate::FleetService) keeps it in
+//! the device's slot and advances it with
+//! [`DeviceState::apply`](pufatt_store::DeviceState::apply), the same
+//! transition that replays the journal, so the live record and a
+//! recovered one cannot differ. What this module adds is the decision a
+//! closed session's record carries: `LifecyclePolicy::next`.
 
 /// Identifier of a fleet device.
 pub type DeviceId = u32;
@@ -62,6 +62,36 @@ pub struct LifecyclePolicy {
     pub reactivate_after: u32,
 }
 
+impl LifecyclePolicy {
+    /// The lifecycle transition one closed session makes, with
+    /// hysteresis: `quarantine_after` consecutive failures demote an
+    /// active device, `reactivate_after` consecutive successes promote a
+    /// quarantined one back (a `0` reactivates on the first success), and
+    /// `revoke_after` further consecutive failures inside quarantine
+    /// revoke it. Takes the device's `(status, fails, succs)` before the
+    /// session and returns them after it; the service journals the result
+    /// with the session, so recovery restores a device without re-deriving
+    /// the policy's decisions.
+    pub(crate) fn next(&self, status: FleetStatus, fails: u32, succs: u32, accepted: bool) -> (FleetStatus, u32, u32) {
+        if accepted {
+            let succs = succs + 1;
+            if status == FleetStatus::Quarantined && succs >= self.reactivate_after.max(1) {
+                return (FleetStatus::Active, 0, 0);
+            }
+            (status, 0, succs)
+        } else {
+            let fails = fails + 1;
+            if status == FleetStatus::Active && fails >= self.quarantine_after {
+                return (FleetStatus::Quarantined, 0, 0);
+            }
+            if status == FleetStatus::Quarantined && fails >= self.revoke_after {
+                return (FleetStatus::Revoked, fails, 0);
+            }
+            (status, fails, 0)
+        }
+    }
+}
+
 impl Default for LifecyclePolicy {
     fn default() -> Self {
         LifecyclePolicy {
@@ -101,115 +131,13 @@ impl StatusCounts {
     }
 }
 
-/// One device's lifecycle: its status, the streak counters that decide
-/// its transitions, and its bounded session history.
-#[derive(Debug, Clone)]
-pub(crate) struct DeviceLifecycle {
-    status: FleetStatus,
-    consecutive_failures: u32,
-    consecutive_successes: u32,
-    history: RingBuffer<SessionOutcome>,
-}
-
-impl DeviceLifecycle {
-    /// A freshly enrolled device: [`FleetStatus::Active`], keeping at
-    /// most `history_capacity` outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history_capacity` is zero.
-    pub(crate) fn new(history_capacity: usize) -> Self {
-        DeviceLifecycle {
-            status: FleetStatus::Active,
-            consecutive_failures: 0,
-            consecutive_successes: 0,
-            history: RingBuffer::new(history_capacity),
-        }
-    }
-
-    /// Rebuilds a device from persisted state (durable-store recovery).
-    /// `history` is oldest-first; `total_recorded` is the all-time session
-    /// count, so the rebuilt [`RingBuffer`] reports the same
-    /// retention/eviction numbers as the uninterrupted original.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history_capacity` is zero.
-    pub(crate) fn restore(
-        history_capacity: usize,
-        status: FleetStatus,
-        consecutive_failures: u32,
-        consecutive_successes: u32,
-        history: Vec<SessionOutcome>,
-        total_recorded: u64,
-    ) -> Self {
-        DeviceLifecycle {
-            status,
-            consecutive_failures,
-            consecutive_successes,
-            history: RingBuffer::rehydrate(history_capacity, history, total_recorded),
-        }
-    }
-
-    /// The device's current status.
-    pub(crate) fn status(&self) -> FleetStatus {
-        self.status
-    }
-
-    /// The retained session history, oldest first.
-    pub(crate) fn history(&self) -> Vec<SessionOutcome> {
-        self.history.iter().cloned().collect()
-    }
-
-    /// Records a session outcome and applies `policy`'s lifecycle
-    /// transitions with hysteresis: `quarantine_after` consecutive failures
-    /// demote an active device, `reactivate_after` consecutive successes
-    /// promote a quarantined one back (a `0` reactivates on the first
-    /// success), and `revoke_after` further consecutive failures inside
-    /// quarantine revoke it. Returns the post-transition `(status,
-    /// consecutive_failures, consecutive_successes)`, which the service
-    /// journals with each session so recovery can restore a device
-    /// without re-deriving the policy's decisions.
-    pub(crate) fn record(&mut self, outcome: SessionOutcome, policy: &LifecyclePolicy) -> (FleetStatus, u32, u32) {
-        if outcome.accepted {
-            self.consecutive_failures = 0;
-            self.consecutive_successes += 1;
-            if self.status == FleetStatus::Quarantined && self.consecutive_successes >= policy.reactivate_after.max(1) {
-                self.status = FleetStatus::Active;
-                self.consecutive_successes = 0;
-            }
-        } else {
-            self.consecutive_successes = 0;
-            self.consecutive_failures += 1;
-            if self.status == FleetStatus::Active && self.consecutive_failures >= policy.quarantine_after {
-                self.status = FleetStatus::Quarantined;
-                self.consecutive_failures = 0;
-            } else if self.status == FleetStatus::Quarantined && self.consecutive_failures >= policy.revoke_after {
-                self.status = FleetStatus::Revoked;
-            }
-        }
-        self.history.push(outcome);
-        (self.status, self.consecutive_failures, self.consecutive_successes)
-    }
-
-    /// Re-enrollment: back to [`FleetStatus::Active`] with both streaks
-    /// cleared. History is kept — the record of *why* the device was
-    /// revoked survives the decision to trust it again.
-    pub(crate) fn re_enroll(&mut self) {
-        self.status = FleetStatus::Active;
-        self.consecutive_failures = 0;
-        self.consecutive_successes = 0;
-    }
-
-    /// Manual revocation.
-    pub(crate) fn revoke(&mut self) {
-        self.status = FleetStatus::Revoked;
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::durable::to_outcome_rec;
+    use pufatt_store::record::Record;
+    use pufatt_store::DeviceState;
 
     fn failed() -> SessionOutcome {
         SessionOutcome {
@@ -233,6 +161,24 @@ mod tests {
         }
     }
 
+    /// Closes one session on `device` the way the service does: the
+    /// policy decides, and the journaled record carries the decision into
+    /// the device's state. Returns the post-session `(status, fails,
+    /// succs)`.
+    fn close(
+        device: &mut DeviceState,
+        policy: &LifecyclePolicy,
+        outcome: SessionOutcome,
+        cap: usize,
+    ) -> (FleetStatus, u32, u32) {
+        let (status, fails, succs) = policy.next(device.status, device.fails, device.succs, outcome.accepted);
+        let outcome = to_outcome_rec(&outcome, 0, 0, false, 0, 0);
+        device
+            .apply(&Record::SessionClosed { id: 0, outcome, status, fails, succs }, cap)
+            .unwrap();
+        (device.status, device.fails, device.succs)
+    }
+
     #[test]
     fn failures_quarantine_then_revoke() {
         let policy = LifecyclePolicy {
@@ -240,13 +186,13 @@ mod tests {
             revoke_after: 2,
             ..LifecyclePolicy::default()
         };
-        let mut device = DeviceLifecycle::new(8);
-        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Active);
-        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Quarantined);
-        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Quarantined);
-        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Revoked);
+        let mut device = DeviceState::default();
+        assert_eq!(close(&mut device, &policy, failed(), 8).0, FleetStatus::Active);
+        assert_eq!(close(&mut device, &policy, failed(), 8).0, FleetStatus::Quarantined);
+        assert_eq!(close(&mut device, &policy, failed(), 8).0, FleetStatus::Quarantined);
+        assert_eq!(close(&mut device, &policy, failed(), 8).0, FleetStatus::Revoked);
         let mut counts = StatusCounts::default();
-        counts.add(device.status());
+        counts.add(device.status);
         assert_eq!(counts, StatusCounts { active: 0, quarantined: 0, revoked: 1 });
     }
 
@@ -257,10 +203,13 @@ mod tests {
             reactivate_after: 2,
             ..LifecyclePolicy::default()
         };
-        let mut device = DeviceLifecycle::new(8);
-        assert_eq!(device.record(failed(), &policy).0, FleetStatus::Quarantined);
-        assert_eq!(device.record(passed(), &policy).0, FleetStatus::Quarantined, "one success is not enough");
-        assert_eq!(device.record(passed(), &policy).0, FleetStatus::Active, "the second one is");
+        assert_eq!(policy.next(FleetStatus::Active, 0, 0, false), (FleetStatus::Quarantined, 0, 0));
+        assert_eq!(
+            policy.next(FleetStatus::Quarantined, 0, 0, true),
+            (FleetStatus::Quarantined, 0, 1),
+            "one success is not enough"
+        );
+        assert_eq!(policy.next(FleetStatus::Quarantined, 0, 1, true), (FleetStatus::Active, 0, 0), "the second one is");
     }
 
     #[test]
@@ -274,49 +223,54 @@ mod tests {
             reactivate_after: 2,
             ..LifecyclePolicy::default()
         };
-        let mut device = DeviceLifecycle::new(8);
-        device.record(failed(), &policy);
-        device.record(failed(), &policy);
-        assert_eq!(device.status(), FleetStatus::Quarantined);
+        let mut device = DeviceState::default();
+        close(&mut device, &policy, failed(), 8);
+        close(&mut device, &policy, failed(), 8);
+        assert_eq!(device.status, FleetStatus::Quarantined);
         for _ in 0..6 {
-            device.record(passed(), &policy);
-            assert_eq!(device.record(failed(), &policy).0, FleetStatus::Quarantined, "no flapping");
+            close(&mut device, &policy, passed(), 8);
+            assert_eq!(close(&mut device, &policy, failed(), 8).0, FleetStatus::Quarantined, "no flapping");
         }
     }
 
     #[test]
     fn re_enrollment_reactivates_a_revoked_device() {
         let policy = LifecyclePolicy::default();
-        let mut device = DeviceLifecycle::new(8);
-        device.record(failed(), &policy);
-        device.revoke();
-        assert_eq!(device.status(), FleetStatus::Revoked);
-        device.re_enroll();
-        assert_eq!(device.status(), FleetStatus::Active);
-        assert_eq!(device.record(failed(), &policy), (FleetStatus::Active, 1, 0), "streaks start over");
-        assert_eq!(device.history().len(), 2, "history survives re-enrollment");
+        let mut device = DeviceState::default();
+        close(&mut device, &policy, failed(), 8);
+        device
+            .apply(&Record::StatusChanged { id: 0, status: FleetStatus::Revoked }, 8)
+            .unwrap();
+        assert_eq!(device.status, FleetStatus::Revoked);
+        device.apply(&Record::DeviceReEnrolled { id: 0 }, 8).unwrap();
+        assert_eq!(device.status, FleetStatus::Active);
+        assert_eq!(close(&mut device, &policy, failed(), 8), (FleetStatus::Active, 1, 0), "streaks start over");
+        assert_eq!(device.outcomes.len(), 2, "history survives re-enrollment");
     }
 
     #[test]
     fn history_is_bounded_per_device() {
         let policy = LifecyclePolicy::default();
-        let mut device = DeviceLifecycle::new(3);
+        let mut device = DeviceState::default();
         for _ in 0..5 {
-            device.record(passed(), &policy);
+            close(&mut device, &policy, passed(), 3);
         }
-        assert_eq!(device.history().len(), 3);
-        assert_eq!(device.history.total_pushed(), 5);
+        assert_eq!(device.outcomes.len(), 3);
+        assert_eq!(device.outcomes_total, 5);
     }
 
     #[test]
-    fn restore_rebuilds_lifecycle_and_history() {
-        let mut device = DeviceLifecycle::restore(3, FleetStatus::Quarantined, 1, 0, vec![passed(), failed()], 5);
-        assert_eq!(device.status(), FleetStatus::Quarantined);
-        assert_eq!(device.history().len(), 2);
-        assert_eq!(device.history.total_pushed(), 5, "all-time count survives restore");
+    fn restored_streaks_feed_the_policy() {
+        // A device recovered from the journal mid-quarantine, one failure
+        // into its revocation streak.
+        let mut device = DeviceState {
+            status: FleetStatus::Quarantined,
+            fails: 1,
+            ..DeviceState::default()
+        };
         let policy = LifecyclePolicy { revoke_after: 2, ..LifecyclePolicy::default() };
         assert_eq!(
-            device.record(failed(), &policy),
+            close(&mut device, &policy, failed(), 3),
             (FleetStatus::Revoked, 2, 0),
             "restored streaks feed straight into the lifecycle policy"
         );

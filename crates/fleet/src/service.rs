@@ -6,8 +6,8 @@
 //! order the network delivers them, so [`FleetService`] works per
 //! request:
 //!
-//! * [`FleetService::enroll`] admits one device: its lifecycle record, in
-//!   one slot. The device's prover/verifier session is provisioned (the
+//! * [`FleetService::enroll`] admits one device: its record, in one
+//!   slot. The device's prover/verifier session is provisioned (the
 //!   golden run included) by the first call that needs it, as on restore;
 //! * [`FleetService::open_session`] gates one attestation session (the
 //!   revocation check before each session);
@@ -31,11 +31,22 @@
 //! `service_matches_in_process_campaign` below and end to end over real
 //! sockets by `pufatt-transport`).
 //!
+//! # One device record
+//!
+//! A device's record — lifecycle, streaks, bounded history, session event
+//! tail and cursor — is the store's [`DeviceState`], the type journal
+//! replay builds. The service changes it only by applying, with
+//! [`DeviceState::apply`], each record it emits for the device, whether
+//! or not a journal is attached; the lifecycle decision a closed session
+//! carries comes from `LifecyclePolicy::next`.
+//! A live record therefore equals the journal's by construction, and a
+//! restore is a copy of the store's record.
+//!
 //! # Ordering contract
 //!
 //! One device's sessions must be applied in order (each session advances
-//! the device's seeded RNG). Each device has one slot — its lifecycle,
-//! history, session and journal cursor — in one sharded map, and
+//! the device's seeded RNG). Each device has one slot — its record and
+//! its session — in one sharded map, and
 //! the service serialises per *slot shard*: every call for device `id`
 //! locks shard [`FleetService::shard_of`]`(id)` for the duration of the
 //! session (provisioning included, on a device's first), and that is the
@@ -56,11 +67,9 @@ use crate::campaign::{
     crp_delta, device_is_flaky, device_is_tampered, provision_device, run_session, session_outcome, CampaignConfig,
     DeviceRecord, DeviceSession, ProductLine,
 };
-use crate::durable::{
-    config_fingerprint, fast_forward, from_outcome_rec, journal, storage_err, to_outcome_rec, DevicePrior,
-};
+use crate::durable::{config_fingerprint, fast_forward, from_outcome_rec, journal, storage_err, to_outcome_rec};
 use crate::metrics::{FleetMetrics, FleetSnapshot};
-use crate::registry::{DeviceId, DeviceLifecycle, FleetStatus, SessionOutcome, StatusCounts};
+use crate::registry::{DeviceId, FleetStatus, SessionOutcome, StatusCounts};
 use crate::sync::{lock_ranked, rank};
 use pufatt::PufattError;
 use pufatt_store::record::{OutcomeRec, Record};
@@ -72,26 +81,14 @@ use std::sync::{Arc, Mutex};
 
 /// One device's server-side state.
 struct Slot {
-    /// Status, streak counters and bounded session history.
-    lifecycle: DeviceLifecycle,
-    /// The device's prover/verifier session, provisioned on first use.
-    session: SessionState,
-    /// Session events journaled for this device (the cursor position a
-    /// journaled service writes after each one). Tracked here so the
-    /// service never has to read the store back on the hot path.
-    events_seen: u32,
-}
-
-/// Where a device's prover/verifier session stands.
-enum SessionState {
-    /// Not provisioned yet. The first call that needs the session
-    /// provisions it and fast-forwards it past this committed position.
-    Pending(DevicePrior),
-    /// Provisioned, at the device's current position.
-    Live(Box<DeviceSession>),
-    /// Provisioning failed: the device is enrolled but can never run a
-    /// session this campaign.
-    Abandoned,
+    /// The device's record — status, streak counters, bounded session
+    /// history, event tail and cursor — as the journal holds it, and
+    /// advanced by the same [`DeviceState::apply`] replay runs.
+    state: DeviceState,
+    /// The device's prover/verifier session, provisioned on first use
+    /// and fast-forwarded to the position `state` records. Stays `None`
+    /// for good once provisioning failed (`state.abandoned`).
+    session: Option<Box<DeviceSession>>,
 }
 
 /// How an enrollment record is committed (OPERATIONS.md §3).
@@ -263,25 +260,12 @@ impl FleetService {
 
     /// Rebuilds the in-memory state of the devices `store` holds — all of
     /// them, or only those homed on store shard `only`: each device's slot
-    /// is inserted whole, its lifecycle restored and its session pending
-    /// at the journaled position (or abandoned). Returns the restored ids.
+    /// is inserted whole, its record a copy of the store's and its session
+    /// not provisioned yet. Returns the restored ids.
     fn restore_devices(&self, store: &ShardedStore, only: Option<usize>) -> Vec<DeviceId> {
         let mut devices = Vec::new();
         let visit = |id: DeviceId, device: &DeviceState| {
-            let lifecycle = DeviceLifecycle::restore(
-                self.cfg.history_capacity.max(1),
-                device.status,
-                device.fails,
-                device.succs,
-                device.outcomes.iter().map(from_outcome_rec).collect(),
-                device.outcomes_total,
-            );
-            let session = if device.abandoned {
-                SessionState::Abandoned
-            } else {
-                SessionState::Pending(DevicePrior::from_state(device))
-            };
-            devices.push((id, Slot { lifecycle, session, events_seen: device.events_seen }));
+            devices.push((id, Slot { state: device.clone(), session: None }));
         };
         // Collected first: the store holds its shard lock while it visits,
         // and that ranks below the slot locks.
@@ -298,13 +282,12 @@ impl FleetService {
             .collect()
     }
 
-    /// Counts `record` into the live metrics, then appends it to the
-    /// journal (group-committed, forced-sync fallback under backpressure).
-    /// Every session record the service emits comes through here, journal
-    /// or not, so the live counters are exactly what replaying the records
-    /// gives.
-    fn journal_event(&self, record: &Record) {
-        self.metrics.count(record);
+    /// Advances the device's record `state` by `record` and counts it
+    /// into the live metrics (see [`FleetService::advance`]), then appends
+    /// it to the journal (group-committed, forced-sync fallback under
+    /// backpressure).
+    fn journal_event(&self, state: &mut DeviceState, record: &Record) {
+        self.advance(state, record);
         if let Some(store) = &self.journal {
             // A failed append has already degraded the record's home shard,
             // so every subsequent request for its devices is refused up
@@ -314,6 +297,17 @@ impl FleetService {
             // tail — so it is deliberately not re-raised to the caller.
             let _ = journal(store, record);
         }
+    }
+
+    /// Applies `record` to the device's record `state` with the transition
+    /// replay runs, and counts it into the live metrics. Every record the
+    /// service emits for a device comes through here, journal or not, so
+    /// a live device's record and the live counters are exactly what
+    /// replaying the records gives.
+    fn advance(&self, state: &mut DeviceState, record: &Record) {
+        let applied = state.apply(record, self.cfg.history_capacity);
+        debug_assert!(applied.is_ok(), "the service emitted a record replay refuses: {applied:?}");
+        self.metrics.count(record);
     }
 
     /// Refuses requests for devices whose durable home shard is sick. A
@@ -333,39 +327,36 @@ impl FleetService {
     }
 
     /// Journals the post-session cursor of a device that is not
-    /// abandoned.
+    /// abandoned: its generator positions, covering every session event
+    /// in its record. Applying it empties the record's event tail, so the
+    /// tail stays bounded whether or not a journal is attached.
     fn journal_cursor(&self, id: DeviceId, slot: &mut Slot) {
-        if self.journal.is_none() {
-            return;
-        }
-        if let Some(session) = self.live(id, &mut slot.session) {
-            slot.events_seen += 1;
-            self.journal_event(&session.cursor_record(id, slot.events_seen));
+        if let Some(session) = self.live(id, &mut slot.session, &mut slot.state) {
+            let cursor = session.cursor_record(id, slot.state.events_seen);
+            self.journal_event(&mut slot.state, &cursor);
         }
     }
 
-    /// Device `id`'s session, provisioned and fast-forwarded to its
-    /// committed position on first use; `None` if the device is abandoned.
-    /// A provisioning failure (a golden-run trap) journals the device
-    /// abandoned, for good.
-    fn live<'s>(&self, id: DeviceId, state: &'s mut SessionState) -> Option<&'s mut DeviceSession> {
-        if let SessionState::Pending(prior) = state {
-            let provisioned = provision_device(&self.line, &self.cfg, id).map(|mut session| {
-                fast_forward(&mut session, prior);
-                session
-            });
-            *state = match provisioned {
-                Ok(session) => SessionState::Live(Box::new(session)),
-                Err(_) => {
-                    self.journal_event(&Record::DeviceAbandoned { id });
-                    SessionState::Abandoned
+    /// Device `id`'s session, provisioned and fast-forwarded to the
+    /// position its record `state` holds on first use; `None` if the
+    /// device is abandoned. A provisioning failure (a golden-run trap)
+    /// journals the device abandoned, for good.
+    fn live<'s>(
+        &self,
+        id: DeviceId,
+        session: &'s mut Option<Box<DeviceSession>>,
+        state: &mut DeviceState,
+    ) -> Option<&'s mut DeviceSession> {
+        if session.is_none() && !state.abandoned {
+            match provision_device(&self.line, &self.cfg, id) {
+                Ok(mut provisioned) => {
+                    fast_forward(&mut provisioned, state);
+                    *session = Some(Box::new(provisioned));
                 }
-            };
+                Err(_) => self.journal_event(state, &Record::DeviceAbandoned { id }),
+            }
         }
-        match state {
-            SessionState::Live(session) => Some(session),
-            _ => None,
-        }
+        session.as_deref_mut()
     }
 
     /// The verdict-affecting configuration this service runs.
@@ -400,7 +391,7 @@ impl FleetService {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         self.storage_guard(id)?;
         if let Some(slot) = slots.get(&id) {
-            return Ok(EnrollOutcome { fresh: false, status: slot.lifecycle.status() });
+            return Ok(EnrollOutcome { fresh: false, status: slot.state.status });
         }
         // Admit-or-absent: the enrollment is journaled before the device
         // becomes visible in its slot.
@@ -420,18 +411,15 @@ impl FleetService {
         if id as usize >= self.cfg.devices {
             self.metrics.device_enrolled_online();
         }
-        let (session, result) = match self.line.check_programs(&self.cfg, id) {
-            Ok(()) => (
-                SessionState::Pending(DevicePrior::default()),
-                Ok(EnrollOutcome { fresh: true, status: FleetStatus::Active }),
-            ),
+        let mut state = DeviceState::default();
+        let result = match self.line.check_programs(&self.cfg, id) {
+            Ok(()) => Ok(EnrollOutcome { fresh: true, status: state.status }),
             Err(e) => {
-                self.journal_event(&Record::DeviceAbandoned { id });
-                (SessionState::Abandoned, Err(e))
+                self.journal_event(&mut state, &Record::DeviceAbandoned { id });
+                Err(e)
             }
         };
-        let lifecycle = DeviceLifecycle::new(self.cfg.history_capacity.max(1));
-        slots.insert(id, Slot { lifecycle, session, events_seen: 0 });
+        slots.insert(id, Slot { state, session: None });
         result
     }
 
@@ -450,25 +438,20 @@ impl FleetService {
             self.metrics.sessions_unavailable(1);
             return Err(SessionGate::Unavailable);
         }
-        if slot.lifecycle.status() == FleetStatus::Revoked {
-            self.journal_event(&Record::SessionRefused { id });
+        if slot.state.status == FleetStatus::Revoked {
+            self.journal_event(&mut slot.state, &Record::SessionRefused { id });
             self.journal_cursor(id, slot);
             return Err(SessionGate::Refused);
         }
         Ok(slot)
     }
 
-    /// Applies a closed session's outcome to the device's lifecycle and
-    /// journals it as `rec`. Returns the post-transition status.
-    fn close(
-        &self,
-        id: DeviceId,
-        lifecycle: &mut DeviceLifecycle,
-        outcome: &SessionOutcome,
-        rec: OutcomeRec,
-    ) -> FleetStatus {
-        let (status, fails, succs) = lifecycle.record(outcome.clone(), &self.cfg.policy);
-        self.journal_event(&Record::SessionClosed { id, outcome: rec, status, fails, succs });
+    /// Journals a closed session's outcome `rec` with the lifecycle
+    /// transition the policy decides for it, which applying the record
+    /// makes in the device's record. Returns the post-transition status.
+    fn close(&self, id: DeviceId, state: &mut DeviceState, rec: OutcomeRec) -> FleetStatus {
+        let (status, fails, succs) = self.cfg.policy.next(state.status, state.fails, state.succs, rec.accepted);
+        self.journal_event(state, &Record::SessionClosed { id, outcome: rec, status, fails, succs });
         status
     }
 
@@ -480,7 +463,7 @@ impl FleetService {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         match self.precheck(id, &mut slots) {
             Err(gate) => gate,
-            Ok(Slot { session: SessionState::Abandoned, .. }) => SessionGate::Faulty,
+            Ok(slot) if slot.state.abandoned => SessionGate::Faulty,
             Ok(_) => SessionGate::Granted { ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed) },
         }
     }
@@ -502,7 +485,7 @@ impl FleetService {
             Err(SessionGate::Refused) => return ServiceVerdict::Refused,
             Err(_) => return ServiceVerdict::Unknown,
         };
-        let Some(session) = self.live(id, &mut slot.session) else {
+        let Some(session) = self.live(id, &mut slot.session, &mut slot.state) else {
             return ServiceVerdict::Fault;
         };
         let crp0 = session.crp_stats();
@@ -512,11 +495,14 @@ impl FleetService {
         let verdict = match session_outcome(&report) {
             Some(outcome) => {
                 let rec = to_outcome_rec(&outcome, retried, dropped, report.timed_out(), crp_hits, crp_misses);
-                let status = self.close(id, &mut slot.lifecycle, &outcome, rec);
+                let status = self.close(id, &mut slot.state, rec);
                 ServiceVerdict::Closed { outcome, status }
             }
             None => {
-                self.journal_event(&Record::SessionFault { id, retried, dropped, crp_hits, crp_misses });
+                self.journal_event(
+                    &mut slot.state,
+                    &Record::SessionFault { id, retried, dropped, crp_hits, crp_misses },
+                );
                 ServiceVerdict::Fault
             }
         };
@@ -539,6 +525,13 @@ impl FleetService {
         let Ok(slot) = self.precheck(id, &mut slots) else {
             return;
         };
+        // An abort consumes no device randomness, so the cursor written
+        // after it repeats the previous RNG positions with the event count
+        // advanced — a restart resumes exactly here. A device not
+        // provisioned yet is provisioned first, at the position before the
+        // abort: its fast-forward would otherwise re-run the aborted
+        // session.
+        self.live(id, &mut slot.session, &mut slot.state);
         let outcome = SessionOutcome {
             accepted: false,
             response_ok: false,
@@ -547,10 +540,7 @@ impl FleetService {
             attempts: 1,
             elapsed_s: self.cfg.timeout_s,
         };
-        self.close(id, &mut slot.lifecycle, &outcome, to_outcome_rec(&outcome, 0, 0, true, 0, 0));
-        // An abort consumed no device randomness, so the cursor written
-        // after it repeats the previous RNG positions with the event count
-        // advanced — a restart resumes exactly here.
+        self.close(id, &mut slot.state, to_outcome_rec(&outcome, 0, 0, true, 0, 0));
         self.journal_cursor(id, slot);
     }
 
@@ -565,10 +555,7 @@ impl FleetService {
     /// is left untouched, so the operator sees the revocation refused
     /// rather than a trust decision that would evaporate on restart.
     pub fn revoke(&self, id: DeviceId) -> Result<Option<FleetStatus>, PufattError> {
-        let record = |status| {
-            (status != FleetStatus::Revoked).then_some(Record::StatusChanged { id, status: FleetStatus::Revoked })
-        };
-        self.operator_transition(id, record, DeviceLifecycle::revoke)
+        self.operator_transition(id, Record::StatusChanged { id, status: FleetStatus::Revoked })
     }
 
     /// Re-enrolls a known device (operator action): back to Active with
@@ -581,44 +568,38 @@ impl FleetService {
     /// [`PufattError::Storage`] if the synced append fails; the lifecycle
     /// is left untouched.
     pub fn re_enroll(&self, id: DeviceId) -> Result<bool, PufattError> {
-        let record = |_| Some(Record::DeviceReEnrolled { id });
-        Ok(self.operator_transition(id, record, DeviceLifecycle::re_enroll)?.is_some())
+        Ok(self.operator_transition(id, Record::DeviceReEnrolled { id })?.is_some())
     }
 
-    /// An operator transition of known device `id`: `record` maps its
-    /// current status to the record to journal (`None`: nothing to do),
-    /// which is appended with a forced sync *before* `apply` makes the
-    /// transition visible in the device's lifecycle. An operator's decision must
+    /// An operator transition of known device `id`: `record` is appended
+    /// with a forced sync *before* applying it makes the transition
+    /// visible in the device's record (a status change to the status the
+    /// device already has is skipped). An operator's decision must
     /// survive an immediate crash, and a crash between the two steps
     /// merely re-applies the record on resume — never the reverse (a
     /// visible transition the journal has no memory of). Returns the
     /// post-call status, `None` for unknown ids.
-    fn operator_transition(
-        &self,
-        id: DeviceId,
-        record: impl FnOnce(FleetStatus) -> Option<Record>,
-        apply: impl FnOnce(&mut DeviceLifecycle),
-    ) -> Result<Option<FleetStatus>, PufattError> {
+    fn operator_transition(&self, id: DeviceId, record: Record) -> Result<Option<FleetStatus>, PufattError> {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         let Some(slot) = slots.get_mut(&id) else {
             return Ok(None);
         };
         self.storage_guard(id)?;
-        if let Some(rec) = record(slot.lifecycle.status()) {
+        if !matches!(record, Record::StatusChanged { status, .. } if status == slot.state.status) {
             if let Some(store) = &self.journal {
                 // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
-                store.append_synced(&rec).map_err(storage_err)?;
+                store.append_synced(&record).map_err(storage_err)?;
             }
-            apply(&mut slot.lifecycle);
+            self.advance(&mut slot.state, &record);
         }
-        Ok(Some(slot.lifecycle.status()))
+        Ok(Some(slot.state.status))
     }
 
     /// A device's current lifecycle state.
     pub fn status(&self, id: DeviceId) -> Option<FleetStatus> {
         lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT)
             .get(&id)
-            .map(|slot| slot.lifecycle.status())
+            .map(|slot| slot.state.status)
     }
 
     /// Point-in-time counters and device states. Statuses are counted
@@ -629,7 +610,7 @@ impl FleetService {
         let mut counts = StatusCounts::default();
         for shard in &self.slots {
             for slot in lock_ranked(shard, rank::SERVICE_SLOT).values() {
-                counts.add(slot.lifecycle.status());
+                counts.add(slot.state.status);
             }
         }
         self.metrics.snapshot(counts)
@@ -651,8 +632,8 @@ impl FleetService {
                         id,
                         tampered: device_is_tampered(self.cfg.seed, id, self.cfg.tamper_fraction),
                         flaky: matches!(&self.cfg.chaos, Some(c) if device_is_flaky(self.cfg.seed, id, c.flaky_fraction)),
-                        status: slot.lifecycle.status(),
-                        outcomes: slot.lifecycle.history(),
+                        status: slot.state.status,
+                        outcomes: slot.state.outcomes.iter().map(from_outcome_rec).collect(),
                     })
                     .collect::<Vec<_>>()
             })
@@ -711,13 +692,12 @@ impl FleetService {
         Ok(self.restore_devices(store, Some(store_shard)).len())
     }
 
-    /// Session events journaled for `id` so far (0 for an unjournaled
-    /// service or an unknown device): where a resumed campaign picks up
-    /// the device's schedule.
+    /// Session events recorded for `id` so far (0 for an unknown device):
+    /// where a resumed campaign picks up the device's schedule.
     pub(crate) fn events_seen(&self, id: DeviceId) -> u32 {
         lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT)
             .get(&id)
-            .map_or(0, |slot| slot.events_seen)
+            .map_or(0, |slot| slot.state.events_seen)
     }
 
     /// Counts `sessions` scheduled sessions refused because their
@@ -1083,7 +1063,7 @@ mod tests {
         ids.iter()
             .filter(|&&id| {
                 let slots = lock_ranked(&service.slots[service.shard_of(id)], rank::SERVICE_SLOT);
-                matches!(slots.get(&id), Some(Slot { session: SessionState::Live(_), .. }))
+                slots.get(&id).is_some_and(|slot| slot.session.is_some())
             })
             .count()
     }
@@ -1173,6 +1153,102 @@ mod tests {
             if service.status(0) == Some(FleetStatus::Revoked) {
                 assert!(service.re_enroll(0).expect("journal accepts"));
             }
+        }
+    }
+
+    /// Device `id`'s live record, read under its slot lock.
+    fn slot_state(service: &FleetService, id: DeviceId) -> Option<DeviceState> {
+        lock_ranked(&service.slots[service.shard_of(id)], rank::SERVICE_SLOT)
+            .get(&id)
+            .map(|slot| slot.state.clone())
+    }
+
+    /// Every enrolled device's live record equals the journal's, whole:
+    /// status, streaks, history, totals, event tail and cursor.
+    fn assert_slots_equal_the_journal(service: &FleetService, store: &ShardedStore) {
+        let ids = service.enrolled_ids();
+        assert!(!ids.is_empty());
+        for id in ids {
+            assert_eq!(
+                slot_state(service, id),
+                store.device(id),
+                "device {id}: live record differs from the journal's"
+            );
+        }
+    }
+
+    #[test]
+    fn live_device_state_equals_the_journal() {
+        let mut cfg = small_test_config(8, 1, 0x0DE5);
+        cfg.history_capacity = 4;
+        assert!(cfg.tamper_fraction > 0.0, "tampered devices walk the lifecycle");
+        let store = open_store(&cfg, &pufatt_store::SimVfs::new());
+        let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("fresh journal");
+        let ids: Vec<DeviceId> = (0..cfg.devices as DeviceId).collect();
+        let attest_all = |service: &FleetService| {
+            for &id in &ids {
+                if matches!(service.open_session(id), SessionGate::Granted { .. }) {
+                    let _ = service.attest(id);
+                }
+            }
+        };
+        for &id in &ids {
+            service.enroll(id).expect("device enrolls");
+        }
+        // More sessions than the history keeps, so histories roll over.
+        for _ in 0..6 {
+            attest_all(&service);
+        }
+        assert!(service.snapshot().sessions_refused > 0, "some tampered device was revoked and refused");
+        // A grant whose client vanished, on a provisioned device and on an
+        // online device whose first session it is.
+        let online = cfg.devices as DeviceId;
+        service.enroll(online).expect("online device enrolls");
+        for id in [0, online] {
+            assert!(matches!(service.open_session(id), SessionGate::Granted { .. }));
+            service.abort_session(id);
+        }
+        service.revoke(REVOKED).expect("journal accepts");
+        assert_eq!(service.open_session(REVOKED), SessionGate::Refused);
+        assert!(service.re_enroll(REVOKED).expect("journal accepts"));
+        attest_all(&service);
+        assert_slots_equal_the_journal(&service, &store);
+
+        // An abandoned device: its program cannot be built.
+        let mut broken = small_test_config(2, 1, 0xC0DE);
+        broken.params.region_bits = 5;
+        let store = open_store(&broken, &pufatt_store::SimVfs::new());
+        let service = FleetService::with_journal(broken, Arc::clone(&store)).expect("fresh journal");
+        assert!(service.enroll(0).is_err());
+        assert_eq!(service.open_session(0), SessionGate::Faulty);
+        assert_eq!(service.attest(0), ServiceVerdict::Fault);
+        assert!(slot_state(&service, 0).is_some_and(|state| state.abandoned));
+        assert_slots_equal_the_journal(&service, &store);
+    }
+
+    #[test]
+    fn unjournaled_service_keeps_no_event_tail() {
+        // The cursor is applied after every session, journal or not, so
+        // the record's event tail never outlives the session that made it.
+        let cfg = small_test_config(4, 1, 0x7A11);
+        let service = FleetService::new(cfg.clone()).expect("valid config");
+        for id in 0..4 {
+            service.enroll(id).expect("device enrolls");
+        }
+        service.revoke(1).expect("no journal to refuse it");
+        for _ in 0..50 {
+            for id in 0..4 {
+                if matches!(service.open_session(id), SessionGate::Granted { .. }) {
+                    let _ = service.attest(id);
+                }
+            }
+        }
+        assert_eq!(service.snapshot().sessions_started + service.snapshot().sessions_refused, 200);
+        for id in 0..4 {
+            let state = slot_state(&service, id).expect("enrolled");
+            assert!(state.events.is_empty(), "device {id} keeps an event tail: {:?}", state.events);
+            assert_eq!(state.events_seen, 50);
+            assert_eq!(state.cursor.map(|cursor| cursor.events_done), Some(50));
         }
     }
 }

@@ -2,8 +2,11 @@
 //!
 //! [`StoreState::apply`] is the single transition function — the live
 //! store and crash recovery both go through it, so "state after a crash"
-//! and "state during normal operation" cannot drift apart. It enforces the
-//! monotone-lifecycle invariant on every record: a device leaves
+//! and "state during normal operation" cannot drift apart. Its
+//! per-device half is [`DeviceState::apply`], which the fleet service
+//! also runs on its live copy of each device, so the service's record of
+//! a device and the journal's are advanced by the same code. It enforces
+//! the monotone-lifecycle invariant on every record: a device leaves
 //! `Revoked` only through an explicit re-enrollment, sessions cannot close
 //! against revoked or unknown devices, and sequence numbers only move
 //! forward. A WAL whose checksum-valid frames violate these rules is
@@ -64,9 +67,9 @@ pub struct CursorInfo {
 pub struct DeviceState {
     /// Current lifecycle state.
     pub status: StoredStatus,
-    /// Consecutive-failure streak (mirrors the registry).
+    /// Consecutive-failure streak, as the fleet's lifecycle policy left it.
     pub fails: u32,
-    /// Consecutive-success streak (mirrors the registry).
+    /// Consecutive-success streak, as the fleet's lifecycle policy left it.
     pub succs: u32,
     /// Session events in schedule order ([`EV_CLOSED`] / [`EV_REFUSED`] /
     /// [`EV_FAULT`]) *after* the cursor — events a cursor covers are
@@ -90,8 +93,9 @@ pub struct DeviceState {
     pub abandoned: bool,
 }
 
-impl DeviceState {
-    fn new() -> Self {
+impl Default for DeviceState {
+    /// A freshly enrolled device: Active, with nothing recorded.
+    fn default() -> Self {
         DeviceState {
             status: StoredStatus::Active,
             fails: 0,
@@ -105,6 +109,118 @@ impl DeviceState {
             faults: 0,
             abandoned: false,
         }
+    }
+}
+
+impl DeviceState {
+    /// Advances this device by one of its records, keeping at most
+    /// `history_capacity` outcomes. Replay ([`StoreState::apply`]) and the
+    /// fleet service's live slot both go through this, so a device's
+    /// record in memory and after recovery is written by one piece of
+    /// code. A refused record leaves the device untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] for out-of-range fields, a cursor that
+    /// regresses or runs ahead of the journaled events, or a record that
+    /// names no device; [`StoreError::IllegalTransition`] when the record
+    /// asks for a lifecycle move the state machine forbids (enrolling an
+    /// enrolled device among them).
+    pub fn apply(&mut self, record: &Record, history_capacity: usize) -> Result<(), StoreError> {
+        let illegal = |id: &u32, from: StoredStatus, event| Err(StoreError::IllegalTransition { id: *id, from, event });
+        match record {
+            Record::Meta { .. } => return Err(StoreError::Corrupt("campaign metadata is not a device record".into())),
+            Record::DeviceEnrolled { id } => return illegal(id, self.status, "enroll an already-enrolled device"),
+            Record::DeviceReEnrolled { .. } => {
+                self.status = StoredStatus::Active;
+                self.fails = 0;
+                self.succs = 0;
+            }
+            Record::StatusChanged { id, status } => {
+                if self.status == StoredStatus::Revoked && *status != StoredStatus::Revoked {
+                    return illegal(id, self.status, "leave Revoked without re-enrollment");
+                }
+                self.status = *status;
+            }
+            Record::SessionClosed { id, outcome, status, fails, succs } => {
+                if outcome.latency_slot as usize >= LATENCY_SLOTS {
+                    return Err(StoreError::Corrupt(format!("latency slot {} out of range", outcome.latency_slot)));
+                }
+                // A session never runs against a revoked device, and a
+                // single outcome can demote Active at most one step.
+                if matches!(
+                    (self.status, *status),
+                    (StoredStatus::Revoked, _) | (StoredStatus::Active, StoredStatus::Revoked)
+                ) {
+                    return illegal(id, self.status, "close a session with a non-monotone transition");
+                }
+                self.status = *status;
+                self.fails = *fails;
+                self.succs = *succs;
+                self.events.push(EV_CLOSED);
+                self.events_seen += 1;
+                // Make room before pushing, so a full history never
+                // reallocates.
+                while self.outcomes.len() >= history_capacity.max(1) {
+                    self.outcomes.pop_front();
+                }
+                self.outcomes.push_back(*outcome);
+                self.outcomes_total += 1;
+            }
+            Record::SessionRefused { id } => {
+                if self.status != StoredStatus::Revoked {
+                    return illegal(id, self.status, "refuse a session on a non-revoked device");
+                }
+                self.events.push(EV_REFUSED);
+                self.events_seen += 1;
+                self.refused += 1;
+            }
+            Record::SessionFault { id, .. } => {
+                if self.status == StoredStatus::Revoked {
+                    return illegal(id, self.status, "fault a session on a revoked device");
+                }
+                self.events.push(EV_FAULT);
+                self.events_seen += 1;
+                self.faults += 1;
+            }
+            Record::DeviceAbandoned { .. } => {
+                self.abandoned = true;
+                self.faults += 1;
+            }
+            Record::DeviceCursor {
+                id,
+                events_done,
+                session_pos,
+                noise_pos,
+                noise_evals,
+                tamper_parity,
+            } => {
+                if *events_done > self.events_seen {
+                    return Err(StoreError::Corrupt(format!(
+                        "cursor for device {id} covers {events_done} events but only {} were journaled",
+                        self.events_seen
+                    )));
+                }
+                if matches!(&self.cursor, Some(prev) if *events_done < prev.events_done) {
+                    return Err(StoreError::Corrupt(format!("cursor regressed for device {id}")));
+                }
+                // Events the cursor covers will never be replayed again —
+                // drop them from the retained tail. `events[0]`'s absolute
+                // index is `events_seen - events.len()`.
+                let tail_start = self.events_seen - self.events.len() as u32;
+                if *events_done > tail_start {
+                    self.events.drain(..(*events_done - tail_start) as usize);
+                }
+                self.cursor = Some(CursorInfo {
+                    events_done: *events_done,
+                    session_pos: *session_pos,
+                    noise_pos: *noise_pos,
+                    noise_evals: *noise_evals,
+                    tamper_parity: *tamper_parity,
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -282,128 +398,19 @@ impl StoreState {
                     Some(_) => return Err(StoreError::Corrupt("conflicting campaign metadata records".into())),
                 }
             }
-            Record::DeviceEnrolled { id } => {
-                if let Some(existing) = self.devices.get(id) {
-                    return Err(StoreError::IllegalTransition {
-                        id: *id,
-                        from: existing.status,
-                        event: "enroll an already-enrolled device",
-                    });
-                }
-                self.devices.insert(*id, DeviceState::new());
+            Record::DeviceEnrolled { id } if !self.devices.contains_key(id) => {
+                self.devices.insert(*id, DeviceState::default());
             }
-            Record::DeviceReEnrolled { id } => {
-                let device = self.device_mut(*id)?;
-                device.status = StoredStatus::Active;
-                device.fails = 0;
-                device.succs = 0;
-            }
-            Record::StatusChanged { id, status } => {
-                let device = self.device_mut(*id)?;
-                if device.status == StoredStatus::Revoked && *status != StoredStatus::Revoked {
-                    return Err(StoreError::IllegalTransition {
-                        id: *id,
-                        from: device.status,
-                        event: "leave Revoked without re-enrollment",
-                    });
-                }
-                device.status = *status;
-            }
-            Record::SessionClosed { id, outcome, status, fails, succs } => {
-                if outcome.latency_slot as usize >= LATENCY_SLOTS {
-                    return Err(StoreError::Corrupt(format!("latency slot {} out of range", outcome.latency_slot)));
-                }
+            Record::DeviceEnrolled { id }
+            | Record::DeviceReEnrolled { id }
+            | Record::StatusChanged { id, .. }
+            | Record::SessionClosed { id, .. }
+            | Record::SessionRefused { id }
+            | Record::SessionFault { id, .. }
+            | Record::DeviceAbandoned { id }
+            | Record::DeviceCursor { id, .. } => {
                 let cap = self.history_capacity;
-                let device = self.device_mut(*id)?;
-                let legal = match (device.status, *status) {
-                    // A session never runs against a revoked device, and a
-                    // single outcome can demote Active at most one step.
-                    (StoredStatus::Revoked, _) | (StoredStatus::Active, StoredStatus::Revoked) => false,
-                    _ => true,
-                };
-                if !legal {
-                    return Err(StoreError::IllegalTransition {
-                        id: *id,
-                        from: device.status,
-                        event: "close a session with a non-monotone transition",
-                    });
-                }
-                device.status = *status;
-                device.fails = *fails;
-                device.succs = *succs;
-                device.events.push(EV_CLOSED);
-                device.events_seen += 1;
-                device.outcomes.push_back(*outcome);
-                while device.outcomes.len() > cap {
-                    device.outcomes.pop_front();
-                }
-                device.outcomes_total += 1;
-            }
-            Record::SessionRefused { id } => {
-                let device = self.device_mut(*id)?;
-                if device.status != StoredStatus::Revoked {
-                    return Err(StoreError::IllegalTransition {
-                        id: *id,
-                        from: device.status,
-                        event: "refuse a session on a non-revoked device",
-                    });
-                }
-                device.events.push(EV_REFUSED);
-                device.events_seen += 1;
-                device.refused += 1;
-            }
-            Record::SessionFault { id, .. } => {
-                let device = self.device_mut(*id)?;
-                if device.status == StoredStatus::Revoked {
-                    return Err(StoreError::IllegalTransition {
-                        id: *id,
-                        from: device.status,
-                        event: "fault a session on a revoked device",
-                    });
-                }
-                device.events.push(EV_FAULT);
-                device.events_seen += 1;
-                device.faults += 1;
-            }
-            Record::DeviceAbandoned { id } => {
-                let device = self.device_mut(*id)?;
-                device.abandoned = true;
-                device.faults += 1;
-            }
-            Record::DeviceCursor {
-                id,
-                events_done,
-                session_pos,
-                noise_pos,
-                noise_evals,
-                tamper_parity,
-            } => {
-                let device = self.device_mut(*id)?;
-                if *events_done > device.events_seen {
-                    return Err(StoreError::Corrupt(format!(
-                        "cursor for device {id} covers {events_done} events but only {} were journaled",
-                        device.events_seen
-                    )));
-                }
-                if let Some(prev) = &device.cursor {
-                    if *events_done < prev.events_done {
-                        return Err(StoreError::Corrupt(format!("cursor regressed for device {id}")));
-                    }
-                }
-                // Events the cursor covers will never be replayed again —
-                // drop them from the retained tail. `events[0]`'s absolute
-                // index is `events_seen - events.len()`.
-                let tail_start = device.events_seen - device.events.len() as u32;
-                if *events_done > tail_start {
-                    device.events.drain(..(*events_done - tail_start) as usize);
-                }
-                device.cursor = Some(CursorInfo {
-                    events_done: *events_done,
-                    session_pos: *session_pos,
-                    noise_pos: *noise_pos,
-                    noise_evals: *noise_evals,
-                    tamper_parity: *tamper_parity,
-                });
+                self.device_mut(*id)?.apply(record, cap)?;
             }
         }
         self.counters.count(record);
@@ -673,6 +680,22 @@ mod tests {
         assert_eq!(s.devices[&0].outcomes.len(), 2);
         assert_eq!(s.devices[&0].outcomes_total, 5);
         assert_eq!(s.devices[&0].events.len(), 5);
+    }
+
+    #[test]
+    fn a_full_history_drops_before_it_pushes() {
+        // Pushing into a full deque and then popping would double its
+        // buffer on the first overflow; dropping first keeps it at the
+        // allocator's rounding of the bound.
+        for cap in [4usize, 5, 16, 64] {
+            let mut device = DeviceState::default();
+            for _ in 0..10 * cap {
+                device.apply(&closed(0, true, StoredStatus::Active, 0), cap).unwrap();
+                assert!(device.outcomes.capacity() <= cap.next_power_of_two(), "cap {cap}: buffer doubled");
+            }
+            assert_eq!(device.outcomes.len(), cap);
+            assert_eq!(device.outcomes_total, 10 * cap as u64);
+        }
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use error::{ErrorCode, TransportError};
 pub use frame::{decode_frame, encode_frame, write_frame, FrameReader, FRAME_HEADER, MAX_FRAME_LEN};
 pub use loadgen::{run_loadgen, ConnectionLost, LoadgenConfig, LoadgenReport, LostPhase};
 pub use message::{hello, negotiate, Request, Response, WireStats, WireStatus, PROTOCOL_MAGIC, PROTOCOL_VERSION};
-pub use server::{Server, ServerConfig, ServerReport, TransportStats};
+pub use server::{Server, ServerConfig, ServerReport, TransportStats, BUSY_RETRY_MS};
 pub use shim::{LossyProxy, ProxyConfig};

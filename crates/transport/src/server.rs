@@ -67,6 +67,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Backoff hint carried in `Busy` replies, in ms: a shed connection's, and
+/// the floor of a rate-limited request's.
+pub const BUSY_RETRY_MS: u32 = 10;
+
 /// Socket-side tuning. [`ServerConfig::default`] suits tests and the CLI;
 /// everything verdict-affecting lives in the fleet's `CampaignConfig`.
 #[derive(Debug, Clone)]
@@ -85,8 +89,6 @@ pub struct ServerConfig {
     pub rate_limit_per_s: f64,
     /// Token-bucket burst capacity.
     pub rate_burst: u32,
-    /// Backoff hint carried in `Busy` replies, in ms.
-    pub busy_retry_ms: u32,
     /// How long [`Server::finish`] waits for connections to close before
     /// force-shutting their sockets.
     pub drain_grace_ms: u64,
@@ -100,7 +102,6 @@ impl Default for ServerConfig {
             write_timeout_ms: 5_000,
             rate_limit_per_s: 0.0,
             rate_burst: 64,
-            busy_retry_ms: 10,
             drain_grace_ms: 5_000,
         }
     }
@@ -450,7 +451,7 @@ fn admit_connection(shared: &Arc<Shared>, stream: Stream, conn_id: u64) {
         Counters::bump(&counters.connections_shed);
         let _ = stream.set_write_timeout_ms(shared.cfg.write_timeout_ms.max(100));
         let mut payload = Vec::new();
-        Response::Busy { retry_after_ms: shared.cfg.busy_retry_ms }.encode(0, &mut payload);
+        Response::Busy { retry_after_ms: BUSY_RETRY_MS }.encode(0, &mut payload);
         let mut stream = stream;
         let _ = write_frame(&mut stream, &payload, shared.cfg.write_timeout_ms.max(100));
         return;
@@ -581,7 +582,7 @@ impl Conn<'_> {
             Counters::bump(&counters.requests);
             if let Err(wait_ms) = bucket.admit() {
                 Counters::bump(&counters.busy_rate);
-                self.send(corr, &Response::Busy { retry_after_ms: wait_ms.max(cfg.busy_retry_ms) });
+                self.send(corr, &Response::Busy { retry_after_ms: wait_ms.max(BUSY_RETRY_MS) });
                 continue;
             }
             let response = respond(&shared.service, &mut self.tickets, &shared.draining, request);

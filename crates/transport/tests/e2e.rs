@@ -14,7 +14,7 @@ use pufatt_transport::client::Client;
 use pufatt_transport::error::{ErrorCode, TransportError};
 use pufatt_transport::loadgen::{run_loadgen, LoadgenConfig};
 use pufatt_transport::message::{Request, Response, PROTOCOL_MAGIC};
-use pufatt_transport::server::{Server, ServerConfig};
+use pufatt_transport::server::{Server, ServerConfig, BUSY_RETRY_MS};
 use pufatt_transport::Endpoint;
 use std::sync::Arc;
 
@@ -321,7 +321,6 @@ fn capacity_and_rate_limits_shed_with_busy() {
         max_connections: 1,
         rate_limit_per_s: 1.0,
         rate_burst: 1,
-        busy_retry_ms: 3,
         ..ServerConfig::default()
     };
     let server = Server::start(&Endpoint::Tcp("127.0.0.1:0".into()), cfg, server_cfg).expect("server starts");
@@ -340,7 +339,7 @@ fn capacity_and_rate_limits_shed_with_busy() {
     for _ in 0..5 {
         match first.call(&Request::Enroll { device: 0 }).unwrap() {
             Response::Busy { retry_after_ms } => {
-                assert!(retry_after_ms >= 3);
+                assert!(retry_after_ms >= BUSY_RETRY_MS);
                 saw_busy = true;
                 break;
             }
