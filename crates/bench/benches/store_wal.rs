@@ -22,7 +22,7 @@
 
 use pufatt_bench::{full_scale, header, host_json, timed};
 use pufatt_fleet::{small_test_config, FleetService};
-use pufatt_store::record::{OutcomeRec, Record, StoredStatus};
+use pufatt_store::record::{CursorInfo, OutcomeRec, Record, StoredStatus};
 use pufatt_store::{DurableStore, ShardedOptions, ShardedStore, StdVfs, StoreError, StoreOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,14 +57,22 @@ fn outcome(i: usize) -> OutcomeRec {
 
 /// The record stream: one enrollment, then a steady diet of session
 /// closures that keep the device Active (always legal, representative of
-/// a healthy campaign's journal).
+/// a healthy campaign's journal). Each carries the device's cursor after
+/// its `succs`-th session, as the service journals one record per session.
 fn session_record(id: u32, succs: u32, i: usize) -> Record {
+    let n = u64::from(succs);
     Record::SessionClosed {
         id,
         outcome: outcome(i),
         status: StoredStatus::Active,
         fails: 0,
         succs,
+        cursor: CursorInfo {
+            session_pos: 40 * n,
+            noise_pos: 640 * n,
+            noise_evals: 32 * n,
+            tamper_parity: false,
+        },
     }
 }
 

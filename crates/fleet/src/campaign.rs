@@ -37,7 +37,7 @@ use pufatt::protocol::{
 use pufatt::PufattError;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign};
 use pufatt_faults::{apply_device_faults, run_chaos_session, ChaosReport, FaultPlan, LossyChannel};
-use pufatt_store::{CursorInfo, Record, ShardedStore};
+use pufatt_store::{CursorInfo, ShardedStore};
 use pufatt_swatt::checksum::SwattParams;
 use pufatt_swatt::codegen::CodegenOptions;
 use rand::SeedableRng;
@@ -226,14 +226,12 @@ pub(crate) struct DeviceSession {
 }
 
 impl DeviceSession {
-    /// The `DeviceCursor` record of device `id` after `events_done`
-    /// session events: the deterministic per-device state a resume must
-    /// restore — RNG positions, PUF evaluation count, tamper parity.
-    pub(crate) fn cursor_record(&mut self, id: DeviceId, events_done: u32) -> Record {
+    /// The session's current cursor: the deterministic per-device state a
+    /// resume must restore — RNG positions, PUF evaluation count, tamper
+    /// parity.
+    pub(crate) fn cursor(&mut self) -> CursorInfo {
         let (noise_pos, noise_evals) = self.prover.puf().with(|d| d.noise_state());
-        Record::DeviceCursor {
-            id,
-            events_done,
+        CursorInfo {
             session_pos: self.rng.word_pos(),
             noise_pos,
             noise_evals,

@@ -5,14 +5,16 @@
 //!
 //! A journaled [`FleetService`](crate::FleetService) — behind
 //! `pufatt serve --state-dir` or a [`RunningCampaign`](crate::RunningCampaign)
-//! — records campaign identity ([`Record::Meta`]), enrollments, one record
-//! per scheduled session ([`Record::SessionClosed`] with verdict +
-//! post-transition lifecycle state + streaks + metric deltas,
-//! [`Record::SessionRefused`], [`Record::SessionFault`], or
-//! [`Record::DeviceAbandoned`]), and — after every scheduled session — a
-//! [`Record::DeviceCursor`] snapshot of the device's deterministic
-//! position: its session RNG word offset, its PUF noise-RNG word offset
-//! and evaluation count, and the tamper-parity bit. Records route to
+//! — records campaign identity ([`Record::Meta`]), enrollments,
+//! abandonments ([`Record::DeviceAbandoned`]) and exactly one record per
+//! scheduled session: [`Record::SessionRefused`], or
+//! [`Record::SessionClosed`] (verdict, post-transition lifecycle state,
+//! streaks, metric deltas) or [`Record::SessionFault`] (metric deltas),
+//! each of the last two carrying the device's deterministic position after
+//! the session as a [`CursorInfo`](pufatt_store::CursorInfo): its session
+//! RNG word offset, its PUF noise-RNG word offset and evaluation count,
+//! and the tamper-parity bit. A refusal consumes no randomness and
+//! carries no cursor. Records route to
 //! per-device-range WAL shards and ride a *group commit*: appends are
 //! acknowledged when applied and queued, and a background
 //! [`pufatt_store::Committer`] fsyncs each dirty shard within
@@ -24,20 +26,20 @@
 //! [`crate::campaign`]): every per-device random stream derives from the
 //! seed and device id, and one device's sessions run in order. Resume
 //! exploits this twice over. Each device's record — lifecycle, history,
-//! event tail and cursor — is the store's [`DeviceState`], which the
-//! service's slot keeps live and advances with the same
-//! [`DeviceState::apply`] replay runs, so a restore is a plain copy of
-//! it; the metrics are restored
-//! from the store's counters. Then each device, provisioned when its first
-//! session needs it, fast-forwards: its journaled cursor restores the RNG
-//! positions directly (no replay), any committed session events *after*
-//! the last cursor are re-run, uncounted, purely to advance RNG and
-//! channel state (refusals consumed no randomness and are skipped), and
-//! the remaining sessions run live. A crash can lose at most the
-//! unflushed group-commit tail of each shard — and every lost record is
-//! re-derived identically by re-running those sessions, so the final
-//! report is bit-identical to a run that was never interrupted (modulo
-//! wall-clock time and store statistics).
+//! session count and cursor — is the store's
+//! [`DeviceState`](pufatt_store::DeviceState), which the service's slot
+//! keeps live and advances with the same
+//! [`DeviceState::apply`](pufatt_store::DeviceState::apply) replay runs,
+//! so a restore is a plain copy of it; the metrics are restored from the
+//! store's counters. Then each device, provisioned when its first session
+//! needs it, jumps to the cursor of its last journaled session (absolute
+//! RNG positions: nothing is re-run), and the remaining sessions run live.
+//! A session's verdict and its cursor are one record, so no crash can
+//! keep one without the other. A crash can lose at most the unflushed
+//! group-commit tail of each shard — and every lost record is re-derived
+//! identically by re-running those sessions, so the final report is
+//! bit-identical to a run that was never interrupted (modulo wall-clock
+//! time and store statistics).
 //!
 //! Resuming under a different configuration is refused via the persisted
 //! config fingerprint ([`config_fingerprint`]) rather than silently
@@ -55,12 +57,11 @@
 //! [`devices_enrolled_online`](crate::metrics::FleetSnapshot::devices_enrolled_online)
 //! by their id alone.
 
-use crate::campaign::{run_session, CampaignConfig, DeviceSession};
+use crate::campaign::CampaignConfig;
 use crate::metrics::LatencyHistogram;
 use pufatt::PufattError;
 use pufatt_store::record::{OutcomeRec, Record};
-use pufatt_store::state::EV_REFUSED;
-use pufatt_store::{DeviceState, ShardedOptions, ShardedStore, StdVfs, StoreError};
+use pufatt_store::{ShardedOptions, ShardedStore, StdVfs, StoreError};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -150,22 +151,6 @@ pub(crate) fn journal(store: &ShardedStore, record: &Record) -> Result<(), Store
     match store.append(record) {
         Err(StoreError::Backpressure) => store.append_synced(record),
         other => other,
-    }
-}
-
-/// Fast-forwards a freshly provisioned session to the committed position
-/// in `device`'s record: jump to its cursor (absolute RNG word positions —
-/// nothing before it is replayed), then re-run only the post-cursor event
-/// tail, discarding its events (the record already counts them; refusals
-/// consumed no randomness and are skipped).
-pub(crate) fn fast_forward(session: &mut DeviceSession, device: &DeviceState) {
-    if let Some(cursor) = &device.cursor {
-        session.restore_cursor(cursor);
-    }
-    for &event in &device.events {
-        if event != EV_REFUSED {
-            run_session(session);
-        }
     }
 }
 

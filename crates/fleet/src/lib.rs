@@ -31,9 +31,9 @@
 //!   what a refusal, a fault or a sick shard does to it. The campaign
 //!   steps it against the service in process; the socket load generator
 //!   steps it over the wire.
-//! * [`durable`] — the journal codecs, the config fingerprint, and the
-//!   per-device RNG cursors that let a restarted device jump (instead of
-//!   replaying) to where it stopped.
+//! * [`durable`] — the journal codecs and the config fingerprint; each
+//!   session record carries the device's RNG cursor, which lets a
+//!   restarted device jump (instead of replaying) to where it stopped.
 //!
 //! Campaigns degrade gracefully under faults: with a
 //! [`campaign::ChaosConfig`], a deterministic subset of the fleet becomes

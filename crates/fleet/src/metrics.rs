@@ -288,7 +288,7 @@ mod tests {
     use crate::durable::to_outcome_rec;
     use crate::registry::SessionOutcome;
     use pufatt_faults::FaultPlan;
-    use pufatt_store::StoredStatus;
+    use pufatt_store::{CursorInfo, StoredStatus};
 
     #[test]
     fn bucket_indexing_is_log_scale() {
@@ -312,10 +312,18 @@ mod tests {
         assert_eq!(buckets[1].1, 1);
     }
 
+    /// A device's generator positions; the counters never read them.
+    const CURSOR: CursorInfo = CursorInfo {
+        session_pos: 0,
+        noise_pos: 0,
+        noise_evals: 0,
+        tamper_parity: false,
+    };
+
     /// A closed-session record built the way the service builds one.
     fn closed(id: u32, outcome: &SessionOutcome, retried: u32, lost: bool, status: StoredStatus, fails: u32) -> Record {
         let rec = to_outcome_rec(outcome, retried, 0, lost, 56, 8);
-        Record::SessionClosed { id, outcome: rec, status, fails, succs: 0 }
+        Record::SessionClosed { id, outcome: rec, status, fails, succs: 0, cursor: CURSOR }
     }
 
     fn outcome(accepted: bool, timed_out: bool, elapsed_s: f64) -> SessionOutcome {
@@ -342,7 +350,14 @@ mod tests {
             closed(0, &outcome(false, true, 1.5), 2, false, StoredStatus::Active, 1),
             // A lost session, as `abort_session` builds it.
             closed(0, &outcome(false, true, 1.0), 0, true, StoredStatus::Quarantined, 2),
-            Record::SessionFault { id: 1, retried: 1, dropped: 3, crp_hits: 4, crp_misses: 5 },
+            Record::SessionFault {
+                id: 1,
+                retried: 1,
+                dropped: 3,
+                crp_hits: 4,
+                crp_misses: 5,
+                cursor: CURSOR,
+            },
             Record::StatusChanged { id: 1, status: StoredStatus::Revoked },
             Record::SessionRefused { id: 1 },
             Record::DeviceAbandoned { id: 2 },

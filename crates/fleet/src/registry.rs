@@ -5,8 +5,8 @@
 //! lifecycle, the two streak counters its transitions are decided by, a
 //! bounded history of recent outcomes — enough for an operator to ask
 //! "why was this device quarantined?" without the record growing without
-//! bound on a long-lived service — and the session event tail and cursor
-//! a resume starts from. [`FleetService`](crate::FleetService) keeps it in
+//! bound on a long-lived service — and the session count and cursor a
+//! resume starts from. [`FleetService`](crate::FleetService) keeps it in
 //! the device's slot and advances it with
 //! [`DeviceState::apply`](pufatt_store::DeviceState::apply), the same
 //! transition that replays the journal, so the live record and a
@@ -136,7 +136,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::durable::to_outcome_rec;
-    use pufatt_store::record::Record;
+    use pufatt_store::record::{CursorInfo, Record};
     use pufatt_store::DeviceState;
 
     fn failed() -> SessionOutcome {
@@ -173,8 +173,14 @@ mod tests {
     ) -> (FleetStatus, u32, u32) {
         let (status, fails, succs) = policy.next(device.status, device.fails, device.succs, outcome.accepted);
         let outcome = to_outcome_rec(&outcome, 0, 0, false, 0, 0);
+        let cursor = CursorInfo {
+            session_pos: 0,
+            noise_pos: 0,
+            noise_evals: 0,
+            tamper_parity: false,
+        };
         device
-            .apply(&Record::SessionClosed { id: 0, outcome, status, fails, succs }, cap)
+            .apply(&Record::SessionClosed { id: 0, outcome, status, fails, succs, cursor }, cap)
             .unwrap();
         (device.status, device.fails, device.succs)
     }

@@ -33,9 +33,9 @@
 //!
 //! # One device record
 //!
-//! A device's record — lifecycle, streaks, bounded history, session event
-//! tail and cursor — is the store's [`DeviceState`], the type journal
-//! replay builds. The service changes it only by applying, with
+//! A device's record — lifecycle, streaks, bounded history, session count
+//! and cursor — is the store's [`DeviceState`], the type journal replay
+//! builds. The service changes it only by applying, with
 //! [`DeviceState::apply`], each record it emits for the device, whether
 //! or not a journal is attached; the lifecycle decision a closed session
 //! carries comes from `LifecyclePolicy::next`.
@@ -67,12 +67,12 @@ use crate::campaign::{
     crp_delta, device_is_flaky, device_is_tampered, provision_device, run_session, session_outcome, CampaignConfig,
     DeviceRecord, DeviceSession, ProductLine,
 };
-use crate::durable::{config_fingerprint, fast_forward, from_outcome_rec, journal, storage_err, to_outcome_rec};
+use crate::durable::{config_fingerprint, from_outcome_rec, journal, storage_err, to_outcome_rec};
 use crate::metrics::{FleetMetrics, FleetSnapshot};
 use crate::registry::{DeviceId, FleetStatus, SessionOutcome, StatusCounts};
 use crate::sync::{lock_ranked, rank};
 use pufatt::PufattError;
-use pufatt_store::record::{OutcomeRec, Record};
+use pufatt_store::record::{CursorInfo, OutcomeRec, Record};
 use pufatt_store::state::MetaInfo;
 use pufatt_store::{DeviceState, ShardedStore, StoreError};
 use std::collections::HashMap;
@@ -82,12 +82,12 @@ use std::sync::{Arc, Mutex};
 /// One device's server-side state.
 struct Slot {
     /// The device's record — status, streak counters, bounded session
-    /// history, event tail and cursor — as the journal holds it, and
+    /// history, session count and cursor — as the journal holds it, and
     /// advanced by the same [`DeviceState::apply`] replay runs.
     state: DeviceState,
     /// The device's prover/verifier session, provisioned on first use
-    /// and fast-forwarded to the position `state` records. Stays `None`
-    /// for good once provisioning failed (`state.abandoned`).
+    /// and moved to the cursor `state` records. Stays `None` for good
+    /// once provisioning failed (`state.abandoned`).
     session: Option<Box<DeviceSession>>,
 }
 
@@ -169,7 +169,7 @@ pub struct FleetService {
     metrics: FleetMetrics,
     slots: Vec<Mutex<HashMap<DeviceId, Slot>>>,
     next_ticket: AtomicU64,
-    /// When present, every enrollment, verdict, refusal, and cursor is
+    /// When present, every enrollment, verdict, refusal and fault is
     /// journaled through the sharded store, and construction restored the
     /// service from whatever the store already held.
     journal: Option<Arc<ShardedStore>>,
@@ -214,8 +214,8 @@ impl FleetService {
     /// from) a sharded durable store — the `pufatt serve --state-dir`
     /// entry point. An empty store starts fresh; a store holding this
     /// configuration's campaign is restored: every enrolled device gets
-    /// its lifecycle back, and its session is provisioned and
-    /// fast-forwarded to its journaled cursor when it is first needed, so
+    /// its lifecycle back, and its session is provisioned and moved to
+    /// its journaled cursor when it is first needed, so
     /// the restarted service hands out **bit-identical** verdicts from
     /// where the previous process stopped.
     ///
@@ -326,21 +326,11 @@ impl FleetService {
         Ok(())
     }
 
-    /// Journals the post-session cursor of a device that is not
-    /// abandoned: its generator positions, covering every session event
-    /// in its record. Applying it empties the record's event tail, so the
-    /// tail stays bounded whether or not a journal is attached.
-    fn journal_cursor(&self, id: DeviceId, slot: &mut Slot) {
-        if let Some(session) = self.live(id, &mut slot.session, &mut slot.state) {
-            let cursor = session.cursor_record(id, slot.state.events_seen);
-            self.journal_event(&mut slot.state, &cursor);
-        }
-    }
-
-    /// Device `id`'s session, provisioned and fast-forwarded to the
-    /// position its record `state` holds on first use; `None` if the
-    /// device is abandoned. A provisioning failure (a golden-run trap)
-    /// journals the device abandoned, for good.
+    /// Device `id`'s session, provisioned on first use and moved to the
+    /// cursor its record `state` holds (absolute generator positions:
+    /// nothing before it is re-run); `None` if the device is abandoned. A
+    /// provisioning failure (a golden-run trap) journals the device
+    /// abandoned, for good.
     fn live<'s>(
         &self,
         id: DeviceId,
@@ -350,7 +340,9 @@ impl FleetService {
         if session.is_none() && !state.abandoned {
             match provision_device(&self.line, &self.cfg, id) {
                 Ok(mut provisioned) => {
-                    fast_forward(&mut provisioned, state);
+                    if let Some(cursor) = &state.cursor {
+                        provisioned.restore_cursor(cursor);
+                    }
                     *session = Some(Box::new(provisioned));
                 }
                 Err(_) => self.journal_event(state, &Record::DeviceAbandoned { id }),
@@ -440,25 +432,25 @@ impl FleetService {
         }
         if slot.state.status == FleetStatus::Revoked {
             self.journal_event(&mut slot.state, &Record::SessionRefused { id });
-            self.journal_cursor(id, slot);
             return Err(SessionGate::Refused);
         }
         Ok(slot)
     }
 
     /// Journals a closed session's outcome `rec` with the lifecycle
-    /// transition the policy decides for it, which applying the record
-    /// makes in the device's record. Returns the post-transition status.
-    fn close(&self, id: DeviceId, state: &mut DeviceState, rec: OutcomeRec) -> FleetStatus {
+    /// transition the policy decides for it and the device's `cursor`
+    /// after the session, which applying the record makes in the device's
+    /// record. Returns the post-transition status.
+    fn close(&self, id: DeviceId, state: &mut DeviceState, rec: OutcomeRec, cursor: CursorInfo) -> FleetStatus {
         let (status, fails, succs) = self.cfg.policy.next(state.status, state.fails, state.succs, rec.accepted);
-        self.journal_event(state, &Record::SessionClosed { id, outcome: rec, status, fails, succs });
+        self.journal_event(state, &Record::SessionClosed { id, outcome: rec, status, fails, succs, cursor });
         status
     }
 
     /// Gates one attestation session: the pre-session revocation check. A
     /// revoked device's session is counted as refused here (never
-    /// started). Provisions nothing unless a refusal's cursor needs it, so
-    /// a socket server can gate on a connection's reader thread.
+    /// started) with one `SessionRefused` record. Provisions nothing, so a
+    /// socket server can gate on a connection's reader thread.
     pub fn open_session(&self, id: DeviceId) -> SessionGate {
         let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         match self.precheck(id, &mut slots) {
@@ -492,22 +484,19 @@ impl FleetService {
         let report = run_session(session);
         let (crp_hits, crp_misses) = crp_delta(session, crp0);
         let (retried, dropped) = (report.retried, report.messages_dropped());
-        let verdict = match session_outcome(&report) {
+        let cursor = session.cursor();
+        match session_outcome(&report) {
             Some(outcome) => {
                 let rec = to_outcome_rec(&outcome, retried, dropped, report.timed_out(), crp_hits, crp_misses);
-                let status = self.close(id, &mut slot.state, rec);
+                let status = self.close(id, &mut slot.state, rec, cursor);
                 ServiceVerdict::Closed { outcome, status }
             }
             None => {
-                self.journal_event(
-                    &mut slot.state,
-                    &Record::SessionFault { id, retried, dropped, crp_hits, crp_misses },
-                );
+                let fault = Record::SessionFault { id, retried, dropped, crp_hits, crp_misses, cursor };
+                self.journal_event(&mut slot.state, &fault);
                 ServiceVerdict::Fault
             }
-        };
-        self.journal_cursor(id, slot);
-        verdict
+        }
     }
 
     /// Records a session that was opened but never attested — the client
@@ -525,13 +514,15 @@ impl FleetService {
         let Ok(slot) = self.precheck(id, &mut slots) else {
             return;
         };
-        // An abort consumes no device randomness, so the cursor written
-        // after it repeats the previous RNG positions with the event count
-        // advanced — a restart resumes exactly here. A device not
-        // provisioned yet is provisioned first, at the position before the
-        // abort: its fast-forward would otherwise re-run the aborted
-        // session.
-        self.live(id, &mut slot.session, &mut slot.state);
+        // An abort consumes no device randomness, so its record carries the
+        // device's unchanged cursor — a restart resumes exactly here. The
+        // cursor comes from the session, so a device not provisioned yet is
+        // provisioned first; one that cannot be provisioned is abandoned
+        // and, as in `attest`, runs no session to record.
+        let Some(session) = self.live(id, &mut slot.session, &mut slot.state) else {
+            return;
+        };
+        let cursor = session.cursor();
         let outcome = SessionOutcome {
             accepted: false,
             response_ok: false,
@@ -540,8 +531,7 @@ impl FleetService {
             attempts: 1,
             elapsed_s: self.cfg.timeout_s,
         };
-        self.close(id, &mut slot.state, to_outcome_rec(&outcome, 0, 0, true, 0, 0));
-        self.journal_cursor(id, slot);
+        self.close(id, &mut slot.state, to_outcome_rec(&outcome, 0, 0, true, 0, 0), cursor);
     }
 
     /// Revokes a device (operator action). Returns its post-call status,
@@ -692,7 +682,7 @@ impl FleetService {
         Ok(self.restore_devices(store, Some(store_shard)).len())
     }
 
-    /// Session events recorded for `id` so far (0 for an unknown device):
+    /// Session records applied for `id` so far (0 for an unknown device):
     /// where a resumed campaign picks up the device's schedule.
     pub(crate) fn events_seen(&self, id: DeviceId) -> u32 {
         lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT)
@@ -1069,7 +1059,7 @@ mod tests {
     }
 
     /// Checks devices `ids` of a service just rebuilt from `store`: none is
-    /// provisioned, each resumes at its journaled event count, and the
+    /// provisioned, each resumes at its journaled session count, and the
     /// revoked device's refusal journals `reference`, the state a service
     /// that never restarted leaves.
     fn assert_rebuilt_pending(service: &FleetService, store: &ShardedStore, ids: &[DeviceId], reference: &DeviceState) {
@@ -1080,7 +1070,7 @@ mod tests {
             assert_eq!(service.events_seen(id), journaled, "device {id} resumes at its journaled count");
         }
         assert_eq!(service.open_session(REVOKED), SessionGate::Refused);
-        assert_eq!(store.device(REVOKED).as_ref(), Some(reference), "refusal cursor matches the unrestarted one");
+        assert_eq!(store.device(REVOKED).as_ref(), Some(reference), "refusal matches the unrestarted one");
     }
 
     #[test]
@@ -1164,7 +1154,7 @@ mod tests {
     }
 
     /// Every enrolled device's live record equals the journal's, whole:
-    /// status, streaks, history, totals, event tail and cursor.
+    /// status, streaks, history, totals, session count and cursor.
     fn assert_slots_equal_the_journal(service: &FleetService, store: &ShardedStore) {
         let ids = service.enrolled_ids();
         assert!(!ids.is_empty());
@@ -1227,9 +1217,30 @@ mod tests {
     }
 
     #[test]
-    fn unjournaled_service_keeps_no_event_tail() {
-        // The cursor is applied after every session, journal or not, so
-        // the record's event tail never outlives the session that made it.
+    fn a_refused_session_writes_one_record_and_provisions_nothing() {
+        let cfg = small_test_config(8, 1, 0x2EF0);
+        let vfs = pufatt_store::SimVfs::new();
+        drop(journaled_fleet(&cfg, &vfs));
+        let store = open_store(&cfg, &vfs);
+        let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("restore");
+        let before = store.device(REVOKED).expect("enrolled");
+        let appended = store.stats().records_appended;
+        assert_eq!(service.open_session(REVOKED), SessionGate::Refused);
+        assert_eq!(store.stats().records_appended, appended + 1, "a refusal is one record");
+        assert_eq!(service.attest(REVOKED), ServiceVerdict::Refused);
+        assert_eq!(store.stats().records_appended, appended + 2, "a refusal is one record");
+        let after = store.device(REVOKED).expect("enrolled");
+        assert_eq!((after.refused, after.events_seen), (before.refused + 2, before.events_seen + 2));
+        assert_eq!(after.cursor, before.cursor, "a refusal consumes no randomness");
+        assert_eq!(live_sessions(&service, &[REVOKED]), 0, "the gate provisions nothing");
+    }
+
+    #[test]
+    fn unjournaled_service_keeps_each_cursor_at_its_session() {
+        // Every session record is applied, journal or not, so the record
+        // counts each session and its cursor is where the live session
+        // stands; a device refused from its first session is never
+        // provisioned and has no cursor.
         let cfg = small_test_config(4, 1, 0x7A11);
         let service = FleetService::new(cfg.clone()).expect("valid config");
         for id in 0..4 {
@@ -1245,10 +1256,12 @@ mod tests {
         }
         assert_eq!(service.snapshot().sessions_started + service.snapshot().sessions_refused, 200);
         for id in 0..4 {
-            let state = slot_state(&service, id).expect("enrolled");
-            assert!(state.events.is_empty(), "device {id} keeps an event tail: {:?}", state.events);
-            assert_eq!(state.events_seen, 50);
-            assert_eq!(state.cursor.map(|cursor| cursor.events_done), Some(50));
+            let mut slots = lock_ranked(&service.slots[service.shard_of(id)], rank::SERVICE_SLOT);
+            let slot = slots.get_mut(&id).expect("enrolled");
+            assert_eq!(slot.state.events_seen, 50);
+            let live = slot.session.as_mut().map(|session| session.cursor());
+            assert_eq!(slot.state.cursor, live, "device {id}: the record's cursor is the session's");
+            assert_eq!(live.is_none(), id == 1, "only the revoked device stays unprovisioned");
         }
     }
 }

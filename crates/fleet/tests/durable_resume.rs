@@ -1,6 +1,7 @@
 //! Exhaustive interrupt/resume proof for persistent campaigns: a campaign
 //! crashed at *every* backend operation and resumed must produce verdicts
-//! identical to a run that was never interrupted.
+//! identical to a run that was never interrupted. The same holds for a
+//! service crashed at every operation of an aborted session.
 
 // Panicking on a broken fixture is exactly what a test should do.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -8,10 +9,12 @@
 use pufatt::PufattError;
 use pufatt_fleet::campaign::ChaosConfig;
 use pufatt_fleet::registry::DeviceId;
+use pufatt_fleet::service::{ServiceVerdict, SessionGate};
 use pufatt_fleet::{
-    run_campaign, run_persistent_campaign, small_test_config, CampaignConfig, CampaignReport, RunningCampaign,
+    run_campaign, run_persistent_campaign, small_test_config, CampaignConfig, CampaignReport, DeviceRecord,
+    FleetService, FleetSnapshot, RunningCampaign,
 };
-use pufatt_store::{ShardedOptions, ShardedStore, SimVfs, TornMode};
+use pufatt_store::{DeviceState, ShardedOptions, ShardedStore, SimVfs, TornMode, TORN_MODES};
 use std::sync::Arc;
 
 /// Narrow ranges over several shards so even these small fleets exercise
@@ -142,5 +145,87 @@ fn chaos_campaign_survives_interruption() {
         let resumed =
             attempt(&cfg, &disk, true).unwrap_or_else(|e| panic!("chaos resume after crash at op {k} failed: {e}"));
         assert_matches_reference(&resumed, &reference, &format!("chaos crash at op {k}"));
+    }
+}
+
+/// The device whose session is aborted in the abort crash matrix.
+const ABORTED: DeviceId = 1;
+
+/// Sessions every device runs before the abort.
+const ROUNDS: u32 = 2;
+
+/// A journaled service on `vfs` with no committer (so the backend's
+/// operations are a function of the calls alone): every device enrolled
+/// and attested [`ROUNDS`] times, then flushed, so everything before the
+/// abort is durable.
+fn before_the_abort(cfg: &CampaignConfig, vfs: &SimVfs) -> (FleetService, Arc<ShardedStore>) {
+    let store = open(cfg, vfs).expect("store opens");
+    let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("fresh journal");
+    for id in 0..cfg.devices as DeviceId {
+        service.enroll(id).expect("device enrolls");
+    }
+    for _ in 0..ROUNDS {
+        for id in 0..cfg.devices as DeviceId {
+            assert!(matches!(service.open_session(id), SessionGate::Granted { .. }));
+            assert!(matches!(service.attest(id), ServiceVerdict::Closed { .. }));
+        }
+    }
+    store.flush().expect("flush");
+    (service, store)
+}
+
+/// A granted session whose client vanished.
+fn abort(service: &FleetService) {
+    assert!(matches!(service.open_session(ABORTED), SessionGate::Granted { .. }));
+    service.abort_session(ABORTED);
+}
+
+/// Three more sessions of the aborted device, then what the pass
+/// condition compares: every device's verdicts, the counters, and the
+/// aborted device's journaled record, cursor included.
+fn finish(service: &FleetService, store: &ShardedStore) -> (Vec<DeviceRecord>, FleetSnapshot, Option<DeviceState>) {
+    for _ in 0..3 {
+        assert!(matches!(service.open_session(ABORTED), SessionGate::Granted { .. }));
+        assert!(matches!(service.attest(ABORTED), ServiceVerdict::Closed { .. }));
+    }
+    let mut snapshot = service.snapshot();
+    snapshot.store = None;
+    (service.device_records(), snapshot, store.device(ABORTED))
+}
+
+#[test]
+fn a_crash_anywhere_in_an_abort_resumes_like_the_unrestarted_service() {
+    let mut cfg = small_test_config(4, 1, 0xAB07);
+    cfg.tamper_fraction = 0.0;
+    cfg.commit_interval_s = 0.0;
+
+    // The unrestarted service, which also counts the abort's operations.
+    let vfs = SimVfs::new();
+    let (service, store) = before_the_abort(&cfg, &vfs);
+    let first = vfs.ops();
+    abort(&service);
+    store.flush().expect("flush");
+    let end = vfs.ops();
+    assert!(end > first, "the abort reaches the backend");
+    let reference = finish(&service, &store);
+
+    for k in first..end {
+        for mode in TORN_MODES {
+            let vfs = SimVfs::crashing_at(k);
+            let (service, store) = before_the_abort(&cfg, &vfs);
+            abort(&service);
+            let _ = store.flush();
+            assert!(vfs.has_crashed(), "crash point {k} lies in the abort");
+            drop((service, store));
+
+            // Restart on what the power cut left, and re-drive the abort
+            // if the journal lost it.
+            let store = open(&cfg, &vfs.power_cut(mode)).expect("recovery");
+            let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("restore");
+            if store.device(ABORTED).expect("enrolled").events_seen == ROUNDS {
+                abort(&service);
+            }
+            assert_eq!(finish(&service, &store), reference, "crash at op {k} ({mode:?})");
+        }
     }
 }

@@ -68,3 +68,39 @@ fn service_journal_finishes_as_a_resumed_campaign() {
     assert_eq!(resumed.device_records, reference.device_records);
     assert_eq!(without_store(&resumed), reference.snapshot);
 }
+
+#[test]
+fn every_session_appends_exactly_one_record() {
+    // A persistent campaign journals its identity, each enrollment, and
+    // one record per scheduled session: a verdict, a refusal or a fault,
+    // with the device's cursor inside.
+    let cfg = config();
+    let report = run_persistent_campaign(&cfg, &open(&cfg, &SimVfs::new()), false).unwrap();
+    let sessions = (cfg.devices * cfg.sessions_per_device as usize) as u64;
+    assert!(report.snapshot.sessions_refused > 0, "the campaign must refuse: {}", report.snapshot);
+    let stats = report.snapshot.store.expect("journaled");
+    assert_eq!(stats.records_appended, 1 + cfg.devices as u64 + sessions);
+
+    // The same through the service's entry points, aborts included.
+    let store = open(&cfg, &SimVfs::new());
+    let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("fresh journal");
+    for id in 0..cfg.devices as u32 {
+        service.enroll(id).expect("enroll");
+    }
+    let before = store.stats().records_appended;
+    let mut sessions = 0;
+    for round in 0..cfg.sessions_per_device {
+        for id in 0..cfg.devices as u32 {
+            match service.open_session(id) {
+                SessionGate::Granted { .. } if (id + round).is_multiple_of(3) => service.abort_session(id),
+                SessionGate::Granted { .. } => {
+                    service.attest(id);
+                }
+                gate => assert_eq!(gate, SessionGate::Refused),
+            }
+            sessions += 1;
+        }
+    }
+    assert!(service.snapshot().sessions_lost > 0 && service.snapshot().sessions_refused > 0);
+    assert_eq!(store.stats().records_appended - before, sessions);
+}

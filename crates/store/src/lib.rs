@@ -48,9 +48,9 @@ pub mod store;
 pub mod vfs;
 pub mod wal;
 
-pub use record::{OutcomeRec, Record, StoredStatus};
+pub use record::{CursorInfo, OutcomeRec, Record, StoredStatus};
 pub use sharded::{Committer, ShardHealth, ShardedOptions, ShardedStore};
-pub use state::{Counter, Counters, CursorInfo, DeviceState, MetaInfo, StoreState};
+pub use state::{Counter, Counters, DeviceState, MetaInfo, StoreState};
 pub use store::{DurableStore, StoreOptions, StoreStats};
 pub use vfs::{
     error_plan, ErrorInjection, InjectedErrorKind, SimVfs, StdVfs, TornMode, Vfs, INJECTED_ERROR_KINDS, TORN_MODES,

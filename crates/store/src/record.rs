@@ -11,9 +11,12 @@
 //! response or helper data, so even a stolen state directory hands a
 //! modelling adversary nothing the wire did not already expose.
 //!
-//! Tag 8 belonged to the retired `CrpConsumed` kind (a consume-once CRP
-//! journal no verifier used). It is reserved and never reused: a
-//! checksum-valid frame carrying it is refused as corrupt.
+//! Retired tags are reserved and never reused: a checksum-valid frame
+//! carrying one is refused as corrupt. Tag 8 belonged to `CrpConsumed`
+//! (a consume-once CRP journal no verifier used). Tags 4 and 6 held
+//! `SessionClosed` and `SessionFault` before they carried the device's
+//! [`CursorInfo`], and tag 9 the separate `DeviceCursor` record each
+//! session used to append after them.
 
 use crate::codec::{Reader, Writer};
 use crate::StoreError;
@@ -105,6 +108,23 @@ impl OutcomeRec {
     }
 }
 
+/// The deterministic generator positions a device had reached after a
+/// session: what a restored device jumps to, with no session re-run.
+/// Positions are keystream offsets and evaluation counts — public
+/// scheduling facts, no response material.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CursorInfo {
+    /// The session RNG's keystream word position.
+    pub session_pos: u64,
+    /// The device PUF noise RNG's keystream word position.
+    pub noise_pos: u64,
+    /// The device PUF's evaluation count (burst-fault scheduling).
+    pub noise_evals: u64,
+    /// Whether the mid-traversal tamper mark is present in the prover's
+    /// memory (it persists across sessions once planted).
+    pub tamper_parity: bool,
+}
+
 /// Everything the store journals.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
@@ -139,9 +159,11 @@ pub enum Record {
         /// The state after the transition.
         status: StoredStatus,
     },
-    /// A session ran to a verdict. Carries the post-transition lifecycle
-    /// state and streak counters so replay restores the registry without
-    /// re-deriving policy decisions.
+    /// A session ran to a verdict (or was aborted, consuming no
+    /// randomness). Carries the post-transition lifecycle state and streak
+    /// counters so replay restores the device without re-deriving policy
+    /// decisions, and the device's post-session cursor so a restore
+    /// resumes its generators exactly there.
     SessionClosed {
         /// The device id.
         id: u32,
@@ -153,8 +175,11 @@ pub enum Record {
         fails: u32,
         /// Consecutive-success streak after the outcome.
         succs: u32,
+        /// The device's generator positions after the session.
+        cursor: CursorInfo,
     },
-    /// A session was refused up front (device revoked).
+    /// A session was refused up front (device revoked). A refusal consumes
+    /// no randomness, so it carries no cursor.
     SessionRefused {
         /// The device id.
         id: u32,
@@ -171,33 +196,13 @@ pub enum Record {
         crp_hits: u32,
         /// Verifier CRP-cache misses counted before the fault.
         crp_misses: u32,
+        /// The device's generator positions after the session.
+        cursor: CursorInfo,
     },
     /// Provisioning failed; the device runs no sessions this campaign.
     DeviceAbandoned {
         /// The device id.
         id: u32,
-    },
-    /// A resume cursor: the deterministic generator positions a device's
-    /// schedule had reached after its most recent journaled event. Resume
-    /// fast-forwards the RNGs straight to these positions instead of
-    /// replaying every prior session, making recovery time independent of
-    /// campaign length. Positions are keystream offsets and evaluation
-    /// counts — public scheduling facts, no response material.
-    DeviceCursor {
-        /// The device id.
-        id: u32,
-        /// Session events covered by this cursor (the index the live loop
-        /// resumes from).
-        events_done: u32,
-        /// The session RNG's keystream word position.
-        session_pos: u64,
-        /// The device PUF noise RNG's keystream word position.
-        noise_pos: u64,
-        /// The device PUF's evaluation count (burst-fault scheduling).
-        noise_evals: u64,
-        /// Whether the mid-traversal tamper mark is present in the
-        /// prover's memory (it persists across sessions once planted).
-        tamper_parity: bool,
     },
 }
 
@@ -216,6 +221,22 @@ pub(crate) fn write_outcome(w: &mut Writer<'_>, o: &OutcomeRec) {
     w.u8(o.latency_slot);
     w.u32(o.crp_hits);
     w.u32(o.crp_misses);
+}
+
+pub(crate) fn write_cursor(w: &mut Writer<'_>, c: &CursorInfo) {
+    w.u64(c.session_pos);
+    w.u64(c.noise_pos);
+    w.u64(c.noise_evals);
+    w.flag(c.tamper_parity);
+}
+
+pub(crate) fn read_cursor(r: &mut Reader<'_>) -> Result<CursorInfo, StoreError> {
+    Ok(CursorInfo {
+        session_pos: r.u64()?,
+        noise_pos: r.u64()?,
+        noise_evals: r.u64()?,
+        tamper_parity: r.flag()?,
+    })
 }
 
 pub(crate) fn read_outcome(r: &mut Reader<'_>) -> Result<OutcomeRec, StoreError> {
@@ -261,45 +282,31 @@ impl Record {
                 w.u32(*id);
                 w.u8(status.to_byte());
             }
-            Record::SessionClosed { id, outcome, status, fails, succs } => {
-                w.u8(4);
+            Record::SessionClosed { id, outcome, status, fails, succs, cursor } => {
+                w.u8(10);
                 w.u32(*id);
                 write_outcome(&mut w, outcome);
                 w.u8(status.to_byte());
                 w.u32(*fails);
                 w.u32(*succs);
+                write_cursor(&mut w, cursor);
             }
             Record::SessionRefused { id } => {
                 w.u8(5);
                 w.u32(*id);
             }
-            Record::SessionFault { id, retried, dropped, crp_hits, crp_misses } => {
-                w.u8(6);
+            Record::SessionFault { id, retried, dropped, crp_hits, crp_misses, cursor } => {
+                w.u8(11);
                 w.u32(*id);
                 w.u32(*retried);
                 w.u32(*dropped);
                 w.u32(*crp_hits);
                 w.u32(*crp_misses);
+                write_cursor(&mut w, cursor);
             }
             Record::DeviceAbandoned { id } => {
                 w.u8(7);
                 w.u32(*id);
-            }
-            Record::DeviceCursor {
-                id,
-                events_done,
-                session_pos,
-                noise_pos,
-                noise_evals,
-                tamper_parity,
-            } => {
-                w.u8(9);
-                w.u32(*id);
-                w.u32(*events_done);
-                w.u64(*session_pos);
-                w.u64(*noise_pos);
-                w.u64(*noise_evals);
-                w.flag(*tamper_parity);
             }
         }
     }
@@ -327,29 +334,23 @@ impl Record {
                 id: r.u32()?,
                 status: StoredStatus::from_byte(r.u8()?).map_err(StoreError::Corrupt)?,
             },
-            4 => Record::SessionClosed {
+            5 => Record::SessionRefused { id: r.u32()? },
+            7 => Record::DeviceAbandoned { id: r.u32()? },
+            10 => Record::SessionClosed {
                 id: r.u32()?,
                 outcome: read_outcome(&mut r)?,
                 status: StoredStatus::from_byte(r.u8()?).map_err(StoreError::Corrupt)?,
                 fails: r.u32()?,
                 succs: r.u32()?,
+                cursor: read_cursor(&mut r)?,
             },
-            5 => Record::SessionRefused { id: r.u32()? },
-            6 => Record::SessionFault {
+            11 => Record::SessionFault {
                 id: r.u32()?,
                 retried: r.u32()?,
                 dropped: r.u32()?,
                 crp_hits: r.u32()?,
                 crp_misses: r.u32()?,
-            },
-            7 => Record::DeviceAbandoned { id: r.u32()? },
-            9 => Record::DeviceCursor {
-                id: r.u32()?,
-                events_done: r.u32()?,
-                session_pos: r.u64()?,
-                noise_pos: r.u64()?,
-                noise_evals: r.u64()?,
-                tamper_parity: r.flag()?,
+                cursor: read_cursor(&mut r)?,
             },
             tag => return Err(StoreError::Corrupt(format!("unknown record tag {tag}"))),
         };
@@ -380,6 +381,15 @@ mod tests {
         }
     }
 
+    fn sample_cursor() -> CursorInfo {
+        CursorInfo {
+            session_pos: 1_024,
+            noise_pos: u64::MAX / 3,
+            noise_evals: 4_096,
+            tamper_parity: true,
+        }
+    }
+
     fn samples() -> Vec<Record> {
         vec![
             Record::Meta {
@@ -397,18 +407,18 @@ mod tests {
                 status: StoredStatus::Active,
                 fails: 0,
                 succs: 2,
+                cursor: sample_cursor(),
             },
             Record::SessionRefused { id: 1 },
-            Record::SessionFault { id: 2, retried: 1, dropped: 4, crp_hits: 16, crp_misses: 48 },
-            Record::DeviceAbandoned { id: 5 },
-            Record::DeviceCursor {
-                id: 11,
-                events_done: 3,
-                session_pos: 1_024,
-                noise_pos: u64::MAX / 3,
-                noise_evals: 4_096,
-                tamper_parity: true,
+            Record::SessionFault {
+                id: 2,
+                retried: 1,
+                dropped: 4,
+                crp_hits: 16,
+                crp_misses: 48,
+                cursor: sample_cursor(),
             },
+            Record::DeviceAbandoned { id: 5 },
         ]
     }
 
@@ -442,32 +452,46 @@ mod tests {
     }
 
     #[test]
-    fn retired_crp_consumed_tag_is_refused() {
-        // Tag 8 was `CrpConsumed { a: u64, b: u64 }`. A well-formed body
-        // under it is still refused: the tag is reserved, never reused.
-        let mut payload = 1u64.to_le_bytes().to_vec();
-        payload.push(8);
-        payload.extend_from_slice(&[0u8; 16]);
-        let err = Record::decode(&payload).unwrap_err();
-        assert!(matches!(&err, StoreError::Corrupt(m) if m.contains("unknown record tag 8")), "got {err:?}");
+    fn retired_tags_are_refused() {
+        // Tag 8 was `CrpConsumed { a: u64, b: u64 }`; tags 4 and 6 were
+        // `SessionClosed` and `SessionFault` without a cursor, and tag 9
+        // the separate `DeviceCursor`. A well-formed body of each old
+        // layout is still refused: the tags are reserved, never reused, so
+        // a journal of an earlier format does not replay.
+        for (tag, body_len) in [
+            (4u8, 4 + 34 + 1 + 4 + 4),
+            (6, 4 + 4 * 4),
+            (8, 16),
+            (9, 4 + 4 + 3 * 8 + 1),
+        ] {
+            let mut payload = 1u64.to_le_bytes().to_vec();
+            payload.push(tag);
+            payload.resize(payload.len() + body_len, 0);
+            let err = Record::decode(&payload).unwrap_err();
+            let expected = format!("unknown record tag {tag}");
+            assert!(matches!(&err, StoreError::Corrupt(m) if m.contains(&expected)), "tag {tag}: got {err:?}");
+        }
     }
 
     #[test]
     fn records_never_carry_response_material() {
         // The codec's whole vocabulary: ids, statuses, verdict booleans,
-        // counters, and generator positions. A cursor is 42 bytes — seq,
-        // tag, id, event count, three positions and a flag; no field exists
-        // that could hold a challenge, a response or helper bits.
+        // counters, and generator positions. A closed session is 81 bytes —
+        // seq, tag, id, the 34-byte outcome (verdict flags, attempts,
+        // elapsed bits, metric deltas, latency slot), status, two streaks,
+        // and the cursor's three positions and flag; no field exists that
+        // could hold a challenge, a response or helper bits.
         let mut payload = Vec::new();
-        Record::DeviceCursor {
+        Record::SessionClosed {
             id: 1,
-            events_done: 2,
-            session_pos: 3,
-            noise_pos: 4,
-            noise_evals: 5,
-            tamper_parity: false,
+            outcome: sample_outcome(),
+            status: StoredStatus::Quarantined,
+            fails: 2,
+            succs: 0,
+            cursor: sample_cursor(),
         }
         .encode(9, &mut payload);
-        assert_eq!(payload.len(), 8 + 1 + 4 + 4 + 3 * 8 + 1);
+        assert_eq!(payload.len(), 8 + 1 + 4 + (4 + 4 + 8 + 4 + 4 + 1 + 1 + 4 + 4) + 1 + 4 + 4 + (3 * 8 + 1));
+        assert_eq!(payload.len(), 81);
     }
 }

@@ -327,8 +327,7 @@ impl ShardedStore {
             | Record::SessionClosed { id, .. }
             | Record::SessionRefused { id }
             | Record::SessionFault { id, .. }
-            | Record::DeviceAbandoned { id }
-            | Record::DeviceCursor { id, .. } => self.shard_of_id(*id),
+            | Record::DeviceAbandoned { id } => self.shard_of_id(*id),
         }
     }
 
@@ -587,7 +586,7 @@ impl Drop for Committer {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::record::StoredStatus;
+    use crate::record::{CursorInfo, StoredStatus};
     use crate::vfs::{SimVfs, TornMode};
 
     fn small_opts() -> ShardedOptions {
@@ -619,15 +618,21 @@ mod tests {
         for id in 0..9 {
             store.append(&Record::DeviceEnrolled { id }).unwrap();
         }
-        let cursor = Record::DeviceCursor {
-            id: 5,
-            events_done: 0,
+        let cursor = CursorInfo {
             session_pos: 11,
             noise_pos: 22,
             noise_evals: 0,
             tamper_parity: false,
         };
-        store.append(&cursor).unwrap();
+        let fault = Record::SessionFault {
+            id: 5,
+            retried: 0,
+            dropped: 0,
+            crp_hits: 0,
+            crp_misses: 0,
+            cursor,
+        };
+        store.append(&fault).unwrap();
         store.flush().unwrap();
         drop(store);
         assert!(vfs.exists("manifest.bin"));
@@ -637,7 +642,7 @@ mod tests {
         let mut active = 0;
         store.for_each_device(|_, d| active += usize::from(d.status == StoredStatus::Active));
         assert_eq!(active, 9);
-        assert_eq!(store.device(5).unwrap().cursor.map(|c| (c.session_pos, c.noise_pos)), Some((11, 22)));
+        assert_eq!(store.device(5).unwrap().cursor, Some(cursor));
         assert!(store.device(8).is_some());
         assert!(store.device(9).is_none());
         let mut seen = Vec::new();

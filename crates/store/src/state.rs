@@ -8,24 +8,18 @@
 //! a device and the journal's are advanced by the same code. It enforces
 //! the monotone-lifecycle invariant on every record: a device leaves
 //! `Revoked` only through an explicit re-enrollment, sessions cannot close
-//! against revoked or unknown devices, and sequence numbers only move
-//! forward. A WAL whose checksum-valid frames violate these rules is
-//! refused as corrupt rather than replayed into nonsense.
+//! against revoked or unknown devices, and sequence numbers and each
+//! device's session-RNG cursor only move forward. A WAL whose
+//! checksum-valid frames violate these rules is refused as corrupt rather
+//! than replayed into nonsense.
 
 use crate::codec::{Reader, Writer};
-use crate::record::{read_outcome, write_outcome, OutcomeRec, Record, StoredStatus, LATENCY_SLOTS};
+use crate::record::{
+    read_cursor, read_outcome, write_cursor, write_outcome, CursorInfo, OutcomeRec, Record, StoredStatus, LATENCY_SLOTS,
+};
 use crate::StoreError;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Index, IndexMut};
-
-/// Per-device session event kinds, in schedule order — enough for a
-/// resumed campaign to know how many sessions already ran and which of
-/// them consumed the device's random stream (refusals consume nothing).
-pub const EV_CLOSED: u8 = 0;
-/// The session was refused up front (device revoked).
-pub const EV_REFUSED: u8 = 1;
-/// The session died in a device fault before reaching a verdict.
-pub const EV_FAULT: u8 = 2;
 
 /// Campaign identity stored with the state; resuming under a different
 /// configuration is refused instead of silently blending campaigns.
@@ -41,27 +35,6 @@ pub struct MetaInfo {
     pub seed: u64,
 }
 
-/// The deterministic generator positions a device had reached after its
-/// most recent journaled event (see [`crate::Record::DeviceCursor`]).
-/// With a cursor present, resume fast-forwards the RNGs in O(1) instead
-/// of replaying every earlier session; event entries the cursor covers
-/// are dropped from [`DeviceState::events`], which is what bounds both
-/// replay work and resident state for million-device campaigns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CursorInfo {
-    /// Session events covered by the cursor (the live loop resumes here).
-    pub events_done: u32,
-    /// The session RNG's keystream word position.
-    pub session_pos: u64,
-    /// The device PUF noise RNG's keystream word position.
-    pub noise_pos: u64,
-    /// The device PUF's evaluation count (burst-fault scheduling).
-    pub noise_evals: u64,
-    /// Whether the mid-traversal tamper mark is present in the prover's
-    /// memory.
-    pub tamper_parity: bool,
-}
-
 /// One device's durable state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceState {
@@ -71,15 +44,12 @@ pub struct DeviceState {
     pub fails: u32,
     /// Consecutive-success streak, as the fleet's lifecycle policy left it.
     pub succs: u32,
-    /// Session events in schedule order ([`EV_CLOSED`] / [`EV_REFUSED`] /
-    /// [`EV_FAULT`]) *after* the cursor — events a cursor covers are
-    /// dropped, so this is a tail, not the full history. The absolute
-    /// index of `events[0]` is `events_seen - events.len()`.
-    pub events: Vec<u8>,
-    /// Session events ever recorded for this device, including those the
-    /// cursor already covers.
+    /// Session records (closed, refused or faulted) ever applied for this
+    /// device: how many of its scheduled sessions a resumed campaign has
+    /// already run.
     pub events_seen: u32,
-    /// The resume fast-forward point, if any cursor has been journaled.
+    /// The generator positions the device's latest closed or faulted
+    /// session left; `None` until one ran. A restore jumps straight here.
     pub cursor: Option<CursorInfo>,
     /// Retained outcomes, oldest first, bounded by the history capacity.
     pub outcomes: VecDeque<OutcomeRec>,
@@ -100,7 +70,6 @@ impl Default for DeviceState {
             status: StoredStatus::Active,
             fails: 0,
             succs: 0,
-            events: Vec::new(),
             events_seen: 0,
             cursor: None,
             outcomes: VecDeque::new(),
@@ -121,11 +90,11 @@ impl DeviceState {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] for out-of-range fields, a cursor that
-    /// regresses or runs ahead of the journaled events, or a record that
-    /// names no device; [`StoreError::IllegalTransition`] when the record
-    /// asks for a lifecycle move the state machine forbids (enrolling an
-    /// enrolled device among them).
+    /// [`StoreError::Corrupt`] for out-of-range fields, a session whose
+    /// cursor puts the session RNG behind the device's current cursor, or
+    /// a record that names no device; [`StoreError::IllegalTransition`]
+    /// when the record asks for a lifecycle move the state machine forbids
+    /// (enrolling an enrolled device among them).
     pub fn apply(&mut self, record: &Record, history_capacity: usize) -> Result<(), StoreError> {
         let illegal = |id: &u32, from: StoredStatus, event| Err(StoreError::IllegalTransition { id: *id, from, event });
         match record {
@@ -142,7 +111,7 @@ impl DeviceState {
                 }
                 self.status = *status;
             }
-            Record::SessionClosed { id, outcome, status, fails, succs } => {
+            Record::SessionClosed { id, outcome, status, fails, succs, cursor } => {
                 if outcome.latency_slot as usize >= LATENCY_SLOTS {
                     return Err(StoreError::Corrupt(format!("latency slot {} out of range", outcome.latency_slot)));
                 }
@@ -154,11 +123,10 @@ impl DeviceState {
                 ) {
                     return illegal(id, self.status, "close a session with a non-monotone transition");
                 }
+                self.advance_cursor(*id, cursor)?;
                 self.status = *status;
                 self.fails = *fails;
                 self.succs = *succs;
-                self.events.push(EV_CLOSED);
-                self.events_seen += 1;
                 // Make room before pushing, so a full history never
                 // reallocates.
                 while self.outcomes.len() >= history_capacity.max(1) {
@@ -171,55 +139,34 @@ impl DeviceState {
                 if self.status != StoredStatus::Revoked {
                     return illegal(id, self.status, "refuse a session on a non-revoked device");
                 }
-                self.events.push(EV_REFUSED);
                 self.events_seen += 1;
                 self.refused += 1;
             }
-            Record::SessionFault { id, .. } => {
+            Record::SessionFault { id, cursor, .. } => {
                 if self.status == StoredStatus::Revoked {
                     return illegal(id, self.status, "fault a session on a revoked device");
                 }
-                self.events.push(EV_FAULT);
-                self.events_seen += 1;
+                self.advance_cursor(*id, cursor)?;
                 self.faults += 1;
             }
             Record::DeviceAbandoned { .. } => {
                 self.abandoned = true;
                 self.faults += 1;
             }
-            Record::DeviceCursor {
-                id,
-                events_done,
-                session_pos,
-                noise_pos,
-                noise_evals,
-                tamper_parity,
-            } => {
-                if *events_done > self.events_seen {
-                    return Err(StoreError::Corrupt(format!(
-                        "cursor for device {id} covers {events_done} events but only {} were journaled",
-                        self.events_seen
-                    )));
-                }
-                if matches!(&self.cursor, Some(prev) if *events_done < prev.events_done) {
-                    return Err(StoreError::Corrupt(format!("cursor regressed for device {id}")));
-                }
-                // Events the cursor covers will never be replayed again —
-                // drop them from the retained tail. `events[0]`'s absolute
-                // index is `events_seen - events.len()`.
-                let tail_start = self.events_seen - self.events.len() as u32;
-                if *events_done > tail_start {
-                    self.events.drain(..(*events_done - tail_start) as usize);
-                }
-                self.cursor = Some(CursorInfo {
-                    events_done: *events_done,
-                    session_pos: *session_pos,
-                    noise_pos: *noise_pos,
-                    noise_evals: *noise_evals,
-                    tamper_parity: *tamper_parity,
-                });
-            }
         }
+        Ok(())
+    }
+
+    /// Moves the device to the cursor a session of device `id` left,
+    /// counting the session. The session RNG only moves forward (an
+    /// aborted session leaves it where it was), so a cursor behind the
+    /// current one is refused.
+    fn advance_cursor(&mut self, id: u32, cursor: &CursorInfo) -> Result<(), StoreError> {
+        if matches!(&self.cursor, Some(prev) if cursor.session_pos < prev.session_pos) {
+            return Err(StoreError::Corrupt(format!("cursor regressed for device {id}")));
+        }
+        self.cursor = Some(*cursor);
+        self.events_seen += 1;
         Ok(())
     }
 }
@@ -407,8 +354,7 @@ impl StoreState {
             | Record::SessionClosed { id, .. }
             | Record::SessionRefused { id }
             | Record::SessionFault { id, .. }
-            | Record::DeviceAbandoned { id }
-            | Record::DeviceCursor { id, .. } => {
+            | Record::DeviceAbandoned { id } => {
                 let cap = self.history_capacity;
                 self.device_mut(*id)?.apply(record, cap)?;
             }
@@ -445,16 +391,10 @@ impl StoreState {
             w.u64(d.refused);
             w.u64(d.faults);
             w.u64(d.outcomes_total);
-            w.u32(d.events.len() as u32);
-            w.bytes(&d.events);
             w.u32(d.events_seen);
             w.flag(d.cursor.is_some());
             if let Some(c) = &d.cursor {
-                w.u32(c.events_done);
-                w.u64(c.session_pos);
-                w.u64(c.noise_pos);
-                w.u64(c.noise_evals);
-                w.flag(c.tamper_parity);
+                write_cursor(&mut w, c);
             }
             w.u32(d.outcomes.len() as u32);
             for o in &d.outcomes {
@@ -505,30 +445,10 @@ impl StoreState {
             let refused = r.u64()?;
             let faults = r.u64()?;
             let outcomes_total = r.u64()?;
-            let event_count = r.u32()? as usize;
-            let events = r.bytes(event_count)?.to_vec();
-            if let Some(ev) = events.iter().find(|&&ev| ev > EV_FAULT) {
-                return Err(StoreError::Corrupt(format!("bad event kind {ev}")));
-            }
             let events_seen = r.u32()?;
-            if (events_seen as usize) < events.len() {
-                return Err(StoreError::Corrupt(format!("device {id} events_seen below retained tail")));
-            }
             let cursor = match r.u8()? {
                 0 => None,
-                1 => {
-                    let c = CursorInfo {
-                        events_done: r.u32()?,
-                        session_pos: r.u64()?,
-                        noise_pos: r.u64()?,
-                        noise_evals: r.u64()?,
-                        tamper_parity: r.flag()?,
-                    };
-                    if c.events_done > events_seen {
-                        return Err(StoreError::Corrupt(format!("device {id} cursor ahead of its events")));
-                    }
-                    Some(c)
-                }
+                1 => Some(read_cursor(&mut r)?),
                 other => return Err(StoreError::Corrupt(format!("bad cursor flag {other}"))),
             };
             let outcome_count = r.u32()? as usize;
@@ -547,7 +467,6 @@ impl StoreState {
                         status,
                         fails,
                         succs,
-                        events,
                         events_seen,
                         cursor,
                         outcomes,
@@ -595,8 +514,29 @@ mod tests {
         }
     }
 
+    /// A cursor whose session RNG stands at word `session_pos`.
+    fn at(session_pos: u64) -> CursorInfo {
+        CursorInfo {
+            session_pos,
+            noise_pos: 16 * session_pos,
+            noise_evals: session_pos,
+            tamper_parity: false,
+        }
+    }
+
+    fn closed_at(id: u32, accepted: bool, status: StoredStatus, fails: u32, cursor: CursorInfo) -> Record {
+        Record::SessionClosed {
+            id,
+            outcome: outcome(accepted),
+            status,
+            fails,
+            succs: 0,
+            cursor,
+        }
+    }
+
     fn closed(id: u32, accepted: bool, status: StoredStatus, fails: u32) -> Record {
-        Record::SessionClosed { id, outcome: outcome(accepted), status, fails, succs: 0 }
+        closed_at(id, accepted, status, fails, at(0))
     }
 
     #[test]
@@ -610,21 +550,10 @@ mod tests {
         apply(&mut s, Record::Meta { config_hash: 1, devices: 2, sessions_per_device: 2, seed: 9 });
         apply(&mut s, Record::DeviceEnrolled { id: 0 });
         apply(&mut s, Record::DeviceEnrolled { id: 1 });
-        apply(&mut s, closed(0, true, StoredStatus::Active, 0));
-        apply(&mut s, closed(1, false, StoredStatus::Quarantined, 0));
+        apply(&mut s, closed_at(0, true, StoredStatus::Active, 0, at(5)));
+        apply(&mut s, closed_at(1, false, StoredStatus::Quarantined, 0, at(7)));
         apply(&mut s, Record::StatusChanged { id: 1, status: StoredStatus::Revoked });
         apply(&mut s, Record::SessionRefused { id: 1 });
-        apply(
-            &mut s,
-            Record::DeviceCursor {
-                id: 0,
-                events_done: 1,
-                session_pos: 5,
-                noise_pos: 6,
-                noise_evals: 7,
-                tamper_parity: false,
-            },
-        );
         assert_eq!(s.counters[Counter::Started], 2);
         assert_eq!(s.counters[Counter::Accepted], 1);
         assert_eq!(s.counters[Counter::Rejected], 1);
@@ -632,10 +561,11 @@ mod tests {
         assert_eq!(s.counters.latency[13], 2);
         let statuses: Vec<StoredStatus> = s.devices.values().map(|d| d.status).collect();
         assert_eq!(statuses, vec![StoredStatus::Active, StoredStatus::Revoked]);
-        assert_eq!(s.devices[&0].cursor.map(|c| (c.session_pos, c.noise_pos)), Some((5, 6)));
-        assert!(s.devices[&1].cursor.is_none());
-        assert_eq!(s.devices[&1].events, vec![EV_CLOSED, EV_REFUSED]);
-        assert_eq!(s.last_seq, 8);
+        assert_eq!(s.devices[&0].cursor, Some(at(5)));
+        // The refusal counts as a session but leaves the cursor alone.
+        assert_eq!(s.devices[&1].cursor, Some(at(7)));
+        assert_eq!(s.devices[&1].events_seen, 2);
+        assert_eq!(s.last_seq, 7);
     }
 
     #[test]
@@ -679,7 +609,7 @@ mod tests {
         }
         assert_eq!(s.devices[&0].outcomes.len(), 2);
         assert_eq!(s.devices[&0].outcomes_total, 5);
-        assert_eq!(s.devices[&0].events.len(), 5);
+        assert_eq!(s.devices[&0].events_seen, 5);
     }
 
     #[test]
@@ -720,7 +650,17 @@ mod tests {
         }
         apply(&mut s, closed(0, true, StoredStatus::Active, 0));
         apply(&mut s, closed(1, false, StoredStatus::Quarantined, 0));
-        apply(&mut s, Record::SessionFault { id: 2, retried: 1, dropped: 2, crp_hits: 0, crp_misses: 24 });
+        apply(
+            &mut s,
+            Record::SessionFault {
+                id: 2,
+                retried: 1,
+                dropped: 2,
+                crp_hits: 0,
+                crp_misses: 24,
+                cursor: at(3),
+            },
+        );
         apply(&mut s, Record::DeviceAbandoned { id: 2 });
         apply(&mut s, Record::StatusChanged { id: 1, status: StoredStatus::Revoked });
         apply(&mut s, Record::DeviceReEnrolled { id: 1 });
@@ -731,45 +671,38 @@ mod tests {
     }
 
     #[test]
-    fn cursors_truncate_the_replay_tail_and_roundtrip() {
+    fn session_cursors_never_regress_and_roundtrip() {
         let mut s = StoreState::new(8);
         s.apply(1, &Record::DeviceEnrolled { id: 0 }).unwrap();
-        for i in 0..3 {
-            s.apply(2 + i, &closed(0, true, StoredStatus::Active, 0)).unwrap();
-        }
-        let cursor = |events_done| Record::DeviceCursor {
+        s.apply(2, &closed_at(0, true, StoredStatus::Active, 0, at(10))).unwrap();
+        // An aborted session consumed no randomness: the same cursor again.
+        s.apply(3, &closed_at(0, false, StoredStatus::Active, 1, at(10))).unwrap();
+        let fault = |cursor| Record::SessionFault {
             id: 0,
-            events_done,
-            session_pos: 10,
-            noise_pos: 20,
-            noise_evals: 30,
-            tamper_parity: false,
+            retried: 0,
+            dropped: 1,
+            crp_hits: 2,
+            crp_misses: 3,
+            cursor,
         };
-        s.apply(5, &cursor(2)).unwrap();
-        // Covered events dropped; totals preserved.
-        assert_eq!(s.devices[&0].events, vec![EV_CLOSED]);
+        s.apply(4, &fault(at(30))).unwrap();
+        assert_eq!(s.devices[&0].cursor, Some(at(30)));
         assert_eq!(s.devices[&0].events_seen, 3);
-        assert_eq!(s.devices[&0].cursor.unwrap().events_done, 2);
-        // A cursor can neither regress nor run ahead of the journal.
-        assert!(matches!(s.apply(6, &cursor(1)), Err(StoreError::Corrupt(_))));
-        assert!(matches!(s.apply(6, &cursor(4)), Err(StoreError::Corrupt(_))));
-        // Unknown device is refused.
+        // A session record behind the device's cursor is refused, closed
+        // or faulted, and leaves the device untouched.
+        let before = s.devices[&0].clone();
         assert!(matches!(
-            s.apply(
-                6,
-                &Record::DeviceCursor {
-                    id: 99,
-                    events_done: 0,
-                    session_pos: 0,
-                    noise_pos: 0,
-                    noise_evals: 0,
-                    tamper_parity: false
-                }
-            ),
+            s.apply(5, &closed_at(0, true, StoredStatus::Active, 0, at(29))),
             Err(StoreError::Corrupt(_))
         ));
-        s.apply(6, &cursor(3)).unwrap();
-        assert!(s.devices[&0].events.is_empty());
+        assert!(matches!(s.apply(5, &fault(at(0))), Err(StoreError::Corrupt(_))));
+        assert_eq!(s.devices[&0], before);
+        // Unknown device is refused.
+        assert!(matches!(
+            s.apply(5, &closed_at(99, true, StoredStatus::Active, 0, at(40))),
+            Err(StoreError::Corrupt(_))
+        ));
+        s.apply(5, &closed_at(0, true, StoredStatus::Active, 0, at(40))).unwrap();
         // Snapshot codec carries events_seen + cursor through a roundtrip.
         let mut body = Vec::new();
         s.encode(&mut body);

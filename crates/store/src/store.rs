@@ -46,8 +46,10 @@ pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
 /// Identifies a snapshot file (and its format revision). The magic is
 /// followed by one frame in the WAL layout (`len`, `crc`, body), parsed by
-/// [`wal::split_frame`] with no bound beyond `u32`.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PUFATTS1";
+/// [`wal::split_frame`] with no bound beyond `u32`. A revision-1
+/// (`PUFATTS1`) snapshot, whose devices still held an event tail, is
+/// refused as corrupt.
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PUFATTS2";
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())

@@ -19,7 +19,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use pufatt_store::record::{OutcomeRec, Record, StoredStatus, LATENCY_SLOTS};
+use pufatt_store::record::{CursorInfo, OutcomeRec, Record, StoredStatus, LATENCY_SLOTS};
 use pufatt_store::state::StoreState;
 use pufatt_store::wal;
 use pufatt_store::{DurableStore, SimVfs, StoreError, StoreOptions, TORN_MODES};
@@ -51,9 +51,21 @@ fn outcome(accepted: bool) -> OutcomeRec {
     }
 }
 
+/// A device's generator positions after a session, its session RNG at
+/// word `session_pos`.
+fn at(session_pos: u64, tamper_parity: bool) -> CursorInfo {
+    CursorInfo {
+        session_pos,
+        noise_pos: 16 * session_pos,
+        noise_evals: session_pos / 5 * 4,
+        tamper_parity,
+    }
+}
+
 /// A small campaign exercising every record type, in an order the state
 /// machine admits: enrollment, a lifecycle walk to revocation, a refusal,
-/// resume cursors, re-enrollment, a fault, and an abandonment.
+/// re-enrollment, faults, an abandonment, and aborted sessions, which
+/// leave the cursor where it was.
 fn workload() -> Vec<Record> {
     use Record::*;
     vec![
@@ -73,14 +85,7 @@ fn workload() -> Vec<Record> {
             status: StoredStatus::Active,
             fails: 0,
             succs: 1,
-        },
-        DeviceCursor {
-            id: 0,
-            events_done: 1,
-            session_pos: 40,
-            noise_pos: 640,
-            noise_evals: 32,
-            tamper_parity: false,
+            cursor: at(40, false),
         },
         SessionClosed {
             id: 1,
@@ -88,6 +93,7 @@ fn workload() -> Vec<Record> {
             status: StoredStatus::Active,
             fails: 1,
             succs: 0,
+            cursor: at(40, false),
         },
         SessionClosed {
             id: 1,
@@ -95,6 +101,7 @@ fn workload() -> Vec<Record> {
             status: StoredStatus::Quarantined,
             fails: 0,
             succs: 0,
+            cursor: at(80, true),
         },
         SessionClosed {
             id: 1,
@@ -102,6 +109,7 @@ fn workload() -> Vec<Record> {
             status: StoredStatus::Quarantined,
             fails: 1,
             succs: 0,
+            cursor: at(80, true),
         },
         SessionClosed {
             id: 1,
@@ -109,16 +117,9 @@ fn workload() -> Vec<Record> {
             status: StoredStatus::Revoked,
             fails: 2,
             succs: 0,
+            cursor: at(200, true),
         },
         SessionRefused { id: 1 },
-        DeviceCursor {
-            id: 1,
-            events_done: 5,
-            session_pos: 200,
-            noise_pos: 3200,
-            noise_evals: 160,
-            tamper_parity: true,
-        },
         DeviceReEnrolled { id: 1 },
         SessionClosed {
             id: 1,
@@ -126,24 +127,49 @@ fn workload() -> Vec<Record> {
             status: StoredStatus::Active,
             fails: 0,
             succs: 1,
+            cursor: at(240, true),
         },
-        SessionFault { id: 2, retried: 1, dropped: 2, crp_hits: 8, crp_misses: 16 },
+        SessionFault {
+            id: 2,
+            retried: 1,
+            dropped: 2,
+            crp_hits: 8,
+            crp_misses: 16,
+            cursor: at(48, false),
+        },
         StatusChanged { id: 2, status: StoredStatus::Quarantined },
         DeviceAbandoned { id: 3 },
-        DeviceCursor {
-            id: 2,
-            events_done: 1,
-            session_pos: 48,
-            noise_pos: 768,
-            noise_evals: 40,
-            tamper_parity: false,
-        },
         SessionClosed {
             id: 0,
             outcome: outcome(true),
             status: StoredStatus::Active,
             fails: 0,
             succs: 2,
+            cursor: at(80, false),
+        },
+        SessionClosed {
+            id: 0,
+            outcome: outcome(false),
+            status: StoredStatus::Active,
+            fails: 1,
+            succs: 0,
+            cursor: at(80, false),
+        },
+        SessionFault {
+            id: 2,
+            retried: 0,
+            dropped: 1,
+            crp_hits: 4,
+            crp_misses: 4,
+            cursor: at(96, false),
+        },
+        SessionClosed {
+            id: 2,
+            outcome: outcome(true),
+            status: StoredStatus::Quarantined,
+            fails: 0,
+            succs: 1,
+            cursor: at(144, false),
         },
     ]
 }
@@ -326,7 +352,7 @@ proptest! {
     /// Encode/decode round-trip for every record type under arbitrary
     /// field values the codec admits.
     #[test]
-    fn record_roundtrip(seq in any::<u64>(), tag in 0usize..9, a in any::<u64>(), b in any::<u64>(),
+    fn record_roundtrip(seq in any::<u64>(), tag in 0usize..8, a in any::<u64>(), b in any::<u64>(),
                         id in any::<u32>(), small in any::<u32>(), flag in any::<bool>(),
                         slot in 0u8..(LATENCY_SLOTS as u8)) {
         let out = OutcomeRec {
@@ -343,23 +369,16 @@ proptest! {
             crp_hits: small ^ 2,
             crp_misses: small ^ 3,
         };
+        let cursor = CursorInfo { session_pos: a, noise_pos: b, noise_evals: a ^ b, tamper_parity: flag };
         let record = match tag {
             0 => Record::Meta { config_hash: a, devices: id, sessions_per_device: small, seed: b },
             1 => Record::DeviceEnrolled { id },
             2 => Record::DeviceReEnrolled { id },
             3 => Record::StatusChanged { id, status: StoredStatus::Quarantined },
-            4 => Record::SessionClosed { id, outcome: out, status: StoredStatus::Active, fails: small, succs: small },
+            4 => Record::SessionClosed { id, outcome: out, status: StoredStatus::Active, fails: small, succs: small, cursor },
             5 => Record::SessionRefused { id },
-            6 => Record::SessionFault { id, retried: small, dropped: small, crp_hits: small ^ 2, crp_misses: small ^ 3 },
-            7 => Record::DeviceAbandoned { id },
-            _ => Record::DeviceCursor {
-                id,
-                events_done: small,
-                session_pos: a,
-                noise_pos: b,
-                noise_evals: a ^ b,
-                tamper_parity: flag,
-            },
+            6 => Record::SessionFault { id, retried: small, dropped: small, crp_hits: small ^ 2, crp_misses: small ^ 3, cursor },
+            _ => Record::DeviceAbandoned { id },
         };
         let mut buf = Vec::new();
         record.encode(seq, &mut buf);

@@ -28,7 +28,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use pufatt_store::record::{OutcomeRec, Record, StoredStatus};
+use pufatt_store::record::{CursorInfo, OutcomeRec, Record, StoredStatus};
 use pufatt_store::state::StoreState;
 use pufatt_store::{
     error_plan, ErrorInjection, InjectedErrorKind, ShardHealth, ShardedOptions, ShardedStore, SimVfs, StoreError,
@@ -67,6 +67,17 @@ fn outcome(accepted: bool) -> OutcomeRec {
     }
 }
 
+/// A device's generator positions after a session, its session RNG at
+/// word `session_pos`.
+fn at(session_pos: u64) -> CursorInfo {
+    CursorInfo {
+        session_pos,
+        noise_pos: 16 * session_pos,
+        noise_evals: session_pos / 5 * 4,
+        tamper_parity: false,
+    }
+}
+
 /// One step of the workload: a group-commit append, a synced append, or
 /// an explicit flush (the committer's tick).
 enum Op {
@@ -80,7 +91,14 @@ enum Op {
 /// campaign writes.
 fn workload() -> Vec<Op> {
     use Record::*;
-    let closed = |id, ok, status, fails, succs| SessionClosed { id, outcome: outcome(ok), status, fails, succs };
+    let closed = |id, ok, status, fails, succs, pos| SessionClosed {
+        id,
+        outcome: outcome(ok),
+        status,
+        fails,
+        succs,
+        cursor: at(pos),
+    };
     vec![
         Op::AppendSynced(Meta {
             config_hash: 0x51C6,
@@ -92,23 +110,30 @@ fn workload() -> Vec<Op> {
         Op::AppendSynced(DeviceEnrolled { id: 2 }),
         Op::AppendSynced(DeviceEnrolled { id: 4 }),
         Op::AppendSynced(DeviceEnrolled { id: 6 }),
-        Op::Append(closed(0, true, StoredStatus::Active, 0, 1)),
-        Op::Append(DeviceCursor {
+        Op::Append(closed(0, true, StoredStatus::Active, 0, 1, 40)),
+        Op::Append(SessionFault {
             id: 6,
-            events_done: 0,
-            session_pos: 0,
-            noise_pos: 0,
-            noise_evals: 0,
-            tamper_parity: false,
+            retried: 0,
+            dropped: 0,
+            crp_hits: 0,
+            crp_misses: 0,
+            cursor: at(0),
         }),
         Op::Flush,
-        Op::Append(closed(2, false, StoredStatus::Active, 1, 0)),
-        Op::Append(SessionFault { id: 4, retried: 1, dropped: 2, crp_hits: 0, crp_misses: 8 }),
+        Op::Append(closed(2, false, StoredStatus::Active, 1, 0, 40)),
+        Op::Append(SessionFault {
+            id: 4,
+            retried: 1,
+            dropped: 2,
+            crp_hits: 0,
+            crp_misses: 8,
+            cursor: at(40),
+        }),
         Op::Append(StatusChanged { id: 2, status: StoredStatus::Revoked }),
         Op::Flush,
-        Op::Append(closed(6, true, StoredStatus::Active, 0, 1)),
+        Op::Append(closed(6, true, StoredStatus::Active, 0, 1, 40)),
         Op::AppendSynced(DeviceEnrolled { id: 8 }),
-        Op::Append(closed(0, true, StoredStatus::Active, 0, 2)),
+        Op::Append(closed(0, true, StoredStatus::Active, 0, 2, 80)),
         Op::Flush,
     ]
 }

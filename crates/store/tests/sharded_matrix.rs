@@ -20,7 +20,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pufatt_store::record::{OutcomeRec, Record, StoredStatus};
+use pufatt_store::record::{CursorInfo, OutcomeRec, Record, StoredStatus};
 use pufatt_store::state::StoreState;
 use pufatt_store::{ShardedOptions, ShardedStore, SimVfs, StoreError, TORN_MODES};
 use std::sync::Arc;
@@ -56,6 +56,17 @@ fn outcome(accepted: bool) -> OutcomeRec {
     }
 }
 
+/// A device's generator positions after a session, its session RNG at
+/// word `session_pos`.
+fn at(session_pos: u64) -> CursorInfo {
+    CursorInfo {
+        session_pos,
+        noise_pos: 16 * session_pos,
+        noise_evals: session_pos / 5 * 4,
+        tamper_parity: false,
+    }
+}
+
 /// One step of the workload: a group-commit append, a synced append, or
 /// an explicit flush (standing in for the committer's tick).
 enum Op {
@@ -68,7 +79,14 @@ enum Op {
 /// batches of varying sizes between flushes.
 fn workload() -> Vec<Op> {
     use Record::*;
-    let closed = |id, ok, status, fails, succs| SessionClosed { id, outcome: outcome(ok), status, fails, succs };
+    let closed = |id, ok, status, fails, succs, pos| SessionClosed {
+        id,
+        outcome: outcome(ok),
+        status,
+        fails,
+        succs,
+        cursor: at(pos),
+    };
     vec![
         Op::AppendSynced(Meta {
             config_hash: 0xABCD,
@@ -82,35 +100,26 @@ fn workload() -> Vec<Op> {
         Op::Flush,
         Op::Append(DeviceEnrolled { id: 6 }),
         Op::AppendSynced(DeviceEnrolled { id: 1 }),
-        Op::Append(closed(0, true, StoredStatus::Active, 0, 1)),
-        Op::Append(DeviceCursor {
-            id: 0,
-            events_done: 1,
-            session_pos: 40,
-            noise_pos: 640,
-            noise_evals: 32,
-            tamper_parity: false,
-        }),
-        Op::Append(closed(6, true, StoredStatus::Active, 0, 1)),
+        Op::Append(closed(0, true, StoredStatus::Active, 0, 1, 40)),
+        Op::Append(closed(6, true, StoredStatus::Active, 0, 1, 40)),
         Op::Flush,
-        Op::Append(closed(2, false, StoredStatus::Active, 1, 0)),
-        Op::Append(SessionFault { id: 4, retried: 1, dropped: 2, crp_hits: 0, crp_misses: 8 }),
+        Op::Append(closed(2, false, StoredStatus::Active, 1, 0, 80)),
+        Op::Append(SessionFault {
+            id: 4,
+            retried: 1,
+            dropped: 2,
+            crp_hits: 0,
+            crp_misses: 8,
+            cursor: at(40),
+        }),
         Op::Append(StatusChanged { id: 2, status: StoredStatus::Revoked }),
         Op::Append(SessionRefused { id: 2 }),
-        Op::Append(DeviceCursor {
-            id: 2,
-            events_done: 2,
-            session_pos: 80,
-            noise_pos: 1280,
-            noise_evals: 64,
-            tamper_parity: true,
-        }),
         Op::Append(DeviceReEnrolled { id: 2 }),
         Op::Append(DeviceAbandoned { id: 6 }),
         Op::Flush,
-        Op::Append(closed(1, true, StoredStatus::Active, 0, 1)),
+        Op::Append(closed(1, true, StoredStatus::Active, 0, 1, 40)),
         Op::AppendSynced(DeviceEnrolled { id: 8 }),
-        Op::Append(closed(0, true, StoredStatus::Active, 0, 2)),
+        Op::Append(closed(0, true, StoredStatus::Active, 0, 2, 80)),
     ]
 }
 
@@ -188,8 +197,10 @@ fn workload_is_legal_and_replayable() {
     assert_eq!(store.device(8).unwrap().events_seen, 0, "the online enrollment ran no session");
     let d0 = store.device(0).unwrap();
     assert_eq!(d0.events_seen, 2);
-    assert_eq!(d0.events.len(), 1, "the cursor dropped the covered event");
-    assert_eq!(d0.cursor.unwrap().events_done, 1);
+    assert_eq!(d0.cursor, Some(at(80)), "the latest session's cursor");
+    let d2 = store.device(2).unwrap();
+    assert_eq!(d2.events_seen, 2);
+    assert_eq!(d2.cursor, Some(at(80)), "a refusal leaves the cursor alone");
     assert!(store.device(6).unwrap().abandoned);
 }
 
@@ -272,6 +283,7 @@ fn online_enrollment_is_admitted_or_absent_at_every_crash_point() {
                     status: StoredStatus::Active,
                     fails: 0,
                     succs: 1,
+                    cursor: at(40),
                 })
                 .is_err()
             {

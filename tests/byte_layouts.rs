@@ -13,9 +13,9 @@
 use pufatt::protocol::{AttestationReport, AttestationRequest};
 use pufatt::PufattError;
 use pufatt_alupuf::DelayTable;
-use pufatt_store::record::StoredStatus;
+use pufatt_store::record::{CursorInfo, StoredStatus};
 use pufatt_store::sharded::MANIFEST_FILE;
-use pufatt_store::store::SNAPSHOT_FILE;
+use pufatt_store::store::{SNAPSHOT_FILE, WAL_FILE};
 use pufatt_store::{
     wal, DurableStore, OutcomeRec, Record, ShardedOptions, ShardedStore, SimVfs, StoreError, StoreOptions, StoreState,
     Vfs,
@@ -78,6 +78,15 @@ fn outcome() -> OutcomeRec {
     }
 }
 
+fn cursor() -> CursorInfo {
+    CursorInfo {
+        session_pos: 1_024,
+        noise_pos: 0x1122_3344_5566_7788,
+        noise_evals: 4_096,
+        tamper_parity: true,
+    }
+}
+
 /// One sample of every record kind, with its sequence number.
 fn records() -> Vec<(u64, Record)> {
     vec![
@@ -101,36 +110,36 @@ fn records() -> Vec<(u64, Record)> {
                 status: StoredStatus::Active,
                 fails: 0,
                 succs: 1,
+                cursor: cursor(),
             },
         ),
         (6, Record::SessionRefused { id: 7 }),
-        (7, Record::SessionFault { id: 2, retried: 1, dropped: 4, crp_hits: 16, crp_misses: 48 }),
-        (8, Record::DeviceAbandoned { id: 5 }),
         (
             0x0102_0304_0506_0708,
-            Record::DeviceCursor {
-                id: 7,
-                events_done: 1,
-                session_pos: 1_024,
-                noise_pos: 0x1122_3344_5566_7788,
-                noise_evals: 4_096,
-                tamper_parity: true,
+            Record::SessionFault {
+                id: 2,
+                retried: 1,
+                dropped: 4,
+                crp_hits: 16,
+                crp_misses: 48,
+                cursor: cursor(),
             },
         ),
+        (8, Record::DeviceAbandoned { id: 5 }),
     ]
 }
 
-const RECORDS: [&str; 9] = [
+const RECORDS: [&str; 8] = [
     "0100000000000000 00 0807060504030201 0c000000 04000000 e71e0f0000000000",
     "0200000000000000 01 07000000",
     "0300000000000000 02 0d0c0b0a",
     "0400000000000000 03 09000000 01",
-    "0500000000000000 04 07000000 01010000 02000000 000000000000c03f 01000000 03000000 00 11 04030201 08000000 \
-     00 00000000 01000000",
+    "0500000000000000 0a 07000000 01010000 02000000 000000000000c03f 01000000 03000000 00 11 04030201 08000000 \
+     00 00000000 01000000 0004000000000000 8877665544332211 0010000000000000 01",
     "0600000000000000 05 07000000",
-    "0700000000000000 06 02000000 01000000 04000000 10000000 30000000",
+    "0807060504030201 0b 02000000 01000000 04000000 10000000 30000000 \
+     0004000000000000 8877665544332211 0010000000000000 01",
     "0800000000000000 07 05000000",
-    "0807060504030201 09 07000000 01000000 0004000000000000 8877665544332211 0010000000000000 01",
 ];
 
 #[test]
@@ -144,8 +153,8 @@ fn every_record_kind_has_pinned_bytes_and_refuses_cuts() {
     }
 }
 
-/// A state holding campaign meta, one device with an outcome, a retained
-/// event tail and a resume cursor, and nonzero counters.
+/// A state holding campaign meta, one device with an outcome, a fault and
+/// the cursor the fault left, and nonzero counters.
 fn sample_records() -> Vec<Record> {
     vec![
         Record::Meta {
@@ -161,20 +170,20 @@ fn sample_records() -> Vec<Record> {
             status: StoredStatus::Active,
             fails: 0,
             succs: 1,
+            cursor: CursorInfo { session_pos: 512, tamper_parity: false, ..cursor() },
         },
-        Record::SessionFault { id: 7, retried: 1, dropped: 2, crp_hits: 3, crp_misses: 4 },
-        Record::DeviceCursor {
+        Record::SessionFault {
             id: 7,
-            events_done: 1,
-            session_pos: 1_024,
-            noise_pos: 0x1122_3344_5566_7788,
-            noise_evals: 4_096,
-            tamper_parity: true,
+            retried: 1,
+            dropped: 2,
+            crp_hits: 3,
+            crp_misses: 4,
+            cursor: cursor(),
         },
     ]
 }
 
-const STATE: &str = "0500000000000000040000000000000001080706050403020101000000020000 \
+const STATE: &str = "0400000000000000040000000000000001080706050403020101000000020000 \
                      00e71e0f00000000000200000000000000010000000000000000000000000000 \
                      0000000000000000000200000000000000000000000000000001000000000000 \
                      000500000000000000000000000000000007030201000000000c000000000000 \
@@ -187,12 +196,12 @@ const STATE: &str = "05000000000000000400000000000000010807060504030201010000000
                      0000000000000000000000000000000000000000000000000000000000000000 \
                      0000000000000000000000000000000000000000000000000000000000000000 \
                      0001000000070000000000000000010000000000000000000000000100000000 \
-                     0000000100000000000000010000000202000000010100000000040000000000 \
-                     0088776655443322110010000000000000010100000001010000020000000000 \
-                     00000000c03f01000000030000000011040302010800000000000000";
+                     0000000100000000000000020000000100040000000000008877665544332211 \
+                     001000000000000001010000000101000002000000000000000000c03f010000 \
+                     00030000000011040302010800000000000000";
 
-/// Magic `PUFATTS1`, body length, CRC-32 of the body.
-const SNAPSHOT_HEADER: &str = "5055464154545331 fc010000 3eac6d9c";
+/// Magic `PUFATTS2`, body length, CRC-32 of the body.
+const SNAPSHOT_HEADER: &str = "5055464154545332 f3010000 981bcc18";
 
 #[test]
 fn store_snapshot_body_and_file_header_are_pinned_and_refuse_cuts() {
@@ -221,6 +230,52 @@ fn store_snapshot_body_and_file_header_are_pinned_and_refuse_cuts() {
         vfs.truncate(SNAPSHOT_FILE, b).expect("plant snapshot");
         corrupt(DurableStore::open(Arc::new(vfs), StoreOptions::default()))
     });
+}
+
+/// A snapshot of the previous revision, as it pinned them: magic
+/// `PUFATTS1`, body length, CRC-32, then the body, whose device entries
+/// still held an event tail and a cursor event count.
+const SNAPSHOT_V1_HEADER: &str = "5055464154545331 fc010000 3eac6d9c";
+const STATE_V1: &str = "0500000000000000040000000000000001080706050403020101000000020000 \
+                        00e71e0f00000000000200000000000000010000000000000000000000000000 \
+                        0000000000000000000200000000000000000000000000000001000000000000 \
+                        000500000000000000000000000000000007030201000000000c000000000000 \
+                        0000000000000000000000000000000000000000000000000000000000000000 \
+                        0000000000000000000000000000000000000000000000000000000000000000 \
+                        0000000000000000000000000000000000000000000000000000000000000000 \
+                        0000000000000000000000000000000000000000000000000000000000000000 \
+                        0000000000000000000100000000000000000000000000000000000000000000 \
+                        0000000000000000000000000000000000000000000000000000000000000000 \
+                        0000000000000000000000000000000000000000000000000000000000000000 \
+                        0000000000000000000000000000000000000000000000000000000000000000 \
+                        0001000000070000000000000000010000000000000000000000000100000000 \
+                        0000000100000000000000010000000202000000010100000000040000000000 \
+                        0088776655443322110010000000000000010100000001010000020000000000 \
+                        00000000c03f01000000030000000011040302010800000000000000";
+
+/// A `SessionClosed` payload under its retired tag 4, without a cursor.
+const SESSION_CLOSED_V1: &str =
+    "0500000000000000 04 07000000 01010000 02000000 000000000000c03f 01000000 03000000 00 11 \
+     04030201 08000000 00 00000000 01000000";
+
+#[test]
+fn a_state_directory_of_the_previous_revision_is_refused_as_corrupt() {
+    // A `PUFATTS1` snapshot, intact and checksum-valid.
+    let vfs = SimVfs::new();
+    let snapshot = unhex(&format!("{SNAPSHOT_V1_HEADER}{STATE_V1}"));
+    assert_eq!(&snapshot[..8], b"PUFATTS1");
+    vfs.truncate(SNAPSHOT_FILE, &snapshot).expect("plant snapshot");
+    let refused = DurableStore::open(Arc::new(vfs), StoreOptions::default()).err();
+    assert!(matches!(refused, Some(StoreError::Corrupt(_))), "PUFATTS1 snapshot: {refused:?}");
+
+    // A WAL whose one checksum-valid frame holds a session record of the
+    // retired layout.
+    let mut log = wal::WAL_MAGIC.to_vec();
+    wal::encode_frame(&unhex(SESSION_CLOSED_V1), &mut log);
+    let vfs = SimVfs::new();
+    vfs.truncate(WAL_FILE, &log).expect("plant wal");
+    let refused = DurableStore::open(Arc::new(vfs), StoreOptions::default()).err();
+    assert!(matches!(refused, Some(StoreError::Corrupt(_))), "tag-4 record: {refused:?}");
 }
 
 /// Magic `PUFATTM1`, version 1, 3 shards, range width 0x102, CRC-32 of
