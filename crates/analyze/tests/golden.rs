@@ -316,12 +316,13 @@ fn dur001_critical_record_without_fsync() {
 }
 
 #[test]
-fn dur001_critical_record_through_the_journal_helper() {
-    // The fleet's group commit goes through `journal(store, record)`, not
-    // a literal `append_nosync`; a critical record there is just as lost.
-    let inline = "fn f(&self) { journal(&store, &Record::Meta { config_hash }).map_err(storage_err)?; }";
+fn dur001_critical_record_through_the_sharded_store() {
+    // The fleet's group commit calls the sharded store's `append_nosync`
+    // on a bound `store`; a critical record there is just as lost.
+    let inline = "fn f(&self) { store.append_nosync(&Record::Meta { config_hash }).map_err(storage_err)?; }";
     assert!(dur_lints(inline).contains(&LintId::UnsyncedCriticalRecord), "{:?}", dur_lints(inline));
-    let via_var = "fn f(&self) {\n    let record = Record::Meta { config_hash };\n    journal(&store, &record)?;\n}\n";
+    let via_var =
+        "fn f(&self) {\n    let record = Record::Meta { config_hash };\n    store.append_nosync(&record)?;\n}\n";
     assert!(dur_lints(via_var).contains(&LintId::UnsyncedCriticalRecord), "{:?}", dur_lints(via_var));
 }
 

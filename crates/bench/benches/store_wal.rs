@@ -9,7 +9,9 @@
 //!   records), plus a recovery replay of the batched workload;
 //! * group commit: a sharded store with a background committer bounding
 //!   commit latency to 1 / 5 / 20 ms, appends spread across every shard —
-//!   the campaign-journal configuration, swept over the latency bound;
+//!   the campaign-journal configuration, swept over the latency bound. A
+//!   shard whose committer falls behind the loop commits inline when its
+//!   queue reaches the store's bound, as it does under a campaign;
 //! * fleet scale: enroll a large fleet (1M devices at `PUFATT_FULL=1`),
 //!   journal one session per device, kill the store without a checkpoint,
 //!   and time the streaming recovery that reopens it, then the toy
@@ -23,7 +25,7 @@
 use pufatt_bench::{full_scale, header, host_json, timed};
 use pufatt_fleet::{small_test_config, FleetService};
 use pufatt_store::record::{CursorInfo, OutcomeRec, Record, StoredStatus};
-use pufatt_store::{DurableStore, ShardedOptions, ShardedStore, StdVfs, StoreError, StoreOptions};
+use pufatt_store::{DurableStore, ShardedOptions, ShardedStore, StdVfs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,7 +80,7 @@ fn session_record(id: u32, succs: u32, i: usize) -> Record {
 
 fn open(dir: &std::path::Path) -> DurableStore {
     let vfs = StdVfs::open(dir).expect("temp dir");
-    DurableStore::open(Arc::new(vfs), StoreOptions::default()).expect("open store")
+    DurableStore::open(Arc::new(vfs), 64).expect("open store")
 }
 
 /// Size-triggered compaction off so the WAL keeps the whole workload:
@@ -126,20 +128,6 @@ fn append_run(dir: &std::path::Path, name: &'static str, batch: usize, records: 
     }
 }
 
-/// Appends through the group commit; on backpressure (the committer fell
-/// behind the bench loop) commits the batch inline and retries — exactly
-/// what the campaign journal does, so the sustained rate is honest about
-/// the bounded commit queue.
-fn group_append(store: &ShardedStore, record: &Record) {
-    loop {
-        match store.append(record) {
-            Ok(()) => return,
-            Err(StoreError::Backpressure) => store.flush().expect("flush under backpressure"),
-            Err(e) => panic!("group-commit append failed: {e}"),
-        }
-    }
-}
-
 /// Sustained group-commit appends with a committer flushing every
 /// `interval_ms`, spread over enough devices to keep every shard dirty.
 fn group_commit_run(dir: &std::path::Path, name: &'static str, interval_ms: f64, records: usize) -> Row {
@@ -156,7 +144,9 @@ fn group_commit_run(dir: &std::path::Path, name: &'static str, interval_ms: f64,
     for i in 0..records {
         let d = i % ids.len();
         succs[d] += 1;
-        group_append(&store, &session_record(ids[d], succs[d], i));
+        store
+            .append_nosync(&session_record(ids[d], succs[d], i))
+            .expect("group-commit append");
     }
     store.flush().expect("final flush");
     let seconds = start.elapsed().as_secs_f64();
@@ -191,7 +181,9 @@ fn fleet_runs(dir: &std::path::Path, devices: usize) -> Vec<Row> {
         let bytes_before = store.stats().wal_bytes;
         let start = Instant::now();
         for id in 0..devices as u32 {
-            group_append(&store, &Record::DeviceEnrolled { id });
+            store
+                .append_nosync(&Record::DeviceEnrolled { id })
+                .expect("group-commit append");
         }
         store.flush().expect("flush enrollments");
         let seconds = start.elapsed().as_secs_f64();
@@ -209,7 +201,9 @@ fn fleet_runs(dir: &std::path::Path, devices: usize) -> Vec<Row> {
         let bytes_before = store.stats().wal_bytes;
         let start = Instant::now();
         for id in 0..devices as u32 {
-            group_append(&store, &session_record(id, 1, id as usize));
+            store
+                .append_nosync(&session_record(id, 1, id as usize))
+                .expect("group-commit append");
         }
         store.flush().expect("flush sessions");
         let seconds = start.elapsed().as_secs_f64();

@@ -335,13 +335,19 @@ fn timeout_s(args: &Args, default_s: f64) -> Result<f64, String> {
 
 /// Parses `--commit-interval` (milliseconds) into seconds. Unspecified, a
 /// journaled run (`--state-dir`) group-commits every 5 ms and an in-memory
-/// run has nothing to commit; `--commit-interval 0` forces an fsync per
-/// record even when journaling.
+/// run has nothing to commit. A journaled run refuses `0`: it would start
+/// no committer, so records would commit only at the store's queue bound,
+/// a forced-sync record or a graceful stop.
 fn commit_interval_s(args: &Args) -> Result<f64, String> {
-    let default_ms = if args.get_or("state-dir", "").is_empty() { 0.0 } else { 5.0 };
-    let ms: f64 = args.num_or("commit-interval", default_ms)?;
+    let journaled = !args.get_or("state-dir", "").is_empty();
+    let ms: f64 = args.num_or("commit-interval", if journaled { 5.0 } else { 0.0 })?;
     if !(ms >= 0.0 && ms.is_finite()) {
         return Err(format!("--commit-interval: {ms} ms is not a valid latency bound"));
+    }
+    if journaled && ms == 0.0 {
+        return Err("--commit-interval: 0 ms starts no committer, so --state-dir records would commit only at a \
+             graceful stop or a full queue; use 1 ms for near-synchronous commits"
+            .into());
     }
     Ok(ms * 1e-3)
 }
@@ -711,6 +717,8 @@ mod tests {
             fleet(&argv(&format!("{base} --commit-interval -1 --resume"))).is_err(),
             "negative commit intervals are refused"
         );
+        let zero = fleet(&argv(&format!("{base} --commit-interval 0 --resume"))).unwrap_err();
+        assert!(zero.contains("--commit-interval") && zero.contains("1 ms"), "a journaled run refuses 0: {zero}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

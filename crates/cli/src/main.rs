@@ -79,8 +79,9 @@ commands:
                                               from --state-dir; verdicts match
                                               an uninterrupted run)
                   --commit-interval <ms>     (default 5 with --state-dir, else
-                                              0; group-commit latency bound,
-                                              0 = fsync every record)
+                                              0; group-commit latency bound;
+                                              must be > 0 with --state-dir,
+                                              where 1 is near-synchronous)
                   --fail-fast                (stop at the first storage failure
                                               instead of degrading the shard)
                   --online-enroll <n>        (default 0; admit n more devices

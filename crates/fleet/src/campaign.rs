@@ -81,8 +81,12 @@ pub struct CampaignConfig {
     /// Group-commit latency bound for persistent campaigns, in seconds:
     /// a background committer fsyncs each shard's WAL at least this often,
     /// so a crash loses at most this much recent (re-derivable) history.
-    /// `0` runs without a committer — appends become durable when the
-    /// queue fills, a record is force-synced, or the campaign finishes.
+    /// `0` runs without a committer: a group-committed record becomes
+    /// durable only when its shard's queue reaches
+    /// [`pufatt_store::COMMIT_QUEUE_LIMIT`], a later record on its shard
+    /// is force-synced, or the campaign stops gracefully. That is the
+    /// deterministic mode the crash tests drive; the CLI refuses it for a
+    /// state directory.
     /// Scheduling-only: excluded from the config fingerprint, never
     /// verdict-affecting.
     pub commit_interval_s: f64,

@@ -5,20 +5,25 @@
 //!
 //! A journaled [`FleetService`](crate::FleetService) — behind
 //! `pufatt serve --state-dir` or a [`RunningCampaign`](crate::RunningCampaign)
-//! — records campaign identity ([`Record::Meta`]), enrollments,
-//! abandonments ([`Record::DeviceAbandoned`]) and exactly one record per
-//! scheduled session: [`Record::SessionRefused`], or
-//! [`Record::SessionClosed`] (verdict, post-transition lifecycle state,
-//! streaks, metric deltas) or [`Record::SessionFault`] (metric deltas),
-//! each of the last two carrying the device's deterministic position after
-//! the session as a [`CursorInfo`](pufatt_store::CursorInfo): its session
+//! — records campaign identity ([`Meta`](pufatt_store::Record::Meta)), enrollments,
+//! abandonments ([`DeviceAbandoned`](pufatt_store::Record::DeviceAbandoned)) and
+//! exactly one record per scheduled session:
+//! [`SessionRefused`](pufatt_store::Record::SessionRefused), or
+//! [`SessionClosed`](pufatt_store::Record::SessionClosed) (verdict, post-transition
+//! lifecycle state, streaks, metric deltas) or
+//! [`SessionFault`](pufatt_store::Record::SessionFault) (metric deltas), each of the
+//! last two carrying the device's deterministic position after the
+//! session as a [`CursorInfo`](pufatt_store::CursorInfo): its session
 //! RNG word offset, its PUF noise-RNG word offset and evaluation count,
 //! and the tamper-parity bit. A refusal consumes no randomness and
-//! carries no cursor. Records route to
-//! per-device-range WAL shards and ride a *group commit*: appends are
-//! acknowledged when applied and queued, and a background
-//! [`pufatt_store::Committer`] fsyncs each dirty shard within
-//! the configured latency bound ([`CampaignConfig::commit_interval_s`]).
+//! carries no cursor. Records route to per-device-range WAL shards and
+//! ride a *group commit*: [`ShardedStore::append_nosync`] acknowledges
+//! an append when it is applied and queued, and a background
+//! [`pufatt_store::Committer`] fsyncs each dirty shard within the
+//! configured latency bound ([`CampaignConfig::commit_interval_s`]). The
+//! store bounds each shard's queue itself
+//! ([`pufatt_store::COMMIT_QUEUE_LIMIT`]: the append that finds it full
+//! commits it inline), so the service has no fallback of its own.
 //!
 //! # Why resume reproduces the uninterrupted run
 //!
@@ -60,15 +65,16 @@
 use crate::campaign::CampaignConfig;
 use crate::metrics::LatencyHistogram;
 use pufatt::PufattError;
-use pufatt_store::record::{OutcomeRec, Record};
+use pufatt_store::record::OutcomeRec;
 use pufatt_store::{ShardedOptions, ShardedStore, StdVfs, StoreError};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Fingerprint of the verdict-affecting configuration fields, persisted
-/// in [`Record::Meta`]. Scheduling knobs (workers, shards, commit
-/// interval) are excluded: a campaign may legitimately be resumed
-/// on a machine with a different core count or durability budget.
+/// in [`Record::Meta`](pufatt_store::Record::Meta). Scheduling knobs
+/// (workers, shards, commit interval) are excluded: a campaign may
+/// legitimately be resumed on a machine with a different core count or
+/// durability budget.
 pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
     let text = format!(
         "pufatt-campaign-v1|devices={}|sessions={}|seed={}|tamper={:016x}|timeout={:016x}|history={}|puf={:?}|params={:?}|policy={:?}|chaos={:?}",
@@ -137,20 +143,6 @@ pub(crate) fn from_outcome_rec(r: &OutcomeRec) -> crate::registry::SessionOutcom
         timed_out: r.timed_out,
         attempts: r.attempts,
         elapsed_s: r.elapsed_s(),
-    }
-}
-
-/// Commits one record through the group-commit path, falling back to a
-/// forced sync when the shard's commit queue is full (backpressure
-/// degrades throughput, never loses the record). A hard failure comes
-/// back typed: the store has already degraded the record's home shard, so
-/// the caller stops routing work there and the campaign keeps attesting
-/// the healthy shards — the lost record is re-derived bit-identically on
-/// resume after the shard reopens.
-pub(crate) fn journal(store: &ShardedStore, record: &Record) -> Result<(), StoreError> {
-    match store.append(record) {
-        Err(StoreError::Backpressure) => store.append_synced(record),
-        other => other,
     }
 }
 

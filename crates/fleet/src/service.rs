@@ -67,7 +67,7 @@ use crate::campaign::{
     crp_delta, device_is_flaky, device_is_tampered, provision_device, run_session, session_outcome, CampaignConfig,
     DeviceRecord, DeviceSession, ProductLine,
 };
-use crate::durable::{config_fingerprint, from_outcome_rec, journal, storage_err, to_outcome_rec};
+use crate::durable::{config_fingerprint, from_outcome_rec, storage_err, to_outcome_rec};
 use crate::metrics::{FleetMetrics, FleetSnapshot};
 use crate::registry::{DeviceId, FleetStatus, SessionOutcome, StatusCounts};
 use crate::sync::{lock_ranked, rank};
@@ -284,8 +284,7 @@ impl FleetService {
 
     /// Advances the device's record `state` by `record` and counts it
     /// into the live metrics (see [`FleetService::advance`]), then appends
-    /// it to the journal (group-committed, forced-sync fallback under
-    /// backpressure).
+    /// it to the journal on the group-commit path.
     fn journal_event(&self, state: &mut DeviceState, record: &Record) {
         self.advance(state, record);
         if let Some(store) = &self.journal {
@@ -295,7 +294,7 @@ impl FleetService {
             // re-derived bit-identically on restore after a reopen — the
             // same determinism argument that covers a lost group-commit
             // tail — so it is deliberately not re-raised to the caller.
-            let _ = journal(store, record);
+            let _ = store.append_nosync(record);
         }
     }
 
@@ -393,7 +392,7 @@ impl FleetService {
                 // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
                 EnrollCommit::Synced => store.append_synced(&record),
                 // analyze: allow(dur: configured-fleet enrollment; a resume re-derives and re-journals what a crash loses)
-                EnrollCommit::Grouped => journal(store, &record),
+                EnrollCommit::Grouped => store.append_nosync(&record),
             };
             match committed {
                 Ok(()) | Err(StoreError::IllegalTransition { .. }) => {}

@@ -22,7 +22,10 @@
 //!   enumeration of crash points, not by sampling.
 //! * [`sharded`] — [`ShardedStore`]: one [`DurableStore`] per device-id
 //!   range behind a manifest, with group commit and a background
-//!   [`Committer`].
+//!   [`Committer`]. Each shard bounds its own commit queue: a
+//!   group-commit append that finds [`COMMIT_QUEUE_LIMIT`] records
+//!   waiting syncs them along with itself, so there is one commit path
+//!   and no refusal for callers to recover from.
 //!
 //! # What never touches the disk
 //!
@@ -51,7 +54,7 @@ pub mod wal;
 pub use record::{CursorInfo, OutcomeRec, Record, StoredStatus};
 pub use sharded::{Committer, ShardHealth, ShardedOptions, ShardedStore};
 pub use state::{Counter, Counters, DeviceState, MetaInfo, StoreState};
-pub use store::{DurableStore, StoreOptions, StoreStats};
+pub use store::{DurableStore, StoreStats, COMMIT_QUEUE_LIMIT};
 pub use vfs::{
     error_plan, ErrorInjection, InjectedErrorKind, SimVfs, StdVfs, TornMode, Vfs, INJECTED_ERROR_KINDS, TORN_MODES,
 };
@@ -89,11 +92,6 @@ pub enum StoreError {
     /// A previous write on this handle failed; the in-memory state may be
     /// ahead of the disk. Reopen the store to recover.
     Broken,
-    /// The group-commit queue is full: as many records as
-    /// [`store::StoreOptions::commit_queue_limit`] allows are already
-    /// awaiting their sync. Nothing was applied or written — sync the
-    /// store (or wait for its committer) and retry.
-    Backpressure,
     /// The record's home shard is sick (Degraded or Failed — see
     /// [`sharded::ShardHealth`]): a storage failure took it read-only, and
     /// appends are refused *before* anything is applied or written. Other
@@ -116,9 +114,6 @@ impl fmt::Display for StoreError {
                 write!(f, "illegal lifecycle transition for device {id} (currently {from:?}): refused to {event}")
             }
             StoreError::Broken => write!(f, "store handle broken by an earlier write failure; reopen to recover"),
-            StoreError::Backpressure => {
-                write!(f, "group-commit queue full; sync the store (or wait for its committer) and retry")
-            }
             StoreError::ShardUnavailable { shard } => {
                 write!(f, "shard {shard} storage unavailable (degraded or failed); reopen the shard to recover")
             }

@@ -26,25 +26,27 @@
 //!
 //! # Group commit
 //!
-//! [`ShardedStore::append`] validates, applies, and writes the frame but
-//! does **not** fsync: records accumulate in the OS write queue until the
-//! next [`ShardedStore::flush`] — typically issued by a [`Committer`]
-//! thread every few milliseconds — commits the whole batch with one fsync
-//! per dirty shard. A crash loses at most the unflushed tail, which the
-//! deterministic campaign layer re-runs on resume; per-shard recovery
-//! still yields exactly a committed prefix. When more records than
-//! [`ShardedOptions::commit_queue_limit`] are awaiting their sync on one
-//! shard, further appends fail with [`StoreError::Backpressure`] — a
-//! typed, retryable refusal rather than unbounded memory-ahead-of-disk.
+//! [`ShardedStore::append_nosync`] validates, applies, and writes the
+//! frame but does **not** fsync: records accumulate in the OS write queue
+//! until the next [`ShardedStore::flush`] — typically issued by a
+//! [`Committer`] thread every few milliseconds — commits the whole batch
+//! with one fsync per dirty shard. A crash loses at most the unflushed
+//! tail, which the deterministic campaign layer re-runs on resume;
+//! per-shard recovery still yields exactly a committed prefix. Each shard
+//! bounds its own queue: an append that finds
+//! [`COMMIT_QUEUE_LIMIT`](crate::COMMIT_QUEUE_LIMIT) records awaiting
+//! their sync on its shard commits them inline along with itself, so a
+//! committer that falls behind costs throughput, never memory, and never
+//! a refusal the caller must handle.
 
 use crate::codec::{Reader, Writer};
 use crate::record::Record;
 use crate::state::{Counters, DeviceState, MetaInfo, StoreState};
-use crate::store::{DurableStore, StoreOptions, StoreStats};
+use crate::store::{DurableStore, StoreStats};
 use crate::vfs::Vfs;
 use crate::wal::crc32;
 use crate::StoreError;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -70,10 +72,6 @@ pub struct ShardedOptions {
     /// Consecutive device ids per range stripe: device `id` lives in
     /// shard `(id / range_width) % shards`. Ignored on reopen.
     pub range_width: u32,
-    /// Per-shard bound on group-commit records awaiting their sync
-    /// before [`ShardedStore::append`] refuses with
-    /// [`StoreError::Backpressure`]. `0` means unbounded.
-    pub commit_queue_limit: u32,
     /// Compact a shard (snapshot + truncate its WAL) once its WAL grows
     /// past this many bytes. `0` disables size-triggered compaction;
     /// [`ShardedStore::checkpoint`] still compacts on demand.
@@ -86,7 +84,6 @@ impl Default for ShardedOptions {
             history_capacity: 64,
             shards: 8,
             range_width: 1024,
-            commit_queue_limit: 4096,
             compact_wal_bytes: 16 << 20,
         }
     }
@@ -166,9 +163,6 @@ pub struct ShardedStore {
     /// Per-shard [`ShardHealth`], encoded as u8 — atomics so the hot
     /// append path checks health without adding a lock class.
     health: Vec<AtomicU8>,
-    /// Commit-tick failures observed by the background committer (each
-    /// one degraded a shard) — the committer reports, never swallows.
-    commit_failures: AtomicU64,
     shard_count: u32,
     range_width: u32,
     compact_wal_bytes: u64,
@@ -212,19 +206,14 @@ impl ShardedStore {
                 (opts.shards, opts.range_width)
             }
         };
-        let store_opts = StoreOptions {
-            history_capacity: opts.history_capacity,
-            commit_queue_limit: opts.commit_queue_limit,
-        };
         let mut shards = Vec::with_capacity(shard_count as usize);
         for i in 0..shard_count {
-            shards.push(DurableStore::open_at(Arc::clone(&vfs), store_opts, &format!("shard-{i:03}/"))?);
+            shards.push(DurableStore::open_at(Arc::clone(&vfs), opts.history_capacity, &format!("shard-{i:03}/"))?);
         }
         let health = (0..shard_count).map(|_| AtomicU8::new(HEALTH_HEALTHY)).collect();
         Ok(ShardedStore {
             shards,
             health,
-            commit_failures: AtomicU64::new(0),
             shard_count,
             range_width,
             compact_wal_bytes: opts.compact_wal_bytes,
@@ -259,17 +248,14 @@ impl ShardedStore {
 
     /// Routes a shard-level error into the health machine: real storage
     /// failures (I/O, ENOSPC, crash, poisoned handle) degrade the shard;
-    /// validation refusals and backpressure do not — they left no doubt
-    /// about the disk. The error passes through unchanged.
+    /// validation refusals do not — they left no doubt about the disk.
+    /// The error passes through unchanged.
     fn note(&self, shard: usize, e: StoreError) -> StoreError {
         match &e {
             StoreError::Io(_) | StoreError::NoSpace(_) | StoreError::Crashed | StoreError::Broken => {
                 self.mark_degraded(shard);
             }
-            StoreError::Corrupt(_)
-            | StoreError::IllegalTransition { .. }
-            | StoreError::Backpressure
-            | StoreError::ShardUnavailable { .. } => {}
+            StoreError::Corrupt(_) | StoreError::IllegalTransition { .. } | StoreError::ShardUnavailable { .. } => {}
         }
         e
     }
@@ -333,17 +319,18 @@ impl ShardedStore {
 
     /// Appends a record on the group-commit path: acknowledged once it is
     /// in its shard's write queue, committed at the next flush (the
-    /// committer's latency bound).
+    /// committer's latency bound) — or at once, with the shard's whole
+    /// queue, when the queue is full (see
+    /// [`DurableStore::append_nosync`]).
     ///
     /// # Errors
     ///
     /// [`StoreError::ShardUnavailable`] when the record's home shard is
     /// Degraded or Failed (refused before anything is applied — other
-    /// shards keep accepting); [`StoreError::Backpressure`] when the
-    /// shard's commit queue is full (nothing applied — flush and retry);
-    /// otherwise as [`DurableStore::append_nosync`]. A storage failure
-    /// here degrades the home shard.
-    pub fn append(&self, record: &Record) -> Result<(), StoreError> {
+    /// shards keep accepting); otherwise as
+    /// [`DurableStore::append_nosync`]. A storage failure here degrades
+    /// the home shard.
+    pub fn append_nosync(&self, record: &Record) -> Result<(), StoreError> {
         let shard = self.shard_of(record);
         self.guard(shard)?;
         self.shards[shard].append_nosync(record).map_err(|e| self.note(shard, e))?;
@@ -477,12 +464,6 @@ impl ShardedStore {
         total
     }
 
-    /// Commit ticks that hit a new storage failure (each degraded a
-    /// shard) since this handle opened.
-    pub fn commit_failures(&self) -> u64 {
-        self.commit_failures.load(Ordering::Acquire)
-    }
-
     /// Whether any shard's handle has been poisoned by a write failure.
     pub fn is_broken(&self) -> bool {
         self.shards.iter().any(DurableStore::is_broken)
@@ -498,31 +479,27 @@ impl ShardedStore {
     /// [`ShardedOptions::compact_wal_bytes`] — shards compact
     /// independently, so a hot range never forces a cold shard to rewrite
     /// its snapshot. A shard that hits a storage failure degrades. Returns
-    /// how many shards *newly* failed this tick (also accumulated into
-    /// [`ShardedStore::commit_failures`]) — a count, not a `Result`,
+    /// how many shards *newly* failed this tick — a count, not a `Result`,
     /// because a tick always does everything it can: healthy shards
     /// commit even while a sick one waits for its operator, and the
     /// failure is reported through the health machine rather than
     /// swallowed.
     pub fn commit_tick(&self) -> usize {
-        let (failures, _) = self.for_each_healthy(|shard| {
+        self.for_each_healthy(|shard| {
             shard.sync()?;
             if self.compact_wal_bytes > 0 && shard.stats().wal_bytes > self.compact_wal_bytes {
                 shard.checkpoint()?;
             }
             Ok(())
-        });
-        if failures > 0 {
-            self.commit_failures.fetch_add(failures as u64, Ordering::AcqRel);
-        }
-        failures
+        })
+        .0
     }
 
     /// Spawns a background committer that runs [`ShardedStore::commit_tick`]
     /// every `interval` — the group-commit latency bound. A shard that
     /// fails mid-campaign degrades and is skipped; the committer keeps
     /// servicing the healthy shards (per-shard failures are reported via
-    /// shard health and [`ShardedStore::commit_failures`], never
+    /// shard health and [`StoreStats::shards_degraded`], never
     /// swallowed). Dropping the returned [`Committer`] stops the thread
     /// after one final tick, so shutdown never strands a batch.
     pub fn committer(self: &Arc<Self>, interval: Duration) -> Committer {
@@ -590,12 +567,7 @@ mod tests {
     use crate::vfs::{SimVfs, TornMode};
 
     fn small_opts() -> ShardedOptions {
-        ShardedOptions {
-            shards: 4,
-            range_width: 2,
-            commit_queue_limit: 0,
-            ..ShardedOptions::default()
-        }
+        ShardedOptions { shards: 4, range_width: 2, ..ShardedOptions::default() }
     }
 
     fn open_sim(vfs: &SimVfs, opts: ShardedOptions) -> ShardedStore {
@@ -616,7 +588,7 @@ mod tests {
             .append_synced(&Record::Meta { config_hash: 5, devices: 9, sessions_per_device: 1, seed: 3 })
             .unwrap();
         for id in 0..9 {
-            store.append(&Record::DeviceEnrolled { id }).unwrap();
+            store.append_nosync(&Record::DeviceEnrolled { id }).unwrap();
         }
         let cursor = CursorInfo {
             session_pos: 11,
@@ -632,7 +604,7 @@ mod tests {
             crp_misses: 0,
             cursor,
         };
-        store.append(&fault).unwrap();
+        store.append_nosync(&fault).unwrap();
         store.flush().unwrap();
         drop(store);
         assert!(vfs.exists("manifest.bin"));
@@ -658,7 +630,7 @@ mod tests {
     fn manifest_geometry_is_authoritative_on_reopen() {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs, small_opts());
-        store.append(&Record::DeviceEnrolled { id: 6 }).unwrap();
+        store.append_nosync(&Record::DeviceEnrolled { id: 6 }).unwrap();
         store.flush().unwrap();
         drop(store);
         // Reopening with different (even implausible-to-change) geometry
@@ -672,7 +644,7 @@ mod tests {
     #[test]
     fn legacy_single_wal_layout_is_refused() {
         let vfs = SimVfs::new();
-        let single = DurableStore::open(Arc::new(vfs.clone()), StoreOptions::default()).unwrap();
+        let single = DurableStore::open(Arc::new(vfs.clone()), 64).unwrap();
         single.append_synced(&Record::DeviceEnrolled { id: 0 }).unwrap();
         drop(single);
         let err = ShardedStore::open(Arc::new(vfs), small_opts()).unwrap_err();
@@ -692,16 +664,29 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_is_per_shard_and_retryable_after_flush() {
+    fn a_full_shard_commits_inline_while_other_shards_stay_queued() {
+        use crate::COMMIT_QUEUE_LIMIT;
         let vfs = SimVfs::new();
-        let store = open_sim(&vfs, ShardedOptions { commit_queue_limit: 1, ..small_opts() });
-        store.append(&Record::DeviceEnrolled { id: 0 }).unwrap();
-        // Shard 0's queue is full; shard 1 still accepts.
-        assert_eq!(store.append(&Record::DeviceEnrolled { id: 1 }), Err(StoreError::Backpressure));
-        store.append(&Record::DeviceEnrolled { id: 2 }).unwrap();
-        store.flush().unwrap();
-        assert_eq!(store.unsynced(), 0);
-        store.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        let store = open_sim(&vfs, small_opts());
+        store.append_nosync(&Record::DeviceEnrolled { id: 2 }).unwrap(); // shard 1
+        store.append_nosync(&Record::DeviceEnrolled { id: 0 }).unwrap(); // shard 0
+        for _ in 1..COMMIT_QUEUE_LIMIT {
+            store
+                .append_nosync(&Record::StatusChanged { id: 0, status: StoredStatus::Active })
+                .unwrap();
+        }
+        assert_eq!(store.shards[0].unsynced(), COMMIT_QUEUE_LIMIT);
+        // Shard 0's queue is full: its next append commits the whole queue
+        // with itself. Shard 1's queue is left to its own sync.
+        store.append_nosync(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        assert_eq!(store.shards[0].unsynced(), 0);
+        assert_eq!(store.shards[1].unsynced(), 1);
+        assert_eq!(store.shard_health(0), ShardHealth::Healthy);
+        let disk = vfs.power_cut(TornMode::Drop);
+        let store = open_sim(&disk, small_opts());
+        assert!(store.device(0).is_some());
+        assert!(store.device(1).is_some(), "the inline commit covers the append that made it");
+        assert!(store.device(2).is_none(), "the other shard's unsynced queue is lost");
     }
 
     #[test]
@@ -709,11 +694,11 @@ mod tests {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs, small_opts());
         for id in 0..8 {
-            store.append(&Record::DeviceEnrolled { id }).unwrap();
+            store.append_nosync(&Record::DeviceEnrolled { id }).unwrap();
         }
         store.flush().unwrap();
         for id in 8..16 {
-            store.append(&Record::DeviceEnrolled { id }).unwrap();
+            store.append_nosync(&Record::DeviceEnrolled { id }).unwrap();
         }
         // Power cut with the batch still volatile: the flushed prefix
         // survives on every shard, the unflushed tail is gone.
@@ -734,12 +719,12 @@ mod tests {
     fn size_triggered_compaction_is_per_shard() {
         let vfs = SimVfs::new();
         let store = open_sim(&vfs, ShardedOptions { compact_wal_bytes: 64, ..small_opts() });
-        store.append(&Record::DeviceEnrolled { id: 0 }).unwrap();
-        store.append(&Record::DeviceEnrolled { id: 2 }).unwrap();
+        store.append_nosync(&Record::DeviceEnrolled { id: 0 }).unwrap();
+        store.append_nosync(&Record::DeviceEnrolled { id: 2 }).unwrap();
         // Only shard 0's WAL outgrows the bound.
         for _ in 0..16 {
             store
-                .append(&Record::StatusChanged { id: 0, status: StoredStatus::Active })
+                .append_nosync(&Record::StatusChanged { id: 0, status: StoredStatus::Active })
                 .unwrap();
         }
         let before = store.stats().snapshots_written;
@@ -768,7 +753,7 @@ mod tests {
         assert!(store.device(2).is_some());
         // Healthy shards are completely unaffected, and flush/checkpoint
         // skip the degraded shard instead of failing the fleet.
-        store.append(&Record::DeviceEnrolled { id: 4 }).unwrap();
+        store.append_nosync(&Record::DeviceEnrolled { id: 4 }).unwrap();
         store.flush().unwrap();
         store.checkpoint().unwrap();
         let stats = store.stats();
@@ -806,17 +791,15 @@ mod tests {
         use crate::vfs::{ErrorInjection, InjectedErrorKind};
         let vfs = SimVfs::new();
         let store = open_sim(&vfs, small_opts());
-        store.append(&Record::DeviceEnrolled { id: 0 }).unwrap(); // shard 0, queued
-        store.append(&Record::DeviceEnrolled { id: 2 }).unwrap(); // shard 1, queued
-                                                                  // Shard 0's fsync will fail at its next sync.
+        store.append_nosync(&Record::DeviceEnrolled { id: 0 }).unwrap(); // shard 0, queued
+        store.append_nosync(&Record::DeviceEnrolled { id: 2 }).unwrap(); // shard 1, queued
+                                                                         // Shard 0's fsync will fail at its next sync.
         vfs.inject(ErrorInjection::on_prefix("shard-000/", InjectedErrorKind::SyncFail).sticky());
         assert_eq!(store.commit_tick(), 1, "exactly the sick shard fails");
-        assert_eq!(store.commit_failures(), 1);
         assert_eq!(store.shard_health(0), ShardHealth::Degraded);
         assert_eq!(store.shards[1].unsynced(), 0, "healthy shard still committed");
         // Later ticks skip the degraded shard: no repeat failures.
         assert_eq!(store.commit_tick(), 0);
-        assert_eq!(store.commit_failures(), 1);
     }
 
     #[test]
@@ -824,7 +807,7 @@ mod tests {
         let vfs = SimVfs::new();
         let store = Arc::new(open_sim(&vfs, small_opts()));
         let committer = store.committer(Duration::from_millis(1));
-        store.append(&Record::DeviceEnrolled { id: 0 }).unwrap();
+        store.append_nosync(&Record::DeviceEnrolled { id: 0 }).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while store.unsynced() > 0 {
             assert!(std::time::Instant::now() < deadline, "committer never flushed");
@@ -832,7 +815,7 @@ mod tests {
         }
         // Stop flushes one final time; a fresh append right before the
         // stop is still committed.
-        store.append(&Record::DeviceEnrolled { id: 1 }).unwrap();
+        store.append_nosync(&Record::DeviceEnrolled { id: 1 }).unwrap();
         committer.stop();
         assert_eq!(store.unsynced(), 0);
         let disk = vfs.power_cut(TornMode::Drop);

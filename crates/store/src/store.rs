@@ -8,7 +8,10 @@
 //!   there are exactly two ways to get it there:
 //!   [`DurableStore::append_synced`] syncs before it returns (forced), and
 //!   [`DurableStore::append_nosync`] leaves the sync to the next
-//!   [`DurableStore::sync`] (group commit).
+//!   [`DurableStore::sync`] (group commit). The store bounds that queue
+//!   itself: a group-commit append that finds [`COMMIT_QUEUE_LIMIT`]
+//!   records waiting syncs them along with itself, so no caller needs a
+//!   fallback and memory ahead of disk never outgrows the bound.
 //! * A snapshot is written to `snapshot.tmp`, synced, then renamed onto
 //!   `snapshot.bin` — the rename is the atomic commit point. Only after
 //!   the rename does compaction truncate the WAL: at every instant the
@@ -55,24 +58,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Store tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreOptions {
-    /// Retained outcomes per device (mirrors the registry's bound).
-    pub history_capacity: usize,
-    /// Bound on records a group-commit writer may leave unsynced before
-    /// [`DurableStore::append_nosync`] refuses with
-    /// [`StoreError::Backpressure`]. `0` (the default) means unbounded —
-    /// only [`DurableStore::append_nosync`] consults this; the forced-sync
-    /// path never queues.
-    pub commit_queue_limit: u32,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions { history_capacity: 64, commit_queue_limit: 0 }
-    }
-}
+/// Records a group-commit append may find awaiting their sync before it
+/// commits them itself: the append that finds this many queued writes its
+/// frame and then syncs, exactly as [`DurableStore::append_synced`] does.
+/// Memory ahead of disk is bounded by the store, whatever its caller.
+pub const COMMIT_QUEUE_LIMIT: u32 = 4096;
 
 /// Durability counters, surfaced in fleet snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,7 +112,7 @@ struct Inner {
     vfs: Arc<dyn Vfs>,
     wal: Wal,
     state: StoreState,
-    opts: StoreOptions,
+    history_capacity: usize,
     stats: StoreStats,
     unsynced: u32,
     broken: bool,
@@ -137,9 +127,9 @@ pub struct DurableStore {
     inner: Mutex<Inner>,
 }
 
-fn read_snapshot(vfs: &dyn Vfs, opts: StoreOptions, path: &str) -> Result<StoreState, StoreError> {
+fn read_snapshot(vfs: &dyn Vfs, history_capacity: usize, path: &str) -> Result<StoreState, StoreError> {
     let Some(bytes) = vfs.read(path)? else {
-        return Ok(StoreState::new(opts.history_capacity));
+        return Ok(StoreState::new(history_capacity));
     };
     // The snapshot only ever appears via atomic rename of a synced temp
     // file, so damage here is real corruption, never a torn write — the
@@ -173,13 +163,13 @@ fn write_snapshot(vfs: &dyn Vfs, state: &StoreState, tmp: &str, path: &str) -> R
 /// returned stats are the *deltas* of this recovery run.
 fn recover(
     vfs: &Arc<dyn Vfs>,
-    opts: StoreOptions,
+    history_capacity: usize,
     wal_path: &str,
     snapshot_path: &str,
     snapshot_tmp: &str,
 ) -> Result<(StoreState, Wal, StoreStats), StoreError> {
     let mut stats = StoreStats::default();
-    let mut state = read_snapshot(&**vfs, opts, snapshot_path)?;
+    let mut state = read_snapshot(&**vfs, history_capacity, snapshot_path)?;
     // Stream the WAL's valid prefix frame by frame: one borrowed
     // payload is alive at a time, so recovery memory is the image
     // plus the materialised state — never a second copy of every
@@ -208,7 +198,8 @@ fn recover(
 }
 
 impl DurableStore {
-    /// Opens (recovering if needed) a store over `vfs`.
+    /// Opens (recovering if needed) a store over `vfs`, retaining
+    /// `history_capacity` outcomes per device.
     ///
     /// Replays the snapshot and the WAL's valid prefix, counts any torn
     /// tail, then writes a fresh snapshot and compacts the WAL.
@@ -217,8 +208,8 @@ impl DurableStore {
     ///
     /// [`StoreError::Corrupt`] if the snapshot or a checksum-valid WAL
     /// record is structurally invalid; I/O errors from the backend.
-    pub fn open(vfs: Arc<dyn Vfs>, opts: StoreOptions) -> Result<Self, StoreError> {
-        Self::open_at(vfs, opts, "")
+    pub fn open(vfs: Arc<dyn Vfs>, history_capacity: usize) -> Result<Self, StoreError> {
+        Self::open_at(vfs, history_capacity, "")
     }
 
     /// Opens a store whose files live under `prefix` (e.g. `shard-003/`) —
@@ -228,17 +219,17 @@ impl DurableStore {
     /// # Errors
     ///
     /// As [`DurableStore::open`].
-    pub fn open_at(vfs: Arc<dyn Vfs>, opts: StoreOptions, prefix: &str) -> Result<Self, StoreError> {
+    pub fn open_at(vfs: Arc<dyn Vfs>, history_capacity: usize, prefix: &str) -> Result<Self, StoreError> {
         let wal_path = format!("{prefix}{WAL_FILE}");
         let snapshot_path = format!("{prefix}{SNAPSHOT_FILE}");
         let snapshot_tmp = format!("{prefix}{SNAPSHOT_TMP}");
-        let (state, wal, stats) = recover(&vfs, opts, &wal_path, &snapshot_path, &snapshot_tmp)?;
+        let (state, wal, stats) = recover(&vfs, history_capacity, &wal_path, &snapshot_path, &snapshot_tmp)?;
         Ok(DurableStore {
             inner: Mutex::new(Inner {
                 vfs,
                 wal,
                 state,
-                opts,
+                history_capacity,
                 stats,
                 unsynced: 0,
                 broken: false,
@@ -271,7 +262,7 @@ impl DurableStore {
     pub fn reopen(&self) -> Result<(), StoreError> {
         let mut inner = lock(&self.inner);
         let (state, wal, fresh) =
-            recover(&inner.vfs, inner.opts, &inner.wal_path, &inner.snapshot_path, &inner.snapshot_tmp)?;
+            recover(&inner.vfs, inner.history_capacity, &inner.wal_path, &inner.snapshot_path, &inner.snapshot_tmp)?;
         inner.state = state;
         inner.wal = wal;
         // Lifetime counters accumulate across the reopen; point-in-time
@@ -285,22 +276,16 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Validates, applies and writes `record`; with `force` the frame is
-    /// synced before returning, without it a group committer (or an
-    /// explicit sync) owns the fsync and
-    /// [`StoreOptions::commit_queue_limit`] bounds what may accumulate.
+    /// Validates, applies and writes `record`; with `force`, or when
+    /// [`COMMIT_QUEUE_LIMIT`] records already await their sync, the frame
+    /// is synced before returning, otherwise a group committer (or an
+    /// explicit sync) owns the fsync.
     fn append_inner(&self, record: &Record, force: bool) -> Result<u64, StoreError> {
         let mut inner = lock(&self.inner);
         if inner.broken {
             return Err(StoreError::Broken);
         }
-        // Backpressure is checked before anything is applied or written:
-        // a refused append leaves no trace in memory or on disk, so the
-        // caller can sync and retry the identical record.
-        let limit = inner.opts.commit_queue_limit;
-        if !force && limit > 0 && inner.unsynced >= limit {
-            return Err(StoreError::Backpressure);
-        }
+        let sync = force || inner.unsynced >= COMMIT_QUEUE_LIMIT;
         let seq = inner.state.last_seq + 1;
         // Validate-and-apply before touching the disk: an illegal record
         // must never reach the WAL, where replay would refuse it forever.
@@ -315,7 +300,7 @@ impl DurableStore {
             return Err(e);
         }
         inner.unsynced += 1;
-        if force {
+        if sync {
             if let Err(e) = inner.wal.sync() {
                 inner.broken = true;
                 return Err(e);
@@ -332,14 +317,14 @@ impl DurableStore {
     /// *commits* when the next [`DurableStore::sync`] (typically a
     /// committer thread on a latency bound) returns. A crash before that
     /// sync loses the record; group-commit callers must be able to re-run
-    /// the work that produced it. Returns the record's sequence number.
+    /// the work that produced it. An append that finds
+    /// [`COMMIT_QUEUE_LIMIT`] records queued syncs them along with itself,
+    /// so the queue never grows past the bound. Returns the record's
+    /// sequence number.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Backpressure`] if [`StoreOptions::commit_queue_limit`]
-    /// is non-zero and that many records are already awaiting their sync
-    /// (nothing is applied or written — sync and retry); otherwise as
-    /// [`DurableStore::append_synced`].
+    /// As [`DurableStore::append_synced`].
     pub fn append_nosync(&self, record: &Record) -> Result<u64, StoreError> {
         self.append_inner(record, false)
     }
@@ -468,7 +453,7 @@ mod tests {
     use crate::vfs::{SimVfs, TornMode};
 
     fn open_sim(vfs: &SimVfs) -> DurableStore {
-        DurableStore::open(Arc::new(vfs.clone()), StoreOptions::default()).unwrap()
+        DurableStore::open(Arc::new(vfs.clone()), 64).unwrap()
     }
 
     #[test]
@@ -609,37 +594,39 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_queue_applies_backpressure_and_drains_on_sync() {
+    fn a_full_commit_queue_commits_with_the_next_append() {
         let vfs = SimVfs::new();
-        let store = DurableStore::open(
-            Arc::new(vfs.clone()),
-            StoreOptions { commit_queue_limit: 2, ..StoreOptions::default() },
-        )
-        .unwrap();
-        store.append_nosync(&Record::DeviceEnrolled { id: 0 }).unwrap();
-        store.append_nosync(&Record::DeviceEnrolled { id: 1 }).unwrap();
-        assert_eq!(store.unsynced(), 2);
-        // Queue full: the refused append leaves no trace, in memory or on
-        // disk, so the identical record succeeds after a sync.
-        let err = store.append_nosync(&Record::DeviceEnrolled { id: 2 }).unwrap_err();
-        assert_eq!(err, StoreError::Backpressure);
-        assert!(!store.state().devices.contains_key(&2));
-        store.sync().unwrap();
-        assert_eq!(store.unsynced(), 0);
-        store.append_nosync(&Record::DeviceEnrolled { id: 2 }).unwrap();
+        let store = open_sim(&vfs);
+        for id in 0..COMMIT_QUEUE_LIMIT {
+            store.append_nosync(&Record::DeviceEnrolled { id }).unwrap();
+        }
+        assert_eq!(store.unsynced(), COMMIT_QUEUE_LIMIT);
         // Unsynced group-commit records are volatile: a power cut that
-        // drops the cache loses exactly the unsynced suffix.
+        // drops the cache loses the whole unsynced suffix below the bound.
+        assert_eq!(open_sim(&vfs.power_cut(TornMode::Drop)).stats().records_replayed, 0);
+        // The append that finds the queue full writes its frame and then
+        // syncs, committing every queued record along with itself.
+        let ops = vfs.ops();
+        store.append_nosync(&Record::DeviceEnrolled { id: COMMIT_QUEUE_LIMIT }).unwrap();
+        assert_eq!(vfs.ops() - ops, 2, "one write and one fsync");
+        assert_eq!(store.unsynced(), 0);
+        // The next append queues again, and is the only record a cut loses.
+        store
+            .append_nosync(&Record::DeviceEnrolled { id: COMMIT_QUEUE_LIMIT + 1 })
+            .unwrap();
+        assert_eq!(store.unsynced(), 1);
         let disk = vfs.power_cut(TornMode::Drop);
         let store = open_sim(&disk);
-        assert_eq!(store.stats().records_replayed, 2);
-        assert!(!store.state().devices.contains_key(&2));
+        assert_eq!(store.stats().records_replayed, u64::from(COMMIT_QUEUE_LIMIT) + 1);
+        assert!(store.state().devices.contains_key(&COMMIT_QUEUE_LIMIT));
+        assert!(!store.state().devices.contains_key(&(COMMIT_QUEUE_LIMIT + 1)));
     }
 
     #[test]
     fn prefixed_stores_share_a_directory_without_interfering() {
         let vfs = SimVfs::new();
-        let a = DurableStore::open_at(Arc::new(vfs.clone()), StoreOptions::default(), "shard-000/").unwrap();
-        let b = DurableStore::open_at(Arc::new(vfs.clone()), StoreOptions::default(), "shard-001/").unwrap();
+        let a = DurableStore::open_at(Arc::new(vfs.clone()), 64, "shard-000/").unwrap();
+        let b = DurableStore::open_at(Arc::new(vfs.clone()), 64, "shard-001/").unwrap();
         a.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap();
         b.append_synced(&Record::DeviceEnrolled { id: 2 }).unwrap();
         b.checkpoint().unwrap();
@@ -647,8 +634,8 @@ mod tests {
         drop(b);
         assert!(vfs.exists("shard-000/wal.log"));
         assert!(vfs.exists("shard-001/snapshot.bin"));
-        let a = DurableStore::open_at(Arc::new(vfs.clone()), StoreOptions::default(), "shard-000/").unwrap();
-        let b = DurableStore::open_at(Arc::new(vfs.clone()), StoreOptions::default(), "shard-001/").unwrap();
+        let a = DurableStore::open_at(Arc::new(vfs.clone()), 64, "shard-000/").unwrap();
+        let b = DurableStore::open_at(Arc::new(vfs.clone()), 64, "shard-001/").unwrap();
         assert!(a.state().devices.contains_key(&1));
         assert!(!a.state().devices.contains_key(&2));
         assert!(b.state().devices.contains_key(&2));
@@ -684,7 +671,7 @@ mod tests {
         img[last] ^= 0x40;
         vfs.truncate(SNAPSHOT_FILE, &img).unwrap();
         vfs.sync(SNAPSHOT_FILE).unwrap();
-        let err = DurableStore::open(Arc::new(vfs), StoreOptions::default()).unwrap_err();
+        let err = DurableStore::open(Arc::new(vfs), 64).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)));
     }
 }

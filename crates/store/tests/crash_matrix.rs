@@ -22,17 +22,10 @@ use proptest::prelude::*;
 use pufatt_store::record::{CursorInfo, OutcomeRec, Record, StoredStatus, LATENCY_SLOTS};
 use pufatt_store::state::StoreState;
 use pufatt_store::wal;
-use pufatt_store::{DurableStore, SimVfs, StoreError, StoreOptions, TORN_MODES};
+use pufatt_store::{DurableStore, SimVfs, StoreError, TORN_MODES};
 use std::sync::Arc;
 
 const HISTORY_CAPACITY: usize = 2;
-
-fn opts() -> StoreOptions {
-    StoreOptions {
-        history_capacity: HISTORY_CAPACITY,
-        ..StoreOptions::default()
-    }
-}
 
 fn outcome(accepted: bool) -> OutcomeRec {
     OutcomeRec {
@@ -191,7 +184,7 @@ fn prefix_states(records: &[Record]) -> Vec<StoreState> {
 /// acknowledged (committed from the caller's point of view) before the
 /// first failure.
 fn run_workload(vfs: &SimVfs) -> usize {
-    let store = match DurableStore::open(Arc::new(vfs.clone()), opts()) {
+    let store = match DurableStore::open(Arc::new(vfs.clone()), HISTORY_CAPACITY) {
         Ok(store) => store,
         Err(_) => return 0,
     };
@@ -210,7 +203,7 @@ fn workload_is_legal_and_replayable() {
     let vfs = SimVfs::new();
     let total = workload().len();
     assert_eq!(run_workload(&vfs), total, "crash-free workload commits fully");
-    let store = DurableStore::open(Arc::new(vfs), opts()).unwrap();
+    let store = DurableStore::open(Arc::new(vfs), HISTORY_CAPACITY).unwrap();
     assert_eq!(store.state(), prefix_states(&workload())[total], "replay lands on the final prefix state");
 }
 
@@ -222,7 +215,7 @@ fn check_crash_point(k: u64, mode: pufatt_store::TornMode) {
     let vfs = SimVfs::crashing_at(k);
     let acked = run_workload(&vfs);
     let disk = vfs.power_cut(mode);
-    let store = DurableStore::open(Arc::new(disk.clone()), opts())
+    let store = DurableStore::open(Arc::new(disk.clone()), HISTORY_CAPACITY)
         .unwrap_or_else(|e| panic!("recovery must succeed at crash op {k} ({mode:?}): {e}"));
 
     // Invariant 1: committed prefix. The recovered sequence number names
@@ -241,7 +234,7 @@ fn check_crash_point(k: u64, mode: pufatt_store::TornMode) {
     // Recovery must also have left a self-contained snapshot: a second
     // clean open replays nothing new and lands on the same state.
     drop(store);
-    let reopened = DurableStore::open(Arc::new(disk), opts()).unwrap();
+    let reopened = DurableStore::open(Arc::new(disk), HISTORY_CAPACITY).unwrap();
     assert_eq!(reopened.state(), prefixes[n], "second open after recovery diverged at op {k} ({mode:?})");
 }
 
@@ -277,7 +270,7 @@ fn crashes_during_recovery_lose_nothing() {
     let recovery_ops = {
         let probe = base.power_cut(pufatt_store::TornMode::Keep);
         let before = probe.ops();
-        DurableStore::open(Arc::new(probe.clone()), opts()).unwrap();
+        DurableStore::open(Arc::new(probe.clone()), HISTORY_CAPACITY).unwrap();
         probe.ops() - before
     };
     assert!(recovery_ops > 0);
@@ -285,13 +278,13 @@ fn crashes_during_recovery_lose_nothing() {
         for mode in TORN_MODES {
             let disk = base.power_cut(pufatt_store::TornMode::Keep);
             disk.set_crash_at(Some(disk.ops() + k));
-            match DurableStore::open(Arc::new(disk.clone()), opts()) {
+            match DurableStore::open(Arc::new(disk.clone()), HISTORY_CAPACITY) {
                 Ok(store) => assert_eq!(store.state(), final_state),
                 Err(StoreError::Crashed) => {}
                 Err(e) => panic!("recovery crash at op {k} must be Crashed, got {e}"),
             }
             let after = disk.power_cut(mode);
-            let store = DurableStore::open(Arc::new(after), opts())
+            let store = DurableStore::open(Arc::new(after), HISTORY_CAPACITY)
                 .unwrap_or_else(|e| panic!("clean open after recovery crash {k} ({mode:?}): {e}"));
             assert_eq!(store.state(), final_state, "recovery crash at op {k} ({mode:?}) lost records");
         }

@@ -45,7 +45,6 @@ fn opts() -> ShardedOptions {
         history_capacity: HISTORY_CAPACITY,
         shards: SHARDS,
         range_width: RANGE_WIDTH,
-        commit_queue_limit: 0,
         compact_wal_bytes: 0,
     }
 }
@@ -164,11 +163,7 @@ fn run_with_errors(vfs: &SimVfs) -> RunLog {
         assert!(
             matches!(
                 e,
-                StoreError::Io(_)
-                    | StoreError::NoSpace(_)
-                    | StoreError::Broken
-                    | StoreError::ShardUnavailable { .. }
-                    | StoreError::Backpressure
+                StoreError::Io(_) | StoreError::NoSpace(_) | StoreError::Broken | StoreError::ShardUnavailable { .. }
             ),
             "storage failure must surface typed, got {e}"
         );
@@ -190,7 +185,7 @@ fn run_with_errors(vfs: &SimVfs) -> RunLog {
         match op {
             Op::Append(record) => {
                 let s = store.shard_of_record(&record);
-                match store.append(&record) {
+                match store.append_nosync(&record) {
                     Ok(()) => log.acked[s].push(record),
                     Err(e) => {
                         assert_typed(&e);
@@ -395,7 +390,7 @@ fn a_failed_fsync_poisons_the_handle_until_reopen() {
     // handle + recovery) brings it back.
     let vfs = SimVfs::new();
     let store = ShardedStore::open(Arc::new(vfs.clone()), opts()).unwrap();
-    store.append(&Record::DeviceEnrolled { id: 2 }).unwrap();
+    store.append_nosync(&Record::DeviceEnrolled { id: 2 }).unwrap();
     vfs.inject(ErrorInjection::on_prefix("shard-001/", InjectedErrorKind::SyncFail));
     assert!(store.flush().is_err(), "the injected fsync failure must surface");
     assert_eq!(store.shard_health(1), ShardHealth::Degraded);

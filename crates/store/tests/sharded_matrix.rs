@@ -34,7 +34,6 @@ fn opts() -> ShardedOptions {
         history_capacity: HISTORY_CAPACITY,
         shards: SHARDS,
         range_width: RANGE_WIDTH,
-        commit_queue_limit: 0,
         compact_wal_bytes: 0,
     }
 }
@@ -156,7 +155,7 @@ fn run_workload(vfs: &SimVfs) -> Vec<usize> {
         match op {
             Op::Append(record) => {
                 let s = store.shard_of_record(&record);
-                if store.append(&record).is_err() {
+                if store.append_nosync(&record).is_err() {
                     break;
                 }
                 appended[s] += 1;
@@ -258,7 +257,7 @@ fn online_enrollment_is_admitted_or_absent_at_every_crash_point() {
         let probe = SimVfs::new();
         let store = ShardedStore::open(Arc::new(probe.clone()), opts()).unwrap();
         for id in 0..4 {
-            store.append(&Record::DeviceEnrolled { id }).unwrap();
+            store.append_nosync(&Record::DeviceEnrolled { id }).unwrap();
         }
         store.flush().unwrap();
         drop(store);
@@ -277,7 +276,7 @@ fn online_enrollment_is_admitted_or_absent_at_every_crash_point() {
             acked.push(new_id);
             // Interleave campaign traffic on the group-commit path.
             if store
-                .append(&Record::SessionClosed {
+                .append_nosync(&Record::SessionClosed {
                     id: 0,
                     outcome: outcome(true),
                     status: StoredStatus::Active,
@@ -297,7 +296,7 @@ fn online_enrollment_is_admitted_or_absent_at_every_crash_point() {
     {
         let setup = ShardedStore::open(Arc::new(probe.clone()), opts()).unwrap();
         for id in 0..4 {
-            setup.append(&Record::DeviceEnrolled { id }).unwrap();
+            setup.append_nosync(&Record::DeviceEnrolled { id }).unwrap();
         }
         setup.flush().unwrap();
     }
@@ -312,7 +311,7 @@ fn online_enrollment_is_admitted_or_absent_at_every_crash_point() {
             {
                 let setup = ShardedStore::open(Arc::new(vfs.clone()), opts()).unwrap();
                 for id in 0..4 {
-                    setup.append(&Record::DeviceEnrolled { id }).unwrap();
+                    setup.append_nosync(&Record::DeviceEnrolled { id }).unwrap();
                 }
                 setup.flush().unwrap();
             }

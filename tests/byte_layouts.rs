@@ -17,8 +17,7 @@ use pufatt_store::record::{CursorInfo, StoredStatus};
 use pufatt_store::sharded::MANIFEST_FILE;
 use pufatt_store::store::{SNAPSHOT_FILE, WAL_FILE};
 use pufatt_store::{
-    wal, DurableStore, OutcomeRec, Record, ShardedOptions, ShardedStore, SimVfs, StoreError, StoreOptions, StoreState,
-    Vfs,
+    wal, DurableStore, OutcomeRec, Record, ShardedOptions, ShardedStore, SimVfs, StoreError, StoreState, Vfs,
 };
 use pufatt_transport::{
     decode_frame, encode_frame, ErrorCode, FrameReader, Request, Response, TransportError, WireStats, WireStatus,
@@ -217,8 +216,7 @@ fn store_snapshot_body_and_file_header_are_pinned_and_refuse_cuts() {
 
     // The same state, checkpointed by a store: header + body on disk.
     let vfs = SimVfs::new();
-    let store = DurableStore::open(Arc::new(vfs.clone()), StoreOptions { history_capacity: 4, commit_queue_limit: 0 })
-        .expect("fresh store opens");
+    let store = DurableStore::open(Arc::new(vfs.clone()), 4).expect("fresh store opens");
     for record in sample_records() {
         store.append_synced(&record).expect("append");
     }
@@ -228,7 +226,7 @@ fn store_snapshot_body_and_file_header_are_pinned_and_refuse_cuts() {
     assert_cuts_refused("snapshot file", &file, |b| {
         let vfs = SimVfs::new();
         vfs.truncate(SNAPSHOT_FILE, b).expect("plant snapshot");
-        corrupt(DurableStore::open(Arc::new(vfs), StoreOptions::default()))
+        corrupt(DurableStore::open(Arc::new(vfs), 64))
     });
 }
 
@@ -265,7 +263,7 @@ fn a_state_directory_of_the_previous_revision_is_refused_as_corrupt() {
     let snapshot = unhex(&format!("{SNAPSHOT_V1_HEADER}{STATE_V1}"));
     assert_eq!(&snapshot[..8], b"PUFATTS1");
     vfs.truncate(SNAPSHOT_FILE, &snapshot).expect("plant snapshot");
-    let refused = DurableStore::open(Arc::new(vfs), StoreOptions::default()).err();
+    let refused = DurableStore::open(Arc::new(vfs), 64).err();
     assert!(matches!(refused, Some(StoreError::Corrupt(_))), "PUFATTS1 snapshot: {refused:?}");
 
     // A WAL whose one checksum-valid frame holds a session record of the
@@ -274,7 +272,7 @@ fn a_state_directory_of_the_previous_revision_is_refused_as_corrupt() {
     wal::encode_frame(&unhex(SESSION_CLOSED_V1), &mut log);
     let vfs = SimVfs::new();
     vfs.truncate(WAL_FILE, &log).expect("plant wal");
-    let refused = DurableStore::open(Arc::new(vfs), StoreOptions::default()).err();
+    let refused = DurableStore::open(Arc::new(vfs), 64).err();
     assert!(matches!(refused, Some(StoreError::Corrupt(_))), "tag-4 record: {refused:?}");
 }
 
