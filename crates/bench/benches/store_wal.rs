@@ -246,10 +246,14 @@ fn fleet_runs(dir: &std::path::Path, devices: usize) -> Vec<Row> {
     });
 
     // What a restarted `pufatt serve --state-dir` does next, before it
-    // answers: rebuild every device's slot from the recovered store. Its
-    // `records` are the devices restored.
+    // answers: build the service over the recovered store, which already
+    // holds every device's record. Its `records` are the devices restored.
+    // The configuration keeps the store's history bound, as a service
+    // journaling into it must.
+    let mut cfg = small_test_config(devices, 1, 0x5E12);
+    cfg.history_capacity = store.history_capacity();
     let start = Instant::now();
-    let service = FleetService::with_journal(small_test_config(devices, 1, 0x5E12), store).expect("service restore");
+    let service = FleetService::with_journal(cfg, store).expect("service restore");
     let seconds = start.elapsed().as_secs_f64();
     assert_eq!(service.snapshot().devices.total(), devices, "the service must restore every device");
     rows.push(Row {

@@ -414,9 +414,7 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             if online > 0 {
                 println!("admitted {online} device(s) online (ids {first}..{})", first + online);
             }
-            let report = campaign.finish()?;
-            println!("store: {}", store.stats());
-            Ok(report)
+            campaign.finish()
         })
     }
     .map_err(|e| e.to_string())?;

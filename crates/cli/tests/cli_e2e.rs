@@ -146,6 +146,28 @@ fn serve_refuses_fail_fast() {
 }
 
 #[test]
+fn journaled_fleet_prints_the_store_statistics_once() {
+    let dir = temp_path("fleet-state");
+    let out = pufatt()
+        .args(["fleet", "--devices", "4", "--workers", "2", "--sessions", "1"])
+        .args([
+            "--profile",
+            "fpga16",
+            "--rounds",
+            "128",
+            "--state-dir",
+            dir.to_str().expect("utf8"),
+        ])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    let store_lines: Vec<&str> = stdout.lines().filter(|line| line.starts_with("store")).collect();
+    assert_eq!(store_lines.len(), 1, "one store line: {store_lines:?}");
+}
+
+#[test]
 fn no_args_fails_with_usage() {
     let out = pufatt().output().expect("binary runs");
     assert!(!out.status.success());

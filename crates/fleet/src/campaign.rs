@@ -24,7 +24,6 @@
 //! exactly the same accept/reject totals as the same campaign with 1.
 
 use crate::driver::{DeviceDriver, DeviceTally, Outcome, Step};
-use crate::durable::open_state_dir;
 use crate::metrics::FleetSnapshot;
 use crate::pool::WorkerPool;
 use crate::registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome};
@@ -42,7 +41,6 @@ use pufatt_swatt::checksum::SwattParams;
 use pufatt_swatt::codegen::CodegenOptions;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -148,9 +146,13 @@ pub struct CampaignReport {
     pub wall_time: Duration,
     /// Pool jobs that panicked (0 in a healthy campaign).
     pub panicked_jobs: u64,
+    /// Sessions the journal already held closed when the campaign
+    /// launched (0 unless it resumed one): the snapshot counts them, this
+    /// run did not close them.
+    pub(crate) sessions_resumed: u64,
 }
 
-/// One device's campaign outcome, read from its service slot after the
+/// One device's campaign outcome, read from the service's store after the
 /// pool drains.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceRecord {
@@ -167,10 +169,11 @@ pub struct DeviceRecord {
 }
 
 impl CampaignReport {
-    /// Completed sessions per wall-clock second — the scheduler-throughput
-    /// figure the benchmarks sweep over worker counts.
+    /// Sessions this run closed per wall-clock second — the
+    /// scheduler-throughput figure the benchmarks sweep over worker
+    /// counts. A resumed campaign counts only the sessions it ran.
     pub fn sessions_per_second(&self) -> f64 {
-        let finished = self.snapshot.sessions_accepted + self.snapshot.sessions_rejected;
+        let finished = self.snapshot.sessions_closed().saturating_sub(self.sessions_resumed);
         finished as f64 / self.wall_time.as_secs_f64().max(1e-9)
     }
 }
@@ -507,8 +510,9 @@ fn submit(pool: &WorkerPool, service: &Arc<FleetService>, id: DeviceId) {
     pool.submit(move || run_device(&service, id));
 }
 
-/// The report of a drained campaign.
-fn report(service: &FleetService, panicked_jobs: u64, start: Instant) -> CampaignReport {
+/// The report of a drained campaign that launched at `start` with
+/// `sessions_resumed` sessions already closed.
+fn report(service: &FleetService, panicked_jobs: u64, start: Instant, sessions_resumed: u64) -> CampaignReport {
     let mut snapshot = service.snapshot();
     snapshot.store = service.store_stats();
     CampaignReport {
@@ -516,6 +520,7 @@ fn report(service: &FleetService, panicked_jobs: u64, start: Instant) -> Campaig
         device_records: service.device_records(),
         wall_time: start.elapsed(),
         panicked_jobs,
+        sessions_resumed,
     }
 }
 
@@ -531,7 +536,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, PufattError>
     let start = Instant::now();
     let service = Arc::new(FleetService::new(cfg.clone())?);
     let panicked_jobs = start_pool(&service).shutdown();
-    Ok(report(&service, panicked_jobs, start))
+    Ok(report(&service, panicked_jobs, start, 0))
 }
 
 /// A persistent campaign mid-flight: the pool is attesting against a
@@ -544,6 +549,8 @@ pub struct RunningCampaign {
     store: Arc<ShardedStore>,
     pool: WorkerPool,
     start: Instant,
+    /// Sessions the store held closed at launch.
+    sessions_resumed: u64,
 }
 
 impl RunningCampaign {
@@ -576,8 +583,15 @@ impl RunningCampaign {
         }
         let start = Instant::now();
         let service = Arc::new(FleetService::with_journal(cfg.clone(), Arc::clone(store))?);
+        let sessions_resumed = service.snapshot().sessions_closed();
         let pool = start_pool(&service);
-        Ok(RunningCampaign { service, store: Arc::clone(store), pool, start })
+        Ok(RunningCampaign {
+            service,
+            store: Arc::clone(store),
+            pool,
+            start,
+            sessions_resumed,
+        })
     }
 
     /// Admits a new device while the campaign runs. The enrollment is
@@ -626,7 +640,7 @@ impl RunningCampaign {
     /// the final flush/checkpoint hits a failure `fail_fast` must not
     /// tolerate.
     pub fn finish(self) -> Result<CampaignReport, PufattError> {
-        let RunningCampaign { service, store, pool, start } = self;
+        let RunningCampaign { service, store, pool, start, sessions_resumed } = self;
         let panicked_jobs = pool.shutdown();
         let fail_fast = service.config().fail_fast;
         if fail_fast && store.is_broken() {
@@ -642,7 +656,7 @@ impl RunningCampaign {
                 return Err(e);
             }
         }
-        Ok(report(&service, panicked_jobs, start))
+        Ok(report(&service, panicked_jobs, start, sessions_resumed))
     }
 }
 
@@ -660,17 +674,6 @@ pub fn run_persistent_campaign(
     resume: bool,
 ) -> Result<CampaignReport, PufattError> {
     RunningCampaign::launch(cfg, store, resume)?.finish()
-}
-
-/// [`run_persistent_campaign`] against an on-disk state directory — the
-/// `pufatt fleet --state-dir <dir> [--resume]` entry point.
-///
-/// # Errors
-///
-/// As [`open_state_dir`] and [`run_persistent_campaign`].
-pub fn run_campaign_with_dir(cfg: &CampaignConfig, dir: &Path, resume: bool) -> Result<CampaignReport, PufattError> {
-    let store = open_state_dir(dir, cfg.history_capacity)?;
-    run_persistent_campaign(cfg, &store, resume)
 }
 
 /// A cheap configuration for tests and benchmarks: a narrow PUF and a
@@ -854,6 +857,11 @@ mod tests {
         assert_eq!(core_snapshot(&resumed), core_snapshot(&first));
         let stats = resumed.snapshot.store.unwrap();
         assert_eq!(stats.records_appended, 0, "a finished campaign appends nothing on resume");
+        // The resumed run closed no session, and its rate says so.
+        assert_eq!(first.sessions_resumed, 0);
+        assert!(first.sessions_per_second() > 0.0);
+        assert_eq!(resumed.sessions_resumed, first.snapshot.sessions_closed());
+        assert_eq!(resumed.sessions_per_second(), 0.0, "a resumed campaign counts only the sessions it ran");
     }
 
     #[test]

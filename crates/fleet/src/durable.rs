@@ -31,14 +31,13 @@
 //! [`crate::campaign`]): every per-device random stream derives from the
 //! seed and device id, and one device's sessions run in order. Resume
 //! exploits this twice over. Each device's record — lifecycle, history,
-//! session count and cursor — is the store's
-//! [`DeviceState`](pufatt_store::DeviceState), which the service's slot
-//! keeps live and advances with the same
-//! [`DeviceState::apply`](pufatt_store::DeviceState::apply) replay runs,
-//! so a restore is a plain copy of it; the metrics are restored from the
-//! store's counters. Then each device, provisioned when its first session
-//! needs it, jumps to the cursor of its last journaled session (absolute
-//! RNG positions: nothing is re-run), and the remaining sessions run live.
+//! session count and cursor — and the fleet's counters live only in the
+//! store, which the service reads and appends to (in memory too, over
+//! [`pufatt_store::NullVfs`], when nothing is journaled), so a restore
+//! copies nothing: the recovered table is the service's state. Then each
+//! device, provisioned when its first session needs it, jumps to the
+//! cursor of its last journaled session (absolute RNG positions: nothing
+//! is re-run), and the remaining sessions run live.
 //! A session's verdict and its cursor are one record, so no crash can
 //! keep one without the other. A crash can lose at most the unflushed
 //! group-commit tail of each shard — and every lost record is re-derived
@@ -58,12 +57,12 @@
 //! [`RunningCampaign::enroll`](crate::RunningCampaign::enroll)) is
 //! journaled with a forced sync before it becomes visible anywhere, so at
 //! every crash point it is either fully admitted or entirely absent.
-//! Devices past the configured fleet size are re-counted on resume as
+//! Devices past the configured fleet size are counted as
 //! [`devices_enrolled_online`](crate::metrics::FleetSnapshot::devices_enrolled_online)
-//! by their id alone.
+//! by their id alone, live and on resume.
 
 use crate::campaign::CampaignConfig;
-use crate::metrics::LatencyHistogram;
+use crate::metrics::bucket_index;
 use pufatt::PufattError;
 use pufatt_store::record::OutcomeRec;
 use pufatt_store::{ShardedOptions, ShardedStore, StdVfs, StoreError};
@@ -129,7 +128,7 @@ pub(crate) fn to_outcome_rec(
         retried,
         dropped,
         lost,
-        latency_slot: LatencyHistogram::bucket_index(o.elapsed_s) as u8,
+        latency_slot: bucket_index(o.elapsed_s) as u8,
         crp_hits,
         crp_misses,
     }

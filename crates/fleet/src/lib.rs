@@ -9,17 +9,17 @@
 //! * [`registry`] — the lifecycle policy: the pure
 //!   `Active → Quarantined → Revoked` decision a closed session makes.
 //!   The per-device record it decides on is the store's
-//!   `pufatt_store::DeviceState`, kept in the device's one slot in the
-//!   service.
+//!   `pufatt_store::DeviceState`, held once, in the service's store.
 //! * [`pool`] — a `std::thread` worker pool behind a bounded queue
 //!   (backpressure by blocking submit), with contained job panics and
 //!   graceful drain on shutdown.
-//! * [`metrics`] — relaxed atomic counters and a log-scale latency
-//!   histogram, snapshotted into a printable [`FleetSnapshot`].
+//! * [`metrics`] — the printable [`FleetSnapshot`] of the store's
+//!   counters, with its log-scale latency histogram.
 //! * [`service`] — the engine behind a per-request façade
 //!   (enroll / open-session / attest / revoke), driven by the
-//!   `pufatt-transport` socket server; optionally journaled through
-//!   `pufatt_store::ShardedStore` and restored from it on restart.
+//!   `pufatt-transport` socket server. Its device table is a
+//!   `pufatt_store::ShardedStore`: the caller's journal, restored as it
+//!   stands on restart, or one kept in memory.
 //! * [`campaign`] — the in-process driver: a worker pool attesting a
 //!   whole fleet through the service, one job per device. Deterministic
 //!   in its seed — worker count changes wall-clock time, never verdicts.
@@ -70,11 +70,11 @@ pub mod service;
 pub mod sync;
 
 pub use campaign::{
-    device_is_flaky, device_is_tampered, run_campaign, run_campaign_with_dir, run_persistent_campaign,
-    small_test_config, CampaignConfig, CampaignReport, ChaosConfig, DeviceRecord, RunningCampaign,
+    device_is_flaky, device_is_tampered, run_campaign, run_persistent_campaign, small_test_config, CampaignConfig,
+    CampaignReport, ChaosConfig, DeviceRecord, RunningCampaign,
 };
 pub use durable::{config_fingerprint, open_state_dir};
-pub use metrics::{FleetMetrics, FleetSnapshot, LatencyHistogram, LATENCY_BUCKETS};
+pub use metrics::{FleetSnapshot, LATENCY_BUCKETS};
 pub use pool::WorkerPool;
 pub use registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome, StatusCounts};
 pub use service::{EnrollOutcome, FleetService, ServiceVerdict, SessionGate};
@@ -87,5 +87,4 @@ const _: () = {
     assert_send::<pufatt::Verifier>();
     assert_send::<pufatt::EnrolledDevice>();
     assert_send::<FleetService>();
-    assert_send::<FleetMetrics>();
 };

@@ -48,11 +48,6 @@ impl WorkerPool {
         WorkerPool { sender: Some(sender), workers: handles, panicked }
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Enqueues a job, blocking while the queue is full.
     ///
     /// # Panics
@@ -118,7 +113,6 @@ mod tests {
     #[test]
     fn runs_every_job_across_workers() {
         let pool = WorkerPool::new(4, 8);
-        assert_eq!(pool.worker_count(), 4);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let counter = Arc::clone(&counter);

@@ -6,8 +6,8 @@
 //! bounded history of recent outcomes — enough for an operator to ask
 //! "why was this device quarantined?" without the record growing without
 //! bound on a long-lived service — and the session count and cursor a
-//! resume starts from. [`FleetService`](crate::FleetService) keeps it in
-//! the device's slot and advances it with
+//! resume starts from. [`FleetService`](crate::FleetService) keeps it
+//! once, in its store, which advances it with
 //! [`DeviceState::apply`](pufatt_store::DeviceState::apply), the same
 //! transition that replays the journal, so the live record and a
 //! recovered one cannot differ. What this module adds is the decision a

@@ -6,8 +6,8 @@
 //! order the network delivers them, so [`FleetService`] works per
 //! request:
 //!
-//! * [`FleetService::enroll`] admits one device: its record, in one
-//!   slot. The device's prover/verifier session is provisioned (the
+//! * [`FleetService::enroll`] admits one device: its record, in the
+//!   store. The device's prover/verifier session is provisioned (the
 //!   golden run included) by the first call that needs it, as on restore;
 //! * [`FleetService::open_session`] gates one attestation session (the
 //!   revocation check before each session);
@@ -31,26 +31,31 @@
 //! `service_matches_in_process_campaign` below and end to end over real
 //! sockets by `pufatt-transport`).
 //!
-//! # One device record
+//! # One device table
 //!
 //! A device's record — lifecycle, streaks, bounded history, session count
-//! and cursor — is the store's [`DeviceState`], the type journal replay
-//! builds. The service changes it only by applying, with
-//! [`DeviceState::apply`], each record it emits for the device, whether
-//! or not a journal is attached; the lifecycle decision a closed session
-//! carries comes from `LifecyclePolicy::next`.
-//! A live record therefore equals the journal's by construction, and a
-//! restore is a copy of the store's record.
+//! and cursor — and the fleet's counters live in one place: the service's
+//! [`ShardedStore`], the table journal replay builds. The service reads
+//! them from it and changes them only by appending records, which the
+//! store applies once, with the transition replay runs
+//! ([`DeviceState::apply`](pufatt_store::DeviceState::apply),
+//! `Counters::count`). The lifecycle decision a closed session carries
+//! comes from `LifecyclePolicy::next`. A service
+//! built with [`FleetService::with_journal`] writes through the caller's
+//! store; one built with [`FleetService::new`] opens a store over
+//! [`NullVfs`], which keeps the table in memory and writes nothing. A
+//! restore is therefore no copy at all: the store's table *is* the
+//! service's state.
 //!
 //! # Ordering contract
 //!
 //! One device's sessions must be applied in order (each session advances
-//! the device's seeded RNG). Each device has one slot — its record and
-//! its session — in one sharded map, and
-//! the service serialises per *slot shard*: every call for device `id`
-//! locks shard [`FleetService::shard_of`]`(id)` for the duration of the
-//! session (provisioning included, on a device's first), and that is the
-//! only fleet lock a session takes. A transport that runs each
+//! the device's seeded RNG). Each device's provisioned session sits in
+//! one sharded map, and the service serialises per *slot shard*: every
+//! call for device `id` locks shard [`FleetService::shard_of`]`(id)` for
+//! the duration of the session (provisioning included, on a device's
+//! first), and that is the only fleet lock a session takes; the store's
+//! shard lock is only ever taken under it. A transport that runs each
 //! connection's requests one at a time in arrival order (as
 //! `pufatt-transport` does, with each client sending a device's requests
 //! in protocol order), or a campaign that runs each device's schedule
@@ -58,38 +63,36 @@
 //! while distinct shards attest fully in parallel.
 //!
 //! Fleet-wide reads ([`FleetService::snapshot`],
-//! [`FleetService::device_records`]) walk the slot shards one lock at a
-//! time, so each device is read in one consistent view, but a read that
-//! arrives under load waits behind at most one in-flight session per
-//! shard.
+//! [`FleetService::device_records`]) walk the store one shard lock at a
+//! time, so each device is read in one consistent view. They take no
+//! slot lock, so they never wait behind a session in flight: a store
+//! shard lock is held only while a record is read or appended (a synced
+//! append's fsync included).
 
 use crate::campaign::{
     crp_delta, device_is_flaky, device_is_tampered, provision_device, run_session, session_outcome, CampaignConfig,
     DeviceRecord, DeviceSession, ProductLine,
 };
 use crate::durable::{config_fingerprint, from_outcome_rec, storage_err, to_outcome_rec};
-use crate::metrics::{FleetMetrics, FleetSnapshot};
+use crate::metrics::FleetSnapshot;
 use crate::registry::{DeviceId, FleetStatus, SessionOutcome, StatusCounts};
 use crate::sync::{lock_ranked, rank};
 use pufatt::PufattError;
 use pufatt_store::record::{CursorInfo, OutcomeRec, Record};
+use pufatt_store::sharded::MAX_SHARDS;
 use pufatt_store::state::MetaInfo;
-use pufatt_store::{DeviceState, ShardedStore, StoreError};
+use pufatt_store::{NullVfs, ShardedOptions, ShardedStore};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One device's server-side state.
-struct Slot {
-    /// The device's record — status, streak counters, bounded session
-    /// history, session count and cursor — as the journal holds it, and
-    /// advanced by the same [`DeviceState::apply`] replay runs.
-    state: DeviceState,
-    /// The device's prover/verifier session, provisioned on first use
-    /// and moved to the cursor `state` records. Stays `None` for good
-    /// once provisioning failed (`state.abandoned`).
-    session: Option<Box<DeviceSession>>,
-}
+/// One slot shard: the provisioned sessions of the devices it serialises.
+type Slots = HashMap<DeviceId, Box<DeviceSession>>;
+
+/// A device's lifecycle status and its failure and success streaks, as its
+/// record holds them: what the lifecycle policy decides a session from.
+type Standing = (FleetStatus, u32, u32);
 
 /// How an enrollment record is committed (OPERATIONS.md §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,13 +169,23 @@ pub enum ServiceVerdict {
 pub struct FleetService {
     cfg: CampaignConfig,
     line: ProductLine,
-    metrics: FleetMetrics,
-    slots: Vec<Mutex<HashMap<DeviceId, Slot>>>,
+    /// Every device's record and the fleet's counters: the caller's
+    /// journal, or an in-memory table over [`NullVfs`].
+    store: Arc<ShardedStore>,
+    /// Whether `store` is a caller's journal ([`FleetService::with_journal`]):
+    /// only then are there store statistics to report and shards to reopen.
+    journaled: bool,
+    /// Each device's prover/verifier session, provisioned on first use and
+    /// moved to the cursor its record holds. An abandoned device never
+    /// gets one.
+    slots: Vec<Mutex<Slots>>,
+    /// Sessions refused because their device's home shard was sick. Not
+    /// journaled — the sick shard could not record it anyway — and so not
+    /// restored: after the shard reopens, a resumed campaign runs these
+    /// sessions for real, and carrying the count forward would double-book
+    /// them.
+    sessions_unavailable: AtomicU64,
     next_ticket: AtomicU64,
-    /// When present, every enrollment, verdict, refusal and fault is
-    /// journaled through the sharded store, and construction restored the
-    /// service from whatever the store already held.
-    journal: Option<Arc<ShardedStore>>,
     /// Background group-commit thread bounding power-cut loss to the
     /// configured commit interval. Spawned by [`FleetService::with_journal`]
     /// when `commit_interval_s > 0`; stopped (with a final flush) on drop.
@@ -187,49 +200,54 @@ impl FleetService {
     /// verdict-affecting (seed, PUF profile, checksum parameters, policy,
     /// chaos plan) is honoured.
     ///
+    /// The device table is a store over [`NullVfs`], which keeps it in
+    /// memory: `shards` store shards (at most [`MAX_SHARDS`]) of range
+    /// width 1, so device `id` lives on store shard `id % shards`, the
+    /// split of the slot shards.
+    ///
     /// # Errors
     ///
     /// Rejects unsupported PUF widths and zero sessions per device.
     pub fn new(cfg: CampaignConfig) -> Result<Self, PufattError> {
-        let width = cfg.puf.width;
-        if !(width.is_power_of_two() && (4..=32).contains(&width)) {
-            return Err(PufattError::UnsupportedWidth { width });
-        }
-        if cfg.sessions_per_device == 0 {
-            return Err(PufattError::Codegen("service needs sessions_per_device > 0".into()));
-        }
-        let shards = cfg.shards.max(1);
-        Ok(FleetService {
-            line: ProductLine::new(&cfg),
-            metrics: FleetMetrics::new(),
-            slots: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            next_ticket: AtomicU64::new(1),
-            cfg,
-            journal: None,
-            committer: None,
-        })
+        validate(&cfg)?;
+        let opts = ShardedOptions {
+            history_capacity: cfg.history_capacity.max(1),
+            shards: cfg.shards.clamp(1, MAX_SHARDS as usize) as u32,
+            range_width: 1,
+            compact_wal_bytes: 0,
+        };
+        let store = ShardedStore::open(Arc::new(NullVfs), opts).map_err(storage_err)?;
+        Ok(FleetService::over(cfg, Arc::new(store), false))
     }
 
     /// Builds a service whose state is journaled through (and restored
     /// from) a sharded durable store — the `pufatt serve --state-dir`
     /// entry point. An empty store starts fresh; a store holding this
-    /// configuration's campaign is restored: every enrolled device gets
-    /// its lifecycle back, and its session is provisioned and moved to
-    /// its journaled cursor when it is first needed, so
-    /// the restarted service hands out **bit-identical** verdicts from
-    /// where the previous process stopped.
+    /// configuration's campaign is restored as it stands: every enrolled
+    /// device keeps its record, and its session is provisioned and moved
+    /// to its journaled cursor when it is first needed, so the restarted
+    /// service hands out **bit-identical** verdicts from where the
+    /// previous process stopped.
     ///
     /// # Errors
     ///
     /// As [`FleetService::new`]; [`PufattError::Storage`] if the store
-    /// belongs to a different campaign configuration.
+    /// belongs to a different campaign configuration or keeps a different
+    /// number of outcomes per device than `cfg.history_capacity`.
     pub fn with_journal(cfg: CampaignConfig, store: Arc<ShardedStore>) -> Result<Self, PufattError> {
-        let mut service = FleetService::new(cfg)?;
+        validate(&cfg)?;
+        if store.history_capacity() != cfg.history_capacity.max(1) {
+            return Err(PufattError::Storage(format!(
+                "state directory keeps {} outcomes per device, the configuration {}; refusing to mix history bounds",
+                store.history_capacity(),
+                cfg.history_capacity
+            )));
+        }
         let meta = MetaInfo {
-            config_hash: config_fingerprint(&service.cfg),
-            devices: service.cfg.devices as u32,
-            sessions_per_device: service.cfg.sessions_per_device,
-            seed: service.cfg.seed,
+            config_hash: config_fingerprint(&cfg),
+            devices: cfg.devices as u32,
+            sessions_per_device: cfg.sessions_per_device,
+            seed: cfg.seed,
         };
         match store.meta() {
             Some(existing) if existing != meta => {
@@ -244,110 +262,76 @@ impl FleetService {
                 store.append_synced(&record).map_err(storage_err)?;
             }
         }
-        service.metrics = FleetMetrics::from_store_counters(&store.counters());
-        for id in service.restore_devices(&store, None) {
-            if id as usize >= service.cfg.devices {
-                service.metrics.device_enrolled_online();
-            }
-        }
+        let mut service = FleetService::over(cfg, store, true);
         if service.cfg.commit_interval_s > 0.0 {
-            service.committer =
-                Some(store.committer(std::time::Duration::from_secs_f64(service.cfg.commit_interval_s)));
+            let interval = std::time::Duration::from_secs_f64(service.cfg.commit_interval_s);
+            service.committer = Some(service.store.committer(interval));
         }
-        service.journal = Some(store);
         Ok(service)
     }
 
-    /// Rebuilds the in-memory state of the devices `store` holds — all of
-    /// them, or only those homed on store shard `only`: each device's slot
-    /// is inserted whole, its record a copy of the store's and its session
-    /// not provisioned yet. Returns the restored ids.
-    fn restore_devices(&self, store: &ShardedStore, only: Option<usize>) -> Vec<DeviceId> {
-        let mut devices = Vec::new();
-        let visit = |id: DeviceId, device: &DeviceState| {
-            devices.push((id, Slot { state: device.clone(), session: None }));
-        };
-        // Collected first: the store holds its shard lock while it visits,
-        // and that ranks below the slot locks.
-        match only {
-            Some(shard) => store.for_each_device_in(shard, visit),
-            None => store.for_each_device(visit),
-        }
-        devices
-            .into_iter()
-            .map(|(id, slot)| {
-                lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT).insert(id, slot);
-                id
-            })
-            .collect()
-    }
-
-    /// Advances the device's record `state` by `record` and counts it
-    /// into the live metrics (see [`FleetService::advance`]), then appends
-    /// it to the journal on the group-commit path.
-    fn journal_event(&self, state: &mut DeviceState, record: &Record) {
-        self.advance(state, record);
-        if let Some(store) = &self.journal {
-            // A failed append has already degraded the record's home shard,
-            // so every subsequent request for its devices is refused up
-            // front by `storage_guard`. The one record lost here is
-            // re-derived bit-identically on restore after a reopen — the
-            // same determinism argument that covers a lost group-commit
-            // tail — so it is deliberately not re-raised to the caller.
-            let _ = store.append_nosync(record);
+    /// A service of a validated `cfg` over `store`, no session provisioned.
+    fn over(cfg: CampaignConfig, store: Arc<ShardedStore>, journaled: bool) -> Self {
+        FleetService {
+            line: ProductLine::new(&cfg),
+            store,
+            journaled,
+            slots: (0..cfg.shards.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
+            sessions_unavailable: AtomicU64::new(0),
+            next_ticket: AtomicU64::new(1),
+            cfg,
+            committer: None,
         }
     }
 
-    /// Applies `record` to the device's record `state` with the transition
-    /// replay runs, and counts it into the live metrics. Every record the
-    /// service emits for a device comes through here, journal or not, so
-    /// a live device's record and the live counters are exactly what
-    /// replaying the records gives.
-    fn advance(&self, state: &mut DeviceState, record: &Record) {
-        let applied = state.apply(record, self.cfg.history_capacity);
-        debug_assert!(applied.is_ok(), "the service emitted a record replay refuses: {applied:?}");
-        self.metrics.count(record);
+    /// Appends one of device `id`'s session records on the group-commit
+    /// path; the store applies it to the device's record and the counters.
+    fn journal_event(&self, record: &Record) {
+        // A failed append has already degraded the record's home shard,
+        // so every subsequent request for its devices is refused up
+        // front by `storage_guard`. The one record lost here is
+        // re-derived bit-identically on restore after a reopen — the
+        // same determinism argument that covers a lost group-commit
+        // tail — so it is deliberately not re-raised to the caller.
+        let _ = self.store.append_nosync(record);
     }
 
-    /// Refuses requests for devices whose durable home shard is sick. A
-    /// service without a journal has no shards to be sick.
+    /// Refuses requests for devices whose home store shard is sick. An
+    /// unjournaled service's shards never are.
     ///
     /// # Errors
     ///
     /// [`PufattError::StorageUnavailable`] naming the sick store shard.
     fn storage_guard(&self, id: DeviceId) -> Result<(), PufattError> {
-        if let Some(store) = &self.journal {
-            let shard = store.shard_of_id(id);
-            if store.shard_health(shard) != pufatt_store::ShardHealth::Healthy {
-                return Err(PufattError::StorageUnavailable { shard: shard as u32 });
-            }
+        let shard = self.store.shard_of_id(id);
+        if self.store.shard_health(shard) != pufatt_store::ShardHealth::Healthy {
+            return Err(PufattError::StorageUnavailable { shard: shard as u32 });
         }
         Ok(())
     }
 
     /// Device `id`'s session, provisioned on first use and moved to the
-    /// cursor its record `state` holds (absolute generator positions:
-    /// nothing before it is re-run); `None` if the device is abandoned. A
-    /// provisioning failure (a golden-run trap) journals the device
-    /// abandoned, for good.
-    fn live<'s>(
-        &self,
-        id: DeviceId,
-        session: &'s mut Option<Box<DeviceSession>>,
-        state: &mut DeviceState,
-    ) -> Option<&'s mut DeviceSession> {
-        if session.is_none() && !state.abandoned {
-            match provision_device(&self.line, &self.cfg, id) {
-                Ok(mut provisioned) => {
-                    if let Some(cursor) = &state.cursor {
-                        provisioned.restore_cursor(cursor);
-                    }
-                    *session = Some(Box::new(provisioned));
+    /// cursor its record holds (absolute generator positions: nothing
+    /// before it is re-run). Only called for a device that is not
+    /// abandoned; a provisioning failure (a golden-run trap) journals the
+    /// device abandoned, for good, and returns `None`.
+    fn live<'s>(&self, id: DeviceId, slots: &'s mut Slots) -> Option<&'s mut DeviceSession> {
+        let vacant = match slots.entry(id) {
+            Entry::Occupied(session) => return Some(session.into_mut()),
+            Entry::Vacant(vacant) => vacant,
+        };
+        match provision_device(&self.line, &self.cfg, id) {
+            Ok(mut provisioned) => {
+                if let Some(Some(cursor)) = self.store.with_device(id, |device| device.cursor) {
+                    provisioned.restore_cursor(&cursor);
                 }
-                Err(_) => self.journal_event(state, &Record::DeviceAbandoned { id }),
+                Some(vacant.insert(Box::new(provisioned)))
+            }
+            Err(_) => {
+                self.journal_event(&Record::DeviceAbandoned { id });
+                None
             }
         }
-        session.as_deref_mut()
     }
 
     /// The verdict-affecting configuration this service runs.
@@ -379,46 +363,39 @@ impl FleetService {
     /// [`FleetService::enroll`] with the enrollment record committed as
     /// `commit` says.
     pub(crate) fn enroll_as(&self, id: DeviceId, commit: EnrollCommit) -> Result<EnrollOutcome, PufattError> {
-        let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
+        let _slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
         self.storage_guard(id)?;
-        if let Some(slot) = slots.get(&id) {
-            return Ok(EnrollOutcome { fresh: false, status: slot.state.status });
+        if let Some(status) = self.store.with_device(id, |device| device.status) {
+            return Ok(EnrollOutcome { fresh: false, status });
         }
-        // Admit-or-absent: the enrollment is journaled before the device
-        // becomes visible in its slot.
-        if let Some(store) = &self.journal {
-            let record = Record::DeviceEnrolled { id };
-            let committed = match commit {
-                // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
-                EnrollCommit::Synced => store.append_synced(&record),
-                // analyze: allow(dur: configured-fleet enrollment; a resume re-derives and re-journals what a crash loses)
-                EnrollCommit::Grouped => store.append_nosync(&record),
-            };
-            match committed {
-                Ok(()) | Err(StoreError::IllegalTransition { .. }) => {}
-                Err(e) => return Err(storage_err(e)),
-            }
+        // Admit-or-absent: the store applies the enrollment as it appends
+        // it, and a synced append holds the store's shard lock until the
+        // fsync returns, so no reader sees the device before it is durable.
+        let record = Record::DeviceEnrolled { id };
+        match commit {
+            // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
+            EnrollCommit::Synced => self.store.append_synced(&record),
+            // analyze: allow(dur: configured-fleet enrollment; a resume re-derives and re-journals what a crash loses)
+            EnrollCommit::Grouped => self.store.append_nosync(&record),
         }
-        if id as usize >= self.cfg.devices {
-            self.metrics.device_enrolled_online();
-        }
-        let mut state = DeviceState::default();
-        let result = match self.line.check_programs(&self.cfg, id) {
-            Ok(()) => Ok(EnrollOutcome { fresh: true, status: state.status }),
+        .map_err(storage_err)?;
+        match self.line.check_programs(&self.cfg, id) {
+            Ok(()) => Ok(EnrollOutcome { fresh: true, status: FleetStatus::Active }),
             Err(e) => {
-                self.journal_event(&mut state, &Record::DeviceAbandoned { id });
+                self.journal_event(&Record::DeviceAbandoned { id });
                 Err(e)
             }
-        };
-        slots.insert(id, Slot { state, session: None });
-        result
+        }
     }
 
     /// The checks every session entry point makes first, under the
-    /// device's slot-shard lock. Returns the device's slot, or `Err` with
-    /// the gate that ends the request, already accounted for.
-    fn precheck<'s>(&self, id: DeviceId, slots: &'s mut HashMap<DeviceId, Slot>) -> Result<&'s mut Slot, SessionGate> {
-        let Some(slot) = slots.get_mut(&id) else {
+    /// device's slot-shard lock. Returns the device's standing, or `Err`
+    /// with the gate that ends the request, already accounted for.
+    fn precheck(&self, id: DeviceId) -> Result<Standing, SessionGate> {
+        let Some((standing, abandoned)) = self
+            .store
+            .with_device(id, |device| ((device.status, device.fails, device.succs), device.abandoned))
+        else {
             return Err(SessionGate::Unknown);
         };
         // Refused before the revocation branch: a sick shard cannot even
@@ -426,23 +403,28 @@ impl FleetService {
         // is consumed — re-driving the session after a reopen yields the
         // verdict it would always have had.
         if self.storage_guard(id).is_err() {
-            self.metrics.sessions_unavailable(1);
+            self.sessions_unavailable.fetch_add(1, Ordering::Relaxed);
             return Err(SessionGate::Unavailable);
         }
-        if slot.state.status == FleetStatus::Revoked {
-            self.journal_event(&mut slot.state, &Record::SessionRefused { id });
+        let (status, ..) = standing;
+        if status == FleetStatus::Revoked {
+            self.journal_event(&Record::SessionRefused { id });
             return Err(SessionGate::Refused);
         }
-        Ok(slot)
+        if abandoned {
+            return Err(SessionGate::Faulty);
+        }
+        Ok(standing)
     }
 
     /// Journals a closed session's outcome `rec` with the lifecycle
-    /// transition the policy decides for it and the device's `cursor`
-    /// after the session, which applying the record makes in the device's
-    /// record. Returns the post-transition status.
-    fn close(&self, id: DeviceId, state: &mut DeviceState, rec: OutcomeRec, cursor: CursorInfo) -> FleetStatus {
-        let (status, fails, succs) = self.cfg.policy.next(state.status, state.fails, state.succs, rec.accepted);
-        self.journal_event(state, &Record::SessionClosed { id, outcome: rec, status, fails, succs, cursor });
+    /// transition the policy decides for it from the device's standing
+    /// `from`, and the device's `cursor` after the session. Returns the
+    /// post-transition status.
+    fn close(&self, id: DeviceId, from: Standing, rec: OutcomeRec, cursor: CursorInfo) -> FleetStatus {
+        let (status, fails, succs) = from;
+        let (status, fails, succs) = self.cfg.policy.next(status, fails, succs, rec.accepted);
+        self.journal_event(&Record::SessionClosed { id, outcome: rec, status, fails, succs, cursor });
         status
     }
 
@@ -451,10 +433,9 @@ impl FleetService {
     /// started) with one `SessionRefused` record. Provisions nothing, so a
     /// socket server can gate on a connection's reader thread.
     pub fn open_session(&self, id: DeviceId) -> SessionGate {
-        let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        match self.precheck(id, &mut slots) {
+        let _slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
+        match self.precheck(id) {
             Err(gate) => gate,
-            Ok(slot) if slot.state.abandoned => SessionGate::Faulty,
             Ok(_) => SessionGate::Granted { ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed) },
         }
     }
@@ -470,13 +451,14 @@ impl FleetService {
         // have sickened between the gate and the attest, and running the
         // session would advance device RNG towards a verdict the journal
         // could never hold.
-        let slot = match self.precheck(id, &mut slots) {
-            Ok(slot) => slot,
+        let from = match self.precheck(id) {
+            Ok(from) => from,
             Err(SessionGate::Unavailable) => return ServiceVerdict::Unavailable,
             Err(SessionGate::Refused) => return ServiceVerdict::Refused,
+            Err(SessionGate::Faulty) => return ServiceVerdict::Fault,
             Err(_) => return ServiceVerdict::Unknown,
         };
-        let Some(session) = self.live(id, &mut slot.session, &mut slot.state) else {
+        let Some(session) = self.live(id, &mut slots) else {
             return ServiceVerdict::Fault;
         };
         let crp0 = session.crp_stats();
@@ -487,12 +469,11 @@ impl FleetService {
         match session_outcome(&report) {
             Some(outcome) => {
                 let rec = to_outcome_rec(&outcome, retried, dropped, report.timed_out(), crp_hits, crp_misses);
-                let status = self.close(id, &mut slot.state, rec, cursor);
+                let status = self.close(id, from, rec, cursor);
                 ServiceVerdict::Closed { outcome, status }
             }
             None => {
-                let fault = Record::SessionFault { id, retried, dropped, crp_hits, crp_misses, cursor };
-                self.journal_event(&mut slot.state, &fault);
+                self.journal_event(&Record::SessionFault { id, retried, dropped, crp_hits, crp_misses, cursor });
                 ServiceVerdict::Fault
             }
         }
@@ -510,7 +491,7 @@ impl FleetService {
         // be journaled, and counting it into the lifecycle would put
         // memory ahead of the store: it is dropped as unavailable (the
         // session was never granted in the first place).
-        let Ok(slot) = self.precheck(id, &mut slots) else {
+        let Ok(from) = self.precheck(id) else {
             return;
         };
         // An abort consumes no device randomness, so its record carries the
@@ -518,7 +499,7 @@ impl FleetService {
         // cursor comes from the session, so a device not provisioned yet is
         // provisioned first; one that cannot be provisioned is abandoned
         // and, as in `attest`, runs no session to record.
-        let Some(session) = self.live(id, &mut slot.session, &mut slot.state) else {
+        let Some(session) = self.live(id, &mut slots) else {
             return;
         };
         let cursor = session.cursor();
@@ -530,7 +511,7 @@ impl FleetService {
             attempts: 1,
             elapsed_s: self.cfg.timeout_s,
         };
-        self.close(id, &mut slot.state, to_outcome_rec(&outcome, 0, 0, true, 0, 0), cursor);
+        self.close(id, from, to_outcome_rec(&outcome, 0, 0, true, 0, 0), cursor);
     }
 
     /// Revokes a device (operator action). Returns its post-call status,
@@ -540,9 +521,11 @@ impl FleetService {
     ///
     /// # Errors
     ///
-    /// [`PufattError::Storage`] if the synced append fails. The lifecycle
-    /// is left untouched, so the operator sees the revocation refused
-    /// rather than a trust decision that would evaporate on restart.
+    /// [`PufattError::Storage`] if the synced append fails. The revocation
+    /// was not committed, and the operator sees it refused rather than a
+    /// trust decision that would evaporate on restart; the device's home
+    /// shard is then sick, and refuses the device until
+    /// [`FleetService::reopen_shard`] rewinds it to what the journal holds.
     pub fn revoke(&self, id: DeviceId) -> Result<Option<FleetStatus>, PufattError> {
         self.operator_transition(id, Record::StatusChanged { id, status: FleetStatus::Revoked })
     }
@@ -554,119 +537,105 @@ impl FleetService {
     ///
     /// # Errors
     ///
-    /// [`PufattError::Storage`] if the synced append fails; the lifecycle
-    /// is left untouched.
+    /// [`PufattError::Storage`] if the synced append fails; as for
+    /// [`FleetService::revoke`], the re-enrollment was not committed.
     pub fn re_enroll(&self, id: DeviceId) -> Result<bool, PufattError> {
         Ok(self.operator_transition(id, Record::DeviceReEnrolled { id })?.is_some())
     }
 
     /// An operator transition of known device `id`: `record` is appended
-    /// with a forced sync *before* applying it makes the transition
-    /// visible in the device's record (a status change to the status the
-    /// device already has is skipped). An operator's decision must
-    /// survive an immediate crash, and a crash between the two steps
-    /// merely re-applies the record on resume — never the reverse (a
-    /// visible transition the journal has no memory of). Returns the
-    /// post-call status, `None` for unknown ids.
+    /// with a forced sync, and the store makes the transition visible only
+    /// once the sync returns (a status change to the status the device
+    /// already has is skipped). An operator's decision must survive an
+    /// immediate crash, and a crash after the sync merely re-applies the
+    /// record on resume — never the reverse (a visible transition the
+    /// journal has no memory of). Returns the post-call status, `None`
+    /// for unknown ids.
     fn operator_transition(&self, id: DeviceId, record: Record) -> Result<Option<FleetStatus>, PufattError> {
-        let mut slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
-        let Some(slot) = slots.get_mut(&id) else {
+        let _slots = lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT);
+        let Some(status) = self.status(id) else {
             return Ok(None);
         };
         self.storage_guard(id)?;
-        if !matches!(record, Record::StatusChanged { status, .. } if status == slot.state.status) {
-            if let Some(store) = &self.journal {
-                // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
-                store.append_synced(&record).map_err(storage_err)?;
-            }
-            self.advance(&mut slot.state, &record);
+        if matches!(record, Record::StatusChanged { status: to, .. } if to == status) {
+            return Ok(Some(status));
         }
-        Ok(Some(slot.state.status))
+        // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
+        self.store.append_synced(&record).map_err(storage_err)?;
+        Ok(self.status(id))
     }
 
     /// A device's current lifecycle state.
     pub fn status(&self, id: DeviceId) -> Option<FleetStatus> {
-        lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT)
-            .get(&id)
-            .map(|slot| slot.state.status)
+        self.store.with_device(id, |device| device.status)
     }
 
-    /// Point-in-time counters and device states. Statuses are counted
-    /// shard by shard (each shard is consistent; the total is a
-    /// near-point-in-time view), waiting behind any session in flight on
-    /// a shard.
+    /// Point-in-time counters and device states, from the store. Statuses
+    /// are counted store shard by store shard (each shard is consistent;
+    /// the total is a near-point-in-time view), and no session in flight
+    /// holds the read up.
     pub fn snapshot(&self) -> FleetSnapshot {
-        let mut counts = StatusCounts::default();
-        for shard in &self.slots {
-            for slot in lock_ranked(shard, rank::SERVICE_SLOT).values() {
-                counts.add(slot.state.status);
-            }
-        }
-        self.metrics.snapshot(counts)
+        let (mut devices, mut online) = (StatusCounts::default(), 0);
+        self.store.for_each_device(|id, device| {
+            devices.add(device.status);
+            online += u64::from(id as usize >= self.cfg.devices);
+        });
+        let unavailable = self.sessions_unavailable.load(Ordering::Relaxed);
+        FleetSnapshot::from_counters(&self.store.counters(), devices, online, unavailable)
     }
 
     /// Per-device end states and retained histories, ascending by id —
     /// the determinism witness a [`CampaignReport`](crate::CampaignReport)
     /// carries, so two runs can be compared bit for bit. Each device's
-    /// status and history are read together, under its shard's lock.
+    /// status and history are read together, under its store shard's lock.
     pub fn device_records(&self) -> Vec<DeviceRecord> {
-        let mut records: Vec<DeviceRecord> = self
-            .slots
-            .iter()
-            .flat_map(|shard| {
-                let slots = lock_ranked(shard, rank::SERVICE_SLOT);
-                slots
-                    .iter()
-                    .map(|(&id, slot)| DeviceRecord {
-                        id,
-                        tampered: device_is_tampered(self.cfg.seed, id, self.cfg.tamper_fraction),
-                        flaky: matches!(&self.cfg.chaos, Some(c) if device_is_flaky(self.cfg.seed, id, c.flaky_fraction)),
-                        status: slot.state.status,
-                        outcomes: slot.state.outcomes.iter().map(from_outcome_rec).collect(),
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut records = Vec::new();
+        self.store.for_each_device(|id, device| {
+            records.push(DeviceRecord {
+                id,
+                tampered: device_is_tampered(self.cfg.seed, id, self.cfg.tamper_fraction),
+                flaky: matches!(&self.cfg.chaos, Some(c) if device_is_flaky(self.cfg.seed, id, c.flaky_fraction)),
+                status: device.status,
+                outcomes: device.outcomes.iter().map(from_outcome_rec).collect(),
+            });
+        });
         records.sort_unstable_by_key(|record| record.id);
         records
     }
 
     /// Flushes any group-committed tail and writes a snapshot checkpoint,
     /// so a subsequent [`FleetService::with_journal`] restore replays a
-    /// short WAL suffix instead of the whole history. No-op for an
-    /// unjournaled service.
+    /// short WAL suffix instead of the whole history. An unjournaled
+    /// service writes nothing.
     ///
     /// # Errors
     ///
     /// [`PufattError::Storage`] when the flush or checkpoint write fails;
     /// the journal itself stays consistent (the checkpoint is advisory).
     pub fn checkpoint(&self) -> Result<(), PufattError> {
-        if let Some(store) = &self.journal {
-            store.flush().map_err(storage_err)?;
-            store.checkpoint().map_err(storage_err)?;
-        }
-        Ok(())
+        self.store.flush().map_err(storage_err)?;
+        self.store.checkpoint().map_err(storage_err)
     }
 
     /// Point-in-time storage statistics (WAL bytes, replay counts, shard
     /// health tally) when the service is journaled, `None` otherwise.
     pub fn store_stats(&self) -> Option<pufatt_store::StoreStats> {
-        self.journal.as_ref().map(|store| store.stats())
+        self.journaled.then(|| self.store.stats())
     }
 
     /// Operator recovery: reopens a sick *store* shard (fresh handles,
-    /// shard-local recovery against whatever is actually durable) and
-    /// rebuilds the in-memory state of every device homed on it from the
-    /// reopened journal — lifecycle, and a session pending at the
-    /// journaled cursor. In-memory progress past the
-    /// durable prefix (the at-most-one session whose record the failing
-    /// append lost) is rewound; re-driving it yields a bit-identical
-    /// verdict, exactly like a post-power-cut resume. Returns the number
-    /// of devices restored.
+    /// shard-local recovery against whatever is actually durable). The
+    /// sessions of the devices homed on it are dropped first, so each
+    /// device re-provisions at the reopened journal's cursor when its
+    /// next session needs it. Progress past the durable prefix (the
+    /// at-most-one session whose record the failing append lost) is
+    /// rewound, in the records and the counters alike; re-driving it
+    /// yields a bit-identical verdict, exactly like a post-power-cut
+    /// resume. Returns the number of devices homed on the shard.
     ///
     /// Call this while the shard's traffic is still being refused (it is,
-    /// until the reopen succeeds): a request racing the rebuild could
-    /// otherwise attest against pre-rewind session state.
+    /// until the reopen succeeds): a request racing a reopen of a healthy
+    /// shard could otherwise attest against pre-rewind session state.
     ///
     /// # Errors
     ///
@@ -674,37 +643,49 @@ impl FleetService {
     /// underlying reopen fails (the shard is then marked Failed and keeps
     /// refusing).
     pub fn reopen_shard(&self, store_shard: usize) -> Result<usize, PufattError> {
-        let Some(store) = &self.journal else {
+        if !self.journaled {
             return Err(PufattError::Storage("service has no journal; nothing to reopen".into()));
-        };
-        store.reopen_shard(store_shard).map_err(storage_err)?;
-        Ok(self.restore_devices(store, Some(store_shard)).len())
+        }
+        for shard in &self.slots {
+            lock_ranked(shard, rank::SERVICE_SLOT).retain(|&id, _| self.store.shard_of_id(id) != store_shard);
+        }
+        self.store.reopen_shard(store_shard).map_err(storage_err)?;
+        let mut homed = 0;
+        self.store.for_each_device_in(store_shard, |_, _| homed += 1);
+        Ok(homed)
     }
 
     /// Session records applied for `id` so far (0 for an unknown device):
     /// where a resumed campaign picks up the device's schedule.
     pub(crate) fn events_seen(&self, id: DeviceId) -> u32 {
-        lock_ranked(&self.slots[self.shard_of(id)], rank::SERVICE_SLOT)
-            .get(&id)
-            .map_or(0, |slot| slot.state.events_seen)
+        self.store.with_device(id, |device| device.events_seen).unwrap_or(0)
     }
 
     /// Counts `sessions` scheduled sessions refused because their
     /// device's home shard is sick.
     pub(crate) fn count_unavailable(&self, sessions: u64) {
-        self.metrics.sessions_unavailable(sessions);
+        self.sessions_unavailable.fetch_add(sessions, Ordering::Relaxed);
     }
 
     /// Every enrolled id, ascending.
     pub(crate) fn enrolled_ids(&self) -> Vec<DeviceId> {
-        let mut ids: Vec<DeviceId> = self
-            .slots
-            .iter()
-            .flat_map(|shard| lock_ranked(shard, rank::SERVICE_SLOT).keys().copied().collect::<Vec<_>>())
-            .collect();
+        let mut ids = Vec::new();
+        self.store.for_each_device(|id, _| ids.push(id));
         ids.sort_unstable();
         ids
     }
+}
+
+/// Rejects configurations no service can run.
+fn validate(cfg: &CampaignConfig) -> Result<(), PufattError> {
+    let width = cfg.puf.width;
+    if !(width.is_power_of_two() && (4..=32).contains(&width)) {
+        return Err(PufattError::UnsupportedWidth { width });
+    }
+    if cfg.sessions_per_device == 0 {
+        return Err(PufattError::Codegen("service needs sessions_per_device > 0".into()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -712,6 +693,7 @@ mod tests {
     use super::*;
     use crate::campaign::{run_campaign, small_test_config, ChaosConfig};
     use pufatt_faults::FaultPlan;
+    use pufatt_store::DeviceState;
 
     /// Drives a service exactly as a well-behaved wire client fleet would:
     /// enroll everything, then interleave sessions across devices.
@@ -719,8 +701,8 @@ mod tests {
         let service = FleetService::new(cfg.clone()).expect("valid config");
         let ids: Vec<DeviceId> = (0..cfg.devices as DeviceId).collect();
         for &id in &ids {
-            // Abandoned devices keep their slot; the client just
-            // skips their sessions (same as the in-process campaign).
+            // Abandoned devices stay enrolled; the client just skips
+            // their sessions (same as the in-process campaign).
             let _ = service.enroll(id);
         }
         // Interleave: session k of every device before session k+1 of any —
@@ -770,7 +752,7 @@ mod tests {
 
     #[test]
     fn fleet_reads_run_beside_pool_attests() {
-        // Snapshots and device records walk the slot shards while pool
+        // Snapshots and device records walk the store while pool
         // workers attest a multi-shard fleet: a rendezvous after every
         // session hands the reader a turn while the other workers are
         // mid-session. Every read sees the whole fleet, every lock is
@@ -1050,10 +1032,7 @@ mod tests {
     /// Devices among `ids` whose session is provisioned.
     fn live_sessions(service: &FleetService, ids: &[DeviceId]) -> usize {
         ids.iter()
-            .filter(|&&id| {
-                let slots = lock_ranked(&service.slots[service.shard_of(id)], rank::SERVICE_SLOT);
-                slots.get(&id).is_some_and(|slot| slot.session.is_some())
-            })
+            .filter(|&&id| lock_ranked(&service.slots[service.shard_of(id)], rank::SERVICE_SLOT).contains_key(&id))
             .count()
     }
 
@@ -1145,74 +1124,135 @@ mod tests {
         }
     }
 
-    /// Device `id`'s live record, read under its slot lock.
-    fn slot_state(service: &FleetService, id: DeviceId) -> Option<DeviceState> {
-        lock_ranked(&service.slots[service.shard_of(id)], rank::SERVICE_SLOT)
-            .get(&id)
-            .map(|slot| slot.state.clone())
-    }
-
-    /// Every enrolled device's live record equals the journal's, whole:
-    /// status, streaks, history, totals, session count and cursor.
-    fn assert_slots_equal_the_journal(service: &FleetService, store: &ShardedStore) {
-        let ids = service.enrolled_ids();
+    /// Runs `drive` on a service built with [`FleetService::new`], on a
+    /// journaled one, and on one restored from that journal, and checks
+    /// the three keep the same device table: every record, the device
+    /// records and the snapshot.
+    fn assert_services_agree(cfg: &CampaignConfig, drive: impl Fn(&FleetService)) {
+        let in_memory = FleetService::new(cfg.clone()).expect("valid config");
+        drive(&in_memory);
+        let vfs = pufatt_store::SimVfs::new();
+        let journaled = FleetService::with_journal(cfg.clone(), open_store(cfg, &vfs)).expect("fresh journal");
+        drive(&journaled);
+        let expected = (in_memory.device_records(), in_memory.snapshot());
+        let ids = in_memory.enrolled_ids();
         assert!(!ids.is_empty());
-        for id in ids {
-            assert_eq!(
-                slot_state(service, id),
-                store.device(id),
-                "device {id}: live record differs from the journal's"
-            );
-        }
+        let agree = |service: &FleetService, kind: &str| {
+            assert_eq!(service.enrolled_ids(), ids, "{kind}: the same devices");
+            for &id in &ids {
+                assert_eq!(service.store.device(id), in_memory.store.device(id), "{kind}: device {id}'s record");
+            }
+            assert_eq!((service.device_records(), service.snapshot()), expected, "{kind}");
+        };
+        agree(&journaled, "journaled");
+        drop(journaled);
+        let restored = FleetService::with_journal(cfg.clone(), open_store(cfg, &vfs)).expect("restore");
+        agree(&restored, "restored");
     }
 
     #[test]
-    fn live_device_state_equals_the_journal() {
+    fn in_memory_journaled_and_restored_services_agree() {
         let mut cfg = small_test_config(8, 1, 0x0DE5);
         cfg.history_capacity = 4;
         assert!(cfg.tamper_fraction > 0.0, "tampered devices walk the lifecycle");
-        let store = open_store(&cfg, &pufatt_store::SimVfs::new());
+        assert_services_agree(&cfg, |service| {
+            let ids: Vec<DeviceId> = (0..cfg.devices as DeviceId).collect();
+            let attest_all = || {
+                for &id in &ids {
+                    if matches!(service.open_session(id), SessionGate::Granted { .. }) {
+                        let _ = service.attest(id);
+                    }
+                }
+            };
+            for &id in &ids {
+                service.enroll(id).expect("device enrolls");
+            }
+            // More sessions than the history keeps, so histories roll over.
+            for _ in 0..6 {
+                attest_all();
+            }
+            assert!(service.snapshot().sessions_refused > 0, "some tampered device was revoked and refused");
+            // A grant whose client vanished, on a provisioned device and on
+            // an online device whose first session it is.
+            let online = cfg.devices as DeviceId;
+            service.enroll(online).expect("online device enrolls");
+            for id in [0, online] {
+                assert!(matches!(service.open_session(id), SessionGate::Granted { .. }));
+                service.abort_session(id);
+            }
+            service.revoke(REVOKED).expect("journal accepts");
+            assert_eq!(service.open_session(REVOKED), SessionGate::Refused);
+            assert!(service.re_enroll(REVOKED).expect("journal accepts"));
+            attest_all();
+            assert_eq!(service.snapshot().devices_enrolled_online, 1);
+        });
+
+        // An abandoned device: its program cannot be built.
+        let mut broken = small_test_config(2, 1, 0xC0DE);
+        broken.params.region_bits = 5;
+        assert_services_agree(&broken, |service| {
+            assert!(service.enroll(0).is_err());
+            assert_eq!(service.open_session(0), SessionGate::Faulty);
+            assert_eq!(service.attest(0), ServiceVerdict::Fault);
+            service.abort_session(0);
+            assert!(service
+                .store
+                .device(0)
+                .is_some_and(|device| device.abandoned && device.faults == 1));
+        });
+    }
+
+    #[test]
+    fn a_reopened_shard_counts_each_session_once() {
+        // A one-shot write error loses one session's record from the
+        // journal; the reopen rewinds the device and the counters alike,
+        // so the re-run session is counted once, live as after a restore.
+        let mut cfg = small_test_config(8, 1, 0x9E0);
+        cfg.tamper_fraction = 0.0;
+        let vfs = pufatt_store::SimVfs::new();
+        let store = open_store(&cfg, &vfs);
         let service = FleetService::with_journal(cfg.clone(), Arc::clone(&store)).expect("fresh journal");
         let ids: Vec<DeviceId> = (0..cfg.devices as DeviceId).collect();
-        let attest_all = |service: &FleetService| {
+        let round = || {
             for &id in &ids {
                 if matches!(service.open_session(id), SessionGate::Granted { .. }) {
-                    let _ = service.attest(id);
+                    assert!(matches!(service.attest(id), ServiceVerdict::Closed { .. }));
                 }
             }
         };
         for &id in &ids {
             service.enroll(id).expect("device enrolls");
         }
-        // More sessions than the history keeps, so histories roll over.
-        for _ in 0..6 {
-            attest_all(&service);
-        }
-        assert!(service.snapshot().sessions_refused > 0, "some tampered device was revoked and refused");
-        // A grant whose client vanished, on a provisioned device and on an
-        // online device whose first session it is.
-        let online = cfg.devices as DeviceId;
-        service.enroll(online).expect("online device enrolls");
-        for id in [0, online] {
-            assert!(matches!(service.open_session(id), SessionGate::Granted { .. }));
-            service.abort_session(id);
-        }
-        service.revoke(REVOKED).expect("journal accepts");
-        assert_eq!(service.open_session(REVOKED), SessionGate::Refused);
-        assert!(service.re_enroll(REVOKED).expect("journal accepts"));
-        attest_all(&service);
-        assert_slots_equal_the_journal(&service, &store);
+        round();
+        vfs.inject(pufatt_store::ErrorInjection::on_prefix("shard-001/", pufatt_store::InjectedErrorKind::Eio));
+        round();
+        assert_eq!(store.shard_health(1), pufatt_store::ShardHealth::Degraded, "the failed append degraded it");
+        service.reopen_shard(1).expect("the disk is healthy again");
+        round();
 
-        // An abandoned device: its program cannot be built.
-        let mut broken = small_test_config(2, 1, 0xC0DE);
-        broken.params.region_bits = 5;
-        let store = open_store(&broken, &pufatt_store::SimVfs::new());
-        let service = FleetService::with_journal(broken, Arc::clone(&store)).expect("fresh journal");
-        assert!(service.enroll(0).is_err());
-        assert_eq!(service.open_session(0), SessionGate::Faulty);
-        assert_eq!(service.attest(0), ServiceVerdict::Fault);
-        assert!(slot_state(&service, 0).is_some_and(|state| state.abandoned));
-        assert_slots_equal_the_journal(&service, &store);
+        let mut live = service.snapshot();
+        assert_eq!(live.sessions_unavailable, 1, "one device was refused while its shard was sick");
+        live.sessions_unavailable = 0;
+        let records = service.device_records();
+        drop(service);
+        let restored = FleetService::with_journal(cfg.clone(), open_store(&cfg, &vfs)).expect("restore");
+        assert_eq!(records, restored.device_records());
+        assert_eq!(live, restored.snapshot(), "the live counters are the journal's");
+        assert_eq!(live.sessions_started, 22, "3 sessions for 6 devices, 2 for the 2 on the sick shard");
+    }
+
+    #[test]
+    fn a_store_with_another_history_bound_is_refused() {
+        let cfg = small_test_config(2, 1, 0x415);
+        let opts = pufatt_store::ShardedOptions {
+            history_capacity: cfg.history_capacity + 1,
+            ..sharded_opts(&cfg)
+        };
+        let store = ShardedStore::open(Arc::new(pufatt_store::SimVfs::new()), opts).expect("fresh store");
+        match FleetService::with_journal(cfg, Arc::new(store)) {
+            Err(PufattError::Storage(message)) => assert!(message.contains("outcomes per device"), "{message}"),
+            other => panic!("a store with another history bound must be refused, got {:?}", other.err()),
+        }
     }
 
     #[test]
@@ -1236,9 +1276,9 @@ mod tests {
 
     #[test]
     fn unjournaled_service_keeps_each_cursor_at_its_session() {
-        // Every session record is applied, journal or not, so the record
-        // counts each session and its cursor is where the live session
-        // stands; a device refused from its first session is never
+        // Every session record is applied by the store, journal or not, so
+        // the record counts each session and its cursor is where the live
+        // session stands; a device refused from its first session is never
         // provisioned and has no cursor.
         let cfg = small_test_config(4, 1, 0x7A11);
         let service = FleetService::new(cfg.clone()).expect("valid config");
@@ -1256,10 +1296,13 @@ mod tests {
         assert_eq!(service.snapshot().sessions_started + service.snapshot().sessions_refused, 200);
         for id in 0..4 {
             let mut slots = lock_ranked(&service.slots[service.shard_of(id)], rank::SERVICE_SLOT);
-            let slot = slots.get_mut(&id).expect("enrolled");
-            assert_eq!(slot.state.events_seen, 50);
-            let live = slot.session.as_mut().map(|session| session.cursor());
-            assert_eq!(slot.state.cursor, live, "device {id}: the record's cursor is the session's");
+            let (events_seen, cursor) = service
+                .store
+                .with_device(id, |device| (device.events_seen, device.cursor))
+                .expect("enrolled");
+            assert_eq!(events_seen, 50);
+            let live = slots.get_mut(&id).map(|session| session.cursor());
+            assert_eq!(cursor, live, "device {id}: the record's cursor is the session's");
             assert_eq!(live.is_none(), id == 1, "only the revoked device stays unprovisioned");
         }
     }

@@ -16,7 +16,8 @@
 //!   all mutations flowing through one typed state machine
 //!   ([`state::StoreState::apply`]) that recovery re-uses verbatim.
 //! * [`vfs`] — the [`Vfs`] trait the store is written against, with a
-//!   production backend ([`StdVfs`]) and a fault-injecting one
+//!   production backend ([`StdVfs`]), an in-memory one that keeps
+//!   nothing ([`NullVfs`]), and a fault-injecting one
 //!   ([`SimVfs`]) that can crash the process model at *every* write,
 //!   flush, and rename boundary — recovery is proven by exhaustive
 //!   enumeration of crash points, not by sampling.
@@ -56,7 +57,8 @@ pub use sharded::{Committer, ShardHealth, ShardedOptions, ShardedStore};
 pub use state::{Counter, Counters, DeviceState, MetaInfo, StoreState};
 pub use store::{DurableStore, StoreStats, COMMIT_QUEUE_LIMIT};
 pub use vfs::{
-    error_plan, ErrorInjection, InjectedErrorKind, SimVfs, StdVfs, TornMode, Vfs, INJECTED_ERROR_KINDS, TORN_MODES,
+    error_plan, ErrorInjection, InjectedErrorKind, NullVfs, SimVfs, StdVfs, TornMode, Vfs, INJECTED_ERROR_KINDS,
+    TORN_MODES,
 };
 
 use record::StoredStatus as Status;

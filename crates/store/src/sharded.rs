@@ -403,9 +403,22 @@ impl ShardedStore {
         self.shards[0].meta()
     }
 
+    /// Outcomes retained per device: the bound the store was created
+    /// with, which a reopened directory keeps whatever the options say.
+    pub fn history_capacity(&self) -> usize {
+        self.shards[0].with_state(StoreState::history_capacity)
+    }
+
     /// A copy of one device's durable state, if it is enrolled.
     pub fn device(&self, id: u32) -> Option<DeviceState> {
-        self.shards[self.shard_of_id(id)].with_state(|s| s.devices.get(&id).cloned())
+        self.with_device(id, DeviceState::clone)
+    }
+
+    /// Runs `f` on one device's state under its shard's lock, `None` if
+    /// the device is not enrolled. Clone-free: a fleet service reads each
+    /// device's record through here on every session.
+    pub fn with_device<T>(&self, id: u32, f: impl FnOnce(&DeviceState) -> T) -> Option<T> {
+        self.shards[self.shard_of_id(id)].with_state(|s| s.devices.get(&id).map(f))
     }
 
     /// Runs `f` for every enrolled device, shard by shard (ids within a
@@ -634,11 +647,21 @@ mod tests {
         store.flush().unwrap();
         drop(store);
         // Reopening with different (even implausible-to-change) geometry
-        // keeps the on-disk layout: device 6 is still found in shard 3.
-        let store = open_sim(&vfs, ShardedOptions { shards: 2, range_width: 64, ..ShardedOptions::default() });
+        // keeps the on-disk layout: device 6 is still found in shard 3,
+        // and the history bound is the one the directory was created with.
+        let store = open_sim(
+            &vfs,
+            ShardedOptions {
+                history_capacity: 5,
+                shards: 2,
+                range_width: 64,
+                ..small_opts()
+            },
+        );
         assert_eq!(store.stats().shards_total, 4);
         assert_eq!(store.shard_of_id(6), 3);
         assert!(store.device(6).is_some());
+        assert_eq!(store.history_capacity(), ShardedOptions::default().history_capacity);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! [`StoreState::apply`] is the single transition function — the live
 //! store and crash recovery both go through it, so "state after a crash"
 //! and "state during normal operation" cannot drift apart. Its
-//! per-device half is [`DeviceState::apply`], which the fleet service
-//! also runs on its live copy of each device, so the service's record of
-//! a device and the journal's are advanced by the same code. It enforces
+//! per-device half is [`DeviceState::apply`], and its counting half
+//! [`Counters::count`]. The fleet service keeps no copy of either: it
+//! reads each device's record and the counters from the store, journaled
+//! or not, so there is one table to keep right. It enforces
 //! the monotone-lifecycle invariant on every record: a device leaves
 //! `Revoked` only through an explicit re-enrollment, sessions cannot close
 //! against revoked or unknown devices, and sequence numbers and each
@@ -83,10 +84,10 @@ impl Default for DeviceState {
 
 impl DeviceState {
     /// Advances this device by one of its records, keeping at most
-    /// `history_capacity` outcomes. Replay ([`StoreState::apply`]) and the
-    /// fleet service's live slot both go through this, so a device's
-    /// record in memory and after recovery is written by one piece of
-    /// code. A refused record leaves the device untouched.
+    /// `history_capacity` outcomes. Every append and every replay goes
+    /// through [`StoreState::apply`] to this, so a device's record in
+    /// memory and after recovery is written by one piece of code. A
+    /// refused record leaves the device untouched.
     ///
     /// # Errors
     ///
@@ -203,8 +204,8 @@ pub enum Counter {
 /// Number of durable counters.
 pub const COUNTERS: usize = Counter::CrpMisses as usize + 1;
 
-/// Global campaign counters, mirroring the fleet metrics so a recovered
-/// snapshot reports the same totals an uninterrupted run would.
+/// Global campaign counters: the totals a fleet snapshot reports, so a
+/// recovered store reports the same totals an uninterrupted run would.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Counter values, indexed by [`Counter`].
@@ -228,46 +229,36 @@ impl IndexMut<Counter> for Counters {
 }
 
 impl Counters {
-    /// The one rule for which record bumps which counter: calls `add` with
-    /// every counter `record` contributes to and the amount, and returns
-    /// the latency slot of a closed session. Replay
-    /// ([`StoreState::apply`]) and the fleet's live metrics both count
-    /// through this, so live totals equal replayed ones by construction.
-    pub fn tally(record: &Record, mut add: impl FnMut(Counter, u64)) -> Option<usize> {
+    /// Counts one record into these totals: the one rule for which record
+    /// bumps which counter, run by [`StoreState::apply`], so the live
+    /// totals and the replayed ones are the same count. A closed
+    /// session's latency slot must be in range.
+    pub fn count(&mut self, record: &Record) {
         match record {
             Record::SessionClosed { outcome: o, .. } => {
-                add(if o.accepted { Counter::Accepted } else { Counter::Rejected }, 1);
-                add(Counter::TimedOut, u64::from(o.timed_out));
-                add(Counter::Lost, u64::from(o.lost));
-                Self::ran(&mut add, o.retried, o.dropped, o.crp_hits, o.crp_misses);
-                return Some(usize::from(o.latency_slot));
+                self[if o.accepted { Counter::Accepted } else { Counter::Rejected }] += 1;
+                self[Counter::TimedOut] += u64::from(o.timed_out);
+                self[Counter::Lost] += u64::from(o.lost);
+                self.latency[usize::from(o.latency_slot)] += 1;
+                self.ran(o.retried, o.dropped, o.crp_hits, o.crp_misses);
             }
             Record::SessionFault { retried, dropped, crp_hits, crp_misses, .. } => {
-                add(Counter::Faults, 1);
-                Self::ran(&mut add, *retried, *dropped, *crp_hits, *crp_misses);
+                self[Counter::Faults] += 1;
+                self.ran(*retried, *dropped, *crp_hits, *crp_misses);
             }
-            Record::SessionRefused { .. } => add(Counter::Refused, 1),
-            Record::DeviceAbandoned { .. } => add(Counter::Faults, 1),
+            Record::SessionRefused { .. } => self[Counter::Refused] += 1,
+            Record::DeviceAbandoned { .. } => self[Counter::Faults] += 1,
             _ => {}
         }
-        None
     }
 
     /// What every session that ran — to a verdict or into a fault — adds.
-    fn ran(add: &mut impl FnMut(Counter, u64), retried: u32, dropped: u32, crp_hits: u32, crp_misses: u32) {
-        add(Counter::Started, 1);
-        add(Counter::Retried, u64::from(retried));
-        add(Counter::Dropped, u64::from(dropped));
-        add(Counter::CrpHits, u64::from(crp_hits));
-        add(Counter::CrpMisses, u64::from(crp_misses));
-    }
-
-    /// Counts one record into these totals (see [`Counters::tally`]). A
-    /// closed session's latency slot must be in range.
-    pub fn count(&mut self, record: &Record) {
-        if let Some(slot) = Self::tally(record, |counter, n| self[counter] += n) {
-            self.latency[slot] += 1;
-        }
+    fn ran(&mut self, retried: u32, dropped: u32, crp_hits: u32, crp_misses: u32) {
+        self[Counter::Started] += 1;
+        self[Counter::Retried] += u64::from(retried);
+        self[Counter::Dropped] += u64::from(dropped);
+        self[Counter::CrpHits] += u64::from(crp_hits);
+        self[Counter::CrpMisses] += u64::from(crp_misses);
     }
 
     /// Adds `other`'s totals into `self` — used to aggregate per-shard
@@ -566,6 +557,42 @@ mod tests {
         assert_eq!(s.devices[&1].cursor, Some(at(7)));
         assert_eq!(s.devices[&1].events_seen, 2);
         assert_eq!(s.last_seq, 7);
+    }
+
+    #[test]
+    fn every_counted_kind_is_tallied_once() {
+        // One record of every counted kind, as the fleet service emits
+        // them; the counters a fleet snapshot reports are these.
+        let ran = |accepted, timed_out, retried, lost| OutcomeRec { timed_out, retried, lost, ..outcome(accepted) };
+        let closed_with =
+            |outcome, status, fails| Record::SessionClosed { id: 0, outcome, status, fails, succs: 0, cursor: at(0) };
+        let records = [
+            Record::DeviceEnrolled { id: 0 },
+            Record::DeviceEnrolled { id: 1 },
+            Record::DeviceEnrolled { id: 2 },
+            closed_with(ran(true, false, 1, false), StoredStatus::Active, 0),
+            closed_with(ran(false, true, 2, false), StoredStatus::Active, 1),
+            // A lost session, as an aborted one is recorded.
+            closed_with(ran(false, true, 0, true), StoredStatus::Quarantined, 2),
+            Record::SessionFault {
+                id: 1,
+                retried: 1,
+                dropped: 3,
+                crp_hits: 4,
+                crp_misses: 5,
+                cursor: at(0),
+            },
+            Record::StatusChanged { id: 1, status: StoredStatus::Revoked },
+            Record::SessionRefused { id: 1 },
+            Record::DeviceAbandoned { id: 2 },
+        ];
+        let mut s = StoreState::new(8);
+        for (seq, record) in (1..).zip(&records) {
+            s.apply(seq, record).unwrap();
+        }
+        assert_eq!(s.counters.values, [4, 1, 2, 2, 4, 1, 2, 3, 1, 3 * 56 + 4, 3 * 8 + 5]);
+        assert_eq!(s.counters.latency.iter().sum::<u64>(), 3);
+        assert_eq!(s.counters.latency[13], 3);
     }
 
     #[test]

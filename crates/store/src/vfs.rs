@@ -2,11 +2,14 @@
 //!
 //! Durability claims are only as good as the failure model they were
 //! tested against, so the store never touches `std::fs` directly. It
-//! writes through a [`Vfs`], and two implementations exist:
+//! writes through a [`Vfs`], and three implementations exist:
 //!
 //! * [`StdVfs`] — the production backend over a real directory, with
 //!   cached append handles, `sync_all` for flushes, and a best-effort
 //!   directory sync after renames;
+//! * [`NullVfs`] — no disk at all: writes are dropped and reads find
+//!   nothing, so a store over it is a plain in-memory state machine (an
+//!   unjournaled fleet service's device table);
 //! * [`SimVfs`] — an in-memory disk with an explicit *volatile / synced*
 //!   split per file and a crash plan: the `n`-th mutating operation fails
 //!   with [`StoreError::Crashed`] and the backend refuses all further
@@ -190,6 +193,45 @@ impl Vfs for StdVfs {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(self.io("remove", path, e)),
         }
+    }
+}
+
+// --------------------------------------------------------------- NullVfs
+
+/// A backend that keeps nothing: every write succeeds and is dropped,
+/// and every read finds no file. A store over it holds its state in
+/// memory only — how an unjournaled service keeps its device table in
+/// the same store a journaled one writes through.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NullVfs;
+
+impl Vfs for NullVfs {
+    fn read(&self, _path: &str) -> Result<Option<Vec<u8>>, StoreError> {
+        Ok(None)
+    }
+
+    fn exists(&self, _path: &str) -> bool {
+        false
+    }
+
+    fn append(&self, _path: &str, _bytes: &[u8]) -> Result<(), StoreError> {
+        Ok(())
+    }
+
+    fn sync(&self, _path: &str) -> Result<(), StoreError> {
+        Ok(())
+    }
+
+    fn truncate(&self, _path: &str, _bytes: &[u8]) -> Result<(), StoreError> {
+        Ok(())
+    }
+
+    fn rename(&self, _from: &str, _to: &str) -> Result<(), StoreError> {
+        Ok(())
+    }
+
+    fn remove(&self, _path: &str) -> Result<(), StoreError> {
+        Ok(())
     }
 }
 

@@ -717,7 +717,8 @@ fn respond(
             Ok(Some(status)) => Response::RevokeOk { device, status },
             Ok(None) => unknown_device(device),
             // The journal refused the synced append: the revocation
-            // did NOT take (the lifecycle is untouched), and the
+            // was NOT committed (the device's shard is sick and refuses
+            // it until a reopen rewinds it to the journal), and the
             // client must hear that rather than a cheerful RevokeOk.
             Err(e) => Response::Error {
                 code: storage_aware_code(&e, ErrorCode::DeviceFault),
