@@ -18,6 +18,7 @@ use crate::obfuscate::RESPONSES_PER_OUTPUT;
 use crate::ports::{SharedDevicePuf, VerifierPuf, VerifierRoundPuf};
 use pufatt_pe32::asm::assemble;
 use pufatt_pe32::cpu::{Clock, Cpu, Trap};
+use pufatt_pe32::op::DecodedProgram;
 use pufatt_store::codec::{Reader, Writer};
 use pufatt_swatt::checksum::{self, SwattParams, STATE_WORDS};
 use pufatt_swatt::codegen::{generate, CodegenOptions, SwattLayout};
@@ -199,16 +200,18 @@ pub struct MidTraversalTamper {
     pub xor: u32,
 }
 
-/// The checksum program of one `(SwattParams, CodegenOptions)`, generated
-/// and assembled once: its layout and its memory image. Every prover of
-/// the configuration loads the same image ([`ProverDevice::from_image`]),
-/// so a fleet assembles each program once instead of once per device.
+/// The checksum program of one `(SwattParams, CodegenOptions)`, generated,
+/// assembled and decoded once: its layout, its memory image and the op
+/// table the interpreter runs it from. Every prover of the configuration
+/// loads the same image ([`ProverDevice::from_image`]) and shares the one
+/// op table, so a fleet assembles and decodes each program once instead of
+/// once per device.
 #[derive(Debug, Clone)]
 pub struct ProgramImage {
     params: SwattParams,
     options: CodegenOptions,
     layout: SwattLayout,
-    words: Vec<u32>,
+    program: DecodedProgram,
 }
 
 impl ProgramImage {
@@ -233,7 +236,7 @@ impl ProgramImage {
             params,
             options: *options,
             layout: generated.layout,
-            words: program.image,
+            program: DecodedProgram::new(program.image),
         })
     }
 
@@ -286,18 +289,19 @@ impl ProverDevice {
     }
 
     /// Provisions a prover from an already assembled program: loads
-    /// `image` into a fresh memory and wires up the PUF.
+    /// `image` into a fresh memory, sharing its op table, and wires up the
+    /// PUF.
     pub fn from_image(puf: SharedDevicePuf, image: &ProgramImage, clock: Clock) -> Self {
         let mut cpu = Cpu::new(image.layout.memory_words.max(64) as usize);
         cpu.set_clock(clock);
         cpu.attach_puf(Box::new(puf.clone()));
-        cpu.load_program(&image.words);
+        cpu.load_decoded(&image.program);
         ProverDevice {
             cpu,
             puf,
             layout: image.layout,
             params: image.params,
-            image_words: image.words.len(),
+            image_words: image.program.words().len(),
         }
     }
 
@@ -324,7 +328,7 @@ impl ProverDevice {
     /// Writes `words` to consecutive addresses from `base` — the
     /// adversary's lever (malware injection, a stashed copy of expected
     /// memory). Goes through [`Cpu::write_words`], so a write over the
-    /// program keeps the CPU's instruction cache in step.
+    /// program keeps the CPU's op table in step.
     ///
     /// # Errors
     ///

@@ -42,8 +42,10 @@
 //! `Counters::count`). The lifecycle decision a closed session carries
 //! comes from `LifecyclePolicy::next`. A service
 //! built with [`FleetService::with_journal`] writes through the caller's
-//! store; one built with [`FleetService::new`] opens a store over
-//! [`NullVfs`], which keeps the table in memory and writes nothing. A
+//! store; one built with [`FleetService::new`] opens
+//! [`ShardedStore::in_memory`], a store over
+//! [`NullVfs`](pufatt_store::NullVfs), which keeps the table in memory and
+//! writes nothing. A
 //! restore is therefore no copy at all: the store's table *is* the
 //! service's state.
 //!
@@ -81,7 +83,7 @@ use pufatt::PufattError;
 use pufatt_store::record::{CursorInfo, OutcomeRec, Record};
 use pufatt_store::sharded::MAX_SHARDS;
 use pufatt_store::state::MetaInfo;
-use pufatt_store::{NullVfs, ShardedOptions, ShardedStore};
+use pufatt_store::ShardedStore;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,7 +172,7 @@ pub struct FleetService {
     cfg: CampaignConfig,
     line: ProductLine,
     /// Every device's record and the fleet's counters: the caller's
-    /// journal, or an in-memory table over [`NullVfs`].
+    /// journal, or an in-memory table over [`NullVfs`](pufatt_store::NullVfs).
     store: Arc<ShardedStore>,
     /// Whether `store` is a caller's journal ([`FleetService::with_journal`]):
     /// only then are there store statistics to report and shards to reopen.
@@ -200,23 +202,18 @@ impl FleetService {
     /// verdict-affecting (seed, PUF profile, checksum parameters, policy,
     /// chaos plan) is honoured.
     ///
-    /// The device table is a store over [`NullVfs`], which keeps it in
-    /// memory: `shards` store shards (at most [`MAX_SHARDS`]) of range
-    /// width 1, so device `id` lives on store shard `id % shards`, the
-    /// split of the slot shards.
+    /// The device table is [`ShardedStore::in_memory`], which keeps it in
+    /// memory and opens without a write: `shards` store shards (at most
+    /// [`MAX_SHARDS`]) of range width 1, so device `id` lives on store
+    /// shard `id % shards`, the split of the slot shards.
     ///
     /// # Errors
     ///
     /// Rejects unsupported PUF widths and zero sessions per device.
     pub fn new(cfg: CampaignConfig) -> Result<Self, PufattError> {
         validate(&cfg)?;
-        let opts = ShardedOptions {
-            history_capacity: cfg.history_capacity.max(1),
-            shards: cfg.shards.clamp(1, MAX_SHARDS as usize) as u32,
-            range_width: 1,
-            compact_wal_bytes: 0,
-        };
-        let store = ShardedStore::open(Arc::new(NullVfs), opts).map_err(storage_err)?;
+        let shards = u32::try_from(cfg.shards).unwrap_or(MAX_SHARDS);
+        let store = ShardedStore::in_memory(cfg.history_capacity.max(1), shards);
         Ok(FleetService::over(cfg, Arc::new(store), false))
     }
 
@@ -368,9 +365,9 @@ impl FleetService {
         if let Some(status) = self.store.with_device(id, |device| device.status) {
             return Ok(EnrollOutcome { fresh: false, status });
         }
-        // Admit-or-absent: the store applies the enrollment as it appends
-        // it, and a synced append holds the store's shard lock until the
-        // fsync returns, so no reader sees the device before it is durable.
+        // Admit-or-absent: the store applies the enrollment only once its
+        // append (and, synced, its fsync) succeeded, so no reader sees the
+        // device before it is durable, nor after a failed append.
         let record = Record::DeviceEnrolled { id };
         match commit {
             // analyze: allow(conc: the slot shard serializes this device's sessions; fsync-before-visibility under it is the ordering point)
@@ -523,9 +520,9 @@ impl FleetService {
     ///
     /// [`PufattError::Storage`] if the synced append fails. The revocation
     /// was not committed, and the operator sees it refused rather than a
-    /// trust decision that would evaporate on restart; the device's home
-    /// shard is then sick, and refuses the device until
-    /// [`FleetService::reopen_shard`] rewinds it to what the journal holds.
+    /// trust decision that would evaporate on restart: the device keeps
+    /// its status. Its home shard is then sick, and refuses the device
+    /// until [`FleetService::reopen_shard`].
     pub fn revoke(&self, id: DeviceId) -> Result<Option<FleetStatus>, PufattError> {
         self.operator_transition(id, Record::StatusChanged { id, status: FleetStatus::Revoked })
     }
@@ -956,8 +953,8 @@ mod tests {
 
         // Shard 1's disk goes sticky-sick. The next attest for a device
         // homed there runs (the guard saw Healthy), fails to journal, and
-        // degrades the shard — the at-most-one in-memory-ahead session the
-        // reopen path later rewinds and re-derives.
+        // degrades the shard — the at-most-one session whose record is
+        // lost, which the reopen path later rewinds and re-derives.
         vfs.inject(
             pufatt_store::ErrorInjection::on_prefix("shard-001/", pufatt_store::InjectedErrorKind::Eio).sticky(),
         );
@@ -1239,6 +1236,48 @@ mod tests {
         assert_eq!(records, restored.device_records());
         assert_eq!(live, restored.snapshot(), "the live counters are the journal's");
         assert_eq!(live.sessions_started, 22, "3 sessions for 6 devices, 2 for the 2 on the sick shard");
+    }
+
+    #[test]
+    fn enrollments_refused_by_a_sick_shard_read_the_same_in_either_order() {
+        // Ids 2 and 3 share store shard 1 (4 shards × range width 2). The
+        // first enrollment to reach the sick shard fails its append; the
+        // second is refused at the gate. Neither may show in the live view.
+        let cfg = small_test_config(8, 1, 0x51C7);
+        let run = |order: [DeviceId; 2]| {
+            let vfs = pufatt_store::SimVfs::new();
+            let service = FleetService::with_journal(cfg.clone(), open_store(&cfg, &vfs)).expect("fresh journal");
+            for id in [0, 1, 4, 5] {
+                service.enroll(id).expect("a healthy shard enrolls");
+            }
+            vfs.inject(
+                pufatt_store::ErrorInjection::on_prefix("shard-001/", pufatt_store::InjectedErrorKind::Eio).sticky(),
+            );
+            for id in order {
+                assert!(service.enroll(id).is_err(), "device {id} is not admitted onto the sick shard");
+            }
+            (service.device_records(), service.snapshot())
+        };
+        let (records, snapshot) = run([2, 3]);
+        assert_eq!((records.clone(), snapshot.clone()), run([3, 2]));
+        let ids: Vec<DeviceId> = records.iter().map(|record| record.id).collect();
+        assert_eq!(ids, [0, 1, 4, 5], "a failed enrollment lists no device");
+        assert_eq!(snapshot.devices.total(), 4);
+    }
+
+    #[test]
+    fn a_failed_revoke_leaves_the_status_it_found() {
+        let cfg = small_test_config(4, 1, 0x2E70);
+        let vfs = pufatt_store::SimVfs::new();
+        let service = FleetService::with_journal(cfg.clone(), open_store(&cfg, &vfs)).expect("fresh journal");
+        service.enroll(2).expect("device enrolls");
+        vfs.inject(pufatt_store::ErrorInjection::on_prefix("shard-001/", pufatt_store::InjectedErrorKind::Eio));
+        assert!(matches!(service.revoke(2), Err(PufattError::Storage(_))), "the synced append fails");
+        assert_eq!(service.status(2), Some(FleetStatus::Active));
+        assert_eq!(service.snapshot().devices.revoked, 0);
+        service.reopen_shard(1).expect("the disk is healthy again");
+        assert_eq!(service.status(2), Some(FleetStatus::Active));
+        assert_eq!(service.revoke(2).expect("revokes now"), Some(FleetStatus::Revoked));
     }
 
     #[test]

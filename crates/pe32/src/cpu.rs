@@ -1,18 +1,21 @@
 //! The PE32 machine: memory, register file, cycle-accounted interpreter,
 //! clock model, and the PUF-mode execution state.
 //!
-//! The interpreter decodes the program image once, at
-//! [`Cpu::load_program`], into a per-word instruction cache that covers the
-//! image only. Every write goes through [`Cpu::store_word`] (or its bulk
-//! form [`Cpu::write_words`]), which re-decodes a cached word it
-//! overwrites, so the cache always equals `Instruction::decode` of memory.
-//! A fetch outside the image, or of a word that does not decode, takes the
-//! load-and-decode path, so traps and their order are those of an
-//! interpreter that decodes every word on every step.
+//! The interpreter decodes the program image once, at [`Cpu::load_program`]
+//! or [`Cpu::load_decoded`], into an op table that covers the image only:
+//! one `Op` per word ([`op`](crate::op)), whose variant is the operation
+//! itself, so each instruction costs one dispatch. Every write goes
+//! through [`Cpu::store_word`] (or its bulk form [`Cpu::write_words`]),
+//! which re-decodes a table word it overwrites, so the table always equals
+//! the decode of memory. A fetch outside the image, or of a word that does
+//! not decode, takes the load-and-decode path, so traps and their order
+//! are those of an interpreter that decodes every word on every step.
 
-use crate::isa::{AluOp, Instruction, Reg};
+use crate::isa::{AluOp, BranchCond, Instruction, Reg};
+use crate::op::{decode_all, DecodedProgram, Op};
 use crate::puf_port::{PufOutput, PufPort};
 use std::fmt;
+use std::sync::Arc;
 
 /// Execution traps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,29 +114,28 @@ pub struct RunResult {
     pub instructions: u64,
 }
 
-/// One instruction-cache entry: a decoded word and its base cycle cost
-/// (cached too, so `step` charges cycles without a second dispatch on the
-/// instruction), or `None` where the word does not decode.
-type CacheEntry = Option<(Instruction, u8)>;
-
-fn cache_entry(word: u32) -> CacheEntry {
-    // `base_cycles` is at most 4.
-    Instruction::decode(word).ok().map(|inst| (inst, inst.base_cycles() as u8))
+/// What every instruction advances: the program counter and the cycle
+/// and retired-instruction counts. [`Cpu::run`] holds it in a local for
+/// its whole loop, where no call can reach it, so it stays in registers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Progress {
+    pc: u32,
+    cycles: u64,
+    instructions: u64,
 }
 
 /// The PE32 processor with word-addressed memory.
 pub struct Cpu {
     regs: [u32; 16],
-    pc: u32,
-    cycles: u64,
-    instructions: u64,
+    at: Progress,
     halted: bool,
     puf_mode: bool,
     puf_result: Option<PufOutput>,
     memory: Vec<u32>,
-    /// The instruction cache: one entry per word of the loaded image, kept
-    /// in step with memory by `store_word`.
-    decoded: Vec<CacheEntry>,
+    /// The op table: one entry per word of the loaded image, kept in step
+    /// with memory by `store_word`. Shared with every CPU loaded from the
+    /// same [`DecodedProgram`] until this one writes into its code.
+    ops: Arc<[Op]>,
     puf: Option<Box<dyn PufPort + Send>>,
     clock: Clock,
 }
@@ -141,8 +143,8 @@ pub struct Cpu {
 impl fmt::Debug for Cpu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cpu")
-            .field("pc", &self.pc)
-            .field("cycles", &self.cycles)
+            .field("pc", &self.at.pc)
+            .field("cycles", &self.at.cycles)
             .field("halted", &self.halted)
             .field("puf_mode", &self.puf_mode)
             .field("mem_words", &self.memory.len())
@@ -160,14 +162,12 @@ impl Cpu {
         assert!(mem_words > 0 && mem_words <= 1 << 24, "memory size {mem_words} out of range");
         Cpu {
             regs: [0; 16],
-            pc: 0,
-            cycles: 0,
-            instructions: 0,
+            at: Progress::default(),
             halted: false,
             puf_mode: false,
             puf_result: None,
             memory: vec![0; mem_words],
-            decoded: Vec::new(),
+            ops: Arc::default(),
             puf: None,
             clock: Clock::default(),
         }
@@ -190,26 +190,38 @@ impl Cpu {
         self.clock
     }
 
-    /// Loads a program image at word address 0, decodes it into the
-    /// instruction cache, and resets execution state (registers, pc, cycle
-    /// counters; memory beyond the image is kept but not cached).
+    /// Loads a program image at word address 0, decodes it into a private
+    /// op table, and resets execution state (registers, pc, cycle
+    /// counters; memory beyond the image is kept but not decoded).
     ///
     /// # Panics
     ///
     /// Panics if the image exceeds memory.
     pub fn load_program(&mut self, image: &[u32]) {
+        self.load(image, decode_all(image));
+    }
+
+    /// [`Cpu::load_program`] from an image decoded once: the CPU shares the
+    /// program's op table instead of decoding its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image exceeds memory.
+    pub fn load_decoded(&mut self, program: &DecodedProgram) {
+        self.load(program.words(), Arc::clone(program.ops()));
+    }
+
+    fn load(&mut self, image: &[u32], ops: Arc<[Op]>) {
         assert!(image.len() <= self.memory.len(), "program image larger than memory");
         self.memory[..image.len()].copy_from_slice(image);
-        self.decoded = image.iter().map(|&word| cache_entry(word)).collect();
+        self.ops = ops;
         self.reset();
     }
 
     /// Resets registers, pc and counters; memory is untouched.
     pub fn reset(&mut self) {
         self.regs = [0; 16];
-        self.pc = 0;
-        self.cycles = 0;
-        self.instructions = 0;
+        self.at = Progress::default();
         self.halted = false;
         self.puf_mode = false;
         self.puf_result = None;
@@ -230,17 +242,17 @@ impl Cpu {
 
     /// Program counter (word address).
     pub fn pc(&self) -> u32 {
-        self.pc
+        self.at.pc
     }
 
     /// Cycles consumed so far.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.at.cycles
     }
 
     /// Instructions retired so far.
     pub fn instructions(&self) -> u64 {
-        self.instructions
+        self.at.instructions
     }
 
     /// Whether the CPU has executed `halt`.
@@ -263,7 +275,8 @@ impl Cpu {
     }
 
     /// Writes a memory word; a write into the loaded image re-decodes the
-    /// cached instruction there.
+    /// op there. The first such write copies a shared op table, so other
+    /// CPUs loaded from the same program keep executing their own code.
     ///
     /// # Errors
     ///
@@ -272,10 +285,18 @@ impl Cpu {
     pub fn store_word(&mut self, addr: u32, value: u32) -> Result<(), Trap> {
         let slot = self.memory.get_mut(addr as usize).ok_or(Trap::OutOfBounds { addr })?;
         *slot = value;
-        if let Some(cached) = self.decoded.get_mut(addr as usize) {
-            *cached = cache_entry(value);
+        if (addr as usize) < self.ops.len() {
+            self.redecode(addr as usize, value);
         }
         Ok(())
+    }
+
+    /// Re-decodes the op table entry a write into the image overwrote.
+    /// Cold: honest programs never write their own code.
+    #[cold]
+    #[inline(never)]
+    fn redecode(&mut self, addr: usize, value: u32) {
+        Arc::make_mut(&mut self.ops)[addr] = Op::decode(value);
     }
 
     /// Writes `words` to consecutive addresses from `base` (the adversary's
@@ -298,32 +319,34 @@ impl Cpu {
     }
 
     /// Read-only view of memory (e.g. for the verifier's expected-memory
-    /// copy). Writes go through [`Cpu::store_word`] so the instruction
-    /// cache stays in step.
+    /// copy). Writes go through [`Cpu::store_word`] so the op table stays
+    /// in step.
     pub fn memory(&self) -> &[u32] {
         &self.memory
     }
 
-    /// The instruction at `pc` and its base cycle cost, exactly as
-    /// [`Cpu::step`] would execute it: from the instruction cache inside
-    /// the loaded image, otherwise loaded and decoded.
+    /// The op at `pc`, exactly as [`Cpu::step`] would execute it there:
+    /// from the op table inside the loaded image, otherwise loaded and
+    /// decoded.
     ///
     /// # Errors
     ///
     /// [`Trap::OutOfBounds`] if `pc` is outside memory,
     /// [`Trap::IllegalInstruction`] if the word there does not decode.
-    #[inline]
-    pub(crate) fn fetch(&self) -> Result<(Instruction, u8), Trap> {
-        match self.decoded.get(self.pc as usize) {
-            Some(Some(entry)) => Ok(*entry),
-            _ => self.load_and_decode(self.pc).map(|inst| (inst, inst.base_cycles() as u8)),
+    #[inline(always)]
+    pub(crate) fn fetch(&self, pc: u32) -> Result<Op, Trap> {
+        match self.ops.get(pc as usize) {
+            Some(&op) if !matches!(op, Op::Undecodable) => Ok(op),
+            _ => self.load_and_decode(pc),
         }
     }
 
     #[cold]
-    fn load_and_decode(&self, addr: u32) -> Result<Instruction, Trap> {
+    fn load_and_decode(&self, addr: u32) -> Result<Op, Trap> {
         let word = self.load_word(addr)?;
-        Instruction::decode(word).map_err(|e| Trap::IllegalInstruction { word: e.word, addr })
+        Instruction::decode(word)
+            .map(Op::from)
+            .map_err(|e| Trap::IllegalInstruction { word: e.word, addr })
     }
 
     /// Executes one instruction.
@@ -331,103 +354,179 @@ impl Cpu {
     /// # Errors
     ///
     /// Propagates execution traps; the CPU is left at the faulting state.
-    // Always inlined, so `run`'s loop holds the fetch and dispatch with no
-    // call per simulated instruction (plain `#[inline]` was not enough).
-    #[inline(always)]
     pub fn step(&mut self) -> Result<(), Trap> {
         if self.halted {
             return Ok(());
         }
-        let (inst, base_cycles) = self.fetch()?;
-        self.pc = self.pc.wrapping_add(1);
-        self.cycles += u64::from(base_cycles);
-        self.instructions += 1;
-
-        match inst {
-            Instruction::Alu { op, rd, rs1, rs2 } => {
-                let a = self.reg(rs1);
-                let b = self.reg(rs2);
-                if self.puf_mode && op == AluOp::Add {
-                    match self.puf.as_mut() {
-                        Some(p) => p.challenge(a, b),
-                        None => return Err(Trap::NoPufAttached),
-                    }
-                }
-                self.set_reg(rd, op.apply(a, b));
-            }
-            Instruction::AluImm { op, rd, rs1, imm } => {
-                let a = self.reg(rs1);
-                self.set_reg(rd, op.apply(a, imm as i32 as u32));
-            }
-            Instruction::Lui { rd, imm } => self.set_reg(rd, (imm as u32) << 16),
-            Instruction::Lw { rd, rs1, imm } => {
-                let addr = self.reg(rs1).wrapping_add(imm as i32 as u32);
-                let v = self.load_word(addr)?;
-                self.set_reg(rd, v);
-            }
-            Instruction::Sw { rs2, rs1, imm } => {
-                let addr = self.reg(rs1).wrapping_add(imm as i32 as u32);
-                let v = self.reg(rs2);
-                self.store_word(addr, v)?;
-            }
-            Instruction::Branch { cond, rs1, rs2, imm } => {
-                if cond.holds(self.reg(rs1), self.reg(rs2)) {
-                    self.pc = self.pc.wrapping_add(imm as i32 as u32);
-                    self.cycles += 1; // taken-branch penalty
-                }
-            }
-            Instruction::Jal { rd, imm } => {
-                self.set_reg(rd, self.pc);
-                self.pc = self.pc.wrapping_add(imm as i32 as u32);
-            }
-            Instruction::Jalr { rd, rs1 } => {
-                let target = self.reg(rs1);
-                self.set_reg(rd, self.pc);
-                self.pc = target;
-            }
-            Instruction::Halt => self.halted = true,
-            Instruction::Nop => {}
-            Instruction::Pstart => {
-                match self.puf.as_mut() {
-                    Some(p) => p.start(),
-                    None => return Err(Trap::NoPufAttached),
-                }
-                self.puf_mode = true;
-            }
-            Instruction::Pend => {
-                let out = match self.puf.as_mut() {
-                    Some(p) => p.finalize(),
-                    None => return Err(Trap::NoPufAttached),
-                };
-                self.puf_result = Some(out);
-                self.puf_mode = false;
-            }
-            Instruction::Pread { rd } => {
-                let z = self.puf_result.as_ref().ok_or(Trap::PufNotReady)?.z;
-                self.set_reg(rd, z);
-            }
-            Instruction::Phelp { rd, imm } => {
-                let helper = &self.puf_result.as_ref().ok_or(Trap::PufNotReady)?.helper;
-                let v = helper.get(imm as usize).copied().unwrap_or(0);
-                self.set_reg(rd, v);
-            }
-        }
-        Ok(())
+        let mut at = self.at;
+        let outcome = self.fetch(at.pc).and_then(|op| self.execute(op, &mut at));
+        self.at = at;
+        outcome
     }
 
-    /// Runs until `halt` or the cycle budget is exhausted.
+    /// Runs until `halt` or the cycle budget is exhausted. The budget is
+    /// checked before every instruction.
     ///
     /// # Errors
     ///
     /// [`Trap::CycleLimit`] if the budget runs out, or any execution trap.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, Trap> {
+        let mut at = self.at;
+        let outcome = self.run_loop(&mut at, max_cycles);
+        self.at = at;
+        outcome.map(|()| RunResult { cycles: at.cycles, instructions: at.instructions })
+    }
+
+    #[inline(always)]
+    fn run_loop(&mut self, at: &mut Progress, max_cycles: u64) -> Result<(), Trap> {
         while !self.halted {
-            if self.cycles >= max_cycles {
+            if at.cycles >= max_cycles {
                 return Err(Trap::CycleLimit);
             }
-            self.step()?;
+            let op = self.fetch(at.pc)?;
+            self.execute(op, at)?;
         }
-        Ok(RunResult { cycles: self.cycles, instructions: self.instructions })
+        Ok(())
+    }
+
+    /// Reads register `r` of an op (`< 16`; the mask drops the bounds
+    /// check).
+    #[inline(always)]
+    fn r(&self, r: u8) -> u32 {
+        self.regs[usize::from(r & 15)]
+    }
+
+    /// Writes register `rd` of an op, then re-zeroes `r0`: no branch on the
+    /// destination.
+    #[inline(always)]
+    fn w(&mut self, rd: u8, value: u32) {
+        self.regs[usize::from(rd & 15)] = value;
+        self.regs[0] = 0;
+    }
+
+    /// `rd ← rs1 op b`, one cycle (three for `mul`).
+    #[inline(always)]
+    fn alu(&mut self, at: &mut Progress, op: AluOp, rd: u8, rs1: u8, b: u32) {
+        at.cycles += if op == AluOp::Mul { 3 } else { 1 };
+        self.w(rd, op.apply(self.r(rs1), b));
+    }
+
+    /// A branch: one cycle, plus one and the jump when `cond` holds.
+    #[inline(always)]
+    fn branch(&self, at: &mut Progress, cond: BranchCond, rs1: u8, rs2: u8, imm: u32) {
+        at.cycles += 1;
+        if cond.holds(self.r(rs1), self.r(rs2)) {
+            at.pc = at.pc.wrapping_add(imm);
+            at.cycles += 1; // taken-branch penalty
+        }
+    }
+
+    fn port(&mut self) -> Result<&mut (dyn PufPort + Send + 'static), Trap> {
+        self.puf.as_deref_mut().ok_or(Trap::NoPufAttached)
+    }
+
+    /// The one executor, shared by [`Cpu::step`] and [`Cpu::run`]: retires
+    /// `op`, fetched at `at.pc`. Its cycles are charged before anything
+    /// can trap, so a trapping instruction is counted as the
+    /// decode-every-step interpreter counted it.
+    // Always inlined, so `run`'s loop holds the fetch and dispatch with no
+    // call per simulated instruction.
+    #[inline(always)]
+    fn execute(&mut self, op: Op, at: &mut Progress) -> Result<(), Trap> {
+        at.pc = at.pc.wrapping_add(1);
+        at.instructions += 1;
+        match op {
+            Op::AddRR { rd, rs1, rs2 } => {
+                at.cycles += 1;
+                let (a, b) = (self.r(rs1), self.r(rs2));
+                if self.puf_mode {
+                    self.port()?.challenge(a, b);
+                }
+                self.w(rd, a.wrapping_add(b));
+            }
+            Op::SubRR { rd, rs1, rs2 } => self.alu(at, AluOp::Sub, rd, rs1, self.r(rs2)),
+            Op::AndRR { rd, rs1, rs2 } => self.alu(at, AluOp::And, rd, rs1, self.r(rs2)),
+            Op::OrRR { rd, rs1, rs2 } => self.alu(at, AluOp::Or, rd, rs1, self.r(rs2)),
+            Op::XorRR { rd, rs1, rs2 } => self.alu(at, AluOp::Xor, rd, rs1, self.r(rs2)),
+            Op::SllRR { rd, rs1, rs2 } => self.alu(at, AluOp::Sll, rd, rs1, self.r(rs2)),
+            Op::SrlRR { rd, rs1, rs2 } => self.alu(at, AluOp::Srl, rd, rs1, self.r(rs2)),
+            Op::SraRR { rd, rs1, rs2 } => self.alu(at, AluOp::Sra, rd, rs1, self.r(rs2)),
+            Op::SltRR { rd, rs1, rs2 } => self.alu(at, AluOp::Slt, rd, rs1, self.r(rs2)),
+            Op::SltuRR { rd, rs1, rs2 } => self.alu(at, AluOp::Sltu, rd, rs1, self.r(rs2)),
+            Op::MulRR { rd, rs1, rs2 } => self.alu(at, AluOp::Mul, rd, rs1, self.r(rs2)),
+            Op::AddI { rd, rs1, imm } => self.alu(at, AluOp::Add, rd, rs1, imm),
+            Op::SubI { rd, rs1, imm } => self.alu(at, AluOp::Sub, rd, rs1, imm),
+            Op::AndI { rd, rs1, imm } => self.alu(at, AluOp::And, rd, rs1, imm),
+            Op::OrI { rd, rs1, imm } => self.alu(at, AluOp::Or, rd, rs1, imm),
+            Op::XorI { rd, rs1, imm } => self.alu(at, AluOp::Xor, rd, rs1, imm),
+            Op::SllI { rd, rs1, imm } => self.alu(at, AluOp::Sll, rd, rs1, imm),
+            Op::SrlI { rd, rs1, imm } => self.alu(at, AluOp::Srl, rd, rs1, imm),
+            Op::SraI { rd, rs1, imm } => self.alu(at, AluOp::Sra, rd, rs1, imm),
+            Op::SltI { rd, rs1, imm } => self.alu(at, AluOp::Slt, rd, rs1, imm),
+            Op::SltuI { rd, rs1, imm } => self.alu(at, AluOp::Sltu, rd, rs1, imm),
+            Op::MulI { rd, rs1, imm } => self.alu(at, AluOp::Mul, rd, rs1, imm),
+            Op::Lui { rd, value } => {
+                at.cycles += 1;
+                self.w(rd, value);
+            }
+            Op::Lw { rd, rs1, imm } => {
+                at.cycles += 2;
+                let v = self.load_word(self.r(rs1).wrapping_add(imm))?;
+                self.w(rd, v);
+            }
+            Op::Sw { rs2, rs1, imm } => {
+                at.cycles += 2;
+                self.store_word(self.r(rs1).wrapping_add(imm), self.r(rs2))?;
+            }
+            Op::Beq { rs1, rs2, imm } => self.branch(at, BranchCond::Eq, rs1, rs2, imm),
+            Op::Bne { rs1, rs2, imm } => self.branch(at, BranchCond::Ne, rs1, rs2, imm),
+            Op::Blt { rs1, rs2, imm } => self.branch(at, BranchCond::Lt, rs1, rs2, imm),
+            Op::Bge { rs1, rs2, imm } => self.branch(at, BranchCond::Ge, rs1, rs2, imm),
+            Op::Bltu { rs1, rs2, imm } => self.branch(at, BranchCond::Ltu, rs1, rs2, imm),
+            Op::Bgeu { rs1, rs2, imm } => self.branch(at, BranchCond::Geu, rs1, rs2, imm),
+            Op::Jal { rd, imm } => {
+                at.cycles += 2;
+                self.w(rd, at.pc);
+                at.pc = at.pc.wrapping_add(imm);
+            }
+            Op::Jalr { rd, rs1 } => {
+                at.cycles += 2;
+                let target = self.r(rs1);
+                self.w(rd, at.pc);
+                at.pc = target;
+            }
+            Op::Halt => {
+                at.cycles += 1;
+                self.halted = true;
+            }
+            Op::Nop => at.cycles += 1,
+            Op::Pstart => {
+                at.cycles += 1;
+                self.port()?.start();
+                self.puf_mode = true;
+            }
+            Op::Pend => {
+                at.cycles += 4; // post-processing pipeline drain
+                let out = self.port()?.finalize();
+                self.puf_result = Some(out);
+                self.puf_mode = false;
+            }
+            Op::Pread { rd } => {
+                at.cycles += 1;
+                let z = self.puf_result.as_ref().ok_or(Trap::PufNotReady)?.z;
+                self.w(rd, z);
+            }
+            Op::Phelp { rd, imm } => {
+                at.cycles += 1;
+                let helper = &self.puf_result.as_ref().ok_or(Trap::PufNotReady)?.helper;
+                let v = helper.get(imm as usize).copied().unwrap_or(0);
+                self.w(rd, v);
+            }
+            // `fetch` never hands this out: an undecodable word traps on
+            // the load-and-decode path.
+            Op::Undecodable => unreachable!("fetch returned an undecodable op"),
+        }
+        Ok(())
     }
 }
 

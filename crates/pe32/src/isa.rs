@@ -76,6 +76,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Applies the operation.
+    #[inline]
     pub fn apply(self, a: u32, b: u32) -> u32 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -112,6 +113,7 @@ pub enum BranchCond {
 
 impl BranchCond {
     /// Evaluates the condition.
+    #[inline]
     pub fn holds(self, a: u32, b: u32) -> bool {
         match self {
             BranchCond::Eq => a == b,
@@ -293,7 +295,9 @@ impl Instruction {
     }
 
     /// Cycle cost of the instruction (branch-taken penalty is added by the
-    /// CPU).
+    /// CPU). The CPU's executor charges the same cost from each decoded op
+    /// without calling this; the pe32 differential test holds the two
+    /// equal.
     pub fn base_cycles(self) -> u64 {
         match self {
             Instruction::Alu { op: AluOp::Mul, .. } | Instruction::AluImm { op: AluOp::Mul, .. } => 3,

@@ -12,6 +12,8 @@
 //! * [`asm`] — two-pass assembler with labels and data directives, plus a
 //!   disassembler.
 //! * [`cpu`] — the machine and its traps.
+//! * [`op`] — the executor's form of a program: each word decoded once
+//!   into the operation it performs, in a table CPUs can share.
 //! * [`puf_port`] — the CPU ↔ PUF interface (implemented for the real PUF
 //!   pipeline in the `pufatt` core crate).
 //! * [`trace`] — execution profiling (cycle attribution per instruction
@@ -45,6 +47,7 @@
 pub mod asm;
 pub mod cpu;
 pub mod isa;
+pub mod op;
 pub mod programs;
 pub mod puf_port;
 pub mod trace;
@@ -52,5 +55,6 @@ pub mod trace;
 pub use asm::{assemble, disassemble, AsmError, Program};
 pub use cpu::{Clock, Cpu, RunResult, Trap};
 pub use isa::{AluOp, BranchCond, Instruction, Reg};
+pub use op::DecodedProgram;
 pub use puf_port::{MockPufPort, PufOutput, PufPort};
 pub use trace::{run_profiled, ExecutionProfile, InstClass};

@@ -7,7 +7,7 @@
 //! cycle-count claims were produced.
 
 use crate::cpu::{Cpu, Trap};
-use crate::isa::Instruction;
+use crate::op::Op;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -28,15 +28,42 @@ pub enum InstClass {
 }
 
 impl InstClass {
-    fn of(inst: &Instruction) -> InstClass {
-        match inst {
-            Instruction::Alu { .. } | Instruction::AluImm { .. } => InstClass::Alu,
-            Instruction::Lw { .. } | Instruction::Sw { .. } => InstClass::Memory,
-            Instruction::Branch { .. } | Instruction::Jal { .. } | Instruction::Jalr { .. } => InstClass::Control,
-            Instruction::Pstart | Instruction::Pend | Instruction::Pread { .. } | Instruction::Phelp { .. } => {
-                InstClass::Puf
-            }
-            Instruction::Lui { .. } | Instruction::Halt | Instruction::Nop => InstClass::Other,
+    fn of(op: Op) -> InstClass {
+        match op {
+            Op::AddRR { .. }
+            | Op::SubRR { .. }
+            | Op::AndRR { .. }
+            | Op::OrRR { .. }
+            | Op::XorRR { .. }
+            | Op::SllRR { .. }
+            | Op::SrlRR { .. }
+            | Op::SraRR { .. }
+            | Op::SltRR { .. }
+            | Op::SltuRR { .. }
+            | Op::MulRR { .. }
+            | Op::AddI { .. }
+            | Op::SubI { .. }
+            | Op::AndI { .. }
+            | Op::OrI { .. }
+            | Op::XorI { .. }
+            | Op::SllI { .. }
+            | Op::SrlI { .. }
+            | Op::SraI { .. }
+            | Op::SltI { .. }
+            | Op::SltuI { .. }
+            | Op::MulI { .. } => InstClass::Alu,
+            Op::Lw { .. } | Op::Sw { .. } => InstClass::Memory,
+            Op::Beq { .. }
+            | Op::Bne { .. }
+            | Op::Blt { .. }
+            | Op::Bge { .. }
+            | Op::Bltu { .. }
+            | Op::Bgeu { .. }
+            | Op::Jal { .. }
+            | Op::Jalr { .. } => InstClass::Control,
+            Op::Pstart | Op::Pend | Op::Pread { .. } | Op::Phelp { .. } => InstClass::Puf,
+            // `fetch` hands out no `Undecodable`: that word traps first.
+            Op::Lui { .. } | Op::Halt | Op::Nop | Op::Undecodable => InstClass::Other,
         }
     }
 
@@ -129,7 +156,7 @@ pub fn run_profiled(cpu: &mut Cpu, max_cycles: u64) -> Result<ExecutionProfile, 
             return Err(Trap::CycleLimit);
         }
         let pc = cpu.pc();
-        let class = InstClass::of(&cpu.fetch()?.0);
+        let class = InstClass::of(cpu.fetch(pc)?);
         let before = cpu.cycles();
         cpu.step()?;
         let spent = cpu.cycles() - before;

@@ -54,7 +54,7 @@ pub mod wal;
 
 pub use record::{CursorInfo, OutcomeRec, Record, StoredStatus};
 pub use sharded::{Committer, ShardHealth, ShardedOptions, ShardedStore};
-pub use state::{Counter, Counters, DeviceState, MetaInfo, StoreState};
+pub use state::{Checked, Counter, Counters, DeviceState, MetaInfo, StoreState};
 pub use store::{DurableStore, StoreStats, COMMIT_QUEUE_LIMIT};
 pub use vfs::{
     error_plan, ErrorInjection, InjectedErrorKind, NullVfs, SimVfs, StdVfs, TornMode, Vfs, INJECTED_ERROR_KINDS,

@@ -220,6 +220,22 @@ impl ShardedStore {
         })
     }
 
+    /// An empty store over [`NullVfs`](crate::vfs::NullVfs) that keeps its
+    /// state in memory: `shards` shards (clamped to `1..=`[`MAX_SHARDS`])
+    /// of range width 1, so device `id` lives on shard `id % shards`, and
+    /// no compaction. Opened without the manifest and snapshot writes the
+    /// backend would drop.
+    pub fn in_memory(history_capacity: usize, shards: u32) -> Self {
+        let shard_count = shards.clamp(1, MAX_SHARDS);
+        ShardedStore {
+            shards: (0..shard_count).map(|_| DurableStore::in_memory(history_capacity)).collect(),
+            health: (0..shard_count).map(|_| AtomicU8::new(HEALTH_HEALTHY)).collect(),
+            shard_count,
+            range_width: 1,
+            compact_wal_bytes: 0,
+        }
+    }
+
     /// The health of one shard (see [`ShardHealth`] for the machine).
     pub fn shard_health(&self, shard: usize) -> ShardHealth {
         match self.health[shard].load(Ordering::Acquire) {

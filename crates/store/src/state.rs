@@ -2,8 +2,11 @@
 //!
 //! [`StoreState::apply`] is the single transition function — the live
 //! store and crash recovery both go through it, so "state after a crash"
-//! and "state during normal operation" cannot drift apart. Its
-//! per-device half is [`DeviceState::apply`], and its counting half
+//! and "state during normal operation" cannot drift apart. It is
+//! [`StoreState::check`], which changes nothing and stages the record,
+//! followed by the infallible [`Checked::commit`]: the live store checks
+//! a record before it writes it and commits it once the write succeeded. Its per-device half is
+//! [`DeviceState::check`]/[`DeviceState::commit`], and its counting half
 //! [`Counters::count`]. The fleet service keeps no copy of either: it
 //! reads each device's record and the counters from the store, journaled
 //! or not, so there is one table to keep right. It enforces
@@ -84,10 +87,24 @@ impl Default for DeviceState {
 
 impl DeviceState {
     /// Advances this device by one of its records, keeping at most
-    /// `history_capacity` outcomes. Every append and every replay goes
-    /// through [`StoreState::apply`] to this, so a device's record in
-    /// memory and after recovery is written by one piece of code. A
-    /// refused record leaves the device untouched.
+    /// `history_capacity` outcomes: [`DeviceState::check`], then
+    /// [`DeviceState::commit`]. Every append and every replay goes through
+    /// [`StoreState::check`] and [`Checked::commit`] to these two, so a
+    /// device's record in memory and after recovery is written by one
+    /// piece of code. A refused record leaves the device untouched.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeviceState::check`].
+    pub fn apply(&mut self, record: &Record, history_capacity: usize) -> Result<(), StoreError> {
+        self.check(record)?;
+        self.commit(record, history_capacity);
+        Ok(())
+    }
+
+    /// Whether `record` is a legal next record for this device. Pure: the
+    /// store checks a record before it writes it and commits it only once
+    /// the write succeeded, so a failed write changes nothing in memory.
     ///
     /// # Errors
     ///
@@ -96,23 +113,19 @@ impl DeviceState {
     /// a record that names no device; [`StoreError::IllegalTransition`]
     /// when the record asks for a lifecycle move the state machine forbids
     /// (enrolling an enrolled device among them).
-    pub fn apply(&mut self, record: &Record, history_capacity: usize) -> Result<(), StoreError> {
-        let illegal = |id: &u32, from: StoredStatus, event| Err(StoreError::IllegalTransition { id: *id, from, event });
+    pub fn check(&self, record: &Record) -> Result<(), StoreError> {
+        let illegal = |id: &u32, event| Err(StoreError::IllegalTransition { id: *id, from: self.status, event });
         match record {
-            Record::Meta { .. } => return Err(StoreError::Corrupt("campaign metadata is not a device record".into())),
-            Record::DeviceEnrolled { id } => return illegal(id, self.status, "enroll an already-enrolled device"),
-            Record::DeviceReEnrolled { .. } => {
-                self.status = StoredStatus::Active;
-                self.fails = 0;
-                self.succs = 0;
-            }
+            Record::Meta { .. } => Err(StoreError::Corrupt("campaign metadata is not a device record".into())),
+            Record::DeviceEnrolled { id } => illegal(id, "enroll an already-enrolled device"),
+            Record::DeviceReEnrolled { .. } | Record::DeviceAbandoned { .. } => Ok(()),
             Record::StatusChanged { id, status } => {
                 if self.status == StoredStatus::Revoked && *status != StoredStatus::Revoked {
-                    return illegal(id, self.status, "leave Revoked without re-enrollment");
+                    return illegal(id, "leave Revoked without re-enrollment");
                 }
-                self.status = *status;
+                Ok(())
             }
-            Record::SessionClosed { id, outcome, status, fails, succs, cursor } => {
+            Record::SessionClosed { id, outcome, status, cursor, .. } => {
                 if outcome.latency_slot as usize >= LATENCY_SLOTS {
                     return Err(StoreError::Corrupt(format!("latency slot {} out of range", outcome.latency_slot)));
                 }
@@ -122,9 +135,38 @@ impl DeviceState {
                     (self.status, *status),
                     (StoredStatus::Revoked, _) | (StoredStatus::Active, StoredStatus::Revoked)
                 ) {
-                    return illegal(id, self.status, "close a session with a non-monotone transition");
+                    return illegal(id, "close a session with a non-monotone transition");
                 }
-                self.advance_cursor(*id, cursor)?;
+                self.check_cursor(*id, cursor)
+            }
+            Record::SessionRefused { id } => {
+                if self.status != StoredStatus::Revoked {
+                    return illegal(id, "refuse a session on a non-revoked device");
+                }
+                Ok(())
+            }
+            Record::SessionFault { id, cursor, .. } => {
+                if self.status == StoredStatus::Revoked {
+                    return illegal(id, "fault a session on a revoked device");
+                }
+                self.check_cursor(*id, cursor)
+            }
+        }
+    }
+
+    /// Advances this device by a record [`DeviceState::check`] accepted.
+    /// Infallible, so the store can run it after the write succeeded.
+    pub fn commit(&mut self, record: &Record, history_capacity: usize) {
+        match record {
+            Record::Meta { .. } | Record::DeviceEnrolled { .. } => {}
+            Record::DeviceReEnrolled { .. } => {
+                self.status = StoredStatus::Active;
+                self.fails = 0;
+                self.succs = 0;
+            }
+            Record::StatusChanged { status, .. } => self.status = *status,
+            Record::SessionClosed { outcome, status, fails, succs, cursor, .. } => {
+                self.advance_cursor(cursor);
                 self.status = *status;
                 self.fails = *fails;
                 self.succs = *succs;
@@ -136,18 +178,12 @@ impl DeviceState {
                 self.outcomes.push_back(*outcome);
                 self.outcomes_total += 1;
             }
-            Record::SessionRefused { id } => {
-                if self.status != StoredStatus::Revoked {
-                    return illegal(id, self.status, "refuse a session on a non-revoked device");
-                }
+            Record::SessionRefused { .. } => {
                 self.events_seen += 1;
                 self.refused += 1;
             }
-            Record::SessionFault { id, cursor, .. } => {
-                if self.status == StoredStatus::Revoked {
-                    return illegal(id, self.status, "fault a session on a revoked device");
-                }
-                self.advance_cursor(*id, cursor)?;
+            Record::SessionFault { cursor, .. } => {
+                self.advance_cursor(cursor);
                 self.faults += 1;
             }
             Record::DeviceAbandoned { .. } => {
@@ -155,20 +191,23 @@ impl DeviceState {
                 self.faults += 1;
             }
         }
-        Ok(())
     }
 
-    /// Moves the device to the cursor a session of device `id` left,
-    /// counting the session. The session RNG only moves forward (an
-    /// aborted session leaves it where it was), so a cursor behind the
-    /// current one is refused.
-    fn advance_cursor(&mut self, id: u32, cursor: &CursorInfo) -> Result<(), StoreError> {
+    /// The session RNG only moves forward (an aborted session leaves it
+    /// where it was), so a cursor of device `id` behind the current one is
+    /// refused.
+    fn check_cursor(&self, id: u32, cursor: &CursorInfo) -> Result<(), StoreError> {
         if matches!(&self.cursor, Some(prev) if cursor.session_pos < prev.session_pos) {
             return Err(StoreError::Corrupt(format!("cursor regressed for device {id}")));
         }
+        Ok(())
+    }
+
+    /// Moves the device to the cursor a session left, counting the
+    /// session.
+    fn advance_cursor(&mut self, cursor: &CursorInfo) {
         self.cursor = Some(*cursor);
         self.events_seen += 1;
-        Ok(())
     }
 }
 
@@ -271,6 +310,41 @@ impl Counters {
     }
 }
 
+/// A record [`StoreState::check`] accepted, staged with the parts of the
+/// state it changes.
+#[must_use = "a checked record changes nothing until it is committed"]
+pub struct Checked<'s, 'r> {
+    seq: u64,
+    record: &'r Record,
+    target: Target<'s>,
+    counters: &'s mut Counters,
+    last_seq: &'s mut u64,
+}
+
+/// What a checked record changes besides the counters and the sequence.
+enum Target<'s> {
+    Meta(&'s mut Option<MetaInfo>, MetaInfo),
+    Enroll(&'s mut BTreeMap<u32, DeviceState>, u32),
+    Device(&'s mut DeviceState, usize),
+}
+
+impl Checked<'_, '_> {
+    /// Applies the record: the device's record (or the enrollment, or the
+    /// campaign identity), the counters and [`StoreState::last_seq`].
+    /// Infallible, so the store runs it once the write succeeded.
+    pub fn commit(self) {
+        match self.target {
+            Target::Meta(meta, info) => *meta = Some(info),
+            Target::Enroll(devices, id) => {
+                devices.insert(id, DeviceState::default());
+            }
+            Target::Device(device, history_capacity) => device.commit(self.record, history_capacity),
+        }
+        self.counters.count(self.record);
+        *self.last_seq = self.seq;
+    }
+}
+
 /// The full durable state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreState {
@@ -303,42 +377,46 @@ impl StoreState {
         self.history_capacity
     }
 
-    fn device_mut(&mut self, id: u32) -> Result<&mut DeviceState, StoreError> {
-        self.devices
-            .get_mut(&id)
-            .ok_or_else(|| StoreError::Corrupt(format!("record references unknown device {id}")))
-    }
-
-    /// Applies one record. `seq` must be strictly greater than
+    /// Applies one record: [`StoreState::check`], then
+    /// [`Checked::commit`]. `seq` must be strictly greater than
     /// [`StoreState::last_seq`] — replay skips already-covered records
     /// *before* calling this.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] for regressing sequence numbers, unknown
-    /// devices, or out-of-range fields; [`StoreError::IllegalTransition`]
-    /// when a record asks for a lifecycle move the state machine forbids.
+    /// As [`StoreState::check`].
     pub fn apply(&mut self, seq: u64, record: &Record) -> Result<(), StoreError> {
+        self.check(seq, record)?.commit();
+        Ok(())
+    }
+
+    /// Checks that `record`, numbered `seq`, is a legal next record, and
+    /// returns it staged: nothing changes until [`Checked::commit`]. The
+    /// store checks a record before it writes it and commits it only once
+    /// the write succeeded, so an illegal record never reaches the WAL and
+    /// a failed write changes nothing in memory. The staged record holds
+    /// the device it changes, so the commit repeats no lookup.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] for regressing sequence numbers, unknown
+    /// devices, conflicting campaign metadata or out-of-range fields;
+    /// [`StoreError::IllegalTransition`] when a record asks for a
+    /// lifecycle move the state machine forbids.
+    pub fn check<'s, 'r>(&'s mut self, seq: u64, record: &'r Record) -> Result<Checked<'s, 'r>, StoreError> {
         if seq <= self.last_seq {
             return Err(StoreError::Corrupt(format!("sequence regressed: {seq} after {}", self.last_seq)));
         }
-        match record {
-            Record::Meta { config_hash, devices, sessions_per_device, seed } => {
-                let info = MetaInfo {
-                    config_hash: *config_hash,
-                    devices: *devices,
-                    sessions_per_device: *sessions_per_device,
-                    seed: *seed,
-                };
-                match self.meta {
-                    None => self.meta = Some(info),
-                    Some(existing) if existing == info => {}
-                    Some(_) => return Err(StoreError::Corrupt("conflicting campaign metadata records".into())),
+        let StoreState { meta, devices, counters, last_seq, history_capacity } = self;
+        let target = match record {
+            &Record::Meta { config_hash, devices: count, sessions_per_device, seed } => {
+                let info = MetaInfo { config_hash, devices: count, sessions_per_device, seed };
+                if matches!(meta, Some(existing) if *existing != info) {
+                    return Err(StoreError::Corrupt("conflicting campaign metadata records".into()));
                 }
+                Target::Meta(meta, info)
             }
-            Record::DeviceEnrolled { id } if !self.devices.contains_key(id) => {
-                self.devices.insert(*id, DeviceState::default());
-            }
+            Record::DeviceEnrolled { id } if !devices.contains_key(id) => Target::Enroll(devices, *id),
             Record::DeviceEnrolled { id }
             | Record::DeviceReEnrolled { id }
             | Record::StatusChanged { id, .. }
@@ -346,13 +424,14 @@ impl StoreState {
             | Record::SessionRefused { id }
             | Record::SessionFault { id, .. }
             | Record::DeviceAbandoned { id } => {
-                let cap = self.history_capacity;
-                self.device_mut(*id)?.apply(record, cap)?;
+                let device = devices
+                    .get_mut(id)
+                    .ok_or_else(|| StoreError::Corrupt(format!("record references unknown device {id}")))?;
+                device.check(record)?;
+                Target::Device(device, *history_capacity)
             }
-        }
-        self.counters.count(record);
-        self.last_seq = seq;
-        Ok(())
+        };
+        Ok(Checked { seq, record, target, counters, last_seq })
     }
 
     // ------------------------------------------------------------- codec

@@ -2,9 +2,12 @@
 //!
 //! # Commit protocol
 //!
-//! * An append validates the record against the in-memory state (the same
-//!   transition function recovery uses) and frames it into the WAL. A
-//!   record is *committed* once its frame is fully on stable storage, and
+//! * An append checks the record against the in-memory state (the same
+//!   transition function recovery uses), frames it into the WAL, and
+//!   applies it to memory only once the write (and, for a synced append,
+//!   the fsync) succeeded, so a failed append changes nothing a reader
+//!   sees. A record is *committed* once its frame is fully on stable
+//!   storage, and
 //!   there are exactly two ways to get it there:
 //!   [`DurableStore::append_synced`] syncs before it returns (forced), and
 //!   [`DurableStore::append_nosync`] leaves the sync to the next
@@ -28,14 +31,15 @@
 //! itself recoverable — the crash-matrix tests enumerate those points too.
 //!
 //! If any write fails mid-operation (including an injected crash), the
-//! store marks itself broken and refuses further appends: the in-memory
-//! state may then be ahead of the disk, and the only safe continuation is
-//! to reopen and recover.
+//! store marks itself broken and refuses further appends: the disk may
+//! then hold part of a frame, or lack group-committed records memory
+//! already shows, and the only safe continuation is to reopen and
+//! recover.
 
 use crate::record::Record;
 use crate::state::{MetaInfo, StoreState};
-use crate::vfs::Vfs;
-use crate::wal::{self, Wal};
+use crate::vfs::{NullVfs, Vfs};
+use crate::wal::{self, Wal, WAL_MAGIC};
 use crate::StoreError;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -241,6 +245,30 @@ impl DurableStore {
         })
     }
 
+    /// An empty store over [`NullVfs`], retaining `history_capacity`
+    /// outcomes per device: the state of a fresh [`DurableStore::open`]
+    /// over it, reached without writing the snapshot and WAL header that
+    /// `NullVfs` would drop. Appends still run the whole commit path.
+    pub fn in_memory(history_capacity: usize) -> Self {
+        let vfs: Arc<dyn Vfs> = Arc::new(NullVfs);
+        let wal = Wal::opened(Arc::clone(&vfs), WAL_FILE, WAL_MAGIC.len() as u64);
+        DurableStore {
+            inner: Mutex::new(Inner {
+                vfs,
+                wal,
+                state: StoreState::new(history_capacity),
+                history_capacity,
+                stats: StoreStats { wal_bytes: WAL_MAGIC.len() as u64, ..StoreStats::default() },
+                unsynced: 0,
+                broken: false,
+                scratch: Vec::new(),
+                wal_path: WAL_FILE.into(),
+                snapshot_path: SNAPSHOT_FILE.into(),
+                snapshot_tmp: SNAPSHOT_TMP.into(),
+            }),
+        }
+    }
+
     /// Re-runs recovery in place on the same backend and paths — the
     /// operator path out of [`StoreError::Broken`].
     ///
@@ -276,27 +304,29 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Validates, applies and writes `record`; with `force`, or when
+    /// Checks, writes and applies `record`; with `force`, or when
     /// [`COMMIT_QUEUE_LIMIT`] records already await their sync, the frame
-    /// is synced before returning, otherwise a group committer (or an
-    /// explicit sync) owns the fsync.
+    /// is synced before it is applied, otherwise a group committer (or an
+    /// explicit sync) owns the fsync. A failed write or sync breaks the
+    /// store and changes nothing in memory.
     fn append_inner(&self, record: &Record, force: bool) -> Result<u64, StoreError> {
-        let mut inner = lock(&self.inner);
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
         if inner.broken {
             return Err(StoreError::Broken);
         }
         let sync = force || inner.unsynced >= COMMIT_QUEUE_LIMIT;
         let seq = inner.state.last_seq + 1;
-        // Validate-and-apply before touching the disk: an illegal record
-        // must never reach the WAL, where replay would refuse it forever.
-        inner.state.apply(seq, record)?;
+        // Check before touching the disk: an illegal record must never
+        // reach the WAL, where replay would refuse it forever.
+        let checked = inner.state.check(seq, record)?;
         let mut payload = std::mem::take(&mut inner.scratch);
         payload.clear();
         record.encode(seq, &mut payload);
         let write = inner.wal.append(&payload);
         inner.scratch = payload;
         if let Err(e) = write {
-            inner.broken = true; // memory is ahead of disk: reopen to recover
+            inner.broken = true; // the disk may hold part of the frame: reopen to recover
             return Err(e);
         }
         inner.unsynced += 1;
@@ -307,6 +337,9 @@ impl DurableStore {
             }
             inner.unsynced = 0;
         }
+        // Commit only now: no reader sees a record its write (or, when
+        // synced, its fsync) failed to land.
+        checked.commit();
         inner.stats.records_appended += 1;
         inner.stats.wal_bytes = inner.wal.bytes();
         Ok(seq)
@@ -556,6 +589,79 @@ mod tests {
         // The store is writable again after recovery.
         store.append_synced(&Record::DeviceEnrolled { id: 7 }).unwrap();
         assert!(store.state().devices.contains_key(&7));
+    }
+
+    #[test]
+    fn a_failed_write_or_fsync_changes_nothing_in_memory() {
+        use crate::record::{CursorInfo, OutcomeRec};
+        use crate::vfs::{ErrorInjection, InjectedErrorKind, TORN_MODES};
+        let outcome = OutcomeRec {
+            accepted: true,
+            response_ok: true,
+            time_ok: true,
+            timed_out: false,
+            attempts: 1,
+            elapsed_bits: 0.01f64.to_bits(),
+            retried: 0,
+            dropped: 0,
+            lost: false,
+            latency_slot: 13,
+            crp_hits: 56,
+            crp_misses: 8,
+        };
+        let cursor = CursorInfo {
+            session_pos: 4,
+            noise_pos: 64,
+            noise_evals: 4,
+            tamper_parity: false,
+        };
+        let records = [
+            Record::DeviceEnrolled { id: 2 },
+            Record::SessionClosed {
+                id: 1,
+                outcome,
+                status: StoredStatus::Active,
+                fails: 0,
+                succs: 1,
+                cursor,
+            },
+            Record::StatusChanged { id: 1, status: StoredStatus::Revoked },
+        ];
+        // The frame's write fails (the op after the last), or the write
+        // lands and the fsync after it fails; a group-commit append issues
+        // no fsync of its own.
+        let failures = [
+            (0, InjectedErrorKind::Eio, false),
+            (0, InjectedErrorKind::NoSpace, false),
+            (0, InjectedErrorKind::Eio, true),
+            (0, InjectedErrorKind::NoSpace, true),
+            (1, InjectedErrorKind::SyncFail, true),
+        ];
+        for mode in TORN_MODES {
+            for record in &records {
+                for (offset, kind, synced) in failures {
+                    let case = format!("{kind:?} on a synced={synced} append of {record:?}, then a {mode:?} power cut");
+                    let vfs = SimVfs::new();
+                    let store = open_sim(&vfs);
+                    store.append_synced(&Record::DeviceEnrolled { id: 1 }).unwrap();
+                    let before = store.state();
+                    vfs.inject(ErrorInjection::at_op(vfs.ops() + offset, kind));
+                    let append = if synced { store.append_synced(record) } else { store.append_nosync(record) };
+                    assert!(append.is_err() && store.is_broken(), "{case}: the append fails");
+                    assert_eq!(store.state(), before, "{case}: device, counters and last_seq stay put");
+                    // What the disk kept is the state before, or, when only
+                    // the fsync failed, possibly the record too — never more.
+                    let mut after = before.clone();
+                    after.apply(before.last_seq + 1, record).unwrap();
+                    let recovered = open_sim(&vfs.power_cut(mode)).state();
+                    if kind == InjectedErrorKind::SyncFail {
+                        assert!(recovered == before || recovered == after, "{case}: recovered {recovered:?}");
+                    } else {
+                        assert_eq!(recovered, before, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Differential test of the pe32 instruction cache.
+//! Differential test of the pe32 op table.
 //!
-//! `Cpu` decodes its program image once, at `load_program`, and re-decodes
-//! a cached word when `store_word` overwrites it. This suite runs it in
-//! lockstep with a reference interpreter that lives only here and decodes
-//! every word on every step, as the CPU did before it had a cache. Both
-//! machines must agree on registers, pc, memory, cycles, retired
-//! instructions, halt and PUF-mode state, every trap, and the sequence of
-//! PUF-port calls — on every shipped SWATT image (PUFatt and classic), on
-//! the memory-copy adversary's program, under mid-traversal tampers
-//! (including ones that land on executed code), on self-modifying
-//! programs, and on random programs.
+//! `Cpu` decodes its program image once, at `load_program` (or
+//! `load_decoded`, which shares one `DecodedProgram`'s table between
+//! CPUs), into one op per word, and re-decodes a word when `store_word`
+//! overwrites it. This suite runs it in lockstep with a reference
+//! interpreter that lives only here and decodes every word on every step,
+//! as the CPU did before it had a cache. Both machines must agree on
+//! registers, pc, memory, cycles, retired instructions, halt and PUF-mode
+//! state, every trap, and the sequence of PUF-port calls — on every
+//! shipped SWATT image (PUFatt and classic), on the memory-copy
+//! adversary's program, under mid-traversal tampers (including ones that
+//! land on executed code), on self-modifying programs, on every
+//! instruction shape from random register states, at every cycle budget
+//! of a toy run, on CPUs sharing one decoded program, and on random
+//! programs.
 
 use std::sync::{Arc, Mutex};
 
@@ -22,6 +26,7 @@ use pufatt_faults::{mid_traversal_addr, MID_TRAVERSAL_XOR};
 use pufatt_pe32::asm::assemble;
 use pufatt_pe32::cpu::{Clock, Cpu, Trap};
 use pufatt_pe32::isa::{AluOp, BranchCond, Instruction, Reg};
+use pufatt_pe32::op::DecodedProgram;
 use pufatt_pe32::puf_port::{MockPufPort, PufOutput, PufPort};
 use pufatt_pe32::trace::run_profiled;
 use pufatt_swatt::checksum::SwattParams;
@@ -254,6 +259,16 @@ struct Lockstep {
 
 impl Lockstep {
     fn new(mem_words: usize, image: &[u32], with_puf: bool) -> Self {
+        Lockstep::loaded(mem_words, image, with_puf, |cpu| cpu.load_program(image))
+    }
+
+    /// A pair whose CPU shares `program`'s op table.
+    fn shared(mem_words: usize, program: &DecodedProgram, with_puf: bool) -> Self {
+        Lockstep::loaded(mem_words, program.words(), with_puf, |cpu| cpu.load_decoded(program))
+    }
+
+    /// A pair holding `image`, loaded into the CPU by `load`.
+    fn loaded(mem_words: usize, image: &[u32], with_puf: bool, load: impl FnOnce(&mut Cpu)) -> Self {
         let mut cpu = Cpu::new(mem_words);
         let mut reference = ReferenceCpu::new(mem_words);
         let logs = with_puf.then(|| {
@@ -263,7 +278,7 @@ impl Lockstep {
             reference.puf = Some(Box::new(port));
             (cpu_log, ref_log)
         });
-        cpu.load_program(image);
+        load(&mut cpu);
         reference.load_program(image);
         let pair = Lockstep { cpu, reference, logs };
         pair.assert_same("after load");
@@ -626,4 +641,171 @@ proptest! {
             let _ = pair.run(4_000);
         }
     }
+}
+
+// ------------------------------------------------------ every op variant
+
+/// Instruction shapes: one per op the CPU executes (11 register and 11
+/// immediate ALU ops, `lui`, `lw`, `sw`, six branches, `jal`, `jalr`,
+/// `halt`, `nop` and the four PUF instructions), then an undecodable word.
+const SHAPES: usize = 40;
+
+fn shape(k: usize, rd: Reg, rs1: Reg, rs2: Reg, imm: i16) -> u32 {
+    const OPS: [AluOp; 11] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Sll,
+        AluOp::Srl,
+        AluOp::Sra,
+        AluOp::Slt,
+        AluOp::Sltu,
+        AluOp::Mul,
+    ];
+    const CONDS: [BranchCond; 6] = [
+        BranchCond::Eq,
+        BranchCond::Ne,
+        BranchCond::Lt,
+        BranchCond::Ge,
+        BranchCond::Ltu,
+        BranchCond::Geu,
+    ];
+    let inst = match k {
+        0..=10 => Instruction::Alu { op: OPS[k], rd, rs1, rs2 },
+        11..=21 => Instruction::AluImm { op: OPS[k - 11], rd, rs1, imm },
+        22 => Instruction::Lui { rd, imm: imm as u16 },
+        23 => Instruction::Lw { rd, rs1, imm },
+        24 => Instruction::Sw { rs2, rs1, imm },
+        25..=30 => Instruction::Branch { cond: CONDS[k - 25], rs1, rs2, imm: imm % 8 },
+        31 => Instruction::Jal { rd, imm: imm % 8 },
+        32 => Instruction::Jalr { rd, rs1 },
+        33 => Instruction::Halt,
+        34 => Instruction::Nop,
+        35 => Instruction::Pstart,
+        36 => Instruction::Pend,
+        37 => Instruction::Pread { rd },
+        38 => Instruction::Phelp { rd, imm: imm % 4 },
+        _ => return 0xFF00_0000,
+    };
+    inst.encode()
+}
+
+/// A register value: mostly a word address inside `RANDOM_MEM_WORDS`
+/// (so loads, stores and `jalr` land in memory), sometimes any word.
+fn register_value() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0u32..RANDOM_MEM_WORDS as u32 + 8,
+        0u32..RANDOM_MEM_WORDS as u32,
+        any::<u32>()
+    ]
+}
+
+proptest! {
+    /// Every op in turn, from random registers, behind each PUF state: idle
+    /// (`pread`/`phelp` trap before any `pend`), in PUF mode (an `add`
+    /// challenges the port), and with a result latched. With no port
+    /// attached the PUF instructions trap instead.
+    #[test]
+    fn every_op_matches_reference(
+        fields in (0u8..16, 0u8..16, 0u8..16, any::<i16>()),
+        regs in prop::collection::vec(register_value(), 16),
+        puf_state in 0u8..3,
+        with_puf in any::<bool>(),
+    ) {
+        let (rd, rs1, rs2, imm) = fields;
+        let prelude: &[Instruction] = match puf_state {
+            0 => &[],
+            1 => &[Instruction::Pstart],
+            _ => &[
+                Instruction::Pstart,
+                Instruction::Alu { op: AluOp::Add, rd: Reg(1), rs1: Reg(2), rs2: Reg(3) },
+                Instruction::Pend,
+            ],
+        };
+        for k in 0..SHAPES {
+            let mut image = program(prelude);
+            image.push(shape(k, Reg(rd), Reg(rs1), Reg(rs2), imm));
+            image.extend(program(&[Instruction::Nop, Instruction::Nop, Instruction::Halt]));
+            let mut pair = Lockstep::new(RANDOM_MEM_WORDS, &image, with_puf);
+            for (i, &value) in regs.iter().enumerate() {
+                pair.cpu.set_reg(Reg(i as u8), value);
+                pair.reference.set_reg(Reg(i as u8), value);
+            }
+            pair.assert_same("after setting the registers");
+            let _ = pair.run(1_000);
+        }
+    }
+}
+
+// ----------------------------------------------------- every cycle budget
+
+#[test]
+fn run_stops_where_the_reference_stops_at_every_budget() {
+    // The toy image, run from scratch under every budget up to a whole
+    // run: the budget is checked before every instruction, so each run
+    // stops on the same instruction boundary, in the same state.
+    let params = PUFATT_PARAMS[3];
+    let (image, layout) = swatt_image(&params, &CodegenOptions::default());
+    let mem_words = layout.memory_words.max(64) as usize;
+    let start = || {
+        let mut pair = Lockstep::new(mem_words, &image, true);
+        pair.store(layout.seed_cell, 0x0005_EED5);
+        pair.store(layout.x0_cell, 0x0000_0A0A);
+        pair
+    };
+    let (total, _) = start().run(BUDGET).expect("the toy image halts");
+    for budget in 0..=total {
+        let outcome = start().run(budget);
+        assert_eq!(outcome.is_ok(), budget == total, "budget {budget} of {total}");
+    }
+}
+
+// --------------------------------------------------- one shared program
+
+#[test]
+fn a_write_into_shared_code_leaves_the_other_cpu_unchanged() {
+    // Two CPUs load one decoded program. A mid-run write into the first
+    // one's checksum loop must reach only that CPU: the second keeps
+    // executing the program as loaded, in lockstep with a reference that
+    // never saw the write.
+    let params = PUFATT_PARAMS[3];
+    let (image, layout) = swatt_image(&params, &CodegenOptions::default());
+    let mem_words = layout.memory_words.max(64) as usize;
+    let program = DecodedProgram::new(image.clone());
+    let hot = {
+        let mut cpu = Cpu::new(mem_words);
+        cpu.load_decoded(&program);
+        let profile = run_profiled(&mut cpu, BUDGET).expect("profiled run halts");
+        profile
+            .hottest(usize::MAX)
+            .into_iter()
+            .map(|(pc, _)| pc)
+            .find(|&pc| matches!(Instruction::decode(image[pc as usize]), Ok(Instruction::Alu { .. })))
+            .expect("the checksum loop has a register-register ALU word")
+    };
+    let response = |pair: &Lockstep| -> Vec<u32> {
+        (0..8)
+            .map(|k| pair.cpu.load_word(layout.result_base + k).expect("in memory"))
+            .collect()
+    };
+    let mut pairs = [(); 2].map(|()| {
+        let mut pair = Lockstep::shared(mem_words, &program, true);
+        pair.store(layout.seed_cell, 21);
+        pair.store(layout.x0_cell, 22);
+        assert_eq!(pair.run(500), Err(Trap::CycleLimit));
+        pair
+    });
+    pairs[0].tamper(hot, 0x0000_1000);
+    for pair in &mut pairs {
+        pair.run(BUDGET).expect("both halt");
+    }
+    let mut private = Lockstep::new(mem_words, &image, true);
+    private.store(layout.seed_cell, 21);
+    private.store(layout.x0_cell, 22);
+    private.run(BUDGET).expect("halts");
+    assert_eq!(response(&pairs[1]), response(&private), "the untouched CPU runs the program as loaded");
+    assert_ne!(response(&pairs[0]), response(&private), "the written CPU runs its own code");
+    assert!(pairs[1].cpu.memory() == private.cpu.memory());
 }
