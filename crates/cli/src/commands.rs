@@ -7,9 +7,7 @@ use pufatt::protocol::{provision, puf_limited_clock, run_session, AttestationReq
 use pufatt::VerifierPuf;
 use pufatt_alupuf::device::{AdderKind, AluPufConfig, AluPufDesign, PufInstance};
 use pufatt_alupuf::emulate::DelayTable;
-use pufatt_faults::{
-    apply_device_faults, run_chaos_session, run_noise_sweep, FaultPlan, LossyChannel, RetryPolicy, SweepConfig,
-};
+use pufatt_faults::{run_chaos_session, run_noise_sweep, FaultPlan, LossyChannel, RetryPolicy, SimDevice, SweepConfig};
 use pufatt_fleet::{run_campaign, CampaignConfig, ChaosConfig, LifecyclePolicy, RunningCampaign};
 use pufatt_silicon::env::Environment;
 use pufatt_silicon::variation::ChipSampler;
@@ -123,14 +121,14 @@ pub fn attest(argv: &[String]) -> Result<(), String> {
             run_session(&mut prover, &verifier, request).map_err(|e| e.to_string())?.0
         } else {
             let plan = FaultPlan::parse(plan_spec, seed)?;
-            apply_device_faults(&mut prover, &plan);
+            let mut device = SimDevice::new(prover, &plan);
             let lossy = if channel_spec.is_empty() {
                 LossyChannel::from_plan(verifier.channel(), &plan)
             } else {
                 LossyChannel::parse(channel_spec, &plan)?
             };
             let policy = RetryPolicy::for_verifier(&verifier, args.num_or("retries", 3)?);
-            let report = run_chaos_session(&mut prover, &verifier, &lossy, &plan, &policy, &mut rng);
+            let report = run_chaos_session(&mut device, &verifier, &lossy, &policy, &mut rng);
             println!(
                 "chaos: plan [{plan}], {} attempt(s), {:.3} ms elapsed, {} message(s) dropped \
                  ({} request / {} report), {} duplicated, {} reordered",

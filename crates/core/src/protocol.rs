@@ -359,6 +359,13 @@ impl ProverDevice {
         self.cpu.clock()
     }
 
+    /// The real compute time of a `cycles`-long run, in seconds. It
+    /// follows the device's actual clock, which the verifier cannot see:
+    /// the verifier sees only the wall time.
+    pub fn compute_s(&self, cycles: u64) -> f64 {
+        self.clock().duration_ns(cycles) * 1e-9
+    }
+
     /// Injects (or clears, with `None`) a response fault on the device's
     /// PUF: every subsequent raw evaluation passes through the fault model
     /// before helper generation, which is what makes sub-`t` noise
@@ -640,10 +647,7 @@ pub fn run_session(
     request: AttestationRequest,
 ) -> Result<(Verdict, AttestationReport), PufattError> {
     let report = prover.attest(request)?;
-    // The prover's *real* compute time follows its actual clock; the
-    // verifier has no way to see the clock, only the wall time.
-    let compute_s = prover.clock().duration_ns(report.cycles) * 1e-9;
-    let verdict = verifier.verify(request, &report, compute_s);
+    let verdict = verifier.verify(request, &report, prover.compute_s(report.cycles));
     Ok((verdict, report))
 }
 
@@ -675,8 +679,7 @@ pub fn run_session_with_retry<R: Rng + ?Sized>(
     let channel = verifier.channel();
     let outcome = AttestSession::new(policy).run(verifier, rng, |_, request, _| {
         let report = prover.attest(request)?;
-        let compute_s = prover.clock().duration_ns(report.cycles) * 1e-9;
-        let elapsed_s = channel.attempt_s(request.wire_bits(), compute_s, report.wire_bits());
+        let elapsed_s = channel.attempt_s(request.wire_bits(), prover.compute_s(report.cycles), report.wire_bits());
         Ok(Exchange::Delivered { report, elapsed_s })
     });
     Ok((outcome.result?, outcome.attempts as usize))

@@ -1,9 +1,6 @@
-//! The chaos session runner: one attestation session driven through a
-//! [`LossyChannel`] under a [`FaultPlan`]. The retry, backoff and deadline
-//! decisions are the core session machine's
-//! ([`pufatt::protocol::AttestSession`], whose docs draw its states); this
-//! module is the device end it talks to — the channel legs, the prover and
-//! the plan's mid-traversal tamper.
+//! The device end, [`SimDevice`], and the chaos session runner, which
+//! steps the core session machine ([`pufatt::protocol::AttestSession`],
+//! whose docs draw its states) against it over a [`LossyChannel`].
 //!
 //! Everything is simulated time: drops cost the verifier its per-attempt
 //! timeout, backoff delays accumulate into the session's elapsed time, and
@@ -14,12 +11,13 @@ use crate::channel::{Delivery, LossyChannel};
 use crate::plan::FaultPlan;
 pub use pufatt::protocol::RetryPolicy;
 use pufatt::protocol::{AttestOutcome, AttestSession, Exchange, MidTraversalTamper, ProverDevice, Verifier};
-use pufatt::{PufattError, Verdict};
+use pufatt::{AttestationReport, AttestationRequest, PufattError, Verdict};
+use pufatt_store::CursorInfo;
 use rand::Rng;
 
-/// XOR mask the chaos runner applies when a plan schedules mid-traversal
-/// tamper. Exported so resume logic can recognise (and re-apply or undo)
-/// the exact memory mutation a tampered session leaves behind.
+/// XOR mask a [`SimDevice`] applies when its plan schedules mid-traversal
+/// tamper: the exact memory mutation a tampered session leaves behind,
+/// which [`SimDevice::restore`] re-applies.
 pub const MID_TRAVERSAL_XOR: u32 = 0x5EED_5EED;
 
 /// Traversal cycle at which the scheduled tamper fires.
@@ -79,37 +77,107 @@ impl ChaosReport {
     }
 }
 
-/// Applies a plan's *device-side* faults to a provisioned prover: response
-/// bit-flips/bursts on the PUF, and the clock skew or overclock.
-///
-/// Overclock wins over skew when both are set, and couples the PUF to the
-/// raised clock (the physically accurate §4.2 behaviour); skew leaves the
-/// PUF at its safe timing (an honest drifting oscillator).
-pub fn apply_device_faults(prover: &mut ProverDevice, plan: &FaultPlan) {
-    prover.set_response_fault(plan.response_fault());
-    let clock = prover.clock();
-    if plan.overclock != 1.0 {
-        prover.set_clock(clock.overclocked(plan.overclock), true);
-    } else if plan.clock_skew != 1.0 {
-        prover.set_clock(clock.overclocked(plan.clock_skew), false);
+/// The device end of every session: a provisioned prover with a plan's
+/// device-side faults and mid-traversal tamper. It takes no RNG, so it
+/// cannot draw from the verifier's session stream. The tamper's XOR
+/// persists across sessions, so the tampered word differing from its
+/// provisioned value is the device's one bit of cross-session memory
+/// state (nothing else in the attested region keeps a write).
+#[derive(Debug)]
+pub struct SimDevice {
+    prover: ProverDevice,
+    tamper_at_attempt: Option<u32>,
+    tamper_addr: u32,
+    /// The tampered word's value at provisioning (`None` outside memory).
+    tamper_baseline: Option<u32>,
+}
+
+impl SimDevice {
+    /// Wraps a provisioned prover under `plan`'s device-side faults: PUF
+    /// response flips or bursts, and clock skew or overclock. Overclock
+    /// wins over skew and couples the PUF to the raised clock (§4.2); skew
+    /// leaves the PUF at its safe timing (an honest drifting oscillator).
+    pub fn new(mut prover: ProverDevice, plan: &FaultPlan) -> Self {
+        prover.set_response_fault(plan.response_fault());
+        let clock = prover.clock();
+        if plan.overclock != 1.0 {
+            prover.set_clock(clock.overclocked(plan.overclock), true);
+        } else if plan.clock_skew != 1.0 {
+            prover.set_clock(clock.overclocked(plan.clock_skew), false);
+        }
+        let tamper_addr = mid_traversal_addr(&prover.layout());
+        let tamper_baseline = prover.memory().get(tamper_addr as usize).copied();
+        SimDevice {
+            prover,
+            tamper_at_attempt: plan.tamper_at_attempt,
+            tamper_addr,
+            tamper_baseline,
+        }
+    }
+
+    /// Answers one request with the report and the simulated compute time
+    /// in seconds. `attempt` is the verifier's 1-based attempt number in
+    /// its session, which the plan schedules the tamper by.
+    ///
+    /// # Errors
+    ///
+    /// A prover trap.
+    pub fn answer(
+        &mut self,
+        request: AttestationRequest,
+        attempt: u32,
+    ) -> Result<(AttestationReport, f64), PufattError> {
+        let tamper = (self.tamper_at_attempt == Some(attempt)).then_some(MidTraversalTamper {
+            at_cycle: MID_TRAVERSAL_CYCLE,
+            addr: self.tamper_addr,
+            xor: MID_TRAVERSAL_XOR,
+        });
+        let report = self.prover.attest_with_tamper(request, tamper)?;
+        let compute_s = self.prover.compute_s(report.cycles);
+        Ok((report, compute_s))
+    }
+
+    /// The device's cursor fields (PUF noise position and evaluation
+    /// count, tamper parity), completed with the verifier's `session_pos`.
+    pub fn cursor(&self, session_pos: u64) -> CursorInfo {
+        let (noise_pos, noise_evals) = self.prover.puf().with(|d| d.noise_state());
+        CursorInfo {
+            session_pos,
+            noise_pos,
+            noise_evals,
+            tamper_parity: self.tamper_parity(),
+        }
+    }
+
+    /// Moves a freshly provisioned device to `cursor`'s device fields
+    /// without re-running a session; a set tamper parity re-applies the
+    /// XOR. `session_pos` is the verifier's to restore.
+    pub fn restore(&mut self, cursor: &CursorInfo) {
+        self.prover
+            .puf()
+            .with(|d| d.restore_noise_state(cursor.noise_pos, cursor.noise_evals));
+        if self.tamper_parity() != cursor.tamper_parity {
+            let word = self.prover.memory()[self.tamper_addr as usize] ^ MID_TRAVERSAL_XOR;
+            // A parity can only differ when the word exists
+            // (`tamper_baseline` is `Some`), so this write cannot trap.
+            let _ = self.prover.write_words(self.tamper_addr, &[word]);
+        }
+    }
+
+    fn tamper_parity(&self) -> bool {
+        self.prover.memory().get(self.tamper_addr as usize) != self.tamper_baseline.as_ref()
     }
 }
 
-/// Runs one attestation session through the lossy channel under the plan's
-/// message and memory faults, with retry/backoff/deadline per `policy`:
-/// the device end of an [`AttestSession`]. Each attempt draws the request
-/// leg, then the prover attests (under the plan's mid-traversal tamper if
-/// it is due), then the report leg.
-///
-/// Device-side faults (response flips, clock skew/overclock) are *not*
-/// applied here — call [`apply_device_faults`] once per prover first; this
-/// function only draws the per-session randomness from `rng`, so a fixed
-/// `(plan, policy, rng seed)` triple replays the identical session.
+/// Runs one attestation session through the lossy channel with
+/// retry/backoff/deadline per `policy`: each attempt draws the request
+/// leg, asks [`SimDevice::answer`], then draws the report leg. Only the
+/// legs draw from `rng`, so a fixed `(device, policy, rng seed)` replays
+/// the identical session.
 pub fn run_chaos_session<R: Rng + ?Sized>(
-    prover: &mut ProverDevice,
+    device: &mut SimDevice,
     verifier: &Verifier,
     channel: &LossyChannel,
-    plan: &FaultPlan,
     policy: &RetryPolicy,
     rng: &mut R,
 ) -> ChaosReport {
@@ -131,13 +199,7 @@ pub fn run_chaos_session<R: Rng + ?Sized>(
             tally.requests_dropped += 1;
             return Ok(Exchange::Lost);
         };
-        let tamper = (plan.tamper_at_attempt == Some(attempt)).then(|| MidTraversalTamper {
-            at_cycle: MID_TRAVERSAL_CYCLE,
-            addr: mid_traversal_addr(&prover.layout()),
-            xor: MID_TRAVERSAL_XOR,
-        });
-        let report = prover.attest_with_tamper(request, tamper)?;
-        let compute_s = prover.clock().duration_ns(report.cycles) * 1e-9;
+        let (report, compute_s) = device.answer(request, attempt)?;
         let Some(report_latency_s) = leg(channel, report.wire_bits(), rng, &mut tally) else {
             tally.reports_dropped += 1;
             return Ok(Exchange::Lost);
@@ -189,13 +251,12 @@ mod tests {
 
     #[test]
     fn clean_plan_over_ideal_channel_accepts() {
-        let (mut prover, verifier) = setup();
+        let (prover, verifier) = setup();
         let plan = FaultPlan::clean(1);
-        apply_device_faults(&mut prover, &plan);
         let channel = LossyChannel::ideal(verifier.channel());
         let policy = RetryPolicy::for_verifier(&verifier, 3);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let report = run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng);
+        let report = run_chaos_session(&mut SimDevice::new(prover, &plan), &verifier, &channel, &policy, &mut rng);
         assert!(report.accepted(), "clean run must accept: {report:?}");
         assert_eq!(report.attempts, 1);
         assert_eq!(report.messages_dropped(), 0);
@@ -203,12 +264,12 @@ mod tests {
 
     #[test]
     fn total_loss_yields_channel_lost_not_a_panic() {
-        let (mut prover, verifier) = setup();
+        let (prover, verifier) = setup();
         let plan = FaultPlan::clean(2).with_drops(1.0);
         let channel = LossyChannel::from_plan(verifier.channel(), &plan);
         let policy = RetryPolicy::for_verifier(&verifier, 3);
         let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let report = run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng);
+        let report = run_chaos_session(&mut SimDevice::new(prover, &plan), &verifier, &channel, &policy, &mut rng);
         assert!(matches!(report.result, Err(PufattError::ChannelLost { attempts: 3 })), "{report:?}");
         assert!(report.timed_out());
         assert_eq!(report.requests_dropped, 3, "every request leg lost");
@@ -217,57 +278,55 @@ mod tests {
 
     #[test]
     fn drops_cost_time_and_retries_recover() {
-        let (mut prover, verifier) = setup();
+        let (prover, verifier) = setup();
         // Heavy but not total loss: with 3 attempts at 50 % drop per leg,
         // seed 100 finds a delivered attempt.
         let plan = FaultPlan::clean(3).with_drops(0.5);
         let channel = LossyChannel::from_plan(verifier.channel(), &plan);
         let policy = RetryPolicy::for_verifier(&verifier, 8);
         let mut rng = ChaCha8Rng::seed_from_u64(100);
-        let report = run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng);
+        let report = run_chaos_session(&mut SimDevice::new(prover, &plan), &verifier, &channel, &policy, &mut rng);
         assert!(report.accepted(), "retries should eventually deliver: {report:?}");
         assert!(report.attempts > 1 || report.messages_dropped() == 0);
     }
 
     #[test]
     fn tight_deadline_yields_timeout_error() {
-        let (mut prover, verifier) = setup();
+        let (prover, verifier) = setup();
         let plan = FaultPlan::clean(4);
         let channel = LossyChannel::ideal(verifier.channel());
         let mut policy = RetryPolicy::for_verifier(&verifier, 3);
         policy.deadline_s = 1e-9;
         let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let report = run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng);
+        let report = run_chaos_session(&mut SimDevice::new(prover, &plan), &verifier, &channel, &policy, &mut rng);
         assert!(matches!(report.result, Err(PufattError::Timeout { .. })), "{report:?}");
         assert!(report.timed_out());
     }
 
     #[test]
     fn beyond_t_bursts_are_rejected() {
-        let (mut prover, verifier) = setup();
+        let (prover, verifier) = setup();
         // 9 > t = 7 flips on every raw evaluation: reconstruction cannot
         // track the prover, so the response never verifies.
         let plan = FaultPlan::clean(5).with_burst(9, 1);
-        apply_device_faults(&mut prover, &plan);
         let channel = LossyChannel::ideal(verifier.channel());
         let policy = RetryPolicy::for_verifier(&verifier, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(14);
-        let report = run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng);
+        let report = run_chaos_session(&mut SimDevice::new(prover, &plan), &verifier, &channel, &policy, &mut rng);
         let verdict = report.result.expect("messages flow; the verdict rejects");
         assert!(!verdict.accepted && !verdict.response_ok, "{verdict}");
     }
 
     #[test]
     fn slow_clock_skew_breaks_the_delta_bound() {
-        let (mut prover, verifier) = setup();
+        let (prover, verifier) = setup();
         // A 3× slower oscillator: responses stay clean (PUF uncoupled) but
         // compute time triples, far past the 1.10-slack δ.
         let plan = FaultPlan::clean(6).with_clock_skew(1.0 / 3.0);
-        apply_device_faults(&mut prover, &plan);
         let channel = LossyChannel::ideal(verifier.channel());
         let policy = RetryPolicy::for_verifier(&verifier, 1);
         let mut rng = ChaCha8Rng::seed_from_u64(15);
-        let report = run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng);
+        let report = run_chaos_session(&mut SimDevice::new(prover, &plan), &verifier, &channel, &policy, &mut rng);
         match report.result {
             Ok(verdict) => {
                 assert!(!verdict.time_ok && !verdict.accepted, "slow prover must trip δ: {verdict}");
@@ -286,14 +345,13 @@ mod tests {
         // seed the outcome is pinned.
         let enrolled = enroll(AluPufConfig::paper_32bit(), 42, 0).unwrap();
         let params = SwattParams { region_bits: 8, rounds: 2048, puf_interval: 32 };
-        let (mut prover, verifier, _) =
+        let (prover, verifier, _) =
             provision(&enrolled, params, Clock::new(100.0), Channel::sensor_link(), 7, 1.10).unwrap();
         let plan = FaultPlan::clean(7).with_mid_traversal_tamper(1);
-        apply_device_faults(&mut prover, &plan);
         let channel = LossyChannel::ideal(verifier.channel());
         let policy = RetryPolicy::for_verifier(&verifier, 1);
         let mut rng = ChaCha8Rng::seed_from_u64(16);
-        let report = run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng);
+        let report = run_chaos_session(&mut SimDevice::new(prover, &plan), &verifier, &channel, &policy, &mut rng);
         let verdict = report.result.expect("tamper is a verdict, not an error");
         assert!(!verdict.response_ok, "a tamper landing 1k cycles in is re-read by later rounds: {verdict}");
     }
@@ -302,12 +360,11 @@ mod tests {
     fn same_seed_replays_the_identical_session() {
         let plan = FaultPlan::clean(8).with_drops(0.3).with_jitter_ms(3.0).with_bit_flips(0.02);
         let run = || {
-            let (mut prover, verifier) = setup();
-            apply_device_faults(&mut prover, &plan);
+            let (prover, verifier) = setup();
             let channel = LossyChannel::from_plan(verifier.channel(), &plan);
             let policy = RetryPolicy::for_verifier(&verifier, 4);
             let mut rng = ChaCha8Rng::seed_from_u64(17);
-            run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng)
+            run_chaos_session(&mut SimDevice::new(prover, &plan), &verifier, &channel, &policy, &mut rng)
         };
         assert_eq!(run(), run(), "chaos must replay bit-for-bit");
     }

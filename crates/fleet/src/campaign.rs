@@ -30,12 +30,10 @@ use crate::registry::{DeviceId, FleetStatus, LifecyclePolicy, SessionOutcome};
 use crate::service::{EnrollCommit, FleetService, ServiceVerdict, SessionGate};
 use pufatt::adversary::{malicious_prover_from_image, memory_copy_image};
 use pufatt::enroll::enroll_with_design;
-use pufatt::protocol::{
-    provision_from_image, puf_limited_clock, Channel, ProgramImage, ProverDevice, RetryPolicy, Verifier,
-};
+use pufatt::protocol::{provision_from_image, puf_limited_clock, Channel, ProgramImage, RetryPolicy, Verifier};
 use pufatt::PufattError;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign};
-use pufatt_faults::{apply_device_faults, run_chaos_session, ChaosReport, FaultPlan, LossyChannel};
+use pufatt_faults::{run_chaos_session, ChaosReport, FaultPlan, LossyChannel, SimDevice};
 use pufatt_store::{CursorInfo, ShardedStore};
 use pufatt_swatt::checksum::SwattParams;
 use pufatt_swatt::codegen::CodegenOptions;
@@ -208,42 +206,37 @@ pub fn device_is_flaky(campaign_seed: u64, id: DeviceId, flaky_fraction: f64) ->
     (draw as f64) * (1.0 / (1u64 << 53) as f64) < flaky_fraction
 }
 
-/// One device's provisioned session state, held in the service's slot.
+/// One provisioned device, held in the service's slot: its [`SimDevice`]
+/// next to the verifier half (verifier, session RNG, link and policy).
 pub(crate) struct DeviceSession {
-    prover: ProverDevice,
+    device: SimDevice,
     verifier: Verifier,
+    /// Draws the request nonces and the link's draws.
     rng: ChaCha8Rng,
-    /// The device's link: lossy for flaky devices under chaos, ideal
-    /// otherwise.
+    /// Lossy for a flaky device under chaos, ideal otherwise.
     channel: LossyChannel,
-    /// The faults this device lives with (clean unless chaos marked it
-    /// flaky).
-    plan: FaultPlan,
     /// The retry policy its sessions run under ([`retry_policy`]).
     policy: RetryPolicy,
-    /// The word index chaos tamper targets in this device's memory.
-    tamper_cell: usize,
-    /// That word's pristine value at provision time. Mid-traversal tamper
-    /// XORs the word and the mutation persists across sessions, so the
-    /// current value differing from this baseline is exactly one bit of
-    /// cross-session device state — the only such bit (seed/x0 cells are
-    /// replanted every session; nothing else in the attested region is
-    /// written). Captured so a resume cursor can record and re-apply it.
-    tamper_baseline: Option<u32>,
 }
 
 impl DeviceSession {
-    /// The session's current cursor: the deterministic per-device state a
-    /// resume must restore — RNG positions, PUF evaluation count, tamper
-    /// parity.
-    pub(crate) fn cursor(&mut self) -> CursorInfo {
-        let (noise_pos, noise_evals) = self.prover.puf().with(|d| d.noise_state());
-        CursorInfo {
-            session_pos: self.rng.word_pos(),
-            noise_pos,
-            noise_evals,
-            tamper_parity: self.tamper_parity(),
-        }
+    /// Runs one session (with retries) and returns its report and its
+    /// CRP-cache `(hits, misses)`: a device's sessions run one at a time,
+    /// so that delta is exact and scheduling-independent.
+    pub(crate) fn run(&mut self) -> (ChaosReport, u32, u32) {
+        let (hits, misses) = self.verifier.crp_cache_stats();
+        // A new session starts with a cold CRP cache; retry attempts within
+        // it replay the same challenge stream and hit.
+        self.verifier.begin_session();
+        let report = run_chaos_session(&mut self.device, &self.verifier, &self.channel, &self.policy, &mut self.rng);
+        let (hits_after, misses_after) = self.verifier.crp_cache_stats();
+        (report, hits_after.saturating_sub(hits) as u32, misses_after.saturating_sub(misses) as u32)
+    }
+
+    /// The cursor a resume restores: the verifier half's `session_pos`
+    /// and the device's own fields.
+    pub(crate) fn cursor(&self) -> CursorInfo {
+        self.device.cursor(self.rng.word_pos())
     }
 
     /// Fast-forwards a freshly provisioned session to `cursor` without
@@ -251,28 +244,7 @@ impl DeviceSession {
     /// absolute, so whatever the provisioning path consumed is irrelevant.
     pub(crate) fn restore_cursor(&mut self, cursor: &CursorInfo) {
         self.rng.set_word_pos(cursor.session_pos);
-        self.prover
-            .puf()
-            .with(|d| d.restore_noise_state(cursor.noise_pos, cursor.noise_evals));
-        if self.tamper_parity() != cursor.tamper_parity {
-            let cell = self.tamper_cell;
-            let word = self.prover.memory()[cell] ^ pufatt_faults::MID_TRAVERSAL_XOR;
-            // A parity can only differ when the cell exists (`tamper_baseline`
-            // is `Some`), so this in-memory write cannot trap.
-            let _ = self.prover.write_words(cell as u32, &[word]);
-        }
-    }
-
-    /// The verifier's cumulative CRP-cache `(hits, misses)`.
-    pub(crate) fn crp_stats(&self) -> (u64, u64) {
-        self.verifier.crp_cache_stats()
-    }
-
-    fn tamper_parity(&self) -> bool {
-        match self.tamper_baseline {
-            Some(baseline) => self.prover.memory()[self.tamper_cell] != baseline,
-            None => false,
-        }
+        self.device.restore(cursor);
     }
 }
 
@@ -348,31 +320,18 @@ pub(crate) fn provision_device(
     } else {
         prover
     };
-    // Chaos: flaky devices carry their plan's device-side faults and talk
-    // over the plan's lossy channel; everyone else keeps the clean line.
-    let flaky = matches!(&cfg.chaos, Some(chaos) if device_is_flaky(cfg.seed, id, chaos.flaky_fraction));
-    let plan = match (&cfg.chaos, flaky) {
-        (Some(chaos), true) => FaultPlan { seed: splitmix64(seed ^ 5), ..chaos.plan.clone() },
-        _ => FaultPlan::clean(splitmix64(seed ^ 5)),
+    // Chaos: a flaky device lives with the configured plan, its device
+    // faults on the device and its loss on the link; the rest run clean.
+    let plan = match &cfg.chaos {
+        Some(chaos) if device_is_flaky(cfg.seed, id, chaos.flaky_fraction) => chaos.plan.clone(),
+        _ => FaultPlan::clean(0),
     };
-    let mut prover = prover;
-    apply_device_faults(&mut prover, &plan);
-    let channel = if flaky {
-        LossyChannel::from_plan(verifier.channel(), &plan)
-    } else {
-        LossyChannel::ideal(verifier.channel())
-    };
-    let tamper_cell = pufatt_faults::mid_traversal_addr(&prover.layout()) as usize;
-    let tamper_baseline = prover.memory().get(tamper_cell).copied();
     Ok(DeviceSession {
+        device: SimDevice::new(prover, &plan),
         policy: retry_policy(&verifier, cfg),
-        prover,
+        channel: LossyChannel::from_plan(verifier.channel(), &plan),
         verifier,
         rng: ChaCha8Rng::seed_from_u64(splitmix64(seed ^ 3)),
-        channel,
-        plan,
-        tamper_cell,
-        tamper_baseline,
     })
 }
 
@@ -392,26 +351,6 @@ fn retry_policy(verifier: &Verifier, cfg: &CampaignConfig) -> RetryPolicy {
         deadline_s: policy.deadline_s.min(cfg.timeout_s),
         ..policy
     }
-}
-
-/// Per-session CRP-cache delta: the verifier's cumulative counters minus
-/// a `baseline` of [`DeviceSession::crp_stats`] taken before the session.
-/// Sessions run sequentially per device, so the delta is exact and
-/// scheduling-independent.
-pub(crate) fn crp_delta(session: &DeviceSession, baseline: (u64, u64)) -> (u32, u32) {
-    let (h1, m1) = session.crp_stats();
-    (h1.saturating_sub(baseline.0) as u32, m1.saturating_sub(baseline.1) as u32)
-}
-
-/// Runs one session (with retries) against an already-provisioned device:
-/// the session machine under the device's policy, over its channel (ideal
-/// unless chaos made it flaky).
-pub(crate) fn run_session(session: &mut DeviceSession) -> ChaosReport {
-    let DeviceSession { prover, verifier, rng, channel, plan, policy, .. } = session;
-    // A new session starts with a cold CRP cache; retry attempts within it
-    // replay the same challenge stream and hit.
-    verifier.begin_session();
-    run_chaos_session(prover, verifier, channel, plan, policy, rng)
 }
 
 /// The lifecycle outcome of a session, `None` if the device faulted. A

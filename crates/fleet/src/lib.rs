@@ -83,7 +83,7 @@ pub use service::{EnrollOutcome, FleetService, ServiceVerdict, SessionGate};
 // worker threads; fail the build, not the campaign, if that regresses.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<pufatt::ProverDevice>();
+    assert_send::<pufatt_faults::SimDevice>();
     assert_send::<pufatt::Verifier>();
     assert_send::<pufatt::EnrolledDevice>();
     assert_send::<FleetService>();

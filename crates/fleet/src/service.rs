@@ -7,7 +7,7 @@
 //! request:
 //!
 //! * [`FleetService::enroll`] admits one device: its record, in the
-//!   store. The device's prover/verifier session is provisioned (the
+//!   store. The device's `SimDevice` and verifier half are provisioned (the
 //!   golden run included) by the first call that needs it, as on restore;
 //! * [`FleetService::open_session`] gates one attestation session (the
 //!   revocation check before each session);
@@ -72,8 +72,8 @@
 //! append's fsync included).
 
 use crate::campaign::{
-    crp_delta, device_is_flaky, device_is_tampered, provision_device, run_session, session_outcome, CampaignConfig,
-    DeviceRecord, DeviceSession, ProductLine,
+    device_is_flaky, device_is_tampered, provision_device, session_outcome, CampaignConfig, DeviceRecord,
+    DeviceSession, ProductLine,
 };
 use crate::durable::{config_fingerprint, from_outcome_rec, storage_err, to_outcome_rec};
 use crate::metrics::FleetSnapshot;
@@ -177,9 +177,9 @@ pub struct FleetService {
     /// Whether `store` is a caller's journal ([`FleetService::with_journal`]):
     /// only then are there store statistics to report and shards to reopen.
     journaled: bool,
-    /// Each device's prover/verifier session, provisioned on first use and
-    /// moved to the cursor its record holds. An abandoned device never
-    /// gets one.
+    /// Each device's `SimDevice` and verifier half, provisioned on first
+    /// use and moved to the cursor its record holds. An abandoned device
+    /// never gets one.
     slots: Vec<Mutex<Slots>>,
     /// Sessions refused because their device's home shard was sick. Not
     /// journaled — the sick shard could not record it anyway — and so not
@@ -458,9 +458,7 @@ impl FleetService {
         let Some(session) = self.live(id, &mut slots) else {
             return ServiceVerdict::Fault;
         };
-        let crp0 = session.crp_stats();
-        let report = run_session(session);
-        let (crp_hits, crp_misses) = crp_delta(session, crp0);
+        let (report, crp_hits, crp_misses) = session.run();
         let (retried, dropped) = (report.retried, report.messages_dropped());
         let cursor = session.cursor();
         match session_outcome(&report) {

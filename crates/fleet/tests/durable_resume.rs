@@ -148,6 +148,48 @@ fn chaos_campaign_survives_interruption() {
     }
 }
 
+/// How many devices a resume from `disk` restores to a cursor whose
+/// tamper parity is set: devices that still owe sessions and whose last
+/// journaled session left the tamper XOR in memory.
+fn set_parities_to_restore(cfg: &CampaignConfig, disk: &SimVfs) -> usize {
+    // Inspect an independent copy, so the resume opens `disk` untouched.
+    let store = open(cfg, &disk.power_cut(TornMode::Keep)).expect("store opens");
+    (0..cfg.devices as DeviceId)
+        .filter_map(|id| store.device(id))
+        .filter(|device| device.events_seen < cfg.sessions_per_device)
+        .filter(|device| device.cursor.is_some_and(|cursor| cursor.tamper_parity))
+        .count()
+}
+
+#[test]
+fn tamper_parity_survives_interruption() {
+    // The mid-traversal tamper's XOR stays in a device's memory after the
+    // session that applied it. A resume provisions a pristine device, so
+    // it must re-apply the XOR its cursor's parity records, or the device
+    // attests memory its uninterrupted twin no longer has.
+    let mut cfg = small_test_config(4, 1, 0x7A3B);
+    cfg.sessions_per_device = 4;
+    cfg.chaos = Some(ChaosConfig {
+        plan: pufatt_faults::FaultPlan::parse("drop=0.3,tamper=2", 0).unwrap(),
+        flaky_fraction: 1.0,
+    });
+    let reference = run_campaign(&cfg).expect("reference chaos run");
+
+    let probe = SimVfs::new();
+    attempt(&cfg, &probe, false).expect("crash-free persistent chaos run");
+    let mut set_parities = 0;
+    for k in 0..=probe.ops() {
+        let vfs = SimVfs::crashing_at(k);
+        let _ = attempt(&cfg, &vfs, false);
+        let disk = vfs.power_cut(TornMode::Torn);
+        set_parities += set_parities_to_restore(&cfg, &disk);
+        let resumed =
+            attempt(&cfg, &disk, true).unwrap_or_else(|e| panic!("tamper resume after crash at op {k} failed: {e}"));
+        assert_matches_reference(&resumed, &reference, &format!("tamper crash at op {k}"));
+    }
+    assert!(set_parities > 0, "no resume restored a set tamper parity, so the re-apply never ran");
+}
+
 /// The device whose session is aborted in the abort crash matrix.
 const ABORTED: DeviceId = 1;
 

@@ -17,7 +17,7 @@ use pufatt_ecc::noise::exact_weight_error;
 use pufatt_ecc::rm::ReedMuller1;
 use pufatt_ecc::ReverseFuzzyExtractor;
 use pufatt_faults::{
-    apply_device_faults, run_chaos_session, run_noise_sweep, FaultPlan, LossyChannel, RetryPolicy, SweepConfig, PAPER_T,
+    run_chaos_session, run_noise_sweep, FaultPlan, LossyChannel, RetryPolicy, SimDevice, SweepConfig, PAPER_T,
 };
 use pufatt_fleet::{run_campaign, small_test_config, ChaosConfig, FleetStatus};
 use pufatt_pe32::cpu::Clock;
@@ -96,14 +96,14 @@ proptest! {
         let plan = FaultPlan::clean(seed).with_drops(drop).with_bit_flips(flip).with_jitter_ms(jitter_ms);
         let run = || {
             let params = SwattParams { region_bits: 8, rounds: 128, puf_interval: 32 };
-            let (mut prover, verifier, _) =
+            let (prover, verifier, _) =
                 provision(chaos_enrolled(), params, Clock::new(100.0), Channel::sensor_link(), 7, 1.10)
                     .expect("provision");
-            apply_device_faults(&mut prover, &plan);
+            let mut device = SimDevice::new(prover, &plan);
             let channel = LossyChannel::from_plan(verifier.channel(), &plan);
             let policy = RetryPolicy::for_verifier(&verifier, 3);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            run_chaos_session(&mut prover, &verifier, &channel, &plan, &policy, &mut rng)
+            run_chaos_session(&mut device, &verifier, &channel, &policy, &mut rng)
         };
         prop_assert_eq!(run(), run());
     }

@@ -15,7 +15,7 @@ use pufatt::enroll::enroll;
 use pufatt::protocol::{provision, run_session_with_retry, Channel};
 use pufatt::PufattError;
 use pufatt_alupuf::device::AluPufConfig;
-use pufatt_faults::{apply_device_faults, run_chaos_session, FaultPlan, LossyChannel, RetryPolicy};
+use pufatt_faults::{run_chaos_session, FaultPlan, LossyChannel, RetryPolicy, SimDevice};
 use pufatt_fleet::{run_campaign, small_test_config, CampaignReport, ChaosConfig, FleetSnapshot, FleetStatus};
 use pufatt_pe32::cpu::Clock;
 use pufatt_swatt::checksum::SwattParams;
@@ -145,10 +145,10 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 fn chaos_session_endings_are_pinned() {
     let enrolled = enroll(AluPufConfig::paper_32bit(), 42, 0).expect("enroll");
     let params = SwattParams { region_bits: 8, rounds: 256, puf_interval: 32 };
-    let (mut prover, verifier, _) =
+    let (prover, verifier, _) =
         provision(&enrolled, params, Clock::new(100.0), Channel::sensor_link(), 7, 1.10).expect("provision");
     let plan = chaos_plan(9);
-    apply_device_faults(&mut prover, &plan);
+    let mut device = SimDevice::new(prover, &plan);
     let channel = LossyChannel::from_plan(verifier.channel(), &plan);
     let policy = RetryPolicy::for_verifier(&verifier, 3);
     let (wait, b2, b3) = (policy.attempt_timeout_s, policy.backoff_s(2), policy.backoff_s(3));
@@ -162,7 +162,7 @@ fn chaos_session_endings_are_pinned() {
     let mut d = Digest::new();
     for i in 0..32 {
         let policy = if i % 2 == 0 { &wide } else { &tight };
-        let report = run_chaos_session(&mut prover, &verifier, &channel, &plan, policy, &mut rng);
+        let report = run_chaos_session(&mut device, &verifier, &channel, policy, &mut rng);
         let kind = match &report.result {
             Ok(v) => {
                 d.word(bits(&[v.accepted, v.response_ok, v.time_ok]))
