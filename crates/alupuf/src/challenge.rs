@@ -38,6 +38,20 @@ impl Challenge {
         Challenge { a: a & m, b: b & m }
     }
 
+    /// The full-carry canary `(all ones, 1)`: adding 1 to all-ones ripples
+    /// the complete carry chain, so its settling time sits at `T_ALU`.
+    /// Attestation fires it as the last challenge of every PUF query, and
+    /// the attestation clock is calibrated to accommodate it (PUFatt §4.2,
+    /// the overclocking defence).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not in `1..=64`.
+    pub fn canary(width: usize) -> Self {
+        assert!((1..=64).contains(&width), "width {width} out of range");
+        Challenge::new(width_mask(width), 1, width)
+    }
+
     /// Draws a uniformly random challenge of the given width.
     pub fn random<R: Rng + ?Sized>(rng: &mut R, width: usize) -> Self {
         Challenge::new(rng.gen(), rng.gen(), width)

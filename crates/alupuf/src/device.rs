@@ -199,6 +199,32 @@ impl LaneEngine {
     }
 }
 
+/// The noise-free `(alu0, alu1)` settling times of every sum bit for the
+/// full-carry canary ([`Challenge::canary`]) on one chip at one set of
+/// gate delays: empty until the first group that races the canary fills
+/// it (see [`AluPufDesign::evaluate_voted_group_memo`]).
+///
+/// Attestation fires the canary in every PUF query, and it is the slowest
+/// lane of the query's bit-sliced run, yet its settling times are a
+/// constant of the chip. A device holds one of these for its lifetime
+/// (`width` × 16 bytes once filled); its delays never change after
+/// construction, so the memo is never invalidated.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CanarySettle(Option<Box<[(f64, f64)]>>);
+
+impl CanarySettle {
+    /// An empty memo.
+    pub fn new() -> Self {
+        CanarySettle::default()
+    }
+
+    /// The memoised settling times, one `(alu0, alu1)` pair per sum bit,
+    /// once a group has raced the canary.
+    pub fn settle(&self) -> Option<&[(f64, f64)]> {
+        self.0.as_deref()
+    }
+}
+
 impl Clone for EnginePool {
     fn clone(&self) -> Self {
         EnginePool::default()
@@ -471,21 +497,79 @@ impl AluPufDesign {
         votes: u32,
         rng: &mut R,
     ) -> [RawResponse; N] {
+        self.evaluate_voted_group_memo(chip, delays_ps, challenges, cycle_ps, votes, None, rng)
+    }
+
+    /// [`AluPufDesign::evaluate_voted_group`] with the full-carry canary's
+    /// settling times kept in `canary` (see [`CanarySettle`]).
+    ///
+    /// Once `canary` is filled, every lane holding
+    /// [`Challenge::canary`] is served from it and only the other lanes
+    /// race through the engine; a group that races the canary while
+    /// `canary` is empty fills it. A lane's settling times do not depend
+    /// on the other lanes of a bit-sliced run, and the arbiter noise is
+    /// drawn for every lane as before, so the responses and the position
+    /// of `rng` are those of `evaluate_voted_group`. `None` races every
+    /// lane.
+    ///
+    /// `canary` belongs to one chip at one set of `delays_ps`: a memo
+    /// filled for other delays gives other settling times.
+    ///
+    /// # Panics
+    ///
+    /// As [`AluPufDesign::evaluate_voted_group`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn evaluate_voted_group_memo<const N: usize, R: Rng + ?Sized>(
+        &self,
+        chip: &PufChip,
+        delays_ps: &[f64],
+        challenges: &[Challenge; N],
+        cycle_ps: f64,
+        votes: u32,
+        canary: Option<&mut CanarySettle>,
+        rng: &mut R,
+    ) -> [RawResponse; N] {
         assert!(N <= LANES, "at most {LANES} challenges per group");
         assert!(votes > 0, "at least one vote required");
         let w = self.width();
+        let canary_challenge = Challenge::canary(w);
+        let memo = canary.as_deref().and_then(CanarySettle::settle);
+        // `lane[j]`: challenge `j`'s lane in the engine run, `None` when it
+        // is served from the memo; `raced[..n]` holds the raced challenges.
+        let (mut lane, mut raced, mut n) = ([None; N], [canary_challenge; N], 0);
+        for (j, ch) in challenges.iter().enumerate() {
+            if memo.is_none() || *ch != canary_challenge {
+                (lane[j], raced[n]) = (Some(n), *ch);
+                n += 1;
+            }
+        }
         let mut settle = [[(0.0f64, 0.0f64); 64]; N];
-        self.with_engine(delays_ps, |engine| {
-            engine.run(self, challenges);
-            let (mut t0, mut t1) = ([0.0f64; LANES], [0.0f64; LANES]);
-            for i in 0..w {
-                engine.settle_lanes_into(self.alu0.sum[i], &mut t0);
-                engine.settle_lanes_into(self.alu1.sum[i], &mut t1);
-                for (j, lane) in settle.iter_mut().enumerate() {
-                    lane[i] = (t0[j], t1[j]);
+        if n > 0 {
+            self.with_engine(delays_ps, |engine| {
+                engine.run(self, &raced[..n]);
+                let (mut t0, mut t1) = ([0.0f64; LANES], [0.0f64; LANES]);
+                for i in 0..w {
+                    engine.settle_lanes_into(self.alu0.sum[i], &mut t0);
+                    engine.settle_lanes_into(self.alu1.sum[i], &mut t1);
+                    for (s, &l) in settle.iter_mut().zip(&lane) {
+                        if let Some(l) = l {
+                            s[i] = (t0[l], t1[l]);
+                        }
+                    }
+                }
+            });
+        }
+        if let Some(memo) = memo {
+            for (s, l) in settle.iter_mut().zip(&lane) {
+                if l.is_none() {
+                    s[..w].copy_from_slice(memo);
                 }
             }
-        });
+        } else if let Some(canary) = canary {
+            if let Some(j) = challenges.iter().position(|ch| *ch == canary_challenge) {
+                canary.0 = Some(settle[j][..w].into());
+            }
+        }
         let deadline = cycle_ps - self.config.arbiter.setup_time_ps;
         // Zero delay-line offsets: only the FPGA tuning loop sets them, on
         // a `PufInstance`.
@@ -523,7 +607,7 @@ impl AluPufDesign {
         assert!(samples > 0, "need at least one calibration sample");
         assert!(guard >= 1.0, "guard band must not cut into observed settling times");
         let w = self.width();
-        let canary = Challenge::new(crate::challenge::width_mask(w), 1, w);
+        let canary = Challenge::canary(w);
         let challenges: Vec<Challenge> = (0..samples)
             .map(|i| {
                 let ch = if i == 0 { canary } else { Challenge::random(rng, w) };

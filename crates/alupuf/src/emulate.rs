@@ -213,28 +213,41 @@ impl<'a> PufEmulator<'a> {
     /// any `threads` value. Challenges are packed into 64-lane blocks
     /// evaluated by pooled bit-sliced engines; workers steal whole blocks.
     pub fn emulate_batch(&self, challenges: &[Challenge], threads: usize) -> Vec<RawResponse> {
-        emulate_blocks(self.design, &self.table, challenges, threads)
+        emulate_blocks_vec(self.design, &self.table, challenges, threads)
     }
 }
 
-/// The shared bit-sliced batch emulation path behind [`PufEmulator`] and
-/// [`SharedPufEmulator`]: fixed 64-lane blocks by global index, engines
-/// from the design's pool, whole-block work stealing when `threads > 1`.
-fn emulate_blocks(
+/// [`emulate_blocks`] into a fresh vector.
+fn emulate_blocks_vec(
     design: &AluPufDesign,
     table: &DelayTable,
     challenges: &[Challenge],
     threads: usize,
 ) -> Vec<RawResponse> {
-    let w = design.width();
+    let mut out = vec![RawResponse::new(0, design.width()); challenges.len()];
+    emulate_blocks(design, table, challenges, threads, &mut out);
+    out
+}
+
+/// The shared bit-sliced batch emulation path behind [`PufEmulator`] and
+/// [`SharedPufEmulator`]: fixed 64-lane blocks by global index, engines
+/// from the design's pool, whole-block work stealing when `threads > 1`.
+/// Writes one response per challenge into `out`, which has their length.
+fn emulate_blocks(
+    design: &AluPufDesign,
+    table: &DelayTable,
+    challenges: &[Challenge],
+    threads: usize,
+    out: &mut [RawResponse],
+) {
+    assert_eq!(out.len(), challenges.len(), "one response slot per challenge");
     if challenges.is_empty() {
-        return Vec::new();
+        return;
     }
     let blocks = challenges.len().div_ceil(LANES);
     let threads = threads.clamp(1, blocks);
     let delays = table.delays_ps.as_slice();
     let offsets = table.arbiter_offset_ps.as_slice();
-    let mut out = vec![RawResponse::new(0, w); challenges.len()];
     if threads == 1 {
         // The verifier session path: no spawn, one pooled engine, and
         // consecutive blocks benefit from incremental cone reuse.
@@ -245,7 +258,7 @@ fn emulate_blocks(
                 emulate_one_block(design, offsets, engine, chs, slot);
             }
         });
-        return out;
+        return;
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<&mut [RawResponse]>> = out.chunks_mut(LANES).map(Mutex::new).collect();
@@ -267,7 +280,6 @@ fn emulate_blocks(
         }
     });
     drop(slots);
-    out
 }
 
 /// Runs one 64-lane block through `engine` and resolves the arbiters of
@@ -337,19 +349,31 @@ impl SharedPufEmulator {
     /// Emulates one challenge (noise-free, maximum-likelihood arbiter
     /// resolution), bit-identical to [`PufEmulator::emulate`].
     pub fn emulate(&self, challenge: Challenge) -> RawResponse {
-        self.emulate_many(std::slice::from_ref(&challenge))[0]
+        let mut out = [RawResponse::new(0, self.design.width())];
+        self.emulate_into(&[challenge], &mut out);
+        out[0]
     }
 
     /// Emulates a small ordered set of challenges in one 64-lane pass per
     /// block on the current thread (the verifier session shape).
     pub fn emulate_many(&self, challenges: &[Challenge]) -> Vec<RawResponse> {
-        emulate_blocks(&self.design, &self.table, challenges, 1)
+        emulate_blocks_vec(&self.design, &self.table, challenges, 1)
+    }
+
+    /// [`SharedPufEmulator::emulate_many`] into a caller's buffer, one
+    /// response per challenge, allocating nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `challenges` differ in length.
+    pub fn emulate_into(&self, challenges: &[Challenge], out: &mut [RawResponse]) {
+        emulate_blocks(&self.design, &self.table, challenges, 1, out);
     }
 
     /// Parallel batched emulation; identical to [`SharedPufEmulator::emulate_many`]
     /// for any `threads` value.
     pub fn emulate_batch(&self, challenges: &[Challenge], threads: usize) -> Vec<RawResponse> {
-        emulate_blocks(&self.design, &self.table, challenges, threads)
+        emulate_blocks_vec(&self.design, &self.table, challenges, threads)
     }
 }
 

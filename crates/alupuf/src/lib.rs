@@ -66,7 +66,9 @@ pub mod tamper;
 pub use aging::{age_chip, AgingModel};
 pub use arbiter::{parity_features, ArbiterPuf, FeedForwardArbiterPuf};
 pub use challenge::{Challenge, RawResponse};
-pub use device::{AdderKind, AluPufConfig, AluPufDesign, ArbiterConfig, Evaluation, PufChip, PufInstance};
+pub use device::{
+    AdderKind, AluPufConfig, AluPufDesign, ArbiterConfig, CanarySettle, Evaluation, PufChip, PufInstance,
+};
 pub use emulate::{DelayTable, PufEmulator, SharedPufEmulator};
 pub use fpga::{FpgaBoard, PdlBank};
 pub use quality::{measure_quality, QualityReport};

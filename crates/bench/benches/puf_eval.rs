@@ -17,7 +17,11 @@
 //! 5. **device_respond** — the prover's unit of work per `PUF()` query:
 //!    `DevicePuf::respond` on groups of 8 challenges, 5 majority votes
 //!    each, through helper-data generation and obfuscation. Its
-//!    challenges/s counts challenges, not votes.
+//!    challenges/s counts challenges, not votes. **device_query** is the
+//!    same on the groups the prover sends (one `a` per group, the
+//!    full-carry canary last, served from the device's memo after its
+//!    first race). The events/s column of both rows scales the random
+//!    challenges' event count, so only their challenges/s compare.
 //! 6. **prover_attest** — one whole `ProverDevice::attest` on the toy
 //!    (`fpga_16bit`, 128 SWATT rounds, no PUF query) and the paper
 //!    (`paper_32bit`, 2048 rounds, 8 PUF queries) devices: ns per attest
@@ -211,6 +215,29 @@ fn main() {
         assert_eq!(*respond_ref.get_or_insert(digest), digest, "device respond changed between rounds");
     }
     push(&mut rows, "device_respond", 1, respond_secs, baseline_secs);
+
+    // 5b. The same unit on the groups the prover actually sends: like
+    // `checksum::compute`'s, one `a` for every lane and the full-carry
+    // canary last. The device keeps the canary's settling times after its
+    // first race, so every round after the first serves it from the memo,
+    // as a provisioned prover does; every round must produce the same
+    // outputs.
+    let queries: Vec<[Challenge; 8]> = (0..n / 8)
+        .map(|_| {
+            let a: u64 = rng.gen();
+            std::array::from_fn(|j| if j == 7 { Challenge::canary(32) } else { Challenge::new(a, rng.gen(), 32) })
+        })
+        .collect();
+    let mut query_secs = f64::INFINITY;
+    let mut query_ref: Option<u64> = None;
+    for _ in 0..batch_rounds {
+        device.restore_noise_state(0, 0);
+        let start = Instant::now();
+        let digest = queries.iter().fold(0u64, |acc, g| acc.rotate_left(7) ^ device.respond(g).z);
+        query_secs = query_secs.min(start.elapsed().as_secs_f64());
+        assert_eq!(*query_ref.get_or_insert(digest), digest, "device query changed between rounds");
+    }
+    push(&mut rows, "device_query", 1, query_secs, baseline_secs);
 
     // 6. Whole prover attestations, best of a few rounds; every round
     // restarts the PUF's noise stream, so every round must produce the

@@ -6,7 +6,7 @@ use crate::error::PufattError;
 use crate::obfuscate::RESPONSES_PER_OUTPUT;
 use crate::pipeline::{ProveOutput, PufPipeline};
 use pufatt_alupuf::challenge::{Challenge, RawResponse};
-use pufatt_alupuf::device::{AluPufDesign, PufChip, PufInstance};
+use pufatt_alupuf::device::{AluPufDesign, CanarySettle, PufChip, PufInstance};
 use pufatt_alupuf::emulate::{DelayTable, SharedPufEmulator};
 use pufatt_pe32::puf_port::{PufOutput, PufPort};
 use pufatt_silicon::env::Environment;
@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A deterministic fault injected into every raw PUF response a device
 /// produces — the robustness layer's model of a PUF whose noise exceeds
@@ -80,6 +80,9 @@ pub struct DevicePuf {
     fault: Option<ResponseFault>,
     /// Raw evaluations performed, counted for burst scheduling.
     evaluations: u64,
+    /// The full-carry canary's settling times on this chip, raced once:
+    /// `delays_ps` never changes after construction, so neither do they.
+    canary: CanarySettle,
 }
 
 impl DevicePuf {
@@ -122,6 +125,7 @@ impl DevicePuf {
             helper_log: Vec::new(),
             fault: None,
             evaluations: 0,
+            canary: CanarySettle::new(),
         })
     }
 
@@ -235,11 +239,20 @@ impl DevicePuf {
 
     /// Voted raw responses for a group of challenges from one bit-sliced
     /// run, drawing arbiter noise exactly as a per-challenge loop of
-    /// [`PufInstance::evaluate_voted_clocked`] would.
+    /// [`PufInstance::evaluate_voted_clocked`] would. A canary lane is
+    /// served from the device's memo once the canary has been raced.
     fn evaluate_group<const N: usize>(&mut self, challenges: &[Challenge; N]) -> [RawResponse; N] {
         let cycle_ps = self.cycle_ps.unwrap_or(f64::INFINITY);
-        self.design
-            .evaluate_voted_group(&self.chip, &self.delays_ps, challenges, cycle_ps, self.votes, &mut self.rng)
+        let memo = Some(&mut self.canary);
+        self.design.evaluate_voted_group_memo(
+            &self.chip,
+            &self.delays_ps,
+            challenges,
+            cycle_ps,
+            self.votes,
+            memo,
+            &mut self.rng,
+        )
     }
 
     /// Helper words accumulated since the last [`DevicePuf::take_helper_log`].
@@ -336,12 +349,20 @@ const CRP_CACHE_CAP: usize = 4096;
 /// within one session replay the same 64 challenges and hit, while a fresh
 /// session always starts cold. Clones get an empty cache and zeroed
 /// counters (a clone models a *new* verifier instance, not shared state).
+///
+/// The full-carry canary ([`Challenge::canary`]) is in every PUF query,
+/// and its reference response is a constant of the delay table: it is
+/// emulated once and kept for the verifier's lifetime. A canary miss is
+/// served from that copy, but still counted as a miss and inserted into
+/// the session cache, so the hit/miss counters read as if it were
+/// emulated again.
 pub struct VerifierPuf {
     emulator: SharedPufEmulator,
     pipeline: PufPipeline,
     cache: Mutex<HashMap<(u64, u64), u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    canary: OnceLock<u64>,
 }
 
 impl std::fmt::Debug for VerifierPuf {
@@ -363,6 +384,7 @@ impl Clone for VerifierPuf {
             cache: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            canary: self.canary.clone(),
         }
     }
 }
@@ -382,6 +404,7 @@ impl VerifierPuf {
             cache: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            canary: OnceLock::new(),
         })
     }
 
@@ -410,7 +433,12 @@ impl VerifierPuf {
             return RawResponse::new(bits, self.width());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let resp = self.emulator.emulate(challenge);
+        let resp = if challenge == Challenge::canary(self.width()) {
+            let bits = *self.canary.get_or_init(|| self.emulator.emulate(challenge).bits());
+            RawResponse::new(bits, self.width())
+        } else {
+            self.emulator.emulate(challenge)
+        };
         self.insert_cached(key, resp.bits());
         resp
     }
@@ -425,9 +453,10 @@ impl VerifierPuf {
 
     /// Verifier side of one 8-challenge session.
     ///
-    /// Cache hits are served from the session CRP cache; the misses are
-    /// emulated as one bit-sliced batch (consecutive lookups in a session
-    /// also reuse the engine's incremental cone state).
+    /// Cache hits are served from the session CRP cache, and a canary miss
+    /// from the verifier's copy once it has one; the other misses are
+    /// emulated as one bit-sliced batch. Every miss is counted and cached
+    /// alike.
     ///
     /// # Errors
     ///
@@ -438,31 +467,51 @@ impl VerifierPuf {
         challenges: &[Challenge; RESPONSES_PER_OUTPUT],
         helpers: &[u32; RESPONSES_PER_OUTPUT],
     ) -> Result<u64, PufattError> {
+        const N: usize = RESPONSES_PER_OUTPUT;
         let width = self.width();
-        let mut refs: [RawResponse; RESPONSES_PER_OUTPUT] = std::array::from_fn(|_| RawResponse::new(0, width));
-        let mut missing: Vec<usize> = Vec::new();
+        let canary = Challenge::canary(width);
+        let kept = self.canary.get().copied();
+        let mut refs = [RawResponse::new(0, width); N];
+        // `missing[..misses]`: the lanes the cache did not hold, and
+        // `lanes[..emulated]` those of them to emulate (`wanted`); a canary
+        // the verifier already holds is served from its copy.
+        let (mut missing, mut misses) = ([0usize; N], 0);
+        let (mut wanted, mut lanes, mut emulated) = ([canary; N], [0usize; N], 0);
         {
             let cache = lock(&self.cache);
             for (j, ch) in challenges.iter().enumerate() {
-                match cache.get(&(ch.a, ch.b)) {
-                    Some(&bits) => refs[j] = RawResponse::new(bits, width),
-                    None => missing.push(j),
+                if let Some(&bits) = cache.get(&(ch.a, ch.b)) {
+                    refs[j] = RawResponse::new(bits, width);
+                    continue;
+                }
+                missing[misses] = j;
+                misses += 1;
+                match kept {
+                    Some(bits) if *ch == canary => refs[j] = RawResponse::new(bits, width),
+                    _ => {
+                        (wanted[emulated], lanes[emulated]) = (*ch, j);
+                        emulated += 1;
+                    }
                 }
             }
         }
-        self.hits
-            .fetch_add((RESPONSES_PER_OUTPUT - missing.len()) as u64, Ordering::Relaxed);
-        self.misses.fetch_add(missing.len() as u64, Ordering::Relaxed);
-        if !missing.is_empty() {
-            let wanted: Vec<Challenge> = missing.iter().map(|&j| challenges[j]).collect();
-            let fresh = self.emulator.emulate_many(&wanted);
+        self.hits.fetch_add((N - misses) as u64, Ordering::Relaxed);
+        self.misses.fetch_add(misses as u64, Ordering::Relaxed);
+        if misses > 0 {
+            let mut fresh = [RawResponse::new(0, width); N];
+            self.emulator.emulate_into(&wanted[..emulated], &mut fresh[..emulated]);
+            for (&j, resp) in lanes[..emulated].iter().zip(&fresh) {
+                refs[j] = *resp;
+                if challenges[j] == canary {
+                    self.canary.get_or_init(|| resp.bits());
+                }
+            }
             let mut cache = lock(&self.cache);
-            if cache.len() + fresh.len() > CRP_CACHE_CAP {
+            if cache.len() + misses > CRP_CACHE_CAP {
                 cache.clear();
             }
-            for (&j, resp) in missing.iter().zip(&fresh) {
-                refs[j] = *resp;
-                cache.insert((challenges[j].a, challenges[j].b), resp.bits());
+            for &j in &missing[..misses] {
+                cache.insert((challenges[j].a, challenges[j].b), refs[j].bits());
             }
         }
         self.pipeline.conclude(&refs, helpers)

@@ -25,8 +25,13 @@ use std::fmt;
 /// with `1.0` meaning "nominal".
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for any randomness the plan's consumer draws (per-scenario
-    /// streams should derive from it, e.g. per-device via splitmix).
+    /// The seed the plan was built with ([`FaultPlan::clean`],
+    /// [`FaultPlan::parse`]). Nothing in this crate or the fleet draws from
+    /// it: PUF faults draw from the device's own noise stream, link faults
+    /// from the RNG the caller hands [`crate::run_chaos_session`], and a
+    /// campaign derives its per-device streams from its own
+    /// `CampaignConfig::seed`. A caller may seed that session RNG from it,
+    /// as the crate example does.
     pub seed: u64,
     /// Independent per-bit flip probability on every raw PUF response.
     pub flip_rate: f64,

@@ -25,6 +25,15 @@ use crate::prg::TFunction;
 /// Number of checksum lanes (fixed by the unrolled code layout).
 pub const STATE_WORDS: usize = 8;
 
+/// The full-carry canary `(0xFFFF_FFFF, 1)`, the last challenge of every
+/// PUF query. Adding 1 to all-ones ripples the complete carry chain, so the
+/// canary's settling time sits at `T_ALU`. Any clock fast enough to mask a
+/// modified checksum violates the canary's setup and corrupts `z`: this is
+/// what gives the overclocking defence of §4.2 its teeth for realistic
+/// (short-carry) challenges. Masked to the PUF's width it is
+/// `pufatt_alupuf::challenge::Challenge::canary`.
+pub const CANARY: (u32, u32) = (u32::MAX, 1);
+
 /// Parameters of a checksum computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwattParams {
@@ -154,13 +163,7 @@ pub fn compute<P: RoundPuf>(memory: &[u32], r0: u32, x0: u32, params: &SwattPara
         if params.puf_interval != 0 && block % params.puf_interval == 0 {
             let xv = x.state();
             let mut challenges: [(u32, u32); STATE_WORDS] = std::array::from_fn(|k| (xv, c[k]));
-            // The last challenge of every query is the full-carry canary:
-            // adding 1 to all-ones ripples the complete carry chain, so the
-            // canary's settling time sits at T_ALU. Any clock fast enough
-            // to mask a modified checksum violates the canary's setup and
-            // corrupts z — this is what gives the overclocking defence of
-            // 4.2 its teeth for realistic (short-carry) challenges.
-            challenges[STATE_WORDS - 1] = (u32::MAX, 1);
+            challenges[STATE_WORDS - 1] = CANARY;
             let z = puf.query(&challenges);
             c[0] ^= z;
             puf_queries += 1;

@@ -20,7 +20,7 @@
 //! `x`, `r10` = block counter, `r11/r12/r15` = temporaries, `r13` = address
 //! mask, `r14` = PUF interval countdown.
 
-use crate::checksum::{SwattParams, STATE_WORDS};
+use crate::checksum::{SwattParams, CANARY, STATE_WORDS};
 use std::fmt::Write;
 
 /// Addresses of the generated program's memory interface.
@@ -174,10 +174,10 @@ pub fn generate(params: &SwattParams, options: &CodegenOptions) -> GeneratedSwat
         for k in 0..STATE_WORDS - 1 {
             writeln!(w, "        add  r11, r9, r{}          ; challenge (x, C[{k}])", k + 1).unwrap();
         }
-        // Full-carry canary challenge (0xFFFFFFFF, 1): pins the PUF's
-        // timing requirement to T_ALU (see the checksum reference).
-        writeln!(w, "        addi r11, r0, -1").unwrap();
-        writeln!(w, "        addi r12, r0, 1").unwrap();
+        // The full-carry canary: pins the PUF's timing requirement to
+        // T_ALU (see `CANARY`). Both halves fit a signed 16-bit immediate.
+        writeln!(w, "        addi r11, r0, {}", CANARY.0 as i32).unwrap();
+        writeln!(w, "        addi r12, r0, {}", CANARY.1 as i32).unwrap();
         writeln!(w, "        add  r15, r11, r12         ; canary challenge (all-ones, 1)").unwrap();
         writeln!(w, "        pend").unwrap();
         writeln!(w, "        pread r11").unwrap();
